@@ -16,16 +16,7 @@ Measurement, on a fixed 50K-bio deterministic run:
 * assert checks x per-check cost stays under 5% of the run's wall time.
 """
 
-from collections import deque
-
-import numpy as np
-
 from repro.analysis.report import Table, format_si
-from repro.block.bio import Bio, IOOp
-from repro.block.device import Device
-from repro.block.device_models import SSD_NEW
-from repro.block.layer import BlockLayer
-from repro.cgroup import CgroupTree
 from repro.obs.overhead import (
     OverheadReport,
     count_emissions,
@@ -36,8 +27,7 @@ from repro.obs.overhead import (
 from repro.obs.prof import PROF
 from repro.obs.spans import SPAN_EVENTS
 from repro.obs.trace import TRACE
-from repro.sim import Simulator
-from repro.testbed import make_controller
+from repro.tools.engine_bench import run_fixed_load
 
 from benchmarks.conftest import run_experiment
 
@@ -47,34 +37,10 @@ DEPTH = 64
 OVERHEAD_LIMIT = 0.05
 
 
-def run_fixed(spec=SSD_NEW) -> int:
-    """Exactly 50K 4KiB random reads, closed-loop at depth 64, under iocost."""
-    sim = Simulator()
-    device = Device(sim, spec, np.random.default_rng(0))
-    controller = make_controller("iocost", spec)
-    layer = BlockLayer(sim, device, controller)
-    group = CgroupTree().create("fio")
-    rng = np.random.default_rng(1)
-
-    def worker():
-        issued = 0
-        signals = deque()
-        while issued < TARGET_BIOS or signals:
-            while issued < TARGET_BIOS and len(signals) < DEPTH:
-                sector = int(rng.integers(0, 1 << 30)) * 8
-                signals.append(layer.submit(Bio(IOOp.READ, 4096, sector, group)))
-                issued += 1
-            signal = signals.popleft()
-            if not signal.fired:
-                yield signal
-        # Stop the controller's self-rescheduling plan timer so the event
-        # heap drains and sim.run() terminates.
-        controller.detach()
-
-    sim.process(worker(), name="fixed-load")
-    sim.run()
-    assert layer.completed_ios == TARGET_BIOS
-    return sim.events_processed
+def run_fixed() -> int:
+    """Exactly 50K 4KiB random reads, closed-loop at depth 64, under iocost
+    (the ``engine_bench`` rig); returns the simulator's event count."""
+    return run_fixed_load(TARGET_BIOS, DEPTH).events_processed
 
 
 def measure() -> OverheadReport:

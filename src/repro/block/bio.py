@@ -15,7 +15,6 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cgroup import Cgroup
-    from repro.sim import Signal
 
 SECTOR_SIZE = 512
 
@@ -88,7 +87,6 @@ class Bio:
         "submit_time",
         "issue_time",
         "complete_time",
-        "completion",
         "on_done",
         "sequential",
         "device_sequential",
@@ -126,11 +124,8 @@ class Bio:
         self.submit_time: Optional[float] = None
         self.issue_time: Optional[float] = None
         self.complete_time: Optional[float] = None
-        # Fired (with this bio) when the device completes the request.
-        self.completion: Optional["Signal"] = None
-        # Callback fast path (docs/PERF.md): set by submit(bio, on_done=...)
-        # instead of allocating a completion Signal.  Exactly one of
-        # ``completion`` / ``on_done`` is set by the block layer.
+        # Called (with this bio) when the block layer completes the request
+        # for good; set by submit(bio, on_done=...), None for fire-and-forget.
         self.on_done: Optional[Callable[["Bio"], None]] = None
         # Sequential relative to the issuing cgroup's previous IO on the
         # device (the cost-model feature, §3.2); set by the block layer.

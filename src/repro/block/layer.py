@@ -4,7 +4,7 @@ Wires a :class:`~repro.block.device.Device` to an
 :class:`~repro.controllers.base.IOController` and provides the services the
 kernel block layer provides around them:
 
-* bio lifecycle timestamps and completion signalling;
+* bio lifecycle timestamps and the completion callback (``on_done``);
 * request-slot accounting (``nr_slots``) — the depletion signal IOCost's
   saturation detection consumes;
 * cgroup-relative sequentiality detection (the cost-model feature of §3.2);
@@ -32,7 +32,7 @@ from repro.cgroup import Cgroup
 from repro.obs.prof import PROF
 from repro.obs.trace import TRACE
 from repro.sanitize import SANITIZE
-from repro.sim import Event, Signal, Simulator
+from repro.sim import Event, Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cgroup import CgroupTree
@@ -125,23 +125,17 @@ class BlockLayer:
 
     def submit(
         self, bio: Bio, on_done: Optional[Callable[[Bio], None]] = None
-    ) -> Optional[Signal]:
+    ) -> None:
         """Enter a bio into the block layer.
 
-        Without ``on_done`` this returns the bio's completion
-        :class:`~repro.sim.Signal` (the Process/Signal protocol).  With
-        ``on_done`` — the callback fast path (docs/PERF.md) — no Signal is
-        allocated; ``on_done(bio)`` is invoked at the exact point the
-        signal would have fired, and the method returns None.  Completion
-        order and timing are identical on both paths: Signals fire their
-        waiters synchronously, so the fast path only removes the
-        allocation and indirection, never reorders events.
+        ``on_done(bio)``, if given, is invoked once when the bio completes
+        for good (success or terminal error) — the only completion
+        protocol (docs/PERF.md).  A generator that must wait makes its own
+        :class:`~repro.sim.Signal` and passes ``on_done=sig.fire``; a
+        fire-and-forget submitter passes nothing.
         """
         bio.submit_time = self.sim.now
-        if on_done is not None:
-            bio.on_done = on_done
-        else:
-            bio.completion = self.sim.signal()
+        bio.on_done = on_done
         # Inlined _detect_sequential (hot path).  Keyed by devno, not spec
         # name: two devices of the same model must not share a cgroup's
         # sequentiality tracker.
@@ -176,7 +170,6 @@ class BlockLayer:
             self.depleted_events += 1
         self.controller.enqueue(bio)
         self.controller.pump()
-        return bio.completion
 
     # -- dispatch (controller-facing) ----------------------------------------
 
@@ -251,6 +244,8 @@ class BlockLayer:
         Releases the request slot exactly once per dispatch, then either
         requeues the bio (retryable failure) or completes it for good.
         """
+        if bio.submit_time is None:
+            raise BlockLayerError("bio completed without passing submit()")
         self.inflight -= 1
         if self._san.enabled:
             self._san.check_slots(self.inflight, self._nr_slots, self.dev)
@@ -309,14 +304,8 @@ class BlockLayer:
         if self._retryq:
             self._drain_retries()
         self.controller.pump()
-        # Callback fast path first (docs/PERF.md); exactly one of the two
-        # completion channels was set by submit().
         if bio.on_done is not None:
             bio.on_done(bio)
-        elif bio.completion is not None:
-            bio.completion.fire(bio)
-        else:
-            raise BlockLayerError("bio completed without passing submit()")
 
     # -- retry ----------------------------------------------------------------
 

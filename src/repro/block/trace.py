@@ -144,7 +144,7 @@ class TraceReplayer:
             prio=record.prio,
         )
         self.submitted += 1
-        self.layer.submit(bio).wait(self._done)
+        self.layer.submit(bio, on_done=self._done)
 
     def _done(self, bio: Bio) -> None:
         self.completed += 1

@@ -99,7 +99,7 @@ def _saturate(
 
     def issue() -> None:
         bio = Bio(op, io_size, next_sector(), group)
-        layer.submit(bio).wait(completed)
+        layer.submit(bio, on_done=completed)
 
     def completed(bio: Bio) -> None:
         if sim.now >= warmup:

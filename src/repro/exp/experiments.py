@@ -34,8 +34,9 @@ from __future__ import annotations
 
 import dataclasses
 import importlib
+import inspect
 import math
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.block.device_models import get_device_spec
 from repro.controllers.blk_throttle import ThrottleLimits
@@ -47,6 +48,12 @@ from repro.obs.metrics import exact_percentile
 from repro.obs.spans import SpanTracker
 from repro.obs.trace import TRACE, TraceBuffer
 from repro.testbed import Testbed
+from repro.workloads.synthetic import (
+    ClosedLoopWorkload,
+    LatencyGovernedWorkload,
+    PacedWorkload,
+    ThinkTimeWorkload,
+)
 
 ExperimentFn = Callable[[Dict[str, Any], int], Dict[str, Any]]
 
@@ -125,7 +132,21 @@ def _device_spec(params: Dict[str, Any], key: str = "device") -> Any:
 
 # -- testbed: the generic declarative scenario -------------------------------
 
-_WORKLOAD_TYPES = ("saturate", "paced", "think_time", "latency_governed")
+#: Workload-table ``type`` -> (the Testbed method that starts it, the
+#: class it constructs).
+_WORKLOADS: Dict[str, Tuple[Callable[..., Any], type]] = {
+    "saturate": (Testbed.saturate, ClosedLoopWorkload),
+    "paced": (Testbed.paced, PacedWorkload),
+    "think_time": (Testbed.think_time, ThinkTimeWorkload),
+    "latency_governed": (Testbed.latency_governed, LatencyGovernedWorkload),
+}
+_WORKLOAD_TYPES = tuple(_WORKLOADS)
+#: Keys a table of each type may set: the workload constructor's own
+#: keywords (everything after ``sim, layer, cgroup``).
+_WORKLOAD_KEYS = {
+    wl_type: tuple(inspect.signature(cls).parameters)[3:]
+    for wl_type, (_start, cls) in _WORKLOADS.items()
+}
 
 
 @experiment("testbed")
@@ -262,19 +283,20 @@ def attach_workload(
         raise ExperimentError(
             f"unknown workload type {wl_type!r} (want one of {_WORKLOAD_TYPES})"
         )
+    accepted = _WORKLOAD_KEYS[wl_type]
+    for key in entry:
+        if key not in accepted:
+            raise ExperimentError(
+                f"unknown key {key!r} in a {wl_type!r} workload table "
+                f"(accepted: {('cgroup', 'type', 'device') + accepted})"
+            )
     entry.setdefault("stop_at", duration)
-    group = groups[cgroup_path]
-    if wl_type == "saturate":
-        bed.saturate(group, device=device, **entry)
-    elif wl_type == "paced":
-        rate = entry.pop("rate", None)
-        if rate is None:
+    if wl_type == "paced":
+        if entry.get("rate") is None:
             raise ExperimentError("paced workloads need a 'rate'")
-        bed.paced(group, float(rate), device=device, **entry)
-    elif wl_type == "think_time":
-        bed.think_time(group, device=device, **entry)
-    else:
-        bed.latency_governed(group, device=device, **entry)
+        entry["rate"] = float(entry["rate"])
+    start, _cls = _WORKLOADS[wl_type]
+    start(bed, groups[cgroup_path], device=device, **entry)
 
 
 # -- profile_device: Figure 3's per-device cell ------------------------------

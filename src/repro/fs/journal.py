@@ -121,7 +121,9 @@ class Journal:
                 IOOp.WRITE, size, self._head_sector, owner, flags=BioFlags.JOURNAL
             )
             self._head_sector += bio.end_sector - bio.sector
-            signals.append(self.layer.submit(bio))
+            signal = self.sim.signal()
+            self.layer.submit(bio, on_done=signal.fire)
+            signals.append(signal)
             self.stats.records_written += 1
             self.stats.bytes_written += size
         for signal in signals:

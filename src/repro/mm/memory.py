@@ -376,7 +376,9 @@ class MemoryManager:
             chunk = min(remaining, SWAP_OUT_CLUSTER)
             bio = Bio(IOOp.WRITE, chunk, self._swap_sector, charge_to, flags=BioFlags.SWAP)
             self._swap_sector += chunk // 512
-            signals.append(self.swap_layer.submit(bio))
+            signal = self.sim.signal()
+            self.swap_layer.submit(bio, on_done=signal.fire)
+            signals.append(signal)
             remaining -= chunk
         # The reclaiming process waits for all swap-out writes (§3.5's
         # synchronous dependency).
@@ -397,7 +399,9 @@ class MemoryManager:
         while remaining > 0:
             chunk = min(remaining, SWAP_IN_CLUSTER)
             bio = Bio(IOOp.READ, chunk, self._swap_sector, cgroup, flags=BioFlags.SWAP)
-            signals.append(self.swap_layer.submit(bio))
+            signal = self.sim.signal()
+            self.swap_layer.submit(bio, on_done=signal.fire)
+            signals.append(signal)
             remaining -= chunk
         for signal in signals:
             if not signal.fired:

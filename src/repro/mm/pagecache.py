@@ -129,7 +129,9 @@ class PageCache:
             sector = self._next_sector[cgroup.path]
             bio = Bio(IOOp.WRITE, chunk, sector, cgroup)
             self._next_sector[cgroup.path] = bio.end_sector
-            signals.append((self.layer.submit(bio), chunk))
+            signal = self.sim.signal()
+            self.layer.submit(bio, on_done=signal.fire)
+            signals.append((signal, chunk))
             batched += chunk
         for signal, chunk in signals:
             if not signal.fired:

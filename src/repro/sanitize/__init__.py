@@ -1,10 +1,10 @@
 """Runtime sanitizers: TSan/ASan-style invariant checkers for the DES.
 
-PR 8 forked the engine's hot paths (callback vs Signal completions,
-``run()`` vs ``_run_profiled()``, chunked vs scalar draws) for a ~3.8x
-speedup; golden-trace tests pin their equivalence, but only on the
-workloads they run.  This module makes the *invariants themselves*
-checkable on any workload, the way a sanitizer build does for C:
+PR 8 rebuilt the engine's hot paths (callback completions, an inlined
+dispatch loop, chunked draws) for a ~3.8x speedup; golden-trace tests
+pin their behaviour, but only on the workloads they run.  This module
+makes the *invariants themselves* checkable on any workload, the way a
+sanitizer build does for C:
 
 * **time monotonicity + heap integrity** — dispatched event times never go
   backwards; the heap is a valid binary heap of ``(time, seq, ...)``

@@ -1,9 +1,10 @@
 """CLI for the runtime sanitizers: ``python -m repro.sanitize diff``.
 
-``diff`` runs the differential fast/slow-path harness (:mod:`.diff`) and
-exits 0 when the two traces are byte-identical, 1 on divergence.  On
-divergence (or with ``--out``) the two JSONL traces are written next to
-each other so ``diff fast.jsonl slow.jsonl`` localizes the break.
+``diff`` runs the instrumentation differential harness (:mod:`.diff`) and
+exits 0 when the uninstrumented and the PROF+SANITIZE traces are
+byte-identical, 1 on divergence.  On divergence (or with ``--out``) the
+two JSONL traces are written next to each other so
+``diff plain.jsonl instrumented.jsonl`` localizes the break.
 """
 
 from __future__ import annotations
@@ -23,22 +24,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     diff = sub.add_parser(
         "diff",
-        help="byte-diff the fast-path trace against the sanitized slow-path trace",
+        help="byte-diff an uninstrumented trace against a PROF+SANITIZE trace",
     )
     diff.add_argument("--bios", type=int, default=DEFAULT_BIOS)
     diff.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
     diff.add_argument(
         "--out", type=Path, default=None, metavar="DIR",
-        help="always write fast.jsonl/slow.jsonl here (default: only on divergence)",
+        help="always write plain.jsonl/instrumented.jsonl here (default: only on divergence)",
     )
     return parser
 
 
 def _write_traces(report: dict, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "fast.jsonl").write_text(report["fast_trace"])
-    (out_dir / "slow.jsonl").write_text(report["slow_trace"])
-    print(f"traces written to {out_dir}/fast.jsonl and {out_dir}/slow.jsonl")
+    (out_dir / "plain.jsonl").write_text(report["plain_trace"])
+    (out_dir / "instrumented.jsonl").write_text(report["instrumented_trace"])
+    print(f"traces written to {out_dir}/plain.jsonl and {out_dir}/instrumented.jsonl")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -51,17 +52,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         f"{report['bios']} bios at depth {report['depth']}: "
         f"{report['events']} trace events per run"
     )
-    print(f"sanitize checks (slow run): {checks or 'none'}")
+    print(f"sanitize checks (instrumented run): {checks or 'none'}")
     if report["identical"]:
-        print("fast and slow path traces are byte-identical")
+        print("uninstrumented and instrumented traces are byte-identical")
         if args.out is not None:
             _write_traces(report, args.out)
         return 0
     divergence = report["divergence"]
     print(
         f"TRACE DIVERGENCE at line {divergence['line']}:\n"
-        f"  fast: {divergence['fast']}\n"
-        f"  slow: {divergence['slow']}"
+        f"  plain:        {divergence['plain']}\n"
+        f"  instrumented: {divergence['instrumented']}"
     )
     _write_traces(report, args.out if args.out is not None else Path("sanitize-diff"))
     return 1

@@ -1,24 +1,15 @@
-"""``python -m repro.sanitize diff`` — differential fast/slow-path harness.
+"""``python -m repro.sanitize diff`` — instrumentation differential harness.
 
-PR 8's speedups forked three hot paths, each with a slow twin that is
-*supposed* to be observably identical:
-
-* **completions** — the callback fast path (``submit(bio, on_done=...)``)
-  vs the Signal protocol (``submit(bio).wait(...)``);
-* **the event loop** — the inlined :meth:`~repro.sim.Simulator.run` vs the
-  ``step()``-based ``_run_profiled`` that the profiler/sanitizer force;
-* **sector draws** — chunked vectorized pre-draws vs scalar draws from the
-  same stream.
-
-This harness runs one fixed 50k-bio closed-loop workload (the
-:mod:`repro.tools.engine_bench` rig shape) twice — once entirely on the
-fast variants with all instrumentation off, once entirely on the slow
-variants with the profiler *and* every runtime sanitizer on — records the
-full tracepoint stream of each run, and **byte-diffs** the two JSONL
-traces.  Identical bytes means identical event names, timestamps, bio
-ids, costs, and field values in identical order: the strongest
-equivalence the observability layer can express.  The slow run doubles
-as a sanitized run, so the workload also passes every invariant in
+The profiler and the sanitizers hook the engine's one dispatch loop, the
+block layer and the controller; they are *supposed* to observe a run
+without changing it.  This harness runs the fixed closed-loop rig of
+:func:`repro.tools.engine_bench.run_fixed_load` twice — once with all
+instrumentation off, once with the profiler *and* every runtime sanitizer
+on — records the full tracepoint stream of each run, and **byte-diffs**
+the two JSONL traces.  Identical bytes means identical event names,
+timestamps, bio ids, costs, and field values in identical order: the
+strongest equivalence the observability layer can express.  The
+instrumented run also passes every invariant in
 :class:`repro.sanitize.Sanitizer` on the way through.
 
 Wall-clock time is irrelevant here; only the simulated traces matter.
@@ -27,20 +18,13 @@ Wall-clock time is irrelevant here; only the simulated traces matter.
 from __future__ import annotations
 
 import io
-from typing import Any, List, Optional, Tuple
+from typing import Optional, Tuple
 
-import numpy as np
-
-from repro.block.bio import Bio, IOOp, reset_bio_ids
-from repro.block.device import Device
-from repro.block.device_models import SSD_NEW
-from repro.block.layer import BlockLayer
-from repro.cgroup import CgroupTree
+from repro.block.bio import reset_bio_ids
 from repro.obs.prof import PROF
 from repro.obs.trace import TRACE, TraceBuffer
 from repro.sanitize import SANITIZE
-from repro.sim import Simulator
-from repro.testbed import make_controller
+from repro.tools.engine_bench import run_fixed_load
 
 DEFAULT_BIOS = 50_000
 DEFAULT_DEPTH = 64
@@ -51,122 +35,32 @@ DEFAULT_DEPTH = 64
 _EVENTS_PER_BIO = 12
 
 
-class _FastDriver:
-    """Closed loop on every fast path: callback completions, chunked draws."""
-
-    SECTOR_CHUNK = 4096
-
-    def __init__(
-        self,
-        layer: BlockLayer,
-        group: Any,
-        rng: np.random.Generator,
-        bios: int,
-        depth: int,
-        on_drained: Any,
-    ) -> None:
-        self.layer = layer
-        self.group = group
-        self.rng = rng
-        self.bios = bios
-        self.depth = depth
-        self.issued = 0
-        self.done = 0
-        self.on_drained = on_drained
-        self._sectors: List[int] = []
-        self._i = 0
-
-    def start(self) -> None:
-        for _ in range(min(self.depth, self.bios)):
-            self._issue()
-
-    def _next_sector(self) -> int:
-        i = self._i
-        if i == len(self._sectors):
-            self._sectors = (
-                self.rng.integers(0, 1 << 30, size=self.SECTOR_CHUNK) * 8
-            ).tolist()
-            i = 0
-        self._i = i + 1
-        return self._sectors[i]
-
-    def _issue(self) -> None:
-        self.issued += 1
-        self.layer.submit(
-            Bio(IOOp.READ, 4096, self._next_sector(), self.group),
-            on_done=self._done_cb,
-        )
-
-    def _done_cb(self, bio: Bio) -> None:
-        self.done += 1
-        if self.issued < self.bios:
-            self._issue()
-        elif self.done >= self.bios:
-            self.on_drained()
-
-
-class _SlowDriver(_FastDriver):
-    """The same closed loop on every slow path: Signal completions,
-    scalar sector draws (stream-equivalent to the chunked pre-draw)."""
-
-    def _next_sector(self) -> int:
-        return int(self.rng.integers(0, 1 << 30)) * 8
-
-    def _issue(self) -> None:
-        self.issued += 1
-        signal = self.layer.submit(Bio(IOOp.READ, 4096, self._next_sector(), self.group))
-        if signal is None:  # pragma: no cover - submit() contract
-            raise RuntimeError("submit() without on_done must return a Signal")
-        signal.wait(self._done_cb)
-
-
-def run_traced(bios: int, depth: int, slow: bool) -> str:
+def run_traced(bios: int, depth: int, instrumented: bool) -> str:
     """One rig run with full tracing; returns the JSONL trace text.
 
-    ``slow=False`` runs with all instrumentation off (the inlined engine
-    loop, callback completions, chunked draws); ``slow=True`` enables the
-    profiler and the sanitizers — forcing the ``step()``-based loop — and
-    drives completions through Signals with scalar draws.
+    ``instrumented=True`` enables the profiler and the sanitizers for the
+    run; ``instrumented=False`` switches both off, even when the ambient
+    process is sanitized (REPRO_SANITIZE=1 CI) — otherwise the byte-diff
+    would compare an instrumented run against itself.
     """
     reset_bio_ids()
     prof_was, san_was = PROF.enabled, SANITIZE.enabled
-    if slow:
+    if instrumented:
         PROF.reset()
-        PROF.enable()
         SANITIZE.reset()
-        SANITIZE.enable()
-    else:
-        # The fast run must take the genuinely uninstrumented paths even
-        # when the ambient process is sanitized (REPRO_SANITIZE=1 CI):
-        # with SANITIZE armed the engine falls back to the slow loop and
-        # the byte-diff would compare slow against slow.
-        PROF.disable()
-        SANITIZE.disable()
+    PROF.enabled = SANITIZE.enabled = instrumented
     buffer = TraceBuffer(capacity=bios * _EVENTS_PER_BIO + 4096)
+    buffer.attach(TRACE)
     try:
-        sim = Simulator()
-        device = Device(sim, SSD_NEW, np.random.default_rng(0))
-        controller = make_controller("iocost", SSD_NEW)
-        layer = BlockLayer(sim, device, controller)
-        group = CgroupTree().create("diff")
-        driver_cls = _SlowDriver if slow else _FastDriver
-        driver = driver_cls(
-            layer, group, np.random.default_rng(1), bios, depth,
-            on_drained=controller.detach,
-        )
-        buffer.attach(TRACE)
-        driver.start()
-        sim.run()
+        run_fixed_load(bios, depth)
     finally:
-        if slow:
+        buffer.detach()
+        if instrumented:
             PROF.reset()
         PROF.enabled = prof_was
-        # The slow run's check counters stay readable; only the flag is
-        # restored to its ambient state.
+        # The instrumented run's check counters stay readable; only the
+        # flag is restored to its ambient state.
         SANITIZE.enabled = san_was
-        buffer.detach()
-    if layer.completed_ios != bios:
-        raise RuntimeError(f"diff rig completed {layer.completed_ios} of {bios} bios")
     if buffer.dropped:
         raise RuntimeError(
             f"trace ring dropped {buffer.dropped} events; the byte-diff "
@@ -178,42 +72,42 @@ def run_traced(bios: int, depth: int, slow: bool) -> str:
 
 
 def first_divergence(
-    fast: str, slow: str
+    plain: str, instrumented: str
 ) -> Optional[Tuple[int, Optional[str], Optional[str]]]:
-    """First differing line as (1-based line number, fast line, slow line);
-    None when the traces are byte-identical."""
-    if fast == slow:
+    """First differing line as (1-based line number, plain line,
+    instrumented line); None when the traces are byte-identical."""
+    if plain == instrumented:
         return None
-    fast_lines = fast.splitlines()
-    slow_lines = slow.splitlines()
-    for index in range(max(len(fast_lines), len(slow_lines))):
-        a = fast_lines[index] if index < len(fast_lines) else None
-        b = slow_lines[index] if index < len(slow_lines) else None
+    plain_lines = plain.splitlines()
+    inst_lines = instrumented.splitlines()
+    for index in range(max(len(plain_lines), len(inst_lines))):
+        a = plain_lines[index] if index < len(plain_lines) else None
+        b = inst_lines[index] if index < len(inst_lines) else None
         if a != b:
             return (index + 1, a, b)
     # Same lines but different bytes: trailing-newline difference.
-    return (max(len(fast_lines), len(slow_lines)) + 1, None, None)
+    return (max(len(plain_lines), len(inst_lines)) + 1, None, None)
 
 
 def run_diff(bios: int = DEFAULT_BIOS, depth: int = DEFAULT_DEPTH) -> dict:
     """Run both variants and compare; returns a JSON-able report."""
-    fast = run_traced(bios, depth, slow=False)
-    slow = run_traced(bios, depth, slow=True)
-    divergence = first_divergence(fast, slow)
+    plain = run_traced(bios, depth, instrumented=False)
+    instrumented = run_traced(bios, depth, instrumented=True)
+    divergence = first_divergence(plain, instrumented)
     report = {
         "bios": bios,
         "depth": depth,
-        "events": fast.count("\n"),
+        "events": plain.count("\n"),
         "identical": divergence is None,
         "sanitize_checks": SANITIZE.snapshot(),
-        "fast_trace": fast,
-        "slow_trace": slow,
+        "plain_trace": plain,
+        "instrumented_trace": instrumented,
     }
     if divergence is not None:
-        line, fast_line, slow_line = divergence
+        line, plain_line, inst_line = divergence
         report["divergence"] = {
             "line": line,
-            "fast": fast_line,
-            "slow": slow_line,
+            "plain": plain_line,
+            "instrumented": inst_line,
         }
     return report

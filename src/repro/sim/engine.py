@@ -20,10 +20,11 @@ tuples, not bare :class:`Event` objects, so every heap sift compares in C
 without ever calling back into Python — the ``seq`` tiebreaker is unique,
 so comparison never reaches the (non-comparable) event in slot 2.
 Cancellation stays on the :class:`Event` handle; a cancelled entry is left
-in the heap and discarded when popped.  :meth:`Simulator.run` inlines the
-pop/dispatch loop with the profiler guard hoisted out of it, and
-:meth:`Simulator.schedule_bulk` amortises batched timer creation into a
-single heap restore.
+in the heap and discarded when popped.  :meth:`Simulator.run` is the one
+dispatch loop — inlined, with the profiler and sanitizer hooks hoisted to
+locals that are ``None`` while disabled — and :meth:`Simulator.step` is
+the public single-event API; :meth:`Simulator.schedule_bulk` amortises
+batched timer creation into a single heap restore.
 """
 
 from __future__ import annotations
@@ -189,8 +190,7 @@ class Simulator:
         self.events_processed = 0
         # Cached self-profiler (same zero-cost guard pattern as tracepoints).
         self._prof = PROF
-        # Cached sanitizer (repro.sanitize): run() falls back to the
-        # step()-based loop while enabled, same as the profiler.
+        # Cached sanitizer (repro.sanitize), same guard pattern.
         self._san = SANITIZE
 
     # -- scheduling -------------------------------------------------------
@@ -293,66 +293,44 @@ class Simulator:
         end even if no event lands there, so back-to-back ``run`` calls tile
         the timeline.
 
-        The dispatch loop is inlined (no per-event :meth:`step` call) with
-        the profiler guard hoisted: when the profiler is disabled — the
-        common case — each event costs one heap pop, one cancelled check,
-        and the callback itself.  The profiled variant falls back to
-        :meth:`step` so counter semantics stay in one place.
+        One inlined dispatch loop serves every configuration: the profiler
+        and sanitizer are hoisted to locals that are ``None`` while
+        disabled, so an uninstrumented event costs one head-time compare,
+        one heap pop, one cancelled check, three local ``None`` tests and
+        the callback.
         """
         if until is not None and until < self.now:
             raise SimulationError("cannot run backwards")
-        if self._prof.enabled or self._san.enabled:
-            self._run_profiled(until)
-            return
+        limit = math.inf if until is None else until
+        prof = self._prof if self._prof.enabled else None
+        san = self._san if self._san.enabled else None
         heap = self._heap
         pop = heapq.heappop
         dispatched = 0
         # ``events_processed`` is batched back in a finally so a raising
         # callback cannot lose the events dispatched before it.
         try:
-            if until is None:
-                while heap:
-                    time, _seq, event = pop(heap)
-                    if event.cancelled:
-                        continue
-                    self.now = time
-                    dispatched += 1
-                    event.callback(*event.args)
-                return
             while heap:
-                entry = heap[0]
-                if entry[0] > until:
-                    if entry[2].cancelled:
-                        pop(heap)
-                        continue
+                head = heap[0]
+                # A cancelled head is discarded even past ``until``.
+                if head[0] > limit and not head[2].cancelled:
                     break
                 time, _seq, event = pop(heap)
+                if prof is not None:
+                    prof.heap_pops += 1
                 if event.cancelled:
                     continue
+                if san is not None:
+                    san.check_monotonic(self.now, time)
                 self.now = time
                 dispatched += 1
+                if prof is not None:
+                    prof.events_dispatched += 1
                 event.callback(*event.args)
-            self.now = until
+            if until is not None:
+                self.now = until
         finally:
             self.events_processed += dispatched
-
-    def _run_profiled(self, until: Optional[float]) -> None:
-        """The observable-work variant of :meth:`run` (profiler or
-        sanitizer enabled; per-event checks live in :meth:`step`)."""
-        # simlint: dual-of=Simulator.run
-        if until is None:
-            while self.step():
-                pass
-            return
-        while self._heap:
-            time, _seq, event = self._heap[0]
-            if event.cancelled:
-                heapq.heappop(self._heap)
-                continue
-            if time > until:
-                break
-            self.step()
-        self.now = until
 
     def peek(self) -> Optional[float]:
         """Time of the next non-cancelled event, or None if idle."""

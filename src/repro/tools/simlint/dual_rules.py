@@ -1,13 +1,12 @@
 """The dual-path-parity rule: fast/slow twins must stay observably equal.
 
-PR 8 forked several hot paths into a fast variant and a semantically
-identical slow one (``Simulator.run`` inlines the loop that
-``_run_profiled`` routes through ``step()``; ``schedule_bulk`` amortises
-N× ``schedule``).  Their equivalence is pinned by golden-trace tests — but
-a test only covers the workload it runs.  This rule makes the contract
-*structural*: a function annotated
+A performance fork leaves a fast variant beside a semantically identical
+slow one (``Simulator.schedule_bulk`` amortises N× ``schedule``).  Their
+equivalence is pinned by golden-trace tests — but a test only covers the
+workload it runs.  This rule makes the contract *structural*: a function
+annotated
 
-    def _run_profiled(self, until):  # simlint: dual-of=Simulator.run
+    def schedule_bulk(self, entries):  # simlint: dual-of=Simulator.schedule
         ...
 
 must, transitively through module-local calls, (a) emit the same set of

@@ -58,14 +58,7 @@ class SectorPicker:
 
 
 class Workload:
-    """Base class: owns its cgroup, tracks completions and latencies.
-
-    ``fast_completions`` selects the block layer's callback completion fast
-    path (``submit(bio, on_done=...)``, docs/PERF.md) over the Signal
-    protocol.  Both paths complete bios at identical simulated times in
-    identical order; the flag exists so determinism tests can run the same
-    workload both ways and diff the traces.
-    """
+    """Base class: owns its cgroup, tracks completions and latencies."""
 
     def __init__(
         self,
@@ -73,25 +66,15 @@ class Workload:
         layer: BlockLayer,
         cgroup: Cgroup,
         seed: int = 0,
-        fast_completions: bool = True,
     ):
         self.sim = sim
         self.layer = layer
         self.cgroup = cgroup
         self.rng = np.random.default_rng(seed)
-        self.fast_completions = fast_completions
         self.completed = 0
         self.bytes_done = 0
         self.latencies: List[float] = []
         self.running = False
-
-    def _submit(self, bio: Bio, on_done) -> None:
-        """Submit via the configured completion path (see class docstring)."""
-        if self.fast_completions:
-            self.layer.submit(bio, on_done=on_done)
-        else:
-            # submit() without on_done always returns the completion Signal.
-            self.layer.submit(bio).wait(on_done)
 
     def start(self) -> "Workload":
         self.running = True

@@ -111,7 +111,7 @@ class _ByteStream:
         if not owner.running or (owner.stop_at is not None and owner.sim.now >= owner.stop_at):
             return
         bio = Bio(self.op, self.io_size, self.picker.next(self.io_size), owner.cgroup)
-        owner.layer.submit(bio).wait(
-            lambda b, seq=self.sequential: owner._account(b, seq)
+        owner.layer.submit(
+            bio, on_done=lambda b, seq=self.sequential: owner._account(b, seq)
         )
         owner.sim.schedule(self.interval, self._tick)

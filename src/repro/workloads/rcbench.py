@@ -143,7 +143,8 @@ class ResourceControlBench(Workload):
                     self.picker.next(self.io_read_size),
                     self.cgroup,
                 )
-                signal = self.layer.submit(bio)
+                signal = self.sim.signal()
+                self.layer.submit(bio, on_done=signal.fire)
                 if not signal.fired:
                     yield signal
                 self._record(bio)

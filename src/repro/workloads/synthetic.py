@@ -31,9 +31,8 @@ class ClosedLoopWorkload(Workload):
         sequential: bool = False,
         stop_at: float = None,
         seed: int = 0,
-        fast_completions: bool = True,
     ):
-        super().__init__(sim, layer, cgroup, seed, fast_completions)
+        super().__init__(sim, layer, cgroup, seed)
         self.op = op
         self.size = size
         self.depth = depth
@@ -50,7 +49,7 @@ class ClosedLoopWorkload(Workload):
 
     def _issue(self):
         bio = Bio(self.op, self.size, self.picker.next(self.size), self.cgroup)
-        self._submit(bio, self._done)
+        self.layer.submit(bio, on_done=self._done)
 
     def _done(self, bio):
         self._record(bio)
@@ -72,9 +71,8 @@ class PacedWorkload(Workload):
         sequential: bool = False,
         stop_at: float = None,
         seed: int = 0,
-        fast_completions: bool = True,
     ):
-        super().__init__(sim, layer, cgroup, seed, fast_completions)
+        super().__init__(sim, layer, cgroup, seed)
         if rate <= 0:
             raise ValueError("rate must be positive")
         self.interval = 1.0 / rate
@@ -92,7 +90,7 @@ class PacedWorkload(Workload):
         if not self.running or (self.stop_at is not None and self.sim.now >= self.stop_at):
             return
         bio = Bio(self.op, self.size, self.picker.next(self.size), self.cgroup)
-        self._submit(bio, self._record)
+        self.layer.submit(bio, on_done=self._record)
         self.sim.schedule(self.interval, self._tick)
 
 
@@ -110,9 +108,8 @@ class ThinkTimeWorkload(Workload):
         sequential: bool = False,
         stop_at: float = None,
         seed: int = 0,
-        fast_completions: bool = True,
     ):
-        super().__init__(sim, layer, cgroup, seed, fast_completions)
+        super().__init__(sim, layer, cgroup, seed)
         self.think_time = think_time
         self.op = op
         self.size = size
@@ -126,7 +123,7 @@ class ThinkTimeWorkload(Workload):
 
     def _issue(self):
         bio = Bio(self.op, self.size, self.picker.next(self.size), self.cgroup)
-        self._submit(bio, self._done)
+        self.layer.submit(bio, on_done=self._done)
 
     def _done(self, bio):
         self._record(bio)
@@ -162,9 +159,8 @@ class LatencyGovernedWorkload(Workload):
         size: int = 4096,
         stop_at: float = None,
         seed: int = 0,
-        fast_completions: bool = True,
     ):
-        super().__init__(sim, layer, cgroup, seed, fast_completions)
+        super().__init__(sim, layer, cgroup, seed)
         self.latency_target = latency_target
         self.max_depth = max_depth
         self.op = op
@@ -186,7 +182,7 @@ class LatencyGovernedWorkload(Workload):
                 return
             self._outstanding += 1
             bio = Bio(self.op, self.size, self.picker.next(self.size), self.cgroup)
-            self._submit(bio, self._done)
+            self.layer.submit(bio, on_done=self._done)
 
     def _done(self, bio):
         self._outstanding -= 1

@@ -124,8 +124,11 @@ class ZooKeeperEnsemble:
         start = self.sim.now
         sector = int(self.rng.integers(1, 1 << 26)) * 8
         bio = Bio(IOOp.READ, 4096, sector, cgroup)
-        machine.layer.submit(bio).wait(
-            lambda _b: self.ops.append(OpRecord(self.sim.now, self.sim.now - start, False))
+        machine.layer.submit(
+            bio,
+            on_done=lambda _b: self.ops.append(
+                OpRecord(self.sim.now, self.sim.now - start, False)
+            ),
         )
         self.sim.schedule(float(self.rng.exponential(1 / self.read_rps)), self._read_arrival)
 
@@ -154,7 +157,7 @@ class ZooKeeperEnsemble:
             sector = self._journal_sectors[index]
             self._journal_sectors[index] += (self.payload + 511) // 512
             bio = Bio(IOOp.WRITE, self.payload, sector, self.cgroups[index])
-            machine.layer.submit(bio).wait(acked)
+            machine.layer.submit(bio, on_done=acked)
 
     def _snapshot(self):
         """All participants dump the in-memory DB: a sequential write burst."""

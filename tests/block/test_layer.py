@@ -37,8 +37,7 @@ def test_submit_flows_to_completion():
     sim, layer, tree = make_env()
     group = tree.create("a")
     completed = []
-    signal = layer.submit(Bio(IOOp.READ, 4096, 5, group))
-    signal.wait(completed.append)
+    layer.submit(Bio(IOOp.READ, 4096, 5, group), on_done=completed.append)
     sim.run()
     assert len(completed) == 1
     bio = completed[0]
@@ -123,8 +122,10 @@ def test_issue_overhead_serializes_dispatch():
     def top_up(_value=None):
         while outstanding["count"] < 32 and sim.now < 0.1:
             outstanding["count"] += 1
-            signal = layer.submit(Bio(IOOp.READ, 4096, layer.submitted_ios * 7 + 1, group))
-            signal.wait(finished)
+            layer.submit(
+                Bio(IOOp.READ, 4096, layer.submitted_ios * 7 + 1, group),
+                on_done=finished,
+            )
 
     def finished(_bio):
         outstanding["count"] -= 1
@@ -147,3 +148,19 @@ def test_iops_of_and_snapshot():
     layer.submit(Bio(IOOp.READ, 4096, 7777, group))
     sim.run()
     assert layer.iops_of(group, since_counts=snap) == 1
+
+
+def test_submit_returns_none():
+    sim, layer, tree = make_env()
+    bio = Bio(IOOp.READ, 4096, 5, tree.create("a"))
+    assert layer.submit(bio) is None
+    assert layer.submit(Bio(IOOp.READ, 4096, 9, bio.cgroup), on_done=lambda _b: None) is None
+
+
+def test_completion_without_submit_is_a_protocol_error():
+    sim, layer, tree = make_env()
+    stray = Bio(IOOp.READ, 4096, 5, tree.create("a"))
+    with pytest.raises(BlockLayerError, match="without passing"):
+        layer._device_completed(stray)
+    # The stray bio was rejected before it could release a slot it never held.
+    assert layer.inflight == 0 and layer.completed_ios == 0

@@ -67,7 +67,7 @@ class TestRetry:
         sim, layer, tree = make_env(faults=plan, retry_backoff=1e-3)
         group = tree.create("ws")
         done = []
-        layer.submit(read_bio(group)).wait(done.append)
+        layer.submit(read_bio(group), on_done=done.append)
         sim.run()
         (bio,) = done
         assert bio.ok and bio.retries == 1
@@ -83,7 +83,7 @@ class TestRetry:
         sim, layer, tree = make_env(faults=plan, max_retries=2, retry_backoff=1e-3)
         group = tree.create("ws")
         done = []
-        layer.submit(read_bio(group)).wait(done.append)
+        layer.submit(read_bio(group), on_done=done.append)
         sim.run()
         (bio,) = done
         assert bio.status is BioStatus.EIO and bio.retries == 2
@@ -95,7 +95,7 @@ class TestRetry:
         sim, layer, tree = make_env(faults=plan, max_retries=2)
         group = tree.create("ws")
         done = []
-        layer.submit(read_bio(group)).wait(done.append)
+        layer.submit(read_bio(group), on_done=done.append)
         sim.run()
         (bio,) = done
         assert bio.status is BioStatus.EIO
@@ -112,7 +112,7 @@ class TestRetry:
         sim, layer, tree = make_env(faults=plan, max_retries=0)
         group = tree.create("ws")
         done = []
-        layer.submit(read_bio(group)).wait(done.append)
+        layer.submit(read_bio(group), on_done=done.append)
         sim.run()
         assert done[0].status is BioStatus.EIO and done[0].retries == 0
         assert layer.requeued_ios == 0
@@ -124,7 +124,7 @@ class TestTimeout:
         sim, layer, tree = make_env(faults=plan, io_timeout=0.01, max_retries=0)
         group = tree.create("ws")
         done = []
-        layer.submit(read_bio(group)).wait(done.append)
+        layer.submit(read_bio(group), on_done=done.append)
         sim.run()
         (bio,) = done
         assert bio.status is BioStatus.TIMEOUT
@@ -142,7 +142,7 @@ class TestTimeout:
         )
         group = tree.create("ws")
         done = []
-        layer.submit(read_bio(group)).wait(done.append)
+        layer.submit(read_bio(group), on_done=done.append)
         sim.run()
         (bio,) = done
         assert bio.status is BioStatus.TIMEOUT and bio.retries == 1
@@ -173,8 +173,7 @@ class TestSlotRelease:
         group = tree.create("ws")
         done = []
         for index in range(20):  # 5x the slot count
-            signal = layer.submit(read_bio(group, sector=index * 1000))
-            signal.wait(done.append)
+            layer.submit(read_bio(group, sector=index * 1000), on_done=done.append)
         sim.run()
         assert len(done) == 20
         assert all(bio.status is BioStatus.EIO for bio in done)
@@ -192,7 +191,7 @@ class TestSlotRelease:
         group = tree.create("ws")
         done = []
         for index in range(12):
-            layer.submit(read_bio(group, sector=index * 1000)).wait(done.append)
+            layer.submit(read_bio(group, sector=index * 1000), on_done=done.append)
         sim.run()
         assert len(done) == 12
         assert all(bio.status is BioStatus.TIMEOUT for bio in done)
@@ -218,8 +217,8 @@ class TestSlotRelease:
             sim.schedule(
                 index * 0.0004,
                 lambda i=index: layer.submit(
-                    read_bio(group, sector=i * 1000)
-                ).wait(done.append),
+                    read_bio(group, sector=i * 1000), on_done=done.append
+                ),
             )
         sim.run()
         assert len(done) == 40

@@ -64,7 +64,7 @@ class ClosedLoop:
 
     def _issue(self):
         bio = Bio(self.op, self.size, self._sector(), self.cgroup)
-        self.layer.submit(bio).wait(self._done)
+        self.layer.submit(bio, on_done=self._done)
 
     def _done(self, bio):
         self.completed += 1

@@ -52,7 +52,7 @@ class TestMQDeadline:
         group = tree.create("a")
         # One write sits while a steady read stream arrives.
         write_done = []
-        layer.submit(Bio(IOOp.WRITE, 4096, 1, group)).wait(write_done.append)
+        layer.submit(Bio(IOOp.WRITE, 4096, 1, group), on_done=write_done.append)
         ClosedLoop(sim, layer, group, op=IOOp.READ, depth=4, stop_at=7.0, seed=1).start()
         sim.run(until=6.5)
         assert write_done  # dispatched within WRITE_EXPIRE + service slack

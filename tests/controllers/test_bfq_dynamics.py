@@ -83,9 +83,9 @@ class TestIdling:
         a = tree.create("a", weight=100)
         b = tree.create("b", weight=100)
         done = []
-        layer.submit(Bio(IOOp.READ, 4096, 1, a)).wait(lambda bio: done.append("a"))
+        layer.submit(Bio(IOOp.READ, 4096, 1, a), on_done=lambda bio: done.append("a"))
         # b's bio arrives while a's single IO is in flight.
-        layer.submit(Bio(IOOp.READ, 4096, 99999, b)).wait(lambda bio: done.append("b"))
+        layer.submit(Bio(IOOp.READ, 4096, 99999, b), on_done=lambda bio: done.append("b"))
         sim.run(until=50e-6)
         # a completes at ~100us; idle window then holds the device for a.
         sim.run(until=150e-6)
@@ -100,11 +100,11 @@ class TestIdling:
         sim, layer, tree = build_layer(controller, spec=FAST)
         a = tree.create("a", weight=100)
         first_done = []
-        layer.submit(Bio(IOOp.READ, 4096, 1, a)).wait(first_done.append)
+        layer.submit(Bio(IOOp.READ, 4096, 1, a), on_done=first_done.append)
         sim.run(until=110e-6)  # a completed; idle armed
         assert controller._idle_timer is not None
         second_done = []
-        layer.submit(Bio(IOOp.READ, 4096, 9, a)).wait(second_done.append)
+        layer.submit(Bio(IOOp.READ, 4096, 9, a), on_done=second_done.append)
         assert controller._idle_timer is None  # idle cancelled by arrival
         sim.run(until=300e-6)
         assert second_done

@@ -68,7 +68,7 @@ class Saturator:
     def _issue(self):
         sector = int(self.rng.integers(1, 1 << 28)) * 8
         bio = Bio(IOOp.READ, 4096, sector, self.cgroup)
-        self.layer.submit(bio).wait(self._done)
+        self.layer.submit(bio, on_done=self._done)
 
     def _done(self, bio):
         self.completed += 1
@@ -96,7 +96,7 @@ class PacedIssuer:
             return
         sector = int(self.rng.integers(1, 1 << 28)) * 8
         bio = Bio(IOOp.READ, 4096, sector, self.cgroup)
-        self.layer.submit(bio).wait(lambda _b: None)
+        self.layer.submit(bio)
         self.completed += 1
         self.sim.schedule(self.interval, self._tick)
 
@@ -215,7 +215,7 @@ class TestUrgentAndDebt:
         state.local_vtime = controller.clock.now() + 10.0
         bio = Bio(IOOp.WRITE, 4096, 0, group, flags=BioFlags.SWAP)
         done = []
-        layer.submit(bio).wait(done.append)
+        layer.submit(bio, on_done=done.append)
         sim.run(until=0.01)
         assert done  # dispatched immediately despite zero budget
 
@@ -231,7 +231,7 @@ class TestUrgentAndDebt:
         assert controller.debt.debt_vtime(state) > 0
         # A normal read from the leaker now waits behind the debt.
         normal_done = []
-        layer.submit(Bio(IOOp.READ, 4096, 99999, group)).wait(normal_done.append)
+        layer.submit(Bio(IOOp.READ, 4096, 99999, group), on_done=normal_done.append)
         debt_wall = controller.debt.debt_walltime(state)
         sim.run(until=debt_wall / 2)
         assert not normal_done
@@ -254,7 +254,7 @@ class TestUrgentAndDebt:
         state.local_vtime = controller.clock.now() + 1.0  # deep in debt
         done = []
         bio = Bio(IOOp.WRITE, 4096, 0, group, flags=BioFlags.SWAP)
-        layer.submit(bio).wait(done.append)
+        layer.submit(bio, on_done=done.append)
         sim.run(until=0.05)
         assert not done  # throttled like normal IO: the priority inversion
 
@@ -327,7 +327,7 @@ class TestOversizedIOs:
                 return
             outstanding["n"] += 1
             bio = Bio(IOOp.WRITE, 1 << 20, 8 * outstanding["n"] * 4096, small)
-            layer.submit(bio).wait(done)
+            layer.submit(bio, on_done=done)
 
         def done(_bio):
             issue()

@@ -53,7 +53,7 @@ def test_weight_change_applies_mid_stream():
         def issue(_v=None):
             if sim.now < 1.0:
                 sector = int(rng.integers(1, 1 << 20)) * 8
-                layer.submit(Bio(IOOp.READ, 4096, sector, group)).wait(issue)
+                layer.submit(Bio(IOOp.READ, 4096, sector, group), on_done=issue)
 
         for _ in range(8):
             issue()
@@ -89,7 +89,7 @@ def test_zero_weight_never_configured_but_min_weight_works():
     tiny = tree.create("tiny", weight=1)
     big = tree.create("big", weight=10000)
     done = []
-    layer.submit(Bio(IOOp.READ, 4096, 8, tiny)).wait(done.append)
+    layer.submit(Bio(IOOp.READ, 4096, 8, tiny), on_done=done.append)
     sim.run(until=0.5)
     controller.detach()
     assert done  # even a 1-weight group makes progress

@@ -135,7 +135,7 @@ class TestIntegrationWithIOCost:
         layer = BlockLayer(sim, device, controller)
         group = CgroupTree().create("w")
         done = []
-        layer.submit(Bio(IOOp.READ, 4096, 8, group)).wait(done.append)
+        layer.submit(Bio(IOOp.READ, 4096, 8, group), on_done=done.append)
         sim.run(until=0.01)
         controller.detach()
         assert done

@@ -1,9 +1,9 @@
 """Determinism regressions for the hot-path refactor (docs/PERF.md).
 
-The callback completion fast path and the chunked RNG pre-draws are pure
-performance changes: with the same seed the simulation must produce
-byte-identical traces whether the fast path is on or off, and whether a
-``repro.exp`` sweep runs in one process or four.
+With the same seed the simulation must produce byte-identical traces
+whether a submitter passes its completion callback directly or waits on a
+per-bio Signal adapter (``on_done=sig.fire``), and whether a ``repro.exp``
+sweep runs in one process or four.
 """
 
 import io
@@ -11,11 +11,25 @@ import io
 from repro.exp.runner import run_sweep
 from repro.exp.spec import ExperimentSpec
 from repro.exp.store import TRACE_FILE, ArtifactStore
+from repro import testbed
+from repro.block.bio import Bio
 from repro.obs.trace import TRACE, TraceBuffer
 from repro.testbed import Testbed
+from repro.workloads.synthetic import ClosedLoopWorkload
 
 
-def _trace_bytes(fast_completions: bool) -> bytes:
+class _SignalClosedLoop(ClosedLoopWorkload):
+    """The same closed loop, completing through a per-bio Signal adapter
+    (``on_done=sig.fire``) — how generator processes wait on a bio."""
+
+    def _issue(self):
+        bio = Bio(self.op, self.size, self.picker.next(self.size), self.cgroup)
+        sig = self.sim.signal()
+        sig.wait(self._done)
+        self.layer.submit(bio, on_done=sig.fire)
+
+
+def _trace_bytes() -> bytes:
     """Full trace of a fixed two-cgroup contention run, as JSONL bytes."""
     TRACE.reset()
     try:
@@ -23,8 +37,8 @@ def _trace_bytes(fast_completions: bool) -> bytes:
         high = bed.add_cgroup("high", weight=200)
         low = bed.add_cgroup("low", weight=100)
         buffer = TraceBuffer().attach(TRACE)
-        bed.saturate(high, depth=16, fast_completions=fast_completions)
-        bed.saturate(low, depth=8, fast_completions=fast_completions)
+        bed.saturate(high, depth=16)
+        bed.saturate(low, depth=8)
         bed.run(0.2)
         buffer.detach()
         bed.detach()
@@ -35,11 +49,12 @@ def _trace_bytes(fast_completions: bool) -> bytes:
         TRACE.reset()
 
 
-def test_callback_fast_path_trace_is_byte_identical():
-    fast = _trace_bytes(fast_completions=True)
-    slow = _trace_bytes(fast_completions=False)
-    assert fast, "rig produced an empty trace"
-    assert fast == slow
+def test_callback_fast_path_trace_is_byte_identical(monkeypatch):
+    direct = _trace_bytes()
+    monkeypatch.setattr(testbed, "ClosedLoopWorkload", _SignalClosedLoop)
+    adapted = _trace_bytes()
+    assert direct, "rig produced an empty trace"
+    assert direct == adapted
 
 
 TRACED_SPEC = ExperimentSpec(

@@ -1,19 +1,10 @@
 """The deterministic engine self-profiler (repro.obs.prof)."""
 
-from collections import deque
-
-import numpy as np
 import pytest
 
-from repro.block.bio import Bio, IOOp
-from repro.block.device import Device
-from repro.block.device_models import SSD_NEW
-from repro.block.layer import BlockLayer
-from repro.cgroup import CgroupTree
 from repro.obs.prof import PROF, SimProfiler
 from repro.obs.trace import TRACE
-from repro.sim import Simulator
-from repro.testbed import make_controller
+from repro.tools.engine_bench import run_fixed_load
 
 BIOS = 500
 DEPTH = 16
@@ -28,30 +19,8 @@ def clean_profiler():
 
 
 def run_rig(bios=BIOS):
-    """Small deterministic closed-loop run; returns the layer."""
-    sim = Simulator()
-    device = Device(sim, SSD_NEW, np.random.default_rng(0))
-    controller = make_controller("iocost", SSD_NEW)
-    layer = BlockLayer(sim, device, controller)
-    group = CgroupTree().create("prof")
-    rng = np.random.default_rng(1)
-
-    def worker():
-        issued = 0
-        signals = deque()
-        while issued < bios or signals:
-            while issued < bios and len(signals) < DEPTH:
-                sector = int(rng.integers(0, 1 << 30)) * 8
-                signals.append(layer.submit(Bio(IOOp.READ, 4096, sector, group)))
-                issued += 1
-            signal = signals.popleft()
-            if not signal.fired:
-                yield signal
-        controller.detach()
-
-    sim.process(worker(), name="prof-rig")
-    sim.run()
-    return layer
+    """Small deterministic closed-loop run; returns the drained simulator."""
+    return run_fixed_load(bios, DEPTH)
 
 
 class TestLifecycle:
@@ -84,7 +53,7 @@ class TestCounting:
         assert snap["bios_issued"] == BIOS
         assert snap["bios_completed"] == BIOS
         # Every bio needs at least one device-completion event, plus the
-        # worker wake-ups and controller timers.
+        # controller timers.
         assert snap["events_dispatched"] >= BIOS
         assert snap["heap_pushes"] >= snap["events_dispatched"]
         assert snap["heap_pops"] >= snap["events_dispatched"]
@@ -150,8 +119,7 @@ class TestReporting:
 
     def test_profiling_does_not_change_results(self):
         baseline = run_rig()
-        events_off = baseline.sim.events_processed
         with PROF:
             tracked = run_rig()
-        assert tracked.sim.events_processed == events_off
-        assert tracked.completed_bytes == baseline.completed_bytes
+        assert tracked.events_processed == baseline.events_processed
+        assert tracked.now == baseline.now

@@ -274,9 +274,9 @@ class TestReplayBridge:
         replayed = []
         original = layer2.submit
 
-        def capture(bio):
+        def capture(bio, on_done=None):
             replayed.append(bio.prio)
-            return original(bio)
+            original(bio, on_done=on_done)
 
         layer2.submit = capture
         TraceReplayer(sim2, layer2, tree2, records).start()

@@ -1,5 +1,6 @@
-"""The differential harness: fast and slow paths must byte-match, and a
-divergence must be localized to its first differing trace line."""
+"""The differential harness: an uninstrumented and a PROF+SANITIZE run must
+byte-match, and a divergence must be localized to its first differing
+trace line."""
 
 import pytest
 
@@ -22,36 +23,36 @@ class TestFirstDivergence:
         assert first_divergence("a\nb\n", "a\nb\n") is None
 
     def test_first_differing_line(self):
-        line, fast, slow = first_divergence("a\nb\nc\n", "a\nX\nc\n")
-        assert line == 2 and fast == "b" and slow == "X"
+        line, plain, inst = first_divergence("a\nb\nc\n", "a\nX\nc\n")
+        assert line == 2 and plain == "b" and inst == "X"
 
     def test_length_mismatch(self):
-        line, fast, slow = first_divergence("a\n", "a\nb\n")
-        assert line == 2 and fast is None and slow == "b"
+        line, plain, inst = first_divergence("a\n", "a\nb\n")
+        assert line == 2 and plain is None and inst == "b"
 
 
 class TestRunTraced:
     def test_traces_are_byte_identical(self):
-        fast = run_traced(bios=400, depth=16, slow=False)
-        slow = run_traced(bios=400, depth=16, slow=True)
-        assert fast == slow and fast.count("\n") > 400
+        plain = run_traced(bios=400, depth=16, instrumented=False)
+        inst = run_traced(bios=400, depth=16, instrumented=True)
+        assert plain == inst and plain.count("\n") > 400
 
     def test_slow_run_counts_sanitize_checks(self):
-        run_traced(bios=200, depth=8, slow=True)
+        run_traced(bios=200, depth=8, instrumented=True)
         assert SANITIZE.checks["time_monotonic"] > 0
         assert SANITIZE.checks["slot_conservation"] == 400
 
     def test_fast_run_leaves_instrumentation_off(self):
         # Even when the ambient process is sanitized (REPRO_SANITIZE=1),
-        # the fast run must suspend the checkers for its duration — and
+        # the plain run must suspend the checkers for its duration — and
         # restore the ambient flag afterwards.
         ambient = SANITIZE.enabled
-        run_traced(bios=200, depth=8, slow=False)
+        run_traced(bios=200, depth=8, instrumented=False)
         assert all(count == 0 for count in SANITIZE.snapshot().values())
         assert SANITIZE.enabled == ambient
 
     def test_runs_are_reproducible(self):
-        assert run_traced(300, 8, slow=False) == run_traced(300, 8, slow=False)
+        assert run_traced(300, 8, instrumented=False) == run_traced(300, 8, instrumented=False)
 
 
 class TestRunDiff:
@@ -59,7 +60,7 @@ class TestRunDiff:
         report = run_diff(bios=300, depth=8)
         assert report["identical"] is True
         assert report["bios"] == 300
-        assert report["events"] == report["fast_trace"].count("\n")
+        assert report["events"] == report["plain_trace"].count("\n")
         assert "divergence" not in report
 
 
@@ -74,6 +75,6 @@ class TestCli:
             ["diff", "--bios", "100", "--depth", "8", "--out", str(tmp_path)]
         )
         assert code == 0
-        fast = (tmp_path / "fast.jsonl").read_text()
-        slow = (tmp_path / "slow.jsonl").read_text()
-        assert fast == slow and fast.startswith("{")
+        plain = (tmp_path / "plain.jsonl").read_text()
+        inst = (tmp_path / "instrumented.jsonl").read_text()
+        assert plain == inst and plain.startswith("{")

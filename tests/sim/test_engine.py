@@ -1,8 +1,14 @@
 """Unit tests for the discrete-event engine."""
 
+import io
+
 import pytest
 
+from repro.obs.prof import PROF
+from repro.obs.trace import TRACE, TraceBuffer
+from repro.sanitize import SANITIZE
 from repro.sim import CancelledError, Signal, SimulationError, Simulator
+from repro.testbed import Testbed
 
 
 def test_clock_starts_at_zero():
@@ -329,3 +335,60 @@ class TestScheduleBulk:
         sim = Simulator()
         assert sim.schedule_bulk([]) == []
         assert not sim.step()
+
+
+class TestInstrumentedRun:
+    """``run`` is one dispatch loop: the profiler and sanitizer observe it
+    identically through every entry point and never change what it does."""
+
+    @pytest.fixture(autouse=True)
+    def ambient_instrumentation(self):
+        prof_was, san_was = PROF.enabled, SANITIZE.enabled
+        PROF.reset()
+        yield
+        PROF.reset()
+        PROF.enabled, SANITIZE.enabled = prof_was, san_was
+
+    @pytest.mark.parametrize("until", [None, 2.0])
+    def test_every_pop_is_counted(self, until):
+        PROF.enable()
+        sim = Simulator()
+        timers = [sim.schedule(0.1 * (i + 1), lambda: None) for i in range(10)]
+        for timer in timers[::2]:
+            timer.cancel()
+        sim.run(until)
+        assert (PROF.heap_pushes, PROF.heap_pops, PROF.events_dispatched) == (10, 10, 5)
+
+    def test_cancelled_head_past_until_is_popped_and_counted(self):
+        PROF.enable()
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        sim.schedule(5.0, lambda: None).cancel()
+        sim.schedule(6.0, lambda: None)
+        sim.run(2.0)
+        assert (PROF.heap_pops, PROF.events_dispatched) == (2, 1)
+        assert sim.now == 2.0 and sim.peek() == 6.0
+
+    def test_instrumentation_does_not_change_a_tiled_run(self):
+        def tiled_run(instrumented):
+            SANITIZE.reset()  # ledgers are keyed by id(); ids get reused
+            PROF.enabled = SANITIZE.enabled = instrumented
+            bed = Testbed(device="ssd_new", controller="iocost", seed=3)
+            high = bed.add_cgroup("high", weight=200)
+            low = bed.add_cgroup("low", weight=100)
+            buffer = TraceBuffer().attach(TRACE)
+            try:
+                bed.saturate(high, depth=16)
+                bed.think_time(low)
+                for _ in range(4):
+                    bed.run(0.013)
+            finally:
+                buffer.detach()
+                bed.detach()
+            stream = io.StringIO()
+            buffer.save(stream)
+            return bed.sim.events_processed, bed.sim.now, stream.getvalue()
+
+        plain = tiled_run(False)
+        assert plain[0] > 1000 and plain[2]
+        assert tiled_run(True) == plain

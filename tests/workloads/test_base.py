@@ -28,6 +28,15 @@ class TestSectorPicker:
         b = SectorPicker(np.random.default_rng(7), sequential=False)
         assert [a.next(4096) for _ in range(10)] == [b.next(4096) for _ in range(10)]
 
+    def test_chunked_draws_match_scalar_draws(self):
+        # Chunk size is a pure performance knob (docs/PERF.md): pre-drawn
+        # arrays consume the bit stream exactly as repeated scalar draws do.
+        scalar = SectorPicker(np.random.default_rng(7), sequential=False, chunk=1)
+        chunked = SectorPicker(np.random.default_rng(7), sequential=False, chunk=64)
+        assert [scalar.next(4096) for _ in range(200)] == [
+            chunked.next(4096) for _ in range(200)
+        ]
+
 
 class TestWorkloadBase:
     def test_latency_summary_requires_data(self):
