@@ -53,7 +53,7 @@ def max_iops(name: str) -> float:
     ).start()
     sim.run(until=2 * WINDOW)
     controller.detach()
-    return layer.completed_by_cgroup.get("fio", 0) / (2 * WINDOW)
+    return layer.iops_of(group) / (2 * WINDOW)
 
 
 def measure_all():

@@ -9,6 +9,9 @@ kernel block layer provides around them:
   saturation detection consumes;
 * cgroup-relative sequentiality detection (the cost-model feature of §3.2);
 * per-device and per-cgroup completion-latency windows (QoS signals);
+* per-cgroup accounting, all of it on the cgroup's one record for this
+  device (``cgroup.stats.device(layer.dev)``, the kernel's ``blkg``): the
+  layer keeps no per-cgroup state of its own;
 * the serialized issue-path CPU-cost model for Figure 9 (see
   :mod:`repro.controllers.base`);
 * the error/timeout path (docs/FAULTS.md): a dispatched bio that the device
@@ -35,7 +38,6 @@ from repro.sanitize import SANITIZE
 from repro.sim import Event, Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.cgroup import CgroupTree
     from repro.controllers.base import IOController
 
 
@@ -88,7 +90,6 @@ class BlockLayer:
         self.inflight = 0
         self.read_latency = LatencyWindow(latency_window)
         self.write_latency = LatencyWindow(latency_window)
-        self.cgroup_latency: Dict[str, LatencyWindow] = {}
         self._latency_window = latency_window
 
         # CPU-time resource for the controller issue path (Fig 9 model).
@@ -107,8 +108,8 @@ class BlockLayer:
         self._san = SANITIZE
 
         # Statistics.  ``completed_ios`` counts every *finished* bio (OK or
-        # terminally failed); ``completed_bytes`` and the per-cgroup maps
-        # count successes only, so iops_of() stays a success rate.
+        # terminally failed); ``completed_bytes`` and the per-cgroup
+        # ``done_ios`` count successes only, so iops_of() is a success rate.
         self.submitted_ios = 0
         self.completed_ios = 0
         self.completed_bytes = 0
@@ -116,10 +117,6 @@ class BlockLayer:
         self.errored_ios = 0
         self.timed_out_ios = 0
         self.requeued_ios = 0
-        self.completed_by_cgroup: Dict[str, int] = {}
-        self.bytes_by_cgroup: Dict[str, int] = {}
-        self.errors_by_cgroup: Dict[str, int] = {}
-        self.requeues_by_cgroup: Dict[str, int] = {}
 
     # -- submission ---------------------------------------------------------
 
@@ -136,15 +133,13 @@ class BlockLayer:
         """
         bio.submit_time = self.sim.now
         bio.on_done = on_done
-        # Inlined _detect_sequential (hot path).  Keyed by devno, not spec
-        # name: two devices of the same model must not share a cgroup's
-        # sequentiality tracker.
-        last_end = bio.cgroup.last_end_sector.get(self.dev)
-        bio.sequential = last_end is not None and bio.sector == last_end
-        bio.cgroup.last_end_sector[self.dev] = bio.end_sector
-        # Inlined CgroupIOStats.account(is_write, nbytes, dev): the
-        # per-device record is the layer's hottest shared-state touch.
+        # The record is per (cgroup, devno), not per spec name: two devices
+        # of the same model must not share a sequentiality cursor.
         record = bio.cgroup.stats.device(self.dev)
+        bio.sequential = bio.sector == record.next_sector
+        record.next_sector = bio.end_sector
+        # Inlined IOStats.account(is_write, nbytes): the record is the
+        # layer's hottest shared-state touch.
         if bio.is_write:
             record.wbytes += bio.nbytes
             record.wios += 1
@@ -260,29 +255,27 @@ class BlockLayer:
         self.completed_ios += 1
         if self._prof.enabled:
             self._prof.bios_completed += 1
-        path = bio.cgroup.path
+        record = bio.cgroup.stats.device(self.dev)
         if bio.status is BioStatus.OK:
             self.completed_bytes += bio.nbytes
-            self.completed_by_cgroup[path] = self.completed_by_cgroup.get(path, 0) + 1
-            self.bytes_by_cgroup[path] = self.bytes_by_cgroup.get(path, 0) + bio.nbytes
+            record.done_ios += 1
+            record.done_bytes += bio.nbytes
         else:
             self.errored_ios += 1
-            self.errors_by_cgroup[path] = self.errors_by_cgroup.get(path, 0) + 1
-            bio.cgroup.stats.device(self.dev).errors += 1
+            record.errors += 1
             if self._tp_error.enabled:
                 self._tp_error.emit(
                     self.sim.now,
                     dev=self.dev,
                     id=bio.id,
-                    cgroup=path,
+                    cgroup=bio.cgroup.path,
                     op=bio.op.value,
                     nbytes=bio.nbytes,
                     status=bio.status.value,
                     retries=bio.retries,
                 )
-        # io.stat wait accounting: wall time the bio spent above the device,
-        # charged to this device's per-cgroup record.
-        bio.cgroup.stats.device(self.dev).wait_total += bio.issue_time - bio.submit_time
+        # io.stat wait accounting: wall time the bio spent above the device.
+        record.wait_total += bio.issue_time - bio.submit_time
 
         # Failed bios feed the latency windows too: a timed-out bio records
         # its full io_timeout, which is exactly the degraded-latency signal
@@ -293,11 +286,10 @@ class BlockLayer:
             self.write_latency.record(now, latency)
         else:
             self.read_latency.record(now, latency)
-        # Inlined cgroup_window(): one dict probe on the common path.
-        window = self.cgroup_latency.get(path)
+        # Inlined cgroup_window(): the record is already in hand.
+        window = record.latency
         if window is None:
-            window = LatencyWindow(self._latency_window)
-            self.cgroup_latency[path] = window
+            window = record.latency = LatencyWindow(self._latency_window)
         window.record(now, latency)
 
         self.controller.on_complete(bio)
@@ -312,8 +304,6 @@ class BlockLayer:
     def _requeue(self, bio: Bio) -> None:
         bio.retries += 1
         self.requeued_ios += 1
-        path = bio.cgroup.path
-        self.requeues_by_cgroup[path] = self.requeues_by_cgroup.get(path, 0) + 1
         bio.cgroup.stats.device(self.dev).requeues += 1
         backoff = self.retry_backoff * (2 ** (bio.retries - 1))
         if self._tp_requeue.enabled:
@@ -321,7 +311,7 @@ class BlockLayer:
                 self.sim.now,
                 dev=self.dev,
                 id=bio.id,
-                cgroup=path,
+                cgroup=bio.cgroup.path,
                 op=bio.op.value,
                 nbytes=bio.nbytes,
                 status=bio.status.value,
@@ -348,56 +338,14 @@ class BlockLayer:
         while self._retryq and self.can_dispatch():
             self._redispatch(self._retryq.popleft())
 
-    def cgroup_window(self, path: str) -> LatencyWindow:
+    def cgroup_window(self, cgroup: Cgroup) -> LatencyWindow:
         """Per-cgroup completion-latency window (created on first use)."""
-        window = self.cgroup_latency.get(path)
-        if window is None:
-            window = LatencyWindow(self._latency_window)
-            self.cgroup_latency[path] = window
-        return window
+        record = cgroup.stats.device(self.dev)
+        if record.latency is None:
+            record.latency = LatencyWindow(self._latency_window)
+        return record.latency
 
-    # -- cgroup lifetime ---------------------------------------------------------
-
-    def observe_tree(self, tree: "CgroupTree") -> "BlockLayer":
-        """Follow cgroup removals on ``tree`` so per-cgroup state is pruned.
-
-        Without this, ``completed_by_cgroup`` / ``bytes_by_cgroup`` /
-        ``cgroup_latency`` keep entries for removed cgroups for the life of
-        the layer.  On removal the completion counters fold into the parent
-        (mirroring :class:`repro.obs.iostat.IOStat`'s rstat semantics, so
-        machine-wide totals never regress) and the latency window — a
-        sliding measurement, not a cumulative counter — is dropped.
-        """
-        tree.add_remove_hook(self._on_cgroup_removed)
-        return self
-
-    def _on_cgroup_removed(self, cgroup: Cgroup) -> None:
-        if cgroup.parent is None:  # the root cannot be removed
-            raise BlockLayerError("removal hook fired for the root cgroup")
-        path, parent = cgroup.path, cgroup.parent.path
-        count = self.completed_by_cgroup.pop(path, 0)
-        if count:
-            self.completed_by_cgroup[parent] = (
-                self.completed_by_cgroup.get(parent, 0) + count
-            )
-        nbytes = self.bytes_by_cgroup.pop(path, 0)
-        if nbytes:
-            self.bytes_by_cgroup[parent] = self.bytes_by_cgroup.get(parent, 0) + nbytes
-        for counters in (self.errors_by_cgroup, self.requeues_by_cgroup):
-            count = counters.pop(path, 0)
-            if count:
-                counters[parent] = counters.get(parent, 0) + count
-        self.cgroup_latency.pop(path, None)
-
-    # -- convenience -------------------------------------------------------------
-
-    def iops_of(self, cgroup: Cgroup, since_counts: Optional[Dict[str, int]] = None) -> int:
-        """Completed IO count for a cgroup, optionally minus a snapshot."""
-        done = self.completed_by_cgroup.get(cgroup.path, 0)
-        if since_counts is not None:
-            done -= since_counts.get(cgroup.path, 0)
-        return done
-
-    def snapshot_counts(self) -> Dict[str, int]:
-        """Copy of per-cgroup completion counts (for rate-over-interval math)."""
-        return dict(self.completed_by_cgroup)
+    def iops_of(self, cgroup: Cgroup) -> int:
+        """Successfully completed IO count for a cgroup on this device."""
+        record = cgroup.stats.per_device.get(self.dev)
+        return record.done_ios if record is not None else 0

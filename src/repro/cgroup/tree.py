@@ -2,16 +2,20 @@
 
 Mirrors the pieces of cgroup v2 that IO controllers consume: a rooted tree
 of named groups, a per-group ``weight`` in [1, 10000] (default 100)
-interpreted proportionally among siblings, and per-group cumulative IO
-accounting.  Controllers attach their own per-group state via
-:attr:`Cgroup.controller_data`, the moral equivalent of the kernel's
-per-policy ``blkg`` data.
+interpreted proportionally among siblings, and one :class:`IOStats` record
+per (cgroup, device) — the kernel's ``blkg`` — that is the only home of
+per-cgroup block accounting.  :meth:`CgroupTree.remove` folds a dying
+group's counters into its parent's records (rstat flush-on-release), so
+nothing that reads the records needs to watch removals.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, Iterator, Optional, Tuple
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.analysis.stats import LatencyWindow
 
 MIN_WEIGHT = 1
 MAX_WEIGHT = 10000
@@ -40,8 +44,12 @@ class IOStats:
     surface reports it in microseconds via :attr:`wait_usec` — the single
     place that conversion happens.  ``errors`` counts bios that completed
     with a terminal non-OK status and ``requeues`` block-layer retry
-    requeues (docs/FAULTS.md); both are filled in by the block layer's
-    completion path.
+    requeues (docs/FAULTS.md); ``done_ios``/``done_bytes`` count successful
+    completions (``BlockLayer.iops_of``).  All are filled in by the block
+    layer's completion path, which also owns the two non-counters:
+    ``next_sector``, where a sequential successor of the cgroup's last bio
+    on this device would start, and ``latency``, the cgroup's completion-
+    latency window (made by the layer on first use).
     """
 
     rbytes: int = 0
@@ -53,6 +61,10 @@ class IOStats:
     wait_total: float = 0.0
     errors: int = 0
     requeues: int = 0
+    done_ios: int = 0
+    done_bytes: int = 0
+    next_sector: Optional[int] = None
+    latency: Optional[LatencyWindow] = None
 
     def account(self, is_write: bool, nbytes: int) -> None:
         if is_write:
@@ -61,6 +73,20 @@ class IOStats:
         else:
             self.rbytes += nbytes
             self.rios += 1
+
+    def fold(self, child: IOStats) -> None:
+        """Add a removed child's counters (its window and cursor die with it)."""
+        self.rbytes += child.rbytes
+        self.wbytes += child.wbytes
+        self.rios += child.rios
+        self.wios += child.wios
+        self.dbytes += child.dbytes
+        self.dios += child.dios
+        self.wait_total += child.wait_total
+        self.errors += child.errors
+        self.requeues += child.requeues
+        self.done_ios += child.done_ios
+        self.done_bytes += child.done_bytes
 
     @property
     def wait_usec(self) -> float:
@@ -80,11 +106,9 @@ class CgroupIOStats:
     """Per-device IO accounting for one cgroup (``Cgroup.stats``).
 
     Holds one :class:`IOStats` record per device id (``maj:min`` string),
-    matching the kernel where ``io.stat`` reports one line per device.  The
-    machine-wide aggregates the old single-device ``IOStats`` surfaced
-    (``rbytes``, ``wait_total``, ``total_bytes``, ...) remain available as
-    read-only properties summing over devices, so existing callers keep
-    working unchanged.
+    matching the kernel where ``io.stat`` reports one line per device.
+    Nothing here sums over devices; the machine-wide view is
+    :meth:`repro.obs.iostat.IOStat.snapshot`.
     """
 
     __slots__ = ("per_device",)
@@ -100,65 +124,12 @@ class CgroupIOStats:
             self.per_device[dev] = stats
         return stats
 
-    def devices(self) -> Iterator[tuple]:
+    def devices(self) -> Iterator[Tuple[str, IOStats]]:
         """Iterate ``(dev_id, IOStats)`` pairs."""
         return iter(self.per_device.items())
 
     def account(self, is_write: bool, nbytes: int, dev: str = UNATTRIBUTED_DEV) -> None:
         self.device(dev).account(is_write, nbytes)
-
-    # -- machine-wide aggregates (the legacy single-device surface) -------
-
-    def _sum(self, attr: str):
-        return sum(getattr(stats, attr) for stats in self.per_device.values())
-
-    @property
-    def rbytes(self) -> int:
-        return self._sum("rbytes")
-
-    @property
-    def wbytes(self) -> int:
-        return self._sum("wbytes")
-
-    @property
-    def rios(self) -> int:
-        return self._sum("rios")
-
-    @property
-    def wios(self) -> int:
-        return self._sum("wios")
-
-    @property
-    def dbytes(self) -> int:
-        return self._sum("dbytes")
-
-    @property
-    def dios(self) -> int:
-        return self._sum("dios")
-
-    @property
-    def wait_total(self) -> float:
-        return self._sum("wait_total")
-
-    @property
-    def wait_usec(self) -> float:
-        return self._sum("wait_usec")
-
-    @property
-    def errors(self) -> int:
-        return self._sum("errors")
-
-    @property
-    def requeues(self) -> int:
-        return self._sum("requeues")
-
-    @property
-    def total_bytes(self) -> int:
-        return self.rbytes + self.wbytes
-
-    @property
-    def total_ios(self) -> int:
-        return self.rios + self.wios
 
 
 class Cgroup:
@@ -175,14 +146,13 @@ class Cgroup:
             raise CgroupError("cgroup name must not contain '/'")
         self.name = name
         self.parent = parent
+        #: Slash-joined path from the root, '' for the root itself (fixed:
+        #: neither ``name`` nor ``parent`` changes after construction).
+        self.path = name if parent is None or parent.is_root else f"{parent.path}/{name}"
         self.children: Dict[str, Cgroup] = {}
         self._weight = DEFAULT_WEIGHT
         self.weight = weight
         self.stats = CgroupIOStats()
-        # Per-controller private state, keyed by controller name.
-        self.controller_data: Dict[str, Any] = {}
-        # Sequential-detection state: sector expected next, per device id.
-        self.last_end_sector: Dict[str, int] = {}
 
     # -- weight -----------------------------------------------------------
 
@@ -199,16 +169,6 @@ class Cgroup:
         self._weight = int(value)
 
     # -- topology ---------------------------------------------------------
-
-    @property
-    def path(self) -> str:
-        """Slash-joined path from the root, '' for the root itself."""
-        parts: List[str] = []
-        node: Optional[Cgroup] = self
-        while node is not None and node.parent is not None:
-            parts.append(node.name)
-            node = node.parent
-        return "/".join(reversed(parts))
 
     @property
     def is_root(self) -> bool:
@@ -237,14 +197,6 @@ class CgroupTree:
     def __init__(self) -> None:
         self.root = Cgroup("", None)
         self._index: Dict[str, Cgroup] = {"": self.root}
-        # Observers notified just before a cgroup is removed; the io.stat
-        # collector uses this to fold the dying group's counters into its
-        # parent (kernel rstat flush-on-release semantics).
-        self._remove_hooks: List[Any] = []
-
-    def add_remove_hook(self, hook: Any) -> None:
-        """Register ``hook(cgroup)`` to run before each removal."""
-        self._remove_hooks.append(hook)
 
     def create(self, path: str, weight: int = DEFAULT_WEIGHT) -> Cgroup:
         """Create a cgroup at ``path``, creating intermediate groups as needed.
@@ -282,14 +234,19 @@ class CgroupTree:
         return self.create(path, weight)
 
     def remove(self, path: str) -> None:
-        """Remove a leaf cgroup (children must be removed first)."""
+        """Remove a leaf cgroup (children must be removed first).
+
+        Its counters fold into the parent's records device by device, so
+        history is neither lost nor smeared across devices (the kernel's
+        ``cgroup_rstat`` flush-on-release).
+        """
         node = self.lookup(path)
         if node.parent is None:  # is_root, spelled so the check narrows
             raise CgroupError("cannot remove the root")
         if node.children:
             raise CgroupError(f"cgroup {path!r} still has children")
-        for hook in self._remove_hooks:
-            hook(node)
+        for dev, record in node.stats.devices():
+            node.parent.stats.device(dev).fold(record)
         del node.parent.children[node.name]
         del self._index[path]
 

@@ -18,14 +18,15 @@ from collections import deque
 from typing import Deque, Dict, Optional
 
 from repro.block.bio import Bio
+from repro.cgroup import Cgroup
 from repro.controllers.base import Features, IOController
 
 
 class _LatGroup:
-    __slots__ = ("path", "target", "queue", "inflight", "depth")
+    __slots__ = ("cgroup", "target", "queue", "inflight", "depth")
 
-    def __init__(self, path: str, target: Optional[float], max_depth: int):
-        self.path = path
+    def __init__(self, cgroup: Cgroup, target: Optional[float], max_depth: int):
+        self.cgroup = cgroup
         self.target = target  # None = unprotected (lowest priority)
         self.queue: Deque[Bio] = deque()
         self.inflight = 0
@@ -78,7 +79,7 @@ class IOLatencyController(IOController):
         group = self._groups.get(path)
         if group is None:
             group = _LatGroup(
-                path, self._targets.get(path), self.layer.device.spec.nr_slots
+                bio.cgroup, self._targets.get(path), self.layer.device.spec.nr_slots
             )
             if self._victim_target is not None and (
                 group.target is None or group.target > self._victim_target
@@ -123,7 +124,7 @@ class IOLatencyController(IOController):
         for group in self._groups.values():
             if group.target is None:
                 continue
-            observed = layer.cgroup_window(group.path).percentile(now, 90)
+            observed = layer.cgroup_window(group.cgroup).percentile(now, 90)
             if observed is not None and observed > group.target:
                 if victim_target is None or group.target < victim_target:
                     victim_target = group.target

@@ -477,12 +477,14 @@ class IOCost(IOController):
                 "cost.indebt": 0.0, "cost.indelay": 0.0,
             })
             return stat
+        # This device's wait only, and no empty record made by reading.
+        record = cgroup.stats.per_device.get(self.layer.dev)
         stat.update({
             # Include the running period's partial usage so the surface is
             # monotone between planning ticks.
             "cost.usage": state.usage_total + state.abs_usage,
             "cost.ios": state.ios_total + state.period_ios,
-            "cost.wait": cgroup.stats.wait_total,
+            "cost.wait": record.wait_total if record is not None else 0.0,
             "cost.indebt": state.indebt_total,
             "cost.indelay": state.indelay_total,
         })

@@ -21,11 +21,11 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Any, List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence
 
 from repro.analysis.report import Table
 from repro.exp.cache import ResultCache
-from repro.exp.grid import expand
+from repro.exp.grid import RunSpec, expand
 from repro.exp.runner import SweepReport, run_sweep, write_bench_json
 from repro.exp.spec import ExperimentSpec, SpecError, load_spec
 from repro.exp.store import ArtifactStore
@@ -119,6 +119,29 @@ def _print_report(report: SweepReport) -> None:
     )
 
 
+def sweep_exit_code(
+    report: SweepReport, min_hit_rate: Optional[float], label: Callable[[RunSpec], str]
+) -> int:
+    """Exit code of a finished sweep; when it is not 0, stderr says why
+    (``--quiet`` silences the report, never the reason for a failure)."""
+    if report.failures:
+        for outcome in report.outcomes:
+            if not outcome.ok and outcome.error is not None:
+                print(
+                    f"FAILED {label(outcome.run)}: "
+                    f"{outcome.error['type']}: {outcome.error['message']}",
+                    file=sys.stderr,
+                )
+        return 1
+    if min_hit_rate is not None and report.hit_rate < min_hit_rate:
+        print(
+            f"cache hit rate {report.hit_rate:.0%} below required {min_hit_rate:.0%}",
+            file=sys.stderr,
+        )
+        return 1
+    return 0
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     spec = _load(args.spec)
     store = ArtifactStore(args.out)
@@ -138,23 +161,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if not args.quiet:
         _print_report(report)
         print(f"perf trajectory: {bench_path}")
-    if report.failures:
-        for outcome in report.outcomes:
-            if not outcome.ok and outcome.error is not None:
-                print(
-                    f"FAILED {outcome.run.describe()}: "
-                    f"{outcome.error['type']}: {outcome.error['message']}",
-                    file=sys.stderr,
-                )
-        return 1
-    if args.min_hit_rate is not None and report.hit_rate < args.min_hit_rate:
-        print(
-            f"cache hit rate {report.hit_rate:.0%} below required "
-            f"{args.min_hit_rate:.0%}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    return sweep_exit_code(report, args.min_hit_rate, RunSpec.describe)
 
 
 def _cmd_status(args: argparse.Namespace) -> int:

@@ -36,7 +36,7 @@ import dataclasses
 import importlib
 import inspect
 import math
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.block.device_models import get_device_spec
 from repro.controllers.blk_throttle import ThrottleLimits
@@ -107,8 +107,12 @@ def _opt_float(value: Any) -> Optional[float]:
     return None if value is None else float(value)
 
 
-def _qos_from(params: Dict[str, Any]) -> Optional[QoSParams]:
-    """Build :class:`QoSParams` from a spec's ``qos`` table, if present."""
+def qos_from(params: Mapping[str, Any]) -> Optional[QoSParams]:
+    """Build :class:`QoSParams` from a spec's ``qos`` table, if present.
+
+    The one qos-table validator: experiment kinds, fleet workers and the
+    fleet spec loader all reject unknown fields here.
+    """
     table = params.get("qos")
     if table is None:
         return None
@@ -252,7 +256,7 @@ def machine_kwargs(params: Dict[str, Any]) -> Dict[str, Any]:
     for key in ("mem_bytes", "swap_bytes", "swap_device"):
         if params.get(key) is not None:
             kwargs[key] = params[key]
-    qos = _qos_from(params)
+    qos = qos_from(params)
     if qos is not None:
         kwargs["qos"] = qos
     return kwargs

@@ -26,7 +26,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.analysis.report import Table
 from repro.exp.cache import ResultCache
-from repro.exp.cli import wall_clock
+from repro.exp.cli import sweep_exit_code, wall_clock
 from repro.exp.grid import expand
 from repro.exp.spec import SpecError, canonical_json
 from repro.exp.store import ArtifactStore
@@ -215,18 +215,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         _print_fleet_report(report)
         print(f"rollup: {rollup_path}")
         print(f"trajectory: {bench_path}")
-    if report.sweep.failures:
-        return 1
-    if (
-        args.min_hit_rate is not None
-        and report.sweep.hit_rate < args.min_hit_rate
-    ):
-        print(
-            f"cache hit rate {report.sweep.hit_rate:.0%} below required "
-            f"{args.min_hit_rate:.0%}"
-        )
-        return 1
-    return 0
+    return sweep_exit_code(
+        report.sweep, args.min_hit_rate, lambda run: run.params["host"]["id"]
+    )
 
 
 def _scheduled(spec: FleetSpec) -> FleetScheduler:

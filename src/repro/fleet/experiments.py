@@ -25,7 +25,6 @@ Three kinds, all plain ``fn(params, seed) -> result`` functions (the
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Any, Callable, Dict, List, Mapping, Optional
 
 from repro.controllers.base import IOController
@@ -35,6 +34,7 @@ from repro.exp.experiments import (
     ExperimentError,
     attach_workload,
     experiment,
+    qos_from,
 )
 from repro.exp.grid import expand
 from repro.faults import plan_from_config
@@ -48,16 +48,6 @@ from repro.workloads.fleet import rng_for, run_task_once
 #: Bucket resolution of the per-cgroup latency histograms.  Fixed so every
 #: host's histograms are mergeable fleet-wide (Histogram.merge requires it).
 HIST_RESOLUTION = 0.02
-
-
-def _qos(table: Optional[Mapping[str, Any]]) -> Optional[QoSParams]:
-    if table is None:
-        return None
-    known = {f.name for f in dataclasses.fields(QoSParams)}
-    unknown = set(table) - known
-    if unknown:
-        raise ExperimentError(f"unknown qos fields: {sorted(unknown)}")
-    return QoSParams(**table)
 
 
 def _idle_result(host: Mapping[str, Any], duration: float) -> Dict[str, Any]:
@@ -100,19 +90,13 @@ def run_fleet_host(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
         return _idle_result(host, duration)
 
     device = device_spec_for(host["device"], host.get("device_scale"))
-    kwargs: Dict[str, Any] = {}
-    qos = _qos(host.get("qos"))
-    if qos is not None:
-        kwargs["qos"] = qos
     fault_tables = host.get("faults")
-    if fault_tables:
-        kwargs["faults"] = plan_from_config(list(fault_tables))
-
     bed = Testbed(
         device=device,
         controller=str(host.get("controller", "iocost")),
         seed=seed,
-        **kwargs,
+        qos=qos_from(host),
+        faults=plan_from_config(fault_tables) if fault_tables else None,
     )
     groups = {
         path: bed.add_cgroup(path, weight=int(weight))
@@ -195,7 +179,7 @@ def _task_controller_factory(
             ).items()
         }
         return lambda: IOLatencyController(targets)
-    qos = _qos(cell.get("qos"))
+    qos = qos_from(cell)
     if name == "iocost" and qos is None:
         qos = QoSParams(read_lat_target=5e-3, read_pct=90, period=0.05)
     return lambda: make_controller(name, device, qos=qos)

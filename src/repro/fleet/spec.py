@@ -41,12 +41,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.block.bio import IOOp
 from repro.block.device import DeviceSpec
 from repro.block.device_models import get_device_spec
+from repro.exp.experiments import qos_from
 from repro.exp.spec import SpecError, canonical_json, content_hash, load_document
+from repro.faults import plan_from_config
 from repro.workloads.fleet import TASKS, SystemTask
 
 
@@ -74,6 +76,18 @@ def _check_known(data: Mapping[str, Any], known: Tuple[str, ...], where: str) ->
     unknown = set(data) - set(known)
     if unknown:
         raise FleetSpecError(f"unknown {where} keys: {sorted(unknown)}")
+
+
+def _check_tables(
+    where: str, qos: Optional[Mapping[str, Any]], faults: Sequence[Mapping[str, Any]] = ()
+) -> None:
+    """Reject at load, with the workers' own validators, what would
+    otherwise fail once per affected host inside a worker."""
+    try:
+        qos_from({"qos": qos})
+        plan_from_config(faults)
+    except (TypeError, ValueError) as exc:
+        raise FleetSpecError(f"{where}: {exc}") from None
 
 
 def device_spec_for(
@@ -132,6 +146,7 @@ class HostGroup:
             raise FleetSpecError(
                 f"host group {self.name!r}: bad device {self.device!r}: {exc}"
             ) from None
+        _check_tables(f"host group {self.name!r}", self.qos, self.faults)
 
     @classmethod
     def from_dict(cls, name: str, data: Mapping[str, Any]) -> "HostGroup":
@@ -309,6 +324,7 @@ class MigrationPlan:
         if self.tasks_per_host_week < 1:
             raise FleetSpecError("tasks_per_host_week must be >= 1")
         task_from_config(self.task)  # validate early
+        _check_tables("migration", self.qos)
 
     def system_task(self) -> SystemTask:
         return task_from_config(self.task)
@@ -403,6 +419,18 @@ class FleetSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "FleetSpec":
+        """Parse a document; a value that does not convert (``count =
+        "many"``, ``percentiles = 5``) is malformed input like any other,
+        not a bare ValueError/TypeError."""
+        try:
+            return cls._parse(data)
+        except FleetSpecError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise FleetSpecError(f"malformed value in fleet spec: {exc}") from None
+
+    @classmethod
+    def _parse(cls, data: Mapping[str, Any]) -> "FleetSpec":
         if not isinstance(data, Mapping):
             raise FleetSpecError(
                 f"fleet document must be a mapping, got {type(data).__name__}"

@@ -9,7 +9,10 @@ Kernel semantics reproduced here:
   recursive);
 * removing a cgroup folds its counters into the parent — per device, so
   history is never lost nor smeared across devices (the kernel's
-  ``cgroup_rstat`` flush-on-release behaviour);
+  ``cgroup_rstat`` flush-on-release behaviour).  :meth:`CgroupTree.remove
+  <repro.cgroup.tree.CgroupTree.remove>` does the folding on the records
+  themselves; this collector only reads them, so one built after a removal
+  reports the same history as one built before it;
 * each device's controller annotates its own line — IOCost adds
   ``cost.vrate``, ``cost.usage``, ``cost.wait``, ``cost.indebt``,
   ``cost.indelay`` (see :meth:`repro.core.controller.IOCost.cost_stat`) on
@@ -81,8 +84,7 @@ def _devno_sort_key(devno: str) -> Tuple[int, int]:
 class IOStat:
     """Per-cgroup, per-device io.stat collector over one :class:`CgroupTree`.
 
-    Registers a removal hook on the tree so counters of deleted cgroups
-    keep contributing to their ancestors, matching kernel semantics.
+    Stateless: every snapshot is computed from the tree's records.
 
     ``controllers`` maps device ids (``maj:min``) to the
     :class:`~repro.controllers.base.IOController` managing that device, so
@@ -106,38 +108,6 @@ class IOStat:
             dev = getattr(layer, "dev", None)
             if dev is not None:
                 self.controllers[dev] = controller
-        #: Counters inherited from removed children, keyed by the surviving
-        #: parent path, then by device id.
-        self._dead: Dict[str, Dict[str, Dict[str, float]]] = {}
-        tree.add_remove_hook(self._on_remove)
-
-    # -- removal folding -----------------------------------------------------
-
-    def _on_remove(self, cgroup: Cgroup) -> None:
-        if cgroup.parent is None:  # the root cannot be removed
-            raise ValueError("removal hook fired for the root cgroup")
-        folded: Dict[str, Dict[str, float]] = {
-            dev: _flat(stats) for dev, stats in cgroup.stats.devices()
-        }
-        # The removed group may itself hold stats inherited from its own
-        # removed children; carry those along too, device by device.
-        own_dead = self._dead.pop(cgroup.path, None)
-        if own_dead is not None:
-            for dev, counters in own_dead.items():
-                acc = folded.get(dev)
-                if acc is None:
-                    folded[dev] = dict(counters)
-                else:
-                    _add(acc, counters)
-        if not folded:
-            return
-        parent_acc = self._dead.setdefault(cgroup.parent.path, {})
-        for dev, counters in folded.items():
-            acc = parent_acc.get(dev)
-            if acc is None:
-                parent_acc[dev] = counters
-            else:
-                _add(acc, counters)
 
     # -- per-device snapshots --------------------------------------------------
 
@@ -155,12 +125,6 @@ class IOStat:
             agg: Dict[str, Dict[str, float]] = {
                 dev: _flat(stats) for dev, stats in cgroup.stats.devices()
             }
-            for dev, counters in self._dead.get(cgroup.path, {}).items():
-                acc = agg.get(dev)
-                if acc is None:
-                    agg[dev] = dict(counters)
-                else:
-                    _add(acc, counters)
             for child in cgroup.children.values():
                 for dev, counters in visit(child).items():
                     acc = agg.get(dev)
@@ -193,8 +157,6 @@ class IOStat:
             agg = _zero()
             for _, stats in cgroup.stats.devices():
                 _add(agg, _flat(stats))
-            for counters in self._dead.get(cgroup.path, {}).values():
-                _add(agg, counters)
             for child in cgroup.children.values():
                 _add(agg, visit(child))
             entry = dict(agg)

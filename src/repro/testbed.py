@@ -29,7 +29,7 @@ device never perturbs the streams of existing ones.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Optional, Union
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -176,7 +176,7 @@ class Testbed:
             layer = BlockLayer(
                 self.sim, dev, ctl,
                 io_timeout=io_timeout, max_retries=max_retries,
-            ).observe_tree(self.cgroups)
+            )
             self.devices.add(name, layer)
 
         # Single-device aliases: the machine's first (data) device.
@@ -201,7 +201,8 @@ class Testbed:
         elif swap_device is not None:
             raise ValueError("swap_device requires mem_bytes")
         self._window_start = 0.0
-        self._window_snapshot: Dict[str, Dict[str, int]] = {}
+        #: ``done_ios`` per (cgroup, devno) at the start of the run window.
+        self._window_snapshot: Dict[Tuple[Cgroup, str], int] = {}
 
     # -- RNG streams ---------------------------------------------------------
 
@@ -293,7 +294,9 @@ class Testbed:
         """Advance the simulation; starts a fresh measurement window."""
         self._window_start = self.sim.now
         self._window_snapshot = {
-            name: layer.snapshot_counts() for name, layer in self.devices.items()
+            (cgroup, dev): record.done_ios
+            for cgroup in self.cgroups
+            for dev, record in cgroup.stats.devices()
         }
         self.sim.run(until=self.sim.now + duration)
 
@@ -313,15 +316,13 @@ class Testbed:
         done = 0
         for name in names:
             layer = self.devices.layer(name)
-            done += layer.iops_of(
-                cgroup, since_counts=self._window_snapshot.get(name)
-            )
+            done += layer.iops_of(cgroup) - self._window_snapshot.get((cgroup, layer.dev), 0)
         return done / duration
 
     def latency_percentile(
         self, cgroup: Cgroup, pct: float, device: Optional[str] = None
     ) -> Optional[float]:
-        return self.layer_of(device).cgroup_window(cgroup.path).percentile(
+        return self.layer_of(device).cgroup_window(cgroup).percentile(
             self.sim.now, pct
         )
 

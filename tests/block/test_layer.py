@@ -51,8 +51,9 @@ def test_cgroup_stats_accounted_at_submit():
     sim, layer, tree = make_env()
     group = tree.create("a")
     layer.submit(Bio(IOOp.WRITE, 8192, 0, group))
-    assert group.stats.wbytes == 8192
-    assert group.stats.wios == 1
+    record = group.stats.device(layer.dev)
+    assert record.wbytes == 8192
+    assert record.wios == 1
 
 
 def test_sequential_detection_per_cgroup():
@@ -102,12 +103,13 @@ def test_latency_windows_split_reads_writes():
     assert layer.read_latency.percentile(sim.now, 50) == pytest.approx(100e-6)
 
 
-def test_cgroup_latency_window_populated():
+def test_cgroup_window_populated():
     sim, layer, tree = make_env()
     group = tree.create("workload")
     layer.submit(Bio(IOOp.READ, 4096, 1, group))
     sim.run()
-    window = layer.cgroup_window("workload")
+    window = layer.cgroup_window(group)
+    assert window is group.stats.device(layer.dev).latency
     assert window.count(sim.now) == 1
 
 
@@ -144,10 +146,11 @@ def test_iops_of_and_snapshot():
         layer.submit(Bio(IOOp.READ, 4096, index * 50, group))
     sim.run()
     assert layer.iops_of(group) == 3
-    snap = layer.snapshot_counts()
+    snap = layer.iops_of(group)
     layer.submit(Bio(IOOp.READ, 4096, 7777, group))
     sim.run()
-    assert layer.iops_of(group, since_counts=snap) == 1
+    assert layer.iops_of(group) - snap == 1
+    assert group.stats.device(layer.dev).done_bytes == 4 * 4096
 
 
 def test_submit_returns_none():

@@ -102,10 +102,9 @@ class TestRetry:
         assert layer.errored_ios == 1 and layer.requeued_ios == 2
         assert layer.completed_ios == 1  # finished, though not successfully
         assert layer.completed_bytes == 0
-        assert layer.errors_by_cgroup == {"ws": 1}
-        assert layer.requeues_by_cgroup == {"ws": 2}
         stats = group.stats.device(layer.dev)
         assert stats.errors == 1 and stats.requeues == 2
+        assert stats.done_ios == 0 and layer.iops_of(group) == 0
 
     def test_max_retries_zero_fails_immediately(self):
         plan = FaultPlan([ErrorBurst(start=0.0, duration=1.0)], seed=0)

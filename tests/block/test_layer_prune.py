@@ -1,10 +1,11 @@
-"""Block-layer bookkeeping pruning on cgroup removal.
+"""Per-cgroup block accounting across cgroup removal.
 
-``BlockLayer.observe_tree`` registers a :meth:`CgroupTree.add_remove_hook`
-callback so per-cgroup accounting dicts (``completed_by_cgroup``,
-``bytes_by_cgroup``, ``cgroup_latency``) never accumulate entries for
-removed cgroups over a long-running machine: completion/byte counters fold
-into the parent (mirroring rstat), latency windows are simply dropped.
+The block layer keeps no per-cgroup state: everything lives on the
+cgroup's per-device :class:`~repro.cgroup.IOStats` record, and
+:meth:`CgroupTree.remove` folds a dying cgroup's counters into its
+parent's record for the same device (rstat flush-on-release).  The latency
+window and the sequential cursor are measurements of the dead cgroup, not
+history, and go with it.
 """
 
 import numpy as np
@@ -33,30 +34,34 @@ def make_stack():
     sim = Simulator()
     tree = CgroupTree()
     device = Device(sim, SPEC, np.random.default_rng(0))
-    layer = BlockLayer(sim, device, NoopController()).observe_tree(tree)
+    layer = BlockLayer(sim, device, NoopController())
     return sim, tree, layer
 
 
 class TestPruneOnRemoval:
     def test_counters_fold_into_parent(self):
         sim, tree, layer = make_stack()
-        tree.create("workload.slice")
+        parent = tree.create("workload.slice")
         child = tree.create("workload.slice/job")
         for i in range(3):
             layer.submit(Bio(IOOp.READ, 4096, 8 * i, child))
         sim.run(until=1.0)
-        assert layer.completed_by_cgroup["workload.slice/job"] == 3
-        assert layer.bytes_by_cgroup["workload.slice/job"] == 3 * 4096
-        assert "workload.slice/job" in layer.cgroup_latency
+        record = child.stats.device(layer.dev)
+        assert (record.done_ios, record.done_bytes) == (3, 3 * 4096)
+        assert record.latency is not None and record.next_sector is not None
+        assert layer.dev not in parent.stats.per_device
 
         tree.remove("workload.slice/job")
 
-        assert "workload.slice/job" not in layer.completed_by_cgroup
-        assert "workload.slice/job" not in layer.bytes_by_cgroup
-        assert "workload.slice/job" not in layer.cgroup_latency
-        # History survives on the parent, rstat-style.
-        assert layer.completed_by_cgroup["workload.slice"] == 3
-        assert layer.bytes_by_cgroup["workload.slice"] == 3 * 4096
+        assert "workload.slice/job" not in tree
+        # History survives on the parent, rstat-style ...
+        folded = parent.stats.device(layer.dev)
+        assert (folded.done_ios, folded.done_bytes) == (3, 3 * 4096)
+        assert (folded.rios, folded.rbytes) == (3, 3 * 4096)
+        assert folded.wait_total == record.wait_total
+        assert layer.iops_of(parent) == 3
+        # ... the window and the cursor do not.
+        assert folded.latency is None and folded.next_sector is None
 
     def test_fold_accumulates_onto_parent_counts(self):
         sim, tree, layer = make_stack()
@@ -65,37 +70,43 @@ class TestPruneOnRemoval:
         layer.submit(Bio(IOOp.READ, 4096, 8, parent))
         layer.submit(Bio(IOOp.WRITE, 8192, 16, child))
         sim.run(until=1.0)
+        record = parent.stats.device(layer.dev)
+        window, cursor = record.latency, record.next_sector
 
         tree.remove("workload.slice/job")
 
-        assert layer.completed_by_cgroup["workload.slice"] == 2
-        assert layer.bytes_by_cgroup["workload.slice"] == 4096 + 8192
-        # The parent's own latency window is untouched by the fold.
-        assert "workload.slice" in layer.cgroup_latency
+        assert parent.stats.device(layer.dev) is record
+        assert (record.done_ios, record.done_bytes) == (2, 4096 + 8192)
+        assert (record.rios, record.wios) == (1, 1)
+        # The parent's own latency window and cursor are untouched by the fold.
+        assert record.latency is window and window.count(sim.now) == 1
+        assert record.next_sector == cursor
 
     def test_removing_idle_cgroup_is_a_noop(self):
         sim, tree, layer = make_stack()
         tree.create("idle")
         tree.remove("idle")
-        assert layer.completed_by_cgroup == {}
-        assert layer.bytes_by_cgroup == {}
-        assert layer.cgroup_latency == {}
+        assert tree.root.stats.per_device == {}
+        assert layer.iops_of(tree.root) == 0
+        assert tree.root.stats.per_device == {}  # reading made no record
 
     def test_cascaded_removal_reaches_grandparent(self):
         sim, tree, layer = make_stack()
-        tree.create("a")
-        tree.create("a/b")
+        top = tree.create("a")
+        middle = tree.create("a/b")
         grandchild = tree.create("a/b/c")
         layer.submit(Bio(IOOp.READ, 4096, 8, grandchild))
         sim.run(until=1.0)
 
         tree.remove("a/b/c")
-        assert layer.completed_by_cgroup["a/b"] == 1
+        assert layer.iops_of(middle) == 1
+        assert layer.iops_of(top) == 0
         tree.remove("a/b")
-        assert layer.completed_by_cgroup["a"] == 1
-        assert "a/b" not in layer.completed_by_cgroup
+        assert layer.iops_of(top) == 1
+        assert top.stats.device(layer.dev).done_bytes == 4096
 
     def test_every_observing_layer_prunes(self):
+        """Two devices stay separately attributed through the fold."""
         sim = Simulator()
         tree = CgroupTree()
         layers = []
@@ -103,10 +114,8 @@ class TestPruneOnRemoval:
             device = Device(
                 sim, SPEC, np.random.default_rng(index), devno=f"8:{16 * index}"
             )
-            layers.append(
-                BlockLayer(sim, device, NoopController()).observe_tree(tree)
-            )
-        tree.create("p")
+            layers.append(BlockLayer(sim, device, NoopController()))
+        parent = tree.create("p")
         child = tree.create("p/c")
         layers[0].submit(Bio(IOOp.READ, 4096, 8, child))
         layers[1].submit(Bio(IOOp.WRITE, 8192, 8, child))
@@ -114,7 +123,7 @@ class TestPruneOnRemoval:
 
         tree.remove("p/c")
 
-        assert layers[0].completed_by_cgroup == {"p": 1}
-        assert layers[0].bytes_by_cgroup == {"p": 4096}
-        assert layers[1].completed_by_cgroup == {"p": 1}
-        assert layers[1].bytes_by_cgroup == {"p": 8192}
+        assert set(parent.stats.per_device) == {"8:0", "8:16"}
+        first, second = (parent.stats.device(layer.dev) for layer in layers)
+        assert (first.done_ios, first.done_bytes, first.wbytes) == (1, 4096, 0)
+        assert (second.done_ios, second.done_bytes, second.rbytes) == (1, 8192, 0)

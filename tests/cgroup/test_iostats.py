@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cgroup import Cgroup, CgroupIOStats, CgroupTree, IOStats, UNATTRIBUTED_DEV
+from repro.cgroup import CgroupIOStats, CgroupTree, IOStats, UNATTRIBUTED_DEV
+from repro.obs.iostat import IOStat
 
 
 class TestPerDeviceRecords:
@@ -23,21 +24,24 @@ class TestPerDeviceRecords:
         assert stats.device(UNATTRIBUTED_DEV).rios == 1
 
     def test_aggregates_sum_over_devices(self):
-        """The legacy single-device surface remains as aggregate properties."""
-        stats = CgroupIOStats()
+        """The one cross-device sum is IOStat.snapshot()."""
+        tree = CgroupTree()
+        stats = tree.create("a").stats
         stats.account(False, 4096, "8:0")
         stats.account(True, 8192, "8:16")
         stats.device("8:0").wait_total += 0.25
         stats.device("8:16").wait_total += 0.75
-        assert stats.rbytes == 4096
-        assert stats.wbytes == 8192
-        assert stats.rios == 1
-        assert stats.wios == 1
-        assert stats.dbytes == 0
-        assert stats.dios == 0
-        assert stats.total_bytes == 12288
-        assert stats.total_ios == 2
-        assert stats.wait_total == pytest.approx(1.0)
+        entry = IOStat(tree).of("a")
+        assert entry["rbytes"] == 4096
+        assert entry["wbytes"] == 8192
+        assert entry["rios"] == 1
+        assert entry["wios"] == 1
+        assert entry["dbytes"] == 0
+        assert entry["dios"] == 0
+        assert entry["wait_usec"] == pytest.approx(1.0e6)
+        assert not any(
+            isinstance(member, property) for member in vars(CgroupIOStats).values()
+        ), "CgroupIOStats must not grow cross-device aggregate properties"
 
     def test_cgroup_carries_per_device_stats(self):
         tree = CgroupTree()
@@ -56,11 +60,15 @@ class TestWaitUnitContract:
         assert record.wait_usec == pytest.approx(1234.0)
 
     def test_aggregate_wait_usec_matches_sum_of_records(self):
-        stats = CgroupIOStats()
+        tree = CgroupTree()
+        stats = tree.create("a").stats
         stats.device("8:0").wait_total = 0.5
         stats.device("8:16").wait_total = 0.25
-        assert stats.wait_usec == pytest.approx(0.75e6)
-        assert stats.wait_usec == pytest.approx(stats.wait_total * 1e6)
+        wait_usec = IOStat(tree).of("a")["wait_usec"]
+        assert wait_usec == pytest.approx(0.75e6)
+        assert wait_usec == pytest.approx(
+            sum(record.wait_total for _, record in stats.devices()) * 1e6
+        )
 
     def test_iostat_surface_uses_the_property(self):
         """obs.iostat must not re-implement the conversion inline."""

@@ -10,6 +10,7 @@ from repro.cgroup import (
     CgroupTree,
     MAX_WEIGHT,
     MIN_WEIGHT,
+    UNATTRIBUTED_DEV,
     make_meta_hierarchy,
 )
 
@@ -128,12 +129,13 @@ class TestIOStats:
         group = tree.create("a")
         group.stats.account(is_write=False, nbytes=4096)
         group.stats.account(is_write=True, nbytes=8192)
-        assert group.stats.rbytes == 4096
-        assert group.stats.wbytes == 8192
-        assert group.stats.rios == 1
-        assert group.stats.wios == 1
-        assert group.stats.total_bytes == 12288
-        assert group.stats.total_ios == 2
+        record = group.stats.device(UNATTRIBUTED_DEV)
+        assert record.rbytes == 4096
+        assert record.wbytes == 8192
+        assert record.rios == 1
+        assert record.wios == 1
+        assert record.total_bytes == 12288
+        assert record.total_ios == 2
 
 
 class TestMetaHierarchy:

@@ -117,7 +117,7 @@ class TestBlkThrottle:
         group = tree.create("a")
         ClosedLoop(sim, layer, group, op=IOOp.WRITE, size=65536, stop_at=0.5).start()
         sim.run(until=0.55)
-        achieved_bps = layer.bytes_by_cgroup["a"] / 0.5
+        achieved_bps = group.stats.device(layer.dev).done_bytes / 0.5
         assert achieved_bps == pytest.approx(10e6, rel=0.15)
 
     def test_unlimited_group_passes_through(self):
@@ -268,6 +268,6 @@ class TestBlkThrottleLargeBios:
             sim, layer, group, op=IOOp.WRITE, size=1 << 20, depth=4, stop_at=2.0
         ).start()
         sim.run(until=2.2)
-        achieved_bps = layer.bytes_by_cgroup["a"] / 2.0
+        achieved_bps = group.stats.device(layer.dev).done_bytes / 2.0
         assert achieved_bps == pytest.approx(10e6, rel=0.15)
         assert layer.completed_ios > 10

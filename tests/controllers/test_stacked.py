@@ -65,7 +65,7 @@ def test_stack_preserves_proportionality():
     ClosedLoopWorkload(sim, layer, low, depth=16, stop_at=0.5, seed=2).start()
     sim.run(until=0.5)
     controller.detach()
-    ratio = layer.completed_by_cgroup["high"] / layer.completed_by_cgroup["low"]
+    ratio = layer.iops_of(high) / layer.iops_of(low)
     assert ratio == pytest.approx(2.0, rel=0.15)
 
 

@@ -177,13 +177,13 @@ class TestWorkConservation:
         Saturator(sim, layer, a, stop_at=1.0, seed=1).start()
         Saturator(sim, layer, b, stop_at=0.1, seed=2).start()
         sim.run(until=1.1)
-        snap = layer.snapshot_counts()
+        snap = layer.iops_of(a)
         # After b idles out (one full period), a should be back at peak.
         Saturator(sim, layer, a, stop_at=1.6, seed=3).start()
         sim.run(until=1.6)
         state_b = controller.tree.lookup("b")
         assert not state_b.active
-        a_rate = layer.iops_of(a, since_counts=snap) / 0.5
+        a_rate = (layer.iops_of(a) - snap) / 0.5
         assert a_rate == pytest.approx(PEAK_IOPS, rel=0.1)
 
     def test_donor_rescinds_when_demand_returns(self):
@@ -336,7 +336,7 @@ class TestOversizedIOs:
         sim.run(until=2.0)
         # Fair share: 5% of 1 GB/s write bandwidth = ~50 MB/s => ~100 MiB
         # in 2s => ~100 bios of 1 MiB.
-        completed = layer.completed_by_cgroup.get("small", 0)
+        completed = layer.iops_of(small)
         assert completed > 50  # far from stalled
         # And it must not exceed ~2x its fair share either.
         assert completed < 250
@@ -369,4 +369,4 @@ class TestDonorWedgeRegression:
         # actually completed.
         deficit = state.local_vtime - controller.clock.now()
         assert deficit < 1.0
-        assert layer.completed_by_cgroup.get("quiet", 0) > 150
+        assert layer.iops_of(quiet) > 150

@@ -61,12 +61,12 @@ def test_weight_change_applies_mid_stream():
     closed_loop(a, 1)
     closed_loop(b, 2)
     sim.run(until=0.5)
-    snap = layer.snapshot_counts()
+    a_before, b_before = layer.iops_of(a), layer.iops_of(b)
     controller.set_weight(a, 300)
     sim.run(until=1.0)
     controller.detach()
-    a_done = layer.iops_of(a, since_counts=snap)
-    b_done = layer.iops_of(b, since_counts=snap)
+    a_done = layer.iops_of(a) - a_before
+    b_done = layer.iops_of(b) - b_before
     assert a_done / b_done == pytest.approx(3.0, rel=0.15)
 
 

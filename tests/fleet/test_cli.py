@@ -45,7 +45,27 @@ class TestRun:
         code = main(["run", str(spec_path), "--out", str(store_dir),
                      "--quiet", "--min-hit-rate", "1.0"])
         assert code == 1
-        assert "below required" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "below required" in captured.err and captured.out == ""
+
+    def test_failed_host_says_why_on_stderr_even_when_quiet(self, tmp_path, store_dir, capsys):
+        doc = fleet_doc()
+        doc["workloads"][0]["frobnicate"] = 1  # loads; fails in the worker
+        path = tmp_path / "failing.json"
+        path.write_text(json.dumps(doc))
+        code = main(["run", str(path), "--out", str(store_dir), "--quiet"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        failed = [line for line in captured.err.splitlines() if line.startswith("FAILED ")]
+        assert len(failed) == 1  # first_fit packs every instance onto web/0
+        assert failed[0].startswith("FAILED web/0: ExperimentError: unknown key 'frobnicate'")
+
+    def test_malformed_spec_value_exits_with_message(self, tmp_path, store_dir):
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps(fleet_doc(seed="abc")))
+        with pytest.raises(SystemExit, match="repro.fleet: malformed value in fleet spec.*'abc'"):
+            main(["run", str(path), "--out", str(store_dir)])
 
     def test_policy_pass_flag(self, spec_path, store_dir):
         code = main(["run", str(spec_path), "--out", str(store_dir),

@@ -137,6 +137,39 @@ class TestValidation:
         with pytest.raises(FleetSpecError):
             HostGroup(name="web", count=1, device="floppy_drive_9000")
 
+    @pytest.mark.parametrize(
+        "where, key, value, match",
+        [
+            ("host", "count", "many", "malformed value.*'many'"),
+            ("host", "qos", "fast", "malformed value"),
+            ("host", "faults", "boom", "malformed value"),
+            ("top", "seed", "abc", "malformed value.*'abc'"),
+            ("top", "percentiles", 5, "malformed value.*not iterable"),
+            # Well-typed but meaningless: rejected once at load, with the
+            # validators the workers use, not once per host in a worker.
+            ("host", "qos", {"bogus": 1}, "unknown qos fields"),
+            ("host", "qos", {"period": -1.0}, "period must be positive"),
+            ("host", "faults", [{"kind": "nope"}], "unknown fault kind"),
+            ("host", "faults", [{"kind": "hang", "frobnicate": 1}], "bad parameters"),
+        ],
+    )
+    def test_malformed_values_are_spec_errors(self, where, key, value, match):
+        """Never a bare ValueError/TypeError: the CLI catches SpecError only."""
+        doc = fleet_doc()
+        (doc if where == "top" else doc["hosts"]["web"])[key] = value
+        with pytest.raises(FleetSpecError, match=match):
+            FleetSpec.from_dict(doc)
+
+    def test_valid_qos_and_faults_still_load(self):
+        doc = fleet_doc()
+        doc["hosts"]["web"]["qos"] = {"read_lat_target": 5e-3, "period": 0.05}
+        doc["hosts"]["web"]["faults"] = [
+            {"kind": "brownout", "start": 0.01, "duration": 0.01, "latency_mult": 4}
+        ]
+        group = FleetSpec.from_dict(doc).group("web")
+        assert group.qos == {"read_lat_target": 5e-3, "period": 0.05}
+        assert group.faults[0]["kind"] == "brownout"
+
 
 class TestDeviceResolution:
     def test_catalogue_name(self):

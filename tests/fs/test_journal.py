@@ -85,8 +85,8 @@ class TestCommitMachinery:
         journal.log(a, 4096)
         journal.log(b, 4096)
         run_op(sim, journal.fsync(a))
-        assert a.stats.wbytes >= 4096
-        assert b.stats.wbytes >= 4096
+        assert a.stats.device(layer.dev).wbytes >= 4096
+        assert b.stats.device(layer.dev).wbytes >= 4096
         journal.close()
 
     def test_concurrent_fsync_joins_inflight_commit(self):

@@ -9,9 +9,11 @@ from repro.block.bio import Bio, IOOp
 from repro.block.device import Device, DeviceSpec
 from repro.block.layer import BlockLayer
 from repro.cgroup import CgroupTree
+from repro.controllers.noop import NoopController
 from repro.core.controller import IOCost
 from repro.core.cost_model import LinearCostModel, ModelParams
 from repro.core.qos import QoSParams
+from repro.faults import ErrorBurst, FaultPlan
 from repro.mm.memory import MemoryManager
 from repro.sim import Simulator
 from repro.workloads.synthetic import ClosedLoopWorkload
@@ -74,8 +76,35 @@ class TestAccountingInvariants:
         ClosedLoopWorkload(sim, layer, b, depth=4, stop_at=0.2, seed=2).start()
         sim.run(until=0.4)
         controller.detach()
-        assert (
-            sum(layer.completed_by_cgroup.values()) == layer.completed_ios
+        assert layer.iops_of(a) > 0 and layer.iops_of(b) > 0
+        assert sum(layer.iops_of(group) for group in tree) == layer.completed_ios
+
+    def test_records_account_for_every_finished_bio_across_removals(self):
+        """One home: the tree's records for a device sum to the layer's
+        finished count (successes + terminal errors), removals included."""
+        sim = Simulator()
+        plan = FaultPlan([ErrorBurst(start=0.05, duration=0.02)], seed=0)
+        device = Device(sim, SPEC, np.random.default_rng(0), faults=plan)
+        layer = BlockLayer(sim, device, NoopController(), max_retries=0)
+        tree = CgroupTree()
+        paths = ("a", "a/b", "a/b/c", "d")
+        for index, path in enumerate(paths):
+            ClosedLoopWorkload(
+                sim, layer, tree.create(path), depth=4, stop_at=0.2, seed=index
+            ).start()
+        sim.run(until=0.4)
+
+        def finished():
+            records = [group.stats.device(layer.dev) for group in tree]
+            return sum(record.done_ios + record.errors for record in records)
+
+        assert layer.errored_ios > 0 and layer.inflight == 0
+        assert finished() == layer.completed_ios
+        for path in ("a/b/c", "d", "a/b"):
+            tree.remove(path)
+            assert finished() == layer.completed_ios
+        assert layer.iops_of(tree.lookup("a")) + layer.iops_of(tree.root) == (
+            layer.completed_ios - layer.errored_ios
         )
 
     @given(vrate=st.floats(min_value=0.25, max_value=1.0))
@@ -107,9 +136,7 @@ class TestAccountingInvariants:
         ClosedLoopWorkload(sim, layer, low, depth=24, stop_at=0.5, seed=2).start()
         sim.run(until=0.5)
         controller.detach()
-        achieved = layer.completed_by_cgroup["high"] / max(
-            1, layer.completed_by_cgroup["low"]
-        )
+        achieved = layer.iops_of(high) / max(1, layer.iops_of(low))
         assert achieved == pytest.approx(w_high / w_low, rel=0.2)
 
 

@@ -75,8 +75,10 @@ class TestCapture:
             bed, _ = run_monitored(with_monitor=with_monitor)
             return json.dumps(
                 {
-                    "completed": bed.layer.completed_by_cgroup,
-                    "bytes": bed.layer.bytes_by_cgroup,
+                    "completed": {
+                        cg.path: [[dev, r.done_ios, r.done_bytes] for dev, r in cg.stats.devices()]
+                        for cg in bed.cgroups
+                    },
                     "vrate": bed.controller.vrate,
                 },
                 sort_keys=True,

@@ -217,10 +217,9 @@ class TestTopologyDeterminism:
         bed.saturate(cgroup, device="vda", depth=8, stop_at=0.5)
         bed.run(0.5)
         layer = bed.devices.layer("vda")
-        result = (
-            dict(layer.completed_by_cgroup),
-            dict(layer.bytes_by_cgroup),
-        )
+        record = cgroup.stats.device(layer.dev)
+        result = (cgroup.path, record.done_ios, record.done_bytes)
+        assert record.done_ios > 0
         bed.detach()
         return result
 

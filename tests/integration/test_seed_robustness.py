@@ -47,7 +47,7 @@ def split_ratio(seed: int) -> float:
     ClosedLoopWorkload(sim, layer, low, depth=48, stop_at=1.0, seed=seed + 2).start()
     sim.run(until=1.0)
     controller.detach()
-    return layer.completed_by_cgroup["high"] / layer.completed_by_cgroup["low"]
+    return layer.iops_of(high) / layer.iops_of(low)
 
 
 @pytest.mark.parametrize("seed", [1, 42, 1337])

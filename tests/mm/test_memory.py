@@ -101,8 +101,8 @@ class TestReclaim:
         run_op(sim, mm.alloc(leaker, 60 * MB))
         run_op(sim, mm.alloc(app, 10 * MB))
         assert mm.state_of(leaker).swapped_out_total > 0
-        assert tree.root.stats.wbytes >= mm.state_of(leaker).swapped_out_total
-        assert leaker.stats.wbytes == 0
+        assert tree.root.stats.device(layer.dev).wbytes >= mm.state_of(leaker).swapped_out_total
+        assert leaker.stats.device(layer.dev).wbytes == 0
 
     def test_swap_out_charged_to_owner_under_mm_aware_controller(self):
         from repro.controllers.iolatency import IOLatencyController
@@ -121,8 +121,8 @@ class TestReclaim:
         run_op(sim, mm.alloc(app, 10 * MB))
         leaker_out = mm.state_of(leaker).swapped_out_total
         assert leaker_out > 0
-        assert leaker.stats.wbytes >= leaker_out
-        assert tree.root.stats.wbytes == 0
+        assert leaker.stats.device(layer.dev).wbytes >= leaker_out
+        assert tree.root.stats.device(layer.dev).wbytes == 0
 
     def test_allocator_waits_for_swap_io(self):
         sim, layer, mm, tree = make_env(total=64 * MB)
@@ -154,7 +154,7 @@ class TestFaulting:
         before = sim.now
         run_op(sim, mm.touch(group, 10 * MB))
         assert sim.now == before
-        assert group.stats.rbytes == 0
+        assert group.stats.device(layer.dev).rbytes == 0
 
     def test_touch_swapped_memory_faults(self):
         sim, layer, mm, tree = make_env(total=64 * MB)
@@ -167,7 +167,7 @@ class TestFaulting:
         run_op(sim, mm.touch(group, 20 * MB))
         state = mm.state_of(group)
         assert state.faulted_in_total > 0
-        assert group.stats.rbytes > 0  # swap-in reads charged to faulter
+        assert group.stats.device(layer.dev).rbytes > 0  # swap-in reads charged to faulter
 
     def test_fault_fraction_tracks_swapped_share(self):
         sim, layer, mm, tree = make_env(total=64 * MB)

@@ -63,7 +63,7 @@ class TestBufferedWrites:
         state = cache.state_of(group)
         assert state.written_back_total > 0
         assert state.dirty <= cache.background_bytes
-        assert group.stats.wbytes == state.written_back_total
+        assert group.stats.device(layer.dev).wbytes == state.written_back_total
 
     def test_dirty_throttling_blocks_writer_at_limit(self):
         sim, layer, cache, tree = make_env()

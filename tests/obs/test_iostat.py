@@ -71,6 +71,21 @@ class TestAggregation:
         assert snap["a"]["rbytes"] == 4096
         assert snap[""]["rbytes"] == 4096
 
+    def test_collector_built_after_removal_sees_the_history(self):
+        """Folding is the tree's job: no collector has to be watching."""
+        tree = CgroupTree()
+        tree.create("workload.slice")
+        child = tree.create("workload.slice/dying")
+        account(child, rbytes=65536, wbytes=4096)
+        child.stats.device("0:0").errors = 2
+        tree.remove("workload.slice/dying")
+
+        snap = IOStat(tree).snapshot()
+        assert snap["workload.slice"]["rbytes"] == 65536
+        assert snap["workload.slice"]["wbytes"] == 4096
+        assert snap["workload.slice"]["errors"] == 2
+        assert snap[""]["rios"] == 16
+
     def test_hook_only_observes_registered_tree(self):
         tree = CgroupTree()
         other = CgroupTree()

@@ -40,7 +40,7 @@ def two_device_machine():
             sim, QUIET, np.random.default_rng(index), name=name,
             devno=f"8:{16 * index}",
         )
-        layers[name] = BlockLayer(sim, device, NoopController()).observe_tree(tree)
+        layers[name] = BlockLayer(sim, device, NoopController())
     return sim, tree, layers
 
 
@@ -76,6 +76,25 @@ class TestGoldenFormat:
         assert IOStat(tree).of("workload.slice")["rbytes"] == 12288
 
 
+class TestSequentialCursorPerDevice:
+    def test_cursor_does_not_carry_across_devices(self):
+        """One cgroup on two devices: a bio on vdb that starts where the
+        last vda bio ended continues nothing."""
+        sim, tree, layers = two_device_machine()
+        app = tree.create("app")
+        first = Bio(IOOp.READ, 4096, 8, app)
+        elsewhere = Bio(IOOp.READ, 4096, first.end_sector, app)
+        successor = Bio(IOOp.READ, 4096, first.end_sector, app)
+        layers["vda"].submit(first)
+        layers["vdb"].submit(elsewhere)
+        layers["vda"].submit(successor)
+        assert not first.sequential and not elsewhere.sequential
+        assert successor.sequential  # vdb's bio did not move vda's cursor
+        assert app.stats.device("8:0").next_sector == successor.end_sector
+        assert app.stats.device("8:16").next_sector == elsewhere.end_sector
+        sim.run(until=1.0)
+
+
 class TestRemovalFolding:
     def test_folding_preserves_device_attribution(self):
         sim, tree, layers = two_device_machine()
@@ -99,7 +118,6 @@ class TestRemovalFolding:
 
     def test_cascading_removal_carries_device_records(self):
         sim, tree, layers = two_device_machine()
-        iostat = IOStat(tree)
         tree.create("a")
         tree.create("a/b")
         grandchild = tree.create("a/b/c")
@@ -108,7 +126,7 @@ class TestRemovalFolding:
 
         tree.remove("a/b/c")
         tree.remove("a/b")
-        entry = iostat.device_of("a")
+        entry = IOStat(tree).device_of("a")  # built after the removals
         assert entry["8:16"]["rbytes"] == 4096
         assert "8:0" not in entry
 
@@ -139,6 +157,30 @@ class TestCostKeysPerDevice:
         vda_line, vdb_line = rendered.splitlines()
         assert vda_line.startswith("8:0 ") and "cost.vrate=" in vda_line
         assert vdb_line.startswith("8:16 ") and "cost." not in vdb_line
+
+    def test_cost_wait_is_this_devices_wait(self):
+        """cost.wait on a device's line is the wait on that device, not the
+        cgroup's wait summed over every device."""
+        bed = Testbed(
+            devices={"vda": QUIET, "vdb": QUIET},
+            controllers={"vda": "iocost", "vdb": "iocost"},
+            seed=3,
+        )
+        app = bed.add_cgroup("workload.slice/app")
+        rival = bed.add_cgroup("workload.slice/rival")
+        bed.saturate(app, device="vda", depth=1, stop_at=0.3)
+        bed.saturate(app, device="vdb", depth=64, stop_at=0.3)
+        bed.saturate(rival, device="vdb", depth=64, stop_at=0.3)
+        bed.sim.run(until=0.4)
+        bed.detach()
+
+        iostat = IOStat(bed.cgroups, controllers=bed.devices.controllers_by_devno())
+        entry = iostat.device_of("workload.slice/app")
+        assert entry["8:16"]["wait_usec"] > 100 * entry["8:0"]["wait_usec"]
+        for dev in ("8:0", "8:16"):
+            assert entry[dev]["cost.wait"] * 1e6 == pytest.approx(entry[dev]["wait_usec"])
+        # Reading an untouched cgroup's cost keys makes no record on it.
+        assert bed.cgroups.lookup("system.slice").stats.per_device == {}
 
     def test_render_counters_are_integers(self):
         sim, tree, layers = two_device_machine()

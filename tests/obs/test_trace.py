@@ -169,13 +169,14 @@ def _fingerprint(trace_on: bool) -> bytes:
         buffer.detach()
         assert buffer.recorded > 0
     fingerprint = {
-        "completed": bed.layer.completed_by_cgroup,
-        "bytes": bed.layer.bytes_by_cgroup,
         "vrate": bed.controller.vrate,
         "now": bed.sim.now,
         "stats": {
-            path: [cg.stats.rbytes, cg.stats.rios, round(cg.stats.wait_total, 12)]
-            for path, cg in ((c.path, c) for c in bed.cgroups)
+            cg.path: [
+                [dev, r.done_ios, r.done_bytes, r.rbytes, r.rios, round(r.wait_total, 12)]
+                for dev, r in cg.stats.devices()
+            ]
+            for cg in bed.cgroups
         },
     }
     return json.dumps(fingerprint, sort_keys=True).encode()

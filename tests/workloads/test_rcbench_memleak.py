@@ -82,7 +82,7 @@ class TestMemoryLeaker:
         group = tree.lookup("system.slice")
         MemoryLeaker(sim, layer, mm, group, rate_bps=128 * MB, stop_at=3.0).start()
         sim.run(until=3.0)
-        assert group.stats.wbytes > 0
+        assert group.stats.device(layer.dev).wbytes > 0
 
 
 class TestStress:
