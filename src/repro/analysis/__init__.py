@@ -5,7 +5,6 @@ from repro.analysis.stats import (
     RateMeter,
     Summary,
     TimeSeries,
-    percentile,
 )
 from repro.analysis.report import Table, format_ratio, format_si
 from repro.analysis.figures import render_series, sparkline
@@ -18,7 +17,6 @@ __all__ = [
     "TimeSeries",
     "format_ratio",
     "format_si",
-    "percentile",
     "render_series",
     "sparkline",
 ]

@@ -17,20 +17,9 @@ from __future__ import annotations
 import bisect
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Iterable, List, Optional, Sequence, Tuple
+from typing import Deque, Iterable, List, Optional, Tuple
 
 from repro.obs.metrics import exact_percentile
-
-
-def percentile(samples: Sequence[float], pct: float) -> float:
-    """Nearest-rank percentile of ``samples`` (``pct`` in [0, 100]).
-
-    Compatibility shim: the implementation lives in
-    :func:`repro.obs.metrics.exact_percentile` (alongside the streaming
-    histogram it serves as ground truth for).  Behaviour is unchanged —
-    ``ValueError`` on an empty sample set or out-of-range ``pct``.
-    """
-    return exact_percentile(samples, pct)
 
 
 class LatencyWindow:
@@ -64,7 +53,7 @@ class LatencyWindow:
         self._prune(now)
         if not self._samples:
             return None
-        return percentile([lat for _, lat in self._samples], pct)
+        return exact_percentile([lat for _, lat in self._samples], pct)
 
     def mean(self, now: float) -> Optional[float]:
         self._prune(now)
@@ -161,8 +150,8 @@ class Summary:
         return cls(
             count=len(data),
             mean=sum(data) / len(data),
-            p50=percentile(data, 50),
-            p90=percentile(data, 90),
-            p99=percentile(data, 99),
+            p50=exact_percentile(data, 50),
+            p90=exact_percentile(data, 90),
+            p99=exact_percentile(data, 99),
             maximum=max(data),
         )

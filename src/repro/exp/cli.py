@@ -3,15 +3,19 @@
 Three subcommands over one artifact store:
 
 * ``run SPEC`` — expand the sweep, execute misses across a worker pool,
-  print the per-cell table, and emit the ``BENCH_sweep.json`` perf
-  trajectory (per-run wall seconds, cache-hit rate, parallel speedup).
-  ``--min-hit-rate`` turns the hit rate into an exit-code assertion so CI
-  can verify that a second invocation was served from cache.
+  print the per-cell table, and write the ``BENCH_sweep.json`` sweep report
+  (per-run status, cache verdict and wall seconds; hit rate; parallel
+  speedup).  ``--min-hit-rate`` turns the hit rate into an exit-code
+  assertion so CI can verify that a second invocation was served from
+  cache.
 * ``status SPEC`` — cache verdict per cell without executing anything.
 * ``collect`` — merge every stored run into one JSON document.
 
-This module is the only place in :mod:`repro.exp` that touches the wall
-clock: it injects a real clock into the otherwise clock-free runner.
+This module is also the CLI skeleton ``python -m repro.fleet`` is built
+from (a fleet is a sweep whose cells are hosts): the argument groups, the
+error exit, the run and status tables and the dispatcher exist once, here.
+It is the only place in :mod:`repro.exp` that touches the wall clock: it
+injects a real clock into the otherwise clock-free runner.
 """
 
 from __future__ import annotations
@@ -21,13 +25,13 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, Dict, Mapping, Optional, Sequence
 
 from repro.analysis.report import Table
 from repro.exp.cache import ResultCache
 from repro.exp.grid import RunSpec, expand
-from repro.exp.runner import SweepReport, run_sweep, write_bench_json
-from repro.exp.spec import ExperimentSpec, SpecError, load_spec
+from repro.exp.runner import RunnerError, SweepReport, run_sweep, write_bench_json
+from repro.exp.spec import SpecError, load_spec
 from repro.exp.store import ArtifactStore
 
 BENCH_FILE = "BENCH_sweep.json"
@@ -42,88 +46,90 @@ def wall_clock() -> float:
     return time.perf_counter()  # CLI timing only - simlint: disable=no-wallclock
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro.exp",
-        description="Declarative experiment sweeps: run, status, collect.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# -- the skeleton shared with repro.fleet.cli --------------------------------
 
-    run_cmd = sub.add_parser("run", help="execute a sweep (cache-aware)")
-    run_cmd.add_argument("spec", help="path to a .toml or .json sweep spec")
-    run_cmd.add_argument("--workers", type=int, default=1)
-    run_cmd.add_argument(
+
+def add_spec_args(cmd: argparse.ArgumentParser, what: str) -> None:
+    cmd.add_argument("spec", help=f"path to a .toml or .json {what} spec")
+    cmd.add_argument(
         "--out", default=".",
         help="artifact store root (runs land under <out>/runs/)",
     )
-    run_cmd.add_argument(
-        "--force", action="store_true", help="re-execute every cell"
+
+
+def add_runner_args(cmd: argparse.ArgumentParser) -> None:
+    cmd.add_argument("--workers", type=int, default=1)
+    cmd.add_argument(
+        "--force", action="store_true", help="re-execute every run"
     )
-    run_cmd.add_argument("--retries", type=int, default=1)
-    run_cmd.add_argument(
+    cmd.add_argument("--retries", type=int, default=1)
+    cmd.add_argument(
         "--timeout", type=float, default=None, metavar="SEC",
         help="per-run wall-clock limit; expired runs are killed and "
              "recorded with status 'timeout'",
     )
-    run_cmd.add_argument(
+    cmd.add_argument("--quiet", action="store_true")
+
+
+def add_report_args(cmd: argparse.ArgumentParser) -> None:
+    cmd.add_argument(
         "--bench-json", default=None,
-        help=f"perf-trajectory path (default <out>/{BENCH_FILE})",
+        help=f"sweep report path (default <out>/{BENCH_FILE})",
     )
-    run_cmd.add_argument(
+    cmd.add_argument(
         "--min-hit-rate", type=float, default=None,
         help="exit non-zero unless cache hit rate >= this fraction",
     )
-    run_cmd.add_argument("--quiet", action="store_true")
-
-    status_cmd = sub.add_parser("status", help="cache verdict per sweep cell")
-    status_cmd.add_argument("spec")
-    status_cmd.add_argument("--out", default=".")
-
-    collect_cmd = sub.add_parser("collect", help="merge stored runs to JSON")
-    collect_cmd.add_argument("--out", default=".")
-    collect_cmd.add_argument(
-        "--output", default=None, help="write here instead of stdout"
-    )
-    return parser
 
 
-def _load(path: str) -> ExperimentSpec:
-    try:
-        return load_spec(path)
-    except SpecError as exc:
-        raise SystemExit(f"repro.exp: {exc}")
+def runner_kwargs(args: argparse.Namespace) -> Dict[str, Any]:
+    """The :func:`add_runner_args` flags as ``run_sweep`` keywords."""
+    return {
+        "workers": args.workers,
+        "clock": wall_clock,
+        "force": args.force,
+        "retries": args.retries,
+        "timeout_sec": args.timeout,
+    }
 
 
-def _print_report(report: SweepReport) -> None:
-    table = Table(
-        f"Sweep {report.name} [{report.sweep_hash}] — "
-        f"{report.workers} worker(s)",
-        ["cell", "status", "source", "attempts", "wall"],
-    )
-    for outcome in report.outcomes:
-        table.add_row(
-            outcome.run.describe(),
-            outcome.status,
-            "cache" if outcome.cached else "executed",
-            outcome.attempts,
-            f"{outcome.wall_sec:.2f}s",
-        )
-    table.print()
-    speedup = report.speedup_vs_serial
-    print(
-        f"\n{report.runs_total} runs: {report.cache_hits} cached, "
-        f"{report.executed} executed, {report.failures} failed"
-        + (f" ({report.timeouts} timed out)" if report.timeouts else "")
-        + f"; elapsed {report.elapsed_wall_sec:.2f}s"
-        + (f", speedup vs serial {speedup:.2f}x" if speedup is not None else "")
-    )
-
-
-def sweep_exit_code(
-    report: SweepReport, min_hit_rate: Optional[float], label: Callable[[RunSpec], str]
+def finish_run(
+    report: SweepReport,
+    args: argparse.Namespace,
+    title: str,
+    noun: str,
+    label: Callable[[RunSpec], str],
 ) -> int:
-    """Exit code of a finished sweep; when it is not 0, stderr says why
-    (``--quiet`` silences the report, never the reason for a failure)."""
+    """The tail of every ``run``: write the sweep report, print the table
+    (unless ``--quiet``), and turn failures / ``--min-hit-rate`` into the
+    exit code.  When that is not 0, stderr says why — ``--quiet`` silences
+    the report, never the reason for a failure."""
+    bench_path = write_bench_json(
+        report, args.bench_json or Path(args.out) / BENCH_FILE
+    )
+    if not args.quiet:
+        table = Table(title, [noun, "status", "source", "attempts", "wall"])
+        for outcome in report.outcomes:
+            table.add_row(
+                label(outcome.run),
+                outcome.status,
+                "cache" if outcome.cached else "executed",
+                outcome.attempts,
+                f"{outcome.wall_sec:.2f}s",
+            )
+        table.print()
+        speedup = report.speedup_vs_serial
+        summary = (
+            f"\n{report.runs_total} runs: {report.cache_hits} cached, "
+            f"{report.executed} executed, {report.failures} failed"
+            + (f" ({report.timeouts} timed out)" if report.timeouts else "")
+            + f"; elapsed {report.elapsed_wall_sec:.2f}s"
+        )
+        if speedup is not None:
+            rate = report.executed / report.elapsed_wall_sec
+            summary += f", {rate:.1f} {noun}s/s, speedup vs serial {speedup:.2f}x"
+        print(summary)
+        print(f"sweep report: {bench_path}")
     if report.failures:
         for outcome in report.outcomes:
             if not outcome.ok and outcome.error is not None:
@@ -133,58 +139,103 @@ def sweep_exit_code(
                     file=sys.stderr,
                 )
         return 1
-    if min_hit_rate is not None and report.hit_rate < min_hit_rate:
+    if args.min_hit_rate is not None and report.hit_rate < args.min_hit_rate:
         print(
-            f"cache hit rate {report.hit_rate:.0%} below required {min_hit_rate:.0%}",
+            f"cache hit rate {report.hit_rate:.0%} below required "
+            f"{args.min_hit_rate:.0%}",
             file=sys.stderr,
         )
         return 1
     return 0
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    spec = _load(args.spec)
-    store = ArtifactStore(args.out)
-    report = run_sweep(
-        spec,
-        store,
-        workers=args.workers,
-        clock=wall_clock,
-        force=args.force,
-        retries=args.retries,
-        timeout_sec=args.timeout,
-    )
-    bench_path = (
-        Path(args.bench_json) if args.bench_json else store.root / BENCH_FILE
-    )
-    write_bench_json(report, bench_path)
-    if not args.quiet:
-        _print_report(report)
-        print(f"perf trajectory: {bench_path}")
-    return sweep_exit_code(report, args.min_hit_rate, RunSpec.describe)
-
-
-def _cmd_status(args: argparse.Namespace) -> int:
-    spec = _load(args.spec)
-    store = ArtifactStore(args.out)
+def print_status(
+    title: str,
+    runs: Sequence[RunSpec],
+    store: ArtifactStore,
+    noun: str,
+    label: Callable[[RunSpec], str],
+) -> int:
+    """The cache verdict of every run, without executing anything."""
     cache = ResultCache(store)
-    table = Table(
-        f"Sweep {spec.name} [{spec.sweep_hash}] — cache status",
-        ["cell", "run", "verdict"],
-    )
+    table = Table(f"{title} — cache status", [noun, "run", "verdict"])
     hits = 0
-    runs = expand(spec)
     for run in runs:
         decision = cache.lookup(run)
         hits += 1 if decision.hit else 0
         table.add_row(
-            run.describe(),
+            label(run),
             run.run_hash,
             "cached" if decision.hit else f"pending ({decision.reason})",
         )
     table.print()
-    print(f"\n{hits}/{len(runs)} cells cached")
+    print(f"\n{hits}/{len(runs)} {noun}s cached")
     return 0
+
+
+def dispatch(
+    parser: argparse.ArgumentParser,
+    handlers: Mapping[str, Callable[[argparse.Namespace], int]],
+    argv: Optional[Sequence[str]],
+) -> int:
+    """Parse ``argv`` and run the subcommand's handler.
+
+    This is every handler's ``or_exit``: a bad spec or unusable runner
+    options (:class:`SpecError` / :class:`RunnerError` out of any load or
+    run call) end the process as one ``prog: message`` line, not a
+    traceback.
+    """
+    args = parser.parse_args(list(argv) if argv is not None else None)
+    try:
+        return handlers[args.command](args)
+    except (SpecError, RunnerError) as exc:
+        raise SystemExit(f"{parser.prog}: {exc}") from None
+    except BrokenPipeError:  # stdout piped into a pager/head that quit
+        return 0
+
+
+# -- python -m repro.exp -----------------------------------------------------
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro.exp",
+        description="Declarative experiment sweeps: run, status, collect.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    run_cmd = sub.add_parser("run", help="execute a sweep (cache-aware)")
+    add_spec_args(run_cmd, "sweep")
+    add_runner_args(run_cmd)
+    add_report_args(run_cmd)
+
+    status_cmd = sub.add_parser("status", help="cache verdict per sweep cell")
+    add_spec_args(status_cmd, "sweep")
+
+    collect_cmd = sub.add_parser("collect", help="merge stored runs to JSON")
+    collect_cmd.add_argument("--out", default=".")
+    collect_cmd.add_argument(
+        "--output", default=None, help="write here instead of stdout"
+    )
+    return parser
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    spec = load_spec(args.spec)
+    report = run_sweep(spec, ArtifactStore(args.out), **runner_kwargs(args))
+    return finish_run(
+        report, args,
+        f"Sweep {spec.name} [{spec.sweep_hash}] — {report.workers} worker(s)",
+        "cell", RunSpec.describe,
+    )
+
+
+def _cmd_status(args: argparse.Namespace) -> int:
+    spec = load_spec(args.spec)
+    return print_status(
+        f"Sweep {spec.name} [{spec.sweep_hash}]", expand(spec),
+        ArtifactStore(args.out), "cell", RunSpec.describe,
+    )
 
 
 def _cmd_collect(args: argparse.Namespace) -> int:
@@ -198,17 +249,26 @@ def _cmd_collect(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(
-        list(argv) if argv is not None else None
+    return dispatch(
+        build_parser(),
+        {"run": _cmd_run, "status": _cmd_status, "collect": _cmd_collect},
+        argv,
     )
-    handlers = {"run": _cmd_run, "status": _cmd_status, "collect": _cmd_collect}
-    try:
-        return handlers[args.command](args)
-    except BrokenPipeError:  # stdout piped into a pager/head that quit
-        return 0
 
 
-__all__: List[Any] = ["build_parser", "main", "wall_clock", "BENCH_FILE"]
+__all__ = [
+    "BENCH_FILE",
+    "add_report_args",
+    "add_runner_args",
+    "add_spec_args",
+    "build_parser",
+    "dispatch",
+    "finish_run",
+    "main",
+    "print_status",
+    "runner_kwargs",
+    "wall_clock",
+]
 
 
 if __name__ == "__main__":  # pragma: no cover

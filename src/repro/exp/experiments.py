@@ -11,7 +11,10 @@ Built-ins cover the repo's own sweep surfaces:
 
 * ``testbed`` — the generic one-machine scenario: devices, controllers,
   QoS, cgroup weights, a workload mix, one measurement window.  This is
-  the declarative twin of what every hand-rolled benchmark sets up.
+  the declarative twin of what every hand-rolled benchmark sets up.  Its
+  machine comes from :func:`build_machine`, the one builder ``chaos`` and
+  every :mod:`repro.fleet` host share (with :func:`machine_kwargs`,
+  :func:`device_spec_for`, :func:`qos_from` and :func:`cgroup_report`).
 * ``profile_device`` — fio-style device profiling (Figure 3's fan-out
   over the fleet).
 * ``vrate_phases`` — the Figure 13 online model-update scenario.
@@ -36,9 +39,11 @@ import dataclasses
 import importlib
 import inspect
 import math
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
+from repro.block.device import DeviceSpec
 from repro.block.device_models import get_device_spec
+from repro.cgroup import Cgroup
 from repro.controllers.blk_throttle import ThrottleLimits
 from repro.core.cost_model import LinearCostModel, ModelParams
 from repro.core.profiler import profile_device
@@ -125,13 +130,26 @@ def qos_from(params: Mapping[str, Any]) -> Optional[QoSParams]:
     return QoSParams(**table)
 
 
-def _device_spec(params: Dict[str, Any], key: str = "device") -> Any:
-    name = params.get(key, "ssd_new")
-    spec = get_device_spec(name)
-    scale = params.get("device_scale")
-    if scale is not None:
-        spec = spec.scaled(float(scale))
-    return spec
+def device_spec_for(
+    device: Union[str, Mapping[str, Any]], scale: Optional[float] = None
+) -> DeviceSpec:
+    """Resolve a ``device`` param: a catalogue name or an inline
+    :class:`~repro.block.device.DeviceSpec` field table, optionally
+    ``scaled()``.  The one device resolver — experiment kinds, fleet hosts,
+    the fleet scheduler and the fleet spec loader all come through here.
+    """
+    if isinstance(device, str):
+        spec = get_device_spec(device)
+    elif isinstance(device, Mapping):
+        try:
+            spec = DeviceSpec(**{"name": "inline", **device})
+        except TypeError as exc:
+            raise ExperimentError(f"bad inline device table: {exc}") from None
+    else:
+        raise ExperimentError(
+            f"device must be a catalogue name or a table, got {type(device).__name__}"
+        )
+    return spec if scale is None else spec.scaled(float(scale))
 
 
 # -- testbed: the generic declarative scenario -------------------------------
@@ -144,7 +162,7 @@ _WORKLOADS: Dict[str, Tuple[Callable[..., Any], type]] = {
     "think_time": (Testbed.think_time, ThinkTimeWorkload),
     "latency_governed": (Testbed.latency_governed, LatencyGovernedWorkload),
 }
-_WORKLOAD_TYPES = tuple(_WORKLOADS)
+WORKLOAD_TYPES = tuple(_WORKLOADS)
 #: Keys a table of each type may set: the workload constructor's own
 #: keywords (everything after ``sim, layer, cgroup``).
 _WORKLOAD_KEYS = {
@@ -163,6 +181,8 @@ def run_testbed(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
         controller / controllers  Table 1 name, or {device: name}
         device_scale            spec.scaled() factor applied to every device
         qos                     QoSParams fields as a table
+        faults, fault_device    repro.faults fault tables and the device they
+                                attach to (default: the data device)
         mem_bytes, swap_bytes, swap_device
         cgroups                 {path: weight}           (required)
         workloads               [{cgroup, type, device?, ...kwargs}] (required)
@@ -172,23 +192,7 @@ def run_testbed(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
         trace_spans             true: track bio spans, report the stage
                                 breakdown (repro.obs.spans) under 'spans'
     """
-    cgroup_table = params.get("cgroups")
-    workload_table = params.get("workloads")
-    if not isinstance(cgroup_table, dict) or not cgroup_table:
-        raise ExperimentError("testbed params need a 'cgroups' {path: weight} table")
-    if not isinstance(workload_table, list) or not workload_table:
-        raise ExperimentError("testbed params need a 'workloads' list")
-
-    bed = Testbed(seed=seed, **machine_kwargs(params))
-    groups = {
-        path: bed.add_cgroup(path, weight=int(weight))
-        for path, weight in cgroup_table.items()
-    }
-    duration = float(params.get("duration", 1.0))
-    for entry in workload_table:
-        attach_workload(bed, groups, entry, duration)
-
-    percentiles = [float(p) for p in params.get("percentiles", [50, 95, 99])]
+    bed, groups, duration = build_machine(params, seed)
     trace_names = params.get("trace_events") or []
     buffer: Optional[TraceBuffer] = None
     if trace_names:
@@ -206,16 +210,9 @@ def run_testbed(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
             tracker.detach()
         bed.detach()
 
-    cgroup_results: Dict[str, Any] = {}
-    for path, group in groups.items():
-        latencies: Dict[str, Optional[float]] = {}
-        for pct in percentiles:
-            value = bed.latency_percentile(group, pct)
-            latencies[f"read_p{pct:g}"] = _opt_float(value)
-        cgroup_results[path] = {"iops": float(bed.iops(group)), **latencies}
     result: Dict[str, Any] = {
         "duration": duration,
-        "cgroups": cgroup_results,
+        "cgroups": cgroup_report(bed, groups, params),
         "events_processed": int(bed.sim.events_processed),
     }
     if tracker is not None:
@@ -229,50 +226,85 @@ def run_testbed(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     return result
 
 
-def _scaled_spec(name: str, params: Dict[str, Any]) -> Any:
-    spec = get_device_spec(name)
-    scale = params.get("device_scale")
-    return spec if scale is None else spec.scaled(float(scale))
-
-
-def machine_kwargs(params: Dict[str, Any]) -> Dict[str, Any]:
-    """Testbed constructor kwargs shared by the testbed-shaped kinds.
-
-    Public because other kinds (:mod:`repro.fleet.experiments`) build
-    machines from the same param-table format.
-    """
+def machine_kwargs(params: Mapping[str, Any]) -> Dict[str, Any]:
+    """Testbed constructor kwargs from a machine param table: device(s),
+    controller(s), memory, ``qos`` and the ``faults`` plan (left unseeded:
+    the testbed binds it to the machine seed)."""
     kwargs: Dict[str, Any] = {}
+    scale = params.get("device_scale")
     if "devices" in params:
         kwargs["devices"] = {
-            name: _scaled_spec(spec_name, params)
-            for name, spec_name in params["devices"].items()
+            name: device_spec_for(device, scale)
+            for name, device in params["devices"].items()
         }
     else:
-        kwargs["device"] = _device_spec(params)
+        kwargs["device"] = device_spec_for(params.get("device", "ssd_new"), scale)
     if "controllers" in params:
         kwargs["controllers"] = dict(params["controllers"])
     else:
         kwargs["controller"] = params.get("controller", "iocost")
     for key in ("mem_bytes", "swap_bytes", "swap_device"):
-        if params.get(key) is not None:
-            kwargs[key] = params[key]
-    qos = qos_from(params)
-    if qos is not None:
-        kwargs["qos"] = qos
+        kwargs[key] = params.get(key)
+    kwargs["qos"] = qos_from(params)
+    if params.get("faults"):
+        plan = plan_from_config(params["faults"])
+        fault_device = params.get("fault_device")
+        kwargs["faults"] = plan if fault_device is None else {fault_device: plan}
     return kwargs
+
+
+def build_machine(
+    params: Mapping[str, Any], seed: int, **extra: Any
+) -> Tuple[Testbed, Dict[str, Cgroup], float]:
+    """Build the machine a param table describes: the testbed, its cgroups
+    by path, and the measurement window — every workload attached, nothing
+    run yet.  ``extra`` goes to :class:`~repro.testbed.Testbed` verbatim.
+
+    The one machine builder: ``testbed``, ``chaos`` and every fleet host
+    (:func:`repro.fleet.experiments.run_fleet_host`) are this machine plus
+    their own measurement.
+    """
+    cgroup_table = params.get("cgroups")
+    workload_table = params.get("workloads")
+    if not isinstance(cgroup_table, dict) or not cgroup_table:
+        raise ExperimentError("machine params need a 'cgroups' {path: weight} table")
+    if not isinstance(workload_table, list) or not workload_table:
+        raise ExperimentError("machine params need a 'workloads' list")
+    bed = Testbed(seed=seed, **machine_kwargs(params), **extra)
+    groups = {
+        path: bed.add_cgroup(path, weight=int(weight))
+        for path, weight in cgroup_table.items()
+    }
+    duration = float(params.get("duration", 1.0))
+    for entry in workload_table:
+        attach_workload(bed, groups, entry, duration)
+    return bed, groups, duration
+
+
+def cgroup_report(
+    bed: Testbed, groups: Mapping[str, Cgroup], params: Mapping[str, Any]
+) -> Dict[str, Dict[str, Optional[float]]]:
+    """Per-cgroup ``iops`` and ``read_p<pct>`` over the window just run."""
+    percentiles = [float(p) for p in params.get("percentiles", [50, 95, 99])]
+    return {
+        path: {
+            "iops": float(bed.iops(group)),
+            **{
+                f"read_p{pct:g}": _opt_float(bed.latency_percentile(group, pct))
+                for pct in percentiles
+            },
+        }
+        for path, group in groups.items()
+    }
 
 
 def attach_workload(
     bed: Testbed,
-    groups: Dict[str, Any],
+    groups: Dict[str, Cgroup],
     entry: Dict[str, Any],
     duration: float,
 ) -> None:
-    """Attach one declarative workload table to a testbed cgroup.
-
-    Public because other kinds (:mod:`repro.fleet.experiments`) build
-    testbed-shaped scenarios from the same workload-table format.
-    """
+    """Attach one declarative workload table to a testbed cgroup."""
     if not isinstance(entry, dict):
         raise ExperimentError("each workload must be a table")
     entry = dict(entry)
@@ -283,9 +315,9 @@ def attach_workload(
         raise ExperimentError(
             f"workload cgroup {cgroup_path!r} is not in the 'cgroups' table"
         )
-    if wl_type not in _WORKLOAD_TYPES:
+    if wl_type not in WORKLOAD_TYPES:
         raise ExperimentError(
-            f"unknown workload type {wl_type!r} (want one of {_WORKLOAD_TYPES})"
+            f"unknown workload type {wl_type!r} (want one of {WORKLOAD_TYPES})"
         )
     accepted = _WORKLOAD_KEYS[wl_type]
     for key in entry:
@@ -315,7 +347,7 @@ def run_profile_device(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     """
     if "device" not in params:
         raise ExperimentError("profile_device params need a 'device'")
-    spec = _device_spec(params)
+    spec = device_spec_for(params["device"], params.get("device_scale"))
     profile = profile_device(
         spec,
         seed=seed,
@@ -352,7 +384,7 @@ def run_vrate_phases(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     from repro.sim import Simulator
     from repro.workloads.synthetic import ClosedLoopWorkload
 
-    spec = _device_spec(params)
+    spec = device_spec_for(params.get("device", "ssd_new"), params.get("device_scale"))
     phase_sec = float(params.get("phase_sec", 4.0))
     model_scales = [float(s) for s in params.get("model_scales", [1.0, 0.5, 2.0])]
     if not model_scales:
@@ -426,7 +458,7 @@ def run_mechanism_2to1(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     mechanism = params.get("mechanism")
     if not mechanism:
         raise ExperimentError("mechanism_2to1 params need a 'mechanism'")
-    spec = _device_spec(params)
+    spec = device_spec_for(params.get("device", "ssd_new"), params.get("device_scale"))
     duration = float(params.get("duration", 2.0))
     depth = int(params.get("depth", 32))
     kwargs: Dict[str, Any] = {}
@@ -502,54 +534,36 @@ def run_chaos(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     (label ``faults:<device>``), so results are a pure function of
     ``(params, seed)`` like every other kind.
     """
-    cgroup_table = params.get("cgroups")
-    workload_table = params.get("workloads")
-    if not isinstance(cgroup_table, dict) or not cgroup_table:
-        raise ExperimentError("chaos params need a 'cgroups' {path: weight} table")
-    if not isinstance(workload_table, list) or not workload_table:
-        raise ExperimentError("chaos params need a 'workloads' list")
     fault_tables = params.get("faults")
     if not isinstance(fault_tables, list) or not fault_tables:
         raise ExperimentError("chaos params need a 'faults' list of fault tables")
-    plan = plan_from_config(fault_tables)  # unseeded: the testbed binds it
-
-    kwargs = machine_kwargs(params)
-    fault_device = params.get("fault_device")
-    kwargs["faults"] = plan if fault_device is None else {fault_device: plan}
+    extra: Dict[str, Any] = {"max_retries": int(params.get("max_retries", 3))}
     if params.get("io_timeout") is not None:
-        kwargs["io_timeout"] = float(params["io_timeout"])
-    kwargs["max_retries"] = int(params.get("max_retries", 3))
+        extra["io_timeout"] = float(params["io_timeout"])
+    bed, groups, duration = build_machine(params, seed, **extra)
 
-    bed = Testbed(seed=seed, **kwargs)
-    groups = {
-        path: bed.add_cgroup(path, weight=int(weight))
-        for path, weight in cgroup_table.items()
-    }
-    duration = float(params.get("duration", 1.0))
-    for entry in workload_table:
-        attach_workload(bed, groups, entry, duration)
-
-    protected = params.get("protected", next(iter(cgroup_table)))
-    if protected not in cgroup_table:
+    protected = params.get("protected", next(iter(groups)))
+    if protected not in groups:
         raise ExperimentError(f"protected cgroup {protected!r} is not in 'cgroups'")
     target = _opt_float(params.get("latency_target"))
     if target is None:
-        target = (kwargs.get("qos") or QoSParams()).read_lat_target
+        target = (qos_from(params) or QoSParams()).read_lat_target
     percentiles = [float(p) for p in params.get("percentiles", [50, 95, 99])]
 
     # The fault envelope: [0, t0) pre, [t0, t1) fault, [t1, duration] post.
     settle = float(params.get("settle", 0.05))
     if settle < 0:
         raise ExperimentError("'settle' must be >= 0")
-    t0 = min(duration, max(0.0, min(f.start for f in plan.faults)))
-    ends = [f.end for f in plan.faults]
+    windows = plan_from_config(fault_tables).faults
+    t0 = min(duration, max(0.0, min(f.start for f in windows)))
+    ends = [f.end for f in windows]
     if any(math.isinf(e) for e in ends):
         t1 = duration
     else:
         t1 = min(duration, max(ends) + settle)
     t1 = max(t1, t0)
 
-    fault_layer = bed.layer_of(fault_device)
+    fault_layer = bed.layer_of(params.get("fault_device"))
     samples: Dict[str, List[float]] = {path: [] for path in groups}
 
     def on_complete(event: Any) -> None:
@@ -632,9 +646,14 @@ __all__ = [
     "ExperimentFn",
     "REGISTRY",
     "TRACE_KEY",
+    "WORKLOAD_TYPES",
     "attach_workload",
+    "build_machine",
+    "cgroup_report",
+    "device_spec_for",
     "experiment",
     "machine_kwargs",
+    "qos_from",
     "resolve",
     "run_chaos",
     "run_mechanism_2to1",

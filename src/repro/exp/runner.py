@@ -43,8 +43,8 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 from repro.exp.cache import ResultCache
 from repro.exp.experiments import TRACE_KEY, resolve
 from repro.exp.grid import RunSpec, expand
-from repro.exp.spec import ExperimentSpec, canonical_json
-from repro.exp.store import TRACE_FILE, ArtifactStore
+from repro.exp.spec import ExperimentSpec
+from repro.exp.store import TRACE_FILE, ArtifactStore, write_json
 from repro.obs.metrics import MetricRegistry
 
 Clock = Callable[[], float]
@@ -136,7 +136,7 @@ class SweepReport:
         return [(dict(o.run.axes), o.result) for o in self.outcomes]
 
     def to_bench_dict(self) -> Dict[str, Any]:
-        """The ``BENCH_sweep.json`` payload: the sweep's perf trajectory."""
+        """The ``BENCH_sweep.json`` payload: one row per run plus totals."""
         return {
             "schema": "repro.exp.sweep/1",
             "name": self.name,
@@ -206,17 +206,9 @@ def _worker_entry(payload: _Payload, conn: Any) -> None:
         conn.close()
 
 
-def _make_executor(workers: int) -> ProcessPoolExecutor:
-    """A fork-context pool when the platform has fork (registry and
-    ``sys.path`` state inherit into workers), else the platform default."""
-    try:
-        mp_context = get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        return ProcessPoolExecutor(max_workers=workers)
-    return ProcessPoolExecutor(max_workers=workers, mp_context=mp_context)
-
-
 def _mp_context() -> Any:
+    """The fork context when the platform has fork (registry and
+    ``sys.path`` state inherit into workers), else the platform default."""
     try:
         return get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms
@@ -389,7 +381,9 @@ def run_sweep(
     elif workers == 1 or len(payloads) == 1:
         verdicts = [_execute(payload) for payload in payloads]
     else:
-        with _make_executor(workers) as pool:
+        with ProcessPoolExecutor(
+            max_workers=workers, mp_context=_mp_context()
+        ) as pool:
             verdicts = list(pool.map(_execute, payloads, chunksize=1))
 
     for (index, run, reason), verdict in zip(pending, verdicts):
@@ -436,13 +430,8 @@ def run_sweep(
 
 
 def write_bench_json(report: SweepReport, path: Union[str, Path]) -> Path:
-    """Write the sweep's perf-trajectory artifact (``BENCH_sweep.json``)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(canonical_json(report.to_bench_dict()) + "\n")
-    tmp.replace(path)
-    return path
+    """Write the sweep report (``BENCH_sweep.json``), replacing any old one."""
+    return write_json(Path(path), report.to_bench_dict())
 
 
 __all__ = [

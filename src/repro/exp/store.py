@@ -36,6 +36,23 @@ class StoreError(RuntimeError):
     """Raised for unusable store state (bad root, unreadable artifacts)."""
 
 
+def _write_atomic(path: Path, text: str) -> Path:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text)
+    os.replace(tmp, path)
+    return path
+
+
+def write_json(path: Path, payload: Any) -> Path:
+    """Write ``payload`` as canonical JSON (stable bytes) plus newline.
+
+    The one atomic JSON writer: run artifacts, the sweep report and the
+    fleet plan / rollup / migration documents all land through here.
+    """
+    return _write_atomic(path, canonical_json(payload) + "\n")
+
+
 class ArtifactStore:
     """Filesystem artifact store rooted at ``<root>/runs``."""
 
@@ -58,23 +75,13 @@ class ArtifactStore:
 
     # -- writes (atomic) -----------------------------------------------------
 
-    def _write_atomic(self, path: Path, text: str) -> Path:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(text)
-        os.replace(tmp, path)
-        return path
-
     def write_json(self, run_hash: str, filename: str, payload: Any) -> Path:
-        """Write ``payload`` as canonical JSON (stable bytes) plus newline."""
-        return self._write_atomic(
-            self.path(run_hash, filename), canonical_json(payload) + "\n"
-        )
+        return write_json(self.path(run_hash, filename), payload)
 
     def write_lines(
         self, run_hash: str, filename: str, lines: Iterable[str]
     ) -> Path:
-        return self._write_atomic(
+        return _write_atomic(
             self.path(run_hash, filename),
             "".join(line + "\n" for line in lines),
         )
@@ -141,4 +148,5 @@ __all__ = [
     "RESULT_FILE",
     "SPEC_FILE",
     "TRACE_FILE",
+    "write_json",
 ]

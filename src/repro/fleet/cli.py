@@ -4,97 +4,90 @@ Four subcommands over one artifact store (shared with ``repro.exp`` —
 fleet host runs are ordinary content-addressed runs):
 
 * ``run SPEC`` — place the fleet, shard host simulations across the
-  worker pool, write ``fleet_rollup.json`` + ``fleet_plan.json``, and
-  append a schema-versioned entry to the ``BENCH_fleet.json`` trajectory
-  (hosts/sec).  ``--min-hit-rate`` turns the cache hit rate into an exit
+  worker pool, write ``fleet_rollup.json`` + ``fleet_plan.json`` and the
+  same ``BENCH_sweep.json`` sweep report ``repro.exp run`` writes (one row
+  per host).  ``--min-hit-rate`` turns the cache hit rate into an exit
   code for CI's run-twice check.
 * ``status SPEC`` — per-host cache verdicts without executing anything.
 * ``rollup SPEC`` — recompute the rollup from cached host results only.
 * ``migrate SPEC`` — the Figures 18/19 staged-migration reproduction;
   writes ``fleet_migration.json`` and prints the weekly failure table.
 
-Like ``repro.exp.cli``, this front-end is the only wall-clock consumer in
-the package: it injects the real clock into the clock-free runner.
+``run``, ``status`` and ``rollup`` take the same ``--policy-pass`` flags:
+the rebalancing passes move placements, hence host content hashes, so all
+three must plan identically to talk about the same cached hosts.
+
+Everything that is not fleet-specific — argument groups, the run and
+status tables, the report writer, and the dispatcher that turns a bad spec
+or runner option into a one-line exit — is :mod:`repro.exp.cli`'s; this
+module is the four handlers and the migration table.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import sys
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 from repro.analysis.report import Table
 from repro.exp.cache import ResultCache
-from repro.exp.cli import sweep_exit_code, wall_clock
-from repro.exp.grid import expand
-from repro.exp.spec import SpecError, canonical_json
-from repro.exp.store import ArtifactStore
+from repro.exp.cli import (
+    add_report_args,
+    add_runner_args,
+    add_spec_args,
+    dispatch,
+    finish_run,
+    print_status,
+    runner_kwargs,
+)
+from repro.exp.grid import RunSpec, expand
+from repro.exp.spec import canonical_json
+from repro.exp.store import ArtifactStore, write_json
 from repro.fleet.rollup import fleet_rollup
 from repro.fleet.runner import (
-    FleetReport,
-    FleetRunnerError,
-    MigrationReport,
+    POLICY_PASSES,
     fleet_sweep_spec,
+    placed,
     run_fleet_sweep,
     run_staged_migration,
 )
-from repro.fleet.scheduler import FleetScheduler, group_capacities
-from repro.fleet.spec import FleetSpec, load_fleet_spec
+from repro.fleet.spec import load_fleet_spec
 
+PROG = "repro.fleet"
 ROLLUP_FILE = "fleet_rollup.json"
 PLAN_FILE = "fleet_plan.json"
 MIGRATION_FILE = "fleet_migration.json"
-BENCH_FILE = "BENCH_fleet.json"
+
+
+def _add_placement_args(cmd: argparse.ArgumentParser) -> None:
+    add_spec_args(cmd, "fleet")
+    cmd.add_argument(
+        "--policy-pass", action="append", default=[],
+        choices=POLICY_PASSES, dest="policy_passes",
+        help="rebalancing pass(es) applied after placement, in order",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="repro.fleet",
+        prog=PROG,
         description="Cluster-scale simulation: run, status, rollup, migrate.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(cmd: argparse.ArgumentParser) -> None:
-        cmd.add_argument("spec", help="path to a .toml or .json fleet spec")
-        cmd.add_argument(
-            "--out", default=".",
-            help="artifact store root (host runs land under <out>/runs/)",
-        )
-
     run_cmd = sub.add_parser("run", help="simulate the fleet (cache-aware)")
-    common(run_cmd)
-    run_cmd.add_argument("--workers", type=int, default=1)
-    run_cmd.add_argument(
-        "--force", action="store_true", help="re-simulate every host"
-    )
-    run_cmd.add_argument("--retries", type=int, default=1)
-    run_cmd.add_argument(
-        "--timeout", type=float, default=None, metavar="SEC",
-        help="per-host wall-clock limit (expired hosts are killed)",
-    )
-    run_cmd.add_argument(
-        "--policy-pass", action="append", default=[],
-        choices=["consolidate", "balance"], dest="policy_passes",
-        help="rebalancing pass(es) applied after placement, in order",
-    )
-    run_cmd.add_argument(
-        "--bench-json", default=None,
-        help=f"trajectory path to append to (default <out>/{BENCH_FILE})",
-    )
-    run_cmd.add_argument(
-        "--min-hit-rate", type=float, default=None,
-        help="exit non-zero unless cache hit rate >= this fraction",
-    )
-    run_cmd.add_argument("--quiet", action="store_true")
+    _add_placement_args(run_cmd)
+    add_runner_args(run_cmd)
+    add_report_args(run_cmd)
 
     status_cmd = sub.add_parser("status", help="per-host cache verdicts")
-    common(status_cmd)
+    _add_placement_args(status_cmd)
 
     rollup_cmd = sub.add_parser(
         "rollup", help="recompute the rollup from cached host results"
     )
-    common(rollup_cmd)
+    _add_placement_args(rollup_cmd)
     rollup_cmd.add_argument(
         "--output", default=None, help="write here instead of stdout"
     )
@@ -102,221 +95,108 @@ def build_parser() -> argparse.ArgumentParser:
     migrate_cmd = sub.add_parser(
         "migrate", help="staged-migration reproduction (Figures 18/19)"
     )
-    common(migrate_cmd)
-    migrate_cmd.add_argument("--workers", type=int, default=1)
-    migrate_cmd.add_argument("--force", action="store_true")
-    migrate_cmd.add_argument("--retries", type=int, default=1)
-    migrate_cmd.add_argument(
-        "--timeout", type=float, default=None, metavar="SEC"
-    )
-    migrate_cmd.add_argument("--quiet", action="store_true")
+    add_spec_args(migrate_cmd, "fleet")
+    add_runner_args(migrate_cmd)
     return parser
 
 
-def _load(path: str) -> FleetSpec:
-    try:
-        return load_fleet_spec(path)
-    except SpecError as exc:
-        raise SystemExit(f"repro.fleet: {exc}")
-
-
-def _write_json(path: Path, payload: Any) -> Path:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(canonical_json(payload) + "\n")
-    tmp.replace(path)
-    return path
-
-
-def append_bench_entry(path: Path, entry: Dict[str, Any]) -> Path:
-    """Append one entry to a trajectory file (a JSON list, like
-    ``BENCH_engine.json``)."""
-    history: List[Any] = []
-    if path.is_file():
-        try:
-            loaded = json.loads(path.read_text())
-            if isinstance(loaded, list):
-                history = loaded
-        except json.JSONDecodeError:
-            history = []
-    history.append(entry)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(history, indent=2, sort_keys=True) + "\n")
-    tmp.replace(path)
-    return path
-
-
-def _print_fleet_report(report: FleetReport) -> None:
-    table = Table(
-        f"Fleet {report.fleet} [{report.fleet_hash}] — "
-        f"{report.hosts_total} hosts, {report.sweep.workers} worker(s)",
-        ["host", "status", "source", "wall"],
-    )
-    for outcome in report.sweep.outcomes:
-        host = outcome.run.params["host"]
-        table.add_row(
-            host["id"],
-            outcome.status,
-            "cache" if outcome.cached else "executed",
-            f"{outcome.wall_sec:.2f}s",
-        )
-    table.print()
-    rate = report.hosts_per_sec
-    print(
-        f"\n{report.sweep.runs_total} hosts: {report.sweep.cache_hits} cached, "
-        f"{report.sweep.executed} executed, {report.sweep.failures} failed; "
-        f"elapsed {report.sweep.elapsed_wall_sec:.2f}s"
-        + (f", {rate:.1f} hosts/s" if rate is not None else "")
-    )
-
-
-def _print_migration_report(report: MigrationReport) -> None:
-    table = Table(
-        f"Staged migration {report.from_controller} -> {report.to_controller} "
-        f"({report.task}, deadline {report.deadline:g}s)",
-        ["week", "scheduled", "hosts migrated", "attempts", "failures", "rate"],
-    )
-    for week in report.weeks:
-        table.add_row(
-            week.week,
-            f"{week.scheduled_fraction:.0%}",
-            week.migrated_hosts,
-            week.attempts,
-            week.failures,
-            f"{week.failure_rate:.2%}",
-        )
-    table.print()
+def _host_id(run: RunSpec) -> str:
+    return str(run.params["host"]["id"])
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    spec = _load(args.spec)
+    spec = load_fleet_spec(args.spec)
     store = ArtifactStore(args.out)
-    try:
-        report = run_fleet_sweep(
-            spec,
-            store,
-            workers=args.workers,
-            clock=wall_clock,
-            force=args.force,
-            retries=args.retries,
-            timeout_sec=args.timeout,
-            policies=tuple(args.policy_passes),
-        )
-    except FleetRunnerError as exc:
-        raise SystemExit(f"repro.fleet: {exc}")
-    rollup_path = _write_json(store.root / ROLLUP_FILE, report.rollup)
-    _write_json(store.root / PLAN_FILE, report.plan)
-    bench_path = append_bench_entry(
-        Path(args.bench_json) if args.bench_json else store.root / BENCH_FILE,
-        report.to_bench_dict(),
+    report = run_fleet_sweep(
+        spec, store, policies=args.policy_passes, **runner_kwargs(args)
+    )
+    rollup_path = write_json(store.root / ROLLUP_FILE, report.rollup)
+    write_json(store.root / PLAN_FILE, report.plan)
+    code = finish_run(
+        report.sweep, args,
+        f"Fleet {report.fleet} [{report.fleet_hash}] — "
+        f"{report.hosts_total} hosts, {args.workers} worker(s)",
+        "host", _host_id,
     )
     if not args.quiet:
-        _print_fleet_report(report)
         print(f"rollup: {rollup_path}")
-        print(f"trajectory: {bench_path}")
-    return sweep_exit_code(
-        report.sweep, args.min_hit_rate, lambda run: run.params["host"]["id"]
-    )
-
-
-def _scheduled(spec: FleetSpec) -> FleetScheduler:
-    scheduler = FleetScheduler(spec, group_capacities(spec))
-    scheduler.place()
-    return scheduler
+    return code
 
 
 def _cmd_status(args: argparse.Namespace) -> int:
-    spec = _load(args.spec)
-    store = ArtifactStore(args.out)
-    cache = ResultCache(store)
-    scheduler = _scheduled(spec)
-    table = Table(
-        f"Fleet {spec.name} [{spec.fleet_hash}] — cache status",
-        ["host", "run", "verdict"],
+    spec = load_fleet_spec(args.spec)
+    scheduler = placed(spec, args.policy_passes)
+    return print_status(
+        f"Fleet {spec.name} [{spec.fleet_hash}]",
+        expand(fleet_sweep_spec(spec, scheduler)),
+        ArtifactStore(args.out), "host", _host_id,
     )
-    hits = 0
-    runs = expand(fleet_sweep_spec(spec, scheduler))
-    for run in runs:
-        decision = cache.lookup(run)
-        hits += 1 if decision.hit else 0
-        table.add_row(
-            run.params["host"]["id"],
-            run.run_hash,
-            "cached" if decision.hit else f"pending ({decision.reason})",
-        )
-    table.print()
-    print(f"\n{hits}/{len(runs)} hosts cached")
-    return 0
 
 
 def _cmd_rollup(args: argparse.Namespace) -> int:
-    spec = _load(args.spec)
-    store = ArtifactStore(args.out)
-    cache = ResultCache(store)
-    scheduler = _scheduled(spec)
+    spec = load_fleet_spec(args.spec)
+    cache = ResultCache(ArtifactStore(args.out))
+    scheduler = placed(spec, args.policy_passes)
     results: Dict[str, Dict[str, Any]] = {}
     for run in expand(fleet_sweep_spec(spec, scheduler)):
         decision = cache.lookup(run)
         if decision.hit and decision.result is not None:
-            results[str(run.params["host"]["id"])] = decision.result
+            results[_host_id(run)] = decision.result
     rollup = fleet_rollup(scheduler.plan(), results, spec.percentiles)
-    document = canonical_json(rollup)
     if args.output:
-        _write_json(Path(args.output), rollup)
+        write_json(Path(args.output), rollup)
     else:
-        print(document)
+        print(canonical_json(rollup))
     missing = rollup["hosts"]["missing"]
     if missing:
-        print(f"repro.fleet: {len(missing)} host(s) not cached yet")
+        # stderr: stdout must stay parseable as the JSON document alone.
+        print(f"{PROG}: {len(missing)} host(s) not cached yet", file=sys.stderr)
         return 1
     return 0
 
 
 def _cmd_migrate(args: argparse.Namespace) -> int:
-    spec = _load(args.spec)
+    spec = load_fleet_spec(args.spec)
     store = ArtifactStore(args.out)
-    try:
-        report = run_staged_migration(
-            spec,
-            store,
-            workers=args.workers,
-            clock=wall_clock,
-            force=args.force,
-            retries=args.retries,
-            timeout_sec=args.timeout,
-        )
-    except FleetRunnerError as exc:
-        raise SystemExit(f"repro.fleet: {exc}")
-    path = _write_json(store.root / MIGRATION_FILE, report.to_dict())
+    report = run_staged_migration(spec, store, **runner_kwargs(args))
+    path = write_json(store.root / MIGRATION_FILE, report.to_dict())
     if not args.quiet:
-        _print_migration_report(report)
+        table = Table(
+            f"Staged migration {report.from_controller} -> {report.to_controller} "
+            f"({report.task}, deadline {report.deadline:g}s)",
+            ["week", "scheduled", "hosts migrated", "attempts", "failures", "rate"],
+        )
+        for week in report.weeks:
+            table.add_row(
+                week.week,
+                f"{week.scheduled_fraction:.0%}",
+                week.migrated_hosts,
+                week.attempts,
+                week.failures,
+                f"{week.failure_rate:.2%}",
+            )
+        table.print()
         print(f"\nmigration report: {path}")
     return 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(
-        list(argv) if argv is not None else None
+    return dispatch(
+        build_parser(),
+        {
+            "run": _cmd_run,
+            "status": _cmd_status,
+            "rollup": _cmd_rollup,
+            "migrate": _cmd_migrate,
+        },
+        argv,
     )
-    handlers = {
-        "run": _cmd_run,
-        "status": _cmd_status,
-        "rollup": _cmd_rollup,
-        "migrate": _cmd_migrate,
-    }
-    try:
-        return handlers[args.command](args)
-    except BrokenPipeError:  # stdout piped into a pager/head that quit
-        return 0
 
 
 __all__ = [
-    "BENCH_FILE",
     "MIGRATION_FILE",
     "PLAN_FILE",
     "ROLLUP_FILE",
-    "append_bench_entry",
     "build_parser",
     "main",
 ]

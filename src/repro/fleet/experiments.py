@@ -16,33 +16,42 @@ Three kinds, all plain ``fn(params, seed) -> result`` functions (the
   controller (the :func:`repro.workloads.fleet.run_task_once` backend),
   sharded one sample per run so the pool parallelises and caches the
   expensive cells individually.
-* ``run_fleet`` (registered as kind ``"fleet"``) — a whole fleet inline:
-  schedule, simulate every host in-process, roll up.  This is the nestable
-  form — a ``repro.exp`` sweep can grid over fleet seeds/policies — and it
-  reuses the sharded path's per-host seed derivation, so its per-host
-  results are identical to a pooled run of the same spec.
+* ``run_fleet`` — a whole fleet inline: schedule, simulate every host
+  in-process, roll up.  This is the nestable form — a ``repro.exp`` sweep
+  names it by dotted path like the other two
+  (``kind = "repro.fleet.experiments.run_fleet"``) and grids over fleet
+  seeds/policies — and it plans through the sharded path's
+  :func:`repro.fleet.runner.placed` and per-host seed derivation, so its
+  per-host results are identical to a pooled run of the same spec.
+
+A fleet host is a ``testbed`` cell: ``run_fleet_host`` builds its machine
+with :func:`repro.exp.experiments.build_machine` and reports its cgroups
+with :func:`~repro.exp.experiments.cgroup_report`, adding only what the
+rollup needs on top (histograms, ``io.stat``, vrate).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Mapping, Optional
+from typing import Any, Callable, Dict, Mapping
 
 from repro.controllers.base import IOController
 from repro.controllers.iolatency import IOLatencyController
 from repro.core.qos import QoSParams
 from repro.exp.experiments import (
     ExperimentError,
-    attach_workload,
-    experiment,
+    build_machine,
+    cgroup_report,
+    device_spec_for,
     qos_from,
 )
 from repro.exp.grid import expand
-from repro.faults import plan_from_config
-from repro.fleet.scheduler import FleetScheduler, group_capacities
-from repro.fleet.spec import FleetSpec, device_spec_for, task_from_config
+from repro.fleet.rollup import fleet_rollup
+from repro.fleet.runner import fleet_sweep_spec, placed
+from repro.fleet.spec import FleetSpec, task_from_config
+from repro.obs.iostat import IOStat
 from repro.obs.metrics import Histogram
 from repro.obs.trace import TRACE
-from repro.testbed import Testbed, make_controller
+from repro.testbed import make_controller
 from repro.workloads.fleet import rng_for, run_task_once
 
 #: Bucket resolution of the per-cgroup latency histograms.  Fixed so every
@@ -50,8 +59,31 @@ from repro.workloads.fleet import rng_for, run_task_once
 HIST_RESOLUTION = 0.02
 
 
-def _idle_result(host: Mapping[str, Any], duration: float) -> Dict[str, Any]:
-    return {
+def run_fleet_host(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
+    """Simulate one fleet host: its placements on its device + controller.
+
+    ``params["host"]`` (or ``params`` itself) is the host config the fleet
+    runner generates — a :func:`repro.exp.experiments.build_machine` param
+    table plus provenance::
+
+        id, group              provenance (also salt the per-host seed)
+        device, device_scale   catalogue name or inline DeviceSpec table
+        controller             Table 1 name
+        qos                    QoSParams fields (optional)
+        faults                 repro.faults fault tables (optional)
+        cgroups                {path: weight} from the placements
+        workloads              [{cgroup, type, ...}] workload tables
+        duration, percentiles  measurement window / reported percentiles
+
+    The result is the ``testbed`` kind's ``cgroups`` / ``events_processed``
+    for the same tables and seed, plus the recursive ``io.stat`` snapshot,
+    the mergeable per-cgroup read-latency histograms and the mean vrate.
+    """
+    host = params.get("host", params)
+    if not isinstance(host, Mapping):
+        raise ExperimentError("fleet host params must be a mapping")
+    duration = float(host.get("duration", 0.25))
+    result: Dict[str, Any] = {
         "host": str(host.get("id", "")),
         "group": str(host.get("group", "")),
         "controller": str(host.get("controller", "iocost")),
@@ -62,49 +94,10 @@ def _idle_result(host: Mapping[str, Any], duration: float) -> Dict[str, Any]:
         "vrate_mean": None,
         "events_processed": 0,
     }
+    if not host.get("cgroups") or not host.get("workloads"):
+        return result  # an idle host: nothing placed here, nothing to run
 
-
-def run_fleet_host(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
-    """Simulate one fleet host: its placements on its device + controller.
-
-    ``params["host"]`` (or ``params`` itself) is the host config the fleet
-    runner generates::
-
-        id, group              provenance (also salt the per-host seed)
-        device, device_scale   catalogue name or inline DeviceSpec table
-        controller             Table 1 name
-        qos                    QoSParams fields (optional)
-        faults                 repro.faults fault tables (optional)
-        cgroups                {path: weight} from the placements
-        workloads              [{cgroup, type, ...}] workload tables
-        duration, percentiles  measurement window / reported percentiles
-    """
-    host = params.get("host", params)
-    if not isinstance(host, Mapping):
-        raise ExperimentError("fleet host params must be a mapping")
-    duration = float(host.get("duration", 0.25))
-    cgroup_table = host.get("cgroups") or {}
-    workload_table = host.get("workloads") or []
-    if not cgroup_table or not workload_table:
-        # An idle host: nothing placed here.  Cheap and explicit.
-        return _idle_result(host, duration)
-
-    device = device_spec_for(host["device"], host.get("device_scale"))
-    fault_tables = host.get("faults")
-    bed = Testbed(
-        device=device,
-        controller=str(host.get("controller", "iocost")),
-        seed=seed,
-        qos=qos_from(host),
-        faults=plan_from_config(fault_tables) if fault_tables else None,
-    )
-    groups = {
-        path: bed.add_cgroup(path, weight=int(weight))
-        for path, weight in cgroup_table.items()
-    }
-    for entry in workload_table:
-        attach_workload(bed, groups, dict(entry), duration)
-
+    bed, groups, _ = build_machine({**host, "duration": duration}, seed)
     hists = {
         path: Histogram(path, resolution=HIST_RESOLUTION) for path in groups
     }
@@ -124,40 +117,22 @@ def run_fleet_host(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
         subscription.close()
         bed.detach()
 
-    percentiles = [float(p) for p in host.get("percentiles", [50, 95, 99])]
-    cgroup_results: Dict[str, Any] = {}
-    for path, group in groups.items():
-        latencies: Dict[str, Optional[float]] = {}
-        for pct in percentiles:
-            value = bed.latency_percentile(group, pct)
-            latencies[f"read_p{pct:g}"] = None if value is None else float(value)
-        cgroup_results[path] = {"iops": float(bed.iops(group)), **latencies}
-
-    from repro.obs.iostat import IOStat
-
     iostat = IOStat(bed.cgroups, controller=bed.controller).snapshot()
-
-    vrate_mean: Optional[float] = None
+    result.update(
+        cgroups=cgroup_report(bed, groups, host),
+        iostat={
+            path: {key: float(value) for key, value in entry.items()}
+            for path, entry in iostat.items()
+        },
+        latency_hist={path: hist.to_dict() for path, hist in hists.items()},
+        events_processed=int(bed.sim.events_processed),
+    )
     vrate_ctl = getattr(bed.controller, "vrate_ctl", None)
     if vrate_ctl is not None:
         values = vrate_ctl.vrate_series.slice(0.0, bed.sim.now)
         if values:
-            vrate_mean = float(sum(values) / len(values))
-
-    return {
-        "host": str(host.get("id", "")),
-        "group": str(host.get("group", "")),
-        "controller": str(host.get("controller", "iocost")),
-        "duration": duration,
-        "cgroups": cgroup_results,
-        "iostat": {
-            path: {key: float(value) for key, value in entry.items()}
-            for path, entry in iostat.items()
-        },
-        "latency_hist": {path: hist.to_dict() for path, hist in hists.items()},
-        "vrate_mean": vrate_mean,
-        "events_processed": int(bed.sim.events_processed),
-    }
+            result["vrate_mean"] = float(sum(values) / len(values))
+    return result
 
 
 def _task_controller_factory(
@@ -190,8 +165,9 @@ def run_fleet_task_durations(params: Dict[str, Any], seed: int) -> Dict[str, Any
 
     One cell = one (host group, controller, sample index) machine
     simulation, so the pool shards and caches the expensive simulations
-    individually.  Streams are labeled per sample exactly like
-    :func:`repro.workloads.fleet.measure_task_durations`.
+    individually.  Each sample owns two labeled substreams — one for its
+    workload depth, one seeding its machine simulation — so raising
+    ``samples`` extends the distribution without re-rolling earlier ones.
     """
     cell = params.get("cell", params)
     if not isinstance(cell, Mapping):
@@ -220,7 +196,6 @@ def run_fleet_task_durations(params: Dict[str, Any], seed: int) -> Dict[str, Any
     }
 
 
-@experiment("fleet")
 def run_fleet(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     """A whole fleet as one experiment cell: schedule, simulate, roll up.
 
@@ -229,8 +204,8 @@ def run_fleet(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     (default: the cell seed) overrides the document seed so sweeps can grid
     over fleet seeds.  Hosts run serially in-process — use
     :func:`repro.fleet.runner.run_fleet_sweep` for the pooled form; both
-    derive per-host seeds identically, so per-host results match
-    byte-for-byte.
+    plan through :func:`repro.fleet.runner.placed` and derive per-host
+    seeds identically, so per-host results match byte-for-byte.
     """
     document = params.get("fleet")
     if not isinstance(document, Mapping):
@@ -239,11 +214,7 @@ def run_fleet(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     document["seed"] = int(params.get("seed", document.get("seed", seed)))
     spec = FleetSpec.from_dict(document)
 
-    from repro.fleet.rollup import fleet_rollup
-    from repro.fleet.runner import fleet_sweep_spec
-
-    scheduler = FleetScheduler(spec, group_capacities(spec))
-    scheduler.place()
+    scheduler = placed(spec)
     results: Dict[str, Dict[str, Any]] = {}
     for run in expand(fleet_sweep_spec(spec, scheduler)):
         result = run_fleet_host(run.params, run.derived_seed)

@@ -16,40 +16,60 @@ the sweep runner guarantees is therefore inherited wholesale:
 * **worker-count independence** — ``result.json`` bytes, and therefore
   rollup bytes, are identical for 1 worker and 8.
 
+:func:`placed` is the one place a spec becomes a placement (capacity
+model, bin-packing, validated rebalancing passes); :func:`run_fleet_sweep`,
+the nested :func:`repro.fleet.experiments.run_fleet` kind and the CLI's
+``status`` / ``rollup`` all plan through it, so they agree on every host's
+content hash.
+
 :func:`run_staged_migration` drives the Figures 18/19 reproduction the
 same way: the per-(group, controller, sample) task-duration simulations
-are sharded through the pool, then the weekly region Monte Carlo draws
-from :class:`repro.workloads.fleet.FleetMigration`'s label-keyed streams
-using the scheduler's staged rollout assignment.
+are sharded through the pool, then each week's failures are drawn by
+:func:`repro.workloads.fleet.sample_failures` from label-keyed streams,
+with the scheduler's staged rollout deciding how many hosts of each group
+sit in the old and the new cohort.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
-from repro.exp.runner import Clock, SweepReport, run_sweep
+from repro.exp.runner import Clock, RunnerError, SweepReport, run_sweep
 from repro.exp.spec import ExperimentSpec
 from repro.exp.store import ArtifactStore
 from repro.fleet.rollup import fleet_rollup
 from repro.fleet.scheduler import FleetScheduler, group_capacities
 from repro.fleet.spec import FleetSpec, MigrationPlan
-from repro.workloads.fleet import FleetMigration
+from repro.workloads.fleet import sample_failures
 
 #: Dotted-path kinds: resolvable in any worker without pre-registration.
 HOST_KIND = "repro.fleet.experiments.run_fleet_host"
 TASK_KIND = "repro.fleet.experiments.run_fleet_task_durations"
 
-#: Fleet bench-trajectory schema (``BENCH_fleet.json`` entries).
-BENCH_SCHEMA = "repro.fleet.bench/1"
-
-#: Rebalancing passes ``run_fleet_sweep`` knows how to apply, in order.
+#: Rebalancing passes :func:`placed` can apply: FleetScheduler method names.
 POLICY_PASSES = ("consolidate", "balance")
 
 
-class FleetRunnerError(RuntimeError):
+class FleetRunnerError(RunnerError):
     """Raised for unrunnable fleet configurations."""
+
+
+def placed(spec: FleetSpec, policies: Sequence[str] = ()) -> FleetScheduler:
+    """Place the fleet, then apply the rebalancing ``policies`` in order
+    (any of :data:`POLICY_PASSES`)."""
+    unknown = [p for p in policies if p not in POLICY_PASSES]
+    if unknown:
+        raise FleetRunnerError(
+            f"unknown rebalancing pass(es) {unknown} (want {POLICY_PASSES})"
+        )
+    scheduler = FleetScheduler(spec, group_capacities(spec))
+    scheduler.place()
+    for policy in policies:
+        getattr(scheduler, policy)()
+    return scheduler
 
 
 def host_params(spec: FleetSpec, scheduler: FleetScheduler) -> List[Dict[str, Any]]:
@@ -61,6 +81,7 @@ def host_params(spec: FleetSpec, scheduler: FleetScheduler) -> List[Dict[str, An
     as in a real fleet).
     """
     groups = {group.name: group for group in spec.hosts}
+    templates = {template.name: template for template in spec.workloads}
     params: List[Dict[str, Any]] = []
     for host in scheduler.hosts:
         group = groups[host.group]
@@ -75,8 +96,8 @@ def host_params(spec: FleetSpec, scheduler: FleetScheduler) -> List[Dict[str, An
             "workloads": [
                 {
                     "cgroup": p.cgroup,
-                    "type": _template(spec, p.workload).type,
-                    **_template(spec, p.workload).params,
+                    "type": templates[p.workload].type,
+                    **templates[p.workload].params,
                 }
                 for p in host.placements
             ],
@@ -89,13 +110,6 @@ def host_params(spec: FleetSpec, scheduler: FleetScheduler) -> List[Dict[str, An
             entry["faults"] = [dict(f) for f in group.faults]
         params.append(entry)
     return params
-
-
-def _template(spec: FleetSpec, name: str) -> Any:
-    for template in spec.workloads:
-        if template.name == name:
-            return template
-    raise FleetRunnerError(f"placement references unknown workload {name!r}")
 
 
 def fleet_sweep_spec(
@@ -139,30 +153,6 @@ class FleetReport:
     def hosts_total(self) -> int:
         return len(self.plan.get("hosts", {}))
 
-    @property
-    def hosts_per_sec(self) -> Optional[float]:
-        """Executed host simulations per wall second (cache hits excluded)."""
-        if self.sweep.elapsed_wall_sec <= 0 or self.sweep.executed == 0:
-            return None
-        return self.sweep.executed / self.sweep.elapsed_wall_sec
-
-    def to_bench_dict(self) -> Dict[str, Any]:
-        """One ``BENCH_fleet.json`` trajectory entry (schema-versioned)."""
-        return {
-            "schema": BENCH_SCHEMA,
-            "fleet": self.fleet,
-            "fleet_hash": self.fleet_hash,
-            "version": self.sweep.version,
-            "workers": self.sweep.workers,
-            "hosts": self.hosts_total,
-            "executed": self.sweep.executed,
-            "cache_hits": self.sweep.cache_hits,
-            "cache_hit_rate": self.sweep.hit_rate,
-            "failures": self.sweep.failures,
-            "elapsed_wall_sec": self.sweep.elapsed_wall_sec,
-            "hosts_per_sec": self.hosts_per_sec,
-        }
-
 
 def run_fleet_sweep(
     spec: FleetSpec,
@@ -172,25 +162,11 @@ def run_fleet_sweep(
     force: bool = False,
     retries: int = 1,
     timeout_sec: Optional[float] = None,
-    policies: Tuple[str, ...] = (),
+    policies: Sequence[str] = (),
 ) -> FleetReport:
-    """Place the fleet, shard host simulations over the pool, roll up.
-
-    ``policies`` optionally applies rebalancing passes between placement
-    and execution, in order — any of :data:`POLICY_PASSES`.
-    """
-    unknown = [p for p in policies if p not in POLICY_PASSES]
-    if unknown:
-        raise FleetRunnerError(
-            f"unknown rebalancing pass(es) {unknown} (want {POLICY_PASSES})"
-        )
-    scheduler = FleetScheduler(spec, group_capacities(spec))
-    scheduler.place()
-    for policy in policies:
-        if policy == "consolidate":
-            scheduler.consolidate()
-        else:
-            scheduler.balance()
+    """Place the fleet (:func:`placed`), shard host simulations over the
+    pool, roll up."""
+    scheduler = placed(spec, policies)
     sweep = run_sweep(
         fleet_sweep_spec(spec, scheduler),
         store,
@@ -234,14 +210,7 @@ class MigrationWeek:
         return self.failures / self.attempts if self.attempts else 0.0
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "week": self.week,
-            "scheduled_fraction": self.scheduled_fraction,
-            "migrated_hosts": self.migrated_hosts,
-            "attempts": self.attempts,
-            "failures": self.failures,
-            "failure_rate": self.failure_rate,
-        }
+        return {**asdict(self), "failure_rate": self.failure_rate}
 
 
 @dataclass
@@ -349,60 +318,40 @@ def run_staged_migration(
         key = f"{result['group']}:{result['controller']}"
         durations.setdefault(key, []).append(float(result["duration_sec"]))
 
+    # Plans without placing: the rollout order needs the host list only.
     scheduler = FleetScheduler(spec, group_capacities(spec))
-    backends = {
-        group.name: FleetMigration(
-            durations[f"{group.name}:{plan.from_controller}"],
-            durations[f"{group.name}:{plan.to_controller}"],
-            deadline=task.deadline,
-            machines=group.count,
-            tasks_per_machine_week=plan.tasks_per_host_week,
-            seed=spec.seed,
-        )
-        for group in spec.hosts
-    }
     group_of = {host.id: host.group for host in scheduler.hosts}
+    per_week = plan.tasks_per_host_week
     weeks: List[MigrationWeek] = []
     for week, fraction in enumerate(plan.schedule):
         assignment = scheduler.staged_controllers(
             fraction, plan.from_controller, plan.to_controller
         )
-        migrated_hosts = sum(
-            1 for ctl in assignment.values() if ctl == plan.to_controller
+        on_new = Counter(
+            group_of[host_id]
+            for host_id, controller in assignment.items()
+            if controller == plan.to_controller
         )
-        attempts = 0
         failures = 0
         for group in spec.hosts:
-            members = [
-                host_id
-                for host_id, g in group_of.items()
-                if g == group.name
-            ]
-            on_new = sum(
-                1
-                for host_id in members
-                if assignment[host_id] == plan.to_controller
+            cohorts = (
+                ("old", plan.from_controller, group.count - on_new[group.name]),
+                ("new", plan.to_controller, on_new[group.name]),
             )
-            on_old = len(members) - on_new
-            per_week = plan.tasks_per_host_week
-            backend = backends[group.name]
-            failures += backend.sample_failures(
-                f"week:{week}:group:{group.name}:old",
-                backend.old,
-                on_old * per_week,
-            )
-            failures += backend.sample_failures(
-                f"week:{week}:group:{group.name}:new",
-                backend.new,
-                on_new * per_week,
-            )
-            attempts += len(members) * per_week
+            for cohort, controller, hosts in cohorts:
+                failures += sample_failures(
+                    f"week:{week}:group:{group.name}:{cohort}",
+                    durations[f"{group.name}:{controller}"],
+                    hosts * per_week,
+                    task.deadline,
+                    spec.seed,
+                )
         weeks.append(
             MigrationWeek(
                 week=week,
                 scheduled_fraction=float(fraction),
-                migrated_hosts=migrated_hosts,
-                attempts=attempts,
+                migrated_hosts=sum(on_new.values()),
+                attempts=spec.host_count * per_week,
                 failures=failures,
             )
         )
@@ -419,7 +368,6 @@ def run_staged_migration(
 
 
 __all__ = [
-    "BENCH_SCHEMA",
     "FleetReport",
     "FleetRunnerError",
     "HOST_KIND",
@@ -430,6 +378,7 @@ __all__ = [
     "duration_cells",
     "fleet_sweep_spec",
     "host_params",
+    "placed",
     "run_fleet_sweep",
     "run_staged_migration",
 ]

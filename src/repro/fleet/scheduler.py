@@ -33,7 +33,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.core.profiler import profile_device
-from repro.fleet.spec import FleetSpec, WorkloadTemplate, device_spec_for
+from repro.exp.experiments import device_spec_for
+from repro.fleet.spec import FleetSpec, WorkloadTemplate
 from repro.workloads.fleet import rng_for
 
 

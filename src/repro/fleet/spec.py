@@ -44,9 +44,7 @@ from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.block.bio import IOOp
-from repro.block.device import DeviceSpec
-from repro.block.device_models import get_device_spec
-from repro.exp.experiments import qos_from
+from repro.exp.experiments import WORKLOAD_TYPES, device_spec_for, qos_from
 from repro.exp.spec import SpecError, canonical_json, content_hash, load_document
 from repro.faults import plan_from_config
 from repro.workloads.fleet import TASKS, SystemTask
@@ -61,9 +59,6 @@ PLACEMENT_POLICIES = ("first_fit", "best_fit", "spread")
 
 #: Capacity models: profile the device (core/profiler) or trust its spec.
 CAPACITY_MODES = ("profiled", "rated")
-
-#: Workload types the per-host experiment kind accepts (repro.exp testbed).
-WORKLOAD_TYPES = ("saturate", "paced", "think_time", "latency_governed")
 
 
 def _require(data: Mapping[str, Any], key: str, where: str) -> Any:
@@ -88,27 +83,6 @@ def _check_tables(
         plan_from_config(faults)
     except (TypeError, ValueError) as exc:
         raise FleetSpecError(f"{where}: {exc}") from None
-
-
-def device_spec_for(
-    device: Union[str, Mapping[str, Any]],
-    scale: Optional[float] = None,
-) -> DeviceSpec:
-    """Resolve a spec's ``device`` — catalogue name or inline table."""
-    if isinstance(device, str):
-        spec = get_device_spec(device)
-    elif isinstance(device, Mapping):
-        table = dict(device)
-        table.setdefault("name", "inline")
-        try:
-            spec = DeviceSpec(**table)
-        except TypeError as exc:
-            raise FleetSpecError(f"bad inline device table: {exc}") from None
-    else:
-        raise FleetSpecError(
-            f"device must be a catalogue name or a table, got {type(device).__name__}"
-        )
-    return spec if scale is None else spec.scaled(float(scale))
 
 
 @dataclass(frozen=True)
@@ -140,8 +114,6 @@ class HostGroup:
             )
         try:
             device_spec_for(self.device, self.device_scale)
-        except FleetSpecError:
-            raise
         except Exception as exc:
             raise FleetSpecError(
                 f"host group {self.name!r}: bad device {self.device!r}: {exc}"
@@ -509,7 +481,6 @@ __all__ = [
     "PLACEMENT_POLICIES",
     "WORKLOAD_TYPES",
     "WorkloadTemplate",
-    "device_spec_for",
     "load_fleet_spec",
     "task_from_config",
 ]

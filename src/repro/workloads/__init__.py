@@ -15,17 +15,14 @@ from repro.workloads.zookeeper import Machine, ZooKeeperEnsemble
 from repro.workloads.fleet import (
     CONTAINER_CLEANUP,
     PACKAGE_FETCH,
-    FleetMigration,
     SystemTask,
-    WeeklyReport,
-    measure_task_durations,
     run_task_once,
+    sample_failures,
 )
 
 __all__ = [
     "CONTAINER_CLEANUP",
     "ClosedLoopWorkload",
-    "FleetMigration",
     "LatencyGovernedWorkload",
     "LoadRamp",
     "Machine",
@@ -41,10 +38,9 @@ __all__ = [
     "ThinkTimeWorkload",
     "WORKLOAD_PROFILES",
     "WebServer",
-    "WeeklyReport",
     "Workload",
     "WorkloadProfile",
     "ZooKeeperEnsemble",
-    "measure_task_durations",
     "run_task_once",
+    "sample_failures",
 ]

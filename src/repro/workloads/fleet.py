@@ -6,22 +6,23 @@ thousands of machines migrate from IOLatency to IOCost over two months.  We
 reproduce the *generating process*:
 
 1. **Per-machine task durations are simulated, not assumed.**
-   :func:`measure_task_durations` runs a machine-scale simulation — a heavy
-   main workload in ``workload.slice`` contending with a system task
-   (package fetch: a sequential package write plus metadata reads in
+   :func:`run_task_once` runs a machine-scale simulation — a heavy main
+   workload in ``workload.slice`` contending with a system task (package
+   fetch: a sequential package write plus metadata reads in
    ``system.slice``; container cleanup: random metadata IO in
-   ``hostcritical.slice``) — once per sampled workload intensity, and
-   records how long the task took under a given controller.
+   ``hostcritical.slice``) — and returns how long the task took under a
+   given controller.
 
-2. **Region Monte Carlo.** :class:`FleetMigration` holds a region of
-   machines, each attempting tasks every simulated week; a machine uses the
-   empirical duration distribution of whichever controller it currently
-   runs.  Weekly failure counts (duration > deadline) fall as the migration
-   fraction ramps — the Figures 18/19 series.
+2. **Region Monte Carlo.** :func:`sample_failures` draws one cohort's
+   weekly task attempts from the empirical duration distribution of the
+   controller that cohort runs and counts those past the deadline.  Summed
+   over (week, host group, old/new cohort) as the migration fraction ramps,
+   that is the Figures 18/19 series.
 
-This module is the Monte Carlo *backend*; the cluster-scale frontend —
-host placement, the staged migration policy, fleet rollups — lives in
-:mod:`repro.fleet`, whose scheduler calls down into these functions.
+This module is the *backend*.  Which hosts exist, which of them have
+migrated in a given week, and how the samples are sharded over the worker
+pool are :mod:`repro.fleet`'s business
+(:func:`repro.fleet.runner.run_staged_migration`).
 
 Every random draw here comes from a **label-keyed stream** rooted at the
 caller's seed (:func:`rng_for`, the :meth:`repro.testbed.Testbed.rng_for`
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Union
+from typing import Callable, Dict, Sequence
 
 import numpy as np
 
@@ -208,103 +209,26 @@ def run_task_once(
     return done["at"] - start
 
 
-def measure_task_durations(
-    spec: DeviceSpec,
-    controller_factory: Callable[[], IOController],
-    task: SystemTask,
-    samples: int = 12,
-    seed: int = 0,
-) -> List[float]:
-    """Empirical duration distribution across workload intensities.
+def sample_failures(
+    label: str,
+    durations: Sequence[float],
+    attempts: int,
+    deadline: float,
+    seed: int,
+) -> int:
+    """Failure count (duration > ``deadline``) among ``attempts`` tasks of
+    one cohort, drawn from the cohort's own ``fleet:mc:<label>`` stream.
 
-    Each sample owns two labeled substreams — one for its workload depth,
-    one seeding its machine simulation — so raising ``samples`` extends the
-    distribution without re-rolling the samples already taken.
+    ``label`` names the cohort (``"week:3:group:web:new"``), so changing
+    the host count or the migration schedule re-rolls exactly the cohorts
+    it resizes and no others.  Each attempt resamples the measured
+    ``durations`` with lognormal jitter for machine-to-machine variance.
     """
-    durations = []
-    for index in range(samples):
-        depth = int(rng_for(f"fleet:depth:{index}", seed).integers(8, 64))
-        run_seed = int(rng_for(f"fleet:sample:{index}", seed).integers(1 << 62))
-        durations.append(
-            run_task_once(spec, controller_factory, task, depth, seed=run_seed)
-        )
-    return durations
-
-
-@dataclass
-class WeeklyReport:
-    week: int
-    migrated_fraction: float
-    attempts: int
-    failures: int
-
-    @property
-    def failure_rate(self) -> float:
-        return self.failures / self.attempts if self.attempts else 0.0
-
-
-class FleetMigration:
-    """Region Monte Carlo over a staged IOLatency→IOCost migration.
-
-    Every (week, cohort) samples from its **own** labeled substream
-    (:meth:`sample_failures`), so changing ``machines`` or the migration
-    schedule re-rolls exactly the cohorts it resizes — every other week's
-    draws are untouched.  (The pre-PR-10 implementation consumed one shared
-    generator sequentially, so any such change perturbed all later weeks.)
-    """
-
-    def __init__(
-        self,
-        old_durations: Sequence[float],
-        new_durations: Sequence[float],
-        deadline: float,
-        machines: int = 2000,
-        tasks_per_machine_week: int = 20,
-        seed: int = 0,
-    ):
-        if not old_durations or not new_durations:
-            raise ValueError("need non-empty duration distributions")
-        self.old = np.asarray(old_durations)
-        self.new = np.asarray(new_durations)
-        self.deadline = deadline
-        self.machines = machines
-        self.tasks_per_machine_week = tasks_per_machine_week
-        self.seed = seed
-
-    def sample_failures(
-        self,
-        label: str,
-        durations: Union[Sequence[float], np.ndarray],
-        attempts: int,
-    ) -> int:
-        """Failure count for one cohort, drawn from the cohort's own stream.
-
-        ``label`` names the cohort (``"week:3:old"``, or the fleet layer's
-        ``"week:3:group:web:new"``); per-attempt lognormal jitter models
-        machine-to-machine variance.
-        """
-        if attempts <= 0:
-            return 0
-        rng = rng_for(f"fleet:mc:{label}", self.seed)
-        draws = rng.choice(np.asarray(durations), size=attempts)
-        draws = draws * rng.lognormal(0.0, JITTER_SIGMA, size=attempts)
-        return int(np.count_nonzero(draws > self.deadline))
-
-    def run(self, migration_schedule: Sequence[float]) -> List[WeeklyReport]:
-        """``migration_schedule[w]`` = fraction of machines on IOCost in week w."""
-        reports = []
-        for week, fraction in enumerate(migration_schedule):
-            migrated = int(self.machines * min(1.0, max(0.0, fraction)))
-            attempts = self.machines * self.tasks_per_machine_week
-            failures = self.sample_failures(
-                f"week:{week}:old",
-                self.old,
-                (self.machines - migrated) * self.tasks_per_machine_week,
-            )
-            failures += self.sample_failures(
-                f"week:{week}:new",
-                self.new,
-                migrated * self.tasks_per_machine_week,
-            )
-            reports.append(WeeklyReport(week, fraction, attempts, failures))
-        return reports
+    if len(durations) == 0:
+        raise ValueError("need a non-empty duration distribution")
+    if attempts <= 0:
+        return 0
+    rng = rng_for(f"fleet:mc:{label}", seed)
+    draws = rng.choice(np.asarray(durations), size=attempts)
+    draws = draws * rng.lognormal(0.0, JITTER_SIGMA, size=attempts)
+    return int(np.count_nonzero(draws > deadline))

@@ -21,12 +21,12 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.analysis.stats import percentile
 from repro.block.bio import Bio, IOOp
 from repro.block.device import Device, DeviceSpec
 from repro.block.layer import BlockLayer
 from repro.cgroup import CgroupTree, make_meta_hierarchy
 from repro.controllers.base import IOController
+from repro.obs.metrics import exact_percentile
 from repro.sim import Simulator
 
 
@@ -188,7 +188,7 @@ class ZooKeeperEnsemble:
             lo = np.searchsorted(times, t - window)
             hi = np.searchsorted(times, t)
             if hi > lo:
-                samples.append((t, percentile(lats[lo:hi], 99)))
+                samples.append((t, exact_percentile(lats[lo:hi], 99)))
             t += step
         return samples
 

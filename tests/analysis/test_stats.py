@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.stats import LatencyWindow, RateMeter, Summary, TimeSeries, percentile
+from repro.analysis.stats import LatencyWindow, RateMeter, Summary, TimeSeries
+from repro.obs.metrics import exact_percentile as percentile
 
 
 class TestPercentile:

@@ -72,6 +72,15 @@ class TestRun:
         ])
         assert json.loads(bench.read_text())["name"] == "cli-sweep"
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--workers", "0"], "workers must be >= 1"),
+        (["--retries", "-1"], "retries must be >= 0"),
+        (["--timeout", "0"], "timeout_sec must be positive"),
+    ])
+    def test_bad_runner_option_is_one_line(self, spec_path, store_dir, flags, message):
+        with pytest.raises(SystemExit, match=f"^repro.exp: {message}$"):
+            main(["run", str(spec_path), "--out", str(store_dir), *flags])
+
     def test_bad_spec_path_is_clean_error(self, tmp_path):
         with pytest.raises(SystemExit, match="no such spec file"):
             main(["run", str(tmp_path / "nope.json")])

@@ -1,12 +1,19 @@
 """The ``python -m repro.fleet`` front-end, exercised in-process."""
 
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.fleet.cli import append_bench_entry, main
+from repro.fleet.cli import main
 
 from tests.fleet.conftest import FLEETDEV, fleet_doc
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 @pytest.fixture
@@ -28,18 +35,16 @@ class TestRun:
         assert rollup["hosts"]["reporting"] == 4
         plan = json.loads((store_dir / "fleet_plan.json").read_text())
         assert len(plan["hosts"]) == 4
-        bench = json.loads((store_dir / "BENCH_fleet.json").read_text())
-        assert isinstance(bench, list) and len(bench) == 1
-        assert bench[0]["schema"] == "repro.fleet.bench/1"
+        bench = json.loads((store_dir / "BENCH_sweep.json").read_text())
+        assert bench["totals"]["runs"] == 4
 
     def test_second_run_hits_cache(self, spec_path, store_dir):
         assert main(["run", str(spec_path), "--out", str(store_dir),
                      "--quiet"]) == 0
         assert main(["run", str(spec_path), "--out", str(store_dir),
                      "--quiet", "--min-hit-rate", "1.0"]) == 0
-        bench = json.loads((store_dir / "BENCH_fleet.json").read_text())
-        assert len(bench) == 2  # the trajectory accumulates
-        assert bench[1]["cache_hit_rate"] == 1.0
+        bench = json.loads((store_dir / "BENCH_sweep.json").read_text())
+        assert bench["totals"]["cache_hit_rate"] == 1.0
 
     def test_min_hit_rate_fails_cold(self, spec_path, store_dir, capsys):
         code = main(["run", str(spec_path), "--out", str(store_dir),
@@ -67,6 +72,31 @@ class TestRun:
         with pytest.raises(SystemExit, match="repro.fleet: malformed value in fleet spec.*'abc'"):
             main(["run", str(path), "--out", str(store_dir)])
 
+    def test_sweep_report_is_the_exp_one(self, spec_path, store_dir, tmp_path):
+        # One report writer: `repro.fleet run` leaves what `repro.exp run`
+        # leaves, a row per host (its axis is the host), and --bench-json moves it.
+        elsewhere = tmp_path / "elsewhere" / "report.json"
+        assert main(["run", str(spec_path), "--out", str(store_dir), "--quiet",
+                     "--bench-json", str(elsewhere)]) == 0
+        assert not (store_dir / "BENCH_sweep.json").exists()
+        bench = json.loads(elsewhere.read_text())
+        assert bench["schema"] == "repro.exp.sweep/1"
+        hosts = [row["axes"]["host"]["id"] for row in bench["runs"]]
+        assert hosts == [f"web/{i}" for i in range(4)]
+        assert all(row["status"] == "ok" and not row["cached"] for row in bench["runs"])
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--workers", "0"], "workers must be >= 1"),
+        (["--retries", "-1"], "retries must be >= 0"),
+        (["--timeout", "0"], "timeout_sec must be positive"),
+    ])
+    @pytest.mark.parametrize("command", ["run", "migrate"])
+    def test_bad_runner_option_is_one_line(self, tmp_path, store_dir, command, flags, message):
+        path = tmp_path / "fleet.json"
+        path.write_text(json.dumps(fleet_doc(migration={"schedule": [0.0, 1.0]})))
+        with pytest.raises(SystemExit, match=f"^repro.fleet: {message}$"):
+            main([command, str(path), "--out", str(store_dir), *flags])
+
     def test_policy_pass_flag(self, spec_path, store_dir):
         code = main(["run", str(spec_path), "--out", str(store_dir),
                      "--quiet", "--policy-pass", "balance"])
@@ -89,7 +119,10 @@ class TestStatusAndRollup:
 
     def test_rollup_requires_cached_hosts(self, spec_path, store_dir, capsys):
         assert main(["rollup", str(spec_path), "--out", str(store_dir)]) == 1
-        assert "not cached" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "4 host(s) not cached" in captured.err
+        # stdout is the document and nothing else: `rollup spec > r.json` parses.
+        assert json.loads(captured.out)["hosts"]["reporting"] == 0
 
     def test_rollup_recomputes_from_cache(self, spec_path, store_dir, capsys, tmp_path):
         main(["run", str(spec_path), "--out", str(store_dir), "--quiet"])
@@ -100,6 +133,62 @@ class TestStatusAndRollup:
         recomputed = json.loads(out_file.read_text())
         stored = json.loads((store_dir / "fleet_rollup.json").read_text())
         assert recomputed == stored
+
+
+class TestPolicyPassEverywhere:
+    """`status` and `rollup` must plan like the `run` that filled the store."""
+
+    @pytest.fixture
+    def balanced_store(self, tmp_path, store_dir):
+        # The tests/fleet/test_runner.py::TestPolicyPasses document: balance
+        # moves placements, hence host content hashes.
+        doc = fleet_doc(
+            hosts={"web": {"count": 3, "device": "ssd_new",
+                           "device_scale": 0.05, "capacity_iops": 1000}},
+            workloads=[{"name": "u", "count": 4, "cgroup": "workload.slice/u",
+                        "weight": 100, "type": "paced", "rate": 200}],
+        )
+        path = tmp_path / "balanced.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path), "--out", str(store_dir), "--quiet",
+                     "--policy-pass", "balance"]) == 0
+        return path
+
+    def test_status_sees_the_balanced_hosts(self, balanced_store, store_dir, capsys):
+        assert main(["status", str(balanced_store), "--out", str(store_dir),
+                     "--policy-pass", "balance"]) == 0
+        assert "3/3 hosts cached" in capsys.readouterr().out
+
+    def test_rollup_recomputes_the_balanced_rollup(self, balanced_store, store_dir, tmp_path):
+        out_file = tmp_path / "recomputed.json"
+        assert main(["rollup", str(balanced_store), "--out", str(store_dir),
+                     "--policy-pass", "balance", "--output", str(out_file)]) == 0
+        assert out_file.read_bytes() == (store_dir / "fleet_rollup.json").read_bytes()
+
+
+class TestNestedKindThroughExpCli:
+    def test_documented_spelling_resolves(self, tmp_path, store_dir):
+        # The kind name is read out of docs/FLEET.md and run by a fresh
+        # `python -m repro.exp` — nothing has imported repro.fleet there —
+        # so the docs cannot advertise a spelling the CLI cannot resolve.
+        docs = (REPO_ROOT / "docs" / "FLEET.md").read_text()
+        kind = re.search(r'nestable kind.*?`kind = "([\w.]+)"`', docs, re.S).group(1)
+        path = tmp_path / "nested.json"
+        path.write_text(json.dumps({
+            "name": "nested-fleet",
+            "kind": kind,
+            "base": {"fleet": fleet_doc()},
+            "grid": {"seed": [1, 2]},
+        }))
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.exp", "run", str(path),
+             "--out", str(store_dir), "--quiet"],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+            )},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
 
 
 class TestMigrate:
@@ -132,17 +221,3 @@ class TestMigrate:
         assert report["schema"] == "repro.fleet.migration/1"
         assert len(report["weeks"]) == 2
         assert report["weeks"][-1]["failures"] <= report["weeks"][0]["failures"]
-
-
-class TestBenchTrajectory:
-    def test_append_creates_and_accumulates(self, tmp_path):
-        path = tmp_path / "BENCH_fleet.json"
-        append_bench_entry(path, {"n": 1})
-        append_bench_entry(path, {"n": 2})
-        assert json.loads(path.read_text()) == [{"n": 1}, {"n": 2}]
-
-    def test_append_recovers_from_corrupt_file(self, tmp_path):
-        path = tmp_path / "BENCH_fleet.json"
-        path.write_text("not json{")
-        append_bench_entry(path, {"n": 1})
-        assert json.loads(path.read_text()) == [{"n": 1}]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.exp.experiments import ExperimentError, resolve
+from repro.exp.experiments import ExperimentError, resolve, run_testbed
 from repro.exp.spec import canonical_json
 from repro.fleet.experiments import (
     HIST_RESOLUTION,
@@ -53,6 +53,16 @@ class TestHostKind:
         assert canonical_json(first) == canonical_json(second)
         assert canonical_json(first) != canonical_json(other)
 
+    def test_host_is_a_testbed_cell(self):
+        # The property that makes one machine builder legal: for the same
+        # tables and seed a fleet host measures what the testbed kind does.
+        host = host_cell()
+        tables = {key: host[key] for key in host if key not in ("id", "group")}
+        as_host = run_fleet_host({"host": host}, seed=11)
+        as_testbed = run_testbed(tables, 11)
+        assert as_host["cgroups"] == as_testbed["cgroups"]
+        assert as_host["events_processed"] == as_testbed["events_processed"]
+
     def test_idle_host_is_cheap_and_explicit(self):
         result = run_fleet_host(
             {"host": host_cell(cgroups={}, workloads=[])}, seed=1
@@ -100,10 +110,13 @@ class TestDurationKind:
         assert 0 < result["duration_sec"] <= result["deadline"]
 
 
+NESTED_KIND = "repro.fleet.experiments.run_fleet"
+
+
 class TestNestedFleetKind:
     def test_matches_pooled_rollup_bytes(self, tmp_path):
         doc = fleet_doc(name="parity", seed=21)
-        inline = resolve("fleet")({"fleet": doc}, seed=21)
+        inline = resolve(NESTED_KIND)({"fleet": doc}, seed=21)
         pooled = run_fleet_sweep(FleetSpec.from_dict(doc), tmp_path, workers=2)
         assert inline["fleet_hash"] == pooled.fleet_hash
         assert canonical_json(inline["plan"]) == canonical_json(pooled.plan)
@@ -111,4 +124,4 @@ class TestNestedFleetKind:
 
     def test_needs_fleet_document(self):
         with pytest.raises(ExperimentError, match="fleet"):
-            resolve("fleet")({}, seed=0)
+            resolve(NESTED_KIND)({}, seed=0)

@@ -13,7 +13,6 @@ from repro.exp.grid import expand
 from repro.exp.spec import canonical_json
 from repro.exp.store import ArtifactStore
 from repro.fleet.runner import (
-    BENCH_SCHEMA,
     FleetRunnerError,
     fleet_sweep_spec,
     host_params,
@@ -125,14 +124,6 @@ class TestFleetSweepAcceptance:
             p99 = workloads[name]["read_latency"]["p99"]
             assert p99["pooled"] is not None
             assert p99["pooled"] <= p99["host_max"]
-
-    def test_bench_entry_schema(self, reports):
-        _, _, _, serial, _ = reports
-        entry = serial.to_bench_dict()
-        assert entry["schema"] == BENCH_SCHEMA
-        assert entry["hosts"] == 210
-        assert entry["executed"] == 210
-        assert entry["hosts_per_sec"] > 0
 
 
 class TestRunnerErrors:

@@ -57,7 +57,7 @@ class TestCapacities:
     def test_rated_uses_spec_peak(self):
         spec = FleetSpec.from_dict(fleet_doc(capacity="rated"))
         device = spec.hosts[0]
-        from repro.fleet.spec import device_spec_for
+        from repro.exp.experiments import device_spec_for
 
         peak = device_spec_for(device.device, device.device_scale).peak_rand_read_iops
         assert group_capacities(spec)["web"] == pytest.approx(peak)

@@ -5,13 +5,13 @@ import json
 import pytest
 
 from repro.block.device import DeviceSpec
+from repro.exp.experiments import ExperimentError, device_spec_for
 from repro.fleet.spec import (
     FleetSpec,
     FleetSpecError,
     HostGroup,
     MigrationPlan,
     WorkloadTemplate,
-    device_spec_for,
     load_fleet_spec,
     task_from_config,
 )
@@ -187,8 +187,13 @@ class TestDeviceResolution:
         assert spec.name == "inline"  # auto-filled default
 
     def test_inline_table_bad_field(self):
+        bad = {**FLEETDEV, "warp_factor": 9}
+        with pytest.raises(ExperimentError, match="inline device"):
+            device_spec_for(bad)  # the shared resolver's own error...
+        doc = fleet_doc()
+        doc["hosts"]["web"] = {"count": 2, "device": bad}
         with pytest.raises(FleetSpecError, match="inline device"):
-            device_spec_for({**FLEETDEV, "warp_factor": 9})
+            FleetSpec.from_dict(doc)  # ...is a spec error at the spec boundary
 
     def test_inline_device_in_host_group(self):
         doc = fleet_doc()

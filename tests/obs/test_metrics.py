@@ -138,20 +138,29 @@ class TestRegistry:
 
 
 class TestStatsShim:
-    """repro.analysis.stats.percentile must keep its exact legacy behaviour."""
+    """The legacy nearest-rank behaviour the ``repro.analysis.stats`` shim
+    used to promise, now asked of ``exact_percentile`` and of the stats
+    primitives that call it directly."""
 
     def test_delegates_to_exact_percentile(self):
         samples = [5.0, 1.0, 3.0, 2.0, 4.0]
+        window = stats.LatencyWindow(window=1.0)
+        for sample in samples:
+            window.record(0.0, sample)
         for pct in (0, 20, 50, 90, 100):
-            assert stats.percentile(samples, pct) == exact_percentile(samples, pct)
+            assert window.percentile(0.5, pct) == exact_percentile(samples, pct)
+        summary = stats.Summary.of(samples)
+        assert (summary.p50, summary.p90, summary.p99) == tuple(
+            exact_percentile(samples, pct) for pct in (50, 90, 99)
+        )
 
     def test_legacy_nearest_rank_values(self):
-        assert stats.percentile([1.0, 2.0, 3.0, 4.0], 50) == 2.0
-        assert stats.percentile([1.0, 2.0, 3.0, 4.0], 0) == 1.0
-        assert stats.percentile([1.0, 2.0, 3.0, 4.0], 100) == 4.0
+        assert exact_percentile([1.0, 2.0, 3.0, 4.0], 50) == 2.0
+        assert exact_percentile([1.0, 2.0, 3.0, 4.0], 0) == 1.0
+        assert exact_percentile([1.0, 2.0, 3.0, 4.0], 100) == 4.0
 
     def test_legacy_errors_preserved(self):
         with pytest.raises(ValueError):
-            stats.percentile([], 50)
+            exact_percentile([], 50)
         with pytest.raises(ValueError):
-            stats.percentile([1.0], 101)
+            exact_percentile([1.0], 101)

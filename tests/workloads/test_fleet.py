@@ -10,9 +10,8 @@ from repro.core.qos import QoSParams
 from repro.workloads.fleet import (
     CONTAINER_CLEANUP,
     PACKAGE_FETCH,
-    FleetMigration,
-    WeeklyReport,
     run_task_once,
+    sample_failures,
 )
 
 FLEET_SPEC = DeviceSpec(
@@ -67,23 +66,35 @@ class TestRunTaskOnce:
 
 
 class TestFleetMigration:
+    """The region Monte Carlo, one cohort at a time (``sample_failures``);
+    the week-rate arithmetic on top is tests/fleet/test_migration.py's."""
+
     def test_failures_fall_with_migration(self):
         # Old stack durations straddle the deadline; new stack is fast.
         old = [3.0, 6.0, 8.0, 4.5, 7.0, 5.5]
         new = [0.5, 0.8, 1.2, 0.6, 0.9, 0.7]
-        sim = FleetMigration(old, new, deadline=5.0, machines=500, seed=3)
-        reports = sim.run([0.0, 0.25, 0.5, 0.75, 1.0])
-        assert len(reports) == 5
-        assert reports[0].failures > 0
-        assert reports[-1].failures < reports[0].failures / 3
-        rates = [report.failure_rate for report in reports]
-        # Failure rate should be (weakly) monotone decreasing.
-        assert all(b <= a * 1.2 for a, b in zip(rates, rates[1:]))
+        machines, per_week = 500, 20
+        failures = []
+        for week, fraction in enumerate([0.0, 0.25, 0.5, 0.75, 1.0]):
+            migrated = int(machines * fraction)
+            failures.append(
+                sample_failures(
+                    f"week:{week}:old", old, (machines - migrated) * per_week,
+                    deadline=5.0, seed=3,
+                )
+                + sample_failures(
+                    f"week:{week}:new", new, migrated * per_week,
+                    deadline=5.0, seed=3,
+                )
+            )
+        assert failures[0] > 0
+        assert failures[-1] < failures[0] / 3
+        # Failures should be (weakly) monotone decreasing.
+        assert all(b <= a * 1.2 for a, b in zip(failures, failures[1:]))
 
     def test_empty_distributions_rejected(self):
-        with pytest.raises(ValueError):
-            FleetMigration([], [1.0], deadline=1.0)
+        with pytest.raises(ValueError, match="non-empty"):
+            sample_failures("week:0:old", [], 10, deadline=1.0, seed=0)
 
-    def test_weekly_report_rate(self):
-        report = WeeklyReport(week=0, migrated_fraction=0.0, attempts=100, failures=7)
-        assert report.failure_rate == pytest.approx(0.07)
+    def test_zero_attempts_draw_nothing(self):
+        assert sample_failures("week:0:new", [9.0], 0, deadline=1.0, seed=0) == 0
