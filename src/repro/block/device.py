@@ -25,7 +25,6 @@ Service begins in FIFO order per the internal queue; scheduling policy
 
 from __future__ import annotations
 
-import hashlib
 import math
 from collections import deque
 from dataclasses import dataclass, field, replace
@@ -36,7 +35,7 @@ import numpy as np
 from repro.block.bio import Bio, BioStatus
 from repro.obs.trace import TRACE
 from repro.sanitize import SANITIZE
-from repro.sim import Event, Simulator
+from repro.sim import Event, Simulator, labeled_seed
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faults import FaultPlan
@@ -148,12 +147,8 @@ def noise_stream(rng: np.random.Generator, label: str) -> np.random.Generator:
     entropy = getattr(seed_seq, "entropy", None)
     if entropy is None:
         return np.random.default_rng(int(rng.integers(0, 2 ** 63)))
-    key = int.from_bytes(hashlib.sha256(label.encode()).digest()[:8], "big")
-    spawn_key = tuple(getattr(seed_seq, "spawn_key", ())) + (key,)
-    child_seq = np.random.SeedSequence(entropy=entropy, spawn_key=spawn_key)
-    if SANITIZE.enabled:
-        SANITIZE.check_stream(label, child_seq)
-    return np.random.default_rng(child_seq)
+    parent_key = getattr(seed_seq, "spawn_key", ())
+    return np.random.default_rng(labeled_seed(entropy, label, parent_key))
 
 
 class Device:

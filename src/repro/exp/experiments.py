@@ -136,7 +136,8 @@ def device_spec_for(
     """Resolve a ``device`` param: a catalogue name or an inline
     :class:`~repro.block.device.DeviceSpec` field table, optionally
     ``scaled()``.  The one device resolver — experiment kinds, fleet hosts,
-    the fleet scheduler and the fleet spec loader all come through here.
+    the fleet scheduler, the fleet spec loader and the profile/tune/compare
+    tools all come through here.
     """
     if isinstance(device, str):
         spec = get_device_spec(device)

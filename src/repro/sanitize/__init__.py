@@ -18,9 +18,7 @@ sanitizer build does for C:
 * **debt monotonicity** — a group's local vtime never moves backwards
   (debt is repaid by global vtime catching up, never by rollback);
 * **span leaks** — an open bio span silently evicted from the tracker is
-  an accounting hole (`repro.obs.spans`);
-* **RNG stream aliasing** — two labeled streams whose first ``k`` draws
-  collide share one bit stream (`Testbed.rng_for` / ``noise_stream``).
+  an accounting hole (`repro.obs.spans`).
 
 Cost model: every hook site is behind the same cached-object ``enabled``
 flag pattern as :mod:`repro.obs.trace` tracepoints and
@@ -50,17 +48,10 @@ import os
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Sequence, Tuple
 
-import numpy as np
-
 
 class SanitizeError(AssertionError):
     """An engine/controller/device invariant was violated at runtime."""
 
-
-#: Draws fingerprinted per labeled RNG stream.  Eight uint64s ≈ a 512-bit
-#: fingerprint: two independent streams colliding by chance is negligible,
-#: so a collision means shared seed material.
-FINGERPRINT_DRAWS = 8
 
 #: Relative slack for float-sum comparisons (cost conservation): the same
 #: costs are summed in different association orders on the two sides.
@@ -85,7 +76,6 @@ class Sanitizer:
         "cost_conservation",
         "vtime_monotonic",
         "span_leak",
-        "rng_fingerprint",
     )
 
     def __init__(self) -> None:
@@ -96,8 +86,6 @@ class Sanitizer:
         self._charged: Dict[int, float] = {}
         # Per-(controller, cgroup) last observed local vtime.
         self._vtime: Dict[Tuple[int, str], float] = {}
-        # RNG stream fingerprint -> label of first check-in.
-        self._streams: Dict[Tuple[int, ...], str] = {}
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -116,7 +104,6 @@ class Sanitizer:
         self._incurred.clear()
         self._charged.clear()
         self._vtime.clear()
-        self._streams.clear()
         return self
 
     def __enter__(self) -> "Sanitizer":
@@ -273,33 +260,6 @@ class Sanitizer:
                 "the workload drained"
             )
 
-    # -- rng stream aliasing ---------------------------------------------------
-
-    def check_stream(self, label: str, seed_seq: "np.random.SeedSequence") -> None:
-        """Fingerprint a labeled stream's seed material; error on aliasing.
-
-        The fingerprint is drawn from a *fresh* generator built on the same
-        :class:`~numpy.random.SeedSequence` — seed sequences are pure
-        functions of (entropy, spawn_key), so this never consumes or
-        perturbs the caller's stream.  Two different labels mapping to one
-        fingerprint means both consumers share a bit stream.
-        """
-        self.checks["rng_fingerprint"] += 1
-        probe = np.random.default_rng(seed_seq)
-        fingerprint = tuple(
-            int(x) for x in probe.integers(0, 2 ** 63, size=FINGERPRINT_DRAWS)
-        )
-        first = self._streams.get(fingerprint)
-        if first is None:
-            self._streams[fingerprint] = label
-        elif first != label:
-            raise SanitizeError(
-                f"rng stream aliasing: labels {first!r} and {label!r} "
-                f"produce identical draw sequences (first "
-                f"{FINGERPRINT_DRAWS} draws collide) — two consumers are "
-                "sharing one bit stream"
-            )
-
     # -- reporting -----------------------------------------------------------
 
     def snapshot(self) -> Dict[str, int]:
@@ -320,7 +280,6 @@ if os.environ.get("REPRO_SANITIZE", "").strip().lower() in {"1", "true", "yes", 
 
 
 __all__ = [
-    "FINGERPRINT_DRAWS",
     "SANITIZE",
     "SanitizeError",
     "Sanitizer",

@@ -3,8 +3,9 @@
 This subpackage provides the time substrate for the whole reproduction: a
 deterministic event-heap simulator (:class:`~repro.sim.engine.Simulator`),
 generator-based cooperative processes (:class:`~repro.sim.engine.Process`),
-waitable one-shot signals (:class:`~repro.sim.engine.Signal`), and seeded
-random-variate helpers (:mod:`repro.sim.distributions`).
+waitable one-shot signals (:class:`~repro.sim.engine.Signal`), and the one
+derivation of label-keyed RNG seed material
+(:func:`~repro.sim.streams.labeled_seed`).
 
 The engine plays the role that real wall-clock time plays in the paper's
 testbed.  Every latency the paper measures on hardware is, here, the
@@ -19,15 +20,14 @@ from repro.sim.engine import (
     SimulationError,
     Simulator,
 )
-from repro.sim.distributions import LatencyDistribution, RandomStreams
+from repro.sim.streams import labeled_seed
 
 __all__ = [
     "CancelledError",
     "Event",
-    "LatencyDistribution",
     "Process",
-    "RandomStreams",
     "Signal",
     "SimulationError",
     "Simulator",
+    "labeled_seed",
 ]

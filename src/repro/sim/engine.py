@@ -225,7 +225,6 @@ class Simulator:
         so batched completions or timer fan-outs cost one heap operation
         per batch.
         """
-        # simlint: dual-of=Simulator.schedule
         heap = self._heap
         now = self.now
         events: List[Event] = []

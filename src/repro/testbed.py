@@ -28,7 +28,6 @@ device never perturbs the streams of existing ones.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
@@ -51,8 +50,7 @@ from repro.core.cost_model import LinearCostModel, ModelParams
 from repro.core.qos import QoSParams
 from repro.faults import FaultPlan
 from repro.mm.memory import MemoryManager
-from repro.sanitize import SANITIZE
-from repro.sim import Simulator
+from repro.sim import Simulator, labeled_seed
 from repro.workloads.synthetic import (
     ClosedLoopWorkload,
     LatencyGovernedWorkload,
@@ -214,20 +212,12 @@ class Testbed:
         stream for ``device:vda`` is identical whether or not ``vdb``
         exists (determinism across topology changes).
         """
-        key = int.from_bytes(hashlib.sha256(label.encode()).digest()[:8], "big")
-        seq = np.random.SeedSequence(entropy=self._seed, spawn_key=(key,))
-        if SANITIZE.enabled:
-            SANITIZE.check_stream(label, seq)
-        return np.random.default_rng(seq)
+        return np.random.default_rng(labeled_seed(self._seed, label))
 
     def _next_seed(self) -> np.random.SeedSequence:
         """Seed material for the next attached workload (stable per ordinal)."""
         self._workload_count += 1
-        key = int.from_bytes(
-            hashlib.sha256(f"workload:{self._workload_count}".encode()).digest()[:8],
-            "big",
-        )
-        return np.random.SeedSequence(entropy=self._seed, spawn_key=(key,))
+        return labeled_seed(self._seed, f"workload:{self._workload_count}")
 
     # -- device lookup -------------------------------------------------------
 

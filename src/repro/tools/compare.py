@@ -21,6 +21,7 @@ from repro.analysis.report import Table, format_ratio, format_si
 from repro.block.device_models import DEVICE_CATALOG
 from repro.exp import ArtifactStore, ExperimentSpec, run_sweep
 from repro.exp.cli import wall_clock
+from repro.exp.experiments import device_spec_for
 
 MECHANISMS = ("none", "mq-deadline", "kyber", "blk-throttle", "bfq", "iolatency", "iocost")
 
@@ -36,7 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="ssd_old",
         help=f"device model name (one of: {', '.join(sorted(DEVICE_CATALOG))})",
     )
-    parser.add_argument("--scale", type=float, default=1.0)
+    parser.add_argument("--scale", type=float, default=None)
     parser.add_argument("--duration", type=float, default=2.0)
     parser.add_argument("--depth", type=int, default=32)
     parser.add_argument("--seed", type=int, default=0)
@@ -54,8 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def build_spec(args: argparse.Namespace) -> ExperimentSpec:
     """The comparison as a declarative sweep: one axis over mechanisms."""
-    if args.device not in DEVICE_CATALOG:
-        raise KeyError(args.device)
     base = {
         "device": args.device,
         "duration": args.duration,
@@ -63,7 +62,7 @@ def build_spec(args: argparse.Namespace) -> ExperimentSpec:
         "vrate": 0.9,
         "period": 0.05,
     }
-    if args.scale != 1.0:
+    if args.scale is not None:
         base["device_scale"] = args.scale
     return ExperimentSpec(
         name=f"compare-{args.device}",
@@ -75,7 +74,12 @@ def build_spec(args: argparse.Namespace) -> ExperimentSpec:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        device = device_spec_for(args.device, args.scale)
+    except KeyError as exc:  # the message carries the roster
+        parser.exit(2, f"{parser.prog}: {exc.args[0]}\n")
     spec = build_spec(args)
 
     def sweep(root: str):
@@ -89,9 +93,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         with tempfile.TemporaryDirectory() as root:
             report = sweep(root)
 
-    device_label = args.device if args.scale == 1.0 else f"{args.device}-x{args.scale:g}"
     table = Table(
-        f"Mechanism comparison — {device_label}, weights 2:1, both saturating",
+        f"Mechanism comparison — {device.name}, weights 2:1, both saturating",
         ["mechanism", "high IOPS", "low IOPS", "ratio", "read p90"],
     )
     failures = 0

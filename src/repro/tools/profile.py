@@ -11,8 +11,9 @@ import argparse
 from typing import Optional, Sequence
 
 from repro.analysis.report import Table, format_si
-from repro.block.device_models import DEVICE_CATALOG, get_device_spec
+from repro.block.device_models import DEVICE_CATALOG
 from repro.core.profiler import profile_device
+from repro.exp.experiments import device_spec_for
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -27,7 +28,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"device model name (one of: {', '.join(sorted(DEVICE_CATALOG))})",
     )
     parser.add_argument(
-        "--scale", type=float, default=1.0,
+        "--scale", type=float, default=None,
         help="speed factor applied to the device before profiling",
     )
     parser.add_argument("--seed", type=int, default=0)
@@ -43,10 +44,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    spec = get_device_spec(args.device)
-    if args.scale != 1.0:
-        spec = spec.scaled(args.scale)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        spec = device_spec_for(args.device, args.scale)
+    except KeyError as exc:  # the message carries the roster
+        parser.exit(2, f"{parser.prog}: {exc.args[0]}\n")
 
     print(f"profiling {spec.name} (saturating sweeps)...")
     profile = profile_device(

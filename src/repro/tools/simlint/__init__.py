@@ -5,8 +5,9 @@ streams, unit-suffixed names, catalogue-checked tracepoints, no stripped
 asserts) are enforced over Python's ``ast`` by the rules registered here.
 Run ``python -m repro.tools.simlint [paths]``; see docs/STATIC_ANALYSIS.md.
 
-Importing this package registers every rule: ``rules`` and ``trace_rules``
-populate :data:`repro.tools.simlint.core.RULES` at import time.
+Importing this package registers every rule: ``core`` (``unused-pragma``),
+``rules`` and ``trace_rules`` populate
+:data:`repro.tools.simlint.core.RULES` at import time.
 """
 
 from repro.tools.simlint.core import (
@@ -16,17 +17,12 @@ from repro.tools.simlint.core import (
     LintConfig,
     LintError,
     Rule,
-    apply_baseline,
     lint_paths,
     lint_source,
-    load_baseline,
     rule,
-    write_baseline,
 )
 from repro.tools.simlint import rules as _rules  # noqa: F401  (registers rules)
 from repro.tools.simlint import trace_rules as _trace_rules  # noqa: F401
-from repro.tools.simlint import flow_rules as _flow_rules  # noqa: F401
-from repro.tools.simlint import dual_rules as _dual_rules  # noqa: F401
 from repro.tools.simlint.cli import main
 from repro.tools.simlint.trace_rules import load_catalogue
 
@@ -37,12 +33,9 @@ __all__ = [
     "LintConfig",
     "LintError",
     "Rule",
-    "apply_baseline",
     "lint_paths",
     "lint_source",
-    "load_baseline",
     "load_catalogue",
     "main",
     "rule",
-    "write_baseline",
 ]

@@ -1,6 +1,6 @@
 """``python -m repro.tools.simlint`` — the lint front-end CI runs.
 
-Exit codes: 0 clean, 1 new findings, 2 usage/configuration error.
+Exit codes: 0 clean, 1 findings, 2 usage/configuration error.
 Diagnostics are one ``file:line:col rule message`` per line on stdout;
 the summary goes to stderr so output stays pipe-friendly.
 """
@@ -9,21 +9,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 from typing import List, Optional, Sequence
 
-from repro.tools.simlint.core import (
-    RULES,
-    Finding,
-    LintConfig,
-    LintError,
-    apply_baseline,
-    lint_paths,
-    load_baseline,
-    write_baseline,
-)
-
-DEFAULT_BASELINE = "simlint.baseline"
+from repro.tools.simlint.core import RULES, LintConfig, LintError, lint_paths
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -39,29 +27,6 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="*",
         default=["src/repro"],
         help="files or directories to lint (default: src/repro)",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=DEFAULT_BASELINE,
-        help=(
-            "baseline file of grandfathered findings "
-            f"(default: {DEFAULT_BASELINE}; missing file = empty baseline)"
-        ),
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore the baseline file and report every finding",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline file with the current findings and exit 0",
-    )
-    parser.add_argument(
-        "--show-baselined",
-        action="store_true",
-        help="also print findings matched by the baseline (marked [baseline])",
     )
     parser.add_argument(
         "--select",
@@ -106,34 +71,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"simlint: error: {exc}", file=sys.stderr)
         return 2
 
-    baseline_path = Path(args.baseline)
-    if args.update_baseline:
-        write_baseline(baseline_path, findings)
-        print(
-            f"simlint: wrote {len(findings)} finding(s) to {baseline_path}",
-            file=sys.stderr,
-        )
-        return 0
-
-    baseline = {}
-    if not args.no_baseline and baseline_path.is_file():
-        baseline = load_baseline(baseline_path)
-    new, baselined = apply_baseline(findings, baseline)
-
-    for finding in new:
+    for finding in findings:
         print(finding)
-    if args.show_baselined:
-        for finding in baselined:
-            print(f"{finding} [baseline]")
-
-    if new:
-        print(f"simlint: {len(new)} finding(s)", file=sys.stderr)
+    if findings:
+        print(f"simlint: {len(findings)} finding(s)", file=sys.stderr)
         return 1
-    checked = "clean" if not baselined else f"{len(baselined)} baselined finding(s)"
-    print(f"simlint: {checked}", file=sys.stderr)
+    print("simlint: clean", file=sys.stderr)
     return 0
-
-
-def render_findings(findings: Sequence[Finding]) -> str:
-    """Join findings the way the CLI prints them (library convenience)."""
-    return "\n".join(str(finding) for finding in findings)

@@ -1,4 +1,4 @@
-"""simlint rule engine: findings, registry, pragmas, baseline, drivers.
+"""simlint rule engine: findings, registry, pragmas, drivers.
 
 simlint is the repo's contract checker.  The simulator's correctness rests
 on conventions a type checker cannot see — simulated time must never mix
@@ -12,8 +12,6 @@ around the rules:
 * pragma suppression — ``# simlint: disable=<rule>[,<rule>...]`` on the
   flagged line (or on the line above, for lines that are themselves
   generated or too long) silences a finding.
-* baseline files — grandfathered findings listed one fingerprint per line;
-  anything in the baseline is reported only with ``--show-baselined``.
 * :func:`lint_source` / :func:`lint_paths` — the drivers the CLI and tests
   share.
 """
@@ -42,16 +40,6 @@ class Finding:
 
     def __str__(self) -> str:
         return f"{self.path}:{self.line}:{self.col} {self.rule} {self.message}"
-
-    @property
-    def fingerprint(self) -> str:
-        """Line-number-free identity used by baseline files.
-
-        Dropping ``line``/``col`` keeps a baseline stable across unrelated
-        edits to the same file; two identical findings in one file share a
-        fingerprint and are counted as a multiset.
-        """
-        return f"{self.path}|{self.rule}|{self.message}"
 
 
 @dataclass
@@ -87,7 +75,11 @@ class LintConfig:
     optional_fields: Optional[frozenset] = None
 
     def rule_names(self) -> List[str]:
+        """The rules this run enables; a name that is no rule is a typo."""
         names = list(RULES) if self.select is None else list(self.select)
+        for name in (*names, *self.disable):
+            if name not in RULES:
+                raise LintError(f"unknown simlint rule {name!r}")
         return [name for name in names if name not in set(self.disable)]
 
 
@@ -142,15 +134,14 @@ def rule(name: str, description: str) -> Callable[[RuleFn], RuleFn]:
 _PRAGMA_RE = re.compile(r"#.*\bsimlint:\s*disable=([A-Za-z0-9_,\- ]+)")
 
 
-def iter_comments(source: str) -> Iterator[Tuple[int, str]]:
-    """Yield ``(1-based lineno, text)`` for every genuine comment token.
+def _pragmas(source: str) -> Dict[int, frozenset]:
+    """Map 1-based line number -> rule names disabled on that line.
 
-    Token-based, not a regex over raw lines: a pragma or marker spelled
-    inside a triple-quoted string (docs, test fixtures) is *not* a comment
-    and must not count.  Sources that fail to tokenize fall back to a raw
-    line scan — by the time the drivers call this the file has already
-    parsed, so the fallback only serves callers feeding deliberately broken
-    fixtures.
+    Token-based, not a regex over raw lines: a pragma spelled inside a
+    triple-quoted string (docs, test fixtures) is *not* a comment and must
+    not count.  Sources that fail to tokenize fall back to a raw line scan
+    — by the time the drivers call this the file has already parsed, so the
+    fallback only serves callers feeding deliberately broken fixtures.
     """
     try:
         comments = [
@@ -164,13 +155,8 @@ def iter_comments(source: str) -> Iterator[Tuple[int, str]]:
             for lineno, text in enumerate(source.splitlines(), start=1)
             if "#" in text
         ]
-    yield from comments
-
-
-def _pragmas(source: str) -> Dict[int, frozenset]:
-    """Map 1-based line number -> rule names disabled on that line."""
     disabled: Dict[int, frozenset] = {}
-    for lineno, text in iter_comments(source):
+    for lineno, text in comments:
         match = _PRAGMA_RE.search(text)
         if match is None:
             continue
@@ -247,15 +233,6 @@ class _PragmaLedger:
                     )
 
 
-def _suppressed(finding: Finding, pragmas: Mapping[int, frozenset]) -> bool:
-    """Legacy predicate (kept for tests); :class:`_PragmaLedger` supersedes it."""
-    for lineno in (finding.line, finding.line - 1):
-        names = pragmas.get(lineno)
-        if names is not None and (finding.rule in names or "all" in names):
-            return True
-    return False
-
-
 @rule(
     "unused-pragma",
     "a '# simlint: disable=' pragma must actually suppress something",
@@ -266,52 +243,6 @@ def _check_unused_pragma(tree: ast.Module, ctx: "FileContext") -> Iterable[Findi
     # a per-rule check cannot see.  Registered here so --list-rules/--select
     # know the name.
     return ()
-
-
-# -- baseline files ----------------------------------------------------------
-
-def load_baseline(path: Path) -> Dict[str, int]:
-    """Read a baseline file into a fingerprint -> count multiset.
-
-    Lines starting with ``#`` and blank lines are ignored, so a baseline
-    can carry a header explaining why each grandfathered finding exists.
-    """
-    counts: Dict[str, int] = {}
-    for line in path.read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        counts[line] = counts.get(line, 0) + 1
-    return counts
-
-
-def write_baseline(path: Path, findings: Sequence[Finding]) -> None:
-    """Write the current findings as the new grandfathered set."""
-    header = (
-        "# simlint baseline — grandfathered findings, one fingerprint per line.\n"
-        "# An empty baseline means the tree is clean; new findings fail the lint.\n"
-    )
-    body = "".join(
-        finding.fingerprint + "\n" for finding in sorted(findings)
-    )
-    path.write_text(header + body)
-
-
-def apply_baseline(
-    findings: Sequence[Finding], baseline: Mapping[str, int]
-) -> Tuple[List[Finding], List[Finding]]:
-    """Split findings into (new, baselined) against the multiset."""
-    remaining = dict(baseline)
-    new: List[Finding] = []
-    old: List[Finding] = []
-    for finding in findings:
-        count = remaining.get(finding.fingerprint, 0)
-        if count > 0:
-            remaining[finding.fingerprint] = count - 1
-            old.append(finding)
-        else:
-            new.append(finding)
-    return new, old
 
 
 # -- drivers -----------------------------------------------------------------
@@ -336,11 +267,7 @@ def lint_source(
     enabled = config.rule_names()
     findings: List[Finding] = []
     for name in enabled:
-        try:
-            checker = RULES[name]
-        except KeyError:
-            raise LintError(f"unknown simlint rule {name!r}") from None
-        for finding in checker.check(tree, ctx):
+        for finding in RULES[name].check(tree, ctx):
             if not ledger.suppresses(finding):
                 findings.append(finding)
     # unused-pragma is driver-implemented: it needs the full suppression
@@ -396,7 +323,4 @@ __all__ = [
     "lint_source",
     "lint_paths",
     "iter_python_files",
-    "load_baseline",
-    "write_baseline",
-    "apply_baseline",
 ]

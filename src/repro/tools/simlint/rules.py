@@ -1,4 +1,4 @@
-"""General simlint rules: determinism, units, defaults, asserts.
+"""General simlint rules: determinism, stream labels, units, defaults, asserts.
 
 Every rule here is grounded in a failure mode this repo has actually hit
 or structurally risks:
@@ -8,8 +8,16 @@ or structurally risks:
   reproducibility.  CLI front-ends (``tools/``) and the overhead profiler
   (``obs/overhead.py``) are exempt via :attr:`LintConfig.wallclock_allow`.
 * ``no-unseeded-rng`` — every random draw must come from a seeded,
-  label-keyed stream (``Testbed.rng_for`` / ``RandomStreams``); module-level
-  ``random.*`` and unseeded ``np.random`` calls are hidden global state.
+  label-keyed stream (``Testbed.rng_for`` / ``repro.sim.labeled_seed``);
+  module-level ``random.*`` and unseeded ``np.random`` calls are hidden
+  global state.
+* ``rng-stream-labels`` — every ``rng_for(...)``/``noise_stream(...)``
+  label must be a literal-derivable string (a string constant, or an
+  f-string with a distinguishing literal prefix) and unique within its
+  enclosing function.  Two consumers that pass the same label silently
+  share one bit stream — each sees every *other* draw of a single sequence
+  — and a label built from an arbitrary expression cannot be audited for
+  that statically.
 * ``unit-suffix`` — quantities carry their unit in the name
   (``_usec``/``_sec``/``_bytes``/``_pages``); PR 2 fixed a real bug where
   ``wait_usec`` was accumulated in seconds.  Flags non-canonical unit
@@ -166,7 +174,7 @@ def check_unseeded_rng(tree: ast.Module, ctx: FileContext) -> Iterable[Finding]:
                 node,
                 "no-unseeded-rng",
                 f"{dotted} draws from the process-global stdlib RNG; use a "
-                "seeded stream (Testbed.rng_for / RandomStreams)",
+                "seeded stream (Testbed.rng_for / repro.sim.labeled_seed)",
             )
         elif dotted.startswith("numpy.random."):
             tail = dotted.split("numpy.random.", 1)[1]
@@ -180,7 +188,7 @@ def check_unseeded_rng(tree: ast.Module, ctx: FileContext) -> Iterable[Finding]:
                         "no-unseeded-rng",
                         f"numpy.random.{tail}() without a seed pulls OS "
                         "entropy; pass an explicit seed "
-                        "(Testbed.rng_for / RandomStreams)",
+                        "(Testbed.rng_for / repro.sim.labeled_seed)",
                     )
             else:
                 yield _finding(
@@ -190,6 +198,120 @@ def check_unseeded_rng(tree: ast.Module, ctx: FileContext) -> Iterable[Finding]:
                     f"numpy.random.{tail} uses the hidden global "
                     "RandomState; draw from a seeded Generator instead",
                 )
+
+
+# -- rng-stream-labels -------------------------------------------------------
+
+#: Callables whose argument is a stream label: name → index of the label
+#: argument (``noise_stream(rng, label)`` has it second).
+_LABELED_STREAM_FNS: Dict[str, int] = {"rng_for": 0, "noise_stream": 1}
+
+_FUNCTION_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _stream_calls(scope: ast.AST) -> List[Tuple[str, ast.Call]]:
+    """``(callee, call)`` for the labeled-stream calls in ``scope``'s own
+    body, in source order; a nested ``def`` is its own scope."""
+    calls: List[Tuple[str, ast.Call]] = []
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, _FUNCTION_DEFS):
+            continue
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = getattr(func, "attr", None) or getattr(func, "id", None)
+            if name in _LABELED_STREAM_FNS:
+                calls.append((name, node))
+        stack.extend(ast.iter_child_nodes(node))
+    calls.sort(key=lambda item: (item[1].lineno, item[1].col_offset))
+    return calls
+
+
+def _label_expr(call: ast.Call, position: int) -> Optional[ast.expr]:
+    for keyword in call.keywords:
+        if keyword.arg == "label":
+            return keyword.value
+    if len(call.args) > position and not any(
+        isinstance(arg, ast.Starred) for arg in call.args[: position + 1]
+    ):
+        return call.args[position]
+    return None
+
+
+def _label_skeleton(node: ast.expr) -> Optional[str]:
+    """Literal skeleton of a label expression, or None if not derivable.
+
+    A constant string is its own skeleton.  An f-string is derivable when
+    it *leads* with a non-empty literal (the namespace prefix that keeps
+    two call sites' streams apart); its placeholders render as ``{}`` so
+    ``f"device:{a}"`` and ``f"device:{b}"`` share a skeleton — same
+    template, same collision risk class.
+    """
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr) and node.values:
+        head = node.values[0]
+        if not (
+            isinstance(head, ast.Constant)
+            and isinstance(head.value, str)
+            and head.value
+        ):
+            return None
+        parts: List[str] = []
+        for value in node.values:
+            if isinstance(value, ast.Constant) and isinstance(value.value, str):
+                parts.append(value.value)
+            elif isinstance(value, ast.FormattedValue):
+                parts.append("{}")
+            else:
+                return None
+        return "".join(parts)
+    return None
+
+
+@rule(
+    "rng-stream-labels",
+    "rng_for()/noise_stream() labels must be literal-derivable strings, "
+    "unique per scope (aliased labels share one bit stream)",
+)
+def check_rng_stream_labels(tree: ast.Module, ctx: FileContext) -> Iterable[Finding]:
+    scopes = [tree] + [n for n in ast.walk(tree) if isinstance(n, _FUNCTION_DEFS)]
+    for scope in scopes:
+        # (callee, skeleton) → first-use line, for duplicate detection.
+        seen: Dict[Tuple[str, str], int] = {}
+        for name, call in _stream_calls(scope):
+            label = _label_expr(call, _LABELED_STREAM_FNS[name])
+            if label is None:
+                continue  # splat or missing: nothing to reason about
+            skeleton = _label_skeleton(label)
+            if skeleton is None:
+                yield _finding(
+                    ctx,
+                    label,
+                    "rng-stream-labels",
+                    f"{name}() label is not literal-derivable; use a string "
+                    "constant or an f-string with a literal prefix so stream "
+                    "identity is auditable",
+                )
+            elif skeleton == "" or skeleton == "{}":
+                yield _finding(
+                    ctx,
+                    label,
+                    "rng-stream-labels",
+                    f"{name}() label has no distinguishing literal content",
+                )
+            elif (name, skeleton) in seen:
+                yield _finding(
+                    ctx,
+                    label,
+                    "rng-stream-labels",
+                    f"{name}() label {skeleton!r} duplicates the label on "
+                    f"line {seen[name, skeleton]} in the same scope; two "
+                    "consumers would share one bit stream",
+                )
+            else:
+                seen[name, skeleton] = label.lineno
 
 
 # -- unit-suffix -------------------------------------------------------------

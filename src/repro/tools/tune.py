@@ -10,8 +10,9 @@ import argparse
 from typing import Optional, Sequence
 
 from repro.analysis.report import Table
-from repro.block.device_models import DEVICE_CATALOG, get_device_spec
+from repro.block.device_models import DEVICE_CATALOG
 from repro.core.qos_tuning import DEFAULT_VRATE_CANDIDATES, tune_qos
+from repro.exp.experiments import device_spec_for
 
 MB = 1024 * 1024
 
@@ -27,7 +28,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="ssd_new",
         help=f"device model name (one of: {', '.join(sorted(DEVICE_CATALOG))})",
     )
-    parser.add_argument("--scale", type=float, default=1.0)
+    parser.add_argument("--scale", type=float, default=None)
     parser.add_argument(
         "--candidates", type=float, nargs="+",
         default=list(DEFAULT_VRATE_CANDIDATES),
@@ -41,10 +42,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    spec = get_device_spec(args.device)
-    if args.scale != 1.0:
-        spec = spec.scaled(args.scale)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        spec = device_spec_for(args.device, args.scale)
+    except KeyError as exc:  # the message carries the roster
+        parser.exit(2, f"{parser.prog}: {exc.args[0]}\n")
 
     print(f"tuning QoS for {spec.name} (two-scenario vrate sweep)...")
     result = tune_qos(

@@ -34,7 +34,6 @@ perturbs draws that other consumers have already taken.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Callable, Dict, Sequence
 
@@ -45,8 +44,7 @@ from repro.block.device import Device, DeviceSpec
 from repro.block.layer import BlockLayer
 from repro.cgroup import make_meta_hierarchy
 from repro.controllers.base import IOController
-from repro.sanitize import SANITIZE
-from repro.sim import Simulator
+from repro.sim import Simulator, labeled_seed
 from repro.workloads.synthetic import ClosedLoopWorkload
 
 MB = 1024 * 1024
@@ -55,23 +53,14 @@ MB = 1024 * 1024
 JITTER_SIGMA = 0.35
 
 
-def stream_seed(label: str, entropy: int) -> np.random.SeedSequence:
-    """Seed material for one named substream of ``entropy``.
+def rng_for(label: str, entropy: int) -> np.random.Generator:
+    """A dedicated generator for one named substream of ``entropy``.
 
-    Keyed by a hash of ``label`` — not by spawn order — so a stream's draws
-    are identical no matter which other streams exist (the
+    Keyed by ``label`` — not by spawn order — so a stream's draws are
+    identical no matter which other streams exist (the
     :meth:`repro.testbed.Testbed.rng_for` determinism contract).
     """
-    key = int.from_bytes(hashlib.sha256(label.encode()).digest()[:8], "big")
-    seq = np.random.SeedSequence(entropy=entropy, spawn_key=(key,))
-    if SANITIZE.enabled:
-        SANITIZE.check_stream(label, seq)
-    return seq
-
-
-def rng_for(label: str, entropy: int) -> np.random.Generator:
-    """A dedicated generator for one named substream of ``entropy``."""
-    return np.random.default_rng(stream_seed(label, entropy))
+    return np.random.default_rng(labeled_seed(entropy, label))
 
 
 @dataclass(frozen=True)
@@ -146,11 +135,11 @@ def run_task_once(
 
     ClosedLoopWorkload(
         sim, layer, busy, op=IOOp.READ, depth=workload_depth,
-        seed=stream_seed("fleet:main:read", seed),
+        seed=labeled_seed(seed, "fleet:main:read"),
     ).start()
     ClosedLoopWorkload(
         sim, layer, busy, op=IOOp.WRITE, depth=max(2, workload_depth // 2),
-        seed=stream_seed("fleet:main:write", seed),
+        seed=labeled_seed(seed, "fleet:main:write"),
     ).start()
     sim.run(until=settle)
 

@@ -5,6 +5,16 @@ import pytest
 from repro.tools import compare, profile, tune
 
 
+def assert_unknown_device_is_one_line(tool, capsys):
+    with pytest.raises(SystemExit) as exc:
+        tool.main(["zipdrive"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    prog = tool.build_parser().prog
+    assert captured.err.startswith(f"{prog}: unknown device 'zipdrive'; available: ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
 class TestProfileTool:
     def test_profiles_catalogued_device(self, capsys):
         code = profile.main(
@@ -23,9 +33,8 @@ class TestProfileTool:
         assert code == 0
         assert "hdd-x10" in capsys.readouterr().out
 
-    def test_unknown_device_raises(self):
-        with pytest.raises(KeyError):
-            profile.main(["zipdrive"])
+    def test_unknown_device_raises(self, capsys):
+        assert_unknown_device_is_one_line(profile, capsys)
 
 
 class TestTuneTool:
@@ -42,6 +51,9 @@ class TestTuneTool:
         assert "io.cost.qos bounds" in out
         assert "vrate_min=" in out
 
+    def test_unknown_device_raises(self, capsys):
+        assert_unknown_device_is_one_line(tune, capsys)
+
 
 class TestCompareTool:
     def test_compares_all_mechanisms(self, capsys):
@@ -52,3 +64,6 @@ class TestCompareTool:
                       "iolatency", "iocost"):
             assert name in out
         assert "ratio" in out
+
+    def test_unknown_device_raises(self, capsys):
+        assert_unknown_device_is_one_line(compare, capsys)

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from repro.block.bio import Bio, IOOp, reset_bio_ids
-from repro.block.device import Device, noise_stream
+from repro.block.device import Device
 from repro.block.device_models import SSD_NEW
 from repro.block.layer import BlockLayer
 from repro.cgroup import CgroupTree
 from repro.obs.spans import SpanTracker
 from repro.obs.trace import TraceRegistry
-from repro.sanitize import FINGERPRINT_DRAWS, SANITIZE, SanitizeError, Sanitizer
+from repro.sanitize import SANITIZE, SanitizeError, Sanitizer
 from repro.sim import Simulator
 from repro.testbed import Testbed, make_controller
 
@@ -268,49 +268,6 @@ class TestSpanLeak:
             san.check_spans(tracker, require_drained=True)
 
 
-class TestRngAliasing:
-    def test_aliased_labels_raise(self):
-        san = Sanitizer().enable()
-        seq = np.random.SeedSequence(entropy=1, spawn_key=(2,))
-        san.check_stream("device:vda", seq)
-        with pytest.raises(SanitizeError, match="aliasing"):
-            san.check_stream("device:vdb", seq)
-
-    def test_same_label_recreated_passes(self):
-        # Determinism tests re-create the same stream legitimately.
-        san = Sanitizer().enable()
-        seq = np.random.SeedSequence(entropy=1, spawn_key=(2,))
-        san.check_stream("device:vda", seq)
-        san.check_stream("device:vda", np.random.SeedSequence(entropy=1, spawn_key=(2,)))
-
-    def test_probe_does_not_consume_the_stream(self):
-        san = Sanitizer().enable()
-        seq = np.random.SeedSequence(entropy=42, spawn_key=(7,))
-        baseline = np.random.default_rng(
-            np.random.SeedSequence(entropy=42, spawn_key=(7,))
-        ).integers(0, 1 << 32, size=FINGERPRINT_DRAWS)
-        san.check_stream("x", seq)
-        after = np.random.default_rng(seq).integers(0, 1 << 32, size=FINGERPRINT_DRAWS)
-        assert (baseline == after).all()
-
-    def test_testbed_streams_are_distinct(self):
-        SANITIZE.enable()
-        bed = Testbed(seed=3)
-        # Construction already fingerprints the device noise streams.
-        before = SANITIZE.checks["rng_fingerprint"]
-        bed.rng_for("device:vda")  # re-requested below - simlint: disable=rng-stream-labels
-        bed.rng_for("device:vdb")
-        bed.rng_for("device:vda")  # same label again: fine
-        assert SANITIZE.checks["rng_fingerprint"] == before + 3
-
-    def test_noise_stream_labels_checked(self):
-        SANITIZE.enable()
-        rng = np.random.default_rng(0)
-        noise_stream(rng, "gc_stall")
-        noise_stream(rng, "thermal")
-        assert SANITIZE.checks["rng_fingerprint"] == 2
-
-
 class TestZeroCostWhenDisabled:
     def test_disabled_hooks_count_nothing(self):
         # suspended() covers the ambient REPRO_SANITIZE=1 run too.
@@ -319,8 +276,7 @@ class TestZeroCostWhenDisabled:
             sim.schedule(1.0, lambda: None)
             sim.schedule_bulk([(2.0, lambda: None, ())])
             sim.run()
-            bed = Testbed(seed=1)
-            bed.rng_for("device:vda")
+            Testbed(seed=1)
             assert all(count == 0 for count in SANITIZE.snapshot().values())
 
     def test_components_cache_the_singleton(self):

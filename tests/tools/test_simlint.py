@@ -2,7 +2,7 @@
 
 Each rule gets at least one snippet that must be flagged, one that must
 pass, and a pragma-suppressed variant.  The final class asserts the repo's
-own ``src/repro`` tree is clean — the contract CI enforces.
+own tree is clean — the contract CI enforces.
 """
 
 from pathlib import Path
@@ -12,12 +12,9 @@ import pytest
 from repro.tools.simlint import (
     RULES,
     LintConfig,
-    apply_baseline,
     lint_paths,
     lint_source,
-    load_baseline,
     load_catalogue,
-    write_baseline,
 )
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -340,31 +337,11 @@ class TestNoBareAssert:
         assert not findings_for(source, "no-bare-assert")
 
 
-class TestBaseline:
-    def test_roundtrip_and_filtering(self, tmp_path):
-        source = "import time\nx = time.time()\ny = time.time()\n"
-        findings = findings_for(source, "no-wallclock")
-        assert len(findings) == 2
-        baseline_path = tmp_path / "base.txt"
-        write_baseline(baseline_path, findings[:1])
-        baseline = load_baseline(baseline_path)
-        new, old = apply_baseline(findings, baseline)
-        # The two findings share a fingerprint (same file/rule/message);
-        # the baseline holds one copy, so exactly one stays grandfathered.
-        assert len(old) == 1 and len(new) == 1
-
-    def test_empty_baseline_grandfathers_nothing(self, tmp_path):
-        baseline_path = tmp_path / "base.txt"
-        write_baseline(baseline_path, [])
-        assert load_baseline(baseline_path) == {}
-
-
 class TestRepoIsClean:
     def test_simlint_clean_on_src_repro(self):
-        """The acceptance contract: the shipped tree has zero findings."""
-        findings = lint_paths([str(REPO_ROOT / "src" / "repro")])
+        """The acceptance contract: zero findings on what CI lints —
+        ``src``, and the ``tests``/``benchmarks``/``examples`` that drive it
+        (``examples/`` is the Python the README tells users to copy)."""
+        surface = [str(REPO_ROOT / name) for name in ("src", "tests", "benchmarks", "examples")]
+        findings = lint_paths(surface)
         assert findings == [], "\n".join(str(finding) for finding in findings)
-
-    def test_committed_baseline_is_empty(self):
-        baseline = load_baseline(REPO_ROOT / "simlint.baseline")
-        assert baseline == {}

@@ -1,4 +1,4 @@
-"""CLI behaviour: exit codes, output format, baseline flow, -m entry point."""
+"""CLI behaviour: exit codes, output format, rule selection, -m entry point."""
 
 import os
 import subprocess
@@ -32,12 +32,12 @@ def write(tmp_path, name, text):
 class TestExitCodes:
     def test_clean_file_exits_zero(self, tmp_path, capsys):
         path = write(tmp_path, "clean.py", CLEAN)
-        assert main([path, "--no-baseline"]) == 0
+        assert main([path]) == 0
         assert capsys.readouterr().out == ""
 
     def test_finding_exits_one_with_location(self, tmp_path, capsys):
         path = write(tmp_path, "dirty.py", DIRTY)
-        assert main([path, "--no-baseline"]) == 1
+        assert main([path]) == 1
         out = capsys.readouterr().out
         assert f"{path}:2:" in out and "no-wallclock" in out
 
@@ -49,6 +49,12 @@ class TestExitCodes:
         path = write(tmp_path, "clean.py", CLEAN)
         assert main([path, "--select", "no-such-rule"]) == 2
 
+    def test_unknown_disabled_rule_exits_two(self, tmp_path, capsys):
+        # A typo must not silently disable nothing.
+        path = write(tmp_path, "dirty.py", DIRTY)
+        assert main([path, "--disable", "no-walclock"]) == 2
+        assert "unknown simlint rule 'no-walclock'" in capsys.readouterr().err
+
     def test_syntax_error_exits_two(self, tmp_path, capsys):
         path = write(tmp_path, "broken.py", "def f(:\n")
         assert main([path]) == 2
@@ -57,43 +63,16 @@ class TestExitCodes:
 class TestRuleSelection:
     def test_disable_skips_rule(self, tmp_path):
         path = write(tmp_path, "dirty.py", DIRTY)
-        assert main([path, "--no-baseline", "--disable", "no-wallclock"]) == 0
+        assert main([path, "--disable", "no-wallclock"]) == 0
 
     def test_select_runs_only_named_rules(self, tmp_path):
         path = write(tmp_path, "x.py", "assert True\n" + DIRTY)
-        assert main([path, "--no-baseline", "--select", "no-mutable-default"]) == 0
+        assert main([path, "--select", "no-mutable-default"]) == 0
 
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
         assert "no-wallclock" in out and "trace-catalogue" in out
-
-
-class TestBaselineFlow:
-    def test_update_then_pass_then_new_finding_fails(self, tmp_path, capsys):
-        path = write(tmp_path, "dirty.py", DIRTY)
-        baseline = str(tmp_path / "base.txt")
-        assert main([path, "--baseline", baseline, "--update-baseline"]) == 0
-        # Grandfathered finding no longer fails the lint...
-        assert main([path, "--baseline", baseline]) == 0
-        # ...but a new finding in the same file does.
-        write(tmp_path, "dirty.py", DIRTY + "assert True\n")
-        capsys.readouterr()
-        assert main([path, "--baseline", baseline]) == 1
-        out = capsys.readouterr().out
-        assert "no-bare-assert" in out and "no-wallclock" not in out
-
-    def test_show_baselined_marks_old_findings(self, tmp_path, capsys):
-        path = write(tmp_path, "dirty.py", DIRTY)
-        baseline = str(tmp_path / "base.txt")
-        main([path, "--baseline", baseline, "--update-baseline"])
-        capsys.readouterr()
-        assert main([path, "--baseline", baseline, "--show-baselined"]) == 0
-        assert "[baseline]" in capsys.readouterr().out
-
-    def test_missing_baseline_file_means_empty(self, tmp_path):
-        path = write(tmp_path, "dirty.py", DIRTY)
-        assert main([path, "--baseline", str(tmp_path / "absent.txt")]) == 1
 
 
 class TestModuleEntryPoint:
