@@ -11,8 +11,9 @@ Run:  python examples/trace_replay.py
 """
 
 from repro.analysis.report import Table
-from repro.block.trace import TraceRecorder, TraceReplayer
+from repro.block.trace import TraceReplayer
 from repro.core.qos import QoSParams
+from repro.obs import TraceBuffer
 from repro.testbed import Testbed
 from repro.block.bio import IOOp
 
@@ -22,7 +23,7 @@ KB = 1024
 
 def record_trace():
     testbed = Testbed(device="ssd_old", controller="none", seed=17)
-    recorder = TraceRecorder(testbed.layer).install()
+    buffer = TraceBuffer().attach(events=("bio_complete",))
     reader_group = testbed.add_cgroup("workload.slice/reader", weight=500)
     writer_group = testbed.add_cgroup("system.slice/bulk", weight=25)
     testbed.paced(reader_group, rate=3000, size=4 * KB, stop_at=DURATION)
@@ -32,7 +33,8 @@ def record_trace():
     )
     testbed.run(DURATION + 0.5)
     testbed.detach()
-    return recorder.records
+    buffer.detach()
+    return buffer.to_trace_records()
 
 
 def replay_under(records, controller_name):

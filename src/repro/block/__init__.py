@@ -5,7 +5,7 @@ from repro.block.device import DEFAULT_DEVNO, Device, DeviceSpec
 from repro.block.device_models import DEVICE_CATALOG, get_device_spec
 from repro.block.layer import BlockLayer
 from repro.block.registry import DeviceRegistry, DeviceRegistryError, devno_for_index
-from repro.block.trace import TraceRecord, TraceRecorder, TraceReplayer, load_trace
+from repro.block.trace import TraceRecord, TraceReplayer, load_trace
 
 __all__ = [
     "Bio",
@@ -21,7 +21,6 @@ __all__ = [
     "IOOp",
     "SECTOR_SIZE",
     "TraceRecord",
-    "TraceRecorder",
     "TraceReplayer",
     "devno_for_index",
     "get_device_spec",

@@ -14,7 +14,7 @@ import itertools
 from typing import TYPE_CHECKING, Callable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.cgroup import Cgroup
+    from repro.cgroup import Cgroup, IOStats
 
 SECTOR_SIZE = 512
 
@@ -82,6 +82,7 @@ class Bio:
         "nbytes",
         "sector",
         "cgroup",
+        "blkg",
         "flags",
         "prio",
         "submit_time",
@@ -94,6 +95,9 @@ class Bio:
         "status",
         "retries",
     )
+    #: The cgroup's record on the device submitted to (the kernel's
+    #: ``bi_blkg``): set by BlockLayer.submit, read by everything after it.
+    blkg: "IOStats"
 
     def __init__(
         self,

@@ -10,8 +10,10 @@ kernel block layer provides around them:
 * cgroup-relative sequentiality detection (the cost-model feature of §3.2);
 * per-device and per-cgroup completion-latency windows (QoS signals);
 * per-cgroup accounting, all of it on the cgroup's one record for this
-  device (``cgroup.stats.device(layer.dev)``, the kernel's ``blkg``): the
-  layer keeps no per-cgroup state of its own;
+  device (``cgroup.stats.device(layer.dev)``, the kernel's ``blkg``), which
+  ``submit`` looks up once and stores on the bio (``bio.blkg``) for the
+  completion path and the controller: the layer keeps no per-cgroup state
+  of its own;
 * the serialized issue-path CPU-cost model for Figure 9 (see
   :mod:`repro.controllers.base`);
 * the error/timeout path (docs/FAULTS.md): a dispatched bio that the device
@@ -135,7 +137,7 @@ class BlockLayer:
         bio.on_done = on_done
         # The record is per (cgroup, devno), not per spec name: two devices
         # of the same model must not share a sequentiality cursor.
-        record = bio.cgroup.stats.device(self.dev)
+        record = bio.blkg = bio.cgroup.stats.device(self.dev)
         bio.sequential = bio.sector == record.next_sector
         record.next_sector = bio.end_sector
         # Inlined IOStats.account(is_write, nbytes): the record is the
@@ -255,7 +257,7 @@ class BlockLayer:
         self.completed_ios += 1
         if self._prof.enabled:
             self._prof.bios_completed += 1
-        record = bio.cgroup.stats.device(self.dev)
+        record = bio.blkg
         if bio.status is BioStatus.OK:
             self.completed_bytes += bio.nbytes
             record.done_ios += 1
@@ -304,7 +306,7 @@ class BlockLayer:
     def _requeue(self, bio: Bio) -> None:
         bio.retries += 1
         self.requeued_ios += 1
-        bio.cgroup.stats.device(self.dev).requeues += 1
+        bio.blkg.requeues += 1
         backoff = self.retry_backoff * (2 ** (bio.retries - 1))
         if self._tp_requeue.enabled:
             self._tp_requeue.emit(

@@ -4,9 +4,10 @@ Production IO-control work is trace-driven: you capture what a workload
 did (blktrace-style) and replay it against candidate configurations.  This
 module provides both halves for the simulated stack:
 
-* :class:`TraceRecorder` — hooks a :class:`~repro.block.layer.BlockLayer`
-  and records every completed bio as a :class:`TraceRecord` (submit time,
-  cgroup, direction, size, sector, flags, latency).
+* :class:`TraceRecord` — one completed bio (submit time, cgroup, direction,
+  size, sector, flags, latency).  Capture them with the ``bio_complete``
+  tracepoint: ``TraceBuffer().attach(events=("bio_complete",))`` before the
+  run, :meth:`~repro.obs.trace.TraceBuffer.to_trace_records` after it.
 * :class:`TraceReplayer` — replays records open-loop with their original
   inter-arrival spacing (optionally time-scaled) into any layer, mapping
   cgroup paths through a provided tree.
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from typing import Callable, Dict, Iterable, List, Optional, TextIO
+from typing import Dict, Iterable, List, Optional, TextIO
 
 from repro.block.bio import Bio, BioFlags, IOOp
 from repro.block.layer import BlockLayer
@@ -47,53 +48,6 @@ class TraceRecord:
     @classmethod
     def from_json(cls, line: str) -> "TraceRecord":
         return cls(**json.loads(line))
-
-
-class TraceRecorder:
-    """Record every completion on a block layer.
-
-    Chains any previously-installed completion hook, so it can wrap a live
-    experiment without disturbing it.
-    """
-
-    def __init__(self, layer: BlockLayer) -> None:
-        self.layer = layer
-        self.records: List[TraceRecord] = []
-        self._installed = False
-        self._prev_hook: Optional[Callable[[Bio], None]] = None
-
-    def install(self) -> "TraceRecorder":
-        if self._installed:
-            return self
-        device = self.layer.device
-        self._prev_hook = device.on_complete
-
-        def hook(bio: Bio) -> None:
-            if self._prev_hook is not None:
-                self._prev_hook(bio)
-            self.records.append(
-                TraceRecord(
-                    submit_time=bio.submit_time,
-                    cgroup=bio.cgroup.path,
-                    op=bio.op.value,
-                    nbytes=bio.nbytes,
-                    sector=bio.sector,
-                    flags=bio.flags.value,
-                    latency=bio.latency,
-                    prio=bio.prio,
-                )
-            )
-
-        device.on_complete = hook
-        self._installed = True
-        return self
-
-    def save(self, stream: TextIO) -> int:
-        """Write records as JSON lines; returns the count."""
-        ordered = sorted(self.records, key=lambda record: record.submit_time)
-        for record in ordered:
-            stream.write(record.to_json() + "\n")
-        return len(ordered)
 
 
 def load_trace(stream: TextIO) -> List[TraceRecord]:

@@ -4,15 +4,16 @@ Mirrors the pieces of cgroup v2 that IO controllers consume: a rooted tree
 of named groups, a per-group ``weight`` in [1, 10000] (default 100)
 interpreted proportionally among siblings, and one :class:`IOStats` record
 per (cgroup, device) — the kernel's ``blkg`` — that is the only home of
-per-cgroup block accounting.  :meth:`CgroupTree.remove` folds a dying
-group's counters into its parent's records (rstat flush-on-release), so
-nothing that reads the records needs to watch removals.
+per-cgroup block state: the layer's accounting and, in ``pd``, the device
+controller's.  :meth:`CgroupTree.remove` folds a dying group's counters
+into its parent's records (rstat flush-on-release) and marks its records
+offline, so nothing that reads them needs to watch removals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterator, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterator, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.analysis.stats import LatencyWindow
@@ -46,10 +47,15 @@ class IOStats:
     with a terminal non-OK status and ``requeues`` block-layer retry
     requeues (docs/FAULTS.md); ``done_ios``/``done_bytes`` count successful
     completions (``BlockLayer.iops_of``).  All are filled in by the block
-    layer's completion path, which also owns the two non-counters:
+    layer's completion path, which also owns two of the non-counters:
     ``next_sector``, where a sequential successor of the cgroup's last bio
     on this device would start, and ``latency``, the cgroup's completion-
-    latency window (made by the layer on first use).
+    latency window (made by the layer on first use).  The device's
+    controller owns the rest: ``throttled`` counts the bios it held back,
+    ``pd`` (the kernel's ``blkg->pd``) is its per-group state, reached
+    through the bio (``bio.blkg.pd``), and ``online``, cleared by
+    :meth:`CgroupTree.remove`, tells it when to let that state go
+    (:meth:`~repro.controllers.base.IOController.retire_offline`).
     """
 
     rbytes: int = 0
@@ -63,8 +69,11 @@ class IOStats:
     requeues: int = 0
     done_ios: int = 0
     done_bytes: int = 0
+    throttled: int = 0
     next_sector: Optional[int] = None
     latency: Optional[LatencyWindow] = None
+    pd: Any = None
+    online: bool = True
 
     def account(self, is_write: bool, nbytes: int) -> None:
         if is_write:
@@ -75,7 +84,7 @@ class IOStats:
             self.rios += 1
 
     def fold(self, child: IOStats) -> None:
-        """Add a removed child's counters (its window and cursor die with it)."""
+        """Add a removed child's counters (everything else dies with it)."""
         self.rbytes += child.rbytes
         self.wbytes += child.wbytes
         self.rios += child.rios
@@ -87,6 +96,7 @@ class IOStats:
         self.requeues += child.requeues
         self.done_ios += child.done_ios
         self.done_bytes += child.done_bytes
+        self.throttled += child.throttled
 
     @property
     def wait_usec(self) -> float:
@@ -238,7 +248,8 @@ class CgroupTree:
 
         Its counters fold into the parent's records device by device, so
         history is neither lost nor smeared across devices (the kernel's
-        ``cgroup_rstat`` flush-on-release).
+        ``cgroup_rstat`` flush-on-release), and its records go offline for
+        the controllers to retire once the bios carrying them have drained.
         """
         node = self.lookup(path)
         if node.parent is None:  # is_root, spelled so the check narrows
@@ -247,6 +258,7 @@ class CgroupTree:
             raise CgroupError(f"cgroup {path!r} still has children")
         for dev, record in node.stats.devices():
             node.parent.stats.device(dev).fold(record)
+            record.online = False
         del node.parent.children[node.name]
         del self._index[path]
 

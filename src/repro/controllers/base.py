@@ -10,6 +10,10 @@ elevator model:
   free request slots allow; called after enqueues and completions.
 * :meth:`IOController.on_complete` — bookkeeping for a finished bio.
 
+A cgroup-aware controller keeps its per-group state on the record every bio
+carries (``bio.blkg.pd``), never in a map keyed by cgroup path; docs/API.md
+("The record is the blkg") has the three-line contract.
+
 ``issue_overhead`` models the serialized per-IO CPU cost of the mechanism's
 issue path — the quantity Figure 9 measures.  The block layer charges it on
 a single CPU-time resource before the device sees the request, so a
@@ -22,7 +26,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, ClassVar, Dict
+from typing import TYPE_CHECKING, Any, ClassVar, Dict, List
 
 from repro.obs.trace import TRACE
 
@@ -64,7 +68,8 @@ class IOController(abc.ABC):
         # Shared observability state: every mechanism counts held-back bios
         # the same way, so cross-controller comparisons read one counter.
         self.throttled_ios = 0
-        self.throttled_by_cgroup: Dict[str, int] = {}
+        #: Live per-group states in creation order (what policy loops walk).
+        self.groups: List[Any] = []
         self._tp_throttle = TRACE.points["bio_throttle"]
 
     def attach(self, layer: "BlockLayer") -> None:
@@ -79,8 +84,7 @@ class IOController(abc.ABC):
         a bio wait.
         """
         self.throttled_ios += 1
-        path = bio.cgroup.path
-        self.throttled_by_cgroup[path] = self.throttled_by_cgroup.get(path, 0) + 1
+        bio.blkg.throttled += 1
         if self._tp_throttle.enabled:
             # ``ctl`` is this controller's own name: in a stacked
             # configuration (controllers/stacked.py) the gate and the
@@ -91,7 +95,7 @@ class IOController(abc.ABC):
                 self.layer.sim.now,
                 dev=self.layer.dev,
                 id=bio.id,
-                cgroup=path,
+                cgroup=bio.cgroup.path,
                 op=bio.op.value,
                 nbytes=bio.nbytes,
                 reason=reason,
@@ -104,7 +108,38 @@ class IOController(abc.ABC):
         The base implementation contributes the shared throttle counter;
         IOCost overrides this to add its ``cost.*`` surface.
         """
-        return {"throttled": self.throttled_by_cgroup.get(cgroup.path, 0)}
+        # No record is made by reading; IOStat also asks unattached controllers.
+        record = cgroup.stats.per_device.get(getattr(self.layer, "dev", None))
+        return {"throttled": record.throttled if record is not None else 0}
+
+    # -- per-group state ---------------------------------------------------
+
+    def new_group(self, bio: "Bio") -> Any:
+        """A cgroup's first bio here (``bio.blkg.pd is None``): the state the
+        subclass's ``make_group(cgroup, blkg)`` builds goes on the record and
+        the list.  (IOCost makes its states, whole chains, through its tree.)"""
+        group = bio.blkg.pd = self.make_group(bio.cgroup, bio.blkg)
+        self.groups.append(group)
+        return group
+
+    def retire_offline(self) -> None:
+        """The retirement rule: a group whose record is offline (its cgroup
+        was removed) leaves the list once :meth:`drained`.  Newest first, so
+        a dead subtree goes in one pass; ``pd`` is cleared, so a straggler
+        bio of the dead cgroup makes a fresh group that retires the same way.
+        Call it where the policy already walks :attr:`groups`, never per bio.
+        """
+        for group in reversed(self.groups):
+            if not group.blkg.online and self.drained(group):
+                self.groups.remove(group)
+                group.blkg.pd = None
+                self.retired(group)
+
+    def drained(self, group: Any) -> bool:
+        return not group.waitq
+
+    def retired(self, group: Any) -> None:
+        """``group`` just left the list (default: nothing else holds it)."""
 
     @abc.abstractmethod
     def enqueue(self, bio: "Bio") -> None:

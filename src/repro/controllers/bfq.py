@@ -22,27 +22,28 @@ measures:
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Optional
 
 from repro.block.bio import Bio, SECTOR_SIZE
+from repro.cgroup import Cgroup, IOStats
 from repro.controllers.base import Features, IOController
 
 
 class _BfqQueue:
     __slots__ = (
-        "path",
+        "blkg",
         "weight",
-        "queue",
+        "waitq",
         "budget_left",
         "budget_granted",
         "next_budget",
         "slice_deadline",
     )
 
-    def __init__(self, path: str, weight: int):
-        self.path = path
+    def __init__(self, blkg: IOStats, weight: int):
+        self.blkg = blkg
         self.weight = weight
-        self.queue: Deque[Bio] = deque()
+        self.waitq: Deque[Bio] = deque()
         self.budget_left = 0
         self.budget_granted = 0
         self.next_budget = 0
@@ -84,8 +85,8 @@ class BFQController(IOController):
 
     def __init__(self) -> None:
         super().__init__()
-        self._queues: Dict[str, _BfqQueue] = {}
-        self._round: List[str] = []
+        # ``self.groups`` doubles as the service round: _next_queue rotates
+        # it, so it is in creation order only until the first slice.
         self._active: Optional[_BfqQueue] = None
         self._active_inflight = 0
         self._idle_timer = None
@@ -95,19 +96,15 @@ class BFQController(IOController):
             self._idle_timer.cancel()
             self._idle_timer = None
 
-    def _queue_for(self, bio: Bio) -> _BfqQueue:
-        path = bio.cgroup.path
-        queue = self._queues.get(path)
-        if queue is None:
-            queue = _BfqQueue(path, bio.cgroup.weight)
-            self._queues[path] = queue
-            self._round.append(path)
-        queue.weight = bio.cgroup.weight  # pick up weight changes
-        return queue
+    def make_group(self, cgroup: Cgroup, blkg: IOStats) -> _BfqQueue:
+        return _BfqQueue(blkg, cgroup.weight)
 
     def enqueue(self, bio: Bio) -> None:
-        queue = self._queue_for(bio)
-        queue.queue.append(bio)
+        queue = bio.blkg.pd
+        if queue is None:
+            queue = self.new_group(bio)
+        queue.weight = bio.cgroup.weight  # pick up weight changes
+        queue.waitq.append(bio)
         # The idled-for IO arrived: stop idling and resume the slice.
         if self._idle_timer is not None and self._active is queue:
             self._idle_timer.cancel()
@@ -138,13 +135,20 @@ class BFQController(IOController):
 
     def _next_queue(self) -> Optional[_BfqQueue]:
         """Round-robin to the next backlogged queue."""
-        for _ in range(len(self._round)):
-            path = self._round.pop(0)
-            self._round.append(path)
-            queue = self._queues[path]
-            if queue.queue:
-                return queue
-        return None
+        round_ = self.groups
+        found = None
+        offline = False
+        for _ in range(len(round_)):
+            queue = round_.pop(0)
+            round_.append(queue)
+            if queue.waitq:
+                found = queue
+                break
+            if not queue.blkg.online:
+                offline = True
+        if offline:  # no queue is in service here, so any may go
+            self.retire_offline()
+        return found
 
     def _expire_if_done(self) -> None:
         active = self._active
@@ -156,7 +160,7 @@ class BFQController(IOController):
         if out_of_grant and self._active_inflight == 0:
             self._retire_slice(active)
             self._active = None
-        elif not active.queue and self._active_inflight == 0:
+        elif not active.waitq and self._active_inflight == 0:
             # Queue drained with budget left: idle the device for a window
             # in case the queue's process issues another sync IO soon.
             if self._idle_timer is None:
@@ -184,13 +188,13 @@ class BFQController(IOController):
                 self._grant_slice(nxt)
             active = self._active
             if (
-                not active.queue
+                not active.waitq
                 or active.budget_left <= 0
                 or self.layer.sim.now >= active.slice_deadline
                 or self._active_inflight >= self.SLICE_DEPTH
             ):
                 return  # wait for completions (exclusive service)
-            bio = active.queue.popleft()
+            bio = active.waitq.popleft()
             sectors = max(1, bio.nbytes // SECTOR_SIZE)
             active.budget_left -= sectors
             self._active_inflight += 1
@@ -199,5 +203,5 @@ class BFQController(IOController):
     def on_complete(self, bio: Bio) -> None:
         # Slices only expire once their dispatches drain, so outstanding
         # completions always belong to the active queue.
-        if self._active is not None and bio.cgroup.path == self._active.path:
+        if self._active is not None and bio.blkg.pd is self._active:
             self._active_inflight -= 1

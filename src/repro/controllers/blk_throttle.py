@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Deque, Dict, Optional
 
 from repro.block.bio import Bio
+from repro.cgroup import Cgroup, IOStats
 from repro.controllers.base import Features, IOController
 
 
@@ -63,16 +64,22 @@ class _Bucket:
 
 
 class _GroupThrottle:
-    __slots__ = ("limits", "queue", "riops", "wiops", "rbps", "wbps", "wake")
+    __slots__ = ("path", "blkg", "limits", "waitq", "riops", "wiops", "rbps", "wbps", "wake")
 
-    def __init__(self, limits: ThrottleLimits):
+    def __init__(self, path: str, blkg: IOStats, limits: ThrottleLimits):
+        self.path = path
+        self.blkg = blkg
+        self.waitq: Deque[Bio] = deque()
+        self.wake = None
+        self.set_limits(limits)
+
+    def set_limits(self, limits: ThrottleLimits) -> None:
+        """(Re)build the buckets; the queue and an armed wake stay."""
         self.limits = limits
-        self.queue: Deque[Bio] = deque()
         self.riops = _Bucket(limits.riops) if limits.riops else None
         self.wiops = _Bucket(limits.wiops) if limits.wiops else None
         self.rbps = _Bucket(limits.rbps) if limits.rbps else None
         self.wbps = _Bucket(limits.wbps) if limits.wbps else None
-        self.wake = None
 
     def buckets_for(self, bio: Bio):
         if bio.is_write:
@@ -96,29 +103,33 @@ class BlkThrottleController(IOController):
     def __init__(self, limits: Optional[Dict[str, ThrottleLimits]] = None) -> None:
         super().__init__()
         self._config = dict(limits or {})
-        self._groups: Dict[str, _GroupThrottle] = {}
 
     def set_limits(self, path: str, limits: ThrottleLimits) -> None:
         """Configure (or replace) a cgroup's limits."""
         self._config[path] = limits
-        self._groups.pop(path, None)
+        for group in self.groups:
+            if group.path == path:
+                group.set_limits(limits)
 
-    def _group(self, path: str) -> _GroupThrottle:
-        group = self._groups.get(path)
-        if group is None:
-            group = _GroupThrottle(self._config.get(path, ThrottleLimits()))
-            self._groups[path] = group
-        return group
+    def make_group(self, cgroup: Cgroup, blkg: IOStats) -> _GroupThrottle:
+        path = cgroup.path
+        return _GroupThrottle(path, blkg, self._config.get(path, ThrottleLimits()))
 
     def enqueue(self, bio: Bio) -> None:
-        self._group(bio.cgroup.path).queue.append(bio)
+        group = bio.blkg.pd
+        if group is None:
+            group = self.new_group(bio)
+        group.waitq.append(bio)
 
     def pump(self) -> None:
         layer = self.layer
         now = layer.sim.now
-        for group in self._groups.values():
-            while group.queue and layer.can_dispatch():
-                bio = group.queue[0]
+        offline = False
+        for group in self.groups:
+            if not group.blkg.online:
+                offline = True
+            while group.waitq and layer.can_dispatch():
+                bio = group.waitq[0]
                 buckets = group.buckets_for(bio)
                 waits = [bucket.wait_time(now, amount) for bucket, amount in buckets]
                 if any(wait > 0 for wait in waits):
@@ -127,10 +138,12 @@ class BlkThrottleController(IOController):
                     break
                 for bucket, amount in buckets:
                     bucket.try_take(now, amount)
-                group.queue.popleft()
+                group.waitq.popleft()
                 layer.dispatch(bio)
             if not layer.can_dispatch():
-                return
+                break
+        if offline:
+            self.retire_offline()
 
     def _arm_wake(self, group: _GroupThrottle, delay: float) -> None:
         if group.wake is not None:
@@ -142,7 +155,7 @@ class BlkThrottleController(IOController):
         self.pump()
 
     def detach(self) -> None:
-        for group in self._groups.values():
+        for group in self.groups:
             if group.wake is not None:
                 group.wake.cancel()
                 group.wake = None

@@ -18,17 +18,20 @@ from collections import deque
 from typing import Deque, Dict, Optional
 
 from repro.block.bio import Bio
-from repro.cgroup import Cgroup
+from repro.cgroup import Cgroup, IOStats
 from repro.controllers.base import Features, IOController
 
 
 class _LatGroup:
-    __slots__ = ("cgroup", "target", "queue", "inflight", "depth")
+    __slots__ = ("cgroup", "blkg", "target", "waitq", "inflight", "depth")
 
-    def __init__(self, cgroup: Cgroup, target: Optional[float], max_depth: int):
+    def __init__(
+        self, cgroup: Cgroup, blkg: IOStats, target: Optional[float], max_depth: int
+    ):
         self.cgroup = cgroup
+        self.blkg = blkg
         self.target = target  # None = unprotected (lowest priority)
-        self.queue: Deque[Bio] = deque()
+        self.waitq: Deque[Bio] = deque()
         self.inflight = 0
         self.depth = max_depth
 
@@ -52,7 +55,6 @@ class IOLatencyController(IOController):
     def __init__(self, targets: Optional[Dict[str, float]] = None) -> None:
         super().__init__()
         self._targets = dict(targets or {})
-        self._groups: Dict[str, _LatGroup] = {}
         self._timer = None
         # Target of the currently-suffering protected group (None if all
         # targets are met).  New lower-priority groups inherit the
@@ -70,47 +72,47 @@ class IOLatencyController(IOController):
 
     def set_target(self, path: str, target: float) -> None:
         self._targets[path] = target
-        group = self._groups.get(path)
-        if group is not None:
-            group.target = target
+        for group in self.groups:
+            if group.cgroup.path == path:
+                group.target = target
 
-    def _group(self, bio: Bio) -> _LatGroup:
-        path = bio.cgroup.path
-        group = self._groups.get(path)
-        if group is None:
-            group = _LatGroup(
-                bio.cgroup, self._targets.get(path), self.layer.device.spec.nr_slots
-            )
-            if self._victim_target is not None and (
-                group.target is None or group.target > self._victim_target
-            ):
-                group.depth = self.MIN_DEPTH
-            self._groups[path] = group
+    def make_group(self, cgroup: Cgroup, blkg: IOStats) -> _LatGroup:
+        group = _LatGroup(
+            cgroup, blkg, self._targets.get(cgroup.path), self.layer.device.spec.nr_slots
+        )
+        if self._victim_target is not None and (
+            group.target is None or group.target > self._victim_target
+        ):
+            group.depth = self.MIN_DEPTH
         return group
 
+    def drained(self, group: _LatGroup) -> bool:
+        # on_complete still needs the group of a bio in flight.
+        return not group.waitq and not group.inflight
+
     def enqueue(self, bio: Bio) -> None:
-        group = self._group(bio)
+        group = bio.blkg.pd
+        if group is None:
+            group = self.new_group(bio)
         if group.inflight >= group.depth:
             self.note_throttle(bio, "depth")
-        group.queue.append(bio)
+        group.waitq.append(bio)
 
     def pump(self) -> None:
         layer = self.layer
         progressed = True
         while progressed and layer.can_dispatch():
             progressed = False
-            for group in self._groups.values():
-                if group.queue and group.inflight < group.depth:
+            for group in self.groups:
+                if group.waitq and group.inflight < group.depth:
                     group.inflight += 1
-                    layer.dispatch(group.queue.popleft())
+                    layer.dispatch(group.waitq.popleft())
                     progressed = True
                     if not layer.can_dispatch():
                         return
 
     def on_complete(self, bio: Bio) -> None:
-        group = self._groups.get(bio.cgroup.path)
-        if group is not None:
-            group.inflight -= 1
+        bio.blkg.pd.inflight -= 1
 
     # -- periodic depth scaling -------------------------------------------------
 
@@ -121,7 +123,7 @@ class IOLatencyController(IOController):
 
         # Is any protected group missing its target?
         victim_target = None
-        for group in self._groups.values():
+        for group in self.groups:
             if group.target is None:
                 continue
             observed = layer.cgroup_window(group.cgroup).percentile(now, 90)
@@ -130,7 +132,7 @@ class IOLatencyController(IOController):
                     victim_target = group.target
         self._victim_target = victim_target
 
-        for group in self._groups.values():
+        for group in self.groups:
             if victim_target is not None and (
                 group.target is None or group.target > victim_target
             ):
@@ -140,5 +142,6 @@ class IOLatencyController(IOController):
                 # Grow back gradually while nobody above is suffering.
                 group.depth = min(max_depth, group.depth + max(1, group.depth // 4))
 
+        self.retire_offline()
         self._timer = layer.sim.schedule(self.ADJUST_INTERVAL, self._adjust)
         self.pump()

@@ -9,7 +9,8 @@ kyber) orders the metered stream for the device.
 
 The gate runs against a shim that looks like a block layer but whose
 ``dispatch`` feeds the scheduler's queue instead of the device, so both
-components run unmodified.
+components run unmodified.  Both count throttles on the record the bio
+carries (``bio.blkg``); its one ``pd`` slot is the gate's.
 """
 
 from __future__ import annotations
@@ -56,6 +57,8 @@ class StackedController(IOController):
 
     def __init__(self, gate: IOController, scheduler: IOController):
         super().__init__()
+        if scheduler.features.cgroup_control != "no":  # would fight over blkg.pd
+            raise ValueError(f"{scheduler.name}: a stack's scheduler must not be cgroup-aware")
         self.gate = gate
         self.scheduler = scheduler
         # The stack has the gate's control properties; overhead compounds
@@ -96,7 +99,14 @@ class StackedController(IOController):
         self.gate.on_complete(bio)
         self.scheduler.on_complete(bio)
 
-    def userspace_delay(self, cgroup: Cgroup) -> float:
-        """Forward the §3.5 debt hook to the gate when it has one."""
-        hook = getattr(self.gate, "userspace_delay", None)
-        return hook(cgroup) if hook is not None else 0.0
+    def cost_stat(self, cgroup: Cgroup) -> dict:
+        """The gate's io.stat keys; ``throttled`` counts both components (it
+        is read off the record they share)."""
+        return self.gate.cost_stat(cgroup)
+
+    def __getattr__(self, name: str):
+        # What the stack does not define, its gate answers, if it can: stat,
+        # userspace_delay (the §3.5 hook), vrate...
+        if name == "gate":  # an instance __init__ never ran on (copy, pickle)
+            raise AttributeError(name)
+        return getattr(self.gate, name)

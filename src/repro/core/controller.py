@@ -92,6 +92,8 @@ class IOCost(IOController):
         self._initial_vrate = initial_vrate
 
         self.tree = WeightTree()
+        # One list: the tree adds states (whole chains), retirement removes.
+        self.groups = self.tree.groups
         self.clock: VTimeClock = None  # type: ignore[assignment]
         self.vrate_ctl: VRateController = None  # type: ignore[assignment]
         self.debt: DebtTracker = None  # type: ignore[assignment]
@@ -103,8 +105,7 @@ class IOCost(IOController):
         #: Groups whose waitq is non-empty (docs/PERF.md): ``pump()`` runs
         #: ~2× per bio, so it must not scan every group state.  Maintained
         #: at the two waitq touch points (enqueue append, _try_issue
-        #: popleft); visited in group-creation order, matching the old
-        #: full scan over the states dict.
+        #: popleft); visited in group-creation order.
         self._backlogged: Dict[GroupState, None] = {}
         self._plan_timer = None
         # Period counters.
@@ -132,6 +133,7 @@ class IOCost(IOController):
 
     def attach(self, layer: "BlockLayer") -> None:
         super().attach(layer)
+        self.tree.dev = layer.dev
         sim = layer.sim
         self.clock = VTimeClock(sim, self._initial_vrate)
         self.vrate_ctl = VRateController(self.clock, self.qos)
@@ -148,7 +150,7 @@ class IOCost(IOController):
         if self._plan_timer is not None:
             self._plan_timer.cancel()
             self._plan_timer = None
-        for state in self.tree.states():
+        for state in self.groups:
             if state.wake_event is not None:
                 state.wake_event.cancel()
                 state.wake_event = None
@@ -158,7 +160,7 @@ class IOCost(IOController):
     def set_weight(self, cgroup: Cgroup, weight: int) -> None:
         """Update a cgroup's weight with immediate effect."""
         cgroup.weight = weight
-        state = self.tree.lookup(cgroup.path)
+        state = self.tree.lookup(cgroup)
         if state is not None and not state.donating:
             state.weight_eff = float(weight)
         self.tree.bump()
@@ -169,7 +171,7 @@ class IOCost(IOController):
 
     def userspace_delay(self, cgroup: Cgroup) -> float:
         """§3.5 return-to-userspace debt throttle, called by the MM layer."""
-        state = self.tree.lookup(cgroup.path)
+        state = self.tree.lookup(cgroup)
         if state is None:
             return 0.0
         delay = self.debt.userspace_delay(state)
@@ -187,7 +189,9 @@ class IOCost(IOController):
     # -- issue path ------------------------------------------------------------
 
     def enqueue(self, bio: Bio) -> None:
-        group = self.tree.state_of(bio.cgroup)
+        group: Optional[GroupState] = bio.blkg.pd
+        if group is None:
+            group = self.tree.state_of(bio.cgroup)
         bio.abs_cost = self.model.cost(bio)
         if self._san.enabled:
             self._san.note_incurred(id(self), bio.abs_cost)
@@ -383,7 +387,7 @@ class IOCost(IOController):
         # the in-place reset; the io.stat surface reads the totals.
         now_v = self.clock.now()
         active_groups = 0
-        for state in self.tree.states():
+        for state in self.groups:
             if state.active:
                 active_groups += 1
             state.usage_total += state.abs_usage
@@ -412,16 +416,29 @@ class IOCost(IOController):
         bios count as pending."""
         san = self._san
         pending = 0.0
-        for state in self.tree.states():
+        for state in self.groups:
             for queued in state.waitq:
                 pending += queued.abs_cost
-            san.check_vtime(id(self), state.cgroup.path, state.local_vtime)
+            san.check_vtime(state.cgroup.path, state.audited_vtime, state.local_vtime)
+            state.audited_vtime = state.local_vtime
         san.check_conservation(id(self), pending, self.layer.dev)
 
     def _deactivate_idle(self) -> None:
-        for state in list(self.tree.states()):
+        offline = False
+        for state in self.groups:
             if state.active and state.period_ios == 0 and not state.waitq:
                 self.tree.deactivate(state)
+            if not state.blkg.online:
+                offline = True
+        if offline:
+            self.retire_offline()
+
+    def drained(self, group: GroupState) -> bool:
+        # A draining child's hweight still compounds through its dead parent.
+        return not group.waitq and not group.children
+
+    def retired(self, group: GroupState) -> None:
+        self.tree.drop(group)  # an armed wake just fires into a pump
 
     def _recompute_donations(self) -> None:
         self.tree.refresh_base_weights()
@@ -470,21 +487,19 @@ class IOCost(IOController):
         """
         stat = super().cost_stat(cgroup)
         stat["cost.vrate"] = self.clock.vrate if self.clock is not None else 1.0
-        state = self.tree.lookup(cgroup.path)
+        state = self.tree.lookup(cgroup)
         if state is None:
             stat.update({
                 "cost.usage": 0.0, "cost.ios": 0, "cost.wait": 0.0,
                 "cost.indebt": 0.0, "cost.indelay": 0.0,
             })
             return stat
-        # This device's wait only, and no empty record made by reading.
-        record = cgroup.stats.per_device.get(self.layer.dev)
         stat.update({
             # Include the running period's partial usage so the surface is
             # monotone between planning ticks.
             "cost.usage": state.usage_total + state.abs_usage,
             "cost.ios": state.ios_total + state.period_ios,
-            "cost.wait": record.wait_total if record is not None else 0.0,
+            "cost.wait": state.blkg.wait_total,  # this device's wait only
             "cost.indebt": state.indebt_total,
             "cost.indelay": state.indelay_total,
         })
@@ -498,7 +513,7 @@ class IOCost(IOController):
         headroom; negative = in debt), ``debt_walltime``, ``queued``
         (bios waiting on budget), ``donating``.
         """
-        state = self.tree.lookup(cgroup.path)
+        state = self.tree.lookup(cgroup)
         if state is None:
             return {
                 "active": False,

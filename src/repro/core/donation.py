@@ -115,10 +115,10 @@ def compute_donations(
         # this level gets its effective weight rewritten.
         s = sum(
             sibling.weight_eff
-            for sibling in parent.children.values()
+            for sibling in parent.children
             if sibling.active_refs > 0
         )
-        for child in parent.children.values():
+        for child in parent.children:
             if child not in d:
                 continue  # not on a donor path; weight unchanged
             h, keep = pre_h[child], d_prime[child]

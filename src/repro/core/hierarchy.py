@@ -11,14 +11,17 @@ A group is *active* while it issues IO; after a full planning period with no
 IO it is deactivated and drops out of sibling sums — idle groups implicitly
 donate their budget (§3.1.1).  Activity is reference-counted up the tree so
 internal nodes stay active while any descendant is.
+
+A group's state hangs off its cgroup's record for the tree's device
+(``cgroup.stats.device(tree.dev).pd``); the tree maps no paths to states.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Deque, Dict, Iterator, List, Optional
+from typing import TYPE_CHECKING, Deque, List, Optional
 
-from repro.cgroup import Cgroup
+from repro.cgroup import UNATTRIBUTED_DEV, Cgroup, IOStats
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.block.bio import Bio
@@ -28,13 +31,16 @@ if TYPE_CHECKING:  # pragma: no cover
 class GroupState:
     """IOCost's per-cgroup state (the kernel's ``ioc_gq`` analogue)."""
 
-    def __init__(self, cgroup: Cgroup, parent: Optional["GroupState"]) -> None:
+    def __init__(
+        self, cgroup: Cgroup, parent: Optional["GroupState"], blkg: IOStats
+    ) -> None:
         self.cgroup = cgroup
         self.parent = parent
+        self.blkg = blkg  # the record this state hangs off (its ``pd``)
         # Creation ordinal: the issue path visits backlogged groups in this
-        # order, matching the old full-scan order over the states dict.
+        # order, the order of the tree's list.
         self.seq = 0
-        self.children: Dict[str, GroupState] = {}
+        self.children: List[GroupState] = []
         # Effective weight: the configured weight, lowered while donating.
         self.weight_eff: float = float(cgroup.weight)
         self.donating = False
@@ -43,6 +49,7 @@ class GroupState:
         self.active = False
         # Issue-path state.
         self.local_vtime = 0.0
+        self.audited_vtime: Optional[float] = None  # sanitizer's last look
         self.waitq: Deque["Bio"] = deque()
         self.wake_event: Optional["Event"] = None
         # Planning-path accounting (reset each period).
@@ -66,7 +73,7 @@ class GroupState:
     @property
     def is_leaf_like(self) -> bool:
         """True when no active child exists (donation considers only these)."""
-        return not any(child.active_refs > 0 for child in self.children.values())
+        return not any(child.active_refs > 0 for child in self.children)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"GroupState({self.cgroup.path or '/'}, w_eff={self.weight_eff:.2f})"
@@ -75,44 +82,53 @@ class GroupState:
 class WeightTree:
     """The IOCost view of the cgroup hierarchy."""
 
-    def __init__(self) -> None:
+    def __init__(self, dev: str = UNATTRIBUTED_DEV) -> None:
+        #: Device id whose records carry this tree's states.
+        self.dev = dev
         self.generation = 0
-        self._states: Dict[str, GroupState] = {}
+        #: Live states in creation order (parents before their children).
+        self.groups: List[GroupState] = []
+        self._created = 0
         self.root: Optional[GroupState] = None
 
     # -- state management ---------------------------------------------------
 
     def state_of(self, cgroup: Cgroup) -> GroupState:
         """Get or create the state chain for ``cgroup`` up to the root."""
-        state = self._states.get(cgroup.path)
+        blkg = cgroup.stats.device(self.dev)
+        state: Optional[GroupState] = blkg.pd
         if state is not None:
             return state
         parent_state = None
         if cgroup.parent is not None:
             parent_state = self.state_of(cgroup.parent)
-        state = GroupState(cgroup, parent_state)
-        state.seq = len(self._states)
-        self._states[cgroup.path] = state
+        state = blkg.pd = GroupState(cgroup, parent_state, blkg)
+        state.seq = self._created
+        self._created += 1
+        self.groups.append(state)
         if parent_state is not None:
-            parent_state.children[cgroup.name] = state
+            parent_state.children.append(state)
         else:
             self.root = state
         self.bump()
         return state
 
-    def lookup(self, path: str) -> Optional[GroupState]:
-        return self._states.get(path)
-
-    def states(self) -> Iterator[GroupState]:
-        return iter(self._states.values())
+    def lookup(self, cgroup: Cgroup) -> Optional[GroupState]:
+        """``cgroup``'s state if it has one (nothing is created by asking)."""
+        blkg = cgroup.stats.per_device.get(self.dev)
+        return blkg.pd if blkg is not None else None
 
     def active_leaves(self) -> List[GroupState]:
         """Active groups with no active children (donation candidates)."""
         return [
-            state
-            for state in self._states.values()
-            if state.active and state.is_leaf_like
+            state for state in self.groups if state.active and state.is_leaf_like
         ]
+
+    def drop(self, state: GroupState) -> None:
+        """A retired state leaves the active set and its parent's children."""
+        self.deactivate(state)
+        if state.parent is not None:
+            state.parent.children.remove(state)
 
     # -- generation ----------------------------------------------------------
 
@@ -160,7 +176,7 @@ class WeightTree:
         else:
             siblings = sum(
                 child.weight_eff
-                for child in state.parent.children.values()
+                for child in state.parent.children
                 if child.active_refs > 0 or child is state
             )
             if siblings <= 0:
@@ -194,7 +210,7 @@ class WeightTree:
         The planning path calls this before recomputing donations, which
         also picks up any ``cgroup.weight`` changes made since last period.
         """
-        for state in self._states.values():
+        for state in self.groups:
             state.weight_eff = float(state.cgroup.weight)
             state.donating = False
         self.bump()

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 
 class SanitizeError(AssertionError):
@@ -84,8 +84,6 @@ class Sanitizer:
         # Cost-conservation ledger, keyed by controller identity.
         self._incurred: Dict[int, float] = {}
         self._charged: Dict[int, float] = {}
-        # Per-(controller, cgroup) last observed local vtime.
-        self._vtime: Dict[Tuple[int, str], float] = {}
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -103,7 +101,6 @@ class Sanitizer:
             self.checks[name] = 0
         self._incurred.clear()
         self._charged.clear()
-        self._vtime.clear()
         return self
 
     def __enter__(self) -> "Sanitizer":
@@ -221,19 +218,18 @@ class Sanitizer:
                 f"pending {pending!r}"
             )
 
-    def check_vtime(self, controller: int, cgroup: str, local_vtime: float) -> None:
+    def check_vtime(self, cgroup: str, last: Optional[float], local_vtime: float) -> None:
         """A group's local vtime never decreases: debt is repaid by global
-        vtime catching up, never by rolling the charge back."""
+        vtime catching up, never by rolling the charge back.  ``last`` is
+        what the previous audit saw (kept on the group state, so a cgroup
+        re-created at a dead one's path starts a new history)."""
         self.checks["vtime_monotonic"] += 1
-        key = (controller, cgroup)
-        last = self._vtime.get(key)
         if last is not None and local_vtime < last:
             raise SanitizeError(
                 f"cgroup {cgroup}: local vtime moved backwards "
                 f"({last!r} -> {local_vtime!r}); debt must never be "
                 "double-paid or rolled back"
             )
-        self._vtime[key] = local_vtime
 
     # -- spans ---------------------------------------------------------------
 

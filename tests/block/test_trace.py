@@ -8,9 +8,11 @@ import pytest
 from repro.block.bio import Bio, BioFlags, IOOp
 from repro.block.device import Device, DeviceSpec
 from repro.block.layer import BlockLayer
-from repro.block.trace import TraceRecord, TraceRecorder, TraceReplayer, load_trace
+from repro.block.trace import TraceRecord, TraceReplayer, load_trace
 from repro.cgroup import CgroupTree
 from repro.controllers.noop import NoopController
+from repro.faults import ErrorBurst, FaultPlan
+from repro.obs import TraceBuffer
 from repro.sim import Simulator
 from repro.workloads.synthetic import PacedWorkload
 
@@ -28,64 +30,58 @@ SPEC = DeviceSpec(
 )
 
 
-def make_env():
+def make_env(faults=None):
     sim = Simulator()
-    device = Device(sim, SPEC, np.random.default_rng(0))
+    device = Device(sim, SPEC, np.random.default_rng(0), faults=faults)
     layer = BlockLayer(sim, device, NoopController())
     tree = CgroupTree()
     return sim, layer, tree
 
 
+@pytest.fixture
+def recorded():
+    """Completions captured the supported way: the ``bio_complete``
+    tracepoint into a buffer, converted by ``to_trace_records()``."""
+    buffer = TraceBuffer().attach(events=("bio_complete",))
+    yield buffer
+    buffer.detach()
+
+
 class TestRecorder:
-    def test_records_completed_bios(self):
+    def test_records_completed_bios(self, recorded):
         sim, layer, tree = make_env()
-        recorder = TraceRecorder(layer).install()
         group = tree.create("workload.slice/app")
         PacedWorkload(sim, layer, group, rate=1000, stop_at=0.1).start()
         sim.run(until=0.2)
-        assert len(recorder.records) == pytest.approx(100, abs=5)
-        record = recorder.records[0]
+        records = recorded.to_trace_records()
+        assert len(records) == pytest.approx(100, abs=5)
+        record = records[0]
         assert record.cgroup == "workload.slice/app"
         assert record.op == "read"
         assert record.latency > 0
 
-    def test_chains_existing_hook(self):
+    def test_save_load_roundtrip(self, recorded):
         sim, layer, tree = make_env()
-        seen = []
-        original = layer.device.on_complete
-
-        def extra(bio):
-            original(bio)
-            seen.append(bio.id)
-
-        layer.device.on_complete = extra
-        recorder = TraceRecorder(layer).install()
-        group = tree.create("a")
-        layer.submit(Bio(IOOp.READ, 4096, 8, group))
-        sim.run(until=0.01)
-        assert seen and recorder.records
-
-    def test_install_idempotent(self):
-        sim, layer, tree = make_env()
-        recorder = TraceRecorder(layer).install().install()
-        group = tree.create("a")
-        layer.submit(Bio(IOOp.READ, 4096, 8, group))
-        sim.run(until=0.01)
-        assert len(recorder.records) == 1
-
-    def test_save_load_roundtrip(self):
-        sim, layer, tree = make_env()
-        recorder = TraceRecorder(layer).install()
         group = tree.create("a")
         layer.submit(Bio(IOOp.WRITE, 8192, 16, group, flags=BioFlags.SWAP))
         sim.run(until=0.01)
-        buffer = io.StringIO()
-        count = recorder.save(buffer)
-        assert count == 1
-        buffer.seek(0)
+        records = recorded.to_trace_records()
+        assert len(records) == 1
+        buffer = io.StringIO("".join(record.to_json() + "\n" for record in records))
         loaded = load_trace(buffer)
-        assert loaded == recorder.records
+        assert loaded == records
         assert loaded[0].flags == BioFlags.SWAP.value
+
+    def test_requeued_bio_is_recorded_once_it_completes(self, recorded):
+        # The recorder this replaced read ``bio.latency`` in a device hook
+        # and raised "bio has not completed" on a failed first attempt.
+        burst = FaultPlan([ErrorBurst(start=0.0, duration=1e-4)], seed=1)
+        sim, layer, tree = make_env(faults=burst)
+        bio = Bio(IOOp.READ, 4096, 8, tree.create("a"))
+        layer.submit(bio)
+        sim.run(until=0.1)
+        assert bio.ok and bio.retries == 1
+        assert [record.sector for record in recorded.to_trace_records()] == [8]
 
 
 class TestReplayer:
@@ -127,16 +123,16 @@ class TestReplayer:
         sim.run(until=0.01)
         assert replayer.submitted == 0
 
-    def test_record_then_replay_reproduces_mix(self):
+    def test_record_then_replay_reproduces_mix(self, recorded):
         # Record a run, replay it into a fresh stack, compare volume.
         sim, layer, tree = make_env()
-        recorder = TraceRecorder(layer).install()
         group = tree.create("workload.slice/app")
         PacedWorkload(sim, layer, group, rate=2000, stop_at=0.1, seed=3).start()
         sim.run(until=0.2)
+        records = recorded.to_trace_records()
 
         sim2, layer2, tree2 = make_env()
-        replayer = TraceReplayer(sim2, layer2, tree2, recorder.records).start()
+        replayer = TraceReplayer(sim2, layer2, tree2, records).start()
         sim2.run(until=0.3)
-        assert replayer.completed == len(recorder.records)
+        assert replayer.completed == len(records)
         assert layer2.completed_bytes == layer.completed_bytes

@@ -6,7 +6,7 @@ checkers on — the sanitizer build of the suite, which is how the CI
 sanitize job runs tier-1.
 
 While sanitizing, each test starts from fresh ledgers: the sanitizer
-keys its cost/vtime ledgers by ``id(controller)``, and CPython reuses
+keys its cost ledgers by ``id(controller)``, and CPython reuses
 ids of collected objects, so stale entries from a previous test could
 otherwise alias a new controller.
 """

@@ -153,6 +153,21 @@ class TestBlkThrottle:
         sim.run(until=0.55)
         assert layer.iops_of(group) / 0.5 == pytest.approx(1000, rel=0.15)
 
+    def test_set_limits_keeps_queued_bios_and_the_armed_wake(self):
+        # Replacing the limits of a group with bios queued used to drop the
+        # group — queue, buckets and wake timer with it — and strand them.
+        controller = BlkThrottleController({"a": ThrottleLimits(riops=1000)})
+        sim, layer, tree = build_layer(controller)
+        group = tree.create("a")
+        ClosedLoop(sim, layer, group, depth=32, stop_at=1.0).start()
+        sim.run(until=0.1)
+        assert layer.submitted_ios - layer.completed_ios > layer.inflight  # queued
+        controller.set_limits("a", ThrottleLimits(riops=2000))
+        before = layer.iops_of(group)
+        sim.run(until=1.1)
+        assert layer.completed_ios == layer.submitted_ios
+        assert (layer.iops_of(group) - before) / 0.9 == pytest.approx(2000, rel=0.05)
+
 
 class TestBFQ:
     def test_sector_proportional_sequential(self):
@@ -229,7 +244,7 @@ class TestIOLatency:
         ln = ClosedLoop(sim, layer, noisy, depth=32, stop_at=3.0, seed=2).start()
         sim.run(until=3.0)
         # The noisy group's depth must have been scaled down.
-        assert controller._groups["noisy"].depth < 32
+        assert noisy.stats.device(layer.dev).pd.depth < 32
         # And the protected group gets decent service despite depth-32 noise.
         assert lp.completed > 0.25 * ln.completed
 
@@ -254,7 +269,7 @@ class TestIOLatency:
         ClosedLoop(sim, layer, prot, depth=8, stop_at=0.2, seed=1).start()
         ClosedLoop(sim, layer, noisy, depth=8, stop_at=0.2, seed=2).start()
         sim.run(until=1.0)  # long quiet tail
-        assert controller._groups["noisy"].depth == layer.device.spec.nr_slots
+        assert noisy.stats.device(layer.dev).pd.depth == layer.device.spec.nr_slots
 
 
 class TestBlkThrottleLargeBios:

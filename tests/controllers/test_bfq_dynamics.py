@@ -32,7 +32,7 @@ class TestAdaptiveBudgets:
         ClosedLoop(sim, layer, b, depth=16, stop_at=2.0, seed=2).start()
         sim.run(until=2.0)
         initial = 100 * BFQController.SECTORS_PER_WEIGHT
-        ramped = [q.next_budget for q in controller._queues.values()]
+        ramped = [q.next_budget for q in controller.groups]
         assert any(budget > initial for budget in ramped)
 
     def test_budget_capped_at_max(self):
@@ -42,7 +42,7 @@ class TestAdaptiveBudgets:
         ClosedLoop(sim, layer, a, depth=32, stop_at=3.0, seed=1).start()
         sim.run(until=3.0)
         cap = 100 * BFQController.MAX_SECTORS_PER_WEIGHT
-        assert controller._queues["a"].next_budget <= cap
+        assert a.stats.device(layer.dev).pd.next_budget <= cap
 
     def test_slow_queue_budget_stays_small(self):
         controller = BFQController()
@@ -54,8 +54,8 @@ class TestAdaptiveBudgets:
         ClosedLoop(sim, layer, fast, depth=32, stop_at=2.0, seed=2).start()
         sim.run(until=2.0)
         assert (
-            controller._queues["slow"].next_budget
-            < controller._queues["fast"].next_budget
+            slow.stats.device(layer.dev).pd.next_budget
+            < fast.stats.device(layer.dev).pd.next_budget
         )
 
 
@@ -67,8 +67,8 @@ class TestTimeQuantum:
         light = tree.create("light", weight=100)
         layer.submit(Bio(IOOp.READ, 4096, 1, heavy))
         layer.submit(Bio(IOOp.READ, 4096, 2, light))
-        heavy_q = controller._queues["heavy"]
-        light_q = controller._queues["light"]
+        heavy_q = heavy.stats.device(layer.dev).pd
+        light_q = light.stats.device(layer.dev).pd
         controller._grant_slice(heavy_q)
         heavy_deadline = heavy_q.slice_deadline - sim.now
         controller._grant_slice(light_q)

@@ -7,11 +7,13 @@ from repro.block.bio import Bio, BioFlags, IOOp
 from repro.block.device import Device, DeviceSpec
 from repro.block.layer import BlockLayer
 from repro.cgroup import CgroupTree
+from repro.controllers.bfq import BFQController
 from repro.controllers.mq_deadline import MQDeadlineController
 from repro.controllers.stacked import StackedController
 from repro.core.controller import IOCost
 from repro.core.cost_model import LinearCostModel, ModelParams
 from repro.core.qos import QoSParams
+from repro.obs.iostat import IOStat
 from repro.sim import Simulator
 from repro.workloads.synthetic import ClosedLoopWorkload
 
@@ -55,6 +57,12 @@ def test_features_combine():
     assert stacked.features.memory_management_aware == "yes"
     assert stacked.features.low_overhead == "yes"
     assert stacked.issue_overhead > gate.issue_overhead
+
+
+def test_cgroup_aware_scheduler_rejected():
+    # The record has one ``pd`` slot and it is the gate's.
+    with pytest.raises(ValueError, match="cgroup-aware"):
+        StackedController(MQDeadlineController(), BFQController())
 
 
 def test_stack_preserves_proportionality():
@@ -106,3 +114,22 @@ def test_detach_tears_down_both():
     ticks = len(controller.gate.vrate_ctl.vrate_series)
     sim.run(until=0.5)
     assert len(controller.gate.vrate_ctl.vrate_series) == ticks
+
+
+def test_io_stat_sees_through_the_stack():
+    # The stack used to answer io.stat from its own, never-written base
+    # counters: throttled 0 and no cost.* key while the gate was throttling.
+    sim, layer, controller, tree = make_stacked()
+    high = tree.create("high", weight=200)
+    low = tree.create("low", weight=100)
+    ClosedLoopWorkload(sim, layer, high, depth=64, stop_at=0.2, seed=1).start()
+    ClosedLoopWorkload(sim, layer, low, depth=64, stop_at=0.2, seed=2).start()
+    sim.run(until=0.2)
+    controller.detach()
+    assert controller.gate.throttled_ios > 0
+    snap = IOStat(tree, controller=controller).snapshot()
+    throttled = snap["high"]["throttled"] + snap["low"]["throttled"]
+    assert throttled == controller.gate.throttled_ios + controller.scheduler.throttled_ios
+    assert snap["low"]["cost.usage"] > 0 and snap["low"]["cost.vrate"] == 1.0
+    assert IOStat(tree, controller=controller).device_of("low")[layer.dev]["cost.ios"] > 0
+    assert controller.stat(low) == controller.gate.stat(low)

@@ -181,7 +181,7 @@ class TestWorkConservation:
         # After b idles out (one full period), a should be back at peak.
         Saturator(sim, layer, a, stop_at=1.6, seed=3).start()
         sim.run(until=1.6)
-        state_b = controller.tree.lookup("b")
+        state_b = controller.tree.lookup(b)
         assert not state_b.active
         a_rate = (layer.iops_of(a) - snap) / 0.5
         assert a_rate == pytest.approx(PEAK_IOPS, rel=0.1)
@@ -227,7 +227,7 @@ class TestUrgentAndDebt:
         # 200 swap-out pages: owner accumulates debt.
         for index in range(200):
             layer.submit(Bio(IOOp.WRITE, 4096, index * 8, group, flags=BioFlags.SWAP))
-        state = controller.tree.lookup("leaker")
+        state = controller.tree.lookup(group)
         assert controller.debt.debt_vtime(state) > 0
         # A normal read from the leaker now waits behind the debt.
         normal_done = []
@@ -243,7 +243,7 @@ class TestUrgentAndDebt:
         group = tree.create("leaker")
         for index in range(200):
             layer.submit(Bio(IOOp.WRITE, 4096, index * 8, group, flags=BioFlags.SWAP))
-        state = controller.tree.lookup("leaker")
+        state = controller.tree.lookup(group)
         assert controller.debt.debt_vtime(state) == 0.0
 
     def test_origin_throttle_mode_queues_swap_io(self):
@@ -364,7 +364,7 @@ class TestDonorWedgeRegression:
         for at in (0.4, 1.2, 2.0):
             sim.schedule(at, burst)
         sim.run(until=3.0)
-        state = controller.tree.lookup("quiet")
+        state = controller.tree.lookup(quiet)
         # Budget deficit is bounded (no runaway vtime), and the bursts
         # actually completed.
         deficit = state.local_vtime - controller.clock.now()

@@ -114,7 +114,7 @@ def test_inactive_group_keeps_no_stale_wake_timer():
         layer.submit(Bio(IOOp.READ, 4096, index * 8, group))
     sim.run(until=2.0)
     controller.detach()
-    state = controller.tree.lookup("g")
+    state = controller.tree.lookup(group)
     assert not state.waitq
     assert layer.completed_ios == 30
 

@@ -63,7 +63,7 @@ class TestAccountingInvariants:
             ).start()
         sim.run(until=0.5)
         controller.detach()
-        queued = sum(len(s.waitq) for s in controller.tree.states())
+        queued = sum(len(s.waitq) for s in controller.tree.groups)
         assert layer.submitted_ios == layer.completed_ios + layer.inflight + queued
         assert layer.inflight == 0  # everything drained after stop
 

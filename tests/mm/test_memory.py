@@ -267,7 +267,7 @@ class TestDebtIntegration:
                 yield from mm.alloc(app, 1 * MB)
 
         run_op(sim, app_alloc_loop())
-        state = controller.tree.lookup("leaker")
+        state = controller.tree.lookup(leaker)
         assert controller.debt.debt_walltime(state) > 0
 
         # A return-to-userspace boundary with no IO of its own (touching
@@ -295,7 +295,7 @@ class TestDebtIntegration:
 
         run_op(sim, leak_loop())
         assert controller.debt_charged > 0
-        state = controller.tree.lookup("leaker")
+        state = controller.tree.lookup(leaker)
         assert controller.debt.debt_walltime(state) < 0.01
 
     def test_root_mode_never_blocks_leaker(self):

@@ -215,20 +215,25 @@ class TestCostConservation:
 class TestVtimeMonotonic:
     def test_decreasing_vtime_raises(self):
         san = Sanitizer().enable()
-        san.check_vtime(1, "/ws", 10.0)
+        san.check_vtime("/ws", None, 10.0)
         with pytest.raises(SanitizeError, match="moved backwards"):
-            san.check_vtime(1, "/ws", 9.0)
+            san.check_vtime("/ws", 10.0, 9.0)
 
     def test_monotone_vtime_passes(self):
         san = Sanitizer().enable()
-        san.check_vtime(1, "/ws", 10.0)
-        san.check_vtime(1, "/ws", 10.0)
-        san.check_vtime(1, "/ws", 11.0)
+        san.check_vtime("/ws", None, 10.0)
+        san.check_vtime("/ws", 10.0, 10.0)
+        san.check_vtime("/ws", 10.0, 11.0)
 
     def test_groups_are_tracked_independently(self):
-        san = Sanitizer().enable()
-        san.check_vtime(1, "/a", 10.0)
-        san.check_vtime(1, "/b", 5.0)
+        # The last audited vtime lives on each group's own state.
+        SANITIZE.enable()
+        bed = Testbed(seed=7)
+        for path in ("/a", "/b"):
+            bed.paced(bed.add_cgroup(path), rate=2000)
+        bed.run(0.2)
+        seen = [state.audited_vtime for state in bed.controller.tree.groups]
+        assert len(set(seen)) > 1 and None not in seen
 
 
 class TestSpanLeak:
