@@ -12,7 +12,7 @@ elevator model:
 
 A cgroup-aware controller keeps its per-group state on the record every bio
 carries (``bio.blkg.pd``), never in a map keyed by cgroup path; docs/API.md
-("The record is the blkg") has the three-line contract.
+("The record is the blkg") has the four-line contract.
 
 ``issue_overhead`` models the serialized per-IO CPU cost of the mechanism's
 issue path — the quantity Figure 9 measures.  The block layer charges it on
@@ -65,9 +65,6 @@ class IOController(abc.ABC):
 
     def __init__(self) -> None:
         self.layer: "BlockLayer" = None  # type: ignore[assignment]
-        # Shared observability state: every mechanism counts held-back bios
-        # the same way, so cross-controller comparisons read one counter.
-        self.throttled_ios = 0
         #: Live per-group states in creation order (what policy loops walk).
         self.groups: List[Any] = []
         self._tp_throttle = TRACE.points["bio_throttle"]
@@ -79,11 +76,10 @@ class IOController(abc.ABC):
     def note_throttle(self, bio: "Bio", reason: str) -> None:
         """Record that ``bio`` was held back (budget, tokens, depth, ...).
 
-        Bumps the shared throttle counters and emits the ``bio_throttle``
-        tracepoint.  Subclasses call this wherever their policy first makes
-        a bio wait.
+        Bumps the record's ``throttled`` (the one counter, io.stat's key) and
+        emits the ``bio_throttle`` tracepoint.  Call it once per bio, where
+        the policy first makes it wait (:meth:`hold` does so for a timed wait).
         """
-        self.throttled_ios += 1
         bio.blkg.throttled += 1
         if self._tp_throttle.enabled:
             # ``ctl`` is this controller's own name: in a stacked
@@ -101,6 +97,30 @@ class IOController(abc.ABC):
                 reason=reason,
                 ctl=self.name,
             )
+
+    def hold(self, group: Any, bio: "Bio", reason: str, delay: float) -> None:
+        """``bio`` waits at the head of ``group``'s queue for ``delay`` more
+        seconds: noted the first time this controller holds it, and the
+        group's one wake timer (re-)armed to pump again then.  A group that
+        is held carries ``held`` and ``wake`` (both ``None`` when made).
+        """
+        if group.held is not bio:
+            group.held = bio
+            self.note_throttle(bio, reason)
+        if group.wake is not None:
+            group.wake.cancel()
+        group.wake = self.layer.sim.schedule(delay, self._wake, group)
+
+    def _wake(self, group: Any) -> None:
+        group.wake = None
+        self.pump()
+
+    def detach(self) -> None:
+        """Tear down timers etc.  Called when an experiment ends."""
+        for group in self.groups:
+            if group.wake is not None:
+                group.wake.cancel()
+                group.wake = None
 
     def cost_stat(self, cgroup: "Cgroup") -> Dict[str, float]:
         """Controller-specific io.stat keys for one cgroup.
@@ -151,6 +171,3 @@ class IOController(abc.ABC):
 
     def on_complete(self, bio: "Bio") -> None:
         """A dispatched bio completed (default: nothing to do)."""
-
-    def detach(self) -> None:
-        """Tear down timers etc.  Called when an experiment ends."""

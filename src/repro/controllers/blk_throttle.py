@@ -64,13 +64,15 @@ class _Bucket:
 
 
 class _GroupThrottle:
-    __slots__ = ("path", "blkg", "limits", "waitq", "riops", "wiops", "rbps", "wbps", "wake")
+    __slots__ = (
+        "path", "blkg", "limits", "waitq", "riops", "wiops", "rbps", "wbps", "held", "wake"
+    )
 
     def __init__(self, path: str, blkg: IOStats, limits: ThrottleLimits):
         self.path = path
         self.blkg = blkg
         self.waitq: Deque[Bio] = deque()
-        self.wake = None
+        self.held = self.wake = None  # IOController.hold
         self.set_limits(limits)
 
     def set_limits(self, limits: ThrottleLimits) -> None:
@@ -133,8 +135,7 @@ class BlkThrottleController(IOController):
                 buckets = group.buckets_for(bio)
                 waits = [bucket.wait_time(now, amount) for bucket, amount in buckets]
                 if any(wait > 0 for wait in waits):
-                    self.note_throttle(bio, "tokens")
-                    self._arm_wake(group, max(waits))
+                    self.hold(group, bio, "tokens", max(waits) + 1e-9)
                     break
                 for bucket, amount in buckets:
                     bucket.try_take(now, amount)
@@ -144,18 +145,3 @@ class BlkThrottleController(IOController):
                 break
         if offline:
             self.retire_offline()
-
-    def _arm_wake(self, group: _GroupThrottle, delay: float) -> None:
-        if group.wake is not None:
-            group.wake.cancel()
-        group.wake = self.layer.sim.schedule(delay + 1e-9, self._wake, group)
-
-    def _wake(self, group: _GroupThrottle) -> None:
-        group.wake = None
-        self.pump()
-
-    def detach(self) -> None:
-        for group in self.groups:
-            if group.wake is not None:
-                group.wake.cancel()
-                group.wake = None

@@ -18,7 +18,7 @@ Swap/journal bios follow the §3.5 debt protocol, selectable via
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Deque, Dict, Optional
+from typing import TYPE_CHECKING, Deque, Optional
 
 from repro.analysis.stats import LatencyWindow
 from repro.block.bio import Bio, BioFlags
@@ -52,11 +52,6 @@ DONATION_HEADROOM = 1.2
 DONATION_MIN_KEEP = 0.02
 
 _INF = float("inf")
-
-
-def _group_seq(state: GroupState) -> int:
-    """Sort key: visit backlogged groups in creation order (see pump)."""
-    return state.seq
 
 
 class IOCost(IOController):
@@ -102,11 +97,10 @@ class IOCost(IOController):
         self.budget_cap = qos.period
 
         self._urgent: Deque[Bio] = deque()
-        #: Groups whose waitq is non-empty (docs/PERF.md): ``pump()`` runs
-        #: ~2× per bio, so it must not scan every group state.  Maintained
-        #: at the two waitq touch points (enqueue append, _try_issue
-        #: popleft); visited in group-creation order.
-        self._backlogged: Dict[GroupState, None] = {}
+        #: Bios in budget waitqs (docs/PERF.md): ``pump()`` runs ~2× per bio
+        #: and usually finds none.  Moved at the two waitq touch points
+        #: (enqueue append, _try_issue popleft).
+        self._queued = 0
         self._plan_timer = None
         # Period counters.
         self._budget_blocked_events = 0
@@ -150,10 +144,7 @@ class IOCost(IOController):
         if self._plan_timer is not None:
             self._plan_timer.cancel()
             self._plan_timer = None
-        for state in self.groups:
-            if state.wake_event is not None:
-                state.wake_event.cancel()
-                state.wake_event = None
+        super().detach()
 
     # -- configuration ------------------------------------------------------------
 
@@ -237,8 +228,7 @@ class IOCost(IOController):
             self._urgent.append(bio)
             return
 
-        if not group.waitq:
-            self._backlogged[group] = None
+        self._queued += 1
         group.waitq.append(bio)
 
     def pump(self) -> None:
@@ -250,18 +240,10 @@ class IOCost(IOController):
             while self._urgent and layer.can_dispatch():
                 layer.dispatch(self._urgent.popleft())
         # Ordered cheapest-check-first: the completion-side pump usually
-        # finds nothing backlogged and must cost two truth tests.
-        backlogged = self._backlogged
-        if not backlogged:
+        # finds nothing queued and must cost two truth tests.
+        if not self._queued or not layer.can_dispatch():
             return
-        if not layer.can_dispatch():
-            return
-        if len(backlogged) == 1:
-            # The common case: one group waiting on budget.  _try_issue
-            # drops it from the map itself when the waitq drains.
-            self._try_issue(next(iter(backlogged)))
-            return
-        for state in sorted(backlogged, key=_group_seq):
+        for state in self.groups:  # creation order
             if state.waitq:
                 self._try_issue(state)
                 if not layer.can_dispatch():
@@ -281,8 +263,7 @@ class IOCost(IOController):
         while waitq and layer.can_dispatch():
             bio = waitq[0]
             # Cached reciprocal: the per-bio charge is a multiply, not a
-            # division (hierarchy.hweight_inv, same generation keying as
-            # the hweight cache itself).
+            # division (hierarchy.hweight_inv).
             inv_hweight = tree.hweight_inv(group)
             if inv_hweight == _INF:
                 break
@@ -312,6 +293,7 @@ class IOCost(IOController):
                 if self._san.enabled:
                     self._san.note_charged(id(self), bio.abs_cost)
                 waitq.popleft()
+                self._queued -= 1
                 layer.dispatch(bio)
             else:
                 if group.donating:
@@ -321,21 +303,8 @@ class IOCost(IOController):
                     self.rescinds += 1
                     continue
                 self._budget_blocked_events += 1
-                self.note_throttle(bio, "budget")
-                self._arm_wake(group, need - budget)
+                self.hold(group, bio, "budget", self.clock.wall_delay_for(need - budget))
                 break
-        if not waitq:
-            self._backlogged.pop(group, None)
-
-    def _arm_wake(self, group: GroupState, vtime_gap: float) -> None:
-        if group.wake_event is not None:
-            group.wake_event.cancel()
-        delay = self.clock.wall_delay_for(vtime_gap)
-        group.wake_event = self.layer.sim.schedule(delay, self._wake, group)
-
-    def _wake(self, group: GroupState) -> None:
-        group.wake_event = None
-        self.pump()
 
     def on_complete(self, bio: Bio) -> None:
         # Failed bios (device errors, timeouts — see docs/FAULTS.md) flow
@@ -475,7 +444,7 @@ class IOCost(IOController):
         """Kernel iocost io.stat keys for one cgroup.
 
         Surfaces the lifetime statistics the planning path accumulates
-        before its per-period reset (they used to dead-end there):
+        before its per-period reset:
 
         * ``cost.vrate`` — current global vrate (same for every cgroup);
         * ``cost.usage`` — lifetime absolute cost issued (device seconds);

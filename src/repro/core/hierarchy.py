@@ -37,9 +37,6 @@ class GroupState:
         self.cgroup = cgroup
         self.parent = parent
         self.blkg = blkg  # the record this state hangs off (its ``pd``)
-        # Creation ordinal: the issue path visits backlogged groups in this
-        # order, the order of the tree's list.
-        self.seq = 0
         self.children: List[GroupState] = []
         # Effective weight: the configured weight, lowered while donating.
         self.weight_eff: float = float(cgroup.weight)
@@ -51,7 +48,9 @@ class GroupState:
         self.local_vtime = 0.0
         self.audited_vtime: Optional[float] = None  # sanitizer's last look
         self.waitq: Deque["Bio"] = deque()
-        self.wake_event: Optional["Event"] = None
+        # IOController.hold: the head bio last noted, the one wake timer.
+        self.held: Optional["Bio"] = None
+        self.wake: Optional["Event"] = None
         # Planning-path accounting (reset each period).
         self.abs_usage = 0.0
         self.period_ios = 0
@@ -62,12 +61,10 @@ class GroupState:
         self.ios_total = 0
         self.indebt_total = 0.0   # wall seconds observed in debt
         self.indelay_total = 0.0  # wall seconds of userspace-boundary delay
-        # Debt in relative-vtime seconds beyond global vtime (see debt.py).
-        # Hweight cache (and its cached reciprocal — the issue path charges
-        # ``abs_cost / hweight`` per bio, so the division is hoisted here).
+        # Hweight cache and its reciprocal, under one generation key (the
+        # issue path charges ``abs_cost / hweight`` per bio: a multiply).
         self._hw_gen = -1
         self._hw_value = 0.0
-        self._hw_inv_gen = -1
         self._hw_inv = 0.0
 
     @property
@@ -88,7 +85,6 @@ class WeightTree:
         self.generation = 0
         #: Live states in creation order (parents before their children).
         self.groups: List[GroupState] = []
-        self._created = 0
         self.root: Optional[GroupState] = None
 
     # -- state management ---------------------------------------------------
@@ -103,8 +99,6 @@ class WeightTree:
         if cgroup.parent is not None:
             parent_state = self.state_of(cgroup.parent)
         state = blkg.pd = GroupState(cgroup, parent_state, blkg)
-        state.seq = self._created
-        self._created += 1
         self.groups.append(state)
         if parent_state is not None:
             parent_state.children.append(state)
@@ -185,22 +179,15 @@ class WeightTree:
                 value = self.hweight(state.parent) * state.weight_eff / siblings
         state._hw_gen = self.generation
         state._hw_value = value
+        state._hw_inv = 1.0 / value if value > 0 else float("inf")
         return value
 
     def hweight_inv(self, state: GroupState) -> float:
-        """Cached ``1.0 / hweight(state)`` (``inf`` for a zero hweight).
-
-        The per-bio charge is ``abs_cost / hweight``; caching the
-        reciprocal alongside the hweight turns that into a multiply on the
-        issue fast path.  Same generation keying as :meth:`hweight`.
-        """
-        if state._hw_inv_gen == self.generation:
-            return state._hw_inv
-        hweight = self.hweight(state)
-        inv = 1.0 / hweight if hweight > 0 else float("inf")
-        state._hw_inv_gen = self.generation
-        state._hw_inv = inv
-        return inv
+        """``1.0 / hweight(state)`` (``inf`` for a zero hweight), stored by
+        :meth:`hweight` under the same generation key."""
+        if state._hw_gen != self.generation:
+            self.hweight(state)
+        return state._hw_inv
 
     # -- weight updates ------------------------------------------------------------
 

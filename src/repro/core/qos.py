@@ -75,21 +75,6 @@ class VRateController:
         # It feeds no control decision here.
         self.busy_level = 0
 
-    # -- signal extraction ---------------------------------------------------
-
-    def _latency_violation(
-        self, now: float, window: LatencyWindow, target: Optional[float], pct: float
-    ) -> Optional[float]:
-        """Return observed/target ratio if violating, else None."""
-        if target is None:
-            return None
-        observed = window.percentile(now, pct)
-        if observed is None:
-            return None
-        if observed > target:
-            return observed / target
-        return None
-
     # -- adjustment ---------------------------------------------------------
 
     def adjust(
@@ -102,16 +87,22 @@ class VRateController:
     ) -> float:
         """One planning-period adjustment; returns the new vrate."""
         qos = self.qos
-        read_excess = self._latency_violation(
-            now, read_window, qos.read_lat_target, qos.read_pct
-        )
-        write_excess = self._latency_violation(
-            now, write_window, qos.write_lat_target, qos.write_pct
-        )
+        # Each window is sorted once per period; the read percentile also
+        # feeds ``read_lat_series`` below.
+        read_p = read_window.percentile(now, qos.read_pct)
+        write_p = None
+        if qos.write_lat_target is not None:
+            write_p = write_window.percentile(now, qos.write_pct)
+        # Worst observed/target ratio among the percentiles over target.
+        excess = 0.0
+        for observed, target in (
+            (read_p, qos.read_lat_target), (write_p, qos.write_lat_target)
+        ):
+            if observed is not None and target is not None and observed > target:
+                excess = max(excess, observed / target)
         depleted = slot_utilization >= qos.slot_depletion_threshold
 
         vrate = self.clock.vrate
-        excess = max(read_excess or 0.0, write_excess or 0.0)
         if excess > 0 or depleted:
             self.saturation_events += 1
             self.busy_level = min(self.busy_level + 1, self.BUSY_LEVEL_LIMIT)
@@ -135,7 +126,6 @@ class VRateController:
             self.clock.set_vrate(vrate)
 
         self.vrate_series.record(now, vrate)
-        read_p = read_window.percentile(now, qos.read_pct)
         if read_p is not None:
             self.read_lat_series.record(now, read_p)
         return vrate

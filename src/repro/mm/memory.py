@@ -122,8 +122,10 @@ class MemoryManager:
         #: exactly the reclaim-IO interference §5 says memory control alone
         #: cannot fix.
         self.limits = dict(limits or {})
-        self._states: Dict[str, MemState] = {}
-        self._cgroups: Dict[str, Cgroup] = {}
+        #: Keyed by the cgroup itself: one re-created at a dead one's path
+        #: starts at zero.  (``protected``/``limits``/``on_oom`` are
+        #: configuration, hence path-keyed.)
+        self._states: Dict[Cgroup, MemState] = {}
         self.oom_kills: List[OOMKill] = []
         self.oom_callbacks: Dict[str, Callable[[], None]] = {}
         self._swap_sector = 1 << 34  # swap partition "location"
@@ -143,11 +145,9 @@ class MemoryManager:
     # -- accounting -----------------------------------------------------------
 
     def state_of(self, cgroup: Cgroup) -> MemState:
-        state = self._states.get(cgroup.path)
+        state = self._states.get(cgroup)
         if state is None:
-            state = MemState()
-            self._states[cgroup.path] = state
-            self._cgroups[cgroup.path] = cgroup
+            state = self._states[cgroup] = MemState()
         return state
 
     @property
@@ -242,7 +242,7 @@ class MemoryManager:
 
     # -- reclaim ------------------------------------------------------------------
 
-    def _victim(self, requester: Optional[Cgroup]) -> Optional[str]:
+    def _victim(self, requester: Optional[Cgroup]) -> Optional[Cgroup]:
         """Pick a reclaim victim, weighted by reclaimable bytes.
 
         Approximates a global LRU: a randomly-chosen cold page belongs to a
@@ -250,24 +250,24 @@ class MemoryManager:
         size, so every large consumer keeps losing pages while pressure
         lasts — the churn that makes thrashing continuous.
         """
-        paths = []
+        victims = []
         weights = []
-        for path, state in self._states.items():
-            floor = self.protected.get(path, 0)
+        for cgroup, state in self._states.items():
+            floor = self.protected.get(cgroup.path, 0)
             reclaimable = state.resident - floor
             if reclaimable > 0:
-                paths.append(path)
+                victims.append(cgroup)
                 weights.append(reclaimable)
-        if not paths:
+        if not victims:
             return None
         total = float(sum(weights))
         draw = self._rng.random() * total
         acc = 0.0
-        for path, weight in zip(paths, weights):
+        for cgroup, weight in zip(victims, weights):
             acc += weight
             if draw <= acc:
-                return path
-        return paths[-1]
+                return cgroup
+        return victims[-1]
 
     def _maybe_wake_kswapd(self) -> None:
         if (
@@ -284,11 +284,11 @@ class MemoryManager:
                 need = self.high_watermark - self.free_bytes
                 if self.swapped_total + need > self.swap_bytes:
                     return  # swap full; direct reclaim will OOM
-                victim_path = self._victim(requester=None)
-                if victim_path is None:
+                victim = self._victim(requester=None)
+                if victim is None:
                     return
-                victim_state = self._states[victim_path]
-                floor = self.protected.get(victim_path, 0)
+                victim_state = self._states[victim]
+                floor = self.protected.get(victim.path, 0)
                 # kswapd batches reclaim aggressively: a whole watermark gap
                 # worth of clusters goes out concurrently per pass.
                 chunk = min(need, victim_state.resident - floor, 64 * SWAP_OUT_CLUSTER)
@@ -298,11 +298,11 @@ class MemoryManager:
                     self._tp_reclaim.emit(
                         self.sim.now,
                         requester="kswapd",
-                        victim=victim_path,
+                        victim=victim.path,
                         nbytes=chunk,
                         free_bytes=self.free_bytes,
                     )
-                yield from self._swap_out(self._cgroups[victim_path], chunk)
+                yield from self._swap_out(victim, chunk)
                 self.kswapd_reclaimed_total += chunk
         finally:
             self._kswapd_running = False
@@ -318,26 +318,25 @@ class MemoryManager:
                 if attempts > len(self._states) + 1:
                     raise MemoryPressureError("OOM killer cannot make room")
                 continue
-            victim_path = self._victim(requester)
-            if victim_path is None:
+            victim = self._victim(requester)
+            if victim is None:
                 self._oom_kill()
                 attempts += 1
                 if attempts > len(self._states) + 1:
                     raise MemoryPressureError("no reclaimable memory")
                 continue
-            victim_state = self._states[victim_path]
-            victim_cg = self._cgroups[victim_path]
-            floor = self.protected.get(victim_path, 0)
+            victim_state = self._states[victim]
+            floor = self.protected.get(victim.path, 0)
             chunk = min(need, victim_state.resident - floor, 4 * SWAP_OUT_CLUSTER)
             if self._tp_reclaim.enabled:
                 self._tp_reclaim.emit(
                     self.sim.now,
                     requester=requester.path,
-                    victim=victim_path,
+                    victim=victim.path,
                     nbytes=chunk,
                     free_bytes=self.free_bytes,
                 )
-            yield from self._swap_out(victim_cg, chunk)
+            yield from self._swap_out(victim, chunk)
 
     def _swap_attribution(self, owner: Cgroup) -> Cgroup:
         """Which cgroup swap-out writes are charged to.
@@ -415,19 +414,19 @@ class MemoryManager:
 
     def _oom_kill(self) -> None:
         """Kill the largest memory consumer and free everything it owns."""
-        victim_path = None
+        victim = None
         victim_size = 0
-        for path, state in self._states.items():
+        for cgroup, state in self._states.items():
             if state.total > victim_size:
-                victim_path, victim_size = path, state.total
-        if victim_path is None or victim_size == 0:
+                victim, victim_size = cgroup, state.total
+        if victim is None:
             raise MemoryPressureError("OOM with no memory consumers")
-        state = self._states[victim_path]
+        state = self._states[victim]
         freed = state.total
         state.resident = 0
         state.swapped = 0
         state.kill_epoch += 1
-        self.oom_kills.append(OOMKill(self.sim.now, victim_path, freed))
-        callback = self.oom_callbacks.get(victim_path)
+        self.oom_kills.append(OOMKill(self.sim.now, victim.path, freed))
+        callback = self.oom_callbacks.get(victim.path)
         if callback is not None:
             callback()

@@ -39,6 +39,9 @@ class DirtyState:
     dirty: int = 0
     written_back_total: int = 0
     throttled_time: float = 0.0
+    flusher_running: bool = False
+    #: Where this cgroup's next writeback cluster lands.
+    next_sector: int = 0
 
 
 class PageCache:
@@ -58,19 +61,16 @@ class PageCache:
         self.layer = layer
         self.background_bytes = background_bytes
         self.limit_bytes = limit_bytes
-        self._states: Dict[str, DirtyState] = {}
-        self._cgroups: Dict[str, Cgroup] = {}
-        self._flusher_running: Dict[str, bool] = {}
+        #: Keyed by the cgroup itself, like ``MemoryManager._states``.
+        self._states: Dict[Cgroup, DirtyState] = {}
         self._rng = np.random.default_rng(seed)
-        self._next_sector: Dict[str, int] = {}
 
     def state_of(self, cgroup: Cgroup) -> DirtyState:
-        state = self._states.get(cgroup.path)
+        state = self._states.get(cgroup)
         if state is None:
-            state = DirtyState()
-            self._states[cgroup.path] = state
-            self._cgroups[cgroup.path] = cgroup
-            self._next_sector[cgroup.path] = int(self._rng.integers(0, 1 << 24)) * 8
+            state = self._states[cgroup] = DirtyState(
+                next_sector=int(self._rng.integers(0, 1 << 24)) * 8
+            )
         return state
 
     @property
@@ -86,11 +86,11 @@ class PageCache:
         state = self.state_of(cgroup)
         state.dirty += nbytes
         if state.dirty > self.background_bytes:
-            self._kick_flusher(cgroup)
+            self._kick_flusher(cgroup, state)
         # balance_dirty_pages: block the writer while over the hard limit.
         start = self.sim.now
         while state.dirty > self.limit_bytes:
-            self._kick_flusher(cgroup)
+            self._kick_flusher(cgroup, state)
             yield 0.001  # re-check as writeback drains
         state.throttled_time += self.sim.now - start
 
@@ -102,23 +102,22 @@ class PageCache:
 
     # -- flusher -----------------------------------------------------------
 
-    def _kick_flusher(self, cgroup: Cgroup) -> None:
-        if self._flusher_running.get(cgroup.path):
+    def _kick_flusher(self, cgroup: Cgroup, state: DirtyState) -> None:
+        if state.flusher_running:
             return
-        self._flusher_running[cgroup.path] = True
-        self.sim.process(self._flusher(cgroup), name=f"flusher-{cgroup.path}")
+        state.flusher_running = True
+        self.sim.process(self._flusher(cgroup, state), name=f"flusher-{cgroup.path}")
 
     #: Writeback keeps this many clusters in flight (flusher concurrency).
     WRITEBACK_DEPTH = 4
 
-    def _flusher(self, cgroup: Cgroup) -> Generator:
-        state = self.state_of(cgroup)
+    def _flusher(self, cgroup: Cgroup, state: DirtyState) -> Generator:
         try:
             # Flush until comfortably below the background threshold.
             while state.dirty > self.background_bytes // 2:
                 yield from self._writeback_batch(cgroup, state)
         finally:
-            self._flusher_running[cgroup.path] = False
+            state.flusher_running = False
 
     def _writeback_batch(self, cgroup: Cgroup, state: DirtyState) -> Generator:
         """Submit up to WRITEBACK_DEPTH clusters concurrently, wait for all."""
@@ -126,9 +125,8 @@ class PageCache:
         batched = 0
         while state.dirty - batched > 0 and len(signals) < self.WRITEBACK_DEPTH:
             chunk = min(state.dirty - batched, WRITEBACK_CLUSTER)
-            sector = self._next_sector[cgroup.path]
-            bio = Bio(IOOp.WRITE, chunk, sector, cgroup)
-            self._next_sector[cgroup.path] = bio.end_sector
+            bio = Bio(IOOp.WRITE, chunk, state.next_sector, cgroup)
+            state.next_sector = bio.end_sector
             signal = self.sim.signal()
             self.layer.submit(bio, on_done=signal.fire)
             signals.append((signal, chunk))

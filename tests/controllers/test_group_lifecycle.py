@@ -90,10 +90,10 @@ ROWS = {
 }
 
 
-def for_every_row(check: Callable[[str, Row], None]) -> None:
+def for_every_row(check: Callable[[str, Row], None], rows=ROWS) -> None:
     """Run ``check`` on every row and fail once, naming every failing row."""
     failures = []
-    for name, row in ROWS.items():
+    for name, row in rows.items():
         try:
             check(name, row)
         except Exception as exc:  # noqa: BLE001 - a row's failure is its report
@@ -172,11 +172,11 @@ class TestRemoval:
             assert not record.online and record.pd is None
             assert dead not in gate.groups
             assert all(group.blkg.online for group in gate.groups)
-            # Wake timers (iocost: wake_event, blk-throttle: wake).
-            assert getattr(dead, "wake_event", None) is None
+            # The one wake timer of a group that is held (IOController.hold).
             assert getattr(dead, "wake", None) is None
-            if hasattr(gate, "tree"):  # iocost: active set and hierarchy
-                assert not dead.active and dead not in gate._backlogged
+            if hasattr(gate, "tree"):  # iocost: backlog, active set, hierarchy
+                assert not dead.waitq and gate._queued == 0
+                assert not dead.active
                 assert dead not in dead.parent.children
                 assert dead.parent.active_refs == sum(
                     child.active_refs > 0 for child in dead.parent.children

@@ -119,6 +119,29 @@ def test_inactive_group_keeps_no_stale_wake_timer():
     assert layer.completed_ios == 30
 
 
+def test_pump_visits_backlogged_groups_in_creation_order():
+    # Arrival order must not leak into issue order: the walk over
+    # ``groups`` is what keeps trajectories independent of who queued first.
+    sim, layer, controller, tree = make_env()
+    groups = [tree.create(name) for name in "abc"]
+    for group in groups:
+        controller.tree.state_of(group)  # states exist in creation order
+    # A newly active group has no budget, so each bio is held; equal
+    # weights and costs mean one pump later finds budget for all three.
+    bios = [Bio(IOOp.READ, 4096, 8 * index, group) for index, group in enumerate(groups)]
+    for bio in reversed(bios):
+        layer.submit(bio)
+    assert controller._queued == 3 and layer.inflight == 0
+    sim.run(until=0.01)
+    controller.detach()
+    # Dispatches pay the issue-path CPU one after another, so issue times
+    # are strictly ordered by dispatch order.
+    assert sorted(bios, key=lambda bio: bio.issue_time) == bios
+    assert len({bio.issue_time for bio in bios}) == 3
+    assert bios[2].issue_time - bios[0].issue_time < 1e-5  # one pump, not three
+    assert controller._queued == 0
+
+
 def test_sequential_cost_discount_applies():
     # A cgroup streaming sequentially is charged the (cheaper) sequential
     # cost, so it completes more IO than a random peer at equal weight on

@@ -122,6 +122,42 @@ class TestCaching:
         tree.activate(states["b"])
         assert tree.hweight(states["a"]) == pytest.approx(0.5)
 
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(["activate", "deactivate", "weight", "rescind"]),
+                st.integers(min_value=0, max_value=5),
+                st.integers(min_value=0, max_value=1000),
+                st.booleans(),
+            ),
+            max_size=30,
+        )
+    )
+    @settings(max_examples=100)
+    def test_hweight_inv_is_the_reciprocal_after_any_sequence(self, ops):
+        _, tree, states = build(
+            {"p": 100, "p/a": 100, "p/b": 200, "q": 50, "q/c": 100, "q/c/d": 1}
+        )
+        states = list(states.values())
+        for op, index, weight, inv_first in ops:
+            state = states[index]
+            if op == "activate":
+                tree.activate(state)
+            elif op == "deactivate":
+                tree.deactivate(state)
+            elif op == "rescind":
+                tree.rescind(state)
+            else:  # a donation-style weight write (0 starves the subtree)
+                state.weight_eff = float(weight)
+                tree.bump()
+            for state in states:
+                # Either method may be the one that refills the cache.
+                inverse = tree.hweight_inv(state) if inv_first else None
+                hweight = tree.hweight(state)
+                expected = 1.0 / hweight if hweight > 0 else float("inf")
+                assert tree.hweight_inv(state) == expected
+                assert inverse in (None, expected)
+
 
 class TestActivity:
     def test_active_refs_propagate(self):

@@ -7,6 +7,7 @@ from repro.block.bio import BioFlags
 from repro.block.device import Device, DeviceSpec
 from repro.block.layer import BlockLayer
 from repro.cgroup import CgroupTree
+from repro.controllers.iolatency import IOLatencyController
 from repro.controllers.noop import NoopController
 from repro.core.controller import IOCost
 from repro.core.cost_model import LinearCostModel, ModelParams
@@ -144,6 +145,36 @@ class TestReclaim:
         run_op(sim, mm.alloc(other, 30 * MB))  # overcommit: other must self-swap
         assert mm.state_of(prot).swapped == 0
         assert mm.state_of(other).swapped > 0
+
+
+class TestRestartAtTheSamePath:
+    """State is keyed by the cgroup, not its path (like ``bio.blkg.pd``)."""
+
+    PATH = "workload.slice/a"
+
+    def restarted(self):
+        # MM-aware, so swap-out writes are charged to the pages' owner.
+        sim, layer, mm, tree = make_env(IOLatencyController(), total=64 * MB)
+        dead = tree.create(self.PATH)
+        run_op(sim, mm.alloc(dead, 48 * MB))
+        tree.remove(self.PATH)
+        return sim, layer, mm, dead, tree.create(self.PATH)
+
+    def test_fresh_cgroup_starts_at_zero(self):
+        sim, layer, mm, dead, live = self.restarted()
+        assert mm.state_of(live).total == 0
+        # The dead cgroup's pages stay charged to it until reclaimed or freed.
+        assert mm.state_of(dead).resident == mm.resident_total == 48 * MB
+
+    def test_reclaim_io_lands_on_the_record_of_the_pages_owner(self):
+        sim, layer, mm, dead, live = self.restarted()
+        run_op(sim, mm.alloc(live, 48 * MB))  # 96 MB wanted of 64: reclaims both
+        sim.run(until=sim.now + 0.1)  # kswapd's last batch completes
+        for owner in (dead, live):
+            swapped_out = mm.state_of(owner).swapped_out_total
+            assert swapped_out > 0
+            assert owner.stats.device(layer.dev).wbytes == swapped_out
+        assert mm.state_of(live).total == 48 * MB
 
 
 class TestFaulting:

@@ -105,6 +105,20 @@ class TestBufferedWrites:
         assert cache.state_of(b).dirty == 1 * MB
         assert cache.dirty_total == 3 * MB
 
+    def test_restart_at_the_same_path_starts_clean(self):
+        sim, layer, cache, tree = make_env()
+        dead = tree.create("workload.slice/a")
+        run_op(sim, cache.buffered_write(dead, 3 * MB))  # below background
+        tree.remove("workload.slice/a")
+        live = tree.create("workload.slice/a")
+        assert cache.state_of(live).dirty == 0
+        run_op(sim, cache.buffered_write(live, 2 * MB))
+        run_op(sim, cache.sync(live))
+        # Only what the live cgroup dirtied is written back on its record.
+        assert cache.state_of(live).written_back_total == 2 * MB
+        assert live.stats.device(layer.dev).wbytes == 2 * MB
+        assert cache.state_of(dead).dirty == 3 * MB
+
 
 class TestWritebackUnderIOCost:
     def test_low_weight_writer_paced_by_its_own_writeback(self):
