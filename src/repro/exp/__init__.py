@@ -11,7 +11,7 @@ table" pattern into a declarative pipeline:
   (``testbed``, ``profile_device``, ``vrate_phases``, ``mechanism_2to1``,
   or any dotted-path function);
 * :mod:`repro.exp.runner` — process-pool execution with result caching,
-  one retry, structured failures, and obs-metrics wiring;
+  one retry, structured failures and the :class:`SweepReport`;
 * :mod:`repro.exp.store` / :mod:`repro.exp.cache` — the on-disk artifact
   store (``runs/<hash>/{spec,result,meta,trace}``) and the
   (content, seed, version)-keyed result cache over it;
@@ -25,7 +25,6 @@ from repro.exp.cache import CacheDecision, ResultCache
 from repro.exp.experiments import ExperimentError, experiment, resolve
 from repro.exp.grid import RunSpec, expand, set_by_path
 from repro.exp.runner import (
-    METRICS,
     RunOutcome,
     RunnerError,
     SweepReport,
@@ -47,7 +46,6 @@ __all__ = [
     "CacheDecision",
     "ExperimentError",
     "ExperimentSpec",
-    "METRICS",
     "ResultCache",
     "RunOutcome",
     "RunSpec",

@@ -41,6 +41,7 @@ import inspect
 import math
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
+from repro.block.bio import IOOp
 from repro.block.device import DeviceSpec
 from repro.block.device_models import get_device_spec
 from repro.cgroup import Cgroup
@@ -186,7 +187,8 @@ def run_testbed(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
                                 attach to (default: the data device)
         mem_bytes, swap_bytes, swap_device
         cgroups                 {path: weight}           (required)
-        workloads               [{cgroup, type, device?, ...kwargs}] (required)
+        workloads               [{cgroup, type, device?, ...kwargs}] (required;
+                                ``op`` is "read" or "write")
         duration                measurement window seconds (default 1.0)
         percentiles             latency percentiles to report (default [50, 95, 99])
         trace_events            tracepoint names to capture into trace.jsonl
@@ -299,6 +301,15 @@ def cgroup_report(
     }
 
 
+def io_op(value: Any) -> IOOp:
+    """A table's ``op`` — a string, TOML and JSON have nothing else — as
+    the :class:`IOOp` that workloads and tasks compare against."""
+    try:
+        return IOOp(value)
+    except ValueError:
+        raise ExperimentError(f"op {value!r} must be read|write") from None
+
+
 def attach_workload(
     bed: Testbed,
     groups: Dict[str, Cgroup],
@@ -328,6 +339,8 @@ def attach_workload(
                 f"(accepted: {('cgroup', 'type', 'device') + accepted})"
             )
     entry.setdefault("stop_at", duration)
+    if "op" in entry:
+        entry["op"] = io_op(entry["op"])
     if wl_type == "paced":
         if entry.get("rate") is None:
             raise ExperimentError("paced workloads need a 'rate'")
@@ -653,6 +666,7 @@ __all__ = [
     "cgroup_report",
     "device_spec_for",
     "experiment",
+    "io_op",
     "machine_kwargs",
     "qos_from",
     "resolve",

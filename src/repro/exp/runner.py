@@ -17,8 +17,8 @@ cached/live artifact bytes identical.
 
 Failures don't abort the sweep: each run is retried once (configurable)
 inside its worker, then recorded as a structured failure in ``meta.json``
-and the report.  Per-sweep counters (runs completed, cache hits,
-failures, wall seconds) land in a :class:`repro.obs.metrics.MetricRegistry`.
+and the report; :class:`SweepReport` carries the per-sweep counts (runs
+completed, cache hits, failures, timeouts, wall seconds).
 
 Timeouts: ``timeout_sec`` bounds each run's wall-clock.  The pool is then
 replaced by a hand-rolled process manager (one killable ``Process`` +
@@ -45,12 +45,8 @@ from repro.exp.experiments import TRACE_KEY, resolve
 from repro.exp.grid import RunSpec, expand
 from repro.exp.spec import ExperimentSpec
 from repro.exp.store import TRACE_FILE, ArtifactStore, write_json
-from repro.obs.metrics import MetricRegistry
 
 Clock = Callable[[], float]
-
-#: Default metric registry for sweep counters (callers may pass their own).
-METRICS = MetricRegistry()
 
 
 def zero_clock() -> float:
@@ -311,7 +307,6 @@ def run_sweep(
     store: Union[ArtifactStore, str, Path],
     workers: int = 1,
     clock: Optional[Clock] = None,
-    metrics: Optional[MetricRegistry] = None,
     force: bool = False,
     retries: int = 1,
     timeout_sec: Optional[float] = None,
@@ -338,7 +333,6 @@ def run_sweep(
     if not isinstance(store, ArtifactStore):
         store = ArtifactStore(store)
     clock = zero_clock if clock is None else clock
-    metrics = METRICS if metrics is None else metrics
     cache = ResultCache(store)
     runs = expand(spec)
 
@@ -414,18 +408,6 @@ def run_sweep(
 
     report.outcomes = [outcome for outcome in outcomes if outcome is not None]
     report.elapsed_wall_sec = clock() - start
-
-    metrics.counter("exp.runs_completed").inc(report.runs_total - report.failures)
-    metrics.counter("exp.cache_hits").inc(report.cache_hits)
-    metrics.counter("exp.failures").inc(report.failures)
-    metrics.counter("exp.timeouts").inc(report.timeouts)
-    wall_hist = metrics.histogram("exp.run_wall_sec")
-    for outcome in report.outcomes:
-        if not outcome.cached:
-            wall_hist.record(outcome.wall_sec)
-    metrics.gauge("exp.sweep_wall_sec").set(report.elapsed_wall_sec)
-    if report.speedup_vs_serial is not None:
-        metrics.gauge("exp.parallel_speedup").set(report.speedup_vs_serial)
     return report
 
 
@@ -436,7 +418,6 @@ def write_bench_json(report: SweepReport, path: Union[str, Path]) -> Path:
 
 __all__ = [
     "Clock",
-    "METRICS",
     "RunOutcome",
     "RunnerError",
     "SweepReport",

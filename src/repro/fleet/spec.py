@@ -43,8 +43,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.block.bio import IOOp
-from repro.exp.experiments import WORKLOAD_TYPES, device_spec_for, qos_from
+from repro.exp.experiments import WORKLOAD_TYPES, device_spec_for, io_op, qos_from
 from repro.exp.spec import SpecError, canonical_json, content_hash, load_document
 from repro.faults import plan_from_config
 from repro.workloads.fleet import TASKS, SystemTask
@@ -181,6 +180,11 @@ class WorkloadTemplate:
                 f"workload {self.name!r}: unknown type {self.type!r} "
                 f"(want one of {WORKLOAD_TYPES})"
             )
+        if "op" in self.params:
+            try:
+                io_op(self.params["op"])
+            except ValueError as exc:
+                raise FleetSpecError(f"workload {self.name!r}: {exc}") from None
         if self.demand() <= 0:
             raise FleetSpecError(
                 f"workload {self.name!r} needs a positive demand_iops "
@@ -245,11 +249,10 @@ def task_from_config(value: Union[str, Mapping[str, Any]]) -> SystemTask:
          "op", "deadline"),
         "migration task",
     )
-    op_name = str(value.get("op", "write"))
     try:
-        op = IOOp(op_name)
-    except ValueError:
-        raise FleetSpecError(f"migration task op {op_name!r} must be read|write") from None
+        op = io_op(value.get("op", "write"))
+    except ValueError as exc:
+        raise FleetSpecError(f"migration task: {exc}") from None
     return SystemTask(
         name=str(_require(value, "name", "migration task")),
         cgroup_path=str(value.get("cgroup", "system.slice")),

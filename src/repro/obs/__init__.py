@@ -1,4 +1,4 @@
-"""Observability: tracepoints, metrics, io.stat, and overhead profiling.
+"""Observability: tracepoints, histograms, io.stat, spans and the self-profiler.
 
 The real IOCost is debugged in production through three surfaces this
 package reproduces for the simulated stack:
@@ -8,9 +8,9 @@ package reproduces for the simulated stack:
   no subscriber is attached; a bounded ring buffer collects typed events
   and round-trips them through JSONL (``bio_complete`` events convert to
   :class:`repro.block.trace.TraceRecord` for replay).
-* :mod:`repro.obs.metrics` — counters, gauges, and log-bucketed HDR-style
-  latency histograms; also home of the exact nearest-rank percentile that
-  :mod:`repro.analysis.stats` now delegates to.
+* :mod:`repro.obs.metrics` — log-bucketed HDR-style latency histograms
+  and the exact nearest-rank percentile that :mod:`repro.analysis.stats`
+  delegates to.
 * :mod:`repro.obs.iostat` — the cgroup2 ``io.stat`` surface: per-cgroup
   rbytes/wbytes/rios/wios/dbytes plus iocost's ``cost.*`` keys, aggregated
   hierarchically and surviving cgroup removal.
@@ -25,16 +25,13 @@ package reproduces for the simulated stack:
   emissions behind the same zero-cost guard pattern as tracepoints.
 * :mod:`repro.obs.snapshot` — the per-period monitor snapshot format
   shared by the live monitor (:mod:`repro.tools.monitor`) and its CLI.
-* :mod:`repro.obs.overhead` — wall-clock profiling of simulator runs, so
-  Figure 9-style experiments can quantify the cost of tracing itself.
 
 See ``docs/OBSERVABILITY.md`` for the tracepoints → spans → breakdown →
 Perfetto walk-through.
 """
 
 from repro.obs.iostat import IOStat
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricRegistry, exact_percentile
-from repro.obs.overhead import OverheadReport, disabled_check_cost, wall_time
+from repro.obs.metrics import Histogram, exact_percentile
 from repro.obs.prof import PROF, SimProfiler
 from repro.obs.snapshot import MonitorSnapshot, load_snapshots, render_snapshot
 from repro.obs.spans import Annotation, Span, SpanTracker
@@ -45,13 +42,9 @@ __all__ = [
     "PROF",
     "TRACE",
     "Annotation",
-    "Counter",
-    "Gauge",
     "Histogram",
     "IOStat",
-    "MetricRegistry",
     "MonitorSnapshot",
-    "OverheadReport",
     "SimProfiler",
     "Span",
     "SpanTracker",
@@ -59,12 +52,10 @@ __all__ = [
     "TraceEvent",
     "TracePoint",
     "TraceRegistry",
-    "disabled_check_cost",
     "exact_percentile",
     "load_snapshots",
     "render_snapshot",
     "to_chrome_trace",
     "validate_chrome_trace",
-    "wall_time",
     "write_chrome_trace",
 ]

@@ -1,10 +1,5 @@
-"""Metrics primitives: counters, gauges, log-bucketed latency histograms.
-
-The kernel side of IOCost reports through monotonically-increasing counters
-(``io.stat``), instantaneous gauges (vrate, hweight) and latency percentile
-windows.  This module provides those shapes for the simulation, plus the
-exact nearest-rank percentile that :mod:`repro.analysis.stats` re-exports
-for backwards compatibility.
+"""Latency percentiles: the exact nearest-rank percentile that
+:mod:`repro.analysis.stats` delegates to, and a log-bucketed histogram.
 
 :class:`Histogram` is HDR-style: samples land in logarithmically-spaced
 buckets (default ~2% relative width), so memory stays bounded regardless of
@@ -34,34 +29,6 @@ def exact_percentile(samples: Sequence[float], pct: float) -> float:
         return ordered[0]
     rank = max(1, int(-(-pct * len(ordered) // 100)))  # ceil without floats
     return ordered[rank - 1]
-
-
-class Counter:
-    """Monotonically-increasing event/amount counter."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str = ""):
-        self.name = name
-        self.value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError("counters only increase")
-        self.value += amount
-
-
-class Gauge:
-    """Last-write-wins instantaneous value."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str = "", value: float = 0.0):
-        self.name = name
-        self.value = value
-
-    def set(self, value: float) -> None:
-        self.value = value
 
 
 class Histogram:
@@ -219,41 +186,3 @@ class Histogram:
             "p99": self.p99,
             "max": self.max,
         }
-
-
-class MetricRegistry:
-    """Named metric store, one per subsystem or experiment."""
-
-    def __init__(self) -> None:
-        self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
-        self._histograms: Dict[str, Histogram] = {}
-
-    def counter(self, name: str) -> Counter:
-        metric = self._counters.get(name)
-        if metric is None:
-            metric = self._counters[name] = Counter(name)
-        return metric
-
-    def gauge(self, name: str) -> Gauge:
-        metric = self._gauges.get(name)
-        if metric is None:
-            metric = self._gauges[name] = Gauge(name)
-        return metric
-
-    def histogram(self, name: str, resolution: float = 0.02) -> Histogram:
-        metric = self._histograms.get(name)
-        if metric is None:
-            metric = self._histograms[name] = Histogram(name, resolution)
-        return metric
-
-    def as_dict(self) -> Dict[str, object]:
-        """Flatten everything into a JSON-serialisable snapshot."""
-        out: Dict[str, object] = {}
-        for name, counter in self._counters.items():
-            out[name] = counter.value
-        for name, gauge in self._gauges.items():
-            out[name] = gauge.value
-        for name, histogram in self._histograms.items():
-            out[name] = histogram.summary()
-        return out

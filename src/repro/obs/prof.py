@@ -2,17 +2,16 @@
 
 ROADMAP item 2 ("make the event engine the fastest Python DES it can be")
 needs a denominator before any optimisation: *what* does the engine spend
-its event budget on?  Wall-clock profilers (``cProfile``, wrapped by
-:mod:`repro.tools.engine_bench`) answer that in seconds but are
-non-deterministic; this module counts the engine's own operations in
-simulation-exact integers, so two runs with the same seeds produce the
-same profile and a regression in per-bio work shows up as a counter
-delta, not a noisy timing.
+its event budget on?  Wall-clock profilers (``cProfile``, folded by layer
+in ``bench/run.py``) answer that in seconds but are non-deterministic;
+this module counts the engine's own operations in simulation-exact
+integers, so two runs with the same seeds produce the same profile and a
+regression in per-bio work shows up as a counter delta, not a noisy
+timing.
 
 Instrumented components (each site pays one ``enabled`` flag check while
 profiling is off — the same zero-cost guard pattern as
-:mod:`repro.obs.trace` tracepoints, held to the same <5% bar by
-``benchmarks/test_obs_overhead.py``):
+:mod:`repro.obs.trace` tracepoints):
 
 * :class:`repro.sim.Simulator` — events dispatched, heap pushes/pops;
 * :class:`repro.block.layer.BlockLayer` — bios submitted, issued, completed;
@@ -119,9 +118,9 @@ class SimProfiler:
 
         Each instrumented site increments exactly one plain counter per
         pass, so the sum equals the number of ``if prof.enabled:`` checks
-        the same deterministic run performs while profiling is *disabled* —
-        the quantity the overhead model needs.  Tracepoint emissions are
-        excluded: their guard is the tracepoint's own ``enabled`` flag.
+        the same deterministic run performs while profiling is *disabled*.
+        Tracepoint emissions are excluded: their guard is the tracepoint's
+        own ``enabled`` flag.
         """
         return sum(getattr(self, name) for name in self.COUNTERS)
 

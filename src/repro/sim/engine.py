@@ -185,8 +185,7 @@ class Simulator:
         self.now = 0.0
         self._heap: List[HeapEntry] = []
         self._seq = 0
-        #: Callbacks dispatched so far — the denominator for per-event
-        #: overhead accounting (repro.obs.overhead).
+        #: Callbacks dispatched so far.
         self.events_processed = 0
         # Cached self-profiler (same zero-cost guard pattern as tracepoints).
         self._prof = PROF

@@ -4,23 +4,19 @@ The blktrace/iowatcher workflow for the simulated stack: take a trace
 JSONL stream (written by :meth:`repro.obs.trace.TraceBuffer.save`, or the
 ``trace.jsonl`` artifact a ``trace_events`` experiment produces), stitch
 its bio-lifecycle events into spans, and answer "where did the latency
-go?" in four shapes:
+go?" in three shapes:
 
 * ``spans``     — per-bio stage decompositions as JSONL (or a table);
 * ``breakdown`` — the per-stage rollup: "p99 = X usec, of which Y% was
   iocost throttling" (``--json`` for the raw rollup dict);
 * ``timeline``  — Chrome trace-event JSON; open the file in
-  https://ui.perfetto.dev (a process per cgroup, a row per device);
-* ``prof``      — run the fixed engine micro-benchmark under the
-  deterministic self-profiler and print its work counters (no trace file
-  needed).
+  https://ui.perfetto.dev (a process per cgroup, a row per device).
 
 Examples::
 
     python -m repro.tools.blkprof breakdown trace.jsonl --cgroup /ws
     python -m repro.tools.blkprof timeline trace.jsonl -o timeline.json
     python -m repro.tools.blkprof spans trace.jsonl --limit 10
-    python -m repro.tools.blkprof prof --bios 20000
 """
 
 from __future__ import annotations
@@ -33,7 +29,6 @@ from typing import List, Optional
 from repro.obs.spans import SpanTracker, spans_to_jsonl
 from repro.obs.timeline import write_chrome_trace
 from repro.obs.trace import load_events
-from repro.tools.engine_bench import DEFAULT_DEPTH, profile_counters
 
 
 def load_tracker(trace_path: str) -> SpanTracker:
@@ -72,14 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scope_args(timeline)
     timeline.add_argument("-o", "--out", default="timeline.json",
                           help="output path (default: timeline.json)")
-
-    prof = sub.add_parser(
-        "prof", help="engine self-profile of the fixed micro-benchmark"
-    )
-    prof.add_argument("--bios", type=int, default=20_000)
-    prof.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
-    prof.add_argument("--json", action="store_true",
-                      help="counter dict instead of the text summary")
     return parser
 
 
@@ -125,39 +112,17 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_prof(args: argparse.Namespace) -> int:
-    counters = profile_counters(args.bios, args.depth)
-    if args.json:
-        print(json.dumps(counters, indent=2))
-        return 0
-    per_bio = counters.pop("per_bio")
-    emits = counters.pop("emits_by_point")
-    width = max(len(name) for name in counters)
-    for name, value in counters.items():
-        line = f"{name:<{width}} {value:>12,}"
-        if per_bio is not None and name in per_bio:
-            line += f"  ({per_bio[name]:.2f}/bio)"
-        print(line)
-    if emits:
-        print("tracepoint emissions:")
-        for name, value in sorted(emits.items()):
-            print(f"  {name:<{width}} {value:>10,}")
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command != "prof":
-        try:
-            return _DISPATCH[args.command](args)
-        except OSError as exc:
-            print(f"cannot read {args.trace}: {exc.strerror}", file=sys.stderr)
-            return 1
-        except (ValueError, KeyError) as exc:
-            print(f"{args.trace}: not a trace JSONL stream ({exc})",
-                  file=sys.stderr)
-            return 1
-    return _cmd_prof(args)
+    try:
+        return _DISPATCH[args.command](args)
+    except OSError as exc:
+        print(f"cannot read {args.trace}: {exc.strerror}", file=sys.stderr)
+        return 1
+    except (ValueError, KeyError) as exc:
+        print(f"{args.trace}: not a trace JSONL stream ({exc})",
+              file=sys.stderr)
+        return 1
 
 
 _DISPATCH = {

@@ -18,10 +18,8 @@ import tempfile
 from typing import Optional, Sequence
 
 from repro.analysis.report import Table, format_ratio, format_si
-from repro.block.device_models import DEVICE_CATALOG
 from repro.exp import ArtifactStore, ExperimentSpec, run_sweep
-from repro.exp.cli import wall_clock
-from repro.exp.experiments import device_spec_for
+from repro.exp.cli import add_device_args, device_or_exit, wall_clock
 
 MECHANISMS = ("none", "mq-deadline", "kyber", "blk-throttle", "bfq", "iolatency", "iocost")
 
@@ -31,16 +29,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro.tools.compare",
         description="Compare IO control mechanisms on a 2:1 weighted scenario.",
     )
-    parser.add_argument(
-        "device",
-        nargs="?",
-        default="ssd_old",
-        help=f"device model name (one of: {', '.join(sorted(DEVICE_CATALOG))})",
-    )
-    parser.add_argument("--scale", type=float, default=None)
+    add_device_args(parser, "ssd_old")
     parser.add_argument("--duration", type=float, default=2.0)
     parser.add_argument("--depth", type=int, default=32)
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--workers", type=int, default=2,
         help="mechanism runs executed in parallel (default 2)",
@@ -76,10 +67,7 @@ def build_spec(args: argparse.Namespace) -> ExperimentSpec:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        device = device_spec_for(args.device, args.scale)
-    except KeyError as exc:  # the message carries the roster
-        parser.exit(2, f"{parser.prog}: {exc.args[0]}\n")
+    device = device_or_exit(parser, args)
     spec = build_spec(args)
 
     def sweep(root: str):

@@ -1,37 +1,17 @@
-"""``python -m repro.tools.engine_bench`` — engine micro-benchmark.
+"""The fixed closed-loop rig: 4 KiB random reads at depth 64 under iocost.
 
-ROADMAP item 2 ("make the event engine the fastest Python DES it can be")
-needs a standing number to optimise against.  This tool runs a fixed
-closed-loop rig — 4 KiB random reads at depth 64 against the calibrated
-SSD under iocost, driven on the block layer's callback completion fast
-path (docs/PERF.md) — and reports:
-
-* throughput: bios/sec and simulator events/sec (wall clock, best of N);
-* the deterministic work profile from :data:`repro.obs.prof.PROF`
-  (events dispatched, heap ops, pump calls per completed bio);
-* the top wall-clock hotspots from one ``cProfile`` pass.
-
-The JSON artifact (``BENCH_engine.json`` by default) is an **append-only
-trajectory**: a JSON list of schema-versioned entries, one appended per
-invocation, so the bios/sec history across PRs lives in one file.  A
-legacy single-entry artifact (schema ``/1``) is wrapped into a list on
-first append.  ``--check-floor`` compares the new entry's bios/sec
-against a committed floor file and fails the run on a >15% regression.
-
-Wall-clock timing and ``cProfile`` are allowed here because this is a
-``repro.tools`` module — simlint's ``no-wallclock`` rule exempts the tools
-tree, and nothing under ``src/repro`` outside it may time real time.
+:func:`run_fixed_load` keeps ``depth`` bios outstanding against the
+calibrated SSD until a fixed number have completed, with fixed seeds, so
+two runs do identical simulated work.  ``python -m repro.sanitize diff``
+runs it with and without the sanitizers, ``bench/ladder.py`` asserts its
+rung d dispatches the same events, and
+``tests/integration/test_hot_path_counts.py`` pins its exact per-bio work
+counts.  Wall time is measured by ``bench/run.py``, not here.
 """
 
 from __future__ import annotations
 
-import argparse
-import cProfile
-import io
-import json
-import pstats
-from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, List
 
 import numpy as np
 
@@ -40,29 +20,17 @@ from repro.block.device import Device
 from repro.block.device_models import SSD_NEW
 from repro.block.layer import BlockLayer
 from repro.cgroup import CgroupTree
-from repro.obs.overhead import wall_time
-from repro.obs.prof import PROF
 from repro.sim import Simulator
 from repro.testbed import make_controller
-
-#: Schema tag for one trajectory entry (bump on incompatible change).
-#: ``/1`` was a single-entry artifact; ``/2`` entries live in a list and
-#: are produced by the callback-fast-path rig.
-BENCH_SCHEMA = "repro.tools.engine_bench/2"
-#: CI fails when measured bios/sec drops more than this below the floor.
-REGRESSION_TOLERANCE = 0.15
 
 DEFAULT_BIOS = 50_000
 DEFAULT_DEPTH = 64
 
 
 class _BenchDriver:
-    """Closed-loop rig on the callback completion fast path.
-
-    Keeps ``depth`` bios outstanding until ``bios`` have been issued, then
-    drains; sectors are chunk-pre-drawn (stream-equivalent to scalar
-    draws).  No Signals, no generator resume — each completion issues its
-    successor directly from the completion callback.
+    """Keeps ``depth`` bios outstanding until ``bios`` have been issued,
+    then drains; each completion issues its successor.  Sectors are
+    chunk-pre-drawn (stream-equivalent to scalar draws).
     """
 
     __slots__ = ("layer", "group", "rng", "bios", "depth", "issued", "done",
@@ -123,8 +91,6 @@ def run_fixed_load(bios: int = DEFAULT_BIOS, depth: int = DEFAULT_DEPTH) -> Simu
     """Run the fixed rig to completion; returns the drained simulator.
 
     Deterministic: fixed seeds, fixed bio count, closed loop at ``depth``.
-    The same rig shape backs the tracing/profiler overhead benchmarks, so
-    the bios/sec reported here is directly comparable across PRs.
     """
     sim = Simulator()
     device = Device(sim, SSD_NEW, np.random.default_rng(0))
@@ -143,149 +109,3 @@ def run_fixed_load(bios: int = DEFAULT_BIOS, depth: int = DEFAULT_DEPTH) -> Simu
             f"bench rig completed {layer.completed_ios} of {bios} bios"
         )
     return sim
-
-
-def profile_counters(bios: int, depth: int) -> Dict[str, Any]:
-    """One run under the deterministic self-profiler; snapshot + per-bio."""
-    PROF.reset()
-    with PROF:
-        run_fixed_load(bios, depth)
-    counters = PROF.snapshot()
-    counters["per_bio"] = PROF.per_bio()
-    PROF.reset()
-    return counters
-
-
-def hotspots(bios: int, depth: int, top: int = 15) -> List[Dict[str, Any]]:
-    """Top wall-clock hotspots of one profiled run (cumulative time)."""
-    profiler = cProfile.Profile()
-    profiler.enable()
-    run_fixed_load(bios, depth)
-    profiler.disable()
-    stats = pstats.Stats(profiler, stream=io.StringIO())
-    rows: List[Dict[str, Any]] = []
-    entries = sorted(
-        stats.stats.items(),  # type: ignore[attr-defined]
-        key=lambda item: item[1][3],  # cumulative time
-        reverse=True,
-    )
-    for (filename, lineno, funcname), row in entries[:top]:
-        calls, _primitive, tottime, cumtime, _callers = row
-        rows.append(
-            {
-                "func": f"{Path(filename).name}:{lineno}({funcname})",
-                "ncalls": calls,
-                "tottime_sec": round(tottime, 6),
-                "cumtime_sec": round(cumtime, 6),
-            }
-        )
-    return rows
-
-
-def run_bench(
-    bios: int = DEFAULT_BIOS,
-    depth: int = DEFAULT_DEPTH,
-    repeat: int = 3,
-    top: int = 15,
-) -> Dict[str, Any]:
-    """One full trajectory entry: timing + deterministic profile + hotspots."""
-    sim = run_fixed_load(bios, depth)  # warm-up, and the event count
-    wall_sec = wall_time(lambda: run_fixed_load(bios, depth), repeat=repeat)
-    return {
-        "schema": BENCH_SCHEMA,
-        "bios": bios,
-        "depth": depth,
-        "repeat": repeat,
-        "wall_sec": round(wall_sec, 6),
-        "bios_per_sec": round(bios / wall_sec, 1),
-        "events_processed": sim.events_processed,
-        "events_per_sec": round(sim.events_processed / wall_sec, 1),
-        "sim_profile": profile_counters(bios, depth),
-        "hotspots": hotspots(bios, depth, top),
-    }
-
-
-def load_trajectory(path: Path) -> List[Dict[str, Any]]:
-    """Read a trajectory file; wraps a legacy single-entry (``/1``) object."""
-    if not path.exists():
-        return []
-    data = json.loads(path.read_text())
-    if isinstance(data, dict):
-        return [data]
-    if not isinstance(data, list):
-        raise ValueError(f"{path} is neither a trajectory list nor an entry")
-    return data
-
-
-def append_trajectory(entry: Dict[str, Any], path: Path) -> List[Dict[str, Any]]:
-    """Append ``entry`` to the trajectory at ``path`` (append-only)."""
-    trajectory = load_trajectory(path)
-    trajectory.append(entry)
-    path.write_text(json.dumps(trajectory, indent=2) + "\n")
-    return trajectory
-
-
-def check_floor(result: Dict[str, Any], floor_path: Path) -> Optional[str]:
-    """Compare against the committed floor; returns an error string or None."""
-    floor = json.loads(floor_path.read_text())
-    floor_rate = float(floor["bios_per_sec"])
-    measured = float(result["bios_per_sec"])
-    allowed = floor_rate * (1.0 - REGRESSION_TOLERANCE)
-    if measured < allowed:
-        return (
-            f"engine throughput regression: {measured:.0f} bios/sec is more "
-            f"than {REGRESSION_TOLERANCE:.0%} below the committed floor "
-            f"{floor_rate:.0f} (minimum allowed {allowed:.0f})"
-        )
-    return None
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro.tools.engine_bench",
-        description="Benchmark the simulation engine; append to BENCH_engine.json.",
-    )
-    parser.add_argument("--bios", type=int, default=DEFAULT_BIOS)
-    parser.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
-    parser.add_argument("--repeat", type=int, default=3)
-    parser.add_argument("--top", type=int, default=15, help="hotspots to keep")
-    parser.add_argument(
-        "--out", type=Path, default=Path("BENCH_engine.json"),
-        help="trajectory path, appended to (default: ./BENCH_engine.json)",
-    )
-    parser.add_argument(
-        "--check-floor", type=Path, default=None, metavar="FLOOR_JSON",
-        help="fail (exit 1) if bios/sec regresses >15%% below this floor file",
-    )
-    return parser
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    result = run_bench(args.bios, args.depth, args.repeat, args.top)
-    trajectory = append_trajectory(result, args.out)
-    print(
-        f"{result['bios']} bios in {result['wall_sec'] * 1e3:.0f} ms -> "
-        f"{result['bios_per_sec']:,.0f} bios/sec "
-        f"({result['events_per_sec']:,.0f} events/sec)"
-    )
-    per_bio = result["sim_profile"]["per_bio"]
-    if per_bio is not None:
-        print(
-            "per bio: "
-            f"{per_bio['events_dispatched']:.2f} events, "
-            f"{per_bio['heap_pushes']:.2f} heap pushes, "
-            f"{per_bio['pump_calls']:.2f} pump calls"
-        )
-    print(f"appended entry {len(trajectory)} to {args.out}")
-    if args.check_floor is not None:
-        error = check_floor(result, args.check_floor)
-        if error is not None:
-            print(error)
-            return 1
-        print(f"floor check passed ({args.check_floor})")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via main() in tests
-    raise SystemExit(main())

@@ -11,9 +11,8 @@ import argparse
 from typing import Optional, Sequence
 
 from repro.analysis.report import Table, format_si
-from repro.block.device_models import DEVICE_CATALOG
 from repro.core.profiler import profile_device
-from repro.exp.experiments import device_spec_for
+from repro.exp.cli import add_device_args, device_or_exit
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -21,17 +20,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro.tools.profile",
         description="Profile a simulated device into iocost model parameters.",
     )
-    parser.add_argument(
-        "device",
-        nargs="?",
-        default="ssd_new",
-        help=f"device model name (one of: {', '.join(sorted(DEVICE_CATALOG))})",
-    )
-    parser.add_argument(
-        "--scale", type=float, default=None,
-        help="speed factor applied to the device before profiling",
-    )
-    parser.add_argument("--seed", type=int, default=0)
+    add_device_args(parser, "ssd_new")
     parser.add_argument(
         "--read-duration", type=float, default=0.25,
         help="simulated seconds per read sweep",
@@ -46,10 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        spec = device_spec_for(args.device, args.scale)
-    except KeyError as exc:  # the message carries the roster
-        parser.exit(2, f"{parser.prog}: {exc.args[0]}\n")
+    spec = device_or_exit(parser, args)
 
     print(f"profiling {spec.name} (saturating sweeps)...")
     profile = profile_device(

@@ -48,15 +48,12 @@ class LintConfig:
 
     ``wallclock_allow`` holds fnmatch patterns (matched against the posix
     form of the file path) exempt from ``no-wallclock``: CLI front-ends may
-    measure real time, and the overhead profiler exists to measure it.
+    measure real time.
     """
 
     select: Optional[Sequence[str]] = None
     disable: Sequence[str] = ()
-    wallclock_allow: Sequence[str] = (
-        "*/repro/tools/*",
-        "*/repro/obs/overhead.py",
-    )
+    wallclock_allow: Sequence[str] = ("*/repro/tools/*",)
     #: fnmatch patterns exempt from ``no-bare-assert``.  pytest rewrites
     #: asserts in test modules (they survive ``-O`` there by construction),
     #: so flagging every test assertion would be 1500 pragmas of noise.

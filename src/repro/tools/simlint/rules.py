@@ -5,8 +5,8 @@ or structurally risks:
 
 * ``no-wallclock`` — the simulator's clock is :attr:`Simulator.now`;
   wall-clock reads (``time.time`` & friends) silently break run-to-run
-  reproducibility.  CLI front-ends (``tools/``) and the overhead profiler
-  (``obs/overhead.py``) are exempt via :attr:`LintConfig.wallclock_allow`.
+  reproducibility.  CLI front-ends (``tools/``) are exempt via
+  :attr:`LintConfig.wallclock_allow`.
 * ``no-unseeded-rng`` — every random draw must come from a seeded,
   label-keyed stream (``Testbed.rng_for`` / ``repro.sim.labeled_seed``);
   module-level ``random.*`` and unseeded ``np.random`` calls are hidden

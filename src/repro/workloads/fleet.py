@@ -122,8 +122,6 @@ def run_task_once(
 
     The main workload saturates the device with mixed reads/writes at
     ``workload_depth`` outstanding IOs while the task runs in its slice.
-    Completions ride the block layer's callback fast path (``on_done=``,
-    docs/PERF.md) — no Signal allocation per bio.
     """
     sim = Simulator()
     device = Device(sim, spec, rng_for("fleet:device", seed))

@@ -1,8 +1,15 @@
 """Workload-table validation in the built-in experiment kinds."""
 
+import json
+
 import pytest
 
-from repro.exp.experiments import ExperimentError, run_testbed
+from repro.exp.experiments import (
+    TRACE_KEY,
+    ExperimentError,
+    build_machine,
+    run_testbed,
+)
 
 #: One minimal valid table per workload type.
 TABLES = {
@@ -41,3 +48,27 @@ class TestWorkloadTableKeys:
 def test_paced_without_rate_is_a_typed_error():
     with pytest.raises(ExperimentError, match="rate"):
         run_testbed(_params({"type": "paced"}), seed=0)
+
+
+class TestWorkloadOp:
+    """A table's ``op`` arrives as a string: TOML and JSON have nothing else."""
+
+    WRITER = {"type": "saturate", "depth": 4, "op": "write"}
+
+    def test_write_issues_writes(self):
+        bed, groups, duration = build_machine(_params(self.WRITER), seed=0)
+        try:
+            bed.run(duration)
+        finally:
+            bed.detach()
+        ((_dev, record),) = groups["a"].stats.devices()
+        assert record.wios > 0 and record.rios == 0
+
+    def test_write_is_traceable(self):
+        params = dict(_params(self.WRITER), trace_events=["bio_submit"])
+        events = [json.loads(line) for line in run_testbed(params, seed=0)[TRACE_KEY]]
+        assert events and {event["op"] for event in events} == {"write"}
+
+    def test_unknown_op_is_a_typed_error(self):
+        with pytest.raises(ExperimentError, match=r"'wirte' must be read\|write"):
+            run_testbed(_params(dict(self.WRITER, op="wirte")), seed=0)

@@ -1,4 +1,4 @@
-"""Runner semantics: pool determinism, failures/retries, metrics, speedup."""
+"""Runner semantics: pool determinism, failures/retries, report, speedup."""
 
 import json
 import os
@@ -9,7 +9,6 @@ from repro.exp.grid import expand
 from repro.exp.runner import RunnerError, run_sweep, write_bench_json
 from repro.exp.spec import ExperimentSpec
 from repro.exp.store import ArtifactStore
-from repro.obs.metrics import MetricRegistry
 
 from tests.exp import helpers
 
@@ -70,18 +69,6 @@ class TestRunnerBasics:
             run_sweep(spec, ArtifactStore(tmp_path), workers=0)
         with pytest.raises(RunnerError):
             run_sweep(spec, ArtifactStore(tmp_path), retries=-1)
-
-    def test_metrics_wiring(self, tmp_path):
-        metrics = MetricRegistry()
-        spec = ExperimentSpec(name="s", kind=QUICK, grid={"value": (1, 2)})
-        store = ArtifactStore(tmp_path)
-        run_sweep(spec, store, workers=1, metrics=metrics)
-        run_sweep(spec, store, workers=1, metrics=metrics)
-        snapshot = metrics.as_dict()
-        assert snapshot["exp.runs_completed"] == 4
-        assert snapshot["exp.cache_hits"] == 2
-        assert snapshot["exp.failures"] == 0
-        assert snapshot["exp.run_wall_sec"]["count"] == 2
 
     def test_bench_json(self, tmp_path):
         spec = ExperimentSpec(name="s", kind=QUICK, grid={"value": (1, 2)})

@@ -151,12 +151,14 @@ class TestValidation:
             ("host", "qos", {"period": -1.0}, "period must be positive"),
             ("host", "faults", [{"kind": "nope"}], "unknown fault kind"),
             ("host", "faults", [{"kind": "hang", "frobnicate": 1}], "bad parameters"),
+            ("workload", "op", "wirte", r"'fe'.*'wirte' must be read\|write"),
         ],
     )
     def test_malformed_values_are_spec_errors(self, where, key, value, match):
         """Never a bare ValueError/TypeError: the CLI catches SpecError only."""
         doc = fleet_doc()
-        (doc if where == "top" else doc["hosts"]["web"])[key] = value
+        target = {"top": doc, "host": doc["hosts"]["web"], "workload": doc["workloads"][0]}
+        target[where][key] = value
         with pytest.raises(FleetSpecError, match=match):
             FleetSpec.from_dict(doc)
 

@@ -1,34 +1,10 @@
-"""Tests for counters, gauges, the log-bucketed histogram, and the shim."""
+"""Tests for the log-bucketed histogram and the exact percentile."""
 
 import numpy as np
 import pytest
 
 from repro.analysis import stats
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricRegistry,
-    exact_percentile,
-)
-
-
-class TestCounterGauge:
-    def test_counter_increments(self):
-        counter = Counter("ios")
-        counter.inc()
-        counter.inc(2.5)
-        assert counter.value == 3.5
-
-    def test_counter_rejects_decrease(self):
-        with pytest.raises(ValueError):
-            Counter().inc(-1)
-
-    def test_gauge_last_write_wins(self):
-        gauge = Gauge("vrate", 1.0)
-        gauge.set(0.5)
-        gauge.set(1.25)
-        assert gauge.value == 1.25
+from repro.obs.metrics import Histogram, exact_percentile
 
 
 class TestHistogram:
@@ -117,24 +93,6 @@ class TestHistogramSerialization:
         assert merged.min == 1e-3
         assert merged.max == 4e-3
         assert merged.percentile(99) == pytest.approx(4e-3, rel=0.021)
-
-
-class TestRegistry:
-    def test_metrics_are_memoised(self):
-        registry = MetricRegistry()
-        assert registry.counter("a") is registry.counter("a")
-        assert registry.gauge("g") is registry.gauge("g")
-        assert registry.histogram("h") is registry.histogram("h")
-
-    def test_as_dict_flattens(self):
-        registry = MetricRegistry()
-        registry.counter("ios").inc(7)
-        registry.gauge("vrate").set(1.5)
-        registry.histogram("lat").record(1e-3)
-        snapshot = registry.as_dict()
-        assert snapshot["ios"] == 7
-        assert snapshot["vrate"] == 1.5
-        assert snapshot["lat"]["count"] == 1
 
 
 class TestStatsShim:

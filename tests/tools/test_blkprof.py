@@ -1,4 +1,4 @@
-"""The blkprof CLI (spans / breakdown / timeline / prof) and engine_bench."""
+"""The blkprof CLI (spans / breakdown / timeline)."""
 
 import json
 
@@ -6,7 +6,7 @@ import pytest
 
 from repro.obs.trace import TRACE, TraceBuffer
 from repro.testbed import Testbed
-from repro.tools import blkprof, engine_bench
+from repro.tools import blkprof
 
 
 @pytest.fixture(autouse=True)
@@ -76,20 +76,6 @@ class TestTimelineCommand:
         assert slices > 0
 
 
-class TestProfCommand:
-    def test_text_output(self, capsys):
-        assert blkprof.main(["prof", "--bios", "300"]) == 0
-        out = capsys.readouterr().out
-        assert "bios_completed" in out
-        assert "300" in out
-
-    def test_json_output(self, capsys):
-        assert blkprof.main(["prof", "--bios", "300", "--json"]) == 0
-        counters = json.loads(capsys.readouterr().out)
-        assert counters["bios_completed"] == 300
-        assert counters["per_bio"]["bios_submitted"] == pytest.approx(1.0)
-
-
 class TestErrorPaths:
     def test_missing_file(self, capsys):
         assert blkprof.main(["breakdown", "/nonexistent/trace.jsonl"]) == 1
@@ -100,65 +86,3 @@ class TestErrorPaths:
         bad.write_text('{"no-event-key": 1}\n')
         assert blkprof.main(["spans", str(bad)]) == 1
         assert "not a trace JSONL" in capsys.readouterr().err
-
-
-class TestEngineBench:
-    def test_appends_trajectory_and_passes_own_floor(self, capsys, tmp_path):
-        out = tmp_path / "BENCH_engine.json"
-        assert engine_bench.main(
-            ["--bios", "2000", "--repeat", "1", "--out", str(out)]
-        ) == 0
-        trajectory = json.loads(out.read_text())
-        assert isinstance(trajectory, list) and len(trajectory) == 1
-        result = trajectory[0]
-        assert result["schema"] == engine_bench.BENCH_SCHEMA
-        assert result["bios"] == 2000
-        assert result["bios_per_sec"] > 0
-        assert result["sim_profile"]["bios_completed"] == 2000
-        assert result["hotspots"], "cProfile found no hotspots?"
-        assert all("cumtime_sec" in row for row in result["hotspots"])
-
-        # A floor well below the just-measured rate passes (the gate is
-        # 15%; halving keeps this robust to machine-load jitter on short
-        # runs), and the second run appends rather than overwrites.
-        floor = tmp_path / "floor.json"
-        floor.write_text(json.dumps({"bios_per_sec": result["bios_per_sec"] / 2}))
-        assert engine_bench.main(
-            ["--bios", "2000", "--repeat", "1", "--out", str(out),
-             "--check-floor", str(floor)]
-        ) == 0
-        trajectory = json.loads(out.read_text())
-        assert len(trajectory) == 2
-        assert trajectory[0] == result
-
-    def test_wraps_legacy_single_entry_artifact(self, tmp_path):
-        out = tmp_path / "BENCH_engine.json"
-        legacy = {"schema": "repro.tools.engine_bench/1", "bios_per_sec": 42.0}
-        out.write_text(json.dumps(legacy))
-        assert engine_bench.main(
-            ["--bios", "1000", "--repeat", "1", "--out", str(out)]
-        ) == 0
-        trajectory = json.loads(out.read_text())
-        assert len(trajectory) == 2
-        assert trajectory[0] == legacy
-        assert trajectory[1]["schema"] == engine_bench.BENCH_SCHEMA
-
-    def test_floor_regression_fails(self, capsys, tmp_path):
-        out = tmp_path / "BENCH_engine.json"
-        floor = tmp_path / "floor.json"
-        floor.write_text(json.dumps({"bios_per_sec": 1e12}))
-        assert engine_bench.main(
-            ["--bios", "1000", "--repeat", "1", "--out", str(out),
-             "--check-floor", str(floor)]
-        ) == 1
-        assert "regression" in capsys.readouterr().out
-
-    def test_committed_floor_is_generous(self, tmp_path):
-        """The repo's committed floor must hold on this machine."""
-        from pathlib import Path
-
-        floor_path = Path(__file__).resolve().parents[2] / (
-            "benchmarks/BENCH_engine_floor.json"
-        )
-        result = engine_bench.run_bench(bios=5000, repeat=1, top=3)
-        assert engine_bench.check_floor(result, floor_path) is None
