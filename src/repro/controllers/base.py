@@ -98,29 +98,48 @@ class IOController(abc.ABC):
                 ctl=self.name,
             )
 
-    def hold(self, group: Any, bio: "Bio", reason: str, delay: float) -> None:
+    def hold(self, group: Any, bio: "Bio", reason: str, delay: float, key: Any) -> None:
         """``bio`` waits at the head of ``group``'s queue for ``delay`` more
         seconds: noted the first time this controller holds it, and the
-        group's one wake timer (re-)armed to pump again then.  A group that
-        is held carries ``held`` and ``wake`` (both ``None`` when made).
+        group's one wake timer armed to pump again then.  ``key`` stands for
+        every input that can move that deadline *earlier* (IOCost: the tree
+        generation; blk-throttle: the group's limits): a pump loop skips a
+        group whose ``wake_key`` is the current key and whose wake is still
+        ahead.  A group carries ``held``, ``wake`` and ``wake_key`` (``None``
+        when made; the key is set exactly while the wake is armed).
+
+        Invariant: an armed wake fires no later than the head's true
+        deadline, or the key differs.  So a timer is never postponed: one
+        still ahead that fires at or before the new deadline stays (it
+        fires, ``pump`` re-evaluates, the head is re-held); it is cancelled
+        and re-pushed only when the deadline moved earlier, or when it is
+        due this instant (the pump it would fire into is the one running).
         """
         if group.held is not bio:
             group.held = bio
             self.note_throttle(bio, reason)
+        sim = self.layer.sim
+        group.wake_key = key
         if group.wake is not None:
+            if sim.now < group.wake.time <= sim.now + delay:
+                return
             group.wake.cancel()
-        group.wake = self.layer.sim.schedule(delay, self._wake, group)
+        group.wake = sim.schedule(delay, self._wake, group)
 
     def _wake(self, group: Any) -> None:
-        group.wake = None
+        group.wake = group.wake_key = None
         self.pump()
+
+    def _disarm(self, group: Any) -> None:
+        # Groups of a policy that never holds (iolatency, bfq) have no wake.
+        if getattr(group, "wake", None) is not None:
+            group.wake.cancel()
+            group.wake = group.wake_key = None
 
     def detach(self) -> None:
         """Tear down timers etc.  Called when an experiment ends."""
         for group in self.groups:
-            if group.wake is not None:
-                group.wake.cancel()
-                group.wake = None
+            self._disarm(group)
 
     def cost_stat(self, cgroup: "Cgroup") -> Dict[str, float]:
         """Controller-specific io.stat keys for one cgroup.
@@ -146,13 +165,15 @@ class IOController(abc.ABC):
         """The retirement rule: a group whose record is offline (its cgroup
         was removed) leaves the list once :meth:`drained`.  Newest first, so
         a dead subtree goes in one pass; ``pd`` is cleared, so a straggler
-        bio of the dead cgroup makes a fresh group that retires the same way.
+        bio of the dead cgroup makes a fresh group that retires the same way,
+        and an armed wake is cancelled (it would fire for nobody).
         Call it where the policy already walks :attr:`groups`, never per bio.
         """
         for group in reversed(self.groups):
             if not group.blkg.online and self.drained(group):
                 self.groups.remove(group)
                 group.blkg.pd = None
+                self._disarm(group)
                 self.retired(group)
 
     def drained(self, group: Any) -> bool:

@@ -11,7 +11,7 @@ per workload, the configuration-explosion argument of §2.3.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Deque, Dict, Optional
 
 from repro.block.bio import Bio
@@ -65,19 +65,22 @@ class _Bucket:
 
 class _GroupThrottle:
     __slots__ = (
-        "path", "blkg", "limits", "waitq", "riops", "wiops", "rbps", "wbps", "held", "wake"
+        "path", "blkg", "limits", "waitq", "riops", "wiops", "rbps", "wbps",
+        "held", "wake", "wake_key",
     )
 
     def __init__(self, path: str, blkg: IOStats, limits: ThrottleLimits):
         self.path = path
         self.blkg = blkg
         self.waitq: Deque[Bio] = deque()
-        self.held = self.wake = None  # IOController.hold
+        self.held = self.wake = self.wake_key = None  # IOController.hold
         self.set_limits(limits)
 
     def set_limits(self, limits: ThrottleLimits) -> None:
-        """(Re)build the buckets; the queue and an armed wake stay."""
-        self.limits = limits
+        """(Re)build the buckets; the queue and an armed wake stay.  The
+        copy's identity is the key a head is held under (``pump``): buckets
+        only refill until they are replaced here, by whatever object."""
+        self.limits = replace(limits)
         self.riops = _Bucket(limits.riops) if limits.riops else None
         self.wiops = _Bucket(limits.wiops) if limits.wiops else None
         self.rbps = _Bucket(limits.rbps) if limits.rbps else None
@@ -130,12 +133,14 @@ class BlkThrottleController(IOController):
         for group in self.groups:
             if not group.blkg.online:
                 offline = True
+            if group.wake_key is group.limits and group.wake.time > now:
+                continue  # its head waits for its wake (hold)
             while group.waitq and layer.can_dispatch():
                 bio = group.waitq[0]
                 buckets = group.buckets_for(bio)
                 waits = [bucket.wait_time(now, amount) for bucket, amount in buckets]
                 if any(wait > 0 for wait in waits):
-                    self.hold(group, bio, "tokens", max(waits) + 1e-9)
+                    self.hold(group, bio, "tokens", max(waits) + 1e-9, group.limits)
                     break
                 for bucket, amount in buckets:
                     bucket.try_take(now, amount)

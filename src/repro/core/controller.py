@@ -243,11 +243,18 @@ class IOCost(IOController):
         # finds nothing queued and must cost two truth tests.
         if not self._queued or not layer.can_dispatch():
             return
+        tree = self.tree
+        now = layer.sim.now
         for state in self.groups:  # creation order
-            if state.waitq:
-                self._try_issue(state)
-                if not layer.can_dispatch():
-                    break
+            if not state.waitq:
+                continue
+            # Held under the current key: its head waits for its wake (hold).
+            # A wake due this instant is taken here, in creation order.
+            if state.wake_key == tree.generation and state.wake.time > now:
+                continue
+            self._try_issue(state)
+            if not layer.can_dispatch():
+                break
 
     def _activate(self, group: GroupState) -> None:
         if group.active:
@@ -303,7 +310,11 @@ class IOCost(IOController):
                     self.rescinds += 1
                     continue
                 self._budget_blocked_events += 1
-                self.hold(group, bio, "budget", self.clock.wall_delay_for(need - budget))
+                # The deadline moves earlier only with the hweight or the
+                # vtime line (_plan bumps the tree after moving it); local
+                # vtime only ever pushes it later (debt charges).
+                delay = self.clock.wall_delay_for(need - budget)
+                self.hold(group, bio, "budget", delay, tree.generation)
                 break
 
     def on_complete(self, bio: Bio) -> None:
@@ -375,6 +386,10 @@ class IOCost(IOController):
                 budget_blocked=self._budget_blocked_events,
             )
         self._budget_blocked_events = 0
+        # Every held head is re-evaluated once a period (hold's key): vrate
+        # may have moved the vtime line, and a head still short of budget is
+        # what the next adjustment reads as starvation.
+        self.tree.bump()
         self.pump()
         self._plan_timer = sim.schedule(self.qos.period, self._plan)
 
@@ -407,7 +422,7 @@ class IOCost(IOController):
         return not group.waitq and not group.children
 
     def retired(self, group: GroupState) -> None:
-        self.tree.drop(group)  # an armed wake just fires into a pump
+        self.tree.drop(group)
 
     def _recompute_donations(self) -> None:
         self.tree.refresh_base_weights()

@@ -48,9 +48,11 @@ class GroupState:
         self.local_vtime = 0.0
         self.audited_vtime: Optional[float] = None  # sanitizer's last look
         self.waitq: Deque["Bio"] = deque()
-        # IOController.hold: the head bio last noted, the one wake timer.
+        # IOController.hold: the head bio last noted, the one wake timer and
+        # the tree generation its deadline was computed under.
         self.held: Optional["Bio"] = None
         self.wake: Optional["Event"] = None
+        self.wake_key: Optional[int] = None
         # Planning-path accounting (reset each period).
         self.abs_usage = 0.0
         self.period_ios = 0

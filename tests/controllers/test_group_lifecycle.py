@@ -9,13 +9,14 @@ does not hide another's (ROADMAP item 3(a), the removal column).
 
 import dataclasses
 from collections import Counter
-from typing import Callable
+from typing import Callable, Optional
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.block.device_models import get_device_spec
-from repro.cgroup import CgroupTree, IOStats
+from repro.block.bio import Bio, IOOp
+from repro.cgroup import Cgroup, CgroupTree, IOStats
 from repro.controllers import (
     BFQController,
     BlkThrottleController,
@@ -46,6 +47,10 @@ def _nothing(controller: IOController) -> None:
     pass
 
 
+def _outweigh(gate: IOController, b: Cgroup) -> None:
+    gate.set_weight(b, 1)  # a's hweight: 1/10001 -> 1/2
+
+
 @dataclasses.dataclass(frozen=True)
 class Row:
     #: A fresh controller; ``a`` starts at weight 100 with this configuration.
@@ -56,6 +61,9 @@ class Row:
     reconfigure: Callable[[IOController], None] = _nothing
     #: The component of the controller that holds the groups.
     gate: Callable[[IOController], IOController] = lambda controller: controller
+    #: For a gate that holds heads under a wake timer (``IOController.hold``):
+    #: what lets ``a``'s held head go at once, ahead of that timer.
+    release: Optional[Callable[[IOController, Cgroup], None]] = None
     #: Simulated seconds to settle, then to measure, and how close the
     #: restarted machine's a:b ratio must come to the fresh machine's.
     settle: float = 0.1
@@ -64,7 +72,7 @@ class Row:
 
 
 ROWS = {
-    "iocost": Row(_iocost, restart_weight=400),
+    "iocost": Row(_iocost, restart_weight=400, release=_outweigh),
     "iolatency": Row(
         # b is protected, so a is squeezed to depth 1 and queues.
         lambda: IOLatencyController({B: 5e-4}),
@@ -77,6 +85,7 @@ ROWS = {
         reconfigure=lambda controller: controller.set_limits(
             A, ThrottleLimits(riops=2000)
         ),
+        release=lambda gate, b: gate.set_limits(A, ThrottleLimits()),
     ),
     # Slices are 0.1-0.4 s long and b's budgets have ramped by the time a
     # restarts: the ratio depends on where in the round the window falls
@@ -86,6 +95,7 @@ ROWS = {
         lambda: StackedController(_iocost(), MQDeadlineController()),
         restart_weight=400,
         gate=lambda controller: controller.gate,
+        release=_outweigh,
     ),
 }
 
@@ -187,6 +197,39 @@ class TestRemoval:
             bed.run(1.0)
             assert straggler.done and record.pd is None
             assert all(group.blkg.online for group in gate.groups)
+
+        for_every_row(check)
+
+    def test_a_retired_group_leaves_no_timer_behind(self):
+        # a's burst queues behind a far wake; a is removed; the row's
+        # ``release`` then lets the queue go in one pump, ahead of that
+        # wake, so a retires drained with the timer still armed.  Nothing
+        # else fires for nobody now that timers are not churned.
+        def check(name, row):
+            if row.release is None:
+                return  # never holds: no wake timer
+            bed = Testbed("ssd_old", row.make(), seed=5)
+            a, b = bed.add_cgroup(A, weight=1), bed.add_cgroup(B, weight=10000)
+            Tracked(bed.sim, bed.layer, b, depth=32).start()
+            bed.run(0.01)
+            for index in range(32):
+                bed.layer.submit(Bio(IOOp.READ, 4096, 8 * index, a))
+            gate = row.gate(bed.controller)
+            dead = a.stats.device(bed.layer.dev).pd
+            assert dead.waitq and dead.wake is not None
+            bed.cgroups.remove(A)
+            bed.run(0.005)
+            assert dead.waitq
+            row.release(gate, b)
+            while dead in gate.groups:
+                assert bed.sim.now < 0.2, "a never retired"
+                bed.run(1e-4)
+            assert not dead.waitq and dead.wake is None
+            assert not [
+                event for _time, _seq, event in bed.sim._heap
+                if dead in event.args and not event.cancelled
+            ]
+            bed.detach()
 
         for_every_row(check)
 

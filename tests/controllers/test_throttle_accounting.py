@@ -17,13 +17,17 @@ from repro.obs import TRACE, SpanTracker, TraceBuffer
 from repro.testbed import Testbed
 from tests.controllers.test_group_lifecycle import A, B, ROWS, for_every_row
 
-#: ``SpanTracker.breakdown()`` stage totals (usec) of :func:`run_contended`,
-#: measured at the commit before ``hold`` existed (iocost and blk-throttle
-#: re-noted the head bio on every retry there): noting once moves no span
-#: boundary.
+#: ``SpanTracker.breakdown()`` stage totals (usec) of :func:`run_contended`.
+#: ``throttle_wait:*`` and ``service`` are what they were before ``hold``
+#: existed (iocost and blk-throttle re-noted the head bio on every retry
+#: there): noting once moves no span boundary.  ``queue_wait`` of the two
+#: iocost rows was re-measured when ``hold`` stopped re-arming the wake on
+#: every pump (11326154 -> 11326075, 11303337 -> 11303284): two groups in
+#: lock-step have wakes due an ulp apart, and each head now issues at its
+#: own wake instead of both at the first, in creation order.
 STAGE_TOTALS = {
     "iocost": {
-        "queue_wait": 11326154.0, "throttle_wait:iocost": 408172.0, "service": 1023062.0
+        "queue_wait": 11326075.0, "throttle_wait:iocost": 408172.0, "service": 1023062.0
     },
     "blk-throttle": {
         "queue_wait": 11302015.0, "throttle_wait:blk-throttle": 398597.0, "service": 49536.0
@@ -32,7 +36,7 @@ STAGE_TOTALS = {
         "queue_wait": 14463.0, "throttle_wait:iolatency": 784890.0, "service": 11973715.0
     },
     "stacked": {
-        "queue_wait": 11303337.0, "throttle_wait:iocost": 431760.0, "service": 1022420.0
+        "queue_wait": 11303284.0, "throttle_wait:iocost": 431760.0, "service": 1022420.0
     },
 }
 

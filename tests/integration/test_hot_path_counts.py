@@ -6,6 +6,11 @@ heap and pump counts, and the number of Python calls ``cProfile`` sees
 per additional bio while TRACE, PROF and SANITIZE are all off.  Run this
 file after touching anything between ``BlockLayer.submit`` and
 ``_finish``.  A PR that removes work lowers the numbers here.
+
+A second, *contended* rig sits beside the solo one: a small weighted tree
+whose budget binds, so most heads wait.  What it pins is that a held head
+costs no timer traffic while it waits (``IOController.hold``): heap pushes
+per bio stay near the solo path's and almost no pushed timer is cancelled.
 """
 
 import cProfile
@@ -15,10 +20,14 @@ import sys
 
 import pytest
 
+from repro.block.bio import Bio, IOOp
 from repro.block.layer import BlockLayer
+from repro.controllers import BlkThrottleController, ThrottleLimits
+from repro.core.qos import QoSParams
 from repro.obs.prof import PROF
 from repro.obs.trace import TRACE
 from repro.sanitize import SANITIZE
+from repro.testbed import Testbed
 from repro.tools.engine_bench import run_fixed_load
 
 BIOS = 5000
@@ -27,8 +36,8 @@ DEPTH = 64
 #: ``PROF.snapshot()`` of ``run_fixed_load(BIOS, DEPTH)``, exactly.
 PROF_COUNTS = {
     "events_dispatched": 11044,
-    "heap_pushes": 13060,
-    "heap_pops": 13060,
+    "heap_pushes": 11045,
+    "heap_pops": 11045,
     "pump_calls": 11044,
     "bios_submitted": BIOS,
     "bios_issued": BIOS,
@@ -36,6 +45,24 @@ PROF_COUNTS = {
     "plan_ticks": 0,
     "emits_by_point": {},
 }
+
+#: ``PROF.snapshot()`` of :func:`run_contended_tree`, exactly.  Where every
+#: pump re-armed every blocked group's wake the same rig made 283,073 heap
+#: pushes (24.4 per bio) and cancelled 0.896 of them, on 29,459 events.
+CONTENDED_PROF_COUNTS = {
+    "events_dispatched": 29722,
+    "heap_pushes": 34213,
+    "heap_pops": 34212,
+    "pump_calls": 29722,
+    "bios_submitted": 11578,
+    "bios_issued": 11578,
+    "bios_completed": 11578,
+    "plan_ticks": 12,
+    "emits_by_point": {},
+}
+#: The storm's signature, bounded loosely enough to survive a retuned rig.
+HEAP_PUSHES_PER_BIO_CEILING = 6.0
+CANCELLED_SHARE_CEILING = 0.3
 
 #: Python + C calls per additional bio with every guard off: 60.002 on
 #: CPython 3.11 (the .002 is one sector-chunk refill per 4096 bios).
@@ -81,6 +108,84 @@ def test_prof_counts_are_exact():
     with PROF:
         run_fixed_load(BIOS, DEPTH)
     assert PROF.snapshot() == PROF_COUNTS
+
+
+def run_contended_tree():
+    """0.2 s of nine saturating readers (depth 8) in a 3 x 3 weighted tree on
+    ``ssd_old``, vrate capped at 0.6 of the device: every group waits on
+    budget most of the time.  Drained and detached before it returns."""
+    qos = QoSParams(
+        read_lat_target=1e-3, read_pct=95, vrate_min=0.25, vrate_max=0.6, period=0.02
+    )
+    bed = Testbed("ssd_old", "iocost", seed=3, qos=qos)
+    for tenant, tenant_weight in enumerate((400, 200, 100)):
+        bed.add_cgroup(f"workload.slice/t{tenant}", weight=tenant_weight)
+        for index, weight in enumerate((200, 100, 50)):
+            group = bed.add_cgroup(f"workload.slice/t{tenant}/c{index}", weight=weight)
+            bed.saturate(group, depth=8, stop_at=0.2)
+    bed.run(0.25)
+    bed.detach()
+    return bed
+
+
+def test_contended_prof_counts_are_exact_and_no_storm():
+    with PROF:
+        bed = run_contended_tree()
+    counts = PROF.snapshot()
+    assert bed.layer.completed_ios == bed.layer.submitted_ios
+    assert counts == CONTENDED_PROF_COUNTS
+    pushes = counts["heap_pushes"]
+    assert pushes / counts["bios_completed"] <= HEAP_PUSHES_PER_BIO_CEILING
+    assert (pushes - counts["events_dispatched"]) / pushes <= CANCELLED_SHARE_CEILING
+
+
+def heap_census(sim):
+    """``(live, cancelled)`` entries on the event heap."""
+    cancelled = sum(event.cancelled for _time, _seq, event in sim._heap)
+    return len(sim._heap) - cancelled, cancelled
+
+
+def submit_one_read_each(bed, groups):
+    for index, group in enumerate(groups):
+        bed.layer.submit(Bio(IOOp.READ, 4096, 8 * index, group))
+
+
+@pytest.mark.parametrize("cgroups", (100, 200, 400))
+class TestActivationStormIsLinear:
+    """N cgroups each hold one bio: N timers, none cancelled.  Every new
+    sibling lowers every held group's hweight, so every deadline moves —
+    later, and a timer is never postponed.  (Re-arming every blocked group
+    on every pump left N(N-1)/2 cancelled entries: 79,800 at N = 400.  N
+    stops there because the hweight sums still make the set-up cubic,
+    ROADMAP item 5(b).)"""
+
+    def test_iocost(self, cgroups):
+        bed = Testbed("ssd_new", "iocost")
+        # A newly active group has no budget: its first bio is held.
+        submit_one_read_each(
+            bed, [bed.add_cgroup(f"workload.slice/c{index}") for index in range(cgroups)]
+        )
+        assert heap_census(bed.sim) == (cgroups + 1, 0)  # + the plan timer
+        bed.run(0.5)
+        bed.detach()
+        assert bed.layer.completed_ios == cgroups
+
+    def test_blk_throttle(self, cgroups):
+        paths = [f"workload.slice/c{index}" for index in range(cgroups)]
+        bed = Testbed(
+            "ssd_new",
+            BlkThrottleController({path: ThrottleLimits(riops=10) for path in paths}),
+        )
+        groups = [bed.add_cgroup(path) for path in paths]
+        # A full bucket grants the first read; the second waits 0.09 s.
+        submit_one_read_each(bed, groups)
+        bed.run(0.01)
+        assert bed.layer.completed_ios == cgroups
+        submit_one_read_each(bed, groups)
+        assert heap_census(bed.sim) == (cgroups, 0)
+        bed.run(0.5)
+        bed.detach()
+        assert bed.layer.completed_ios == 2 * cgroups
 
 
 @needs_cpython_311
