@@ -19,6 +19,12 @@ assigns every host a label-keyed random rank, and
 :meth:`FleetScheduler.staged_controllers` migrates the first ``fraction``
 of that order each week.
 
+No choice scans the fleet.  A host's load is stored, and hosts are filed by
+``(capacity_iops, load_iops)``: hosts of one such class fit the same
+demands, leave the same headroom and are equally utilised, and every
+tie-break is by ordinal, so placement and both passes choose among the
+lowest-ordinal host of each class — a handful, whatever the fleet's size.
+
 Determinism contract: hosts are created in sorted-group order (the spec
 sorts its host table), every tie-break is by host ordinal, and every
 random decision draws from a stream keyed by a *label* (placement unit or
@@ -29,8 +35,10 @@ when other hosts are added or removed.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from itertools import chain
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.profiler import profile_device
 from repro.exp.experiments import device_spec_for
@@ -104,18 +112,33 @@ class Placement:
 
 @dataclass
 class Host:
-    """One schedulable host: capacity, current placements, provenance."""
+    """One schedulable host: capacity, current placements, provenance.
+
+    ``load_iops`` is state, not a sum on every read: it is always the left
+    fold ``((0 + d0) + d1) + ...`` of the demands in ``placements`` order,
+    to the bit.  Appending adds one term to that fold; float subtraction
+    would not undo one, so a removal folds the survivors again.  Only
+    :meth:`add` and :meth:`remove` change either field.
+    """
 
     id: str
     group: str
     order: int
     capacity_iops: float
-    placements: List[Placement] = field(default_factory=list)
+    placements: List[Placement] = field(default_factory=list, init=False)
     oversubscribed: bool = False
+    load_iops: float = field(default=0, init=False)
 
-    @property
-    def load_iops(self) -> float:
-        return sum(p.demand_iops for p in self.placements)
+    def add(self, placement: Placement) -> None:
+        self.placements.append(placement)
+        self.load_iops += placement.demand_iops
+
+    def remove(self, placement: Placement) -> None:
+        self.placements.remove(placement)
+        load: float = 0  # not sum(): CPython 3.12's compensates, add() cannot
+        for survivor in self.placements:
+            load += survivor.demand_iops
+        self.load_iops = load
 
     @property
     def utilization(self) -> float:
@@ -171,6 +194,11 @@ class FleetScheduler:
                 )
                 order += 1
         self._by_id = {host.id: host for host in self.hosts}
+        # The placement index: the ordinals, ascending, of the hosts of each
+        # (capacity, load) class.  Kept by _change, read through _heads.
+        self._classes: Dict[Tuple[float, float], List[int]] = {}
+        for host in self.hosts:
+            self._classes.setdefault((host.capacity_iops, 0), []).append(host.order)
         self.migrations: List[Migration] = []
         self._placed = False
 
@@ -179,6 +207,30 @@ class FleetScheduler:
             return self._by_id[host_id]
         except KeyError:
             raise SchedulerError(f"no such host {host_id!r}") from None
+
+    # -- the placement index -------------------------------------------------
+
+    def _members(self, host: Host) -> List[int]:
+        return self._classes[host.capacity_iops, host.load_iops]
+
+    def _heads(self) -> List[Host]:
+        """The lowest-ordinal host of every class: the only hosts a choice
+        keyed by capacity, load and ordinal can make."""
+        return [self.hosts[members[0]] for members in self._classes.values()]
+
+    def _change(
+        self, host: Host, mutate: Callable[[Host, Placement], None], placement: Placement
+    ) -> None:
+        """Apply ``Host.add`` or ``Host.remove`` and file the host under its new load."""
+        members = self._members(host)
+        del members[bisect_left(members, host.order)]
+        if not members:
+            del self._classes[host.capacity_iops, host.load_iops]
+        mutate(host, placement)
+        insort(
+            self._classes.setdefault((host.capacity_iops, host.load_iops), []),
+            host.order,
+        )
 
     # -- placement -----------------------------------------------------------
 
@@ -199,24 +251,28 @@ class FleetScheduler:
             if template.count == 1
             else f"{template.cgroup}-{instance}"
         )
-        fitting = [host for host in self.hosts if host.fits(demand)]
+        heads = self._heads()
+        fitting = [host for host in heads if host.fits(demand)]
         if not fitting:
             # Oversubscribe the least-utilised host rather than failing the
             # whole spec — the rollup flags these hosts.
-            host = min(self.hosts, key=lambda h: (h.utilization, h.order))
+            host = min(heads, key=lambda h: (h.utilization, h.order))
             host.oversubscribed = True
         elif self.spec.policy == "first_fit":
-            host = fitting[0]  # hosts stay in ordinal order
+            host = min(fitting, key=lambda h: h.order)
         elif self.spec.policy == "best_fit":
             host = min(
                 fitting,
                 key=lambda h: (h.capacity_iops - h.load_iops - demand, h.order),
             )
-        else:  # spread
+        else:  # spread: a draw over every fitting host, in ordinal order
             rng = rng_for(f"fleet:place:{template.name}:{instance}", self.seed)
-            host = fitting[int(rng.integers(len(fitting)))]
-        host.placements.append(
-            Placement(template.name, instance, cgroup, template.weight, demand)
+            ordinals = sorted(chain.from_iterable(map(self._members, fitting)))
+            host = self.hosts[ordinals[int(rng.integers(len(ordinals)))]]
+        self._change(
+            host,
+            Host.add,
+            Placement(template.name, instance, cgroup, template.weight, demand),
         )
 
     # -- Serifos-style rebalancing -------------------------------------------
@@ -236,14 +292,13 @@ class FleetScheduler:
         )
         for donor in donors:
             staged: List[Migration] = []
-            placed: List[Placement] = []
-            for placement in list(donor.placements):
+            before = list(donor.placements)
+            for placement in before:
                 receiver = self._receiver_for(donor, placement, target_util)
                 if receiver is None:
                     break
-                donor.placements.remove(placement)
-                receiver.placements.append(placement)
-                placed.append(placement)
+                self._change(donor, Host.remove, placement)
+                self._change(receiver, Host.add, placement)
                 staged.append(
                     Migration(
                         placement.workload, placement.instance,
@@ -251,9 +306,15 @@ class FleetScheduler:
                     )
                 )
             if donor.placements:  # partial drain: roll back
-                for migration, placement in zip(staged, placed):
-                    self.host(migration.to_host).placements.remove(placement)
-                    donor.placements.append(placement)
+                for migration, placement in zip(staged, before):
+                    self._change(self.host(migration.to_host), Host.remove, placement)
+                # Empty the donor and refill it, so that it gets back its
+                # prior order (hence its prior load and host_params entry),
+                # not the survivors followed by the returned.
+                for placement in list(donor.placements):
+                    self._change(donor, Host.remove, placement)
+                for placement in before:
+                    self._change(donor, Host.add, placement)
             else:
                 moves.extend(staged)
         self.migrations.extend(moves)
@@ -262,11 +323,12 @@ class FleetScheduler:
     def _receiver_for(
         self, donor: Host, placement: Placement, target_util: float
     ) -> Optional[Host]:
+        # The donor's own class is no busier than the donor, so neither the
+        # donor nor a head standing in for it is ever a candidate.
         candidates = [
             h
-            for h in self.hosts
-            if h is not donor
-            and h.utilization > donor.utilization
+            for h in self._heads()
+            if h.utilization > donor.utilization
             and h.capacity_iops > 0
             and (h.load_iops + placement.demand_iops) / h.capacity_iops
             <= target_util * (1.0 + _EPS)
@@ -289,11 +351,12 @@ class FleetScheduler:
             max_moves = 4 * len(self.hosts)
         moves: List[Migration] = []
         for _ in range(max_moves):
-            loaded = [h for h in self.hosts if h.placements]
+            heads = self._heads()
+            loaded = [h for h in heads if h.placements]
             if not loaded:
                 break
             busiest = max(loaded, key=lambda h: (h.utilization, -h.order))
-            idlest = min(self.hosts, key=lambda h: (h.utilization, h.order))
+            idlest = min(heads, key=lambda h: (h.utilization, h.order))
             if busiest is idlest:
                 break
             if busiest.utilization - idlest.utilization <= tolerance:
@@ -313,8 +376,8 @@ class FleetScheduler:
                     break
             if candidate is None:
                 break
-            busiest.placements.remove(candidate)
-            idlest.placements.append(candidate)
+            self._change(busiest, Host.remove, candidate)
+            self._change(idlest, Host.add, candidate)
             moves.append(
                 Migration(
                     candidate.workload, candidate.instance,
