@@ -17,6 +17,7 @@ from __future__ import annotations
 import bisect
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from typing import Deque, Iterable, List, Optional, Tuple
 
 from repro.obs.metrics import exact_percentile
@@ -25,44 +26,51 @@ from repro.obs.metrics import exact_percentile
 class LatencyWindow:
     """Sliding-window latency samples with percentile queries.
 
-    Samples are (timestamp, latency) pairs; queries prune samples older than
-    ``window`` seconds before answering.  This is the signal source for
-    IOCost's latency-target saturation detection.
+    Samples are (timestamp, latency, is_write) triples in time order;
+    :meth:`record` drops what has left the window as it appends, so the
+    store is bounded with or without a reader.  The block layer's device
+    windows are the signal source for IOCost's saturation detection.
     """
 
     def __init__(self, window: float = 1.0) -> None:
         if window <= 0:
             raise ValueError("window must be positive")
         self.window = window
-        self._samples: Deque[Tuple[float, float]] = deque()
+        self._samples: Deque[Tuple[float, float, bool]] = deque()
 
-    def record(self, now: float, latency: float) -> None:
-        self._samples.append((now, latency))
+    def record(self, now: float, latency: float, is_write: bool = False) -> None:
+        samples = self._samples
+        samples.append((now, latency, is_write))
+        while samples[0][0] < now - self.window:
+            samples.popleft()
 
-    def _prune(self, now: float) -> None:
-        horizon = now - self.window
-        while self._samples and self._samples[0][0] < horizon:
-            self._samples.popleft()
+    def _fresh(self, now: float, horizon: float) -> int:
+        """How many of the newest samples are no older than ``horizon`` seconds."""
+        return len(self._samples) - bisect.bisect_left(self._samples, (now - horizon,))
 
     def count(self, now: float) -> int:
-        self._prune(now)
-        return len(self._samples)
+        return self._fresh(now, self.window)
 
-    def percentile(self, now: float, pct: float) -> Optional[float]:
-        """Window percentile, or None if the window is empty."""
-        self._prune(now)
-        if not self._samples:
+    def percentile(
+        self,
+        now: float,
+        pct: float,
+        horizon: Optional[float] = None,
+        reads_only: bool = False,
+    ) -> Optional[float]:
+        """Percentile of the samples no older than ``horizon`` seconds (the
+        whole window by default; a wider horizon raises), of the reads alone
+        if ``reads_only``; None if there are none."""
+        if horizon is None:
+            horizon = self.window
+        elif horizon > self.window:
+            raise ValueError(f"horizon {horizon} exceeds the window ({self.window})")
+        # Newest first; a nearest-rank percentile does not depend on order.
+        fresh = islice(reversed(self._samples), self._fresh(now, horizon))
+        latencies = [lat for _, lat, is_write in fresh if not (reads_only and is_write)]
+        if not latencies:
             return None
-        return exact_percentile([lat for _, lat in self._samples], pct)
-
-    def mean(self, now: float) -> Optional[float]:
-        self._prune(now)
-        if not self._samples:
-            return None
-        return sum(lat for _, lat in self._samples) / len(self._samples)
-
-    def clear(self) -> None:
-        self._samples.clear()
+        return exact_percentile(latencies, pct)
 
 
 class RateMeter:
@@ -78,13 +86,13 @@ class RateMeter:
     def record(self, now: float, amount: float = 1.0) -> None:
         self._events.append((now, amount))
         self.total += amount
+        while self._events[0][0] < now - self.window:
+            self._events.popleft()
 
     def rate(self, now: float) -> float:
         """Windowed rate in amount/second."""
-        horizon = now - self.window
-        while self._events and self._events[0][0] < horizon:
-            self._events.popleft()
-        return sum(amount for _, amount in self._events) / self.window
+        oldest = now - self.window
+        return sum(amount for t, amount in self._events if t >= oldest) / self.window
 
 
 class TimeSeries:

@@ -21,8 +21,8 @@ kernel block layer provides around them:
   with exponential backoff up to ``max_retries``, then completed with its
   terminal non-OK status.  Every path — success, retry, final error,
   timeout — releases the bio's request slot exactly once, so queue depth
-  never leaks; failed bios still feed the per-cgroup latency windows, which
-  is how IOCost's QoS loop sees (and reacts to) device degradation.
+  never leaks; failed bios still feed the latency windows, which is how
+  IOCost's QoS loop sees (and reacts to) device degradation.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ class BlockLayer:
         sim: Simulator,
         device: Device,
         controller: IOController,
-        latency_window: float = 1.0,
         io_timeout: Optional[float] = None,
         max_retries: int = 3,
         retry_backoff: Optional[float] = None,
@@ -76,6 +75,9 @@ class BlockLayer:
         #: times per bio and must not chase three attributes each time.
         self._nr_slots = device.spec.nr_slots
         device.on_complete = self._device_completed
+        # Made before the controller attaches: iocost reads them and sizes them.
+        self.read_latency = LatencyWindow()
+        self.write_latency = LatencyWindow()
         controller.attach(self)
 
         #: Abort a dispatched bio that has not completed after this many
@@ -90,9 +92,6 @@ class BlockLayer:
         self._retryq: Deque[Bio] = deque()
 
         self.inflight = 0
-        self.read_latency = LatencyWindow(latency_window)
-        self.write_latency = LatencyWindow(latency_window)
-        self._latency_window = latency_window
 
         # CPU-time resource for the controller issue path (Fig 9 model).
         self._cpu_free_at = 0.0
@@ -288,11 +287,11 @@ class BlockLayer:
             self.write_latency.record(now, latency)
         else:
             self.read_latency.record(now, latency)
-        # Inlined cgroup_window(): the record is already in hand.
+        # The one place a cgroup's window is made: its first completion here.
         window = record.latency
         if window is None:
-            window = record.latency = LatencyWindow(self._latency_window)
-        window.record(now, latency)
+            window = record.latency = LatencyWindow()
+        window.record(now, latency, bio.is_write)
 
         self.controller.on_complete(bio)
         if self._retryq:
@@ -340,12 +339,12 @@ class BlockLayer:
         while self._retryq and self.can_dispatch():
             self._redispatch(self._retryq.popleft())
 
-    def cgroup_window(self, cgroup: Cgroup) -> LatencyWindow:
-        """Per-cgroup completion-latency window (created on first use)."""
-        record = cgroup.stats.device(self.dev)
-        if record.latency is None:
-            record.latency = LatencyWindow(self._latency_window)
-        return record.latency
+    def cgroup_window(self, cgroup: Cgroup) -> Optional[LatencyWindow]:
+        """The cgroup's completion-latency window on this device, reads and
+        writes together; None until a bio of its has finished here (asking
+        makes neither a record nor a window)."""
+        record = cgroup.stats.per_device.get(self.dev)
+        return record.latency if record is not None else None
 
     def iops_of(self, cgroup: Cgroup) -> int:
         """Successfully completed IO count for a cgroup on this device."""

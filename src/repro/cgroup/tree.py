@@ -50,8 +50,8 @@ class IOStats:
     layer's completion path, which also owns two of the non-counters:
     ``next_sector``, where a sequential successor of the cgroup's last bio
     on this device would start, and ``latency``, the cgroup's completion-
-    latency window (made by the layer on first use).  The device's
-    controller owns the rest: ``throttled`` counts the bios it held back,
+    latency window (both directions; made at its first completion).  The
+    device's controller owns the rest: ``throttled`` counts the bios it held,
     ``pd`` (the kernel's ``blkg->pd``) is its per-group state, reached
     through the bio (``bio.blkg.pd``), and ``online``, cleared by
     :meth:`CgroupTree.remove`, tells it when to let that state go

@@ -126,7 +126,8 @@ class IOLatencyController(IOController):
         for group in self.groups:
             if group.target is None:
                 continue
-            observed = layer.cgroup_window(group.cgroup).percentile(now, 90)
+            window = group.blkg.latency  # None until its first completion
+            observed = window.percentile(now, 90) if window is not None else None
             if observed is not None and observed > group.target:
                 if victim_target is None or group.target < victim_target:
                     victim_target = group.target

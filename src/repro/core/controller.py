@@ -20,7 +20,6 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Deque, Optional
 
-from repro.analysis.stats import LatencyWindow
 from repro.block.bio import Bio, BioFlags
 from repro.cgroup import Cgroup
 from repro.controllers.base import Features, IOController
@@ -109,9 +108,7 @@ class IOCost(IOController):
         self.debt_charged = 0.0
         self.rescinds = 0
         self.donation_passes = 0
-        #: Terminally failed bios observed at completion, and the absolute
-        #: cost they paid (charged at enqueue; never refunded on failure).
-        self.failed_ios = 0
+        #: Cost paid by bios that failed for good: charged at enqueue, never refunded.
         self.failed_cost = 0.0
         # Cached tracepoints (single flag check each when tracing is off).
         self._tp_debt = TRACE.points["debt_pay"]
@@ -132,12 +129,9 @@ class IOCost(IOController):
         self.clock = VTimeClock(sim, self._initial_vrate)
         self.vrate_ctl = VRateController(self.clock, self.qos)
         self.debt = DebtTracker(self.clock, self._debt_config)
-        # QoS latency windows scaled to the planning period, so each
-        # adjustment acts on fresh samples (the block layer's own windows
-        # serve measurement and are much wider).
-        window = 3 * self.qos.period
-        self._read_window = LatencyWindow(window)
-        self._write_window = LatencyWindow(window)
+        # The QoS signal: the layer's device windows, reaching back the horizon.
+        for window in (layer.read_latency, layer.write_latency):
+            window.window = max(window.window, self.vrate_ctl.horizon)
         self._plan_timer = sim.schedule(self.qos.period, self._plan)
 
     def detach(self) -> None:
@@ -188,7 +182,6 @@ class IOCost(IOController):
             self._san.note_incurred(id(self), bio.abs_cost)
         if not group.active:
             self._activate(group)
-        group.period_ios += 1
 
         # Only reclaim-side *writes* (swap-out, journal) are the §3.5
         # priority-inversion case: they complete on behalf of some other
@@ -318,19 +311,10 @@ class IOCost(IOController):
                 break
 
     def on_complete(self, bio: Bio) -> None:
-        # Failed bios (device errors, timeouts — see docs/FAULTS.md) flow
-        # through here too: their degraded latency lands in the QoS windows,
-        # so the vrate loop reacts to a misbehaving device the same way it
-        # reacts to a saturated one.  Their cost was charged at enqueue and
-        # is never refunded — errored IO still pays (graceful degradation).
-        latency = bio.device_latency
+        # A bio that failed for good (docs/FAULTS.md) was charged at enqueue
+        # and is never refunded — errored IO still pays (graceful degradation).
         if not bio.ok:
-            self.failed_ios += 1
             self.failed_cost += bio.abs_cost
-        if bio.is_write:
-            self._write_window.record(self.layer.sim.now, latency)
-        else:
-            self._read_window.record(self.layer.sim.now, latency)
 
     # -- planning path ------------------------------------------------------------
 
@@ -347,8 +331,8 @@ class IOCost(IOController):
         prev_starvations = self.vrate_ctl.starvation_events
         vrate = self.vrate_ctl.adjust(
             sim.now,
-            self._read_window,
-            self._write_window,
+            self.layer.read_latency,
+            self.layer.write_latency,
             self.layer.slot_utilization,
             budget_starved=self._budget_blocked_events > 0,
         )
@@ -360,8 +344,8 @@ class IOCost(IOController):
                 busy_level=self.vrate_ctl.busy_level,
                 saturated=self.vrate_ctl.saturation_events > prev_saturations,
                 starved=self.vrate_ctl.starvation_events > prev_starvations,
-                read_p=self._read_window.percentile(sim.now, self.qos.read_pct),
-                write_p=self._write_window.percentile(sim.now, self.qos.write_pct),
+                read_p=self.vrate_ctl.read_p,
+                write_p=self.vrate_ctl.write_p,
             )
         # Fold the per-period counters into the lifetime statistics before
         # the in-place reset; the io.stat surface reads the totals.
@@ -371,11 +355,10 @@ class IOCost(IOController):
             if state.active:
                 active_groups += 1
             state.usage_total += state.abs_usage
-            state.ios_total += state.period_ios
             if state.local_vtime > now_v:
                 state.indebt_total += self.qos.period
             state.abs_usage = 0.0
-            state.period_ios = 0
+            state.ios_seen = state.blkg.total_ios
         if self._tp_period.enabled:
             self._tp_period.emit(
                 sim.now,
@@ -410,9 +393,10 @@ class IOCost(IOController):
     def _deactivate_idle(self) -> None:
         offline = False
         for state in self.groups:
-            if state.active and state.period_ios == 0 and not state.waitq:
+            blkg = state.blkg
+            if state.active and blkg.total_ios == state.ios_seen and not state.waitq:
                 self.tree.deactivate(state)
-            if not state.blkg.online:
+            if not blkg.online:
                 offline = True
         if offline:
             self.retire_offline()
@@ -463,7 +447,7 @@ class IOCost(IOController):
 
         * ``cost.vrate`` — current global vrate (same for every cgroup);
         * ``cost.usage`` — lifetime absolute cost issued (device seconds);
-        * ``cost.ios`` — lifetime IOs seen by the issue path;
+        * ``cost.ios`` — lifetime IOs submitted (the record's count);
         * ``cost.wait`` — wall seconds the cgroup's bios waited above the
           device (from the block layer's completion accounting);
         * ``cost.indebt`` — wall seconds observed in §3.5 debt;
@@ -482,7 +466,7 @@ class IOCost(IOController):
             # Include the running period's partial usage so the surface is
             # monotone between planning ticks.
             "cost.usage": state.usage_total + state.abs_usage,
-            "cost.ios": state.ios_total + state.period_ios,
+            "cost.ios": state.blkg.total_ios,
             "cost.wait": state.blkg.wait_total,  # this device's wait only
             "cost.indebt": state.indebt_total,
             "cost.indelay": state.indelay_total,

@@ -29,7 +29,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class GroupState:
-    """IOCost's per-cgroup state (the kernel's ``ioc_gq`` analogue)."""
+    """IOCost's per-cgroup state (the kernel's ``ioc_gq``); ``blkg`` counts its IOs."""
 
     def __init__(
         self, cgroup: Cgroup, parent: Optional["GroupState"], blkg: IOStats
@@ -55,12 +55,11 @@ class GroupState:
         self.wake_key: Optional[int] = None
         # Planning-path accounting (reset each period).
         self.abs_usage = 0.0
-        self.period_ios = 0
+        self.ios_seen = 0  # the record's total_ios at the last plan tick
         # Lifetime accounting: the per-period values are folded in here by
         # the planning path before the in-place reset, and surfaced through
         # the io.stat ``cost.*`` keys (repro.obs.iostat).
         self.usage_total = 0.0
-        self.ios_total = 0
         self.indebt_total = 0.0   # wall seconds observed in debt
         self.indelay_total = 0.0  # wall seconds of userspace-boundary delay
         # Hweight cache and its reciprocal, under one generation key (the

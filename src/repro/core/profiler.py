@@ -81,7 +81,7 @@ def _saturate(
     sim = Simulator()
     rng = np.random.default_rng(seed)
     device = Device(sim, spec, np.random.default_rng(seed + 1))
-    layer = BlockLayer(sim, device, NoopController(), latency_window=duration + warmup)
+    layer = BlockLayer(sim, device, NoopController())
     group = CgroupTree().create("profiler")
 
     depth = min(spec.nr_slots, spec.parallelism * 4)

@@ -65,6 +65,11 @@ class VRateController:
     def __init__(self, clock: VTimeClock, qos: QoSParams) -> None:
         self.clock = clock
         self.qos = qos
+        #: How far back an adjustment reads the windows: fresh samples only.
+        self.horizon = 3 * qos.period
+        #: The percentiles the last adjustment observed over that horizon.
+        self.read_p: Optional[float] = None
+        self.write_p: Optional[float] = None
         self.vrate_series = TimeSeries("vrate")
         self.read_lat_series = TimeSeries("read_latency")
         self.saturation_events = 0
@@ -87,12 +92,11 @@ class VRateController:
     ) -> float:
         """One planning-period adjustment; returns the new vrate."""
         qos = self.qos
-        # Each window is sorted once per period; the read percentile also
-        # feeds ``read_lat_series`` below.
-        read_p = read_window.percentile(now, qos.read_pct)
-        write_p = None
-        if qos.write_lat_target is not None:
-            write_p = write_window.percentile(now, qos.write_pct)
+        # Each window is sorted once per period: the read percentile also
+        # feeds ``read_lat_series`` below, and both the ``vrate_adjust`` trace.
+        horizon = self.horizon
+        read_p = self.read_p = read_window.percentile(now, qos.read_pct, horizon)
+        write_p = self.write_p = write_window.percentile(now, qos.write_pct, horizon)
         # Worst observed/target ratio among the percentiles over target.
         excess = 0.0
         for observed, target in (

@@ -164,7 +164,6 @@ _WORKLOADS: Dict[str, Tuple[Callable[..., Any], type]] = {
     "think_time": (Testbed.think_time, ThinkTimeWorkload),
     "latency_governed": (Testbed.latency_governed, LatencyGovernedWorkload),
 }
-WORKLOAD_TYPES = tuple(_WORKLOADS)
 #: Keys a table of each type may set: the workload constructor's own
 #: keywords (everything after ``sim, layer, cgroup``).
 _WORKLOAD_KEYS = {
@@ -310,6 +309,31 @@ def io_op(value: Any) -> IOOp:
         raise ExperimentError(f"op {value!r} must be read|write") from None
 
 
+def workload_kwargs(wl_type: str, table: Mapping[str, Any]) -> Dict[str, Any]:
+    """The one workload-table validator (testbed params and fleet templates):
+    the keywords a ``wl_type`` workload starts with, from a table less its
+    ``cgroup`` and ``type``; ``op`` and ``rate`` converted."""
+    if wl_type not in _WORKLOADS:
+        raise ExperimentError(
+            f"unknown workload type {wl_type!r} (want one of {tuple(_WORKLOADS)})"
+        )
+    accepted = ("device",) + _WORKLOAD_KEYS[wl_type]
+    for key in table:
+        if key not in accepted:
+            raise ExperimentError(
+                f"unknown key {key!r} in a {wl_type!r} workload table "
+                f"(accepted: {('cgroup', 'type') + accepted})"
+            )
+    kwargs = dict(table)
+    if "op" in kwargs:
+        kwargs["op"] = io_op(kwargs["op"])
+    if wl_type == "paced":
+        if kwargs.get("rate") is None:
+            raise ExperimentError("paced workloads need a 'rate'")
+        kwargs["rate"] = float(kwargs["rate"])
+    return kwargs
+
+
 def attach_workload(
     bed: Testbed,
     groups: Dict[str, Cgroup],
@@ -322,31 +346,14 @@ def attach_workload(
     entry = dict(entry)
     cgroup_path = entry.pop("cgroup", None)
     wl_type = entry.pop("type", "saturate")
-    device = entry.pop("device", None)
     if cgroup_path not in groups:
         raise ExperimentError(
             f"workload cgroup {cgroup_path!r} is not in the 'cgroups' table"
         )
-    if wl_type not in WORKLOAD_TYPES:
-        raise ExperimentError(
-            f"unknown workload type {wl_type!r} (want one of {WORKLOAD_TYPES})"
-        )
-    accepted = _WORKLOAD_KEYS[wl_type]
-    for key in entry:
-        if key not in accepted:
-            raise ExperimentError(
-                f"unknown key {key!r} in a {wl_type!r} workload table "
-                f"(accepted: {('cgroup', 'type', 'device') + accepted})"
-            )
-    entry.setdefault("stop_at", duration)
-    if "op" in entry:
-        entry["op"] = io_op(entry["op"])
-    if wl_type == "paced":
-        if entry.get("rate") is None:
-            raise ExperimentError("paced workloads need a 'rate'")
-        entry["rate"] = float(entry["rate"])
+    kwargs = workload_kwargs(wl_type, entry)
+    kwargs.setdefault("stop_at", duration)
     start, _cls = _WORKLOADS[wl_type]
-    start(bed, groups[cgroup_path], device=device, **entry)
+    start(bed, groups[cgroup_path], **kwargs)
 
 
 # -- profile_device: Figure 3's per-device cell ------------------------------
@@ -637,10 +644,10 @@ def run_chaos(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     }
     # IOCost tracks the cost of failed bios it never refunds (graceful
     # degradation accounting); other Table 1 mechanisms have no such notion.
-    failed_ios = getattr(fault_layer.controller, "failed_ios", None)
-    if failed_ios is not None:
-        totals["failed_ios"] = int(failed_ios)
-        totals["failed_cost"] = float(fault_layer.controller.failed_cost)
+    failed_cost = getattr(fault_layer.controller, "failed_cost", None)
+    if failed_cost is not None:
+        totals["failed_ios"] = totals["errors"]
+        totals["failed_cost"] = float(failed_cost)
     return {
         "duration": duration,
         "phases": phases,
@@ -660,7 +667,6 @@ __all__ = [
     "ExperimentFn",
     "REGISTRY",
     "TRACE_KEY",
-    "WORKLOAD_TYPES",
     "attach_workload",
     "build_machine",
     "cgroup_report",
@@ -675,4 +681,5 @@ __all__ = [
     "run_profile_device",
     "run_testbed",
     "run_vrate_phases",
+    "workload_kwargs",
 ]

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.exp.experiments import WORKLOAD_TYPES, device_spec_for, io_op, qos_from
+from repro.exp.experiments import device_spec_for, io_op, qos_from, workload_kwargs
 from repro.exp.spec import SpecError, canonical_json, content_hash, load_document
 from repro.faults import plan_from_config
 from repro.workloads.fleet import TASKS, SystemTask
@@ -175,16 +175,10 @@ class WorkloadTemplate:
             raise FleetSpecError(f"workload {self.name!r}: count must be >= 1")
         if not self.cgroup:
             raise FleetSpecError(f"workload {self.name!r} needs a cgroup path")
-        if self.type not in WORKLOAD_TYPES:
-            raise FleetSpecError(
-                f"workload {self.name!r}: unknown type {self.type!r} "
-                f"(want one of {WORKLOAD_TYPES})"
-            )
-        if "op" in self.params:
-            try:
-                io_op(self.params["op"])
-            except ValueError as exc:
-                raise FleetSpecError(f"workload {self.name!r}: {exc}") from None
+        try:  # at load, not once per host inside a worker
+            workload_kwargs(self.type, self.params)
+        except (TypeError, ValueError) as exc:
+            raise FleetSpecError(f"workload {self.name!r}: {exc}") from None
         if self.demand() <= 0:
             raise FleetSpecError(
                 f"workload {self.name!r} needs a positive demand_iops "
@@ -482,7 +476,6 @@ __all__ = [
     "HostGroup",
     "MigrationPlan",
     "PLACEMENT_POLICIES",
-    "WORKLOAD_TYPES",
     "WorkloadTemplate",
     "load_fleet_spec",
     "task_from_config",

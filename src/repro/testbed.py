@@ -312,9 +312,11 @@ class Testbed:
     def latency_percentile(
         self, cgroup: Cgroup, pct: float, device: Optional[str] = None
     ) -> Optional[float]:
-        return self.layer_of(device).cgroup_window(cgroup).percentile(
-            self.sim.now, pct
-        )
+        """The cgroup's *read* latency percentile (None: no read finished)."""
+        window = self.layer_of(device).cgroup_window(cgroup)
+        if window is None:
+            return None
+        return window.percentile(self.sim.now, pct, reads_only=True)
 
     def detach(self) -> None:
         """Tear down every controller's timers (end of experiment)."""

@@ -64,17 +64,55 @@ class TestLatencyWindow:
     def test_empty_window_returns_none(self):
         window = LatencyWindow(window=1.0)
         assert window.percentile(0.0, 50) is None
-        assert window.mean(0.0) is None
-
-    def test_mean(self):
-        window = LatencyWindow(window=10.0)
-        for value in (1.0, 2.0, 3.0):
-            window.record(0.0, value)
-        assert window.mean(1.0) == pytest.approx(2.0)
+        assert window.count(0.0) == 0
 
     def test_invalid_window_rejected(self):
         with pytest.raises(ValueError):
             LatencyWindow(window=0.0)
+
+    @given(
+        gaps=st.lists(st.floats(min_value=0, max_value=0.3), min_size=1, max_size=80),
+        latencies=st.lists(st.floats(min_value=0, max_value=1), min_size=80, max_size=80),
+        horizon=st.floats(min_value=0.01, max_value=1.0),
+        lag=st.floats(min_value=0, max_value=0.5),
+        pct=st.floats(min_value=0, max_value=100),
+    )
+    @settings(max_examples=200)
+    def test_a_horizon_is_a_narrower_window(self, gaps, latencies, horizon, lag, pct):
+        """Reading a wide window at horizon ``h`` is reading a window ``h``
+        wide that was fed the same samples: same samples, same rank."""
+        wide, narrow = LatencyWindow(1.0), LatencyWindow(horizon)
+        now = 0.0
+        for gap, latency in zip(gaps, latencies):
+            now += gap
+            wide.record(now, latency)
+            narrow.record(now, latency)
+        now += lag
+        assert wide.percentile(now, pct, horizon=horizon) == narrow.percentile(now, pct)
+        assert wide.percentile(now, pct, horizon=1.0) == wide.percentile(now, pct)
+
+    def test_a_horizon_wider_than_the_window_raises(self):
+        window = LatencyWindow(window=1.0)
+        window.record(0.0, 1.0)
+        with pytest.raises(ValueError, match="exceeds the window"):
+            window.percentile(0.0, 50, horizon=1.5)
+
+    def test_reads_only_leaves_writes_out(self):
+        window = LatencyWindow(window=1.0)
+        window.record(0.0, 9.0, is_write=True)
+        assert window.percentile(0.0, 50) == 9.0
+        assert window.percentile(0.0, 50, reads_only=True) is None
+        window.record(0.0, 1.0)
+        assert window.percentile(0.0, 100, reads_only=True) == 1.0
+
+    def test_record_bounds_the_store_without_a_reader(self):
+        window, meter = LatencyWindow(window=1.0), RateMeter(window=1.0)
+        for index in range(1000):
+            window.record(index / 128, 1.0)
+            meter.record(index / 128)
+        # The newest sample is 999/128: 871/128 .. 999/128 are inside.
+        assert len(window._samples) == len(meter._events) == 129
+        assert meter.total == 1000 and meter.rate(999 / 128) == 129
 
 
 class TestRateMeter:

@@ -113,6 +113,17 @@ def test_cgroup_window_populated():
     assert window.count(sim.now) == 1
 
 
+def test_asking_for_a_window_makes_nothing():
+    sim, layer, tree = make_env()
+    idle = tree.create("idle")
+    assert layer.cgroup_window(idle) is None
+    assert idle.stats.per_device == {}  # no record either
+    layer.submit(Bio(IOOp.READ, 4096, 1, idle))
+    assert layer.cgroup_window(idle) is None  # made by its first completion
+    sim.run()
+    assert layer.cgroup_window(idle).count(sim.now) == 1
+
+
 def test_issue_overhead_serializes_dispatch():
     # With 50us serialized CPU cost per IO and a fast device, throughput
     # is capped at 20K IOPS by the issue path, not the device.

@@ -234,6 +234,42 @@ class TestRemoval:
         for_every_row(check)
 
 
+    def test_iocost_counts_ios_on_the_record_across_a_removal(self):
+        """``cost.ios`` and idleness are the record's ``total_ios`` (against
+        its value at the last plan tick).  A removed child's counters fold
+        into its parent's record, so the parent's ``cost.ios`` takes them
+        over as its ``rios`` does, and the jump reads as one period of IO:
+        a parent that went idle before the removal deactivates a tick later."""
+        period = PINNED.period
+        bed = Testbed("ssd_old", _iocost(), seed=5)
+        parent = bed.add_cgroup("workload.slice/p")
+        child = bed.add_cgroup("workload.slice/p/c")
+        loops = [
+            Tracked(bed.sim, bed.layer, group, depth=4, stop_at=stop * period).start()
+            for group, stop in ((parent, 1.5), (child, 2.4))
+        ]
+        bed.run(2.5 * period)  # ticks 1 and 2 saw both issue
+        states = [group.stats.device(bed.layer.dev).pd for group in (parent, child)]
+        own, folded = [loop.submitted for loop in loops]
+        assert [len(loop.done) for loop in loops] == [own, folded]
+
+        def cost_ios(group):
+            return bed.controller.cost_stat(group)["cost.ios"]
+
+        assert (cost_ios(parent), cost_ios(child)) == (own, folded)
+        assert [state.active for state in states] == [True, True]
+
+        bed.cgroups.remove("workload.slice/p/c")
+        assert (cost_ios(parent), cost_ios(child)) == (own + folded, folded)
+        bed.run(period)  # tick 3: the child retires; the fold looks like IO
+        assert states[1] not in bed.controller.groups and cost_ios(child) == 0
+        assert [state.active for state in states] == [True, False]
+        bed.run(period)  # tick 4: nothing moved
+        assert not states[0].active
+        assert cost_ios(parent) == own + folded == states[0].blkg.total_ios
+        bed.detach()
+
+
 class TestRestart:
     def machine(self, row: Row, restart: bool) -> float:
         bed = Testbed("ssd_old", row.make(), seed=3)

@@ -93,7 +93,7 @@ class TestVRateAdjustment:
         for _ in range(20):
             ctl.adjust(0.0, reads, writes, slot_utilization=0.0, budget_starved=True)
         assert clock.vrate == pytest.approx(1.2)
-        reads.clear()
+        reads = LatencyWindow(1.0)
         fill(reads, 0.0, 1.0)
         for _ in range(40):
             ctl.adjust(0.0, reads, writes, slot_utilization=0.0, budget_starved=False)

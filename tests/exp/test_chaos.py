@@ -101,7 +101,6 @@ class TestErrorAccounting:
         assert totals["requeues"] > 0
         # iocost's graceful-degradation accounting: failed bios keep their
         # cost (never refunded), surfaced alongside the error counters.
-        assert totals["failed_ios"] == totals["errors"]
         if totals["errors"]:
             assert totals["failed_cost"] > 0.0
         fault = result["phases"]["fault"]

@@ -50,6 +50,24 @@ def test_paced_without_rate_is_a_typed_error():
         run_testbed(_params({"type": "paced"}), seed=0)
 
 
+def test_read_percentiles_are_of_reads():
+    """``read_p<pct>`` is the cgroup's read latency: a cgroup that only
+    writes has none (it used to report its write latency under that name)."""
+    params = {
+        "device_scale": 0.05,
+        "duration": 0.05,
+        "cgroups": {"reader": 100, "writer": 100},
+        "workloads": [
+            {"cgroup": "reader", "type": "saturate", "depth": 4},
+            {"cgroup": "writer", "type": "saturate", "depth": 4, "op": "write"},
+        ],
+    }
+    cgroups = run_testbed(params, seed=0)["cgroups"]
+    assert cgroups["writer"]["iops"] > 0 and cgroups["reader"]["iops"] > 0
+    assert cgroups["writer"]["read_p99"] is None
+    assert cgroups["reader"]["read_p99"] > 0
+
+
 class TestWorkloadOp:
     """A table's ``op`` arrives as a string: TOML and JSON have nothing else."""
 

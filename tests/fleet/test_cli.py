@@ -55,7 +55,8 @@ class TestRun:
 
     def test_failed_host_says_why_on_stderr_even_when_quiet(self, tmp_path, store_dir, capsys):
         doc = fleet_doc()
-        doc["workloads"][0]["frobnicate"] = 1  # loads; fails in the worker
+        # Loads (a template cannot know its host's devices); fails in the worker.
+        doc["workloads"][0]["device"] = "scratch"
         path = tmp_path / "failing.json"
         path.write_text(json.dumps(doc))
         code = main(["run", str(path), "--out", str(store_dir), "--quiet"])
@@ -64,7 +65,8 @@ class TestRun:
         assert captured.out == ""
         failed = [line for line in captured.err.splitlines() if line.startswith("FAILED ")]
         assert len(failed) == 1  # first_fit packs every instance onto web/0
-        assert failed[0].startswith("FAILED web/0: ExperimentError: unknown key 'frobnicate'")
+        assert failed[0].startswith("FAILED web/0: DeviceRegistryError: ")
+        assert "scratch" in failed[0]
 
     def test_malformed_spec_value_exits_with_message(self, tmp_path, store_dir):
         path = tmp_path / "typo.json"

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.block.device import DeviceSpec
-from repro.exp.experiments import ExperimentError, device_spec_for
+from repro.exp.experiments import ExperimentError, device_spec_for, run_testbed
 from repro.fleet.spec import (
     FleetSpec,
     FleetSpecError,
@@ -124,7 +124,7 @@ class TestValidation:
             WorkloadTemplate(name="x", count=1, cgroup="w", type="saturate")
 
     def test_workload_unknown_type(self):
-        with pytest.raises(FleetSpecError, match="unknown type"):
+        with pytest.raises(FleetSpecError, match="unknown workload type"):
             WorkloadTemplate(
                 name="x", count=1, cgroup="w", type="mystery", demand_iops=1
             )
@@ -234,6 +234,34 @@ class TestTaskConfig:
     def test_inline_table_needs_deadline(self):
         with pytest.raises(FleetSpecError, match="deadline"):
             task_from_config({"name": "t"})
+
+
+@pytest.mark.parametrize(
+    "table, match",
+    [
+        ({"type": "saturate", "dept": 8}, r"unknown key 'dept' in a 'saturate'"),
+        ({"type": "paced"}, "paced workloads need a 'rate'"),
+        ({"type": "paced", "rate": "fast"}, "could not convert"),
+        ({"type": "mystery"}, "unknown workload type 'mystery'"),
+        ({"type": "saturate", "op": "wirte"}, r"'wirte' must be read\|write"),
+    ],
+)
+class TestOneWorkloadTableValidator:
+    """The same bad table is the same error at both entry points: in a
+    testbed run, and at fleet-spec load — not once per host in a worker."""
+
+    def test_testbed_run(self, table, match):
+        params = {"cgroups": {"a": 100}, "workloads": [dict(table, cgroup="a")]}
+        with pytest.raises(ValueError, match=match):
+            run_testbed(params, seed=0)
+
+    def test_fleet_template_load(self, table, match):
+        doc = fleet_doc()
+        doc["workloads"][0] = dict(
+            table, name="fe", count=2, cgroup="workload.slice/fe", demand_iops=100
+        )
+        with pytest.raises(FleetSpecError, match=f"'fe'.*{match}"):
+            FleetSpec.from_dict(doc)
 
 
 class TestMigrationPlan:

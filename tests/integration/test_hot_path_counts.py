@@ -64,9 +64,9 @@ CONTENDED_PROF_COUNTS = {
 HEAP_PUSHES_PER_BIO_CEILING = 6.0
 CANCELLED_SHARE_CEILING = 0.3
 
-#: Python + C calls per additional bio with every guard off: 60.002 on
+#: Python + C calls per additional bio with every guard off: 57.002 on
 #: CPython 3.11 (the .002 is one sector-chunk refill per 4096 bios).
-CALLS_PER_BIO_CEILING = 60.01
+CALLS_PER_BIO_CEILING = 57.012
 
 #: cProfile's C-call accounting differs between minor versions.
 needs_cpython_311 = pytest.mark.skipif(

@@ -1,8 +1,12 @@
 """Tests for the Testbed facade (and top-level package API)."""
 
+import dataclasses
+
 import pytest
 
 import repro
+from repro.analysis.stats import RateMeter
+from repro.block.bio import Bio, IOOp
 from repro.block.device import DeviceSpec
 from repro.core.controller import IOCost
 from repro.core.qos import QoSParams
@@ -92,6 +96,51 @@ def test_iops_without_run_raises():
 def test_latency_percentile_exposed():
     tb = Testbed(device=FAST, controller="none")
     group = tb.add_cgroup("workload.slice/a")
+    idle = tb.add_cgroup("workload.slice/idle")
     tb.saturate(group, stop_at=0.1)
     tb.run(0.1)
     assert tb.latency_percentile(group, 50) > 0
+    # Reading makes nothing: no record, so no line in an io.stat walk.
+    assert tb.latency_percentile(idle, 50) is None
+    assert idle.stats.per_device == {}
+
+
+def test_sliding_stores_hold_one_window_whoever_reads_them():
+    """Under iocost nothing queries the layer's windows at full width, and
+    nothing ever queries this meter: each store still holds exactly the
+    samples of its last window (it used to hold every sample ever made)."""
+    slow = dataclasses.replace(
+        FAST,
+        **dict.fromkeys(
+            ("srv_rand_read", "srv_seq_read", "srv_rand_write", "srv_seq_write"), 5e-3
+        ),
+    )
+    tb = Testbed(device=slow, controller="iocost")
+    group = tb.add_cgroup("workload.slice/a")
+    meter = RateMeter(window=1.0)
+    done = {IOOp.READ: [], IOOp.WRITE: []}
+
+    def submit(op, sector):
+        tb.layer.submit(Bio(op, 4096, sector, group), on_done=completed)
+
+    def completed(bio):
+        done[bio.op].append(tb.sim.now)
+        meter.record(tb.sim.now)
+        if tb.sim.now < 3.2:  # three windows and a bit
+            submit(bio.op, bio.sector + 64)
+
+    for index, op in enumerate((IOOp.READ, IOOp.READ, IOOp.WRITE, IOOp.WRITE)):
+        submit(op, index << 20)
+    tb.run(3.5)
+    tb.detach()
+
+    def inside(times, window):
+        return sum(time >= times[-1] - window for time in times)
+
+    reads, writes = done[IOOp.READ], done[IOOp.WRITE]
+    both = sorted(reads + writes)
+    assert len(both) > 2 * inside(both, 1.0) > 0  # most samples have left
+    assert len(tb.layer.read_latency._samples) == inside(reads, 1.0)
+    assert len(tb.layer.write_latency._samples) == inside(writes, 1.0)
+    assert len(tb.layer.cgroup_window(group)._samples) == inside(both, 1.0)
+    assert len(meter._events) == inside(both, 1.0)
