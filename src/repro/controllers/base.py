@@ -102,8 +102,8 @@ class IOController(abc.ABC):
         """``bio`` waits at the head of ``group``'s queue for ``delay`` more
         seconds: noted the first time this controller holds it, and the
         group's one wake timer armed to pump again then.  ``key`` stands for
-        every input that can move that deadline *earlier* (IOCost: the tree
-        generation; blk-throttle: the group's limits): a pump loop skips a
+        every input that can move that deadline *earlier* (IOCost: the tree's
+        hold generation; blk-throttle: the group's limits): a pump loop skips a
         group whose ``wake_key`` is the current key and whose wake is still
         ahead.  A group carries ``held``, ``wake`` and ``wake_key`` (``None``
         when made; the key is set exactly while the wake is armed).

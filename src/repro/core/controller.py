@@ -243,7 +243,7 @@ class IOCost(IOController):
                 continue
             # Held under the current key: its head waits for its wake (hold).
             # A wake due this instant is taken here, in creation order.
-            if state.wake_key == tree.generation and state.wake.time > now:
+            if state.wake_key == tree.hold_generation and state.wake.time > now:
                 continue
             self._try_issue(state)
             if not layer.can_dispatch():
@@ -303,11 +303,11 @@ class IOCost(IOController):
                     self.rescinds += 1
                     continue
                 self._budget_blocked_events += 1
-                # The deadline moves earlier only with the hweight or the
-                # vtime line (_plan bumps the tree after moving it); local
-                # vtime only ever pushes it later (debt charges).
+                # The deadline moves earlier only with a rising hweight or
+                # the vtime line (_plan bumps the tree after moving it);
+                # local vtime only ever pushes it later (debt charges).
                 delay = self.clock.wall_delay_for(need - budget)
-                self.hold(group, bio, "budget", delay, tree.generation)
+                self.hold(group, bio, "budget", delay, tree.hold_generation)
                 break
 
     def on_complete(self, bio: Bio) -> None:

@@ -7,6 +7,11 @@ hot path, so results are cached per group and keyed on a *weight-tree
 generation number* which bumps whenever anything that affects hweights
 changes: weight updates, activations/deactivations, donation adjustments.
 
+Beside it runs ``hold_generation``, IOCost's hold key (``IOController.hold``),
+which skips activations and new groups: they only add to sibling sums, so a
+held head's deadline can only move later.  As in the kernel, a sibling's
+activation re-evaluates no waiting queue; its own timer and the plan tick do.
+
 A group is *active* while it issues IO; after a full planning period with no
 IO it is deactivated and drops out of sibling sums — idle groups implicitly
 donate their budget (§3.1.1).  Activity is reference-counted up the tree so
@@ -49,7 +54,7 @@ class GroupState:
         self.audited_vtime: Optional[float] = None  # sanitizer's last look
         self.waitq: Deque["Bio"] = deque()
         # IOController.hold: the head bio last noted, the one wake timer and
-        # the tree generation its deadline was computed under.
+        # the tree's hold generation its deadline was computed under.
         self.held: Optional["Bio"] = None
         self.wake: Optional["Event"] = None
         self.wake_key: Optional[int] = None
@@ -84,6 +89,8 @@ class WeightTree:
         #: Device id whose records carry this tree's states.
         self.dev = dev
         self.generation = 0
+        #: Advanced only by changes that can move a held deadline earlier.
+        self.hold_generation = 0
         #: Live states in creation order (parents before their children).
         self.groups: List[GroupState] = []
         self.root: Optional[GroupState] = None
@@ -105,7 +112,7 @@ class WeightTree:
             parent_state.children.append(state)
         else:
             self.root = state
-        self.bump()
+        self.generation += 1  # inactive: in no sibling sum yet
         return state
 
     def lookup(self, cgroup: Cgroup) -> Optional[GroupState]:
@@ -128,8 +135,9 @@ class WeightTree:
     # -- generation ----------------------------------------------------------
 
     def bump(self) -> None:
-        """Invalidate all cached hweights."""
+        """Invalidate all cached hweights; a held deadline may move earlier."""
         self.generation += 1
+        self.hold_generation += 1
 
     # -- activity --------------------------------------------------------------
 
@@ -142,7 +150,7 @@ class WeightTree:
         while node is not None:
             node.active_refs += 1
             node = node.parent
-        self.bump()
+        self.generation += 1  # other hweights only fall: no hold_generation
 
     def deactivate(self, state: GroupState) -> None:
         """Mark a group inactive (a full period passed with no IO)."""

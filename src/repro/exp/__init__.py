@@ -13,7 +13,7 @@ table" pattern into a declarative pipeline:
 * :mod:`repro.exp.runner` — process-pool execution with result caching,
   one retry, structured failures and the :class:`SweepReport`;
 * :mod:`repro.exp.store` / :mod:`repro.exp.cache` — the on-disk artifact
-  store (``runs/<hash>/{spec,result,meta,trace}``) and the
+  store (one record per run, ``runs/<hash>.json``) and the
   (content, seed, version)-keyed result cache over it;
 * :mod:`repro.exp.cli` — ``python -m repro.exp run/status/collect``.
 

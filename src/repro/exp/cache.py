@@ -1,7 +1,7 @@
 """Content-addressed result cache over the artifact store.
 
-A run is a cache hit when the store already holds a ``result.json``
-whose ``meta.json`` matches on every component of the cache key:
+A run is a cache hit when the store holds its record, the record's run
+succeeded, and its ``meta`` matches on every component of the cache key:
 
 * ``run_hash`` — content hash of (kind, params, seed), so editing one
   sweep axis value invalidates exactly the cells that contain it;
@@ -22,7 +22,7 @@ from typing import Any, Dict, Optional
 
 import repro
 from repro.exp.grid import RunSpec
-from repro.exp.store import META_FILE, RESULT_FILE, SPEC_FILE, ArtifactStore
+from repro.exp.store import ArtifactStore
 
 #: Lookup outcomes (``CacheDecision.reason``).
 HIT = "hit"
@@ -55,21 +55,19 @@ class ResultCache:
         if force:
             return CacheDecision(hit=False, reason=MISS_FORCED)
         run_hash = run.run_hash
-        meta = self.store.try_read_json(run_hash, META_FILE)
-        if meta is None:
+        record = self.store.try_read_json(run_hash)
+        if record is None:
             return CacheDecision(hit=False, reason=MISS_ABSENT)
+        meta = record["meta"]
         if meta.get("status") == "timeout":
             return CacheDecision(hit=False, reason=MISS_TIMEOUT, meta=meta)
         if meta.get("status") != "ok":
             return CacheDecision(hit=False, reason=MISS_FAILED, meta=meta)
-        result = self.store.try_read_json(run_hash, RESULT_FILE)
-        if result is None:
-            return CacheDecision(hit=False, reason=MISS_ABSENT, meta=meta)
         if meta.get("version") != self.version:
             return CacheDecision(hit=False, reason=MISS_VERSION, meta=meta)
         if meta.get("run_hash") != run_hash or meta.get("seed") != run.seed:
             return CacheDecision(hit=False, reason=MISS_STALE, meta=meta)
-        return CacheDecision(hit=True, reason=HIT, result=result, meta=meta)
+        return CacheDecision(hit=True, reason=HIT, result=record["result"], meta=meta)
 
     def commit(
         self,
@@ -80,26 +78,13 @@ class ResultCache:
         result: Optional[Dict[str, Any]] = None,
         error: Optional[Dict[str, str]] = None,
     ) -> Dict[str, Any]:
-        """Persist one executed run; returns the meta document written.
+        """Persist one executed run as one record; returns its ``meta``.
 
-        ``result.json`` is written only for successful runs and holds the
-        experiment output alone — timing and attempt counts go to
-        ``meta.json`` so cached and live runs stay byte-identical.
+        The record's ``result`` is there only for successful runs and holds
+        the experiment output alone — timing and attempt counts go to
+        ``meta`` so cached and live results stay byte-identical.
         """
         run_hash = run.run_hash
-        self.store.write_json(
-            run_hash,
-            SPEC_FILE,
-            {
-                "name": run.name,
-                "kind": run.kind,
-                "params": run.params,
-                "axes": run.axes,
-                "seed": run.seed,
-                "derived_seed": run.derived_seed,
-                "run_hash": run_hash,
-            },
-        )
         meta: Dict[str, Any] = {
             "run_hash": run_hash,
             "seed": run.seed,
@@ -110,9 +95,19 @@ class ResultCache:
         }
         if error is not None:
             meta["error"] = error
-        self.store.write_json(run_hash, META_FILE, meta)
-        if status == "ok" and result is not None:
-            self.store.write_json(run_hash, RESULT_FILE, result)
+        record: Dict[str, Any] = {
+            "spec": {
+                **run.canonical(),  # kind, params, seed
+                "name": run.name,
+                "axes": run.axes,
+                "derived_seed": run.derived_seed,
+                "run_hash": run_hash,
+            },
+            "meta": meta,
+        }
+        if status == "ok":
+            record["result"] = result
+        self.store.write_json(run_hash, record)
         return meta
 
 

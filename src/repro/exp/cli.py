@@ -9,7 +9,7 @@ Three subcommands over one artifact store:
   assertion so CI can verify that a second invocation was served from
   cache.
 * ``status SPEC`` — cache verdict per cell without executing anything.
-* ``collect`` — merge every stored run into one JSON document.
+* ``collect`` — merge every run record (``runs/<hash>.json``) into one JSON.
 
 This module is also the CLI skeleton ``python -m repro.fleet`` is built
 from (a fleet is a sweep whose cells are hosts): the argument groups, the

@@ -26,11 +26,11 @@ Built-ins cover the repo's own sweep surfaces:
   while the device misbehaves?).
 
 Results must be canonically serialisable (no NaN, no numpy scalars) —
-helpers here convert measurements to plain floats, keeping ``result.json``
-byte-stable across worker pools.
+helpers here convert measurements to plain floats, keeping a run's stored
+``result`` byte-stable across worker pools.
 
 Reserved result key: ``_trace_jsonl`` (a list of JSONL event lines).  The
-runner strips it out of ``result.json`` and lands it as ``trace.jsonl``.
+runner strips it out and lands it as ``runs/<run-hash>.trace.jsonl``.
 """
 
 from __future__ import annotations
@@ -190,7 +190,7 @@ def run_testbed(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
                                 ``op`` is "read" or "write")
         duration                measurement window seconds (default 1.0)
         percentiles             latency percentiles to report (default [50, 95, 99])
-        trace_events            tracepoint names to capture into trace.jsonl
+        trace_events            tracepoint names to capture into the run's trace
         trace_spans             true: track bio spans, report the stage
                                 breakdown (repro.obs.spans) under 'spans'
     """

@@ -4,28 +4,28 @@ Execution model: one **process per run** (fork-context
 ``ProcessPoolExecutor``), because a simulated machine is CPU-bound pure
 Python — processes sidestep the GIL and give each run a pristine
 interpreter state.  Results come back to the parent in sweep order
-(``Executor.map``), and the parent alone writes the artifact store, so no
-two writers ever race on a run directory.
+(``Executor.map``), and the parent alone writes the artifact store: one
+record per run (:mod:`repro.exp.store`).
 
 Determinism contract: a run's RNG entropy derives from its content hash
 (:attr:`~repro.exp.grid.RunSpec.derived_seed`), never from scheduling, so
-a 2-worker and an 8-worker pool produce byte-identical ``result.json``
-files.  Wall-clock never enters the runner directly — callers inject a
-``clock`` callable (the CLI passes a real one; library users and tests
-may pass none and get zeros), keeping this module simlint-clean and the
-cached/live artifact bytes identical.
+a 2-worker and an 8-worker pool store byte-identical results.  Wall-clock
+never enters the runner directly — callers inject a ``clock`` callable (the
+CLI passes a real one; library users and tests may pass none and get
+zeros), keeping this module simlint-clean and the cached/live artifact
+bytes identical.
 
 Failures don't abort the sweep: each run is retried once (configurable)
-inside its worker, then recorded as a structured failure in ``meta.json``
-and the report; :class:`SweepReport` carries the per-sweep counts (runs
-completed, cache hits, failures, timeouts, wall seconds).
+inside its worker, then recorded as a structured failure in its record's
+``meta`` and the report; :class:`SweepReport` carries the per-sweep counts
+(runs completed, cache hits, failures, timeouts, wall seconds).
 
 Timeouts: ``timeout_sec`` bounds each run's wall-clock.  The pool is then
 replaced by a hand-rolled process manager (one killable ``Process`` +
 ``Pipe`` per run, up to ``workers`` concurrent) because a
 ``ProcessPoolExecutor`` cannot kill a hung worker without tearing down
 the whole pool.  An expired run is terminated and recorded with status
-``"timeout"`` — a structured failure in ``meta.json`` like any other, but
+``"timeout"`` — a structured failure in ``meta`` like any other, but
 distinguishable so the cache can report ``timed-out-previously`` on the
 next sweep.  Deadlines are measured with the injected ``clock``, so a
 real (wall) clock is required whenever ``timeout_sec`` is set.
@@ -44,7 +44,7 @@ from repro.exp.cache import ResultCache
 from repro.exp.experiments import TRACE_KEY, resolve
 from repro.exp.grid import RunSpec, expand
 from repro.exp.spec import ExperimentSpec
-from repro.exp.store import TRACE_FILE, ArtifactStore, write_json
+from repro.exp.store import ArtifactStore, write_json
 
 Clock = Callable[[], float]
 
@@ -394,7 +394,7 @@ def run_sweep(
             error=error,
         )
         if trace_lines is not None:
-            store.write_lines(run.run_hash, TRACE_FILE, trace_lines)
+            store.write_trace(run.run_hash, trace_lines)
         outcomes[index] = RunOutcome(
             run=run,
             status=status,

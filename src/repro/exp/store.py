@@ -1,20 +1,22 @@
-"""On-disk artifact store: ``runs/<run-hash>/{spec,result,meta,trace}``.
+"""On-disk artifact store: one record per run, ``runs/<run-hash>.json``.
 
 The store is the durable half of the orchestrator.  Every executed run
-lands as one directory named by its content hash:
+lands as one file named by its content hash, holding three documents:
 
-* ``spec.json`` — the resolved run (kind, params, seed, axes, hashes);
-* ``result.json`` — canonical JSON of the experiment function's return
-  value, and nothing else: no timestamps, no worker ids, no attempt
-  counts.  Byte-identical across pool sizes and re-runs by construction.
-* ``meta.json`` — everything about *how* the run went: library version,
-  status, attempts, wall seconds (from the injected clock), failure info.
-* ``trace.jsonl`` — optional tracepoint capture (one event per line,
-  :mod:`repro.obs.trace` format, replayable).
+* ``spec`` — the resolved run (kind, params, seed, axes, hashes);
+* ``meta`` — everything about *how* the run went: library version,
+  status, attempts, wall seconds (from the injected clock), failure info;
+* ``result`` — the experiment function's return value and nothing else,
+  present exactly when the status is ``"ok"``.  Its canonical bytes
+  (:meth:`ArtifactStore.result_bytes`) are identical across pool sizes and
+  re-runs by construction.
 
-Writes are atomic (temp file + ``os.replace`` in the same directory) so
-a killed sweep never leaves a half-written result that a later sweep
-would mistake for a cache hit.
+An optional tracepoint capture (one event per line, :mod:`repro.obs.trace`
+format, replayable) lands beside the record as ``<run-hash>.trace.jsonl``.
+
+A file is written whole (its own temp file + ``os.replace``), so a killed
+sweep never leaves half a record that a later sweep would mistake for a
+cache hit, and two sweeps sharing a store may commit one run at once.
 """
 
 from __future__ import annotations
@@ -26,28 +28,37 @@ from typing import Any, Dict, Iterable, List, Optional, Union
 
 from repro.exp.spec import canonical_json
 
-SPEC_FILE = "spec.json"
-RESULT_FILE = "result.json"
-META_FILE = "meta.json"
-TRACE_FILE = "trace.jsonl"
+_RECORD = ".json"
+_TRACE = ".trace.jsonl"
 
 
 class StoreError(RuntimeError):
-    """Raised for unusable store state (bad root, unreadable artifacts)."""
+    """Raised for unusable store state (bad root, unreadable records)."""
 
 
 def _write_atomic(path: Path, text: str) -> Path:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    # A temp name of this writer's own, which no reader lists: with one fixed
+    # name, a second writer's half-written file could be renamed into place.
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    try:
+        stream = tmp.open("x")
+    except FileNotFoundError:  # the directory's first file
+        path.parent.mkdir(parents=True, exist_ok=True)
+        stream = tmp.open("x")
+    try:
+        with stream:
+            stream.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 
 def write_json(path: Path, payload: Any) -> Path:
     """Write ``payload`` as canonical JSON (stable bytes) plus newline.
 
-    The one atomic JSON writer: run artifacts, the sweep report and the
+    The one atomic JSON writer: run records, the sweep report and the
     fleet plan / rollup / migration documents all land through here.
     """
     return _write_atomic(path, canonical_json(payload) + "\n")
@@ -62,91 +73,83 @@ class ArtifactStore:
 
     # -- paths ---------------------------------------------------------------
 
-    def run_dir(self, run_hash: str) -> Path:
+    def _file(self, run_hash: str, suffix: str) -> Path:
         if not run_hash or "/" in run_hash or run_hash.startswith("."):
             raise StoreError(f"invalid run hash {run_hash!r}")
-        return self.runs_root / run_hash
+        return self.runs_root / (run_hash + suffix)
 
-    def path(self, run_hash: str, filename: str) -> Path:
-        return self.run_dir(run_hash) / filename
+    def path(self, run_hash: str) -> Path:
+        """The run's record, ``runs/<run-hash>.json``."""
+        return self._file(run_hash, _RECORD)
 
-    def has(self, run_hash: str, filename: str) -> bool:
-        return self.path(run_hash, filename).is_file()
+    def trace_path(self, run_hash: str) -> Path:
+        return self._file(run_hash, _TRACE)
 
     # -- writes (atomic) -----------------------------------------------------
 
-    def write_json(self, run_hash: str, filename: str, payload: Any) -> Path:
-        return write_json(self.path(run_hash, filename), payload)
+    def write_json(self, run_hash: str, record: Dict[str, Any]) -> Path:
+        return write_json(self.path(run_hash), record)
 
-    def write_lines(
-        self, run_hash: str, filename: str, lines: Iterable[str]
-    ) -> Path:
+    def write_trace(self, run_hash: str, lines: Iterable[str]) -> Path:
         return _write_atomic(
-            self.path(run_hash, filename),
-            "".join(line + "\n" for line in lines),
+            self.trace_path(run_hash), "".join(line + "\n" for line in lines)
         )
 
     # -- reads ---------------------------------------------------------------
 
-    def try_read_json(self, run_hash: str, filename: str) -> Optional[Any]:
-        """Parse one artifact, or ``None`` if absent/corrupt.
-
-        A corrupt artifact (interrupted machine, manual edit) reads as a
-        cache miss, not an error: the runner will simply re-execute.
+    def try_read_json(self, run_hash: str) -> Optional[Dict[str, Any]]:
+        """The run's record, or ``None`` if absent, corrupt or no record:
+        one needs ``spec`` and ``meta`` objects, and a ``result`` exactly
+        when the run succeeded.  Such a file (interrupted machine, manual
+        edit) reads as a cache miss, not an error: the run re-executes.
         """
-        path = self.path(run_hash, filename)
-        if not path.is_file():
-            return None
         try:
-            return json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
+            record = json.loads(self.path(run_hash).read_bytes())
+        except (OSError, ValueError):
             return None
+        meta = record.get("meta") if isinstance(record, dict) else None
+        if not isinstance(meta, dict) or not isinstance(record.get("spec"), dict):
+            return None
+        return record if ("result" in record) == (meta.get("status") == "ok") else None
 
-    def read_json(self, run_hash: str, filename: str) -> Any:
-        payload = self.try_read_json(run_hash, filename)
-        if payload is None:
-            raise StoreError(f"missing or unreadable {filename} for {run_hash}")
-        return payload
+    def read_json(self, run_hash: str) -> Dict[str, Any]:
+        record = self.try_read_json(run_hash)
+        if record is None:
+            raise StoreError(f"missing or unreadable record for {run_hash}")
+        return record
 
     def result_bytes(self, run_hash: str) -> bytes:
-        """Raw ``result.json`` bytes — what determinism tests compare."""
-        path = self.path(run_hash, RESULT_FILE)
-        if not path.is_file():
+        """Canonical bytes of the record's ``result`` — what determinism
+        tests compare."""
+        record = self.read_json(run_hash)
+        if "result" not in record:
             raise StoreError(f"no result for {run_hash}")
-        return path.read_bytes()
+        return canonical_json(record["result"]).encode()
 
     # -- enumeration ---------------------------------------------------------
 
     def list_runs(self) -> List[str]:
-        """Hashes of every run directory, sorted."""
-        if not self.runs_root.is_dir():
-            return []
+        """Hashes of every record, sorted (not traces or temp files)."""
         return sorted(
-            entry.name
-            for entry in self.runs_root.iterdir()
-            if entry.is_dir() and not entry.name.startswith(".")
+            path.name[: -len(_RECORD)]
+            for path in self.runs_root.glob("[!.]*" + _RECORD)
         )
 
     def collect(self) -> List[Dict[str, Any]]:
-        """Merge every stored run into one machine-readable listing."""
+        """Merge every record into one machine-readable listing (``None``
+        documents for a record that does not read)."""
         collected: List[Dict[str, Any]] = []
         for run_hash in self.list_runs():
-            entry: Dict[str, Any] = {
+            record = self.try_read_json(run_hash) or {}
+            collected.append({
                 "run": run_hash,
-                "spec": self.try_read_json(run_hash, SPEC_FILE),
-                "meta": self.try_read_json(run_hash, META_FILE),
-                "result": self.try_read_json(run_hash, RESULT_FILE),
-            }
-            collected.append(entry)
+                **{name: record.get(name) for name in ("spec", "meta", "result")},
+            })
         return collected
 
 
 __all__ = [
     "ArtifactStore",
     "StoreError",
-    "META_FILE",
-    "RESULT_FILE",
-    "SPEC_FILE",
-    "TRACE_FILE",
     "write_json",
 ]

@@ -13,8 +13,8 @@ the sweep runner guarantees is therefore inherited wholesale:
 * **per-host deterministic seeds** — each host's RNG entropy derives from
   its cell content (:attr:`repro.exp.grid.RunSpec.derived_seed`), never
   from scheduling;
-* **worker-count independence** — ``result.json`` bytes, and therefore
-  rollup bytes, are identical for 1 worker and 8.
+* **worker-count independence** — a host's stored result bytes, and
+  therefore rollup bytes, are identical for 1 worker and 8.
 
 :func:`placed` is the one place a spec becomes a placement (capacity
 model, bin-packing, validated rebalancing passes); :func:`run_fleet_sweep`,

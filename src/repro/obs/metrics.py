@@ -141,8 +141,8 @@ class Histogram:
         infinities — the empty histogram's min/max sentinels — are shipped
         as ``None`` because canonical JSON forbids non-finite floats.
         :meth:`from_dict` round-trips exactly, which is what lets per-host
-        latency histograms travel through ``result.json`` and be merged
-        fleet-wide (:mod:`repro.fleet.rollup`).
+        latency histograms travel through a run's stored ``result`` and be
+        merged fleet-wide (:mod:`repro.fleet.rollup`).
         """
         return {
             "resolution": self.resolution,

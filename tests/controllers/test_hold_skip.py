@@ -208,7 +208,7 @@ def test_a_skipped_head_could_not_have_issued(seed):
     def checking_pump():
         now = bed.sim.now
         for group in controller.groups:
-            if not group.waitq or group.wake_key != tree.generation:
+            if not group.waitq or group.wake_key != tree.hold_generation:
                 continue
             relative = group.waitq[0].abs_cost * tree.hweight_inv(group)
             need = min(relative, controller.budget_cap)

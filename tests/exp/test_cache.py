@@ -1,5 +1,7 @@
 """Result-cache semantics: the (content hash, seed, version) key."""
 
+import json
+
 import pytest
 
 import repro
@@ -51,17 +53,20 @@ class TestResultCacheUnit:
         )
         assert cache.lookup(run).reason == MISS_FAILED
         # Even with a (tampered-in) result present, failed status blocks the hit.
-        cache.store.write_json(run.run_hash, "result.json", {"v": 1})
-        assert cache.lookup(run).reason == MISS_FAILED
+        record = cache.store.read_json(run.run_hash)
+        cache.store.write_json(run.run_hash, {**record, "result": {"v": 1}})
+        assert not cache.lookup(run).hit
 
     def test_ok_meta_without_result_is_absent(self, tmp_path):
-        # An interrupted sweep can leave meta.json without result.json;
-        # that must read as a re-runnable miss, not a crash or a hit.
+        # No commit writes an ok record without its result; one edited to
+        # that state must read as a re-runnable miss, not a crash or a hit.
         store = ArtifactStore(tmp_path)
         cache = ResultCache(store)
         run = make_run()
         cache.commit(run, status="ok", attempts=1, wall_sec=0.0, result={"v": 1})
-        store.path(run.run_hash, "result.json").unlink()
+        record = store.read_json(run.run_hash)
+        del record["result"]
+        store.write_json(run.run_hash, record)
         assert cache.lookup(run).reason == MISS_ABSENT
 
     def test_version_mismatch(self, tmp_path):
@@ -78,10 +83,85 @@ class TestResultCacheUnit:
         cache = ResultCache(store)
         run = make_run()
         cache.commit(run, status="ok", attempts=1, wall_sec=0.0, result={"v": 1})
-        meta = store.read_json(run.run_hash, "meta.json")
-        meta["seed"] = 999
-        store.write_json(run.run_hash, "meta.json", meta)
+        record = store.read_json(run.run_hash)
+        record["meta"]["seed"] = 999
+        store.write_json(run.run_hash, record)
         assert cache.lookup(run).reason == MISS_STALE
+
+    def test_commit_writes_one_record(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        run = make_run()
+        meta = ResultCache(store).commit(
+            run, status="ok", attempts=1, wall_sec=0.5, result={"v": 1}
+        )
+        assert [p.name for p in store.runs_root.iterdir()] == [f"{run.run_hash}.json"]
+        record = store.read_json(run.run_hash)
+        assert sorted(record) == ["meta", "result", "spec"]
+        assert record["meta"] == meta
+        assert record["result"] == {"v": 1}
+        assert record["spec"]["run_hash"] == run.run_hash
+        assert record["spec"]["derived_seed"] == run.derived_seed
+
+
+def _truncate(store, runs):
+    path = store.path(runs[0].run_hash)
+    path.write_bytes(path.read_bytes()[:-10])
+
+
+def _other_version(store, runs):
+    ResultCache(store, version="0.0.0").commit(
+        runs[0], status="ok", attempts=1, wall_sec=0.0, result={"v": "old"}
+    )
+
+
+def _copied_under_another_hash(store, runs):
+    store.path(runs[0].run_hash).write_bytes(store.path(runs[1].run_hash).read_bytes())
+
+
+def _leftover_temp_file(store, runs):
+    path = store.path(runs[0].run_hash)
+    path.with_name(f".{path.name}.0123456789ab.tmp").write_bytes(
+        store.path(runs[1].run_hash).read_bytes()
+    )
+    path.unlink()
+
+
+def _parent_layout_directory(store, runs):
+    run_dir = store.runs_root / runs[0].run_hash
+    run_dir.mkdir()
+    record = store.read_json(runs[0].run_hash)
+    for name, document in record.items():
+        (run_dir / f"{name}.json").write_text(json.dumps(document))
+    store.path(runs[0].run_hash).unlink()
+
+
+class TestHostileStore:
+    """Whatever is left in the store, the damaged cell is a miss that
+    re-runs, never a hit and never a traceback; the next sweep hits."""
+
+    SPEC = ExperimentSpec(
+        name="hostile", kind="tests.exp.helpers.quick", grid={"value": (1, 2)}
+    )
+
+    @pytest.mark.parametrize("damage, reason", [
+        (_truncate, MISS_ABSENT),
+        (_other_version, MISS_VERSION),
+        (_copied_under_another_hash, MISS_STALE),
+        (_leftover_temp_file, MISS_ABSENT),
+        (_parent_layout_directory, MISS_ABSENT),
+    ], ids=["truncated", "other-version", "stale", "temp-file", "parent-layout"])
+    def test_damaged_record_is_a_miss_that_reruns(self, tmp_path, damage, reason):
+        store = ArtifactStore(tmp_path)
+        first = run_sweep(self.SPEC, store, workers=1)
+        runs = [outcome.run for outcome in first.outcomes]
+        damage(store, runs)
+        assert ResultCache(store).lookup(runs[0]).reason == reason
+        again = run_sweep(self.SPEC, store, workers=1)
+        assert [o.cached for o in again.outcomes] == [False, True]
+        assert again.outcomes[0].cache_reason == reason
+        assert [o.result for o in again.outcomes] == [o.result for o in first.outcomes]
+        assert store.list_runs() == sorted(run.run_hash for run in runs)
+        assert run_sweep(self.SPEC, store, workers=1).hit_rate == 1.0
 
 
 class TestCacheThroughSweeps:

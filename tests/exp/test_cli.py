@@ -33,8 +33,8 @@ class TestRun:
         bench = json.loads((store_dir / "BENCH_sweep.json").read_text())
         assert bench["schema"] == "repro.exp.sweep/1"
         assert bench["totals"]["runs"] == 2
-        run_dirs = sorted(p.name for p in (store_dir / "runs").iterdir())
-        assert len(run_dirs) == 2
+        records = sorted(p.name for p in (store_dir / "runs").iterdir())
+        assert len(records) == 2 and all(name.endswith(".json") for name in records)
 
     def test_second_run_hits_cache(self, spec_path, store_dir, capsys):
         main(["run", str(spec_path), "--out", str(store_dir), "--quiet"])

@@ -94,10 +94,10 @@ class TestFailures:
             assert outcome.status == "failed"
             assert outcome.attempts == 2  # one retry
             assert outcome.error == {"type": "RuntimeError", "message": "boom-t"}
-            meta = store.read_json(outcome.run.run_hash, "meta.json")
-            assert meta["status"] == "failed"
-            assert meta["error"]["type"] == "RuntimeError"
-            assert not store.has(outcome.run.run_hash, "result.json")
+            record = store.read_json(outcome.run.run_hash)
+            assert record["meta"]["status"] == "failed"
+            assert record["meta"]["error"]["type"] == "RuntimeError"
+            assert "result" not in record
 
     def test_failed_runs_reattempted_next_sweep(self, tmp_path):
         spec = ExperimentSpec(name="s", kind="tests.exp.helpers.always_fail")
@@ -141,7 +141,7 @@ class TestFailures:
 class TestPoolDeterminism:
     def test_worker_pools_produce_byte_identical_results(self, tmp_path):
         """The acceptance determinism contract: 2-worker and 8-worker pools
-        land byte-identical ``result.json`` for every cell of the sweep."""
+        store byte-identical results for every cell of the sweep."""
         store_a = ArtifactStore(tmp_path / "a")
         store_b = ArtifactStore(tmp_path / "b")
         report_a = run_sweep(ACCEPTANCE_SPEC, store_a, workers=2)
@@ -209,11 +209,10 @@ class TestTraceCapture:
         report = run_sweep(spec, store, workers=1)
         outcome = report.outcomes[0]
         assert outcome.ok
-        # The reserved key never reaches result.json.
-        result = store.read_json(outcome.run.run_hash, "result.json")
+        # The reserved key never reaches the stored result.
+        result = store.read_json(outcome.run.run_hash)["result"]
         assert "_trace_jsonl" not in result
-        trace_path = store.path(outcome.run.run_hash, "trace.jsonl")
-        lines = trace_path.read_text().splitlines()
+        lines = store.trace_path(outcome.run.run_hash).read_text().splitlines()
         assert lines
         event = json.loads(lines[0])
         assert event["event"] == "bio_complete"
@@ -234,8 +233,7 @@ class TestTraceCapture:
         report = run_sweep(spec, store, workers=1)
         outcome = report.outcomes[0]
         assert outcome.ok
-        result = store.read_json(outcome.run.run_hash, "result.json")
-        spans = result["spans"]
+        spans = store.read_json(outcome.run.run_hash)["result"]["spans"]
         assert spans["completed"] > 0
         rollup = spans["breakdown"]
         assert rollup["count"] == spans["completed"]

@@ -12,7 +12,7 @@ from repro.exp.cache import MISS_TIMEOUT, ResultCache
 from repro.exp.grid import expand
 from repro.exp.runner import RunnerError, run_sweep
 from repro.exp.spec import ExperimentSpec
-from repro.exp.store import META_FILE, ArtifactStore
+from repro.exp.store import ArtifactStore
 
 QUICK = "tests.exp.helpers.quick"
 HANG = "tests.exp.helpers.hang_forever"
@@ -49,7 +49,9 @@ class TestTimeoutPath:
         store = ArtifactStore(tmp_path)
         run_sweep(spec, store, workers=1, clock=time.perf_counter, timeout_sec=0.5)  # simlint: disable=no-wallclock
         (run,) = expand(spec)
-        meta = store.try_read_json(run.run_hash, META_FILE)
+        record = store.read_json(run.run_hash)
+        assert "result" not in record
+        meta = record["meta"]
         assert meta["status"] == "timeout"
         assert meta["error"]["type"] == "TimeoutError"
 

@@ -1,6 +1,6 @@
 """Sharded fleet execution: ISSUE acceptance determinism at >= 200 hosts.
 
-The load-bearing guarantee: a fleet sweep's ``result.json`` bytes — and
+The load-bearing guarantee: a fleet sweep's stored result bytes — and
 therefore its rollup bytes — are identical whether the hosts run on one
 worker or eight, and a re-run over the same store is 100% cache hits.
 """

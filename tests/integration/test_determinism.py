@@ -10,7 +10,7 @@ import io
 
 from repro.exp.runner import run_sweep
 from repro.exp.spec import ExperimentSpec
-from repro.exp.store import TRACE_FILE, ArtifactStore
+from repro.exp.store import ArtifactStore
 from repro import testbed
 from repro.block.bio import Bio
 from repro.obs.trace import TRACE, TraceBuffer
@@ -83,7 +83,7 @@ def test_exp_trace_identical_across_worker_counts(tmp_path):
     assert report_serial.runs_total == 2
     for outcome in report_serial.outcomes:
         run_hash = outcome.run.run_hash
-        serial = store_serial.path(run_hash, TRACE_FILE).read_bytes()
-        parallel = store_parallel.path(run_hash, TRACE_FILE).read_bytes()
+        serial = store_serial.trace_path(run_hash).read_bytes()
+        parallel = store_parallel.trace_path(run_hash).read_bytes()
         assert serial, f"run {run_hash} captured no trace"
         assert serial == parallel

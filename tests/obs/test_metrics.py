@@ -83,7 +83,7 @@ class TestHistogramSerialization:
 
     def test_round_tripped_histograms_merge(self):
         # The fleet rollup's whole pipeline: record on the host, serialize
-        # into result.json, deserialize in the aggregator, merge.
+        # into a stored result, deserialize in the aggregator, merge.
         a, b = Histogram(resolution=0.02), Histogram(resolution=0.02)
         a.record_many([1e-3] * 10)
         b.record_many([4e-3] * 30)
