@@ -34,10 +34,10 @@ def record_trace():
     testbed.run(DURATION + 0.5)
     testbed.detach()
     buffer.detach()
-    return buffer.to_trace_records()
+    return buffer.events
 
 
-def replay_under(records, controller_name):
+def replay_under(events, controller_name):
     qos = QoSParams(read_lat_target=2e-3, read_pct=90,
                     write_lat_target=20e-3, write_pct=90,
                     vrate_min=0.15, vrate_max=1.5, period=0.05)
@@ -45,7 +45,7 @@ def replay_under(records, controller_name):
     testbed.add_cgroup("workload.slice/reader", weight=500)
     testbed.add_cgroup("system.slice/bulk", weight=25)
     replayer = TraceReplayer(
-        testbed.sim, testbed.layer, testbed.cgroups, records
+        testbed.sim, testbed.layer, testbed.cgroups, events
     ).start()
     testbed.run(DURATION + 2.0)
     testbed.detach()
@@ -57,9 +57,9 @@ def replay_under(records, controller_name):
 
 def main() -> None:
     print("recording uncontrolled trace (reader vs bulk writer)...")
-    records = record_trace()
-    reads = sum(1 for record in records if record.op == "read")
-    print(f"captured {len(records)} IOs ({reads} reads)\n")
+    events = record_trace()
+    reads = sum(1 for event in events if event.fields["op"] == "read")
+    print(f"captured {len(events)} IOs ({reads} reads)\n")
 
     table = Table(
         "Reader latency replaying the same trace under each mechanism",
@@ -67,7 +67,7 @@ def main() -> None:
     )
     for name in ("none", "mq-deadline", "bfq", "iolatency", "iocost"):
         print(f"replaying under {name}...")
-        p50, p99, completed = replay_under(records, name)
+        p50, p99, completed = replay_under(events, name)
         table.add_row(name, f"{p50 * 1e3:.2f}ms", f"{p99 * 1e3:.2f}ms", completed)
     table.print()
 

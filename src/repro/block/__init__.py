@@ -5,7 +5,7 @@ from repro.block.device import DEFAULT_DEVNO, Device, DeviceSpec
 from repro.block.device_models import DEVICE_CATALOG, get_device_spec
 from repro.block.layer import BlockLayer
 from repro.block.registry import DeviceRegistry, DeviceRegistryError, devno_for_index
-from repro.block.trace import TraceRecord, TraceReplayer, load_trace
+from repro.block.trace import TraceReplayer
 
 __all__ = [
     "Bio",
@@ -20,9 +20,7 @@ __all__ = [
     "DeviceSpec",
     "IOOp",
     "SECTOR_SIZE",
-    "TraceRecord",
     "TraceReplayer",
     "devno_for_index",
     "get_device_spec",
-    "load_trace",
 ]

@@ -1,69 +1,39 @@
-"""IO trace recording and replay.
+"""IO trace replay.
 
 Production IO-control work is trace-driven: you capture what a workload
-did (blktrace-style) and replay it against candidate configurations.  This
-module provides both halves for the simulated stack:
+did (blktrace-style) and replay it against candidate configurations.  The
+capture half is the ``bio_complete`` tracepoint: a
+:class:`~repro.obs.trace.TraceBuffer` attached to it (or a ``trace_events``
+experiment, whose ``trace.jsonl`` artifact holds the same events) records
+one :class:`~repro.obs.trace.TraceEvent` per completed bio, and
+:func:`~repro.obs.trace.load_events` reads a saved stream back.
 
-* :class:`TraceRecord` — one completed bio (submit time, cgroup, direction,
-  size, sector, flags, latency).  Capture them with the ``bio_complete``
-  tracepoint: ``TraceBuffer().attach(events=("bio_complete",))`` before the
-  run, :meth:`~repro.obs.trace.TraceBuffer.to_trace_records` after it.
-* :class:`TraceReplayer` — replays records open-loop with their original
-  inter-arrival spacing (optionally time-scaled) into any layer, mapping
-  cgroup paths through a provided tree.
-
-Traces round-trip through a compact JSON-lines format for storage.
+:class:`TraceReplayer` is the other half: it replays the ``bio_complete``
+events of any event iterable open-loop, with their original inter-arrival
+spacing (optionally time-scaled), into any layer, mapping cgroup paths
+through a provided tree.  Other events in the iterable are skipped.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
-from typing import Dict, Iterable, List, Optional, TextIO
+from typing import Dict, Iterable, List
 
 from repro.block.bio import Bio, BioFlags, IOOp
 from repro.block.layer import BlockLayer
 from repro.cgroup import CgroupTree
+from repro.obs.trace import TraceEvent
 from repro.sim import Simulator
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One completed IO."""
-
-    submit_time: float
-    cgroup: str
-    op: str               # "read" | "write"
-    nbytes: int
-    sector: int
-    flags: int            # BioFlags bitmask
-    latency: float
-    #: ioprio class (0 none / 1 RT / 2 BE / 3 idle).  Default None keeps
-    #: traces saved before this field existed loadable.
-    prio: Optional[int] = None
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, line: str) -> "TraceRecord":
-        return cls(**json.loads(line))
-
-
-def load_trace(stream: TextIO) -> List[TraceRecord]:
-    """Load a JSON-lines trace."""
-    return [TraceRecord.from_json(line) for line in stream if line.strip()]
-
-
 class TraceReplayer:
-    """Replay a trace open-loop into a block layer."""
+    """Replay the ``bio_complete`` events of a trace open-loop into a layer."""
 
     def __init__(
         self,
         sim: Simulator,
         layer: BlockLayer,
         cgroups: CgroupTree,
-        records: Iterable[TraceRecord],
+        events: Iterable[TraceEvent],
         time_scale: float = 1.0,
     ) -> None:
         if time_scale <= 0:
@@ -71,7 +41,10 @@ class TraceReplayer:
         self.sim = sim
         self.layer = layer
         self.cgroups = cgroups
-        self.records = sorted(records, key=lambda record: record.submit_time)
+        self.events = sorted(
+            (event for event in events if event.name == "bio_complete"),
+            key=lambda event: event.fields["submit_time"],
+        )
         self.time_scale = time_scale
         self.submitted = 0
         self.completed = 0
@@ -79,23 +52,23 @@ class TraceReplayer:
         self.latencies_by_cgroup: Dict[str, List[float]] = {}
 
     def start(self) -> "TraceReplayer":
-        if not self.records:
+        if not self.events:
             return self
-        origin = self.records[0].submit_time
-        for record in self.records:
-            delay = (record.submit_time - origin) * self.time_scale
-            self.sim.schedule(delay, self._submit, record)
+        origin = self.events[0].fields["submit_time"]
+        for event in self.events:
+            delay = (event.fields["submit_time"] - origin) * self.time_scale
+            self.sim.schedule(delay, self._submit, event.fields)
         return self
 
-    def _submit(self, record: TraceRecord) -> None:
-        group = self.cgroups.get_or_create(record.cgroup)
+    def _submit(self, fields: Dict) -> None:
+        group = self.cgroups.get_or_create(fields["cgroup"])
         bio = Bio(
-            IOOp(record.op),
-            record.nbytes,
-            record.sector,
+            IOOp(fields["op"]),
+            fields["nbytes"],
+            fields["sector"],
             group,
-            flags=BioFlags(record.flags),
-            prio=record.prio,
+            flags=BioFlags(fields["flags"]),
+            prio=fields["prio"],
         )
         self.submitted += 1
         self.layer.submit(bio, on_done=self._done)

@@ -117,8 +117,8 @@ class CgroupIOStats:
 
     Holds one :class:`IOStats` record per device id (``maj:min`` string),
     matching the kernel where ``io.stat`` reports one line per device.
-    Nothing here sums over devices; the machine-wide view is
-    :meth:`repro.obs.iostat.IOStat.snapshot`.
+    Nothing here sums over devices, and neither does
+    :meth:`repro.obs.iostat.IOStat.device_snapshot`.
     """
 
     __slots__ = ("per_device",)

@@ -76,8 +76,9 @@ def run_fleet_host(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
         duration, percentiles  measurement window / reported percentiles
 
     The result is the ``testbed`` kind's ``cgroups`` / ``events_processed``
-    for the same tables and seed, plus the recursive ``io.stat`` snapshot,
-    the mergeable per-cgroup read-latency histograms and the mean vrate.
+    for the same tables and seed, plus its device's recursive ``io.stat``
+    entries, the mergeable per-cgroup read-latency histograms and the mean
+    vrate.
     """
     host = params.get("host", params)
     if not isinstance(host, Mapping):
@@ -117,12 +118,13 @@ def run_fleet_host(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
         subscription.close()
         bed.detach()
 
-    iostat = IOStat(bed.cgroups, controller=bed.controller).snapshot()
+    dev = bed.layer.dev
+    iostat = IOStat(bed.cgroups, {dev: bed.controller}).device_snapshot()
     result.update(
         cgroups=cgroup_report(bed, groups, host),
         iostat={
-            path: {key: float(value) for key, value in entry.items()}
-            for path, entry in iostat.items()
+            path: {key: float(value) for key, value in devices[dev].items()}
+            for path, devices in iostat.items()
         },
         latency_hist={path: hist.to_dict() for path, hist in hists.items()},
         events_processed=int(bed.sim.events_processed),

@@ -6,14 +6,14 @@ package reproduces for the simulated stack:
 * :mod:`repro.obs.trace` — a kernel-style tracepoint registry.  Emitting
   sites are compiled into the hot paths but cost a single flag check while
   no subscriber is attached; a bounded ring buffer collects typed events
-  and round-trips them through JSONL (``bio_complete`` events convert to
-  :class:`repro.block.trace.TraceRecord` for replay).
+  and round-trips them through JSONL (``bio_complete`` events replay
+  through :class:`repro.block.trace.TraceReplayer`).
 * :mod:`repro.obs.metrics` — log-bucketed HDR-style latency histograms
   and the exact nearest-rank percentile that :mod:`repro.analysis.stats`
   delegates to.
-* :mod:`repro.obs.iostat` — the cgroup2 ``io.stat`` surface: per-cgroup
-  rbytes/wbytes/rios/wios/dbytes plus iocost's ``cost.*`` keys, aggregated
-  hierarchically and surviving cgroup removal.
+* :mod:`repro.obs.iostat` — the cgroup2 ``io.stat`` surface: per-cgroup,
+  per-device rbytes/wbytes/rios/wios/dbytes plus iocost's ``cost.*`` keys,
+  aggregated hierarchically and surviving cgroup removal.
 * :mod:`repro.obs.spans` — bio-lifecycle spans: the four bio tracepoints
   stitched into per-bio latency decompositions (queue wait, per-controller
   throttle wait, service) with per-cgroup × per-device stage histograms

@@ -18,14 +18,14 @@ Kernel semantics reproduced here:
   ``cost.indelay`` (see :meth:`repro.core.controller.IOCost.cost_stat`) on
   the devices it manages, and only on those.
 
+There is no cross-device line, as there is none in the kernel: a
+machine-wide figure is a sum the reader makes over the device entries.
+
 Usage::
 
-    iostat = IOStat(tree, controller=testbed.controller)
-    snap = iostat.snapshot()                  # machine-wide aggregates
-    snap["workload.slice"]["rbytes"]          # includes all children
-
-    iostat = IOStat(tree, controllers=bed.devices.controllers_by_devno())
+    iostat = IOStat(tree, bed.devices.controllers_by_devno())
     per_dev = iostat.device_snapshot()        # path -> devno -> counters
+    per_dev["workload.slice"]["8:0"]["rbytes"]  # includes all children
     print(iostat.render("workload.slice"))    # kernel io.stat text
 """
 
@@ -68,11 +68,6 @@ def _zero() -> Dict[str, float]:
     return {key: 0 for key in FLAT_KEYS}
 
 
-def _add(into: Dict[str, float], other: Dict[str, float]) -> None:
-    for key in FLAT_KEYS:
-        into[key] += other[key]
-
-
 def _devno_sort_key(devno: str) -> Tuple[int, int]:
     major, _, minor = devno.partition(":")
     try:
@@ -88,28 +83,16 @@ class IOStat:
 
     ``controllers`` maps device ids (``maj:min``) to the
     :class:`~repro.controllers.base.IOController` managing that device, so
-    per-device entries carry that controller's keys.  ``controller`` is the
-    single-device shorthand: its keys annotate the machine-wide aggregate
-    entries (and, when the controller is attached to a layer, its device's
-    per-device entries too).
+    per-device entries carry that controller's keys.
     """
 
     def __init__(
         self,
         tree: CgroupTree,
-        controller: Optional["IOController"] = None,
         controllers: Optional[Dict[str, "IOController"]] = None,
     ):
         self.tree = tree
-        self.controller = controller
         self.controllers: Dict[str, "IOController"] = dict(controllers or {})
-        if controller is not None and not self.controllers:
-            layer = getattr(controller, "layer", None)
-            dev = getattr(layer, "dev", None)
-            if dev is not None:
-                self.controllers[dev] = controller
-
-    # -- per-device snapshots --------------------------------------------------
 
     def device_snapshot(self) -> Dict[str, Dict[str, Dict[str, float]]]:
         """Recursive per-device io.stat for every live cgroup.
@@ -131,7 +114,8 @@ class IOStat:
                     if acc is None:
                         agg[dev] = dict(counters)
                     else:
-                        _add(acc, counters)
+                        for key in FLAT_KEYS:
+                            acc[key] += counters[key]
             entry = {dev: dict(counters) for dev, counters in agg.items()}
             for dev, controller in self.controllers.items():
                 entry.setdefault(dev, _zero()).update(controller.cost_stat(cgroup))
@@ -140,37 +124,6 @@ class IOStat:
 
         visit(self.tree.root)
         return result
-
-    # -- aggregate snapshots ---------------------------------------------------
-
-    def snapshot(self) -> Dict[str, Dict[str, float]]:
-        """Machine-wide recursive io.stat for every live cgroup, keyed by path.
-
-        Each entry holds the hierarchically-summed flat counters over **all
-        devices** plus, when a single ``controller`` was configured, its
-        ``cost.*`` keys for that cgroup — the surface single-device setups
-        have always consumed.
-        """
-        result: Dict[str, Dict[str, float]] = {}
-
-        def visit(cgroup: Cgroup) -> Dict[str, float]:
-            agg = _zero()
-            for _, stats in cgroup.stats.devices():
-                _add(agg, _flat(stats))
-            for child in cgroup.children.values():
-                _add(agg, visit(child))
-            entry = dict(agg)
-            if self.controller is not None:
-                entry.update(self.controller.cost_stat(cgroup))
-            result[cgroup.path] = entry
-            return agg
-
-        visit(self.tree.root)
-        return result
-
-    def of(self, path: str) -> Dict[str, float]:
-        """One cgroup's recursive (all-device) io.stat entry."""
-        return self.snapshot()[path]
 
     def device_of(self, path: str) -> Dict[str, Dict[str, float]]:
         """One cgroup's recursive per-device io.stat entries."""

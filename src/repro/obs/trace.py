@@ -10,9 +10,8 @@ simulator's equivalent:
   catalogued event.  Call sites cache the point object and guard emission
   with ``if point.enabled:`` — a single attribute check when tracing is off.
 * :class:`TraceBuffer` — a bounded ring buffer subscriber with JSONL
-  persistence.  ``bio_complete`` events convert to
-  :class:`repro.block.trace.TraceRecord` via :meth:`TraceBuffer.to_trace_records`,
-  so a captured trace can be replayed with the existing
+  persistence (:meth:`TraceBuffer.save`, :func:`load_events`).  Its
+  ``bio_complete`` events, live or loaded, replay directly through
   :class:`~repro.block.trace.TraceReplayer`.
 
 Events are *typed*: each tracepoint declares its field names and emission
@@ -24,7 +23,7 @@ The event catalogue::
     bio_submit       bio entered the block layer
     bio_throttle     a controller held a bio back (budget, tokens, depth)
     bio_issue        bio dispatched to the device (re-emitted per retry)
-    bio_complete     device finished a bio successfully (TraceRecord-convertible)
+    bio_complete     device finished a bio successfully (replayable)
     bio_error        bio finished with a non-OK status after all retries
     bio_requeue      block layer requeued a failed/timed-out bio for retry
     dev_fault_begin  an injected device fault window opened (repro.faults)
@@ -318,35 +317,6 @@ class TraceBuffer:
             stream.write(event.to_json() + "\n")
             count += 1
         return count
-
-    def to_trace_records(self) -> list:
-        """Convert buffered ``bio_complete`` events to replayable records.
-
-        Returns :class:`repro.block.trace.TraceRecord` objects sorted by
-        submit time — the bridge between live tracing and the existing
-        trace-replay tooling.
-        """
-        from repro.block.trace import TraceRecord  # local: avoids import cycle
-
-        records = []
-        for event in self._events:
-            if event.name != "bio_complete":
-                continue
-            fields = event.fields
-            records.append(
-                TraceRecord(
-                    submit_time=fields["submit_time"],
-                    cgroup=fields["cgroup"],
-                    op=fields["op"],
-                    nbytes=fields["nbytes"],
-                    sector=fields["sector"],
-                    flags=fields["flags"],
-                    latency=fields["latency"],
-                    prio=fields.get("prio"),
-                )
-            )
-        records.sort(key=lambda record: record.submit_time)
-        return records
 
 
 def load_events(stream: TextIO) -> List[TraceEvent]:

@@ -243,7 +243,7 @@ class Sanitizer:
         )
 
     def check_spans(self, tracker: Any, require_drained: bool = False) -> None:
-        """Explicit tracker audit (diff harness, tests): no evictions, and —
+        """Explicit tracker audit (tests): no evictions, and —
         when ``require_drained`` — no spans still open."""
         self.checks["span_leak"] += 1
         if tracker.evicted:

@@ -71,10 +71,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_spans(args: argparse.Namespace) -> int:
+    if args.limit is not None and args.limit < 0:
+        print(f"--limit must be >= 0, got {args.limit}", file=sys.stderr)
+        return 2
     tracker = load_tracker(args.trace)
     selected = tracker.select(args.cgroup, args.dev)
     if args.limit is not None:
-        selected = selected[-args.limit:]
+        selected = selected[max(len(selected) - args.limit, 0):]
     if not selected:
         print("(no completed spans)", file=sys.stderr)
         return 1

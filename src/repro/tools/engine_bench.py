@@ -2,9 +2,10 @@
 
 :func:`run_fixed_load` keeps ``depth`` bios outstanding against the
 calibrated SSD until a fixed number have completed, with fixed seeds, so
-two runs do identical simulated work.  ``python -m repro.sanitize diff``
-runs it with and without the sanitizers, ``bench/ladder.py`` asserts its
-rung d dispatches the same events, and
+two runs do identical simulated work.
+``tests/sim/test_engine.py::TestInstrumentedRun`` traces it with and
+without the profiler and sanitizers, ``bench/ladder.py`` asserts its rung
+d dispatches the same events, and
 ``tests/integration/test_hot_path_counts.py`` pins its exact per-bio work
 counts.  Wall time is measured by ``bench/run.py``, not here.
 """

@@ -18,8 +18,9 @@ Library use::
         monitor.stop()
     print(monitor.render(device="vdb"))      # one stream per device
 
-``Monitor(bed, device="vdb")`` restricts the monitor to one named device;
-single-device testbeds behave exactly as before.
+``Monitor(bed, device="vdb")`` restricts the monitor to one named device.
+Snapshots name their device as the machine does (``vda``), as
+``iocost_monitor`` prints ``nvme0n1``.
 
 CLI use (re-render a saved stream)::
 
@@ -43,13 +44,13 @@ DEFAULT_INTERVAL = 0.05
 
 
 class Monitor:
-    """Periodic observer over a testbed (or equivalent component bundle).
+    """Periodic observer over a testbed.
 
-    ``bed`` needs ``sim``, ``layer``, ``controller`` and ``cgroups``
-    attributes — a :class:`repro.testbed.Testbed` or anything shaped like
-    one.  Multi-device testbeds expose a ``devices`` registry, in which
-    case every device is monitored (or just ``device``, when named).  The
-    sampling ``interval`` defaults to the shortest QoS period among the
+    ``bed`` needs ``sim``, ``cgroups`` and a ``devices`` registry — a
+    :class:`repro.testbed.Testbed` or anything shaped like one.  Every
+    registered device is monitored, or just ``device`` when named, and
+    each snapshot names its device the way the machine does (``vda``).
+    The sampling ``interval`` defaults to the shortest QoS period among the
     monitored controllers (so snapshots land once per planning period,
     right after the plan tick, which the event heap orders first at equal
     timestamps).
@@ -64,21 +65,11 @@ class Monitor:
     ) -> None:
         self.sim = bed.sim
         self.cgroups = bed.cgroups
-        registry = getattr(bed, "devices", None)
+        names = list(bed.devices) if device is None else [device]
         #: (name, layer) pairs under observation.
-        self._targets: List[Tuple[str, object]] = []
-        if registry is not None and len(registry) > 0:
-            if device is not None:
-                self._targets = [(device, registry.layer(device))]
-            else:
-                self._targets = list(registry.items())
-        else:
-            if device is not None:
-                raise ValueError("bed has no device registry to look up a name in")
-            self._targets = [(bed.layer.device.name, bed.layer)]
-        # Single-device conveniences (first monitored device).
-        self.layer = self._targets[0][1]
-        self.controller = self.layer.controller
+        self._targets: List[Tuple[str, object]] = [
+            (name, bed.devices.layer(name)) for name in names
+        ]
 
         if interval is None:
             periods = [
@@ -92,10 +83,7 @@ class Monitor:
         self.interval = interval
         self.stream = stream
         self.iostat = IOStat(
-            self.cgroups,
-            controllers={
-                layer.dev: layer.controller for _, layer in self._targets
-            },
+            self.cgroups, {layer.dev: layer.controller for _, layer in self._targets}
         )
         self.snapshots: List[MonitorSnapshot] = []
         self._timer = None
@@ -129,14 +117,11 @@ class Monitor:
         """One snapshot per monitored device, right now."""
         per_device = self.iostat.device_snapshot()
         return [
-            self._capture_device(layer, per_device) for _, layer in self._targets
+            self._capture_device(name, layer, per_device)
+            for name, layer in self._targets
         ]
 
-    def capture(self) -> MonitorSnapshot:
-        """Snapshot the first monitored device (single-device shorthand)."""
-        return self.capture_all()[0]
-
-    def _capture_device(self, layer, per_device) -> MonitorSnapshot:
+    def _capture_device(self, name, layer, per_device) -> MonitorSnapshot:
         controller = layer.controller
         dev = layer.dev
         vrate = getattr(controller, "vrate", 1.0)
@@ -177,7 +162,7 @@ class Monitor:
 
         return MonitorSnapshot(
             time=self.sim.now,
-            device=layer.device.spec.name,
+            device=name,
             controller=controller.name,
             period=self.interval,
             vrate=vrate,
@@ -189,24 +174,28 @@ class Monitor:
     # -- selection & rendering ----------------------------------------------
 
     def snapshots_for(self, device: str) -> List[MonitorSnapshot]:
-        """This device's snapshot stream (by registered name or devno)."""
-        devnos = {
-            layer.dev for name, layer in self._targets if name == device
-        }
-        return [
-            snap
-            for snap in self.snapshots
-            if snap.dev == device or snap.dev in devnos
-        ]
+        """This device's snapshot stream (by machine name or devno)."""
+        return select(self.snapshots, device=device)
 
     def render(self, last: Optional[int] = None, device: Optional[str] = None) -> str:
         """Render captured snapshots ``iocost_monitor``-style."""
-        snapshots = (
-            self.snapshots if device is None else self.snapshots_for(device)
-        )
-        if last is not None:
-            snapshots = snapshots[-last:]
-        return render_snapshots(snapshots)
+        return render_snapshots(select(self.snapshots, device=device, last=last))
+
+
+def select(
+    snapshots: List[MonitorSnapshot],
+    device: Optional[str] = None,
+    last: Optional[int] = None,
+) -> List[MonitorSnapshot]:
+    """The snapshots of ``device`` (machine name or ``maj:min`` id), and
+    of those the last ``last`` (0 selects none)."""
+    if device is not None:
+        snapshots = [snap for snap in snapshots if device in (snap.device, snap.dev)]
+    if last is not None:
+        if last < 0:
+            raise ValueError(f"last must be >= 0, got {last}")
+        snapshots = snapshots[max(len(snapshots) - last, 0):]
+    return snapshots
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -222,7 +211,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--device", default=None, metavar="DEV",
-        help="only render snapshots of this device (spec name or maj:min id)",
+        help="only render snapshots of this device (name such as vda, or maj:min id)",
     )
     parser.add_argument(
         "--json", action="store_true",
@@ -230,6 +219,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         "(machine-readable; composes with --last/--device)",
     )
     args = parser.parse_args(argv)
+    if args.last is not None and args.last < 0:
+        print(f"--last must be >= 0, got {args.last}", file=sys.stderr)
+        return 2
     try:
         with open(args.trace) as stream:
             snapshots = load_snapshots(stream)
@@ -239,14 +231,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"{args.trace}: not a monitor JSONL stream ({exc})", file=sys.stderr)
         return 1
-    if args.device is not None:
-        snapshots = [
-            snap
-            for snap in snapshots
-            if args.device in (snap.dev, snap.device)
-        ]
-    if args.last is not None:
-        snapshots = snapshots[-args.last:]
+    snapshots = select(snapshots, device=args.device, last=args.last)
     if not snapshots:
         print("(no snapshots)", file=sys.stderr)
         return 1

@@ -1,4 +1,4 @@
-"""Tests for IO trace recording and replay."""
+"""Tests for IO trace recording (the ``bio_complete`` tracepoint) and replay."""
 
 import io
 
@@ -8,11 +8,12 @@ import pytest
 from repro.block.bio import Bio, BioFlags, IOOp
 from repro.block.device import Device, DeviceSpec
 from repro.block.layer import BlockLayer
-from repro.block.trace import TraceRecord, TraceReplayer, load_trace
+from repro.block.trace import TraceReplayer
 from repro.cgroup import CgroupTree
 from repro.controllers.noop import NoopController
 from repro.faults import ErrorBurst, FaultPlan
-from repro.obs import TraceBuffer
+from repro.obs import TraceBuffer, TraceEvent
+from repro.obs.trace import load_events
 from repro.sim import Simulator
 from repro.workloads.synthetic import PacedWorkload
 
@@ -41,7 +42,7 @@ def make_env(faults=None):
 @pytest.fixture
 def recorded():
     """Completions captured the supported way: the ``bio_complete``
-    tracepoint into a buffer, converted by ``to_trace_records()``."""
+    tracepoint into a buffer."""
     buffer = TraceBuffer().attach(events=("bio_complete",))
     yield buffer
     buffer.detach()
@@ -53,24 +54,24 @@ class TestRecorder:
         group = tree.create("workload.slice/app")
         PacedWorkload(sim, layer, group, rate=1000, stop_at=0.1).start()
         sim.run(until=0.2)
-        records = recorded.to_trace_records()
-        assert len(records) == pytest.approx(100, abs=5)
-        record = records[0]
-        assert record.cgroup == "workload.slice/app"
-        assert record.op == "read"
-        assert record.latency > 0
+        events = recorded.events
+        assert len(events) == pytest.approx(100, abs=5)
+        fields = events[0].fields
+        assert fields["cgroup"] == "workload.slice/app"
+        assert fields["op"] == "read"
+        assert fields["latency"] > 0
 
     def test_save_load_roundtrip(self, recorded):
         sim, layer, tree = make_env()
         group = tree.create("a")
         layer.submit(Bio(IOOp.WRITE, 8192, 16, group, flags=BioFlags.SWAP))
         sim.run(until=0.01)
-        records = recorded.to_trace_records()
-        assert len(records) == 1
-        buffer = io.StringIO("".join(record.to_json() + "\n" for record in records))
-        loaded = load_trace(buffer)
-        assert loaded == records
-        assert loaded[0].flags == BioFlags.SWAP.value
+        stream = io.StringIO()
+        assert recorded.save(stream) == 1
+        stream.seek(0)
+        loaded = load_events(stream)
+        assert loaded == recorded.events
+        assert loaded[0].fields["flags"] == BioFlags.SWAP.value
 
     def test_requeued_bio_is_recorded_once_it_completes(self, recorded):
         # The recorder this replaced read ``bio.latency`` in a device hook
@@ -81,15 +82,22 @@ class TestRecorder:
         layer.submit(bio)
         sim.run(until=0.1)
         assert bio.ok and bio.retries == 1
-        assert [record.sector for record in recorded.to_trace_records()] == [8]
+        assert [event.fields["sector"] for event in recorded.events] == [8]
 
 
 class TestReplayer:
     def make_trace(self):
+        def complete(submit_time, cgroup, op, nbytes, sector):
+            return TraceEvent("bio_complete", submit_time + 1e-4, {
+                "cgroup": cgroup, "op": op, "nbytes": nbytes, "sector": sector,
+                "flags": 0, "prio": None, "submit_time": submit_time,
+            })
+
         return [
-            TraceRecord(0.0, "workload.slice/app", "read", 4096, 8, 0, 1e-4),
-            TraceRecord(0.01, "workload.slice/app", "write", 8192, 800, 0, 1e-4),
-            TraceRecord(0.02, "system.slice", "read", 4096, 1600, 0, 1e-4),
+            complete(0.02, "system.slice", "read", 4096, 1600),
+            TraceEvent("bio_submit", 0.0, {"cgroup": "workload.slice/app"}),
+            complete(0.0, "workload.slice/app", "read", 4096, 8),
+            complete(0.01, "workload.slice/app", "write", 8192, 800),
         ]
 
     def test_replays_with_original_spacing(self):
@@ -129,10 +137,10 @@ class TestReplayer:
         group = tree.create("workload.slice/app")
         PacedWorkload(sim, layer, group, rate=2000, stop_at=0.1, seed=3).start()
         sim.run(until=0.2)
-        records = recorded.to_trace_records()
+        events = recorded.events
 
         sim2, layer2, tree2 = make_env()
-        replayer = TraceReplayer(sim2, layer2, tree2, records).start()
+        replayer = TraceReplayer(sim2, layer2, tree2, events).start()
         sim2.run(until=0.3)
-        assert replayer.completed == len(records)
+        assert replayer.completed == len(events)
         assert layer2.completed_bytes == layer.completed_bytes

@@ -126,9 +126,11 @@ def test_io_stat_sees_through_the_stack():
     ClosedLoopWorkload(sim, layer, low, depth=64, stop_at=0.2, seed=2).start()
     sim.run(until=0.2)
     controller.detach()
-    snap = IOStat(tree, controller=controller).snapshot()
+    snap = IOStat(tree, {layer.dev: controller}).device_snapshot()
     for name in ("high", "low"):  # bios the gate held, once each
-        assert 0 < snap[name]["throttled"] <= snap[name]["rios"] + snap[name]["wios"]
-    assert snap["low"]["cost.usage"] > 0 and snap["low"]["cost.vrate"] == 1.0
-    assert IOStat(tree, controller=controller).device_of("low")[layer.dev]["cost.ios"] > 0
+        entry = snap[name][layer.dev]
+        assert 0 < entry["throttled"] <= entry["rios"] + entry["wios"]
+    low_entry = snap["low"][layer.dev]
+    assert low_entry["cost.usage"] > 0 and low_entry["cost.vrate"] == 1.0
+    assert low_entry["cost.ios"] > 0
     assert controller.stat(low) == controller.gate.stat(low)

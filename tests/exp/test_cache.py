@@ -1,6 +1,9 @@
 """Result-cache semantics: the (content hash, seed, version) key."""
 
 import json
+import os
+import signal
+from multiprocessing import get_context
 
 import pytest
 
@@ -14,7 +17,7 @@ from repro.exp.cache import (
     MISS_VERSION,
     ResultCache,
 )
-from repro.exp.grid import RunSpec
+from repro.exp.grid import RunSpec, expand
 from repro.exp.runner import run_sweep
 from repro.exp.spec import ExperimentSpec
 from repro.exp.store import ArtifactStore
@@ -135,6 +138,13 @@ def _parent_layout_directory(store, runs):
     store.path(runs[0].run_hash).unlink()
 
 
+def _sweep_killed_before_replace(spec, store):
+    """A sweep SIGKILLed inside its first record's ``write_json``, after
+    the temp file is written and before ``os.replace``."""
+    os.replace = lambda src, dst: os.kill(os.getpid(), signal.SIGKILL)
+    run_sweep(spec, store, workers=1)
+
+
 class TestHostileStore:
     """Whatever is left in the store, the damaged cell is a miss that
     re-runs, never a hit and never a traceback; the next sweep hits."""
@@ -160,6 +170,25 @@ class TestHostileStore:
         assert [o.cached for o in again.outcomes] == [False, True]
         assert again.outcomes[0].cache_reason == reason
         assert [o.result for o in again.outcomes] == [o.result for o in first.outcomes]
+        assert store.list_runs() == sorted(run.run_hash for run in runs)
+        assert run_sweep(self.SPEC, store, workers=1).hit_rate == 1.0
+
+    def test_writer_killed_between_temp_file_and_replace(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        writer = get_context("fork").Process(
+            target=_sweep_killed_before_replace, args=(self.SPEC, store)
+        )
+        writer.start()
+        writer.join(timeout=60)
+        assert writer.exitcode == -signal.SIGKILL
+        assert len(list(store.runs_root.glob(".*.tmp"))) == 1  # left behind
+
+        runs = expand(self.SPEC)
+        assert ResultCache(store).lookup(runs[0]).reason == MISS_ABSENT
+        assert store.list_runs() == [] and store.collect() == []
+        again = run_sweep(self.SPEC, store, workers=1)
+        assert [o.cached for o in again.outcomes] == [False, False]
+        assert again.outcomes[0].cache_reason == MISS_ABSENT
         assert store.list_runs() == sorted(run.run_hash for run in runs)
         assert run_sweep(self.SPEC, store, workers=1).hit_rate == 1.0
 

@@ -5,10 +5,14 @@ import os
 
 import pytest
 
+from repro.block.device_models import SSD_NEW
+from repro.block.trace import TraceReplayer
 from repro.exp.grid import expand
 from repro.exp.runner import RunnerError, run_sweep, write_bench_json
 from repro.exp.spec import ExperimentSpec
 from repro.exp.store import ArtifactStore
+from repro.obs.trace import load_events
+from repro.testbed import Testbed
 
 from tests.exp import helpers
 
@@ -216,6 +220,32 @@ class TestTraceCapture:
         assert lines
         event = json.loads(lines[0])
         assert event["event"] == "bio_complete"
+
+    def test_trace_artifact_replays(self, tmp_path):
+        """A stored ``trace.jsonl`` is a replayable bio trace as it stands."""
+        spec = ExperimentSpec(
+            name="replayed",
+            kind="testbed",
+            base={
+                "device_scale": 0.05,
+                "duration": 0.1,
+                "cgroups": {"solo": 100},
+                "workloads": [{"cgroup": "solo", "type": "saturate", "depth": 4}],
+                "trace_events": ["bio_complete"],
+            },
+        )
+        store = ArtifactStore(tmp_path)
+        outcome = run_sweep(spec, store, workers=1).outcomes[0]
+        with open(store.trace_path(outcome.run.run_hash)) as stream:
+            events = load_events(stream)
+        assert events
+
+        bed = Testbed(SSD_NEW.scaled(0.05), "none", seed=1)
+        replayer = TraceReplayer(bed.sim, bed.layer, bed.cgroups, events).start()
+        bed.run(1.0)
+        bed.detach()
+        assert replayer.submitted == replayer.completed == len(events)
+        assert bed.layer.completed_bytes == sum(e.fields["nbytes"] for e in events)
 
     def test_trace_spans_breakdown_in_result(self, tmp_path):
         spec = ExperimentSpec(

@@ -36,7 +36,7 @@ class TestCapture:
         assert len(mon.snapshots) == pytest.approx(expected, abs=2)
         snap = mon.snapshots[-1]
         assert snap.controller == "iocost"
-        assert snap.device == "ssd_new-x0.1"
+        assert snap.device == "vda"  # the machine's name, not the model's
         assert snap.period == bed.controller.qos.period
         assert snap.vrate > 0
         assert -16 <= snap.busy_level <= 16
@@ -95,6 +95,10 @@ class TestRendering:
         assert "workload.slice/high" in text
         assert "hweight%" in text
         assert mon.render(last=2).count("vrate=") == 2
+        assert mon.render(last=0) == ""
+        assert mon.render(last=len(mon.snapshots) + 5) == mon.render()
+        with pytest.raises(ValueError):
+            mon.render(last=-1)
 
     def test_cli_rerenders_saved_stream(self, tmp_path, capsys):
         path = tmp_path / "run.jsonl"
@@ -104,6 +108,19 @@ class TestRendering:
         out = capsys.readouterr().out
         assert out.count("vrate=") == 3
         assert "workload.slice/low" in out
+
+    def test_cli_last_zero_selects_nothing(self, tmp_path, capsys):
+        path = tmp_path / "run.jsonl"
+        with open(path, "w") as stream:
+            run_monitored(stream=stream)
+        assert monitor_cli.main([str(path), "--last", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "no snapshots" in captured.err
+        # A negative count is a one-line usage error.
+        assert monitor_cli.main([str(path), "--last", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "--last" in captured.err
 
     def test_cli_empty_stream_fails(self, tmp_path, capsys):
         path = tmp_path / "empty.jsonl"
@@ -138,3 +155,33 @@ class TestSnapshotFormat:
         bed, _ = run_monitored(with_monitor=False)
         with pytest.raises(ValueError):
             Monitor(bed, interval=0.0)
+
+
+class TestDeviceNames:
+    """Snapshots name a device the way the machine does (``vda``), and every
+    selector accepts that name or the ``maj:min`` id — never the model."""
+
+    def test_two_devices_of_one_model(self, tmp_path, capsys):
+        bed = Testbed(
+            devices={"vda": SSD_NEW.scaled(0.1), "vdb": SSD_NEW.scaled(0.1)}, seed=2
+        )
+        app = bed.add_cgroup("workload.slice/app")
+        bed.saturate(app, device="vdb", depth=8, stop_at=0.2)
+        path = tmp_path / "run.jsonl"
+        with open(path, "w") as stream:
+            mon = Monitor(bed, stream=stream).start()
+            bed.sim.run(until=0.25)
+            mon.stop()
+        bed.detach()
+
+        assert {snap.device for snap in mon.snapshots} == {"vda", "vdb"}
+        vdb = mon.snapshots_for("vdb")
+        assert vdb and {snap.dev for snap in vdb} == {"8:16"}
+        assert mon.snapshots_for("8:16") == vdb
+        assert mon.snapshots_for(SSD_NEW.scaled(0.1).name) == []
+
+        assert monitor_cli.main([str(path), "--device", "vdb", "--json"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert [json.loads(line)["dev"] for line in lines] == ["8:16"] * len(vdb)
+        assert monitor_cli.main([str(path), "--device", SSD_NEW.scaled(0.1).name]) == 1
+        assert "no snapshots" in capsys.readouterr().err

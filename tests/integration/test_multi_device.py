@@ -150,9 +150,7 @@ class TestPerDeviceIOStat:
         bed.run(0.4)
         bed.detach()
 
-        iostat = IOStat(
-            bed.cgroups, controllers=bed.devices.controllers_by_devno()
-        )
+        iostat = IOStat(bed.cgroups, bed.devices.controllers_by_devno())
         for path in ("workload.slice/a", "workload.slice/b", "workload.slice"):
             lines = iostat.render(path).splitlines()
             assert [line.split()[0] for line in lines] == ["8:0", "8:16"]

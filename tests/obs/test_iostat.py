@@ -3,13 +3,15 @@
 import pytest
 
 from repro.block.device_models import SSD_NEW
+from repro.cgroup import UNATTRIBUTED_DEV as DEV
 from repro.cgroup import CgroupTree
 from repro.obs.iostat import IOStat
 from repro.testbed import Testbed
 
 
 def account(cgroup, *, rbytes=0, wbytes=0):
-    """Charge IO to one cgroup the way the block layer does."""
+    """Charge IO to one cgroup the way the block layer does (on the
+    unattributed device, ``DEV``)."""
     reads, writes = rbytes // 4096, wbytes // 4096
     for _ in range(reads):
         cgroup.stats.account(False, 4096)
@@ -27,17 +29,17 @@ class TestAggregation:
         account(b, rbytes=4096, wbytes=12288)
         account(parent, wbytes=4096)
 
-        snap = IOStat(tree).snapshot()
-        assert snap["workload.slice/a"]["rbytes"] == 8192
-        assert snap["workload.slice/b"]["wbytes"] == 12288
+        snap = IOStat(tree).device_snapshot()
+        assert snap["workload.slice/a"][DEV]["rbytes"] == 8192
+        assert snap["workload.slice/b"][DEV]["wbytes"] == 12288
         # Recursive: the parent reports its own IO plus both children.
-        assert snap["workload.slice"]["rbytes"] == 12288
-        assert snap["workload.slice"]["wbytes"] == 16384
-        assert snap["workload.slice"]["rios"] == 3
-        assert snap["workload.slice"]["wios"] == 4
+        assert snap["workload.slice"][DEV]["rbytes"] == 12288
+        assert snap["workload.slice"][DEV]["wbytes"] == 16384
+        assert snap["workload.slice"][DEV]["rios"] == 3
+        assert snap["workload.slice"][DEV]["wios"] == 4
         # ... and the root sees everything.
-        assert snap[""]["rbytes"] == 12288
-        assert snap[""]["wbytes"] == 16384
+        assert snap[""][DEV]["rbytes"] == 12288
+        assert snap[""][DEV]["wbytes"] == 16384
 
     def test_removal_folds_into_parent(self):
         """Counters survive cgroup removal (kernel rstat flush-on-release)."""
@@ -47,14 +49,14 @@ class TestAggregation:
         iostat = IOStat(tree)
         account(child, rbytes=65536, wbytes=4096)
 
-        before = iostat.snapshot()["workload.slice"]
+        before = iostat.device_of("workload.slice")[DEV]
         tree.remove("workload.slice/dying")
-        after = iostat.snapshot()
+        after = iostat.device_snapshot()
 
         assert "workload.slice/dying" not in after
-        assert after["workload.slice"]["rbytes"] == before["rbytes"] == 65536
-        assert after["workload.slice"]["wbytes"] == before["wbytes"] == 4096
-        assert after[""]["rbytes"] == 65536
+        assert after["workload.slice"][DEV]["rbytes"] == before["rbytes"] == 65536
+        assert after["workload.slice"][DEV]["wbytes"] == before["wbytes"] == 4096
+        assert after[""][DEV]["rbytes"] == 65536
 
     def test_cascading_removal_carries_inherited_stats(self):
         """A removed parent carries its own dead-children stats upward."""
@@ -67,9 +69,9 @@ class TestAggregation:
 
         tree.remove("a/b/c")
         tree.remove("a/b")
-        snap = iostat.snapshot()
-        assert snap["a"]["rbytes"] == 4096
-        assert snap[""]["rbytes"] == 4096
+        snap = iostat.device_snapshot()
+        assert snap["a"][DEV]["rbytes"] == 4096
+        assert snap[""][DEV]["rbytes"] == 4096
 
     def test_collector_built_after_removal_sees_the_history(self):
         """Folding is the tree's job: no collector has to be watching."""
@@ -77,14 +79,14 @@ class TestAggregation:
         tree.create("workload.slice")
         child = tree.create("workload.slice/dying")
         account(child, rbytes=65536, wbytes=4096)
-        child.stats.device("0:0").errors = 2
+        child.stats.device(DEV).errors = 2
         tree.remove("workload.slice/dying")
 
-        snap = IOStat(tree).snapshot()
-        assert snap["workload.slice"]["rbytes"] == 65536
-        assert snap["workload.slice"]["wbytes"] == 4096
-        assert snap["workload.slice"]["errors"] == 2
-        assert snap[""]["rios"] == 16
+        snap = IOStat(tree).device_snapshot()
+        assert snap["workload.slice"][DEV]["rbytes"] == 65536
+        assert snap["workload.slice"][DEV]["wbytes"] == 4096
+        assert snap["workload.slice"][DEV]["errors"] == 2
+        assert snap[""][DEV]["rios"] == 16
 
     def test_hook_only_observes_registered_tree(self):
         tree = CgroupTree()
@@ -93,7 +95,7 @@ class TestAggregation:
         doomed = other.create("x")
         account(doomed, rbytes=4096)
         other.remove("x")  # not iostat's tree; must not be folded anywhere
-        assert iostat.snapshot()[""]["rbytes"] == 0
+        assert iostat.device_of("") == {}
 
 
 class TestCostKeys:
@@ -105,8 +107,8 @@ class TestCostKeys:
         bed.sim.run(until=0.5)
         bed.controller.detach()
 
-        iostat = IOStat(bed.cgroups, controller=bed.controller)
-        entry = iostat.of("workload.slice/a")
+        iostat = IOStat(bed.cgroups, bed.devices.controllers_by_devno())
+        entry = iostat.device_of("workload.slice/a")[bed.layer.dev]
         assert entry["cost.vrate"] == pytest.approx(bed.controller.vrate)
         assert entry["cost.usage"] > 0
         assert entry["cost.ios"] > 0
@@ -114,7 +116,7 @@ class TestCostKeys:
         assert entry["cost.indebt"] == 0.0
         assert entry["cost.indelay"] == 0.0
         # The idle sibling saw no IO.
-        idle = iostat.of("workload.slice/b")
+        idle = iostat.device_of("workload.slice/b")[bed.layer.dev]
         assert idle["cost.usage"] == 0.0
         assert idle["rbytes"] == 0
 
@@ -123,12 +125,12 @@ class TestCostKeys:
         bed = Testbed(SSD_NEW.scaled(0.1), "iocost", seed=5)
         a = bed.add_cgroup("workload.slice/a")
         bed.saturate(a, depth=16, stop_at=1.0)
-        iostat = IOStat(bed.cgroups, controller=bed.controller)
+        iostat = IOStat(bed.cgroups, bed.devices.controllers_by_devno())
 
         bed.sim.run(until=0.3)
-        early = iostat.of("workload.slice/a")["cost.usage"]
+        early = iostat.device_of("workload.slice/a")[bed.layer.dev]["cost.usage"]
         bed.sim.run(until=0.9)
-        late = iostat.of("workload.slice/a")["cost.usage"]
+        late = iostat.device_of("workload.slice/a")[bed.layer.dev]["cost.usage"]
         bed.controller.detach()
 
         assert early > 0
@@ -142,5 +144,6 @@ class TestCostKeys:
         bed.saturate(a, depth=64, stop_at=0.4)
         bed.sim.run(until=0.5)
         bed.controller.detach()
-        entry = IOStat(bed.cgroups, controller=bed.controller).of("workload.slice/a")
+        iostat = IOStat(bed.cgroups, bed.devices.controllers_by_devno())
+        entry = iostat.device_of("workload.slice/a")[bed.layer.dev]
         assert entry["throttled"] > 0

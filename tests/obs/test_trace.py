@@ -249,16 +249,17 @@ class TestReplayBridge:
         sim.run(until=0.1)
         buffer.detach()
 
-        records = buffer.to_trace_records()
-        assert records
-        assert records == sorted(records, key=lambda r: r.submit_time)
-        assert all(record.prio is None for record in records)
+        events = buffer.events
+        assert events
+        assert all(event.fields["prio"] is None for event in events)
 
         sim2, layer2, tree2 = make_env()
-        replayer = TraceReplayer(sim2, layer2, tree2, records).start()
+        replayer = TraceReplayer(sim2, layer2, tree2, events).start()
+        submit_times = [event.fields["submit_time"] for event in replayer.events]
+        assert submit_times == sorted(submit_times)
         sim2.run(until=0.2)
-        assert replayer.submitted == len(records)
-        assert replayer.completed == len(records)
+        assert replayer.submitted == len(events)
+        assert replayer.completed == len(events)
         assert "workload.slice/app" in tree2
 
     def test_prio_preserved_through_bridge(self):
@@ -268,8 +269,8 @@ class TestReplayBridge:
         layer.submit(Bio(IOOp.READ, 4096, 8, group, prio=1))
         sim.run(until=0.01)
         buffer.detach()
-        records = buffer.to_trace_records()
-        assert [record.prio for record in records] == [1]
+        events = buffer.events
+        assert [event.fields["prio"] for event in events] == [1]
 
         sim2, layer2, tree2 = make_env()
         replayed = []
@@ -280,7 +281,7 @@ class TestReplayBridge:
             original(bio, on_done=on_done)
 
         layer2.submit = capture
-        TraceReplayer(sim2, layer2, tree2, records).start()
+        TraceReplayer(sim2, layer2, tree2, events).start()
         sim2.run(until=0.05)
         assert replayed == [1]
 

@@ -4,11 +4,14 @@ import io
 
 import pytest
 
+from repro.block.bio import reset_bio_ids
+from repro.core.qos import QoSParams
 from repro.obs.prof import PROF
 from repro.obs.trace import TRACE, TraceBuffer
 from repro.sanitize import SANITIZE
 from repro.sim import CancelledError, Signal, SimulationError, Simulator
 from repro.testbed import Testbed
+from repro.tools.engine_bench import run_fixed_load
 
 
 def test_clock_starts_at_zero():
@@ -392,3 +395,28 @@ class TestInstrumentedRun:
         plain = tiled_run(False)
         assert plain[0] > 1000 and plain[2]
         assert tiled_run(True) == plain
+
+    def test_instrumentation_does_not_change_the_fixed_rig(self):
+        # 44,000 bios at depth 64 run 0.16 simulated seconds: three plan
+        # ticks, so what a per-period check does to the controller shows in
+        # the trace that follows it.
+        bios, depth = 44_000, 64
+
+        def traced_run(instrumented):
+            reset_bio_ids()  # the trace carries bio ids
+            SANITIZE.reset()
+            PROF.enabled = SANITIZE.enabled = instrumented
+            buffer = TraceBuffer(capacity=4 * bios).attach(TRACE)
+            try:
+                sim = run_fixed_load(bios, depth)
+            finally:
+                buffer.detach()
+            assert not buffer.dropped
+            stream = io.StringIO()
+            buffer.save(stream)
+            return sim.events_processed, sim.now, stream.getvalue()
+
+        plain = traced_run(False)
+        assert plain[1] > 3 * QoSParams().period
+        assert traced_run(True) == plain
+        assert SANITIZE.checks["cost_conservation"] > 0

@@ -47,6 +47,17 @@ class TestSpansCommand:
         assert blkprof.main(["spans", str(trace_file), "--cgroup", "nope"]) == 1
         assert "no completed spans" in capsys.readouterr().err
 
+    def test_limit_zero_selects_nothing(self, capsys, trace_file):
+        assert blkprof.main(["spans", str(trace_file), "--limit", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no completed spans" in captured.err
+        # A negative count is a one-line usage error.
+        assert blkprof.main(["spans", str(trace_file), "--limit", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "--limit" in captured.err
+
 
 class TestBreakdownCommand:
     def test_text_rollup(self, capsys, trace_file):
