@@ -81,6 +81,7 @@ class Bio:
         "is_write",
         "nbytes",
         "sector",
+        "end_sector",
         "cgroup",
         "blkg",
         "flags",
@@ -119,6 +120,8 @@ class Bio:
         self.is_write = op is IOOp.WRITE
         self.nbytes = nbytes
         self.sector = sector
+        # Where a sequential successor starts (sector and size never change).
+        self.end_sector = sector + (nbytes + SECTOR_SIZE - 1) // SECTOR_SIZE
         self.cgroup = cgroup
         self.flags = flags
         # ioprio class (0 none / 1 RT / 2 BE / 3 idle), None when the
@@ -147,10 +150,6 @@ class Bio:
     @property
     def ok(self) -> bool:
         return self.status is BioStatus.OK
-
-    @property
-    def end_sector(self) -> int:
-        return self.sector + (self.nbytes + SECTOR_SIZE - 1) // SECTOR_SIZE
 
     @property
     def latency(self) -> float:

@@ -310,7 +310,8 @@ class Device:
         if self.spec.gc_drain_bps > 0:
             elapsed = now - self._gc_updated
             if elapsed > 0:
-                self._gc_debt = max(0.0, self._gc_debt - elapsed * self.spec.gc_drain_bps)
+                debt = self._gc_debt - elapsed * self.spec.gc_drain_bps
+                self._gc_debt = debt if debt > 0.0 else 0.0
         self._gc_updated = now
 
     def _service_time(self, bio: Bio) -> float:
@@ -365,9 +366,10 @@ class Device:
         delay = 0.0
         if self.spec.iops_limit > 0:
             interval = 1.0 / self.spec.iops_limit
-            start = max(self.sim.now, self._token_time)
+            now = self.sim.now
+            start = self._token_time if self._token_time > now else now
             self._token_time = start + interval
-            delay = start - self.sim.now
+            delay = start - now
         # The service-time draw happens before the fault decision so the
         # noise stream consumed is identical with and without a fault plan.
         service = self._service_time(bio)

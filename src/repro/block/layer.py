@@ -74,15 +74,16 @@ class BlockLayer:
         #: Cached ``device.spec.nr_slots``: can_dispatch() runs several
         #: times per bio and must not chase three attributes each time.
         self._nr_slots = device.spec.nr_slots
-        device.on_complete = self._device_completed
+        #: Abort a dispatched bio that has not completed after this many
+        #: simulated seconds (None disables timeout detection).
+        self.io_timeout = io_timeout
+        # Without timeouts there is no timer to disarm: straight to _finish.
+        device.on_complete = self._finish if io_timeout is None else self._device_completed
         # Made before the controller attaches: iocost reads them and sizes them.
         self.read_latency = LatencyWindow()
         self.write_latency = LatencyWindow()
         controller.attach(self)
 
-        #: Abort a dispatched bio that has not completed after this many
-        #: simulated seconds (None disables timeout detection).
-        self.io_timeout = io_timeout
         self.max_retries = max_retries
         self.retry_backoff = retry_backoff if retry_backoff is not None else self.RETRY_BACKOFF
         #: Armed timeout timers by bio id (io_timeout runs only).
@@ -136,7 +137,10 @@ class BlockLayer:
         bio.on_done = on_done
         # The record is per (cgroup, devno), not per spec name: two devices
         # of the same model must not share a sequentiality cursor.
-        record = bio.blkg = bio.cgroup.stats.device(self.dev)
+        try:
+            record = bio.blkg = bio.cgroup.stats.per_device[self.dev]
+        except KeyError:  # the cgroup's first bio here
+            record = bio.blkg = bio.cgroup.stats.device(self.dev)
         bio.sequential = bio.sector == record.next_sector
         record.next_sector = bio.end_sector
         # Inlined IOStats.account(is_write, nbytes): the record is the
@@ -180,14 +184,15 @@ class BlockLayer:
 
     def dispatch(self, bio: Bio) -> None:
         """Send a bio to the device, charging the controller's CPU cost."""
-        if not self.can_dispatch():
+        if self.inflight >= self._nr_slots:
             raise BlockLayerError("dispatch with no free request slots")
         self.inflight += 1
         if self._san.enabled:
             self._san.check_slots(self.inflight, self._nr_slots, self.dev)
         overhead = self.controller.issue_overhead
         if overhead > 0:
-            start = max(self.sim.now, self._cpu_free_at)
+            now = self.sim.now
+            start = self._cpu_free_at if self._cpu_free_at > now else now
             self._cpu_free_at = start + overhead
             delay = self._cpu_free_at - self.sim.now
             self.sim.schedule(delay, self._issue, bio)
@@ -217,10 +222,10 @@ class BlockLayer:
     # -- completion / failure --------------------------------------------------
 
     def _device_completed(self, bio: Bio) -> None:
-        if self.io_timeout is not None:
-            timer = self._timeouts.pop(bio.id, None)
-            if timer is not None:
-                timer.cancel()
+        """An ``io_timeout`` run's completion hook: disarm, then finish."""
+        timer = self._timeouts.pop(bio.id, None)
+        if timer is not None:
+            timer.cancel()
         self._finish(bio)
 
     def _timed_out(self, bio: Bio) -> None:
@@ -252,7 +257,7 @@ class BlockLayer:
             self.controller.pump()
             return
 
-        bio.complete_time = self.sim.now
+        now = bio.complete_time = self.sim.now
         self.completed_ios += 1
         if self._prof.enabled:
             self._prof.bios_completed += 1
@@ -281,8 +286,7 @@ class BlockLayer:
         # Failed bios feed the latency windows too: a timed-out bio records
         # its full io_timeout, which is exactly the degraded-latency signal
         # the QoS vrate loop must react to (graceful degradation).
-        now = self.sim.now
-        latency = bio.device_latency
+        latency = now - bio.issue_time
         if bio.is_write:
             self.write_latency.record(now, latency)
         else:
@@ -293,10 +297,10 @@ class BlockLayer:
             window = record.latency = LatencyWindow()
         window.record(now, latency, bio.is_write)
 
-        self.controller.on_complete(bio)
+        # Requeued bios take the freed slot first, then the one controller call.
         if self._retryq:
             self._drain_retries()
-        self.controller.pump()
+        self.controller.on_complete(bio)
         if bio.on_done is not None:
             bio.on_done(bio)
 

@@ -7,8 +7,8 @@ elevator model:
 * :meth:`IOController.enqueue` — a bio arrived from a cgroup; stash or
   dispatch it.
 * :meth:`IOController.pump` — dispatch as many queued bios as policy and
-  free request slots allow; called after enqueues and completions.
-* :meth:`IOController.on_complete` — bookkeeping for a finished bio.
+  free request slots allow; called after enqueues.
+* :meth:`IOController.on_complete` — a bio finished; ends with its pump.
 
 A cgroup-aware controller keeps its per-group state on the record every bio
 carries (``bio.blkg.pd``), never in a map keyed by cgroup path; docs/API.md
@@ -191,4 +191,5 @@ class IOController(abc.ABC):
         """Dispatch queued bios while policy and request slots allow."""
 
     def on_complete(self, bio: "Bio") -> None:
-        """A dispatched bio completed (default: nothing to do)."""
+        """The one call per completion: bookkeeping, then the pump it needs."""
+        self.pump()

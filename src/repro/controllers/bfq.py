@@ -205,3 +205,4 @@ class BFQController(IOController):
         # completions always belong to the active queue.
         if self._active is not None and bio.blkg.pd is self._active:
             self._active_inflight -= 1
+        self.pump()  # even with nothing queued: it expires slices, arms idling

@@ -113,6 +113,7 @@ class IOLatencyController(IOController):
 
     def on_complete(self, bio: Bio) -> None:
         bio.blkg.pd.inflight -= 1
+        self.pump()
 
     # -- periodic depth scaling -------------------------------------------------
 

@@ -79,6 +79,7 @@ class KyberController(IOController):
             self._write_inflight -= 1
         else:
             self._read_inflight -= 1
+        self.pump()
 
     def _adjust(self) -> None:
         """Shrink a domain's depth when its latency target is missed."""

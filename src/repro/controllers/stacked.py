@@ -15,6 +15,7 @@ carries (``bio.blkg``); its one ``pd`` slot is the gate's.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import TYPE_CHECKING
 
 from repro.block.bio import Bio
@@ -30,7 +31,8 @@ class _GateShim:
 
     The gate throttles by its own budgets; request slots and device
     backpressure are the scheduler's concern, so ``can_dispatch`` is always
-    true here and ``dispatch`` simply hands the bio down.
+    true here and ``dispatch`` simply hands the bio down.  The rest, even
+    ``inflight``, is the real layer's: a gate asks ``can_dispatch()``.
     """
 
     def __init__(self, stacked: "StackedController", real: "BlockLayer"):
@@ -63,20 +65,9 @@ class StackedController(IOController):
         self.scheduler = scheduler
         # The stack has the gate's control properties; overhead compounds
         # (the worse of the two low-overhead ratings wins).
-        gate_features = gate.features
         rank = ("yes", "partial", "no").index
-        worst_overhead = max(
-            gate_features.low_overhead,
-            scheduler.features.low_overhead,
-            key=rank,
-        )
-        self.features = Features(
-            low_overhead=worst_overhead,
-            work_conserving=gate_features.work_conserving,
-            memory_management_aware=gate_features.memory_management_aware,
-            proportional_fairness=gate_features.proportional_fairness,
-            cgroup_control=gate_features.cgroup_control,
-        )
+        worst = max(gate.features.low_overhead, scheduler.features.low_overhead, key=rank)
+        self.features = replace(gate.features, low_overhead=worst)
         self.issue_overhead = gate.issue_overhead + scheduler.issue_overhead
 
     def attach(self, layer: "BlockLayer") -> None:

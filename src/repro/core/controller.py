@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Deque, Optional
 
-from repro.block.bio import Bio, BioFlags
+from repro.block.bio import Bio, BioFlags, BioStatus
 from repro.cgroup import Cgroup
 from repro.controllers.base import Features, IOController
 from repro.core.cost_model import CostModel
@@ -96,8 +96,8 @@ class IOCost(IOController):
         self.budget_cap = qos.period
 
         self._urgent: Deque[Bio] = deque()
-        #: Bios in budget waitqs (docs/PERF.md): ``pump()`` runs ~2× per bio
-        #: and usually finds none.  Moved at the two waitq touch points
+        #: Bios in budget waitqs (docs/PERF.md): ``on_complete`` pumps only
+        #: when there are some.  Moved at the two waitq touch points
         #: (enqueue append, _try_issue popleft).
         self._queued = 0
         self._plan_timer = None
@@ -229,11 +229,8 @@ class IOCost(IOController):
         if self._prof.enabled:
             self._prof.pump_calls += 1
         # Urgent (swap/journal) bios first: they bypass budget entirely.
-        if self._urgent:
-            while self._urgent and layer.can_dispatch():
-                layer.dispatch(self._urgent.popleft())
-        # Ordered cheapest-check-first: the completion-side pump usually
-        # finds nothing queued and must cost two truth tests.
+        while self._urgent and layer.can_dispatch():
+            layer.dispatch(self._urgent.popleft())
         if not self._queued or not layer.can_dispatch():
             return
         tree = self.tree
@@ -286,7 +283,7 @@ class IOCost(IOController):
             # accumulate enough budget; it issues once the bank is full and
             # charges the full cost forward (transiently negative budget),
             # which preserves the group's long-run rate.
-            need = min(relative, self.budget_cap)
+            need = self.budget_cap if self.budget_cap < relative else relative
             if budget + 1e-12 >= need:
                 group.local_vtime += relative
                 group.abs_usage += bio.abs_cost
@@ -313,8 +310,11 @@ class IOCost(IOController):
     def on_complete(self, bio: Bio) -> None:
         # A bio that failed for good (docs/FAULTS.md) was charged at enqueue
         # and is never refunded — errored IO still pays (graceful degradation).
-        if not bio.ok:
+        if bio.status is not BioStatus.OK:
             self.failed_cost += bio.abs_cost
+        # Held heads wake on their own timers: only a queued bio wants the slot.
+        if self._queued or self._urgent:
+            self.pump()
 
     # -- planning path ------------------------------------------------------------
 

@@ -42,7 +42,7 @@ PROF_COUNTS = {
     "events_dispatched": 11044,
     "heap_pushes": 11045,
     "heap_pops": 11045,
-    "pump_calls": 11044,
+    "pump_calls": 7020,
     "bios_submitted": BIOS,
     "bios_issued": BIOS,
     "bios_completed": BIOS,
@@ -57,7 +57,7 @@ CONTENDED_PROF_COUNTS = {
     "events_dispatched": 29722,
     "heap_pushes": 34213,
     "heap_pops": 34212,
-    "pump_calls": 29722,
+    "pump_calls": 29721,
     "bios_submitted": 11578,
     "bios_issued": 11578,
     "bios_completed": 11578,
@@ -68,9 +68,9 @@ CONTENDED_PROF_COUNTS = {
 HEAP_PUSHES_PER_BIO_CEILING = 6.0
 CANCELLED_SHARE_CEILING = 0.3
 
-#: Python + C calls per additional bio with every guard off: 57.002 on
+#: Python + C calls per additional bio with every guard off: 45.002 on
 #: CPython 3.11 (the .002 is one sector-chunk refill per 4096 bios).
-CALLS_PER_BIO_CEILING = 57.012
+CALLS_PER_BIO_CEILING = 45.012
 
 #: cProfile's C-call accounting differs between minor versions.
 needs_cpython_311 = pytest.mark.skipif(
