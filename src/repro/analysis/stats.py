@@ -10,43 +10,77 @@ provides the equivalents used throughout the reproduction:
   reductions, used for vrate traces, RPS curves, etc.
 * :class:`RateMeter` — events/bytes per second over a sliding window.
 * :class:`Summary` — one-shot aggregate over a closed sample set.
+
+The layer records every completion in two latency windows, so the sliding
+stores keep a sample as flat doubles in one ``array('d')``
+(:class:`_SlidingStore`): 24 bytes, and no object for the cyclic GC.
 """
 
 from __future__ import annotations
 
 import bisect
-from collections import deque
+from array import array
 from dataclasses import dataclass
-from itertools import islice
-from typing import Deque, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Sequence
 
 from repro.obs.metrics import exact_percentile
 
 
-class LatencyWindow:
-    """Sliding-window latency samples with percentile queries.
-
-    Samples are (timestamp, latency, is_write) triples in time order;
-    :meth:`record` drops what has left the window as it appends, so the
-    store is bounded with or without a reader.  The block layer's device
-    windows are the signal source for IOCost's saturation detection.
+class _SlidingStore:
+    """Time-ordered samples of ``_width`` doubles each (time first), flat in
+    one ``array('d')``.  ``record`` appends with one ``fromlist`` (``extend``
+    converts each double twice) and, once ``now`` reaches ``_due``, calls
+    :meth:`_evict`, so a store holds its last window and at most
+    ``window / EVICTIONS`` more, read or not.  Queries bisect the time column
+    and slice the others, releasing the memoryview before they return (an
+    exported buffer makes the next append raise ``BufferError``).  Samples
+    are recorded in time order and queried at or after the newest.
     """
+
+    _width: int
+    #: Evictions per window: the store's slack is ``window / EVICTIONS``.
+    EVICTIONS = 8
 
     def __init__(self, window: float = 1.0) -> None:
         if window <= 0:
             raise ValueError("window must be positive")
         self.window = window
-        self._samples: Deque[Tuple[float, float, bool]] = deque()
+        self._data = array("d")
+        self._due = float("-inf")
 
-    def record(self, now: float, latency: float, is_write: bool = False) -> None:
-        samples = self._samples
-        samples.append((now, latency, is_write))
-        while samples[0][0] < now - self.window:
-            samples.popleft()
+    def __len__(self) -> int:
+        """The live samples: those no older than the window at the newest."""
+        data = self._data
+        return self._fresh(data[-self._width], self.window) if data else 0
+
+    def _first(self, since: float) -> int:
+        """Index of the first sample at or after time ``since``."""
+        with memoryview(self._data) as flat, flat[:: self._width] as times:
+            return bisect.bisect_left(times, since)
 
     def _fresh(self, now: float, horizon: float) -> int:
         """How many of the newest samples are no older than ``horizon`` seconds."""
-        return len(self._samples) - bisect.bisect_left(self._samples, (now - horizon,))
+        return len(self._data) // self._width - self._first(now - horizon)
+
+    def _evict(self, now: float) -> None:
+        del self._data[: self._width * self._first(now - self.window)]
+        self._due = now + self.window / self.EVICTIONS
+
+
+class LatencyWindow(_SlidingStore):
+    """Sliding-window latency samples with percentile queries.
+
+    A sample is (timestamp, latency, is_write) as three doubles.  The block
+    layer's device windows are the signal source for IOCost's saturation
+    detection.
+    """
+
+    _width = 3
+
+    def record(self, now: float, latency: float, is_write: bool = False) -> None:
+        self._data.fromlist([now, latency, is_write])
+        if now >= self._due:
+            self._evict(now)
 
     def count(self, now: float) -> int:
         return self._fresh(now, self.window)
@@ -65,34 +99,38 @@ class LatencyWindow:
             horizon = self.window
         elif horizon > self.window:
             raise ValueError(f"horizon {horizon} exceeds the window ({self.window})")
-        # Newest first; a nearest-rank percentile does not depend on order.
-        fresh = islice(reversed(self._samples), self._fresh(now, horizon))
-        latencies = [lat for _, lat, is_write in fresh if not (reads_only and is_write)]
+        data = self._data
+        start = len(data) - 3 * self._fresh(now, horizon)
+        latencies: Sequence[float] = data[start + 1 :: 3]
+        if reads_only:
+            writes = data[start + 2 :: 3]
+            latencies = [lat for lat, is_write in zip(latencies, writes) if not is_write]
         if not latencies:
             return None
         return exact_percentile(latencies, pct)
 
 
-class RateMeter:
-    """Events (optionally weighted, e.g. by bytes) per second over a window."""
+class RateMeter(_SlidingStore):
+    """Events (optionally weighted, e.g. by bytes) per second over a window.
+
+    A sample is (timestamp, amount) as two doubles."""
+
+    _width = 2
 
     def __init__(self, window: float = 1.0) -> None:
-        if window <= 0:
-            raise ValueError("window must be positive")
-        self.window = window
-        self._events: Deque[Tuple[float, float]] = deque()
+        super().__init__(window)
         self.total = 0.0
 
     def record(self, now: float, amount: float = 1.0) -> None:
-        self._events.append((now, amount))
+        self._data.fromlist([now, amount])
         self.total += amount
-        while self._events[0][0] < now - self.window:
-            self._events.popleft()
+        if now >= self._due:
+            self._evict(now)
 
     def rate(self, now: float) -> float:
-        """Windowed rate in amount/second."""
-        oldest = now - self.window
-        return sum(amount for t, amount in self._events if t >= oldest) / self.window
+        """Windowed rate in amount/second, summed oldest first."""
+        data = self._data
+        return sum(data[len(data) - 2 * self._fresh(now, self.window) + 1 :: 2]) / self.window
 
 
 class TimeSeries:

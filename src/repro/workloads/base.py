@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from array import array
 from typing import List, Optional
 
 import numpy as np
@@ -10,6 +11,7 @@ from repro.analysis.stats import Summary
 from repro.block.bio import Bio, IOOp
 from repro.block.layer import BlockLayer
 from repro.cgroup import Cgroup
+from repro.obs.metrics import exact_percentile
 from repro.sim import Simulator
 
 PAGE = 4096
@@ -73,7 +75,7 @@ class Workload:
         self.rng = np.random.default_rng(seed)
         self.completed = 0
         self.bytes_done = 0
-        self.latencies: List[float] = []
+        self.latencies = array("d")
         self.running = False
 
     def start(self) -> "Workload":
@@ -95,10 +97,7 @@ class Workload:
         return Summary.of(self.latencies)
 
     def recent_percentile(self, pct: float, last: int = 200) -> Optional[float]:
-        """Percentile over the most recent ``last`` completions."""
+        """Nearest-rank percentile over the most recent ``last`` completions."""
         if not self.latencies:
             return None
-        window = self.latencies[-last:]
-        window = sorted(window)
-        rank = max(1, int(round(pct / 100 * len(window))))
-        return window[rank - 1]
+        return exact_percentile(self.latencies[-last:], pct)

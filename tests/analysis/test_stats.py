@@ -1,7 +1,9 @@
 """Tests for streaming statistics primitives."""
 
+from collections import deque
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.stats import LatencyWindow, RateMeter, Summary, TimeSeries
@@ -111,8 +113,12 @@ class TestLatencyWindow:
             window.record(index / 128, 1.0)
             meter.record(index / 128)
         # The newest sample is 999/128: 871/128 .. 999/128 are inside.
-        assert len(window._samples) == len(meter._events) == 129
+        assert len(window) == len(meter) == 129
         assert meter.total == 1000 and meter.rate(999 / 128) == 129
+        # What is stored beyond them is at most an eighth of a window.
+        slack = 1 + 1 / LatencyWindow.EVICTIONS
+        assert len(window._data) <= 3 * 129 * slack
+        assert len(meter._data) <= 2 * 129 * slack
 
 
 class TestRateMeter:
@@ -132,6 +138,83 @@ class TestRateMeter:
         meter = RateMeter(window=1.0)
         meter.record(0.0)
         assert meter.rate(2.0) == 0.0
+
+
+class TupleStores:
+    """The sliding stores as a deque of tuples each, evicting on every
+    record: the reference the flat stores must answer exactly like."""
+
+    def __init__(self, window):
+        self.window = window
+        self.samples = deque()
+
+    def record(self, now, latency, is_write):
+        self.samples.append((now, latency, is_write))
+        while self.samples[0][0] < now - self.window:
+            self.samples.popleft()
+
+    def fresh(self, now, horizon):
+        return [sample for sample in self.samples if sample[0] >= now - horizon]
+
+    def percentile(self, now, pct, horizon, reads_only):
+        latencies = [
+            lat for _, lat, is_write in self.fresh(now, horizon)
+            if not (reads_only and is_write)
+        ]
+        return percentile(latencies, pct) if latencies else None
+
+    def rate(self, now):
+        return sum(lat for _, lat, _ in self.fresh(now, self.window)) / self.window
+
+
+#: Steps on a binary grid, so sums are exact and samples land exactly on
+#: the eviction boundary (``now - window``); zero makes equal timestamps.
+_GRID_STEPS = st.sampled_from([0.0, 0.0, 1 / 64, 1 / 16, 1 / 8, 1 / 4, 1 / 2])
+_SAMPLE = st.tuples(
+    st.one_of(_GRID_STEPS, st.floats(min_value=0, max_value=0.3)),
+    st.floats(min_value=0, max_value=1),
+    st.booleans(),
+)
+
+
+class TestFlatStoresMatchTuples:
+    @given(
+        window=st.sampled_from([1.0, 0.25, 0.3]),
+        stream=st.lists(_SAMPLE, min_size=1, max_size=60),
+        lag=st.one_of(_GRID_STEPS, st.floats(min_value=0, max_value=0.5)),
+        pct=st.one_of(st.sampled_from([0, 50, 90, 99, 100]), st.floats(0, 100)),
+    )
+    @example(  # equal timestamps, then one exactly a window later
+        window=1.0, stream=[(0.0, 3.0, False)] * 3 + [(1.0, 1.0, True)], lag=0.0, pct=50
+    )
+    @example(  # every step half the window: each record evicts
+        window=0.25, stream=[(0.125, index / 7, index % 2 == 0) for index in range(7)],
+        lag=0.25, pct=99,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_every_answer_is_the_tuple_stores(self, window, stream, lag, pct):
+        flat, meter, ref = LatencyWindow(window), RateMeter(window), TupleStores(window)
+        horizons = [window * eighth / 8 for eighth in range(1, 9)]
+        now = 0.0
+        times = []
+        for step, latency, is_write in stream:
+            now += step
+            times.append(now)
+            flat.record(now, latency, is_write)
+            meter.record(now, latency)
+            ref.record(now, latency, is_write)
+            assert len(flat) == len(meter) == len(ref.samples)
+            # Beyond the live window, at most an eighth of a window is kept.
+            kept = sum(time >= now - window * (1 + 1 / flat.EVICTIONS) for time in times)
+            assert len(flat._data) // 3 == len(meter._data) // 2 <= kept
+            for when in (now, now + lag):
+                assert flat.count(when) == len(ref.fresh(when, window))
+                assert repr(meter.rate(when)) == repr(ref.rate(when))
+                for horizon in horizons:
+                    for reads_only in (False, True):
+                        assert repr(
+                            flat.percentile(when, pct, horizon, reads_only)
+                        ) == repr(ref.percentile(when, pct, horizon, reads_only))
 
 
 class TestTimeSeries:

@@ -13,15 +13,20 @@ costs no timer traffic while it waits (``IOController.hold``): heap pushes
 per bio stay near the solo path's and almost no pushed timer is cancelled.
 A third, a fleet ``db`` host of paced cgroups, pins that a sibling's
 activation re-evaluates no held head: it can only move deadlines later.
+Beside the calls ceiling sits a memory one: the bytes a completion leaves
+behind in tracemalloc's peak, and no collection by the cyclic GC.
 """
 
 import cProfile
 import gc
 import pstats
 import sys
+import tracemalloc
+from collections import deque
 
 import pytest
 
+from repro.analysis.stats import LatencyWindow
 from repro.block.bio import Bio, IOOp
 from repro.block.layer import BlockLayer
 from repro.controllers import BlkThrottleController, ThrottleLimits
@@ -72,10 +77,17 @@ CANCELLED_SHARE_CEILING = 0.3
 #: CPython 3.11 (the .002 is one sector-chunk refill per 4096 bios).
 CALLS_PER_BIO_CEILING = 45.012
 
-#: cProfile's C-call accounting differs between minor versions.
+#: Bytes each additional bio adds to tracemalloc's peak: 38.8 on CPython
+#: 3.11.  The ceiling is the three doubles it leaves in each of the two
+#: latency windows it lands in (device and cgroup); while a sample was a
+#: tuple it was 188.
+PEAK_BYTES_PER_BIO_CEILING = 48
+
+#: cProfile's C-call accounting and the allocator's sizes differ between
+#: minor versions.
 needs_cpython_311 = pytest.mark.skipif(
     sys.version_info[:2] != (3, 11),
-    reason="the call ceiling was counted on CPython 3.11",
+    reason="the call and byte ceilings were counted on CPython 3.11",
 )
 
 
@@ -258,3 +270,52 @@ def test_ceiling_catches_a_payload_built_before_the_guard(monkeypatch):
 
     monkeypatch.setattr(BlockLayer, "submit", eager_submit)
     assert marginal_calls_per_bio() > CALLS_PER_BIO_CEILING
+
+
+def _peak_bytes(bios):
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run_fixed_load(bios, DEPTH)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def marginal_peak_bytes_per_bio():
+    """Peak bytes of a 2×BIOS run minus a BIOS run: set-up and drain cancel."""
+    run_fixed_load(DEPTH, DEPTH)  # first-use imports and caches
+    return (_peak_bytes(2 * BIOS) - _peak_bytes(BIOS)) / BIOS
+
+
+def young_collections():
+    """Generation-0 collections during a 2×BIOS run started from an empty
+    young generation: each one means bios left GC-tracked objects behind."""
+    gc.collect()
+    before = gc.get_stats()[0]["collections"]
+    run_fixed_load(2 * BIOS, DEPTH)
+    return gc.get_stats()[0]["collections"] - before
+
+
+@needs_cpython_311
+def test_a_completion_leaves_a_few_doubles_and_nothing_to_collect():
+    assert marginal_peak_bytes_per_bio() <= PEAK_BYTES_PER_BIO_CEILING
+    assert young_collections() == 0
+
+
+@needs_cpython_311
+def test_memory_guard_catches_a_tuple_per_sample(monkeypatch):
+    """The guard has a subject: a latency window that keeps each sample as
+    a ``(time, latency, is_write)`` tuple — what every window did before
+    the flat arrays — leaves 188 bytes per bio and makes the cyclic GC
+    collect every few hundred bios."""
+
+    def tuple_record(self, now, latency, is_write=False):
+        samples = self.__dict__.setdefault("samples", deque())
+        samples.append((now, latency, is_write))
+        while samples[0][0] < now - self.window:
+            samples.popleft()
+
+    monkeypatch.setattr(LatencyWindow, "record", tuple_record)
+    assert marginal_peak_bytes_per_bio() > PEAK_BYTES_PER_BIO_CEILING
+    assert young_collections() > 0

@@ -57,6 +57,14 @@ class TestWorkloadBase:
         assert workload.recent_percentile(50, last=100) == 2.0
         assert workload.recent_percentile(50, last=200) in (1.0, 2.0)
 
+    def test_recent_percentile_is_the_nearest_rank(self):
+        sim, layer, tree = make_noop_env()
+        workload = Workload(sim, layer, tree.create("a"))
+        workload.latencies.extend([5.0, 1.0, 4.0, 2.0, 3.0])
+        # Rank ceil(2.5) = 3; rounding half to even made the median 2.0.
+        assert workload.recent_percentile(50) == 3.0
+        assert workload.recent_percentile(50, last=4) == 2.0
+
     def test_iops_helper(self):
         sim, layer, tree = make_noop_env()
         workload = Workload(sim, layer, tree.create("a"))
