@@ -10,18 +10,10 @@ touching the issue path.  This ablation runs the same two-group scenario
   recovers nearly the whole device.
 """
 
-import numpy as np
-import pytest
-
 from repro.analysis.report import Table, format_si
-from repro.block.device import Device, DeviceSpec
-from repro.block.layer import BlockLayer
-from repro.cgroup import CgroupTree
-from repro.core.controller import IOCost
-from repro.core.cost_model import LinearCostModel, ModelParams
+from repro.block.device import DeviceSpec
 from repro.core.qos import QoSParams
-from repro.sim import Simulator
-from repro.workloads.synthetic import ClosedLoopWorkload, PacedWorkload
+from repro.testbed import Testbed
 
 from benchmarks.conftest import run_experiment
 
@@ -48,22 +40,14 @@ QOS = QoSParams(
 
 
 def run_one(donation_enabled):
-    sim = Simulator()
-    device = Device(sim, SPEC, np.random.default_rng(0))
-    controller = IOCost(
-        LinearCostModel(ModelParams.from_device_spec(SPEC)),
-        qos=QOS,
-        donation_enabled=donation_enabled,
+    bed = Testbed(
+        device=SPEC, controller="iocost", qos=QOS, donation_enabled=donation_enabled
     )
-    layer = BlockLayer(sim, device, controller)
-    tree = CgroupTree()
-    busy = tree.create("busy", weight=100)
-    light = tree.create("light", weight=100)
-    wl_busy = ClosedLoopWorkload(sim, layer, busy, depth=32, stop_at=DURATION, seed=1).start()
-    PacedWorkload(sim, layer, light, rate=2000, stop_at=DURATION, seed=2).start()
-    sim.run(until=DURATION)
-    controller.detach()
-    return wl_busy.completed / DURATION
+    busy = bed.saturate(bed.add_cgroup("busy"), depth=32, stop_at=DURATION)
+    bed.paced(bed.add_cgroup("light"), rate=2000, stop_at=DURATION)
+    bed.run(DURATION)
+    bed.detach()
+    return busy.completed / DURATION
 
 
 def run_both():

@@ -15,21 +15,13 @@ Two measurements here:
   issue/planning split keeps the hot path cheap.
 """
 
-import numpy as np
 import pytest
 
 from repro.analysis.report import Table, format_si
 from repro.block.bio import Bio, IOOp
-from repro.block.device import Device
 from repro.block.device_models import SSD_ENTERPRISE
-from repro.block.layer import BlockLayer
-from repro.cgroup import CgroupTree
-from repro.core.controller import IOCost
-from repro.core.cost_model import LinearCostModel, ModelParams
 from repro.core.qos import QoSParams
-from repro.sim import Simulator
-from repro.testbed import make_controller
-from repro.workloads.synthetic import ClosedLoopWorkload
+from repro.testbed import Testbed
 
 from benchmarks.conftest import run_experiment
 
@@ -38,22 +30,17 @@ WINDOW = 0.05  # simulated seconds of saturation per mechanism
 
 
 def max_iops(name: str) -> float:
-    sim = Simulator()
-    device = Device(sim, SSD_ENTERPRISE, np.random.default_rng(0))
     # QoS disabled for the overhead measurement, as in the paper.
     qos = QoSParams(
         read_lat_target=None, write_lat_target=None,
         vrate_min=1.0, vrate_max=8.0, period=0.01,
     )
-    controller = make_controller(name, SSD_ENTERPRISE, qos=qos)
-    layer = BlockLayer(sim, device, controller)
-    group = CgroupTree().create("fio")
-    ClosedLoopWorkload(
-        sim, layer, group, depth=512, stop_at=2 * WINDOW, seed=1
-    ).start()
-    sim.run(until=2 * WINDOW)
-    controller.detach()
-    return layer.iops_of(group) / (2 * WINDOW)
+    bed = Testbed(device=SSD_ENTERPRISE, controller=name, qos=qos)
+    group = bed.add_cgroup("fio")
+    bed.saturate(group, depth=512, stop_at=2 * WINDOW)
+    bed.run(2 * WINDOW)
+    bed.detach()
+    return bed.iops(group)
 
 
 def measure_all():
@@ -84,15 +71,11 @@ def test_fig9_simulated_overhead(benchmark):
 
 def test_fig9_issue_path_microbenchmark(benchmark):
     """Real wall-clock cost of the IOCost issue fast path per bio."""
-    sim = Simulator()
-    device = Device(sim, SSD_ENTERPRISE, np.random.default_rng(0))
     qos = QoSParams(read_lat_target=None, write_lat_target=None,
                     vrate_min=1.0, vrate_max=1.0)
-    controller = IOCost(
-        LinearCostModel(ModelParams.from_device_spec(SSD_ENTERPRISE)), qos=qos
-    )
-    layer = BlockLayer(sim, device, controller)
-    group = CgroupTree().create("hot")
+    bed = Testbed(device=SSD_ENTERPRISE, controller="iocost", qos=qos)
+    controller = bed.controller
+    group = bed.add_cgroup("hot")
     state = controller.tree.state_of(group)
     controller._activate(state)
     bios = [Bio(IOOp.READ, 4096, index * 8, group) for index in range(4096)]

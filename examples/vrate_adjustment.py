@@ -11,18 +11,11 @@ ASCII chart — shows the controller compensating: ~100%, then ~200%, then
 Run:  python examples/vrate_adjustment.py
 """
 
-import numpy as np
-
 from repro.analysis.figures import render_series
-from repro.block.device import Device
 from repro.block.device_models import SSD_NEW
-from repro.block.layer import BlockLayer
-from repro.cgroup import CgroupTree
-from repro.core.controller import IOCost
-from repro.core.cost_model import LinearCostModel, ModelParams
+from repro.core.cost_model import ModelParams
 from repro.core.qos import QoSParams
-from repro.sim import Simulator
-from repro.workloads.synthetic import ClosedLoopWorkload
+from repro.testbed import Testbed
 
 SPEC = SSD_NEW.scaled(0.1)
 PHASE = 4.0
@@ -30,30 +23,28 @@ TARGET = 2.5e-3
 
 
 def main() -> None:
-    sim = Simulator()
-    device = Device(sim, SPEC, np.random.default_rng(2))
-    accurate = ModelParams.from_device_spec(SPEC)
-    model = LinearCostModel(accurate)
-    controller = IOCost(
-        model,
+    bed = Testbed(
+        device=SPEC,
+        controller="iocost",
         qos=QoSParams(
             read_lat_target=TARGET, read_pct=90, write_lat_target=None,
             vrate_min=0.1, vrate_max=4.0, period=0.05,
         ),
+        seed=2,
     )
-    layer = BlockLayer(sim, device, controller)
-    group = CgroupTree().create("fio")
-    ClosedLoopWorkload(sim, layer, group, depth=64, stop_at=3 * PHASE, seed=1).start()
+    controller = bed.controller
+    accurate = ModelParams.from_device_spec(SPEC)
+    bed.saturate(bed.add_cgroup("fio"), depth=64, stop_at=3 * PHASE)
 
     print("phase 1: accurate model parameters...")
-    sim.run(until=PHASE)
+    bed.run(PHASE)
     print("phase 2: halving model parameters online...")
-    model.replace_params(accurate.scaled(0.5))
-    sim.run(until=2 * PHASE)
+    controller.model.replace_params(accurate.scaled(0.5))
+    bed.run(PHASE)
     print("phase 3: doubling model parameters online...")
-    model.replace_params(accurate.scaled(2.0))
-    sim.run(until=3 * PHASE)
-    controller.detach()
+    controller.model.replace_params(accurate.scaled(2.0))
+    bed.run(PHASE)
+    bed.detach()
 
     print()
     print(

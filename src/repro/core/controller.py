@@ -24,7 +24,7 @@ from repro.block.bio import Bio, BioFlags, BioStatus
 from repro.cgroup import Cgroup
 from repro.controllers.base import Features, IOController
 from repro.core.cost_model import CostModel
-from repro.core.debt import DebtConfig, DebtTracker, SwapChargeMode
+from repro.core.debt import DebtTracker, SwapChargeMode
 from repro.core.donation import compute_donations
 from repro.core.hierarchy import GroupState, WeightTree
 from repro.core.qos import QoSParams, VRateController
@@ -74,7 +74,6 @@ class IOCost(IOController):
         qos: QoSParams = QoSParams(),
         swap_mode: SwapChargeMode = SwapChargeMode.DEBT,
         donation_enabled: bool = True,
-        debt_config: DebtConfig = DebtConfig(),
         initial_vrate: float = 1.0,
     ) -> None:
         super().__init__()
@@ -82,7 +81,6 @@ class IOCost(IOController):
         self.qos = qos
         self.swap_mode = swap_mode
         self.donation_enabled = donation_enabled
-        self._debt_config = debt_config
         self._initial_vrate = initial_vrate
 
         self.tree = WeightTree()
@@ -128,7 +126,7 @@ class IOCost(IOController):
         sim = layer.sim
         self.clock = VTimeClock(sim, self._initial_vrate)
         self.vrate_ctl = VRateController(self.clock, self.qos)
-        self.debt = DebtTracker(self.clock, self._debt_config)
+        self.debt = DebtTracker(self.clock)
         # The QoS signal: the layer's device windows, reaching back the horizon.
         for window in (layer.read_latency, layer.write_latency):
             window.window = max(window.window, self.vrate_ctl.horizon)

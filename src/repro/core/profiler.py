@@ -17,15 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.block.bio import Bio, IOOp
-from repro.block.device import Device, DeviceSpec
-from repro.block.layer import BlockLayer
-from repro.cgroup import CgroupTree
-from repro.controllers.noop import NoopController
+from repro.block.bio import IOOp
+from repro.block.device import DeviceSpec
 from repro.core.cost_model import LinearCostModel, ModelParams
-from repro.sim import Simulator
+from repro.obs.metrics import exact_percentile
 
 SEQ_IO_SIZE = 1 << 20  # 1 MiB transfers for the bandwidth phases
 PAGE = 4096
@@ -78,46 +73,22 @@ def _saturate(
     warmup: float = 0.05,
 ) -> tuple:
     """Closed-loop saturation run; returns (iops, bps, p50_latency)."""
-    sim = Simulator()
-    rng = np.random.default_rng(seed)
-    device = Device(sim, spec, np.random.default_rng(seed + 1))
-    layer = BlockLayer(sim, device, NoopController())
-    group = CgroupTree().create("profiler")
+    from repro.testbed import Testbed
 
-    depth = min(spec.nr_slots, spec.parallelism * 4)
-    sector_space = 1 << 30
-    state = {"next_sector": 0, "completed": 0, "bytes": 0, "latencies": []}
-
-    def next_sector() -> int:
-        if sequential:
-            sector = state["next_sector"]
-            state["next_sector"] = sector + io_size // 512
-            return sector
-        # Page-aligned random offsets (odd page stride makes accidental
-        # contiguity with the previous IO vanishingly unlikely).
-        return int(rng.integers(1, sector_space)) * (PAGE // 512)
-
-    def issue() -> None:
-        bio = Bio(op, io_size, next_sector(), group)
-        layer.submit(bio, on_done=completed)
-
-    def completed(bio: Bio) -> None:
-        if sim.now >= warmup:
-            state["completed"] += 1
-            state["bytes"] += bio.nbytes
-            state["latencies"].append(bio.device_latency)
-        if sim.now < warmup + duration:
-            issue()
-
-    for _ in range(depth):
-        issue()
-    sim.run(until=warmup + duration)
-
-    iops = state["completed"] / duration
-    bps = state["bytes"] / duration
-    latencies = sorted(state["latencies"])
-    p50 = latencies[len(latencies) // 2] if latencies else 0.0
-    return iops, bps, p50
+    bed = Testbed(device=spec, controller="none", seed=seed)
+    workload = bed.saturate(
+        bed.add_cgroup("profiler"), op=op, size=io_size, sequential=sequential,
+        depth=min(spec.nr_slots, spec.parallelism * 4), stop_at=warmup + duration,
+    )
+    bed.run(warmup)
+    done, nbytes = workload.completed, workload.bytes_done
+    bed.run(duration)
+    latencies = workload.latencies[done:]
+    return (
+        (workload.completed - done) / duration,
+        (workload.bytes_done - nbytes) / duration,
+        exact_percentile(latencies, 50) if latencies else 0.0,
+    )
 
 
 def profile_device(
@@ -131,9 +102,7 @@ def profile_device(
     ``write_duration`` defaults longer than ``read_duration`` so the GC
     model reaches its sustained (post-buffer) rate.
     """
-    rrandiops, _, read_lat = _saturate(
-        spec, IOOp.READ, False, PAGE, read_duration, seed
-    )
+    rrandiops, _, read_lat = _saturate(spec, IOOp.READ, False, PAGE, read_duration, seed)
     rseqiops, _, _ = _saturate(spec, IOOp.READ, True, PAGE, read_duration, seed + 10)
     _, rbps, _ = _saturate(spec, IOOp.READ, True, SEQ_IO_SIZE, read_duration, seed + 20)
     wrandiops, _, write_lat = _saturate(

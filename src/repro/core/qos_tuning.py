@@ -23,17 +23,12 @@ range for a device:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
-from repro.block.device import Device, DeviceSpec
-from repro.block.layer import BlockLayer
-from repro.cgroup import CgroupTree, make_meta_hierarchy
+from repro.block.device import DeviceSpec
 from repro.core.controller import IOCost
 from repro.core.cost_model import LinearCostModel, ModelParams
 from repro.core.qos import QoSParams
-from repro.sim import Simulator
 
 MB = 1024 * 1024
 
@@ -56,28 +51,15 @@ class TuningResult:
         return replace(base, vrate_min=self.vrate_min, vrate_max=self.vrate_max)
 
 
-def _pinned_iocost(params: ModelParams, vrate: float, period: float) -> IOCost:
+def _pinned_iocost(params: ModelParams, vrate: float) -> IOCost:
     qos = QoSParams(
         read_lat_target=None,
         write_lat_target=None,
         vrate_min=vrate,
         vrate_max=vrate,
-        period=period,
+        period=0.05,
     )
     return IOCost(LinearCostModel(params), qos=qos, initial_vrate=vrate)
-
-
-def _make_machine(
-    spec: DeviceSpec, params: ModelParams, vrate: float, seed: int
-) -> Tuple[Simulator, BlockLayer, IOCost, CgroupTree]:
-    from repro.mm.memory import MemoryManager
-
-    sim = Simulator()
-    device = Device(sim, spec, np.random.default_rng(seed))
-    controller = _pinned_iocost(params, vrate, period=0.05)
-    layer = BlockLayer(sim, device, controller)
-    cgroups = make_meta_hierarchy()
-    return sim, layer, controller, cgroups
 
 
 def _solo_rps(
@@ -89,24 +71,28 @@ def _solo_rps(
     seed: int,
 ) -> float:
     """Scenario 1: paging-bound RCBench alone; returns steady-state RPS."""
-    from repro.mm.memory import MemoryManager
+    from repro.testbed import Testbed
     from repro.workloads.rcbench import ResourceControlBench
 
-    sim, layer, controller, cgroups = _make_machine(spec, params, vrate, seed)
-    mm = MemoryManager(sim, layer, total_bytes=total_mem, swap_bytes=64 * total_mem)
-    bench_group = cgroups.get_or_create("workload.slice/rcbench", weight=500)
+    bed = Testbed(
+        device=spec,
+        controller=_pinned_iocost(params, vrate),
+        seed=seed,
+        mem_bytes=total_mem,
+        swap_bytes=64 * total_mem,
+    )
     bench = ResourceControlBench(
-        sim,
-        layer,
-        mm,
-        bench_group,
+        bed.sim,
+        bed.layer,
+        bed.mm,
+        bed.add_cgroup("workload.slice/rcbench", weight=500),
         load=1.0,
         working_set=int(total_mem * 1.3),  # paging-bound by construction
         stop_at=duration,
         seed=seed + 1,
     ).start()
-    sim.run(until=duration)
-    controller.detach()
+    bed.run(duration)
+    bed.detach()
     half = duration / 2
     if len(bench.rps_series.slice(half, duration)) == 0:
         return 0.0
@@ -122,29 +108,33 @@ def _protected_p95(
     seed: int,
 ) -> float:
     """Scenario 2: RCBench vs memory leak; returns RCBench p95 latency."""
-    from repro.mm.memory import MemoryManager
+    from repro.testbed import Testbed
     from repro.workloads.memleak import MemoryLeaker
     from repro.workloads.rcbench import ResourceControlBench
 
-    sim, layer, controller, cgroups = _make_machine(spec, params, vrate, seed)
-    mm = MemoryManager(sim, layer, total_bytes=total_mem, swap_bytes=64 * total_mem)
-    bench_group = cgroups.get_or_create("workload.slice/rcbench", weight=500)
-    leak_group = cgroups.lookup("system.slice")
+    bed = Testbed(
+        device=spec,
+        controller=_pinned_iocost(params, vrate),
+        seed=seed,
+        mem_bytes=total_mem,
+        swap_bytes=64 * total_mem,
+    )
     bench = ResourceControlBench(
-        sim,
-        layer,
-        mm,
-        bench_group,
+        bed.sim,
+        bed.layer,
+        bed.mm,
+        bed.add_cgroup("workload.slice/rcbench", weight=500),
         load=0.7,
         working_set=int(total_mem * 0.6),
         stop_at=duration,
         seed=seed + 1,
     ).start()
     MemoryLeaker(
-        sim, layer, mm, leak_group, rate_bps=total_mem / 2.0, stop_at=duration, seed=seed + 2
+        bed.sim, bed.layer, bed.mm, bed.cgroups.lookup("system.slice"),
+        rate_bps=total_mem / 2.0, stop_at=duration, seed=seed + 2,
     ).start()
-    sim.run(until=duration)
-    controller.detach()
+    bed.run(duration)
+    bed.detach()
     p95 = bench.request_percentile(95, last=500)
     return p95 if p95 is not None else float("inf")
 

@@ -46,6 +46,7 @@ from repro.block.device import DeviceSpec
 from repro.block.device_models import get_device_spec
 from repro.cgroup import Cgroup
 from repro.controllers.blk_throttle import ThrottleLimits
+from repro.core.controller import IOCost
 from repro.core.cost_model import LinearCostModel, ModelParams
 from repro.core.profiler import profile_device
 from repro.core.qos import QoSParams
@@ -396,30 +397,11 @@ def run_vrate_phases(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     Returns per-phase steady-state vrate and read-latency percentile
     (mean of the second half of each phase).
     """
-    import numpy as np
-
-    from repro.block.device import Device
-    from repro.block.layer import BlockLayer
-    from repro.cgroup import CgroupTree
-    from repro.core.controller import IOCost
-    from repro.sim import Simulator
-    from repro.workloads.synthetic import ClosedLoopWorkload
-
     spec = device_spec_for(params.get("device", "ssd_new"), params.get("device_scale"))
     phase_sec = float(params.get("phase_sec", 4.0))
     model_scales = [float(s) for s in params.get("model_scales", [1.0, 0.5, 2.0])]
     if not model_scales:
         raise ExperimentError("vrate_phases needs at least one model scale")
-    depth = int(params.get("depth", 64))
-    total = phase_sec * len(model_scales)
-
-    sim = Simulator()
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(1,))
-    )
-    device = Device(sim, spec, rng)
-    accurate = ModelParams.from_device_spec(spec)
-    model = LinearCostModel(accurate.scaled(model_scales[0]))
     qos = QoSParams(
         read_lat_target=_opt_float(params.get("read_lat_target", 2.5e-3)),
         read_pct=float(params.get("read_pct", 90)),
@@ -428,40 +410,36 @@ def run_vrate_phases(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
         vrate_max=float(params.get("vrate_max", 4.0)),
         period=float(params.get("period", 0.05)),
     )
+    accurate = ModelParams.from_device_spec(spec)
+    model = LinearCostModel(accurate.scaled(model_scales[0]))
     controller = IOCost(model, qos=qos)
-    layer = BlockLayer(sim, device, controller)
-    group = CgroupTree().create("fio")
-    ClosedLoopWorkload(
-        sim, layer, group, depth=depth, stop_at=total,
-        seed=np.random.SeedSequence(entropy=seed, spawn_key=(2,)),
-    ).start()
-
-    phases: List[Dict[str, float]] = []
+    bed = Testbed(device=spec, controller=controller, seed=seed)
+    bed.saturate(
+        bed.add_cgroup("fio"),
+        depth=int(params.get("depth", 64)),
+        stop_at=phase_sec * len(model_scales),
+    )
     for index, scale in enumerate(model_scales):
         if index > 0:
             model.replace_params(accurate.scaled(scale))
-        sim.run(until=(index + 1) * phase_sec)
-    controller.detach()
+        bed.run(phase_sec)
+    bed.detach()
 
-    vrate_series = controller.vrate_ctl.vrate_series
-    lat_series = controller.vrate_ctl.read_lat_series
-
-    def tail_mean(series: Any, start: float, end: float) -> float:
-        values = series.slice(start, end)
+    def tail_mean(series: Any, index: int) -> float:
+        values = series.slice(index * phase_sec, (index + 1) * phase_sec)
         tail = values[len(values) // 2:]
         if not tail:
             raise ExperimentError("phase too short: no steady-state samples")
         return float(sum(tail) / len(tail))
 
-    for index, scale in enumerate(model_scales):
-        start, end = index * phase_sec, (index + 1) * phase_sec
-        phases.append(
-            {
-                "model_scale": scale,
-                "vrate": tail_mean(vrate_series, start, end),
-                "read_lat": tail_mean(lat_series, start, end),
-            }
-        )
+    phases = [
+        {
+            "model_scale": scale,
+            "vrate": tail_mean(controller.vrate_ctl.vrate_series, index),
+            "read_lat": tail_mean(controller.vrate_ctl.read_lat_series, index),
+        }
+        for index, scale in enumerate(model_scales)
+    ]
     return {"phase_sec": phase_sec, "phases": phases}
 
 

@@ -32,7 +32,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, List, Mapping, Tuple, Union
 
 
 class SpecError(ValueError):
@@ -81,6 +81,13 @@ def _check_axes(axes: Mapping[str, Any], family: str) -> Dict[str, Tuple[Any, ..
             )
         out[name] = tuple(values)
     return out
+
+
+def _table(data: Mapping[str, Any], key: str) -> Dict[str, Any]:
+    value = data.get(key, {})
+    if not isinstance(value, Mapping):
+        raise SpecError(f"{key!r} must be a table, got {value!r}")
+    return dict(value)
 
 
 @dataclass(frozen=True)
@@ -132,13 +139,17 @@ class ExperimentSpec:
             raise SpecError(f"unknown spec keys: {sorted(unknown)}")
         if "name" not in data:
             raise SpecError("spec document needs a 'name'")
+        try:
+            seed = int(data.get("seed", 0))
+        except (TypeError, ValueError):
+            raise SpecError(f"seed must be an int, got {data['seed']!r}") from None
         return cls(
             name=str(data["name"]),
             kind=str(data.get("kind", "testbed")),
-            base=dict(data.get("base", {})),
-            grid=dict(data.get("grid", {})),
-            zip_axes=dict(data.get("zip", {})),
-            seed=int(data.get("seed", 0)),
+            base=_table(data, "base"),
+            grid=_table(data, "grid"),
+            zip_axes=_table(data, "zip"),
+            seed=seed,
         )
 
     def to_dict(self) -> Dict[str, Any]:
@@ -188,7 +199,10 @@ def _load_toml(path: Path) -> Dict[str, Any]:
                 "(tomllib) or the 'tomli' package; use a .json spec instead"
             ) from None
     with path.open("rb") as handle:
-        return toml_reader.load(handle)
+        try:
+            return toml_reader.load(handle)
+        except toml_reader.TOMLDecodeError as exc:
+            raise SpecError(f"{path}: {exc}") from None
 
 
 def load_document(path: Union[str, Path]) -> Dict[str, Any]:
@@ -203,7 +217,10 @@ def load_document(path: Union[str, Path]) -> Dict[str, Any]:
     if path.suffix == ".toml":
         return _load_toml(path)
     if path.suffix == ".json":
-        document = json.loads(path.read_text())
+        try:
+            document = json.loads(path.read_text())
+        except json.JSONDecodeError as exc:
+            raise SpecError(f"{path}: {exc}") from None
         if not isinstance(document, dict):
             raise SpecError(f"{path}: spec document must be a JSON object")
         return document
@@ -214,7 +231,11 @@ def load_document(path: Union[str, Path]) -> Dict[str, Any]:
 
 def load_spec(path: Union[str, Path]) -> ExperimentSpec:
     """Load a spec document from a ``.toml`` or ``.json`` file."""
-    return ExperimentSpec.from_dict(load_document(path))
+    document = load_document(path)
+    try:
+        return ExperimentSpec.from_dict(document)
+    except SpecError as exc:
+        raise SpecError(f"{path}: {exc}") from None
 
 
 __all__ = [

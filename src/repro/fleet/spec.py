@@ -43,9 +43,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
 
+from repro.cgroup import MAX_WEIGHT, MIN_WEIGHT
 from repro.exp.experiments import device_spec_for, io_op, qos_from, workload_kwargs
 from repro.exp.spec import SpecError, canonical_json, content_hash, load_document
 from repro.faults import plan_from_config
+from repro.obs.metrics import exact_percentile
 from repro.workloads.fleet import TASKS, SystemTask
 
 
@@ -175,6 +177,11 @@ class WorkloadTemplate:
             raise FleetSpecError(f"workload {self.name!r}: count must be >= 1")
         if not self.cgroup:
             raise FleetSpecError(f"workload {self.name!r} needs a cgroup path")
+        if not MIN_WEIGHT <= self.weight <= MAX_WEIGHT:
+            raise FleetSpecError(
+                f"workload {self.name!r}: weight {self.weight} out of range "
+                f"[{MIN_WEIGHT}, {MAX_WEIGHT}]"
+            )
         try:  # at load, not once per host inside a worker
             workload_kwargs(self.type, self.params)
         except (TypeError, ValueError) as exc:
@@ -373,6 +380,11 @@ class FleetSpec:
             )
         if self.duration <= 0:
             raise FleetSpecError("duration must be positive")
+        for pct in self.percentiles:
+            try:  # the range the hosts' own percentile enforces
+                exact_percentile((0.0,), pct)
+            except ValueError as exc:
+                raise FleetSpecError(f"percentiles: {exc}") from None
         names = [group.name for group in self.hosts]
         if len(set(names)) != len(names):
             raise FleetSpecError(f"duplicate host group names: {names}")

@@ -68,18 +68,18 @@ def make_controller(
     name: str,
     spec: DeviceSpec,
     qos: Optional[QoSParams] = None,
-    model_params: Optional[ModelParams] = None,
     **kwargs,
 ) -> IOController:
     """Build a controller by Table 1 name.
 
-    For ``iocost`` the cost model defaults to the oracle parameters of the
-    simulated device (production flows would use
-    :func:`repro.core.profiler.profile_device` instead) and ``qos``
+    For ``iocost`` the cost model is the oracle parameters of the simulated
+    device (production flows would use
+    :func:`repro.core.profiler.profile_device` instead; pass a configured
+    :class:`IOCost` to :class:`Testbed` for any other model) and ``qos``
     defaults to :class:`~repro.core.qos.QoSParams`'s defaults.
     """
     if name == "iocost":
-        params = model_params or ModelParams.from_device_spec(spec)
+        params = ModelParams.from_device_spec(spec)
         return IOCost(LinearCostModel(params), qos=qos or QoSParams(), **kwargs)
     simple = {
         "none": NoopController,
@@ -107,7 +107,6 @@ class Testbed:
         mem_bytes: Optional[int] = None,
         swap_bytes: Optional[int] = None,
         qos: Optional[QoSParams] = None,
-        model_params: Optional[ModelParams] = None,
         protected: Optional[Dict[str, int]] = None,
         devices: Optional[Dict[str, Union[str, DeviceSpec]]] = None,
         controllers: Optional[Dict[str, Union[str, IOController]]] = None,
@@ -158,10 +157,7 @@ class Testbed:
             if isinstance(ctl_like, IOController):
                 ctl = ctl_like
             else:
-                ctl = make_controller(
-                    ctl_like, spec, qos=qos, model_params=model_params,
-                    **controller_kwargs,
-                )
+                ctl = make_controller(ctl_like, spec, qos=qos, **controller_kwargs)
             plan = fault_plans.get(name)
             if plan is not None:
                 # Error draws get their own label-keyed stream, so a fault

@@ -40,12 +40,9 @@ from typing import Callable, Dict, Sequence
 import numpy as np
 
 from repro.block.bio import Bio, IOOp
-from repro.block.device import Device, DeviceSpec
-from repro.block.layer import BlockLayer
-from repro.cgroup import make_meta_hierarchy
+from repro.block.device import DeviceSpec
 from repro.controllers.base import IOController
-from repro.sim import Simulator, labeled_seed
-from repro.workloads.synthetic import ClosedLoopWorkload
+from repro.sim import labeled_seed
 
 MB = 1024 * 1024
 
@@ -123,25 +120,17 @@ def run_task_once(
     The main workload saturates the device with mixed reads/writes at
     ``workload_depth`` outstanding IOs while the task runs in its slice.
     """
-    sim = Simulator()
-    device = Device(sim, spec, rng_for("fleet:device", seed))
-    controller = controller_factory()
-    layer = BlockLayer(sim, device, controller)
-    cgroups = make_meta_hierarchy()
-    busy = cgroups.get_or_create("workload.slice/main", weight=100)
-    task_group = cgroups.lookup(task.cgroup_path)
+    from repro.testbed import Testbed
 
-    ClosedLoopWorkload(
-        sim, layer, busy, op=IOOp.READ, depth=workload_depth,
-        seed=labeled_seed(seed, "fleet:main:read"),
-    ).start()
-    ClosedLoopWorkload(
-        sim, layer, busy, op=IOOp.WRITE, depth=max(2, workload_depth // 2),
-        seed=labeled_seed(seed, "fleet:main:write"),
-    ).start()
-    sim.run(until=settle)
+    bed = Testbed(device=spec, controller=controller_factory(), seed=seed)
+    sim, layer = bed.sim, bed.layer
+    busy = bed.add_cgroup("workload.slice/main", weight=100)
+    task_group = bed.cgroups.lookup(task.cgroup_path)
+    bed.saturate(busy, op=IOOp.READ, depth=workload_depth)
+    bed.saturate(busy, op=IOOp.WRITE, depth=max(2, workload_depth // 2))
+    bed.run(settle)
 
-    rng = rng_for("fleet:task", seed)
+    rng = bed.rng_for("fleet:task")
     done = {"at": None}
     seq = {
         "sector": int(rng.integers(1 << 22, 1 << 23)) * 8,
@@ -183,17 +172,13 @@ def run_task_once(
 
     start = sim.now
     issue_seq()
-    # Generous wall guard: run until the task completes.
-    while done["at"] is None:
+    # Generous wall guard: ten deadlines in, the task has long failed, so
+    # report the elapsed duration rather than simulating the stall to its end.
+    while done["at"] is None and sim.now - start <= 10 * task.deadline:
         if not sim.step():
             raise RuntimeError("simulation drained before task completion")
-        if sim.now - start > 10 * task.deadline:
-            # Hopeless starvation: already far past failure; report the
-            # elapsed duration rather than simulating the stall to its end.
-            controller.detach()
-            return sim.now - start
-    controller.detach()
-    return done["at"] - start
+    bed.detach()
+    return (sim.now if done["at"] is None else done["at"]) - start
 
 
 def sample_failures(

@@ -22,6 +22,7 @@ from typing import Deque, Optional
 from repro.analysis.stats import RateMeter, TimeSeries
 from repro.block.bio import Bio, IOOp
 from repro.mm.memory import MemoryManager
+from repro.obs.metrics import exact_percentile
 from repro.workloads.base import SectorPicker, Workload
 
 MB = 1024 * 1024
@@ -168,11 +169,10 @@ class ResourceControlBench(Workload):
     # -- measurements -----------------------------------------------------------
 
     def request_percentile(self, pct: float, last: int = 200) -> Optional[float]:
+        """Nearest-rank percentile over the most recent ``last`` requests."""
         if not self.request_latencies:
             return None
-        window = sorted(self.request_latencies[-last:])
-        rank = max(1, int(round(pct / 100 * len(window))))
-        return window[rank - 1]
+        return exact_percentile(self.request_latencies[-last:], pct)
 
     def mean_rps(self, start: float, end: float) -> float:
         return self.rps_series.mean(start, end)

@@ -1,10 +1,37 @@
 """The ``python -m repro.exp`` front-end, exercised in-process."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.exp.cli import main
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
+
+#: Broken spec documents (file name, text, what the message names), each
+#: of which once escaped ``dispatch`` as a traceback.
+BROKEN_SPECS = [
+    ("unterminated.toml", 'name = "x\n', "line 1"),
+    ("truncated.json", '{"name": ', "line 1 column 10"),
+    ("seed.toml", 'name = "s"\nseed = "abc"\n', "seed must be an int, got 'abc'"),
+    ("base.json", '{"name": "s", "base": [1, 2]}', "'base' must be a table, got [1, 2]"),
+]
+
+
+def cli_stderr(module, *args):
+    """Run ``python -m module args`` in a fresh interpreter; (code, stderr)."""
+    result = subprocess.run(
+        [sys.executable, "-m", module, *map(str, args)],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+        )},
+        capture_output=True, text=True, timeout=120,
+    )
+    return result.returncode, result.stderr
 
 
 @pytest.fixture
@@ -84,6 +111,33 @@ class TestRun:
     def test_bad_spec_path_is_clean_error(self, tmp_path):
         with pytest.raises(SystemExit, match="no such spec file"):
             main(["run", str(tmp_path / "nope.json")])
+
+
+class TestBrokenSpecFile:
+    @pytest.mark.parametrize("command", ["status", "run"])
+    @pytest.mark.parametrize("name, text, names", BROKEN_SPECS)
+    def test_one_line_naming_file_and_value(
+        self, tmp_path, store_dir, capsys, command, name, text, names
+    ):
+        if name.endswith(".toml"):
+            pytest.importorskip("tomllib")
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, str(path), "--out", str(store_dir)])
+        message = exit_info.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert message.startswith(f"repro.exp: {path}: ")
+        assert names in message
+        assert capsys.readouterr() == ("", "")
+
+    def test_interpreter_prints_one_stderr_line(self, tmp_path, store_dir):
+        path = tmp_path / "base.json"
+        path.write_text('{"name": "s", "base": [1, 2]}')
+        code, stderr = cli_stderr("repro.exp", "run", path, "--out", store_dir)
+        assert code == 1
+        assert len(stderr.splitlines()) == 1 and "Traceback" not in stderr
+        assert stderr.startswith(f"repro.exp: {path}: ")
 
 
 class TestStatusAndCollect:

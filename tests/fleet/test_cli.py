@@ -11,6 +11,7 @@ import pytest
 
 from repro.fleet.cli import main
 
+from tests.exp.test_cli import cli_stderr
 from tests.fleet.conftest import FLEETDEV, fleet_doc
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -109,6 +110,37 @@ class TestRun:
         path.write_text(json.dumps({"name": "x"}))  # no hosts
         with pytest.raises(SystemExit, match="repro.fleet"):
             main(["run", str(path), "--out", str(store_dir)])
+
+
+class TestBrokenSpecFile:
+    @pytest.mark.parametrize("command", ["status", "run"])
+    @pytest.mark.parametrize("name, text, names", [
+        ("unterminated.toml", 'name = "x\n', "line 1"),
+        ("truncated.json", '{"name": ', "line 1 column 10"),
+        ("seed.json", json.dumps(fleet_doc(seed="abc")), "'abc'"),
+    ])
+    def test_one_line_naming_the_value(
+        self, tmp_path, store_dir, capsys, command, name, text, names
+    ):
+        if name.endswith(".toml"):
+            pytest.importorskip("tomllib")
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, str(path), "--out", str(store_dir)])
+        message = exit_info.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert message.startswith("repro.fleet: ")
+        assert names in message
+        assert capsys.readouterr() == ("", "")
+
+    def test_interpreter_prints_one_stderr_line(self, tmp_path, store_dir):
+        path = tmp_path / "truncated.json"
+        path.write_text('{"name": ')
+        code, stderr = cli_stderr("repro.fleet", "status", path, "--out", store_dir)
+        assert code == 1
+        assert len(stderr.splitlines()) == 1 and "Traceback" not in stderr
+        assert stderr.startswith(f"repro.fleet: {path}: ")
 
 
 class TestStatusAndRollup:

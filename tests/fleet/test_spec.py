@@ -152,6 +152,12 @@ class TestValidation:
             ("host", "faults", [{"kind": "nope"}], "unknown fault kind"),
             ("host", "faults", [{"kind": "hang", "frobnicate": 1}], "bad parameters"),
             ("workload", "op", "wirte", r"'fe'.*'wirte' must be read\|write"),
+            # Each once loaded and then failed on every host: CgroupError in
+            # the worker, or ValueError from the percentile of its reads.
+            ("workload", "weight", 0, r"'fe': weight 0 out of range \[1, 10000\]"),
+            ("workload", "weight", 10001, r"'fe': weight 10001 out of range"),
+            ("top", "percentiles", [50, 120], "percentile 120.0 out of range"),
+            ("top", "percentiles", [-1], "percentile -1.0 out of range"),
         ],
     )
     def test_malformed_values_are_spec_errors(self, where, key, value, match):
@@ -161,6 +167,14 @@ class TestValidation:
         target[where][key] = value
         with pytest.raises(FleetSpecError, match=match):
             FleetSpec.from_dict(doc)
+
+    def test_weight_and_percentile_bounds_are_inclusive(self):
+        doc = fleet_doc(percentiles=[0, 100])
+        doc["workloads"][0]["weight"] = 10000
+        doc["workloads"].append(dict(doc["workloads"][0], name="tiny", weight=1))
+        spec = FleetSpec.from_dict(doc)
+        assert spec.percentiles == (0.0, 100.0)
+        assert [t.weight for t in spec.workloads] == [10000, 1]
 
     def test_valid_qos_and_faults_still_load(self):
         doc = fleet_doc()

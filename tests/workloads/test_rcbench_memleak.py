@@ -54,6 +54,19 @@ class TestRCBench:
         sim.run(until=3.0)
         assert len(bench.rps_series) > 3
 
+    def test_request_percentile_is_the_nearest_rank(self):
+        sim, layer, controller, tree, mm = make_iocost_env()
+        group = tree.get_or_create("workload.slice/bench", weight=500)
+        bench = ResourceControlBench(sim, layer, mm, group, working_set=16 * MB)
+        assert bench.request_percentile(50) is None
+        bench.request_latencies.extend([5.0, 1.0, 4.0, 2.0, 3.0])
+        # Rank ceil(2.5) = 3; rounding half to even made the median 2.0.
+        assert bench.request_percentile(50) == 3.0
+        assert bench.request_percentile(50, last=4) == 2.0
+        bench.request_latencies[:] = [float(i) for i in range(1, 31)]
+        # p95 of 30 is rank ceil(28.5) = 29; round(28.5) made it the 28th.
+        assert bench.request_percentile(95) == 29.0
+
     def test_webserver_presets(self):
         sim, layer, controller, tree, mm = make_iocost_env(total_mem=1024 * MB)
         group = tree.get_or_create("workload.slice/web", weight=500)
