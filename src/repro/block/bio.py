@@ -3,8 +3,8 @@
 Carries the request type, size, target offset, the issuing cgroup, and
 origin flags (swap-out, filesystem journal, metadata) that the IOCost debt
 mechanism keys on.  Timestamps are filled in as the bio moves through the
-layer: ``submit_time`` (entered the block layer), ``issue_time`` (dispatched
-to the device after any controller throttling), ``complete_time``.
+layer: ``submit_time`` (entered the block layer), ``issue_time`` (reaches the
+device after throttling and the issue path's CPU cost), ``complete_time``.
 """
 
 from __future__ import annotations

@@ -21,6 +21,9 @@ reacts to:
 
 Service begins in FIFO order per the internal queue; scheduling policy
 (reordering, fairness) is the job of the *controller* above the device.
+A bio may arrive before its ``issue_time`` (the issue path's CPU cost, see
+:mod:`repro.block.layer`); it neither starts nor competes for a channel
+before then.
 """
 
 from __future__ import annotations
@@ -213,7 +216,7 @@ class Device:
         # hold their channel with no completion scheduled.
         self.faults = faults
         self._inservice: Dict[int, Event] = {}
-        self._hung: Dict[int, Tuple[Bio, float]] = {}
+        self._hung: Dict[int, Tuple[Bio, float, float]] = {}
         # Statistics.
         self.completed_ios = 0
         self.completed_bytes = 0
@@ -234,7 +237,7 @@ class Device:
 
     @property
     def in_flight(self) -> int:
-        """Requests inside the device (being serviced or internally queued)."""
+        """Requests handed to the device: in service or queued, issued or not."""
         return self._busy_channels + len(self._read_queue) + len(self._write_queue)
 
     @property
@@ -245,7 +248,11 @@ class Device:
     WRITE_STARVATION_LIMIT = 8
 
     def submit(self, bio: Bio) -> None:
-        """Accept a dispatched bio; begins service now or queues internally."""
+        """Accept a dispatched bio; takes a free channel or queues internally.
+        Service starts at ``bio.issue_time`` (unset: now), which may be ahead
+        of the clock."""
+        if bio.issue_time is None:
+            bio.issue_time = self.sim.now
         if self._busy_channels < self._parallelism:
             self._begin(bio)
         elif bio.is_write:
@@ -256,53 +263,60 @@ class Device:
     def _pop_next(self) -> Optional[Bio]:
         if self.spec.rotational:
             return self._pop_shortest_seek()
+        # Each queue is in issue order, so a head still ahead of the clock
+        # means the whole queue is not issued yet and does not compete.
         reads, writes = self._read_queue, self._write_queue
-        take_write = writes and (
-            not reads or self._reads_since_write >= self.WRITE_STARVATION_LIMIT
-        )
-        if take_write:
+        now = self.sim.now
+        read_issued = reads and reads[0].issue_time <= now
+        write_issued = writes and writes[0].issue_time <= now
+        if write_issued and (
+            not read_issued or self._reads_since_write >= self.WRITE_STARVATION_LIMIT
+        ):
             self._reads_since_write = 0
             return writes.popleft()
-        if reads:
+        if read_issued:
             self._reads_since_write += 1
             return reads.popleft()
-        return None
+        return self._pop_first_pending()
+
+    def _pop_first_pending(self) -> Optional[Bio]:
+        """Nothing issued waits: the channel goes to the first bio to be
+        issued, which begins at its issue time as if it had found the
+        channel free then (no pop, so no starvation count)."""
+        reads, writes = self._read_queue, self._write_queue
+        if reads and (not writes or reads[0].issue_time <= writes[0].issue_time):
+            return reads.popleft()
+        return writes.popleft() if writes else None
 
     #: A queued request older than this is serviced regardless of seek
     #: distance (anti-starvation aging, as real firmware elevators do).
     SEEK_AGE_LIMIT = 0.03
 
     def _pop_shortest_seek(self) -> Optional[Bio]:
-        """NCQ-style selection: nearest request wins, bounded by aging."""
+        """NCQ-style selection among issued requests: nearest wins, bounded
+        by aging."""
+        now = self.sim.now
         best_queue, best_index, best_distance = None, -1, None
         oldest_queue, oldest_index, oldest_time = None, -1, None
         for queue in (self._read_queue, self._write_queue):
             for index, bio in enumerate(queue):
+                issued = bio.issue_time
+                if issued > now:
+                    break  # this one and the rest of its queue are pending
                 distance = abs(bio.sector - self._next_sector)
                 if best_distance is None or distance < best_distance:
                     best_queue, best_index, best_distance = queue, index, distance
-                issued = bio.issue_time if bio.issue_time is not None else 0.0
                 if oldest_time is None or issued < oldest_time:
                     oldest_queue, oldest_index, oldest_time = queue, index, issued
         if best_queue is None:
-            return None
-        if (
-            oldest_time is not None
-            and self.sim.now - oldest_time > self.SEEK_AGE_LIMIT
-        ):
+            return self._pop_first_pending()
+        if now - oldest_time > self.SEEK_AGE_LIMIT:
             bio = oldest_queue[oldest_index]
             del oldest_queue[oldest_index]
             return bio
         bio = best_queue[best_index]
         del best_queue[best_index]
         return bio
-
-    def gc_pressure(self, now: float) -> float:
-        """GC debt as a fraction of the buffer (>= 1 means degraded)."""
-        if self.spec.gc_buffer_bytes <= 0:
-            return 0.0
-        self._drain_gc(now)
-        return self._gc_debt / self.spec.gc_buffer_bytes
 
     # -- internals ------------------------------------------------------------
 
@@ -314,7 +328,7 @@ class Device:
                 self._gc_debt = debt if debt > 0.0 else 0.0
         self._gc_updated = now
 
-    def _service_time(self, bio: Bio) -> float:
+    def _service_time(self, bio: Bio, start: float) -> float:
         spec = self.spec
         if bio.is_write:
             base = spec.srv_seq_write if bio.device_sequential else spec.srv_rand_write
@@ -327,7 +341,7 @@ class Device:
 
         # Garbage-collection degradation.
         if spec.gc_buffer_bytes > 0:
-            self._drain_gc(self.sim.now)
+            self._drain_gc(start)
             if bio.is_write:
                 self._gc_debt += bio.nbytes
             if self._gc_debt > spec.gc_buffer_bytes:
@@ -363,28 +377,36 @@ class Device:
         self._busy_channels += 1
         if self._san.enabled:
             self._san.check_channels(self._busy_channels, self._parallelism, self.devno)
+        # Service starts once the bio is issued; everything below — token
+        # clock, GC drain, fault windows — happens at that instant.
+        start = bio.issue_time
+        now = self.sim.now
+        if start < now:
+            start = now
         delay = 0.0
         if self.spec.iops_limit > 0:
             interval = 1.0 / self.spec.iops_limit
-            now = self.sim.now
-            start = self._token_time if self._token_time > now else now
-            self._token_time = start + interval
-            delay = start - now
+            token = self._token_time if self._token_time > start else start
+            self._token_time = token + interval
+            delay = token - start
         # The service-time draw happens before the fault decision so the
         # noise stream consumed is identical with and without a fault plan.
-        service = self._service_time(bio)
+        service = self._service_time(bio, start)
         if self.faults is not None:
-            decision = self.faults.decide(self.sim.now, bio)
+            decision = self.faults.decide(start, bio)
             service *= decision.latency_mult
             delay += decision.delay
             if decision.error:
                 bio.status = BioStatus.EIO
             if decision.hang:
                 # Parked: channel held, no completion scheduled.  Resumes at
-                # the hang window's end or is reclaimed by abort().
-                self._hung[bio.id] = (bio, delay + service)
+                # the end of the hang window ``start`` falls in, or is
+                # reclaimed by abort().
+                self._hung[bio.id] = (bio, delay + service, start)
                 return
-        self._inservice[bio.id] = self.sim.schedule(delay + service, self._complete, bio)
+        self._inservice[bio.id] = self.sim.schedule_at(
+            start + (delay + service), self._complete, bio
+        )
 
     def _complete(self, bio: Bio) -> None:
         self._inservice.pop(bio.id, None)
@@ -502,7 +524,9 @@ class Device:
         """Un-park hung bios (hang window ended — a controller reset)."""
         if self.faults is not None and self.faults.hang_active(self.sim.now):
             return  # another hang window still covers now
-        parked = list(self._hung.values())
-        self._hung.clear()
-        for bio, remaining in parked:
+        now = self.sim.now
+        for bio, remaining, start in list(self._hung.values()):
+            if start > now:
+                continue  # not issued yet: parked for a later window
+            del self._hung[bio.id]
             self._inservice[bio.id] = self.sim.schedule(remaining, self._complete, bio)

@@ -15,7 +15,7 @@ kernel block layer provides around them:
   completion path and the controller: the layer keeps no per-cgroup state
   of its own;
 * the serialized issue-path CPU-cost model for Figure 9 (see
-  :mod:`repro.controllers.base`);
+  :mod:`repro.controllers.base`), charged as each bio's issue time;
 * the error/timeout path (docs/FAULTS.md): a dispatched bio that the device
   fails (:mod:`repro.faults`) or that outlives ``io_timeout`` is requeued
   with exponential backoff up to ``max_retries``, then completed with its
@@ -71,9 +71,10 @@ class BlockLayer:
         self.controller = controller
         #: Stable ``maj:min`` device id all per-device accounting keys on.
         self.dev = device.devno
-        #: Cached ``device.spec.nr_slots``: can_dispatch() runs several
-        #: times per bio and must not chase three attributes each time.
-        self._nr_slots = device.spec.nr_slots
+        #: Request slots (``device.spec.nr_slots``, cached): a controller may
+        #: dispatch while ``inflight < nr_slots`` — the one slot test, run
+        #: several times per bio, so it must not chase three attributes.
+        self.nr_slots = device.spec.nr_slots
         #: Abort a dispatched bio that has not completed after this many
         #: simulated seconds (None disables timeout detection).
         self.io_timeout = io_timeout
@@ -166,57 +167,57 @@ class BlockLayer:
                 flags=bio.flags.value,
                 prio=bio.prio,
             )
-        if self.inflight >= self._nr_slots:
+        if self.inflight >= self.nr_slots:
             self.depleted_events += 1
         self.controller.enqueue(bio)
         self.controller.pump()
 
     # -- dispatch (controller-facing) ----------------------------------------
 
-    def can_dispatch(self) -> bool:
-        """True while request slots remain for this device."""
-        return self.inflight < self._nr_slots
-
     @property
     def slot_utilization(self) -> float:
         """Fraction of request slots in use (saturation signal)."""
-        return self.inflight / self._nr_slots
+        return self.inflight / self.nr_slots
 
     def dispatch(self, bio: Bio) -> None:
-        """Send a bio to the device, charging the controller's CPU cost."""
-        if self.inflight >= self._nr_slots:
+        """Send a bio to the device, charging the controller's CPU cost.
+
+        The cost is the bio's issue time, not an event: the bio reaches the
+        device once the issue path's one CPU is free, and the device starts
+        it no earlier (:meth:`Device.submit`).  One CPU per layer makes
+        issue order dispatch order.
+        """
+        if self.inflight >= self.nr_slots:
             raise BlockLayerError("dispatch with no free request slots")
         self.inflight += 1
         if self._san.enabled:
-            self._san.check_slots(self.inflight, self._nr_slots, self.dev)
+            self._san.check_slots(self.inflight, self.nr_slots, self.dev)
+        now = self.sim.now
         overhead = self.controller.issue_overhead
         if overhead > 0:
-            now = self.sim.now
             start = self._cpu_free_at if self._cpu_free_at > now else now
             self._cpu_free_at = start + overhead
-            delay = self._cpu_free_at - self.sim.now
-            self.sim.schedule(delay, self._issue, bio)
+            # ``now`` plus the backlog, not the bare ``_cpu_free_at``: the two
+            # can be an ulp apart while the backlog exceeds ``now``.
+            issue = bio.issue_time = now + (self._cpu_free_at - now)
         else:
-            self._issue(bio)
-
-    def _issue(self, bio: Bio) -> None:
-        bio.issue_time = self.sim.now
+            issue = bio.issue_time = now
         if self._prof.enabled:
             self._prof.bios_issued += 1
         if self._tp_issue.enabled:
             self._tp_issue.emit(
-                self.sim.now,
+                issue,
                 dev=self.dev,
                 id=bio.id,
                 cgroup=bio.cgroup.path,
                 op=bio.op.value,
                 nbytes=bio.nbytes,
-                wait=bio.issue_time - bio.submit_time,
+                wait=issue - bio.submit_time,
             )
         self.device.submit(bio)
         if self.io_timeout is not None:
-            self._timeouts[bio.id] = self.sim.schedule(
-                self.io_timeout, self._timed_out, bio
+            self._timeouts[bio.id] = self.sim.schedule_at(
+                issue + self.io_timeout, self._timed_out, bio
             )
 
     # -- completion / failure --------------------------------------------------
@@ -249,7 +250,7 @@ class BlockLayer:
             raise BlockLayerError("bio completed without passing submit()")
         self.inflight -= 1
         if self._san.enabled:
-            self._san.check_slots(self.inflight, self._nr_slots, self.dev)
+            self._san.check_slots(self.inflight, self.nr_slots, self.dev)
         if bio.status is not BioStatus.OK and bio.retries < self.max_retries:
             self._requeue(bio)
             if self._retryq:
@@ -326,7 +327,7 @@ class BlockLayer:
         self.sim.schedule(backoff, self._retry_ready, bio)
 
     def _retry_ready(self, bio: Bio) -> None:
-        if self.can_dispatch():
+        if self.inflight < self.nr_slots:
             self._redispatch(bio)
         else:
             self._retryq.append(bio)
@@ -340,7 +341,7 @@ class BlockLayer:
     def _drain_retries(self) -> None:
         # Requeued bios take slot priority over fresh controller dispatches
         # (the kernel requeues to the front of the dispatch list).
-        while self._retryq and self.can_dispatch():
+        while self._retryq and self.inflight < self.nr_slots:
             self._redispatch(self._retryq.popleft())
 
     def cgroup_window(self, cgroup: Cgroup) -> Optional[LatencyWindow]:

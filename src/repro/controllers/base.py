@@ -7,7 +7,7 @@ elevator model:
 * :meth:`IOController.enqueue` — a bio arrived from a cgroup; stash or
   dispatch it.
 * :meth:`IOController.pump` — dispatch as many queued bios as policy and
-  free request slots allow; called after enqueues.
+  free slots allow (``layer.inflight < layer.nr_slots``); after enqueues.
 * :meth:`IOController.on_complete` — a bio finished; ends with its pump.
 
 A cgroup-aware controller keeps its per-group state on the record every bio
@@ -16,7 +16,8 @@ carries (``bio.blkg.pd``), never in a map keyed by cgroup path; docs/API.md
 
 ``issue_overhead`` models the serialized per-IO CPU cost of the mechanism's
 issue path — the quantity Figure 9 measures.  The block layer charges it on
-a single CPU-time resource before the device sees the request, so a
+a single CPU-time resource as the bio's start time on the device (its
+``issue_time``, which ``Device.submit`` may get ahead of the clock), so a
 controller with a heavyweight issue path (BFQ) caps achievable IOPS no
 matter how fast the device is.  Values are calibrated to reproduce the
 relative overheads of Figure 9, not absolute kernel numbers.

@@ -177,7 +177,7 @@ class BFQController(IOController):
 
     def pump(self) -> None:
         layer = self.layer
-        while layer.can_dispatch():
+        while layer.inflight < layer.nr_slots:
             self._expire_if_done()
             if self._idle_timer is not None:
                 return  # device held idle for the in-service queue

@@ -135,7 +135,7 @@ class BlkThrottleController(IOController):
                 offline = True
             if group.wake_key is group.limits and group.wake.time > now:
                 continue  # its head waits for its wake (hold)
-            while group.waitq and layer.can_dispatch():
+            while group.waitq and layer.inflight < layer.nr_slots:
                 bio = group.waitq[0]
                 buckets = group.buckets_for(bio)
                 waits = [bucket.wait_time(now, amount) for bucket, amount in buckets]
@@ -146,7 +146,7 @@ class BlkThrottleController(IOController):
                     bucket.try_take(now, amount)
                 group.waitq.popleft()
                 layer.dispatch(bio)
-            if not layer.can_dispatch():
+            if layer.inflight >= layer.nr_slots:
                 break
         if offline:
             self.retire_offline()

@@ -101,14 +101,14 @@ class IOLatencyController(IOController):
     def pump(self) -> None:
         layer = self.layer
         progressed = True
-        while progressed and layer.can_dispatch():
+        while progressed and layer.inflight < layer.nr_slots:
             progressed = False
             for group in self.groups:
                 if group.waitq and group.inflight < group.depth:
                     group.inflight += 1
                     layer.dispatch(group.waitq.popleft())
                     progressed = True
-                    if not layer.can_dispatch():
+                    if layer.inflight >= layer.nr_slots:
                         return
 
     def on_complete(self, bio: Bio) -> None:

@@ -61,13 +61,13 @@ class KyberController(IOController):
     def pump(self) -> None:
         layer = self.layer
         progressed = True
-        while progressed and layer.can_dispatch():
+        while progressed and layer.inflight < layer.nr_slots:
             progressed = False
             if self._reads and self._read_inflight < self._read_depth:
                 self._read_inflight += 1
                 layer.dispatch(self._reads.popleft())
                 progressed = True
-            if not layer.can_dispatch():
+            if layer.inflight >= layer.nr_slots:
                 break
             if self._writes and self._write_inflight < self._write_depth:
                 self._write_inflight += 1

@@ -72,5 +72,6 @@ class MQDeadlineController(IOController):
         return self._reads.popleft()
 
     def pump(self) -> None:
-        while (self._reads or self._writes) and self.layer.can_dispatch():
-            self.layer.dispatch(self._pick())
+        layer = self.layer
+        while (self._reads or self._writes) and layer.inflight < layer.nr_slots:
+            layer.dispatch(self._pick())

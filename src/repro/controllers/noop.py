@@ -35,5 +35,5 @@ class NoopController(IOController):
         self._queue.append(bio)
 
     def pump(self) -> None:
-        while self._queue and self.layer.can_dispatch():
+        while self._queue and self.layer.inflight < self.layer.nr_slots:
             self.layer.dispatch(self._queue.popleft())

@@ -30,17 +30,15 @@ class _GateShim:
     """Adapter: presents the scheduler's queue to the gate as a layer.
 
     The gate throttles by its own budgets; request slots and device
-    backpressure are the scheduler's concern, so ``can_dispatch`` is always
-    true here and ``dispatch`` simply hands the bio down.  The rest, even
-    ``inflight``, is the real layer's: a gate asks ``can_dispatch()``.
+    backpressure are the scheduler's concern, so the shim has unlimited
+    ``nr_slots`` and ``dispatch`` simply hands the bio down.  The rest,
+    even ``inflight``, is the real layer's.
     """
 
     def __init__(self, stacked: "StackedController", real: "BlockLayer"):
         self._stacked = stacked
         self._real = real
-
-    def can_dispatch(self) -> bool:
-        return True
+        self.nr_slots = float("inf")
 
     def dispatch(self, bio: Bio) -> None:
         scheduler = self._stacked.scheduler

@@ -227,9 +227,9 @@ class IOCost(IOController):
         if self._prof.enabled:
             self._prof.pump_calls += 1
         # Urgent (swap/journal) bios first: they bypass budget entirely.
-        while self._urgent and layer.can_dispatch():
+        while self._urgent and layer.inflight < layer.nr_slots:
             layer.dispatch(self._urgent.popleft())
-        if not self._queued or not layer.can_dispatch():
+        if not self._queued or layer.inflight >= layer.nr_slots:
             return
         tree = self.tree
         now = layer.sim.now
@@ -241,7 +241,7 @@ class IOCost(IOController):
             if state.wake_key == tree.hold_generation and state.wake.time > now:
                 continue
             self._try_issue(state)
-            if not layer.can_dispatch():
+            if layer.inflight >= layer.nr_slots:
                 break
 
     def _activate(self, group: GroupState) -> None:
@@ -255,7 +255,7 @@ class IOCost(IOController):
         layer = self.layer
         tree = self.tree
         waitq = group.waitq
-        while waitq and layer.can_dispatch():
+        while waitq and layer.inflight < layer.nr_slots:
             bio = waitq[0]
             # Cached reciprocal: the per-bio charge is a multiply, not a
             # division (hierarchy.hweight_inv).

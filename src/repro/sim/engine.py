@@ -209,8 +209,16 @@ class Simulator:
         return event
 
     def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> Event:
-        """Run ``callback(*args)`` at absolute simulated ``time``."""
-        return self.schedule(time - self.now, callback, *args)
+        """Run ``callback(*args)`` at absolute simulated ``time``: that float
+        itself, where ``schedule(time - now)`` can land an ulp away."""
+        if not time >= self.now or time == math.inf:
+            raise SimulationError(f"cannot schedule at time {time!r} (now {self.now!r})")
+        event = Event(time, callback, args)
+        if self._prof.enabled:
+            self._prof.heap_pushes += 1
+        self._seq += 1
+        heapq.heappush(self._heap, (time, self._seq, event))
+        return event
 
     def schedule_bulk(
         self, entries: Iterable[Tuple[float, Callable[..., Any], tuple]]

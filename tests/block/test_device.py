@@ -154,24 +154,39 @@ class TestGCModel:
         sim.run()
         assert device.gc_slow_ios > 0
 
-    def test_gc_debt_drains_over_time(self, env):
-        sim, group = env
-        spec = make_spec(
-            gc_buffer_bytes=1024,
-            gc_drain_bps=1e6,
-        )
-        device = make_device(sim, spec)
-        device.submit(Bio(IOOp.WRITE, 64 * 1024, 1, group))
-        sim.run()
-        assert device.gc_pressure(sim.now) > 0
-        assert device.gc_pressure(sim.now + 10.0) == 0.0
+    def test_gc_debt_drains_over_time(self):
+        """A 64 KiB write leaves debt that slows a read issued at once but
+        has drained by a read issued 10 s later — handed over now with its
+        ``issue_time`` ahead, so the drain runs to the bio's start."""
+        spec = make_spec(gc_buffer_bytes=1024, gc_drain_bps=1e6)
+
+        def read_after_write(gap):
+            sim = Simulator()
+            group = CgroupTree().create("w")
+            device = make_device(sim, spec)
+            device.submit(Bio(IOOp.WRITE, 64 * 1024, 1, group))
+            sim.run()
+            assert device.gc_slow_ios == 1
+            finished = []
+            device.on_complete = lambda bio: finished.append(sim.now)
+            read = Bio(IOOp.READ, 4096, 9, group)
+            read.issue_time = sim.now + gap
+            device.submit(read)
+            sim.run()
+            return device.gc_slow_ios, finished[0] - read.issue_time
+
+        slow_ios, service = read_after_write(0.0)
+        assert slow_ios == 2
+        assert service == pytest.approx(spec.srv_rand_read * spec.gc_read_slowdown)
+        slow_ios, service = read_after_write(10.0)
+        assert slow_ios == 1
+        assert service == pytest.approx(spec.srv_rand_read)
 
     def test_gc_disabled_without_buffer(self, env):
         sim, group = env
         device = make_device(sim, make_spec(gc_buffer_bytes=0))
         device.submit(Bio(IOOp.WRITE, 1024 * 1024, 1, group))
         sim.run()
-        assert device.gc_pressure(sim.now) == 0.0
         assert device.gc_slow_ios == 0
 
 

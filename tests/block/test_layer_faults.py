@@ -178,7 +178,7 @@ class TestSlotRelease:
         assert all(bio.status is BioStatus.EIO for bio in done)
         assert layer.inflight == 0
         assert layer.device.in_flight == 0
-        assert layer.can_dispatch()
+        assert layer.inflight < layer.nr_slots
         assert not layer._retryq and not layer._timeouts
 
     def test_all_timeout_run_returns_every_slot(self):

@@ -53,6 +53,26 @@ def test_schedule_at_absolute_time():
     assert hits == [5.0]
 
 
+def test_schedule_at_fires_at_exactly_the_time_given():
+    """The heap gets the time itself: ``now + (time - now)`` from 1/3 to
+    0.9 is 0.8999999999999999."""
+    sim = Simulator()
+    sim.run(until=1 / 3)
+    hits = []
+    sim.schedule_at(0.9, lambda: hits.append(sim.now))
+    sim.run()
+    assert hits == [0.9]
+
+
+@pytest.mark.parametrize("time", [float("nan"), float("inf"), 0.25])
+def test_schedule_at_rejects_nan_infinity_and_the_past(time):
+    sim = Simulator()
+    sim.run(until=0.5)
+    with pytest.raises(SimulationError):
+        sim.schedule_at(time, lambda: None)
+    assert sim.peek() is None
+
+
 def test_cancelled_event_does_not_run():
     sim = Simulator()
     hits = []

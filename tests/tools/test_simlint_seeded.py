@@ -40,8 +40,8 @@ SEEDED = [
     (
         "unit-suffix",
         "block/layer.py",
-        "delay = self._cpu_free_at - self.sim.now",
-        "wait_ms = self._cpu_free_at - self.sim.now",
+        "backoff = self.retry_backoff * (2 ** (bio.retries - 1))",
+        "backoff_ms = self.retry_backoff * (2 ** (bio.retries - 1))",
     ),
     (
         "trace-catalogue",
