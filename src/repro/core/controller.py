@@ -114,9 +114,9 @@ class IOCost(IOController):
         self._tp_period = TRACE.points["qos_period"]
         # Cached self-profiler (same zero-cost guard, repro.obs.prof).
         self._prof = PROF
-        # Cached sanitizer: cost-conservation ledger + vtime monotonicity
-        # (repro.sanitize), audited from the planning path.
+        # Cached sanitizer, and the cost ledger it audits (summed while it is on).
         self._san = SANITIZE
+        self._incurred = self._charged = 0.0
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -177,7 +177,7 @@ class IOCost(IOController):
             group = self.tree.state_of(bio.cgroup)
         bio.abs_cost = self.model.cost(bio)
         if self._san.enabled:
-            self._san.note_incurred(id(self), bio.abs_cost)
+            self._incurred += bio.abs_cost
         if not group.active:
             self._activate(group)
 
@@ -214,7 +214,7 @@ class IOCost(IOController):
             # Either way the cost has left the queue-side ledger: DEBT
             # charged the owner, ROOT deliberately wrote it off.
             if self._san.enabled:
-                self._san.note_charged(id(self), bio.abs_cost)
+                self._charged += bio.abs_cost
             self.urgent_ios += 1
             self._urgent.append(bio)
             return
@@ -286,7 +286,7 @@ class IOCost(IOController):
                 group.local_vtime += relative
                 group.abs_usage += bio.abs_cost
                 if self._san.enabled:
-                    self._san.note_charged(id(self), bio.abs_cost)
+                    self._charged += bio.abs_cost
                 waitq.popleft()
                 self._queued -= 1
                 layer.dispatch(bio)
@@ -386,7 +386,7 @@ class IOCost(IOController):
                 pending += queued.abs_cost
             san.check_vtime(state.cgroup.path, state.audited_vtime, state.local_vtime)
             state.audited_vtime = state.local_vtime
-        san.check_conservation(id(self), pending, self.layer.dev)
+        san.check_conservation(self._incurred, self._charged, pending, self.layer.dev)
 
     def _deactivate_idle(self) -> None:
         offline = False

@@ -3,9 +3,9 @@
 Execution model: one **process per run** (fork-context
 ``ProcessPoolExecutor``), because a simulated machine is CPU-bound pure
 Python — processes sidestep the GIL and give each run a pristine
-interpreter state.  Results come back to the parent in sweep order
-(``Executor.map``), and the parent alone writes the artifact store: one
-record per run (:mod:`repro.exp.store`).
+interpreter state.  Results come back to the parent in sweep order (one
+future per run, read in that order), and the parent alone writes the
+artifact store: one record per run (:mod:`repro.exp.store`).
 
 Determinism contract: a run's RNG entropy derives from its content hash
 (:attr:`~repro.exp.grid.RunSpec.derived_seed`), never from scheduling, so
@@ -18,7 +18,10 @@ bytes identical.
 Failures don't abort the sweep: each run is retried once (configurable)
 inside its worker, then recorded as a structured failure in its record's
 ``meta`` and the report; :class:`SweepReport` carries the per-sweep counts
-(runs completed, cache hits, failures, timeouts, wall seconds).
+(runs completed, cache hits, failures, timeouts, wall seconds).  A worker
+that dies (an OOM kill, ``os._exit``) breaks the pool: its run, and every
+run the broken pool did not finish, is a ``WorkerDied`` failure, and the
+runs that did finish are committed as usual.
 
 Timeouts: ``timeout_sec`` bounds each run's wall-clock.  The pool is then
 replaced by a hand-rolled process manager (one killable ``Process`` +
@@ -33,7 +36,8 @@ real (wall) clock is required whenever ``timeout_sec`` is set.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from multiprocessing import get_context
 from multiprocessing.connection import wait as _connection_wait
@@ -194,6 +198,26 @@ def _execute(payload: _Payload) -> _Verdict:
     return "failed", None, error, retries + 1, clock() - start
 
 
+#: The verdict of a run whose worker exited without sending one (an
+#: ``os._exit``, an OOM kill): a structured failure like any other.
+_WORKER_DIED: _Verdict = (
+    "failed",
+    None,
+    {"type": "WorkerDied", "message": "worker exited without a verdict"},
+    1,
+    0.0,
+)
+
+
+def _verdict_of(future: Future[_Verdict]) -> _Verdict:
+    """A pool future's verdict.  A dead worker breaks the pool, and every
+    run not yet finished then fails with it."""
+    try:
+        return future.result()
+    except BrokenProcessPool:
+        return _WORKER_DIED
+
+
 def _worker_entry(payload: _Payload, conn: Any) -> None:
     """Process target for the timeout manager: execute, ship the verdict."""
     try:
@@ -248,16 +272,7 @@ def _run_with_timeouts(
                 try:
                     verdict: _Verdict = reader.recv()
                 except EOFError:  # died without a verdict (OOM-kill, crash)
-                    verdict = (
-                        "failed",
-                        None,
-                        {
-                            "type": "WorkerDied",
-                            "message": "worker exited without a verdict",
-                        },
-                        1,
-                        0.0,
-                    )
+                    verdict = _WORKER_DIED
                 reader.close()
                 proc.join()
                 verdicts[index] = verdict
@@ -378,7 +393,8 @@ def run_sweep(
         with ProcessPoolExecutor(
             max_workers=workers, mp_context=_mp_context()
         ) as pool:
-            verdicts = list(pool.map(_execute, payloads, chunksize=1))
+            futures = [pool.submit(_execute, payload) for payload in payloads]
+            verdicts = [_verdict_of(future) for future in futures]
 
     for (index, run, reason), verdict in zip(pending, verdicts):
         status, result, error, attempts, wall_sec = verdict

@@ -1,7 +1,7 @@
 """Cluster-scale simulation: specs, scheduler, sharded execution, rollups.
 
 The fleet layer turns the one-machine simulator into the paper's §4.8
-setting — hundreds of hosts behind a placement/migration scheduler, run
+setting — hundreds of hosts, placed best-fit and migrated in stages, run
 through the :mod:`repro.exp` fork pool with content-addressed caching,
 and rolled up into fleet-wide percentile dashboards.  It is a spec, a
 scheduler and a rollup in front of :mod:`repro.exp`: the machine builder,
@@ -11,10 +11,10 @@ See docs/FLEET.md.
 Import surface (kept light — worker processes import submodules lazily):
 
 * :mod:`repro.fleet.spec` — declarative cluster specs (TOML/JSON);
-* :mod:`repro.fleet.scheduler` — bin-packing placement, consolidation /
-  balancing, the staged IOLatency→IOCost rollout;
+* :mod:`repro.fleet.scheduler` — best-fit placement on rated capacity,
+  the staged IOLatency→IOCost rollout;
 * :mod:`repro.fleet.experiments` — the per-host / per-sample experiment
-  kinds and the nestable whole-fleet kind (all three named by dotted path);
+  kinds (both named by dotted path);
 * :mod:`repro.fleet.runner` — the placement plan (``placed``), sharded
   execution + Figures 18/19 driver;
 * :mod:`repro.fleet.rollup` — p99-of-p99 vs pooled-percentile rollups;

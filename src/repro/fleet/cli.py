@@ -13,9 +13,8 @@ fleet host runs are ordinary content-addressed runs):
 * ``migrate SPEC`` — the Figures 18/19 staged-migration reproduction;
   writes ``fleet_migration.json`` and prints the weekly failure table.
 
-``run``, ``status`` and ``rollup`` take the same ``--policy-pass`` flags:
-the rebalancing passes move placements, hence host content hashes, so all
-three must plan identically to talk about the same cached hosts.
+``run``, ``status`` and ``rollup`` all place the fleet through
+:func:`repro.fleet.runner.placed`, so they talk about the same cached hosts.
 
 Everything that is not fleet-specific — argument groups, the run and
 status tables, the report writer, and the dispatcher that turns a bad spec
@@ -46,7 +45,6 @@ from repro.exp.spec import canonical_json
 from repro.exp.store import ArtifactStore, write_json
 from repro.fleet.rollup import fleet_rollup
 from repro.fleet.runner import (
-    POLICY_PASSES,
     fleet_sweep_spec,
     placed,
     run_fleet_sweep,
@@ -60,15 +58,6 @@ PLAN_FILE = "fleet_plan.json"
 MIGRATION_FILE = "fleet_migration.json"
 
 
-def _add_placement_args(cmd: argparse.ArgumentParser) -> None:
-    add_spec_args(cmd, "fleet")
-    cmd.add_argument(
-        "--policy-pass", action="append", default=[],
-        choices=POLICY_PASSES, dest="policy_passes",
-        help="rebalancing pass(es) applied after placement, in order",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog=PROG,
@@ -77,17 +66,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_cmd = sub.add_parser("run", help="simulate the fleet (cache-aware)")
-    _add_placement_args(run_cmd)
+    add_spec_args(run_cmd, "fleet")
     add_runner_args(run_cmd)
     add_report_args(run_cmd)
 
     status_cmd = sub.add_parser("status", help="per-host cache verdicts")
-    _add_placement_args(status_cmd)
+    add_spec_args(status_cmd, "fleet")
 
     rollup_cmd = sub.add_parser(
         "rollup", help="recompute the rollup from cached host results"
     )
-    _add_placement_args(rollup_cmd)
+    add_spec_args(rollup_cmd, "fleet")
     rollup_cmd.add_argument(
         "--output", default=None, help="write here instead of stdout"
     )
@@ -107,9 +96,7 @@ def _host_id(run: RunSpec) -> str:
 def _cmd_run(args: argparse.Namespace) -> int:
     spec = load_fleet_spec(args.spec)
     store = ArtifactStore(args.out)
-    report = run_fleet_sweep(
-        spec, store, policies=args.policy_passes, **runner_kwargs(args)
-    )
+    report = run_fleet_sweep(spec, store, **runner_kwargs(args))
     rollup_path = write_json(store.root / ROLLUP_FILE, report.rollup)
     write_json(store.root / PLAN_FILE, report.plan)
     code = finish_run(
@@ -125,7 +112,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_status(args: argparse.Namespace) -> int:
     spec = load_fleet_spec(args.spec)
-    scheduler = placed(spec, args.policy_passes)
+    scheduler = placed(spec)
     return print_status(
         f"Fleet {spec.name} [{spec.fleet_hash}]",
         expand(fleet_sweep_spec(spec, scheduler)),
@@ -136,7 +123,7 @@ def _cmd_status(args: argparse.Namespace) -> int:
 def _cmd_rollup(args: argparse.Namespace) -> int:
     spec = load_fleet_spec(args.spec)
     cache = ResultCache(ArtifactStore(args.out))
-    scheduler = placed(spec, args.policy_passes)
+    scheduler = placed(spec)
     results: Dict[str, Dict[str, Any]] = {}
     for run in expand(fleet_sweep_spec(spec, scheduler)):
         decision = cache.lookup(run)

@@ -1,6 +1,6 @@
 """Experiment kinds for the fleet layer.
 
-Three kinds, all plain ``fn(params, seed) -> result`` functions (the
+Two kinds, both plain ``fn(params, seed) -> result`` functions (the
 :mod:`repro.exp` contract) so the fork pool can run them by dotted path
 (``"repro.fleet.experiments.run_fleet_host"``) without pre-registration:
 
@@ -16,13 +16,6 @@ Three kinds, all plain ``fn(params, seed) -> result`` functions (the
   controller (the :func:`repro.workloads.fleet.run_task_once` backend),
   sharded one sample per run so the pool parallelises and caches the
   expensive cells individually.
-* ``run_fleet`` — a whole fleet inline: schedule, simulate every host
-  in-process, roll up.  This is the nestable form — a ``repro.exp`` sweep
-  names it by dotted path like the other two
-  (``kind = "repro.fleet.experiments.run_fleet"``) and grids over fleet
-  seeds/policies — and it plans through the sharded path's
-  :func:`repro.fleet.runner.placed` and per-host seed derivation, so its
-  per-host results are identical to a pooled run of the same spec.
 
 A fleet host is a ``testbed`` cell: ``run_fleet_host`` builds its machine
 with :func:`repro.exp.experiments.build_machine` and reports its cgroups
@@ -44,10 +37,7 @@ from repro.exp.experiments import (
     device_spec_for,
     qos_from,
 )
-from repro.exp.grid import expand
-from repro.fleet.rollup import fleet_rollup
-from repro.fleet.runner import fleet_sweep_spec, placed
-from repro.fleet.spec import FleetSpec, task_from_config
+from repro.fleet.spec import task_from_config
 from repro.obs.iostat import IOStat
 from repro.obs.metrics import Histogram
 from repro.obs.trace import TRACE
@@ -198,42 +188,8 @@ def run_fleet_task_durations(params: Dict[str, Any], seed: int) -> Dict[str, Any
     }
 
 
-def run_fleet(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
-    """A whole fleet as one experiment cell: schedule, simulate, roll up.
-
-    ``params["fleet"]`` is a fleet spec document
-    (:meth:`repro.fleet.spec.FleetSpec.from_dict` shape); ``params["seed"]``
-    (default: the cell seed) overrides the document seed so sweeps can grid
-    over fleet seeds.  Hosts run serially in-process — use
-    :func:`repro.fleet.runner.run_fleet_sweep` for the pooled form; both
-    plan through :func:`repro.fleet.runner.placed` and derive per-host
-    seeds identically, so per-host results match byte-for-byte.
-    """
-    document = params.get("fleet")
-    if not isinstance(document, Mapping):
-        raise ExperimentError("fleet params need a 'fleet' spec document")
-    document = dict(document)
-    document["seed"] = int(params.get("seed", document.get("seed", seed)))
-    spec = FleetSpec.from_dict(document)
-
-    scheduler = placed(spec)
-    results: Dict[str, Dict[str, Any]] = {}
-    for run in expand(fleet_sweep_spec(spec, scheduler)):
-        result = run_fleet_host(run.params, run.derived_seed)
-        results[result["host"]] = result
-    plan = scheduler.plan()
-    return {
-        "fleet": spec.name,
-        "fleet_hash": spec.fleet_hash,
-        "hosts": len(plan["hosts"]),
-        "plan": plan,
-        "rollup": fleet_rollup(plan, results, spec.percentiles),
-    }
-
-
 __all__ = [
     "HIST_RESOLUTION",
-    "run_fleet",
     "run_fleet_host",
     "run_fleet_task_durations",
 ]

@@ -16,10 +16,9 @@ the sweep runner guarantees is therefore inherited wholesale:
 * **worker-count independence** — a host's stored result bytes, and
   therefore rollup bytes, are identical for 1 worker and 8.
 
-:func:`placed` is the one place a spec becomes a placement (capacity
-model, bin-packing, validated rebalancing passes); :func:`run_fleet_sweep`,
-the nested :func:`repro.fleet.experiments.run_fleet` kind and the CLI's
-``status`` / ``rollup`` all plan through it, so they agree on every host's
+:func:`placed` is the one place a spec becomes a placement (rated
+capacity, best-fit packing); :func:`run_fleet_sweep` and the CLI's
+``status`` / ``rollup`` both plan through it, so they agree on every host's
 content hash.
 
 :func:`run_staged_migration` drives the Figures 18/19 reproduction the
@@ -35,7 +34,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Union
 
 from repro.exp.runner import Clock, RunnerError, SweepReport, run_sweep
 from repro.exp.spec import ExperimentSpec
@@ -49,26 +48,15 @@ from repro.workloads.fleet import sample_failures
 HOST_KIND = "repro.fleet.experiments.run_fleet_host"
 TASK_KIND = "repro.fleet.experiments.run_fleet_task_durations"
 
-#: Rebalancing passes :func:`placed` can apply: FleetScheduler method names.
-POLICY_PASSES = ("consolidate", "balance")
-
 
 class FleetRunnerError(RunnerError):
     """Raised for unrunnable fleet configurations."""
 
 
-def placed(spec: FleetSpec, policies: Sequence[str] = ()) -> FleetScheduler:
-    """Place the fleet, then apply the rebalancing ``policies`` in order
-    (any of :data:`POLICY_PASSES`)."""
-    unknown = [p for p in policies if p not in POLICY_PASSES]
-    if unknown:
-        raise FleetRunnerError(
-            f"unknown rebalancing pass(es) {unknown} (want {POLICY_PASSES})"
-        )
+def placed(spec: FleetSpec) -> FleetScheduler:
+    """The fleet, placed."""
     scheduler = FleetScheduler(spec, group_capacities(spec))
     scheduler.place()
-    for policy in policies:
-        getattr(scheduler, policy)()
     return scheduler
 
 
@@ -162,11 +150,10 @@ def run_fleet_sweep(
     force: bool = False,
     retries: int = 1,
     timeout_sec: Optional[float] = None,
-    policies: Sequence[str] = (),
 ) -> FleetReport:
     """Place the fleet (:func:`placed`), shard host simulations over the
     pool, roll up."""
-    scheduler = placed(spec, policies)
+    scheduler = placed(spec)
     sweep = run_sweep(
         fleet_sweep_spec(spec, scheduler),
         store,
@@ -373,7 +360,6 @@ __all__ = [
     "HOST_KIND",
     "MigrationReport",
     "MigrationWeek",
-    "POLICY_PASSES",
     "TASK_KIND",
     "duration_cells",
     "fleet_sweep_spec",

@@ -3,14 +3,14 @@
 A :class:`FleetSpec` is to a *cluster* what
 :class:`repro.exp.spec.ExperimentSpec` is to a sweep: a TOML/JSON document
 describing host groups (count, catalogue device, controller, optional
-fault plans), the container-workload templates to place on them, the
-scheduler policy, and — optionally — a staged controller migration
+fault plans), the container-workload templates to place on them, and —
+optionally — a staged controller migration
 (the paper's §4.8 IOLatency→IOCost rollout).  The document form::
 
     name = "smoke-fleet"
     seed = 0
-    policy = "first_fit"        # first_fit | best_fit | spread
-    capacity = "profiled"       # profiled (core/profiler) | rated (spec peaks)
+    policy = "best_fit"         # the only placement policy (the default)
+    capacity = "rated"          # the only capacity model: spec peaks (the default)
     duration = 0.2              # per-host measurement window, seconds
 
     [hosts.web]                 # one host group
@@ -55,13 +55,6 @@ class FleetSpecError(SpecError):
     """Raised for malformed fleet specs."""
 
 
-#: Placement policies the scheduler implements (see repro.fleet.scheduler).
-PLACEMENT_POLICIES = ("first_fit", "best_fit", "spread")
-
-#: Capacity models: profile the device (core/profiler) or trust its spec.
-CAPACITY_MODES = ("profiled", "rated")
-
-
 def _require(data: Mapping[str, Any], key: str, where: str) -> Any:
     if key not in data:
         raise FleetSpecError(f"{where} needs a {key!r}")
@@ -102,7 +95,7 @@ class HostGroup:
     controller: str = "iocost"
     qos: Optional[Dict[str, Any]] = None
     faults: Tuple[Dict[str, Any], ...] = ()
-    capacity_iops: Optional[float] = None  # explicit override, skips profiling
+    capacity_iops: Optional[float] = None  # overrides the device's rated peak
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -350,14 +343,14 @@ class MigrationPlan:
 
 @dataclass(frozen=True)
 class FleetSpec:
-    """One declarative cluster: host groups + workloads + policy (+ migration)."""
+    """One declarative cluster: host groups + workloads (+ migration)."""
 
     name: str
     hosts: Tuple[HostGroup, ...]
     workloads: Tuple[WorkloadTemplate, ...] = ()
     seed: int = 0
-    policy: str = "first_fit"
-    capacity: str = "profiled"
+    policy: str = "best_fit"
+    capacity: str = "rated"
     duration: float = 0.25
     percentiles: Tuple[float, ...] = (50.0, 95.0, 99.0)
     migration: Optional[MigrationPlan] = None
@@ -369,15 +362,11 @@ class FleetSpec:
             raise FleetSpecError("fleet spec needs at least one host group")
         if not isinstance(self.seed, int):
             raise FleetSpecError("seed must be an int")
-        if self.policy not in PLACEMENT_POLICIES:
-            raise FleetSpecError(
-                f"unknown policy {self.policy!r} (want one of {PLACEMENT_POLICIES})"
-            )
-        if self.capacity not in CAPACITY_MODES:
-            raise FleetSpecError(
-                f"unknown capacity mode {self.capacity!r} "
-                f"(want one of {CAPACITY_MODES})"
-            )
+        # Document keys (they enter fleet_hash) with one value each.
+        if self.policy != "best_fit":
+            raise FleetSpecError(f"unknown policy {self.policy!r} (want 'best_fit')")
+        if self.capacity != "rated":
+            raise FleetSpecError(f"unknown capacity mode {self.capacity!r} (want 'rated')")
         if self.duration <= 0:
             raise FleetSpecError("duration must be positive")
         for pct in self.percentiles:
@@ -439,8 +428,8 @@ class FleetSpec:
             hosts=groups,
             workloads=templates,
             seed=int(data.get("seed", 0)),
-            policy=str(data.get("policy", "first_fit")),
-            capacity=str(data.get("capacity", "profiled")),
+            policy=str(data.get("policy", "best_fit")),
+            capacity=str(data.get("capacity", "rated")),
             duration=float(data.get("duration", 0.25)),
             percentiles=tuple(float(p) for p in data.get("percentiles", (50, 95, 99))),
             migration=None if migration is None else MigrationPlan.from_dict(migration),
@@ -482,12 +471,10 @@ def load_fleet_spec(path: Union[str, Path]) -> FleetSpec:
 
 
 __all__ = [
-    "CAPACITY_MODES",
     "FleetSpec",
     "FleetSpecError",
     "HostGroup",
     "MigrationPlan",
-    "PLACEMENT_POLICIES",
     "WorkloadTemplate",
     "load_fleet_spec",
     "task_from_config",

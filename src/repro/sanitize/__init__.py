@@ -81,9 +81,6 @@ class Sanitizer:
     def __init__(self) -> None:
         self.enabled = False
         self.checks: Dict[str, int] = {name: 0 for name in self.CHECKS}
-        # Cost-conservation ledger, keyed by controller identity.
-        self._incurred: Dict[int, float] = {}
-        self._charged: Dict[int, float] = {}
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -96,11 +93,9 @@ class Sanitizer:
         return self
 
     def reset(self) -> "Sanitizer":
-        """Clear every ledger and counter (does not change ``enabled``)."""
+        """Clear every check counter (does not change ``enabled``)."""
         for name in self.CHECKS:
             self.checks[name] = 0
-        self._incurred.clear()
-        self._charged.clear()
         return self
 
     def __enter__(self) -> "Sanitizer":
@@ -196,20 +191,14 @@ class Sanitizer:
 
     # -- iocost: cost conservation + debt monotonicity ------------------------
 
-    def note_incurred(self, controller: int, cost: float) -> None:
-        """A bio was priced at enqueue: ``cost`` entered the system."""
-        self._incurred[controller] = self._incurred.get(controller, 0.0) + cost
-
-    def note_charged(self, controller: int, cost: float) -> None:
-        """``cost`` was charged to some group's ``abs_usage``."""
-        self._charged[controller] = self._charged.get(controller, 0.0) + cost
-
-    def check_conservation(self, controller: int, pending: float, dev: str) -> None:
+    def check_conservation(
+        self, incurred: float, charged: float, pending: float, dev: str
+    ) -> None:
         """Per-period: incurred == charged + still-queued (nothing vanishes,
-        nothing is charged twice)."""
+        nothing is charged twice).  The controller keeps the two sums: the
+        cost priced at enqueue and the cost charged to some group's
+        ``abs_usage``, each since the sanitizer came on."""
         self.checks["cost_conservation"] += 1
-        incurred = self._incurred.get(controller, 0.0)
-        charged = self._charged.get(controller, 0.0)
         slack = _REL_TOL * max(1.0, incurred)
         if abs(incurred - (charged + pending)) > slack:
             raise SanitizeError(

@@ -4,14 +4,7 @@
 :mod:`repro.sanitize`) runs every test with the runtime invariant
 checkers on — the sanitizer build of the suite, which is how the CI
 sanitize job runs tier-1.
-
-While sanitizing, each test starts from fresh ledgers: the sanitizer
-keys its cost ledgers by ``id(controller)``, and CPython reuses
-ids of collected objects, so stale entries from a previous test could
-otherwise alias a new controller.
 """
-
-import pytest
 
 from repro.sanitize import SANITIZE
 
@@ -28,10 +21,3 @@ def pytest_addoption(parser):
 def pytest_configure(config):
     if config.getoption("--sanitize"):
         SANITIZE.enable()
-
-
-@pytest.fixture(autouse=True)
-def _sanitize_fresh_ledgers():
-    if SANITIZE.enabled:
-        SANITIZE.reset()
-    yield

@@ -39,3 +39,13 @@ def fail_once_then_ok(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     if CALLS[tag] == 1:
         raise ValueError(f"transient-{tag}")
     return {"recovered": True, "attempts_seen": CALLS[tag]}
+
+
+def die_on(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
+    """Kills its worker process outright when ``params["value"]`` equals
+    ``params["die"]`` (no exception, no verdict); else :func:`quick`."""
+    import os
+
+    if params.get("value") == params.get("die"):
+        os._exit(3)
+    return quick(params, seed)

@@ -91,6 +91,20 @@ class TestRun:
         assert code == 1
         assert "RuntimeError: boom-cli" in capsys.readouterr().err
 
+    def test_dead_worker_is_a_failed_run(self, tmp_path, store_dir, capsys):
+        path = tmp_path / "dying.json"
+        path.write_text(json.dumps({
+            "name": "dying",
+            "kind": "tests.exp.helpers.die_on",
+            "base": {"die": 2},
+            "grid": {"value": [1, 2, 3]},
+        }))
+        code = main(["run", str(path), "--out", str(store_dir), "--quiet",
+                     "--workers", "2"])
+        assert code == 1
+        failed = capsys.readouterr().err.splitlines()
+        assert "FAILED value=2: WorkerDied: worker exited without a verdict" in failed
+
     def test_bench_json_override(self, spec_path, store_dir, tmp_path):
         bench = tmp_path / "elsewhere" / "perf.json"
         main([

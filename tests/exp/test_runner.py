@@ -141,6 +141,26 @@ class TestFailures:
         assert report.failures == 1
         assert report.outcomes[0].error["type"] == "ExperimentError"
 
+    def test_dead_worker_is_a_structured_failure(self, tmp_path):
+        # The middle cell's worker exits without a verdict: the pool breaks,
+        # and the sweep still returns and commits every cell.
+        spec = ExperimentSpec(
+            name="s", kind="tests.exp.helpers.die_on",
+            base={"die": 2}, grid={"value": (1, 2, 3)},
+        )
+        store = ArtifactStore(tmp_path)
+        report = run_sweep(spec, store, workers=2)
+        dead = report.outcomes[1]
+        assert dead.status == "failed"
+        assert dead.error == {
+            "type": "WorkerDied", "message": "worker exited without a verdict",
+        }
+        for outcome in report.outcomes:
+            meta = store.read_json(outcome.run.run_hash)["meta"]
+            assert meta["status"] == outcome.status
+            # A run the broken pool did not finish died with it.
+            assert outcome.ok or outcome.error["type"] == "WorkerDied"
+
 
 class TestPoolDeterminism:
     def test_worker_pools_produce_byte_identical_results(self, tmp_path):

@@ -24,7 +24,7 @@ def fleet_doc(**overrides: Any) -> Dict[str, Any]:
     doc: Dict[str, Any] = {
         "name": "test-fleet",
         "seed": 5,
-        "policy": "first_fit",
+        "policy": "best_fit",
         "capacity": "rated",
         "duration": 0.05,
         "hosts": {

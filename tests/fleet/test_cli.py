@@ -1,11 +1,6 @@
 """The ``python -m repro.fleet`` front-end, exercised in-process."""
 
 import json
-import os
-import re
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -13,8 +8,6 @@ from repro.fleet.cli import main
 
 from tests.exp.test_cli import cli_stderr
 from tests.fleet.conftest import FLEETDEV, fleet_doc
-
-REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 @pytest.fixture
@@ -65,7 +58,7 @@ class TestRun:
         captured = capsys.readouterr()
         assert captured.out == ""
         failed = [line for line in captured.err.splitlines() if line.startswith("FAILED ")]
-        assert len(failed) == 1  # first_fit packs every instance onto web/0
+        assert len(failed) == 1  # best_fit packs every instance onto web/0
         assert failed[0].startswith("FAILED web/0: DeviceRegistryError: ")
         assert "scratch" in failed[0]
 
@@ -100,10 +93,15 @@ class TestRun:
         with pytest.raises(SystemExit, match=f"^repro.fleet: {message}$"):
             main([command, str(path), "--out", str(store_dir), *flags])
 
-    def test_policy_pass_flag(self, spec_path, store_dir):
-        code = main(["run", str(spec_path), "--out", str(store_dir),
-                     "--quiet", "--policy-pass", "balance"])
-        assert code == 0
+    def test_policy_pass_flag(self, spec_path, store_dir, capsys):
+        # There is one placement and no pass to apply after it: the flag
+        # is gone from every command that places, so it is a usage error.
+        for command in ("run", "status", "rollup"):
+            with pytest.raises(SystemExit) as exit_info:
+                main([command, str(spec_path), "--out", str(store_dir),
+                      "--policy-pass", "balance"])
+            assert exit_info.value.code == 2
+            assert "unrecognized arguments: --policy-pass balance" in capsys.readouterr().err
 
     def test_bad_spec_exits_with_message(self, tmp_path, store_dir):
         path = tmp_path / "bad.json"
@@ -167,62 +165,6 @@ class TestStatusAndRollup:
         recomputed = json.loads(out_file.read_text())
         stored = json.loads((store_dir / "fleet_rollup.json").read_text())
         assert recomputed == stored
-
-
-class TestPolicyPassEverywhere:
-    """`status` and `rollup` must plan like the `run` that filled the store."""
-
-    @pytest.fixture
-    def balanced_store(self, tmp_path, store_dir):
-        # The tests/fleet/test_runner.py::TestPolicyPasses document: balance
-        # moves placements, hence host content hashes.
-        doc = fleet_doc(
-            hosts={"web": {"count": 3, "device": "ssd_new",
-                           "device_scale": 0.05, "capacity_iops": 1000}},
-            workloads=[{"name": "u", "count": 4, "cgroup": "workload.slice/u",
-                        "weight": 100, "type": "paced", "rate": 200}],
-        )
-        path = tmp_path / "balanced.json"
-        path.write_text(json.dumps(doc))
-        assert main(["run", str(path), "--out", str(store_dir), "--quiet",
-                     "--policy-pass", "balance"]) == 0
-        return path
-
-    def test_status_sees_the_balanced_hosts(self, balanced_store, store_dir, capsys):
-        assert main(["status", str(balanced_store), "--out", str(store_dir),
-                     "--policy-pass", "balance"]) == 0
-        assert "3/3 hosts cached" in capsys.readouterr().out
-
-    def test_rollup_recomputes_the_balanced_rollup(self, balanced_store, store_dir, tmp_path):
-        out_file = tmp_path / "recomputed.json"
-        assert main(["rollup", str(balanced_store), "--out", str(store_dir),
-                     "--policy-pass", "balance", "--output", str(out_file)]) == 0
-        assert out_file.read_bytes() == (store_dir / "fleet_rollup.json").read_bytes()
-
-
-class TestNestedKindThroughExpCli:
-    def test_documented_spelling_resolves(self, tmp_path, store_dir):
-        # The kind name is read out of docs/FLEET.md and run by a fresh
-        # `python -m repro.exp` — nothing has imported repro.fleet there —
-        # so the docs cannot advertise a spelling the CLI cannot resolve.
-        docs = (REPO_ROOT / "docs" / "FLEET.md").read_text()
-        kind = re.search(r'nestable kind.*?`kind = "([\w.]+)"`', docs, re.S).group(1)
-        path = tmp_path / "nested.json"
-        path.write_text(json.dumps({
-            "name": "nested-fleet",
-            "kind": kind,
-            "base": {"fleet": fleet_doc()},
-            "grid": {"seed": [1, 2]},
-        }))
-        result = subprocess.run(
-            [sys.executable, "-m", "repro.exp", "run", str(path),
-             "--out", str(store_dir), "--quiet"],
-            env={**os.environ, "PYTHONPATH": os.pathsep.join(
-                [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
-            )},
-            capture_output=True, text=True, timeout=120,
-        )
-        assert result.returncode == 0, result.stderr
 
 
 class TestMigrate:

@@ -1,18 +1,16 @@
-"""The fleet experiment kinds: host cells, duration cells, the nested kind."""
+"""The fleet experiment kinds: host cells and duration cells."""
 
 import pytest
 
-from repro.exp.experiments import ExperimentError, resolve, run_testbed
+from repro.exp.experiments import ExperimentError, run_testbed
 from repro.exp.spec import canonical_json
 from repro.fleet.experiments import (
     HIST_RESOLUTION,
     run_fleet_host,
     run_fleet_task_durations,
 )
-from repro.fleet.runner import run_fleet_sweep
-from repro.fleet.spec import FleetSpec
 
-from tests.fleet.conftest import FLEETDEV, fleet_doc
+from tests.fleet.conftest import FLEETDEV
 
 
 def host_cell(**overrides):
@@ -109,19 +107,3 @@ class TestDurationKind:
         assert 8 <= result["workload_depth"] < 64
         assert 0 < result["duration_sec"] <= result["deadline"]
 
-
-NESTED_KIND = "repro.fleet.experiments.run_fleet"
-
-
-class TestNestedFleetKind:
-    def test_matches_pooled_rollup_bytes(self, tmp_path):
-        doc = fleet_doc(name="parity", seed=21)
-        inline = resolve(NESTED_KIND)({"fleet": doc}, seed=21)
-        pooled = run_fleet_sweep(FleetSpec.from_dict(doc), tmp_path, workers=2)
-        assert inline["fleet_hash"] == pooled.fleet_hash
-        assert canonical_json(inline["plan"]) == canonical_json(pooled.plan)
-        assert canonical_json(inline["rollup"]) == canonical_json(pooled.rollup)
-
-    def test_needs_fleet_document(self):
-        with pytest.raises(ExperimentError, match="fleet"):
-            resolve(NESTED_KIND)({}, seed=0)

@@ -24,7 +24,7 @@ def make_plan(host_values, workload="w", cgroup="workload.slice/w"):
     return {
         "fleet": "rollup-test",
         "fleet_hash": "feedc0de00000000",
-        "policy": "first_fit",
+        "policy": "best_fit",
         "capacity": "rated",
         "hosts": {
             host_id: {

@@ -1,4 +1,4 @@
-"""Scheduler semantics: packing policies, determinism, rebalancing, rollout.
+"""Scheduler semantics: best-fit packing, determinism, the staged rollout.
 
 The determinism contract under test: placements and migration order are
 functions of the spec *content* (label-keyed streams, ordinal tie-breaks),
@@ -22,7 +22,7 @@ def scheduled(doc):
 
 
 def capacity_doc(**overrides):
-    """A doc with explicit capacities: no profiling, exact arithmetic."""
+    """A doc with explicit capacities: exact arithmetic."""
     doc = fleet_doc(
         hosts={
             "web": {
@@ -55,19 +55,12 @@ class TestCapacities:
         assert group_capacities(spec) == {"web": 1000.0}
 
     def test_rated_uses_spec_peak(self):
-        spec = FleetSpec.from_dict(fleet_doc(capacity="rated"))
+        spec = FleetSpec.from_dict(fleet_doc())
         device = spec.hosts[0]
         from repro.exp.experiments import device_spec_for
 
         peak = device_spec_for(device.device, device.device_scale).peak_rand_read_iops
         assert group_capacities(spec)["web"] == pytest.approx(peak)
-
-    def test_profiled_is_deterministic(self):
-        spec = FleetSpec.from_dict(fleet_doc(capacity="profiled"))
-        first = group_capacities(spec, read_duration=0.02, write_duration=0.02)
-        second = group_capacities(spec, read_duration=0.02, write_duration=0.02)
-        assert first == second
-        assert first["web"] > 0
 
     def test_missing_group_capacity_raises(self):
         spec = FleetSpec.from_dict(capacity_doc())
@@ -76,14 +69,8 @@ class TestCapacities:
 
 
 class TestPlacementPolicies:
-    def test_first_fit_packs_low_ordinals(self):
-        sched = scheduled(capacity_doc(workloads=[workload("a", 4, 300)]))
-        loads = [host.load_iops for host in sched.hosts]
-        assert loads == [900.0, 300.0, 0.0]
-
     def test_best_fit_packs_tightest(self):
         doc = capacity_doc(
-            policy="best_fit",
             workloads=[workload("big", 1, 700), workload("small", 2, 300)],
         )
         sched = scheduled(doc)
@@ -91,14 +78,6 @@ class TestPlacementPolicies:
         # fit; small#1 no longer fits web/0, ties break by ordinal -> web/1.
         loads = [host.load_iops for host in sched.hosts]
         assert loads == [1000.0, 300.0, 0.0]
-
-    def test_spread_is_deterministic_and_fits(self):
-        doc = capacity_doc(policy="spread", workloads=[workload("a", 5, 200)])
-        first = scheduled(doc).plan()
-        second = scheduled(doc).plan()
-        assert canonical_json(first) == canonical_json(second)
-        for entry in first["hosts"].values():
-            assert entry["load_iops"] <= entry["capacity_iops"]
 
     def test_oversubscription_flagged_not_fatal(self):
         doc = capacity_doc(workloads=[workload("huge", 1, 2500)])
@@ -183,47 +162,3 @@ class TestStagedRollout:
         migrated_late = {h for h, c in late.items() if c == "new"}
         assert migrated_early <= migrated_late
 
-
-class TestRebalancing:
-    def test_consolidate_drains_low_util_host(self):
-        doc = capacity_doc(
-            hosts={"web": {"count": 2, "device": "ssd_new",
-                           "device_scale": 0.05, "capacity_iops": 1000}},
-            workloads=[workload("main", 1, 950), workload("tiny", 2, 100)],
-        )
-        sched = scheduled(doc)
-        # first_fit: main fills web/0; the tinies spill to web/1 (util 0.2).
-        assert [h.load_iops for h in sched.hosts] == [950.0, 200.0]
-        moves = sched.consolidate(low_util=0.4, target_util=1.2)
-        assert len(moves) == 2
-        assert all(m.reason == "consolidate" for m in moves)
-        assert [h.load_iops for h in sched.hosts] == [1150.0, 0.0]
-        assert len(sched.plan()["migrations"]) == 2
-
-    def test_consolidate_rolls_back_partial_drains(self):
-        doc = capacity_doc(
-            hosts={"web": {"count": 2, "device": "ssd_new",
-                           "device_scale": 0.05, "capacity_iops": 1000}},
-            workloads=[workload("main", 1, 950), workload("tiny", 1, 100),
-                       workload("mid", 1, 300)],
-        )
-        sched = scheduled(doc)
-        assert [h.load_iops for h in sched.hosts] == [950.0, 400.0]
-        # tiny would fit under 1.06 target, but mid would not: all-or-nothing
-        # means web/1 must keep both placements.
-        moves = sched.consolidate(low_util=0.5, target_util=1.06)
-        assert moves == []
-        assert [h.load_iops for h in sched.hosts] == [950.0, 400.0]
-
-    def test_balance_narrows_spread(self):
-        doc = capacity_doc(
-            hosts={"web": {"count": 2, "device": "ssd_new",
-                           "device_scale": 0.05, "capacity_iops": 1000}},
-            workloads=[workload("u", 4, 200)],
-        )
-        sched = scheduled(doc)
-        assert [h.load_iops for h in sched.hosts] == [800.0, 0.0]
-        moves = sched.balance(tolerance=0.1)
-        assert len(moves) == 2
-        assert all(m.reason == "balance" for m in moves)
-        assert [h.load_iops for h in sched.hosts] == [400.0, 400.0]

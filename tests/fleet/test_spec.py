@@ -114,6 +114,23 @@ class TestValidation:
         with pytest.raises(FleetSpecError, match="capacity"):
             FleetSpec.from_dict(fleet_doc(capacity="vibes"))
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("policy", "first_fit", "unknown policy 'first_fit' (want 'best_fit')"),
+        ("policy", "spread", "unknown policy 'spread' (want 'best_fit')"),
+        ("capacity", "profiled", "unknown capacity mode 'profiled' (want 'rated')"),
+    ])
+    def test_removed_choices_are_one_line_errors(self, key, value, message):
+        with pytest.raises(FleetSpecError) as info:
+            FleetSpec.from_dict(fleet_doc(**{key: value}))
+        assert str(info.value) == message
+
+    def test_policy_and_capacity_default_to_their_one_value(self):
+        doc = fleet_doc()
+        del doc["policy"], doc["capacity"]
+        spec = FleetSpec.from_dict(doc)
+        assert (spec.policy, spec.capacity) == ("best_fit", "rated")
+        assert spec.fleet_hash == FleetSpec.from_dict(fleet_doc()).fleet_hash
+
     def test_duplicate_workload_names(self):
         wl = fleet_doc()["workloads"][0]
         with pytest.raises(FleetSpecError, match="duplicate workload"):

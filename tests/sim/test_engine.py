@@ -394,7 +394,7 @@ class TestInstrumentedRun:
 
     def test_instrumentation_does_not_change_a_tiled_run(self):
         def tiled_run(instrumented):
-            SANITIZE.reset()  # ledgers are keyed by id(); ids get reused
+            SANITIZE.reset()
             PROF.enabled = SANITIZE.enabled = instrumented
             bed = Testbed(device="ssd_new", controller="iocost", seed=3)
             high = bed.add_cgroup("high", weight=200)
