@@ -60,7 +60,6 @@ class BlockLayer:
         controller: IOController,
         io_timeout: Optional[float] = None,
         max_retries: int = 3,
-        retry_backoff: Optional[float] = None,
     ) -> None:
         if io_timeout is not None and io_timeout <= 0:
             raise BlockLayerError("io_timeout must be positive (or None)")
@@ -86,7 +85,6 @@ class BlockLayer:
         controller.attach(self)
 
         self.max_retries = max_retries
-        self.retry_backoff = retry_backoff if retry_backoff is not None else self.RETRY_BACKOFF
         #: Armed timeout timers by bio id (io_timeout runs only).
         self._timeouts: Dict[int, Event] = {}
         #: Backed-off retries whose slot was not free when the backoff
@@ -311,7 +309,7 @@ class BlockLayer:
         bio.retries += 1
         self.requeued_ios += 1
         bio.blkg.requeues += 1
-        backoff = self.retry_backoff * (2 ** (bio.retries - 1))
+        backoff = self.RETRY_BACKOFF * (2 ** (bio.retries - 1))
         if self._tp_requeue.enabled:
             self._tp_requeue.emit(
                 self.sim.now,

@@ -5,9 +5,7 @@ here lazily (module ``__getattr__``) to keep the package import graph
 acyclic — ``repro.core`` imports controller base classes from this package.
 """
 
-from typing import Dict, List, Type
-
-from repro.controllers.base import Features, IOController
+from repro.controllers.base import IOController
 from repro.controllers.noop import NoopController
 from repro.controllers.mq_deadline import MQDeadlineController
 from repro.controllers.kyber import KyberController
@@ -19,8 +17,6 @@ from repro.controllers.stacked import StackedController
 __all__ = [
     "BFQController",
     "BlkThrottleController",
-    "CONTROLLER_CLASSES",
-    "Features",
     "IOController",
     "IOCost",
     "IOLatencyController",
@@ -28,22 +24,8 @@ __all__ = [
     "MQDeadlineController",
     "NoopController",
     "StackedController",
-    "TABLE1_CONTROLLERS",
     "ThrottleLimits",
 ]
-
-
-def _table1() -> List[Type[IOController]]:
-    from repro.core.controller import IOCost
-
-    return [
-        KyberController,
-        MQDeadlineController,
-        BlkThrottleController,
-        BFQController,
-        IOLatencyController,
-        IOCost,
-    ]
 
 
 def __getattr__(name: str):
@@ -51,8 +33,4 @@ def __getattr__(name: str):
         from repro.core.controller import IOCost
 
         return IOCost
-    if name == "TABLE1_CONTROLLERS":
-        return _table1()
-    if name == "CONTROLLER_CLASSES":
-        return {cls.name: cls for cls in [NoopController, *_table1()]}
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

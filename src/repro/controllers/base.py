@@ -1,4 +1,4 @@
-"""IO controller interface and Table 1 capability metadata.
+"""IO controller interface.
 
 A controller sits between bio submission and device dispatch (the
 "controller / scheduler" box of the paper's Figure 2).  The contract is an
@@ -10,9 +10,13 @@ elevator model:
   free slots allow (``layer.inflight < layer.nr_slots``); after enqueues.
 * :meth:`IOController.on_complete` — a bio finished; ends with its pump.
 
-A cgroup-aware controller keeps its per-group state on the record every bio
-carries (``bio.blkg.pd``), never in a map keyed by cgroup path; docs/API.md
-("The record is the blkg") has the four-line contract.
+Of the paper's Table 1, a controller declares the two columns the
+simulation reads, as class flags: ``mm_aware`` (``repro.mm`` charges swap-out
+writes to the pages' owner, not to root) and ``cgroup_aware`` (a stack's
+scheduler must not be).  A cgroup-aware controller keeps its per-group state
+on the record every bio carries (``bio.blkg.pd``), never in a map keyed by
+cgroup path; docs/API.md ("The record is the blkg") has the four-line
+contract.
 
 ``issue_overhead`` models the serialized per-IO CPU cost of the mechanism's
 issue path — the quantity Figure 9 measures.  The block layer charges it on
@@ -26,7 +30,6 @@ relative overheads of Figure 9, not absolute kernel numbers.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, ClassVar, Dict, List
 
 from repro.obs.trace import TRACE
@@ -37,30 +40,12 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.cgroup import Cgroup
 
 
-@dataclass(frozen=True)
-class Features:
-    """The capability flags of the paper's Table 1.
-
-    Values are "yes", "no", or "partial" (the paper's ✓ / ✗ / ~).
-    """
-
-    low_overhead: str
-    work_conserving: str
-    memory_management_aware: str
-    proportional_fairness: str
-    cgroup_control: str
-
-    def __post_init__(self) -> None:
-        for field_name, value in self.__dict__.items():
-            if value not in ("yes", "no", "partial"):
-                raise ValueError(f"{field_name} must be yes/no/partial, got {value!r}")
-
-
 class IOController(abc.ABC):
     """Base class for every IO control mechanism."""
 
     name: ClassVar[str] = "abstract"
-    features: ClassVar[Features]
+    mm_aware: ClassVar[bool] = False
+    cgroup_aware: ClassVar[bool] = False
     #: Serialized CPU seconds consumed per IO on the issue path (Fig 9 model).
     issue_overhead: float = 0.0
 

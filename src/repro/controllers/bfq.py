@@ -26,7 +26,7 @@ from typing import Deque, Optional
 
 from repro.block.bio import Bio, SECTOR_SIZE
 from repro.cgroup import Cgroup, IOStats
-from repro.controllers.base import Features, IOController
+from repro.controllers.base import IOController
 
 
 class _BfqQueue:
@@ -54,13 +54,7 @@ class BFQController(IOController):
     """Weighted round-robin of exclusive, sector-budgeted service slices."""
 
     name = "bfq"
-    features = Features(
-        low_overhead="no",
-        work_conserving="yes",
-        memory_management_aware="no",
-        proportional_fairness="yes",
-        cgroup_control="yes",
-    )
+    cgroup_aware = True
     #: Fig 9: "severe software overheads ... despite significant tuning".
     issue_overhead = 8e-6
 

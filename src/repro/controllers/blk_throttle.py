@@ -16,7 +16,7 @@ from typing import Deque, Dict, Optional
 
 from repro.block.bio import Bio
 from repro.cgroup import Cgroup, IOStats
-from repro.controllers.base import Features, IOController
+from repro.controllers.base import IOController
 
 
 @dataclass(frozen=True)
@@ -96,13 +96,7 @@ class BlkThrottleController(IOController):
     """Upper-limit throttling via token buckets."""
 
     name = "blk-throttle"
-    features = Features(
-        low_overhead="partial",
-        work_conserving="no",
-        memory_management_aware="no",
-        proportional_fairness="no",
-        cgroup_control="yes",
-    )
+    cgroup_aware = True
     issue_overhead = 1.1e-6
 
     def __init__(self, limits: Optional[Dict[str, ThrottleLimits]] = None) -> None:

@@ -19,7 +19,7 @@ from typing import Deque, Dict, Optional
 
 from repro.block.bio import Bio
 from repro.cgroup import Cgroup, IOStats
-from repro.controllers.base import Features, IOController
+from repro.controllers.base import IOController
 
 
 class _LatGroup:
@@ -40,13 +40,7 @@ class IOLatencyController(IOController):
     """Latency-target controller with queue-depth scaling."""
 
     name = "iolatency"
-    features = Features(
-        low_overhead="yes",
-        work_conserving="partial",
-        memory_management_aware="yes",
-        proportional_fairness="no",
-        cgroup_control="yes",
-    )
+    mm_aware = cgroup_aware = True
     issue_overhead = 0.8e-6
 
     ADJUST_INTERVAL = 0.05

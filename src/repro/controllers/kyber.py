@@ -12,20 +12,13 @@ from collections import deque
 from typing import Deque
 
 from repro.block.bio import Bio
-from repro.controllers.base import Features, IOController
+from repro.controllers.base import IOController
 
 
 class KyberController(IOController):
     """Per-domain depth-throttling scheduler."""
 
     name = "kyber"
-    features = Features(
-        low_overhead="yes",
-        work_conserving="yes",
-        memory_management_aware="no",
-        proportional_fairness="no",
-        cgroup_control="no",
-    )
     issue_overhead = 0.05e-6
 
     READ_TARGET = 2e-3

@@ -14,20 +14,13 @@ from typing import Deque
 
 from repro.block.bio import Bio
 from repro.block.layer import BlockLayerError
-from repro.controllers.base import Features, IOController
+from repro.controllers.base import IOController
 
 
 class MQDeadlineController(IOController):
     """Deadline-based global IO scheduler."""
 
     name = "mq-deadline"
-    features = Features(
-        low_overhead="yes",
-        work_conserving="yes",
-        memory_management_aware="no",
-        proportional_fairness="no",
-        cgroup_control="no",
-    )
     #: Fig 9 shows moderate overhead for mq-deadline (sorting + deadline
     #: bookkeeping under a queue lock).
     issue_overhead = 1.6e-6

@@ -11,20 +11,13 @@ from collections import deque
 from typing import Deque
 
 from repro.block.bio import Bio
-from repro.controllers.base import Features, IOController
+from repro.controllers.base import IOController
 
 
 class NoopController(IOController):
     """Pass-through dispatch (the paper's *none* column)."""
 
     name = "none"
-    features = Features(
-        low_overhead="yes",
-        work_conserving="yes",
-        memory_management_aware="no",
-        proportional_fairness="no",
-        cgroup_control="no",
-    )
     issue_overhead = 0.0
 
     def __init__(self) -> None:

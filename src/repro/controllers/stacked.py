@@ -15,12 +15,11 @@ carries (``bio.blkg``); its one ``pd`` slot is the gate's.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import TYPE_CHECKING
 
 from repro.block.bio import Bio
 from repro.cgroup import Cgroup
-from repro.controllers.base import Features, IOController
+from repro.controllers.base import IOController
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.block.layer import BlockLayer
@@ -57,15 +56,13 @@ class StackedController(IOController):
 
     def __init__(self, gate: IOController, scheduler: IOController):
         super().__init__()
-        if scheduler.features.cgroup_control != "no":  # would fight over blkg.pd
+        if scheduler.cgroup_aware:  # would fight over blkg.pd
             raise ValueError(f"{scheduler.name}: a stack's scheduler must not be cgroup-aware")
         self.gate = gate
         self.scheduler = scheduler
-        # The stack has the gate's control properties; overhead compounds
-        # (the worse of the two low-overhead ratings wins).
-        rank = ("yes", "partial", "no").index
-        worst = max(gate.features.low_overhead, scheduler.features.low_overhead, key=rank)
-        self.features = replace(gate.features, low_overhead=worst)
+        # The stack has the gate's control properties; overhead compounds.
+        self.mm_aware = gate.mm_aware
+        self.cgroup_aware = gate.cgroup_aware
         self.issue_overhead = gate.issue_overhead + scheduler.issue_overhead
 
     def attach(self, layer: "BlockLayer") -> None:

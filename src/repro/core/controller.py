@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Deque, Optional
 
 from repro.block.bio import Bio, BioFlags, BioStatus
 from repro.cgroup import Cgroup
-from repro.controllers.base import Features, IOController
+from repro.controllers.base import IOController
 from repro.core.cost_model import CostModel
 from repro.core.debt import DebtTracker, SwapChargeMode
 from repro.core.donation import compute_donations
@@ -57,13 +57,7 @@ class IOCost(IOController):
     """Work-conserving, low-overhead, proportional IO controller."""
 
     name = "iocost"
-    features = Features(
-        low_overhead="yes",
-        work_conserving="yes",
-        memory_management_aware="yes",
-        proportional_fairness="yes",
-        cgroup_control="yes",
-    )
+    mm_aware = cgroup_aware = True
     #: Modeled serialized CPU cost of the issue fast path (Fig 9): a few
     #: arithmetic ops and a cached hweight lookup.
     issue_overhead = 0.6e-6

@@ -17,8 +17,9 @@ IOPS, translated internally via Equations (2)–(3):
     size_cost_rate = 1 / Bps
     base_cost      = 1 / IOPS_4k  -  size_cost_rate * 4096
 
-Arbitrary models (the kernel's eBPF escape hatch) plug in through the
-:class:`CostModel` protocol — anything with a ``cost(bio) -> float``.
+The kernel's eBPF escape hatch is the :class:`CostModel` protocol itself:
+any object with a ``cost(bio) -> float`` (seconds) plugs into
+:class:`~repro.core.controller.IOCost`, which only ever calls ``cost(bio)``.
 """
 
 from __future__ import annotations

@@ -346,8 +346,7 @@ class MemoryManager:
         in the reclaim context — the root cgroup (kswapd) — which is
         precisely their isolation failure.
         """
-        features = getattr(self.swap_layer.controller, "features", None)
-        if features is not None and features.memory_management_aware == "yes":
+        if self.swap_layer.controller.mm_aware:
             return owner
         root = owner
         while root.parent is not None:

@@ -28,7 +28,7 @@ device never perturbs the streams of existing ones.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Type, Union
 
 import numpy as np
 
@@ -64,6 +64,21 @@ GB = 1024 ** 3
 DEFAULT_DEVICE_NAME = "vda"
 
 
+#: The controller roster: every mechanism by name, none first.
+CONTROLLERS: Dict[str, Type[IOController]] = {
+    cls.name: cls
+    for cls in (
+        NoopController,
+        MQDeadlineController,
+        KyberController,
+        BlkThrottleController,
+        BFQController,
+        IOLatencyController,
+        IOCost,
+    )
+}
+
+
 def make_controller(
     name: str,
     spec: DeviceSpec,
@@ -78,20 +93,12 @@ def make_controller(
     :class:`IOCost` to :class:`Testbed` for any other model) and ``qos``
     defaults to :class:`~repro.core.qos.QoSParams`'s defaults.
     """
+    if name not in CONTROLLERS:
+        raise ValueError(f"unknown controller {name!r}")
     if name == "iocost":
         params = ModelParams.from_device_spec(spec)
         return IOCost(LinearCostModel(params), qos=qos or QoSParams(), **kwargs)
-    simple = {
-        "none": NoopController,
-        "mq-deadline": MQDeadlineController,
-        "kyber": KyberController,
-        "blk-throttle": BlkThrottleController,
-        "bfq": BFQController,
-        "iolatency": IOLatencyController,
-    }
-    if name not in simple:
-        raise ValueError(f"unknown controller {name!r}")
-    return simple[name](**kwargs)
+    return CONTROLLERS[name](**kwargs)
 
 
 class Testbed:

@@ -20,8 +20,7 @@ from typing import Optional, Sequence
 from repro.analysis.report import Table, format_ratio, format_si
 from repro.exp import ArtifactStore, ExperimentSpec, run_sweep
 from repro.exp.cli import add_device_args, device_or_exit, wall_clock
-
-MECHANISMS = ("none", "mq-deadline", "kyber", "blk-throttle", "bfq", "iolatency", "iocost")
+from repro.testbed import CONTROLLERS
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -59,7 +58,7 @@ def build_spec(args: argparse.Namespace) -> ExperimentSpec:
         name=f"compare-{args.device}",
         kind="mechanism_2to1",
         base=base,
-        grid={"mechanism": list(MECHANISMS)},
+        grid={"mechanism": list(CONTROLLERS)},
         seed=args.seed,
     )
 

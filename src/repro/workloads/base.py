@@ -27,20 +27,21 @@ class SectorPicker:
     consumers — pre-drawing would reorder the stream interleaving.
     """
 
+    #: Sectors are drawn from ``[0, SPAN_SECTORS)`` (1 TiB).
+    SPAN_SECTORS = 1 << 31
+
     def __init__(
         self,
         rng: np.random.Generator,
         sequential: bool,
-        span_sectors: int = 1 << 31,
         chunk: int = 1,
     ):
         if chunk < 1:
             raise ValueError("chunk must be >= 1")
         self.rng = rng
         self.sequential = sequential
-        self.span = span_sectors
         self.chunk = chunk
-        self._next = int(rng.integers(0, span_sectors // 2)) // 8 * 8
+        self._next = int(rng.integers(0, self.SPAN_SECTORS // 2)) // 8 * 8
         self._buf: List[int] = []
         self._i = 0
 
@@ -50,10 +51,10 @@ class SectorPicker:
             self._next += (nbytes + 511) // 512
             return sector
         if self.chunk == 1:
-            return int(self.rng.integers(1, self.span // 8)) * 8
+            return int(self.rng.integers(1, self.SPAN_SECTORS // 8)) * 8
         i = self._i
         if i == len(self._buf):
-            self._buf = (self.rng.integers(1, self.span // 8, size=self.chunk) * 8).tolist()
+            self._buf = (self.rng.integers(1, self.SPAN_SECTORS // 8, size=self.chunk) * 8).tolist()
             i = 0
         self._i = i + 1
         return self._buf[i]

@@ -21,7 +21,7 @@ SRV = 100e-6
 
 
 def make_env(faults=None, io_timeout=None, max_retries=3, nr_slots=64,
-             parallelism=2, retry_backoff=None):
+             parallelism=2):
     sim = Simulator()
     spec = DeviceSpec(
         name="dev",
@@ -39,7 +39,6 @@ def make_env(faults=None, io_timeout=None, max_retries=3, nr_slots=64,
     layer = BlockLayer(
         sim, device, NoopController(),
         io_timeout=io_timeout, max_retries=max_retries,
-        retry_backoff=retry_backoff,
     )
     tree = CgroupTree()
     return sim, layer, tree
@@ -64,7 +63,7 @@ class TestRetry:
         # The burst covers only the first attempt; the backed-off retry
         # lands outside it and succeeds.
         plan = FaultPlan([ErrorBurst(start=0.0, duration=0.5e-3)], seed=0)
-        sim, layer, tree = make_env(faults=plan, retry_backoff=1e-3)
+        sim, layer, tree = make_env(faults=plan)
         group = tree.create("ws")
         done = []
         layer.submit(read_bio(group), on_done=done.append)
@@ -80,7 +79,7 @@ class TestRetry:
 
     def test_backoff_doubles_per_retry(self):
         plan = FaultPlan([ErrorBurst(start=0.0, duration=1.0)], seed=0)
-        sim, layer, tree = make_env(faults=plan, max_retries=2, retry_backoff=1e-3)
+        sim, layer, tree = make_env(faults=plan, max_retries=2)
         group = tree.create("ws")
         done = []
         layer.submit(read_bio(group), on_done=done.append)
@@ -137,7 +136,7 @@ class TestTimeout:
     def test_timeout_retries_then_terminal(self):
         plan = FaultPlan([Hang(start=0.0)])
         sim, layer, tree = make_env(
-            faults=plan, io_timeout=0.01, max_retries=1, retry_backoff=1e-3
+            faults=plan, io_timeout=0.01, max_retries=1
         )
         group = tree.create("ws")
         done = []

@@ -1,28 +1,15 @@
-"""Table 1 capability metadata checks for every mechanism."""
+"""The controller roster, and the two Table 1 columns the simulation reads."""
 
 import pytest
 
-from repro.controllers import CONTROLLER_CLASSES, TABLE1_CONTROLLERS
-from repro.controllers.base import Features
+from repro.testbed import CONTROLLERS
 
 
 def test_registry_contains_all_mechanisms():
-    assert set(CONTROLLER_CLASSES) == {
+    assert list(CONTROLLERS) == [
         "none",
-        "kyber",
         "mq-deadline",
-        "blk-throttle",
-        "bfq",
-        "iolatency",
-        "iocost",
-    }
-
-
-def test_table1_roster_matches_paper_rows():
-    names = [cls.name for cls in TABLE1_CONTROLLERS]
-    assert names == [
         "kyber",
-        "mq-deadline",
         "blk-throttle",
         "bfq",
         "iolatency",
@@ -30,7 +17,8 @@ def test_table1_roster_matches_paper_rows():
     ]
 
 
-# The paper's Table 1, row by row (✓ = yes, ✗ = no, ~ = partial).
+# The paper's Table 1, row by row (✓ = yes, ✗ = no, ~ = partial): low
+# overhead, work conserving, MM-aware, proportional, cgroup control.
 PAPER_TABLE1 = {
     "kyber": ("yes", "yes", "no", "no", "no"),
     "mq-deadline": ("yes", "yes", "no", "no", "no"),
@@ -41,45 +29,21 @@ PAPER_TABLE1 = {
 }
 
 
+def test_table1_roster_matches_paper_rows():
+    assert set(PAPER_TABLE1) == set(CONTROLLERS) - {"none"}
+
+
 @pytest.mark.parametrize("name,expected", PAPER_TABLE1.items())
 def test_feature_flags_match_paper(name, expected):
-    features = CONTROLLER_CLASSES[name].features
-    assert (
-        features.low_overhead,
-        features.work_conserving,
-        features.memory_management_aware,
-        features.proportional_fairness,
-        features.cgroup_control,
-    ) == expected
-
-
-def test_only_iocost_has_every_feature():
-    full = [
-        name
-        for name, cls in CONTROLLER_CLASSES.items()
-        if name != "none"
-        and all(
-            value == "yes"
-            for value in (
-                cls.features.low_overhead,
-                cls.features.work_conserving,
-                cls.features.memory_management_aware,
-                cls.features.proportional_fairness,
-                cls.features.cgroup_control,
-            )
-        )
-    ]
-    assert full == ["iocost"]
-
-
-def test_features_validate_values():
-    with pytest.raises(ValueError):
-        Features("yes", "yes", "yes", "yes", "maybe")
+    # MM-aware decides who pays for swap-out (repro.mm); cgroup control
+    # decides whether the mechanism may sit below a stack's gate.
+    cls = CONTROLLERS[name]
+    assert (cls.mm_aware, cls.cgroup_aware) == (expected[2] == "yes", expected[4] == "yes")
 
 
 def test_bfq_overhead_dominates():
     overheads = {
-        name: cls.issue_overhead for name, cls in CONTROLLER_CLASSES.items()
+        name: cls.issue_overhead for name, cls in CONTROLLERS.items()
     }
     assert overheads["bfq"] == max(overheads.values())
     assert overheads["none"] == 0.0

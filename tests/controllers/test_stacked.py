@@ -7,7 +7,6 @@ from repro.block.bio import Bio, BioFlags, IOOp
 from repro.block.device import Device, DeviceSpec
 from repro.block.layer import BlockLayer
 from repro.cgroup import CgroupTree
-from repro.controllers.bfq import BFQController
 from repro.controllers.mq_deadline import MQDeadlineController
 from repro.controllers.stacked import StackedController
 from repro.core.controller import IOCost
@@ -15,6 +14,7 @@ from repro.core.cost_model import LinearCostModel, ModelParams
 from repro.core.qos import QoSParams
 from repro.obs.iostat import IOStat
 from repro.sim import Simulator
+from repro.testbed import make_controller
 from repro.workloads.synthetic import ClosedLoopWorkload
 
 SPEC = DeviceSpec(
@@ -53,16 +53,22 @@ def test_features_combine():
         )
     )
     stacked = StackedController(gate, MQDeadlineController())
-    assert stacked.features.proportional_fairness == "yes"
-    assert stacked.features.memory_management_aware == "yes"
-    assert stacked.features.low_overhead == "yes"
+    # The stack is the gate's to the memory manager and to another stack.
+    assert stacked.mm_aware and stacked.cgroup_aware
     assert stacked.issue_overhead > gate.issue_overhead
 
 
-def test_cgroup_aware_scheduler_rejected():
+@pytest.mark.parametrize("name", ["blk-throttle", "bfq", "iolatency", "iocost"])
+def test_cgroup_aware_scheduler_rejected(name):
     # The record has one ``pd`` slot and it is the gate's.
     with pytest.raises(ValueError, match="cgroup-aware"):
-        StackedController(MQDeadlineController(), BFQController())
+        StackedController(MQDeadlineController(), make_controller(name, SPEC))
+
+
+@pytest.mark.parametrize("name", ["none", "mq-deadline", "kyber"])
+def test_classic_scheduler_accepted(name):
+    scheduler = make_controller(name, SPEC)
+    assert StackedController(MQDeadlineController(), scheduler).scheduler is scheduler
 
 
 def test_stack_preserves_proportionality():

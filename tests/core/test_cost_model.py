@@ -1,4 +1,5 @@
-"""Tests for the linear cost model, including the paper's Figure 6 numbers."""
+"""Tests for the linear cost model, including the paper's Figure 6 numbers,
+and for the protocol any other model plugs into IOCost through."""
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,10 @@ from hypothesis import strategies as st
 from repro.block.bio import Bio, IOOp
 from repro.block.device_models import SSD_NEW
 from repro.cgroup import CgroupTree
-from repro.core.cost_model import LinearCostModel, ModelParams
+from repro.core.controller import IOCost
+from repro.core.cost_model import CostModel, LinearCostModel, ModelParams
+from repro.core.qos import QoSParams
+from repro.testbed import Testbed
 
 # The exact configuration shown in Figure 6 of the paper.
 FIG6 = ModelParams(
@@ -127,3 +131,27 @@ class TestModelParams:
     def test_scaled_inverse_property(self, factor):
         scaled = FIG6.scaled(factor)
         assert scaled.r_size_rate == pytest.approx(FIG6.r_size_rate / factor)
+
+
+class SizeOnlyModel:
+    """No LinearCostModel: one rate for every IO class."""
+
+    def cost(self, bio):
+        return bio.nbytes * 5e-9
+
+
+def test_iocost_accepts_custom_model():
+    # The eBPF escape hatch is the CostModel protocol: IOCost prices every
+    # bio by calling the model it was given, whatever its class.
+    fixed = QoSParams(read_lat_target=None, write_lat_target=None,
+                      vrate_min=1.0, vrate_max=1.0, period=0.025)
+    bed = Testbed("ssd_new", IOCost(SizeOnlyModel(), qos=fixed))
+    group = bed.add_cgroup("workload.slice/w")
+    for index in range(10):
+        bed.layer.submit(Bio(IOOp.READ, 4096 * (index + 1), 8 * index, group))
+    bed.run(0.01)
+    bed.detach()
+    assert isinstance(SizeOnlyModel(), CostModel)
+    assert bed.layer.completed_ios == 10
+    usage = bed.controller.cost_stat(group)["cost.usage"]
+    assert usage == pytest.approx(55 * 4096 * 5e-9)

@@ -9,12 +9,14 @@ from repro.block.layer import BlockLayer
 from repro.cgroup import CgroupTree
 from repro.controllers.iolatency import IOLatencyController
 from repro.controllers.noop import NoopController
+from repro.controllers.stacked import StackedController
 from repro.core.controller import IOCost
 from repro.core.cost_model import LinearCostModel, ModelParams
 from repro.core.debt import SwapChargeMode
 from repro.core.qos import QoSParams
 from repro.mm.memory import MemoryManager, MemoryPressureError
 from repro.sim import Simulator
+from repro.testbed import make_controller
 
 MB = 1024 * 1024
 
@@ -124,6 +126,34 @@ class TestReclaim:
         assert leaker_out > 0
         assert leaker.stats.device(layer.dev).wbytes >= leaker_out
         assert tree.root.stats.device(layer.dev).wbytes == 0
+
+    @pytest.mark.parametrize("name,owner_pays", [
+        ("none", False),
+        ("mq-deadline", False),
+        ("kyber", False),
+        ("blk-throttle", False),
+        ("bfq", False),
+        ("iolatency", True),
+        ("iocost", True),
+        ("iocost+mq-deadline", True),  # a stack asks its gate
+        ("blk-throttle+mq-deadline", False),
+    ])
+    def test_swap_out_payer_under_every_controller(self, name, owner_pays):
+        gate, _, scheduler = name.partition("+")
+        controller = make_controller(gate, SPEC)
+        if scheduler:
+            controller = StackedController(controller, make_controller(scheduler, SPEC))
+        sim, layer, mm, tree = make_env(controller)
+        leaker = tree.create("leaker")
+        app = tree.create("app")
+        run_op(sim, mm.alloc(leaker, 60 * MB))
+        run_op(sim, mm.alloc(app, 10 * MB))
+        controller.detach()
+        leaker_out = mm.state_of(leaker).swapped_out_total
+        assert leaker_out > 0
+        payer, bystander = (leaker, tree.root) if owner_pays else (tree.root, leaker)
+        assert payer.stats.device(layer.dev).wbytes >= leaker_out
+        assert bystander.stats.device(layer.dev).wbytes == 0
 
     def test_allocator_waits_for_swap_io(self):
         sim, layer, mm, tree = make_env(total=64 * MB)

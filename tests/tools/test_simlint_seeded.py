@@ -40,8 +40,8 @@ SEEDED = [
     (
         "unit-suffix",
         "block/layer.py",
-        "backoff = self.retry_backoff * (2 ** (bio.retries - 1))",
-        "backoff_ms = self.retry_backoff * (2 ** (bio.retries - 1))",
+        "backoff = self.RETRY_BACKOFF * (2 ** (bio.retries - 1))",
+        "backoff_ms = self.RETRY_BACKOFF * (2 ** (bio.retries - 1))",
     ),
     (
         "trace-catalogue",
