@@ -1,44 +1,40 @@
 """The sweep runner: expand, consult the cache, execute, persist, report.
 
-Execution model: one **process per run** (fork-context
-``ProcessPoolExecutor``), because a simulated machine is CPU-bound pure
-Python — processes sidestep the GIL and give each run a pristine
-interpreter state.  Results come back to the parent in sweep order (one
-future per run, read in that order), and the parent alone writes the
-artifact store: one record per run (:mod:`repro.exp.store`).
+Execution model: a pool of up to ``workers`` long-lived worker processes
+(fork context), because a simulated machine is CPU-bound pure Python and
+processes sidestep the GIL.  Each worker reads payloads from its own
+``Pipe``; the parent waits on all the pipes, keeps verdicts in sweep
+order, and alone writes the artifact store: one record per run
+(:mod:`repro.exp.store`).  With ``workers=1`` and no deadline the cells
+run in-process instead, with no crash isolation: a cell that kills its
+process kills the sweep.
 
 Determinism contract: a run's RNG entropy derives from its content hash
-(:attr:`~repro.exp.grid.RunSpec.derived_seed`), never from scheduling, so
-a 2-worker and an 8-worker pool store byte-identical results.  Wall-clock
-never enters the runner directly — callers inject a ``clock`` callable (the
-CLI passes a real one; library users and tests may pass none and get
-zeros), keeping this module simlint-clean and the cached/live artifact
-bytes identical.
+(:attr:`~repro.exp.grid.RunSpec.derived_seed`), never from scheduling or
+from what its worker ran before, so in-process, 2-worker and 8-worker
+sweeps store byte-identical results.  Wall-clock never enters the runner
+directly — callers inject a ``clock`` callable (the CLI passes a real one;
+library users and tests may pass none and get zeros), keeping this module
+simlint-clean and the cached/live artifact bytes identical.
 
 Failures don't abort the sweep: each run is retried once (configurable)
 inside its worker, then recorded as a structured failure in its record's
 ``meta`` and the report; :class:`SweepReport` carries the per-sweep counts
 (runs completed, cache hits, failures, timeouts, wall seconds).  A worker
-that dies (an OOM kill, ``os._exit``) breaks the pool: its run, and every
-run the broken pool did not finish, is a ``WorkerDied`` failure, and the
-runs that did finish are committed as usual.
+that dies (an OOM kill, ``os._exit``) fails only its own run, as
+``WorkerDied``, and a fresh worker takes the next run.
 
-Timeouts: ``timeout_sec`` bounds each run's wall-clock.  The pool is then
-replaced by a hand-rolled process manager (one killable ``Process`` +
-``Pipe`` per run, up to ``workers`` concurrent) because a
-``ProcessPoolExecutor`` cannot kill a hung worker without tearing down
-the whole pool.  An expired run is terminated and recorded with status
-``"timeout"`` — a structured failure in ``meta`` like any other, but
-distinguishable so the cache can report ``timed-out-previously`` on the
-next sweep.  Deadlines are measured with the injected ``clock``, so a
-real (wall) clock is required whenever ``timeout_sec`` is set.
+Timeouts: ``timeout_sec`` is a per-run deadline on the parent's wait,
+measured with the injected ``clock`` (so it needs a real one).  A run
+past it has its worker terminated and is recorded with status
+``"timeout"`` — a structured failure like any other, but distinguishable
+so the cache can report ``timed-out-previously`` on the next sweep.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from math import inf
 from multiprocessing import get_context
 from multiprocessing.connection import wait as _connection_wait
 from pathlib import Path
@@ -209,21 +205,11 @@ _WORKER_DIED: _Verdict = (
 )
 
 
-def _verdict_of(future: Future[_Verdict]) -> _Verdict:
-    """A pool future's verdict.  A dead worker breaks the pool, and every
-    run not yet finished then fails with it."""
-    try:
-        return future.result()
-    except BrokenProcessPool:
-        return _WORKER_DIED
-
-
-def _worker_entry(payload: _Payload, conn: Any) -> None:
-    """Process target for the timeout manager: execute, ship the verdict."""
-    try:
-        conn.send(_execute(payload))
-    finally:
-        conn.close()
+def _serve(conn: Any) -> None:
+    """A pool worker's life: execute every payload the parent sends and
+    send its verdict back, until the parent terminates the worker."""
+    while True:
+        conn.send(_execute(conn.recv()))
 
 
 def _mp_context() -> Any:
@@ -235,82 +221,80 @@ def _mp_context() -> Any:
         return get_context()
 
 
-def _run_with_timeouts(
+def _stop(conn: Any, proc: Any) -> None:
+    proc.terminate()
+    proc.join()
+    conn.close()
+
+
+def _run_pool(
     payloads: List[_Payload],
     workers: int,
-    timeout_sec: float,
+    timeout_sec: Optional[float],
     clock: Clock,
 ) -> List[_Verdict]:
-    """Execute payloads in killable per-run processes with a wall deadline.
+    """Execute payloads on up to ``workers`` long-lived worker processes.
 
-    Keeps up to ``workers`` processes in flight; a run whose verdict has
-    not arrived within ``timeout_sec`` (by ``clock``) is terminated and
-    recorded with status ``"timeout"``.  Results come back indexed, so
+    Each worker reads payloads from its own ``Pipe``.  A worker that dies
+    without a verdict fails only its own run (``WorkerDied``); a run whose
+    verdict has not arrived within ``timeout_sec`` (by ``clock``) has its
+    worker terminated and is recorded with status ``"timeout"``.  Either
+    way the next run gets a fresh worker.  Verdicts come back indexed, so
     sweep order is preserved regardless of completion order.
     """
     ctx = _mp_context()
     verdicts: List[Optional[_Verdict]] = [None] * len(payloads)
-    #: reader-connection -> (payload index, process, absolute deadline).
-    active: Dict[Any, Tuple[int, Any, float]] = {}
+    idle: List[Tuple[Any, Any]] = []  # (parent's pipe end, process)
+    #: parent's pipe end -> (process, payload index, absolute deadline).
+    busy: Dict[Any, Tuple[Any, int, float]] = {}
     next_index = 0
     try:
-        while next_index < len(payloads) or active:
-            while next_index < len(payloads) and len(active) < workers:
-                reader, writer = ctx.Pipe(duplex=False)
-                proc = ctx.Process(
-                    target=_worker_entry, args=(payloads[next_index], writer)
-                )
-                proc.start()
-                writer.close()  # the child holds the only write end now
-                active[reader] = (next_index, proc, clock() + timeout_sec)
+        while next_index < len(payloads) or busy:
+            while next_index < len(payloads) and len(busy) < workers:
+                if idle:
+                    conn, proc = idle.pop()
+                else:
+                    conn, child_end = ctx.Pipe()
+                    proc = ctx.Process(target=_serve, args=(child_end,))
+                    proc.start()
+                    child_end.close()  # EOF reaches us once the worker is gone
+                conn.send(payloads[next_index])
+                deadline = inf if timeout_sec is None else clock() + timeout_sec
+                busy[conn] = (proc, next_index, deadline)
                 next_index += 1
-            nearest = min(deadline for _, _, deadline in active.values())
-            wait_for = max(0.0, nearest - clock())
-            ready = _connection_wait(list(active), timeout=wait_for)
-            for reader in ready:
-                index, proc, _ = active.pop(reader)
+            wait_for = None
+            if timeout_sec is not None:
+                nearest = min(deadline for _, _, deadline in busy.values())
+                wait_for = max(0.0, nearest - clock())
+            ready = _connection_wait(list(busy), timeout=wait_for)
+            for conn in ready:
+                proc, index, _ = busy.pop(conn)
                 try:
-                    verdict: _Verdict = reader.recv()
+                    verdicts[index] = conn.recv()
                 except EOFError:  # died without a verdict (OOM-kill, crash)
-                    verdict = _WORKER_DIED
-                reader.close()
-                proc.join()
-                verdicts[index] = verdict
-            if ready:
+                    verdicts[index] = _WORKER_DIED
+                    _stop(conn, proc)
+                else:
+                    idle.append((conn, proc))
+            if ready or timeout_sec is None:
                 continue
             now = clock()
+            # A verdict may have landed between the wait and now — prefer
+            # it over a kill.
             expired = [
-                reader
-                for reader, (_, _, deadline) in active.items()
-                if deadline <= now
+                conn
+                for conn, (_, _, deadline) in busy.items()
+                if deadline <= now and not conn.poll()
             ]
-            for reader in expired:
-                # A verdict may have landed between the wait and now —
-                # prefer it over a kill.
-                if reader.poll():
-                    continue
-                index, proc, _ = active.pop(reader)
-                proc.terminate()
-                proc.join()
-                reader.close()
-                verdicts[index] = (
-                    "timeout",
-                    None,
-                    {
-                        "type": "TimeoutError",
-                        "message": (
-                            f"run exceeded the {timeout_sec:g}s wall-clock "
-                            "limit and was killed"
-                        ),
-                    },
-                    1,
-                    timeout_sec,
-                )
-    finally:  # interrupted sweeps must not leak live workers
-        for reader, (_, proc, _) in active.items():
-            proc.terminate()
-            proc.join()
-            reader.close()
+            for conn in expired:
+                proc, index, _ = busy.pop(conn)
+                _stop(conn, proc)
+                message = f"run exceeded the {timeout_sec:g}s wall-clock limit and was killed"
+                error = {"type": "TimeoutError", "message": message}
+                verdicts[index] = ("timeout", None, error, 1, timeout_sec)
+    finally:  # finished or interrupted, a sweep leaves no live worker
+        for conn, proc in idle + [(conn, proc) for conn, (proc, _, _) in busy.items()]:
+            _stop(conn, proc)
     return [v for v in verdicts if v is not None]
 
 
@@ -330,10 +314,11 @@ def run_sweep(
 
     ``clock`` must be a picklable zero-argument callable (it travels into
     worker processes); ``None`` disables timing.  ``force`` bypasses the
-    cache and re-executes every cell.  ``timeout_sec`` bounds each run's
-    wall-clock — it requires a real ``clock`` (deadlines cannot be
-    measured with the zero clock) and swaps the pool for killable
-    per-run worker processes.
+    cache and re-executes every cell.  Cells run on up to ``workers``
+    worker processes, or in-process (no crash isolation) when ``workers``
+    is 1 and there is no deadline.  ``timeout_sec`` bounds each run's
+    wall-clock; it requires a real ``clock`` (deadlines cannot be measured
+    with the zero clock), and a run past it has its worker terminated.
     """
     if workers < 1:
         raise RunnerError("workers must be >= 1")
@@ -382,19 +367,10 @@ def run_sweep(
         (run.kind, run.params, run.derived_seed, retries, clock)
         for _, run, _ in pending
     ]
-    if not payloads:
-        verdicts: List[_Verdict] = []
-    elif timeout_sec is not None:
-        # Even a lone run needs its own killable process.
-        verdicts = _run_with_timeouts(payloads, workers, timeout_sec, clock)
-    elif workers == 1 or len(payloads) == 1:
+    if workers == 1 and timeout_sec is None:
         verdicts = [_execute(payload) for payload in payloads]
     else:
-        with ProcessPoolExecutor(
-            max_workers=workers, mp_context=_mp_context()
-        ) as pool:
-            futures = [pool.submit(_execute, payload) for payload in payloads]
-            verdicts = [_verdict_of(future) for future in futures]
+        verdicts = _run_pool(payloads, workers, timeout_sec, clock)
 
     for (index, run, reason), verdict in zip(pending, verdicts):
         status, result, error, attempts, wall_sec = verdict

@@ -83,6 +83,18 @@ def _check_axes(axes: Mapping[str, Any], family: str) -> Dict[str, Tuple[Any, ..
     return out
 
 
+def parse_int(value: Any, what: str) -> int:
+    """A spec document's integer field: ``inf``, ``"abc"`` and ``1.7``
+    (which ``int()`` would truncate to 1) are a :class:`SpecError`."""
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise SpecError(f"{what} must be an int, got {value!r}") from None
+    if number != value and isinstance(value, float):
+        raise SpecError(f"{what} must be an int, got {value!r}")
+    return number
+
+
 def _table(data: Mapping[str, Any], key: str) -> Dict[str, Any]:
     value = data.get(key, {})
     if not isinstance(value, Mapping):
@@ -139,17 +151,13 @@ class ExperimentSpec:
             raise SpecError(f"unknown spec keys: {sorted(unknown)}")
         if "name" not in data:
             raise SpecError("spec document needs a 'name'")
-        try:
-            seed = int(data.get("seed", 0))
-        except (TypeError, ValueError):
-            raise SpecError(f"seed must be an int, got {data['seed']!r}") from None
         return cls(
             name=str(data["name"]),
             kind=str(data.get("kind", "testbed")),
             base=_table(data, "base"),
             grid=_table(data, "grid"),
             zip_axes=_table(data, "zip"),
-            seed=seed,
+            seed=parse_int(data.get("seed", 0), "seed"),
         )
 
     def to_dict(self) -> Dict[str, Any]:
@@ -245,5 +253,6 @@ __all__ = [
     "content_hash",
     "load_document",
     "load_spec",
+    "parse_int",
     "seed_entropy",
 ]

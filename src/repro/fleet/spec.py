@@ -45,7 +45,7 @@ from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.cgroup import MAX_WEIGHT, MIN_WEIGHT
 from repro.exp.experiments import device_spec_for, io_op, qos_from, workload_kwargs
-from repro.exp.spec import SpecError, canonical_json, content_hash, load_document
+from repro.exp.spec import SpecError, canonical_json, content_hash, load_document, parse_int
 from repro.faults import plan_from_config
 from repro.obs.metrics import exact_percentile
 from repro.workloads.fleet import TASKS, SystemTask
@@ -116,18 +116,19 @@ class HostGroup:
 
     @classmethod
     def from_dict(cls, name: str, data: Mapping[str, Any]) -> "HostGroup":
+        where = f"host group {name!r}"
         _check_known(
             data,
             ("count", "device", "device_scale", "controller", "qos", "faults",
              "capacity_iops"),
-            f"host group {name!r}",
+            where,
         )
         scale = data.get("device_scale")
         capacity = data.get("capacity_iops")
-        device = _require(data, "device", f"host group {name!r}")
+        device = _require(data, "device", where)
         return cls(
             name=name,
-            count=int(_require(data, "count", f"host group {name!r}")),
+            count=parse_int(_require(data, "count", where), f"{where}: count"),
             device=device if isinstance(device, str) else dict(device),
             device_scale=None if scale is None else float(scale),
             controller=str(data.get("controller", "iocost")),
@@ -200,9 +201,9 @@ class WorkloadTemplate:
         demand = data.pop("demand_iops", None)
         return cls(
             name=name,
-            count=int(data.pop("count", 1)),
+            count=parse_int(data.pop("count", 1), f"workload {name!r}: count"),
             cgroup=str(_require(data, "cgroup", f"workload {name!r}")),
-            weight=int(data.pop("weight", 100)),
+            weight=parse_int(data.pop("weight", 100), f"workload {name!r}: weight"),
             type=str(data.pop("type", "saturate")),
             demand_iops=None if demand is None else float(demand),
             params={
@@ -250,9 +251,9 @@ def task_from_config(value: Union[str, Mapping[str, Any]]) -> SystemTask:
     return SystemTask(
         name=str(_require(value, "name", "migration task")),
         cgroup_path=str(value.get("cgroup", "system.slice")),
-        seq_write_bytes=int(value.get("seq_write_bytes", 0)),
-        small_ios=int(value.get("small_ios", 0)),
-        small_io_size=int(value.get("small_io_size", 4096)),
+        seq_write_bytes=parse_int(value.get("seq_write_bytes", 0), "seq_write_bytes"),
+        small_ios=parse_int(value.get("small_ios", 0), "small_ios"),
+        small_io_size=parse_int(value.get("small_io_size", 4096), "small_io_size"),
         small_io_op=op,
         deadline=float(_require(value, "deadline", "migration task")),
     )
@@ -314,8 +315,8 @@ class MigrationPlan:
             task=task,
             from_controller=str(data.get("from_controller", "iolatency")),
             to_controller=str(data.get("to_controller", "iocost")),
-            tasks_per_host_week=int(data.get("tasks_per_host_week", 20)),
-            samples=int(data.get("samples", 8)),
+            tasks_per_host_week=parse_int(data.get("tasks_per_host_week", 20), "tasks_per_host_week"),
+            samples=parse_int(data.get("samples", 8), "samples"),
             settle=float(data.get("settle", 0.5)),
             iolatency={
                 str(path): float(target)
@@ -427,7 +428,7 @@ class FleetSpec:
             name=str(_require(data, "name", "fleet spec")),
             hosts=groups,
             workloads=templates,
-            seed=int(data.get("seed", 0)),
+            seed=parse_int(data.get("seed", 0), "seed"),
             policy=str(data.get("policy", "best_fit")),
             capacity=str(data.get("capacity", "rated")),
             duration=float(data.get("duration", 0.25)),

@@ -49,3 +49,18 @@ def die_on(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     if params.get("value") == params.get("die"):
         os._exit(3)
     return quick(params, seed)
+
+
+def nap_then_die_on(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
+    """A slow cell: sleeps ``params["nap"]`` seconds, then :func:`die_on`."""
+    import time
+
+    time.sleep(params["nap"])
+    return die_on(params, seed)
+
+
+def worker_pid(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
+    """Reports which process ran the cell."""
+    import os
+
+    return {"value": params.get("value", 0), "pid": os.getpid()}

@@ -8,6 +8,7 @@ absorbs the degradation.
 """
 
 import json
+import time
 
 import pytest
 
@@ -149,6 +150,29 @@ class TestSweepDeterminism:
         store_b = ArtifactStore(tmp_path / "w4")
         report_a = run_sweep(spec, store_a, workers=1)
         report_b = run_sweep(spec, store_b, workers=4)
+        assert report_a.failures == 0 and report_b.failures == 0
+        for run in expand(spec):
+            assert store_a.result_bytes(run.run_hash) == store_b.result_bytes(
+                run.run_hash
+            )
+
+    def test_result_json_byte_identical_under_a_deadline(self, tmp_path):
+        # Two workers under a deadline each run two of the four cells: a
+        # reused worker stores the bytes an in-process sweep stores.
+        spec = ExperimentSpec(
+            name="chaos-det",
+            kind="chaos",
+            base=dict(BURST),
+            grid={"seed_offset": (0, 1), "max_retries": (1, 2)},
+            seed=5,
+        )
+        store_a = ArtifactStore(tmp_path / "w1")
+        store_b = ArtifactStore(tmp_path / "w2-deadline")
+        report_a = run_sweep(spec, store_a, workers=1)
+        report_b = run_sweep(
+            spec, store_b, workers=2,
+            clock=time.perf_counter, timeout_sec=300.0,  # simlint: disable=no-wallclock
+        )
         assert report_a.failures == 0 and report_b.failures == 0
         for run in expand(spec):
             assert store_a.result_bytes(run.run_hash) == store_b.result_bytes(

@@ -18,6 +18,8 @@ BROKEN_SPECS = [
     ("unterminated.toml", 'name = "x\n', "line 1"),
     ("truncated.json", '{"name": ', "line 1 column 10"),
     ("seed.toml", 'name = "s"\nseed = "abc"\n', "seed must be an int, got 'abc'"),
+    ("seed_inf.toml", 'name = "s"\nseed = inf\n', "seed must be an int, got inf"),
+    ("seed_fraction.toml", 'name = "s"\nseed = 1.7\n', "seed must be an int, got 1.7"),
     ("base.json", '{"name": "s", "base": [1, 2]}', "'base' must be a table, got [1, 2]"),
 ]
 

@@ -162,6 +162,20 @@ class TestFailures:
             assert outcome.ok or outcome.error["type"] == "WorkerDied"
 
 
+    def test_dying_cell_fails_alone(self, tmp_path):
+        # The third of eight slow cells kills its worker while the fourth
+        # runs on the other one and four more wait: only the third fails,
+        # and a fresh worker takes the rest.
+        spec = ExperimentSpec(
+            name="s", kind="tests.exp.helpers.nap_then_die_on",
+            base={"die": 2, "nap": 0.1}, grid={"value": tuple(range(8))},
+        )
+        report = run_sweep(spec, ArtifactStore(tmp_path), workers=2)
+        assert [o.status for o in report.outcomes] == ["ok"] * 2 + ["failed"] + ["ok"] * 5
+        assert report.outcomes[2].error["type"] == "WorkerDied"
+        assert [o.result["value"] for o in report.outcomes if o.ok] == [0, 1, 3, 4, 5, 6, 7]
+
+
 class TestPoolDeterminism:
     def test_worker_pools_produce_byte_identical_results(self, tmp_path):
         """The acceptance determinism contract: 2-worker and 8-worker pools

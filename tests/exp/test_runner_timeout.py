@@ -4,6 +4,7 @@ These tests use a real clock by necessity (deadlines are wall time); they
 keep the limits small so the suite stays fast.
 """
 
+import os
 import time
 
 import pytest
@@ -16,6 +17,7 @@ from repro.exp.store import ArtifactStore
 
 QUICK = "tests.exp.helpers.quick"
 HANG = "tests.exp.helpers.hang_forever"
+PID = "tests.exp.helpers.worker_pid"
 
 
 class TestValidation:
@@ -96,3 +98,15 @@ class TestTimeoutPath:
             hang_spec, store, workers=2, clock=time.perf_counter, timeout_sec=0.5  # simlint: disable=no-wallclock
         )
         assert ok.failures == 0 and bad.timeouts == 1
+
+    def test_workers_outlive_their_runs(self, tmp_path):
+        # A deadline limits each run, not each worker: eight cells at two
+        # workers run in at most two processes, none of them the parent.
+        spec = ExperimentSpec(name="s", kind=PID, grid={"value": tuple(range(8))})
+        report = run_sweep(
+            spec, ArtifactStore(tmp_path), workers=2,
+            clock=time.perf_counter, timeout_sec=30.0,  # simlint: disable=no-wallclock
+        )
+        assert report.failures == 0
+        pids = {o.result["pid"] for o in report.outcomes}
+        assert len(pids) <= 2 and os.getpid() not in pids

@@ -175,6 +175,11 @@ class TestValidation:
             ("workload", "weight", 10001, r"'fe': weight 10001 out of range"),
             ("top", "percentiles", [50, 120], "percentile 120.0 out of range"),
             ("top", "percentiles", [-1], "percentile -1.0 out of range"),
+            # Integer fields: not silently truncated, not an OverflowError.
+            ("top", "seed", float("inf"), "seed must be an int, got inf"),
+            ("top", "seed", 1.7, "seed must be an int, got 1.7"),
+            ("host", "count", 2.5, "'web': count must be an int, got 2.5"),
+            ("workload", "weight", 150.5, "'fe': weight must be an int, got 150.5"),
         ],
     )
     def test_malformed_values_are_spec_errors(self, where, key, value, match):
