@@ -34,6 +34,7 @@ def main() -> None:
     table.add_row("random write IOPS (4k)", format_si(profile.wrandiops))
     table.add_row("sequential write IOPS (4k)", format_si(profile.wseqiops))
     table.add_row("write bandwidth (sustained)", format_si(profile.wbps, "B/s"))
+    table.add_row("read latency p50 (saturated)", f"{profile.read_lat_p50 * 1e6:.0f}us")
     table.print()
 
     # Price a few representative IOs with the fitted model.

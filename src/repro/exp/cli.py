@@ -13,8 +13,7 @@ Three subcommands over one artifact store:
 
 This module is also the CLI skeleton ``python -m repro.fleet`` is built
 from (a fleet is a sweep whose cells are hosts): the argument groups, the
-error exit, the run and status tables and the dispatcher exist once, here,
-beside the device arguments of the single-device ``repro.tools`` CLIs.
+error exit, the run and status tables and the dispatcher exist once, here.
 It is the only place in :mod:`repro.exp` that touches the wall clock: it
 injects a real clock into the otherwise clock-free runner.
 """
@@ -29,10 +28,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Mapping, Optional, Sequence
 
 from repro.analysis.report import Table
-from repro.block.device import DeviceSpec
-from repro.block.device_models import DEVICE_CATALOG
 from repro.exp.cache import ResultCache
-from repro.exp.experiments import device_spec_for
 from repro.exp.grid import RunSpec, expand
 from repro.exp.runner import RunnerError, SweepReport, run_sweep, write_bench_json
 from repro.exp.spec import SpecError, load_spec
@@ -84,32 +80,6 @@ def add_report_args(cmd: argparse.ArgumentParser) -> None:
         "--min-hit-rate", type=float, default=None,
         help="exit non-zero unless cache hit rate >= this fraction",
     )
-
-
-def add_device_args(parser: argparse.ArgumentParser, default: str) -> None:
-    """What every single-device tool (``repro.tools.compare`` / ``profile``
-    / ``tune``) takes: the device model, its speed factor and the seed."""
-    parser.add_argument(
-        "device",
-        nargs="?",
-        default=default,
-        help=f"device model name (one of: {', '.join(sorted(DEVICE_CATALOG))})",
-    )
-    parser.add_argument(
-        "--scale", type=float, default=None,
-        help="speed factor applied to the device model",
-    )
-    parser.add_argument("--seed", type=int, default=0)
-
-
-def device_or_exit(
-    parser: argparse.ArgumentParser, args: argparse.Namespace
-) -> DeviceSpec:
-    """The :func:`add_device_args` device, or exit 2 with one line."""
-    try:
-        return device_spec_for(args.device, args.scale)
-    except KeyError as exc:  # the message carries the roster
-        parser.exit(2, f"{parser.prog}: {exc.args[0]}\n")
 
 
 def runner_kwargs(args: argparse.Namespace) -> Dict[str, Any]:
@@ -288,12 +258,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 __all__ = [
     "BENCH_FILE",
-    "add_device_args",
     "add_report_args",
     "add_runner_args",
     "add_spec_args",
     "build_parser",
-    "device_or_exit",
     "dispatch",
     "finish_run",
     "main",

@@ -18,8 +18,9 @@ Built-ins cover the repo's own sweep surfaces:
 * ``profile_device`` — fio-style device profiling (Figure 3's fan-out
   over the fleet).
 * ``vrate_phases`` — the Figure 13 online model-update scenario.
-* ``mechanism_2to1`` — the two-container 2:1 comparison scenario that
-  ``repro.tools.compare`` fans out over every Table 1 mechanism.
+* ``mechanism_2to1`` — the two-container 2:1 comparison scenario;
+  ``examples/specs/compare_mechanisms.toml`` fans it out over every
+  Table 1 mechanism.
 * ``chaos`` — a testbed scenario with a device fault plan (repro.faults)
   injected mid-run, measured phase-by-phase: the isolation-under-fault
   figure (does the protected cgroup's read p99 hold to the QoS target
@@ -138,8 +139,8 @@ def device_spec_for(
     """Resolve a ``device`` param: a catalogue name or an inline
     :class:`~repro.block.device.DeviceSpec` field table, optionally
     ``scaled()``.  The one device resolver — experiment kinds, fleet hosts,
-    the fleet scheduler, the fleet spec loader and the profile/tune/compare
-    tools all come through here.
+    the fleet scheduler, the fleet spec loader and the tune tool all come
+    through here.
     """
     if isinstance(device, str):
         spec = get_device_spec(device)
@@ -443,7 +444,7 @@ def run_vrate_phases(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     return {"phase_sec": phase_sec, "phases": phases}
 
 
-# -- mechanism_2to1: the tools/compare scenario ------------------------------
+# -- mechanism_2to1: the Table 1 comparison scenario -------------------------
 
 
 @experiment("mechanism_2to1")

@@ -468,7 +468,11 @@ class FleetSpec:
 
 def load_fleet_spec(path: Union[str, Path]) -> FleetSpec:
     """Load a fleet spec from a ``.toml`` or ``.json`` document."""
-    return FleetSpec.from_dict(load_document(path))
+    document = load_document(path)
+    try:
+        return FleetSpec.from_dict(document)
+    except FleetSpecError as exc:
+        raise FleetSpecError(f"{path}: {exc}") from None
 
 
 __all__ = [

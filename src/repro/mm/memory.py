@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 import numpy as np
 
-from typing import Callable, Dict, Generator, List, Optional
+from typing import Callable, Dict, Generator, List, Optional, Union
 
 from repro.block.bio import Bio, BioFlags, IOOp
 from repro.block.layer import BlockLayer
@@ -100,7 +100,7 @@ class MemoryManager:
         protected: Optional[Dict[str, int]] = None,
         limits: Optional[Dict[str, int]] = None,
         kswapd: bool = True,
-        seed: int = 0,
+        seed: Union[int, np.random.SeedSequence] = 0,
         swap_layer: Optional[BlockLayer] = None,
     ) -> None:
         self.sim = sim

@@ -197,6 +197,7 @@ class Testbed:
                 total_bytes=mem_bytes,
                 swap_bytes=swap_bytes if swap_bytes is not None else 16 * mem_bytes,
                 protected=protected,
+                seed=labeled_seed(self._seed, "mm"),
                 swap_layer=swap_layer,
             )
         elif swap_device is not None:

@@ -50,16 +50,15 @@ class Monitor:
     :class:`repro.testbed.Testbed` or anything shaped like one.  Every
     registered device is monitored, or just ``device`` when named, and
     each snapshot names its device the way the machine does (``vda``).
-    The sampling ``interval`` defaults to the shortest QoS period among the
-    monitored controllers (so snapshots land once per planning period,
-    right after the plan tick, which the event heap orders first at equal
-    timestamps).
+    The sampling ``interval`` is the shortest QoS period among the
+    monitored controllers, else :data:`DEFAULT_INTERVAL` (so snapshots land
+    once per planning period, right after the plan tick, which the event
+    heap orders first at equal timestamps).
     """
 
     def __init__(
         self,
         bed,
-        interval: Optional[float] = None,
         stream: Optional[TextIO] = None,
         device: Optional[str] = None,
     ) -> None:
@@ -71,16 +70,12 @@ class Monitor:
             (name, bed.devices.layer(name)) for name in names
         ]
 
-        if interval is None:
-            periods = [
-                layer.controller.qos.period
-                for _, layer in self._targets
-                if getattr(layer.controller, "qos", None) is not None
-            ]
-            interval = min(periods) if periods else DEFAULT_INTERVAL
-        if interval <= 0:
-            raise ValueError("monitor interval must be positive")
-        self.interval = interval
+        periods = [
+            layer.controller.qos.period
+            for _, layer in self._targets
+            if getattr(layer.controller, "qos", None) is not None
+        ]
+        self.interval = min(periods) if periods else DEFAULT_INTERVAL
         self.stream = stream
         self.iostat = IOStat(
             self.cgroups, {layer.dev: layer.controller for _, layer in self._targets}

@@ -10,8 +10,9 @@ import argparse
 from typing import Optional, Sequence
 
 from repro.analysis.report import Table
+from repro.block.device_models import DEVICE_CATALOG
 from repro.core.qos_tuning import DEFAULT_VRATE_CANDIDATES, tune_qos
-from repro.exp.cli import add_device_args, device_or_exit
+from repro.exp.experiments import device_spec_for
 
 MB = 1024 * 1024
 
@@ -21,7 +22,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro.tools.tune",
         description="Derive QoS vrate bounds via the RCBench two-scenario sweep.",
     )
-    add_device_args(parser, "ssd_new")
+    parser.add_argument(
+        "device", nargs="?", default="ssd_new",
+        help=f"device model name (one of: {', '.join(sorted(DEVICE_CATALOG))})",
+    )
+    parser.add_argument("--scale", type=float, default=None,
+                        help="speed factor applied to the device model")
+    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--candidates", type=float, nargs="+",
         default=list(DEFAULT_VRATE_CANDIDATES),
@@ -36,7 +43,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    spec = device_or_exit(parser, args)
+    try:
+        spec = device_spec_for(args.device, args.scale)
+    except KeyError as exc:  # the message carries the roster
+        parser.exit(2, f"{parser.prog}: {exc.args[0]}\n")
 
     print(f"tuning QoS for {spec.name} (two-scenario vrate sweep)...")
     result = tune_qos(

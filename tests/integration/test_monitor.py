@@ -151,11 +151,6 @@ class TestSnapshotFormat:
         )
         assert MonitorSnapshot.from_json(snap.to_json()) == snap
 
-    def test_monitor_rejects_bad_interval(self):
-        bed, _ = run_monitored(with_monitor=False)
-        with pytest.raises(ValueError):
-            Monitor(bed, interval=0.0)
-
 
 class TestDeviceNames:
     """Snapshots name a device the way the machine does (``vda``), and every

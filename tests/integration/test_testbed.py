@@ -45,6 +45,17 @@ def test_device_by_catalogue_name():
     assert tb.spec.name == "hdd"
 
 
+def test_memory_manager_draws_from_the_machine_seed():
+    # Reclaim victims come from the machine's "mm" stream: two seeds, two
+    # streams; one seed, one stream.
+    def first_draws(seed):
+        bed = Testbed(device=FAST, controller="none", mem_bytes=64 << 20, seed=seed)
+        return bed.mm._rng.random(4).tolist()
+
+    assert first_draws(1) != first_draws(2)
+    assert first_draws(1) == first_draws(1)
+
+
 def test_unknown_controller_rejected():
     with pytest.raises(ValueError):
         make_controller("cfq", FAST)
