@@ -300,8 +300,12 @@ class BlockLayer:
         if self._retryq:
             self._drain_retries()
         self.controller.on_complete(bio)
-        if bio.on_done is not None:
-            bio.on_done(bio)
+        # Off the bio before the call: a Signal's fire holds the signal, whose
+        # value is the bio, a cycle only the cyclic GC frees.  (Not requeues.)
+        on_done = bio.on_done
+        if on_done is not None:
+            bio.on_done = None
+            on_done(bio)
 
     # -- retry ----------------------------------------------------------------
 

@@ -13,12 +13,17 @@ succeeded, and its ``meta`` matches on every component of the cache key:
 Failed runs never hit: a sweep re-attempts its previous failures.  The
 cache records hit/miss reasons so ``status`` output and the sweep report
 can explain *why* a cell re-ran.
+
+:meth:`ResultCache.decide` judges a whole sweep's cells (the sweep's,
+and ``status`` / ``rollup``'s) against one listing of ``runs/``: an
+unlisted hash is ``absent`` without an ``open()``, and only listed records
+are read and validated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional, Sequence, Set
 
 import repro
 from repro.exp.grid import RunSpec
@@ -51,11 +56,16 @@ class ResultCache:
         self.store = store
         self.version = repro.__version__ if version is None else version
 
-    def lookup(self, run: RunSpec, force: bool = False) -> CacheDecision:
+    def decide(self, runs: Sequence[RunSpec], force: bool = False) -> List[CacheDecision]:
+        """One verdict per run, in order, from one listing of the store."""
         if force:
-            return CacheDecision(hit=False, reason=MISS_FORCED)
+            return [CacheDecision(hit=False, reason=MISS_FORCED)] * len(runs)
+        listed = self.store.run_hashes()
+        return [self._decide(run, listed) for run in runs]
+
+    def _decide(self, run: RunSpec, listed: Set[str]) -> CacheDecision:
         run_hash = run.run_hash
-        record = self.store.try_read_json(run_hash)
+        record = self.store.try_read_json(run_hash) if run_hash in listed else None
         if record is None:
             return CacheDecision(hit=False, reason=MISS_ABSENT)
         meta = record["meta"]

@@ -160,8 +160,7 @@ def print_status(
     cache = ResultCache(store)
     table = Table(f"{title} — cache status", [noun, "run", "verdict"])
     hits = 0
-    for run in runs:
-        decision = cache.lookup(run)
+    for run, decision in zip(runs, cache.decide(runs)):
         hits += 1 if decision.hit else 0
         table.add_row(
             label(run),

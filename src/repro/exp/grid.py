@@ -14,16 +14,18 @@ changes exactly the hashes of the cells that contain it.  The per-run RNG
 entropy derives from the same content (see
 :func:`repro.exp.spec.seed_entropy`), making every run reproducible in
 isolation — the cache and the pool can replay or skip cells in any order.
+A cell canonicalises and digests its content once, when it is made:
+``run_hash`` and ``derived_seed`` are the same first 8 bytes of one
+SHA-256, kept on the instance, so its params must not change afterwards.
 """
 
 from __future__ import annotations
 
-import copy
 import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, MutableMapping, Sequence, Tuple
 
-from repro.exp.spec import ExperimentSpec, SpecError, content_hash, seed_entropy
+from repro.exp.spec import ExperimentSpec, SpecError, content_key
 
 
 def set_by_path(tree: MutableMapping[str, Any], path: str, value: Any) -> None:
@@ -85,6 +87,11 @@ class RunSpec:
     params: Dict[str, Any]
     axes: Dict[str, Any] = field(default_factory=dict)
     seed: int = 0
+    #: ``content_key`` of :meth:`canonical`, taken once at creation.
+    _key: bytes = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_key", content_key(self.canonical()))
 
     def canonical(self) -> Dict[str, Any]:
         """The content that *is* this run — what the hash and seed digest.
@@ -96,18 +103,30 @@ class RunSpec:
 
     @property
     def run_hash(self) -> str:
-        return content_hash(self.canonical())
+        return self._key.hex()
 
     @property
     def derived_seed(self) -> int:
         """Per-run RNG entropy, a pure function of the run's content."""
-        return seed_entropy(self.canonical())
+        return int.from_bytes(self._key, "big")
 
     def describe(self) -> str:
         """Short human label: the axis values, or the hash when axis-free."""
         if not self.axes:
             return self.run_hash
         return " ".join(f"{key}={self.axes[key]}" for key in sorted(self.axes))
+
+
+def _copy(tree: Any) -> Any:
+    """A deep copy of a JSON-shaped tree (dicts, lists, tuples, scalars):
+    what a spec's base and axis values are, as canonical JSON requires."""
+    if isinstance(tree, dict):
+        return {key: _copy(value) for key, value in tree.items()}
+    if isinstance(tree, list):
+        return [_copy(value) for value in tree]
+    if isinstance(tree, tuple):
+        return tuple(_copy(value) for value in tree)
+    return tree
 
 
 def expand(spec: ExperimentSpec) -> List[RunSpec]:
@@ -128,12 +147,12 @@ def expand(spec: ExperimentSpec) -> List[RunSpec]:
     runs: List[RunSpec] = []
     for cell in itertools.product(*grid_values):
         for row in zip_rows:
-            params = copy.deepcopy(dict(spec.base))
+            params = _copy(dict(spec.base))
             axes: Dict[str, Any] = {}
             for axis, value in itertools.chain(
                 zip(grid_names, cell), zip(zip_names, row)
             ):
-                set_by_path(params, axis, copy.deepcopy(value))
+                set_by_path(params, axis, _copy(value))
                 axes[axis] = value
             runs.append(
                 RunSpec(

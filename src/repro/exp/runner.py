@@ -347,8 +347,7 @@ def run_sweep(
 
     outcomes: List[Optional[RunOutcome]] = [None] * len(runs)
     pending: List[Tuple[int, RunSpec, str]] = []
-    for index, run in enumerate(runs):
-        decision = cache.lookup(run, force=force)
+    for index, (run, decision) in enumerate(zip(runs, cache.decide(runs, force))):
         if decision.hit:
             meta = decision.meta or {}
             outcomes[index] = RunOutcome(

@@ -54,10 +54,15 @@ def canonical_json(obj: Any) -> str:
         raise SpecError(f"spec is not canonically serialisable: {exc}") from exc
 
 
+def content_key(obj: Any) -> bytes:
+    """The first 8 bytes of the SHA-256 of ``obj``'s canonical JSON: what
+    :func:`content_hash` and :func:`seed_entropy` both read."""
+    return hashlib.sha256(canonical_json(obj).encode("utf-8")).digest()[:8]
+
+
 def content_hash(obj: Any) -> str:
     """Hex content hash (sha256, 16 hex chars) of ``obj``'s canonical JSON."""
-    digest = hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
-    return digest[:16]
+    return content_key(obj).hex()
 
 
 def seed_entropy(obj: Any) -> int:
@@ -66,8 +71,7 @@ def seed_entropy(obj: Any) -> int:
     Independent of scheduling, worker count, and sweep-cell order: the
     entropy depends only on what the run *is*.
     """
-    digest = hashlib.sha256(canonical_json(obj).encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big")
+    return int.from_bytes(content_key(obj), "big")
 
 
 def _check_axes(axes: Mapping[str, Any], family: str) -> Dict[str, Tuple[Any, ...]]:
@@ -251,6 +255,7 @@ __all__ = [
     "SpecError",
     "canonical_json",
     "content_hash",
+    "content_key",
     "load_document",
     "load_spec",
     "parse_int",

@@ -17,14 +17,20 @@ format, replayable) lands beside the record as ``<run-hash>.trace.jsonl``.
 A file is written whole (its own temp file + ``os.replace``), so a killed
 sweep never leaves half a record that a later sweep would mistake for a
 cache hit, and two sweeps sharing a store may commit one run at once.
+
+A sweep lists ``runs/`` once (:meth:`ArtifactStore.run_hashes`) and opens
+only the records listed, so a record that a concurrent sweep commits after
+the listing is a miss: the run executes again and commits identical
+``spec`` and ``result`` bytes, as two sweeps that both looked first did.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Union
+from typing import Any, Dict, Iterable, List, Optional, Set, Union
 
 from repro.exp.spec import canonical_json
 
@@ -36,21 +42,30 @@ class StoreError(RuntimeError):
     """Raised for unusable store state (bad root, unreadable records)."""
 
 
+_CREATE = os.O_WRONLY | os.O_CREAT | os.O_EXCL
+
+
 def _write_atomic(path: Path, text: str) -> Path:
     # A temp name of this writer's own, which no reader lists: with one fixed
     # name, a second writer's half-written file could be renamed into place.
-    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    directory, name = os.path.split(path)
+    tmp = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
     try:
-        stream = tmp.open("x")
+        fd = os.open(tmp, _CREATE, 0o666)
     except FileNotFoundError:  # the directory's first file
-        path.parent.mkdir(parents=True, exist_ok=True)
-        stream = tmp.open("x")
+        os.makedirs(directory, exist_ok=True)
+        fd = os.open(tmp, _CREATE, 0o666)
     try:
-        with stream:
-            stream.write(text)
+        try:
+            data = memoryview(text.encode("utf-8"))
+            while data:  # a short write is finished, never dropped
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
         raise
     return path
 
@@ -128,12 +143,18 @@ class ArtifactStore:
 
     # -- enumeration ---------------------------------------------------------
 
+    def run_hashes(self) -> Set[str]:
+        """Hashes of every record (not traces or temp files), from one
+        listing of ``runs/``: what a lookup may open."""
+        try:
+            names = os.listdir(self.runs_root)
+        except FileNotFoundError:  # nothing committed yet
+            return set()
+        return {n[: -len(_RECORD)] for n in names if n.endswith(_RECORD) and n[0] != "."}
+
     def list_runs(self) -> List[str]:
         """Hashes of every record, sorted (not traces or temp files)."""
-        return sorted(
-            path.name[: -len(_RECORD)]
-            for path in self.runs_root.glob("[!.]*" + _RECORD)
-        )
+        return sorted(self.run_hashes())
 
     def collect(self) -> List[Dict[str, Any]]:
         """Merge every record into one machine-readable listing (``None``

@@ -125,8 +125,8 @@ def _cmd_rollup(args: argparse.Namespace) -> int:
     cache = ResultCache(ArtifactStore(args.out))
     scheduler = placed(spec)
     results: Dict[str, Dict[str, Any]] = {}
-    for run in expand(fleet_sweep_spec(spec, scheduler)):
-        decision = cache.lookup(run)
+    runs = expand(fleet_sweep_spec(spec, scheduler))
+    for run, decision in zip(runs, cache.decide(runs)):
         if decision.hit and decision.result is not None:
             results[_host_id(run)] = decision.result
     rollup = fleet_rollup(scheduler.plan(), results, spec.percentiles)

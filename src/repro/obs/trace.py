@@ -17,6 +17,10 @@ simulator's equivalent:
 Events are *typed*: each tracepoint declares its field names and emission
 rejects unknown fields *and* missing required fields (everything declared
 except :data:`OPTIONAL_FIELDS`), so subscribers can rely on the schema.
+An enabled emit is cheap: keys equal to the declared or the required set
+pass with one C-level comparison, and only any other key set takes the
+checks that name the unknown or missing field.  The event itself is an
+immutable ``(name, time, fields)`` tuple built by one C call.
 
 The event catalogue::
 
@@ -39,8 +43,7 @@ The event catalogue::
 from __future__ import annotations
 
 import json
-from collections import deque
-from dataclasses import dataclass, field
+from collections import deque, namedtuple
 
 from repro.obs.prof import PROF
 from typing import (
@@ -112,13 +115,15 @@ class TraceError(ValueError):
     fields relative to a point's schema."""
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(namedtuple("TraceEvent", ("name", "time", "fields"))):
     """One emitted event: name, simulated timestamp, typed fields."""
 
-    name: str
-    time: float
-    fields: Dict[str, Any] = field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(
+        cls, name: str, time: float, fields: Optional[Dict[str, Any]] = None
+    ) -> "TraceEvent":
+        return tuple.__new__(cls, (name, time, {} if fields is None else fields))
 
     def to_json(self) -> str:
         payload = {"event": self.name, "time": self.time}
@@ -140,34 +145,41 @@ class TracePoint:
     hot paths read it once and skip everything else while it is False.
     """
 
-    __slots__ = ("name", "fields", "required", "enabled", "subscribers")
+    __slots__ = ("name", "fields", "declared", "required", "enabled", "subscribers")
 
     def __init__(self, name: str, fields: Sequence[str]):
         self.name = name
         self.fields = tuple(fields)
+        self.declared = frozenset(fields)
         #: Fields every emit must supply (declared minus OPTIONAL_FIELDS).
-        self.required = frozenset(fields) - OPTIONAL_FIELDS
+        self.required = self.declared - OPTIONAL_FIELDS
         self.enabled = False
         self.subscribers: List[Callable[[TraceEvent], None]] = []
 
     def emit(self, time: float, **fields: Any) -> None:
         """Deliver one event to every subscriber (call only when enabled)."""
-        unknown = set(fields) - set(self.fields)
+        keys = fields.keys()
+        if keys != self.declared and keys != self.required:
+            self._check(keys)
+        if PROF.enabled:
+            PROF.note_emit(self.name)
+        event = tuple.__new__(TraceEvent, (self.name, time, fields))  # one C call
+        for subscriber in self.subscribers:
+            subscriber(event)
+
+    def _check(self, keys: Iterable[str]) -> None:
+        """Raise for an unknown or missing field (other key sets are valid)."""
+        unknown = set(keys) - self.declared
         if unknown:
             raise TraceError(
                 f"tracepoint {self.name!r} has no field(s) {sorted(unknown)}"
             )
-        missing = self.required - set(fields)
+        missing = self.required - set(keys)
         if missing:
             raise TraceError(
                 f"tracepoint {self.name!r} emitted without required "
                 f"field(s) {sorted(missing)}"
             )
-        if PROF.enabled:
-            PROF.note_emit(self.name)
-        event = TraceEvent(self.name, time, fields)
-        for subscriber in self.subscribers:
-            subscriber(event)
 
     def _attach(self, subscriber: Callable[[TraceEvent], None]) -> None:
         self.subscribers.append(subscriber)

@@ -34,9 +34,9 @@ class TestResultCacheUnit:
     def test_absent_then_hit(self, tmp_path):
         cache = ResultCache(ArtifactStore(tmp_path))
         run = make_run()
-        assert cache.lookup(run).reason == MISS_ABSENT
+        assert cache.decide([run])[0].reason == MISS_ABSENT
         cache.commit(run, status="ok", attempts=1, wall_sec=0.5, result={"v": 1})
-        decision = cache.lookup(run)
+        decision = cache.decide([run])[0]
         assert decision.hit and decision.reason == HIT
         assert decision.result == {"v": 1}
         assert decision.meta["wall_sec"] == 0.5
@@ -45,7 +45,7 @@ class TestResultCacheUnit:
         cache = ResultCache(ArtifactStore(tmp_path))
         run = make_run()
         cache.commit(run, status="ok", attempts=1, wall_sec=0.0, result={})
-        assert cache.lookup(run, force=True).reason == MISS_FORCED
+        assert cache.decide([run], force=True)[0].reason == MISS_FORCED
 
     def test_failed_runs_never_hit(self, tmp_path):
         cache = ResultCache(ArtifactStore(tmp_path))
@@ -54,11 +54,11 @@ class TestResultCacheUnit:
             run, status="failed", attempts=2, wall_sec=0.1,
             error={"type": "RuntimeError", "message": "boom"},
         )
-        assert cache.lookup(run).reason == MISS_FAILED
+        assert cache.decide([run])[0].reason == MISS_FAILED
         # Even with a (tampered-in) result present, failed status blocks the hit.
         record = cache.store.read_json(run.run_hash)
         cache.store.write_json(run.run_hash, {**record, "result": {"v": 1}})
-        assert not cache.lookup(run).hit
+        assert not cache.decide([run])[0].hit
 
     def test_ok_meta_without_result_is_absent(self, tmp_path):
         # No commit writes an ok record without its result; one edited to
@@ -70,7 +70,7 @@ class TestResultCacheUnit:
         record = store.read_json(run.run_hash)
         del record["result"]
         store.write_json(run.run_hash, record)
-        assert cache.lookup(run).reason == MISS_ABSENT
+        assert cache.decide([run])[0].reason == MISS_ABSENT
 
     def test_version_mismatch(self, tmp_path):
         store = ArtifactStore(tmp_path)
@@ -78,8 +78,8 @@ class TestResultCacheUnit:
         ResultCache(store, version="1.0").commit(
             run, status="ok", attempts=1, wall_sec=0.0, result={"v": 1}
         )
-        assert ResultCache(store, version="1.0").lookup(run).hit
-        assert ResultCache(store, version="2.0").lookup(run).reason == MISS_VERSION
+        assert ResultCache(store, version="1.0").decide([run])[0].hit
+        assert ResultCache(store, version="2.0").decide([run])[0].reason == MISS_VERSION
 
     def test_stale_metadata(self, tmp_path):
         store = ArtifactStore(tmp_path)
@@ -89,7 +89,7 @@ class TestResultCacheUnit:
         record = store.read_json(run.run_hash)
         record["meta"]["seed"] = 999
         store.write_json(run.run_hash, record)
-        assert cache.lookup(run).reason == MISS_STALE
+        assert cache.decide([run])[0].reason == MISS_STALE
 
     def test_commit_writes_one_record(self, tmp_path):
         store = ArtifactStore(tmp_path)
@@ -165,7 +165,7 @@ class TestHostileStore:
         first = run_sweep(self.SPEC, store, workers=1)
         runs = [outcome.run for outcome in first.outcomes]
         damage(store, runs)
-        assert ResultCache(store).lookup(runs[0]).reason == reason
+        assert ResultCache(store).decide(runs[:1])[0].reason == reason
         again = run_sweep(self.SPEC, store, workers=1)
         assert [o.cached for o in again.outcomes] == [False, True]
         assert again.outcomes[0].cache_reason == reason
@@ -184,7 +184,7 @@ class TestHostileStore:
         assert len(list(store.runs_root.glob(".*.tmp"))) == 1  # left behind
 
         runs = expand(self.SPEC)
-        assert ResultCache(store).lookup(runs[0]).reason == MISS_ABSENT
+        assert ResultCache(store).decide(runs[:1])[0].reason == MISS_ABSENT
         assert store.list_runs() == [] and store.collect() == []
         again = run_sweep(self.SPEC, store, workers=1)
         assert [o.cached for o in again.outcomes] == [False, False]
@@ -243,3 +243,33 @@ class TestCacheThroughSweeps:
         report = run_sweep(self.SPEC, store, workers=1, force=True)
         assert report.cache_hits == 0
         assert report.executed == 3
+
+
+def test_a_record_committed_after_the_listing_runs_again(tmp_path, monkeypatch):
+    # Another sweep commits every cell between this sweep's listing and its
+    # lookups: all are misses, and running them again writes the same bytes.
+    spec = ExperimentSpec(
+        name="s", kind="tests.exp.helpers.quick", grid={"value": (1, 2, 3)}
+    )
+    store = ArtifactStore(tmp_path)
+    listing = ArtifactStore.run_hashes
+    other = {}
+
+    def listed_then_another_sweep_commits(self):
+        hashes = listing(self)
+        if not other:
+            other["records"] = None  # the other sweep lists without interleaving
+            other["committed"] = run_sweep(spec, ArtifactStore(tmp_path))
+            other["records"] = {
+                h: (store.read_json(h)["spec"], store.result_bytes(h))
+                for h in store.list_runs()
+            }
+        return hashes
+
+    monkeypatch.setattr(ArtifactStore, "run_hashes", listed_then_another_sweep_commits)
+    report = run_sweep(spec, store)
+    assert other["committed"].executed == 3
+    assert [o.cache_reason for o in report.outcomes] == [MISS_ABSENT] * 3
+    assert {
+        h: (store.read_json(h)["spec"], store.result_bytes(h)) for h in store.list_runs()
+    } == other["records"]

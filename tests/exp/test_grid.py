@@ -3,7 +3,7 @@
 import pytest
 
 from repro.exp.grid import RunSpec, expand, set_by_path
-from repro.exp.spec import ExperimentSpec, SpecError
+from repro.exp.spec import ExperimentSpec, SpecError, content_hash, seed_entropy
 
 
 class TestSetByPath:
@@ -116,3 +116,28 @@ class TestExpand:
         assert run.describe() == "a=1 b=2"
         bare = RunSpec(name="s", kind="k", params={})
         assert bare.describe() == bare.run_hash
+
+
+#: Specs whose cells differ in every way a canonical rendering can.
+IDENTITY_SPECS = [
+    ExperimentSpec(name="bare"),
+    ExperimentSpec(name="seeded", kind="testbed", base={"x": 1}, seed=2**40 + 7),
+    ExperimentSpec(
+        name="nested",
+        base={"qos": {"read_lat_target": 0.005}, "workloads": [{"depth": 8}]},
+        grid={"qos.read_lat_target": (0.001, 0.25), "workloads.0.depth": (1, 64)},
+    ),
+    ExperimentSpec(
+        name="zipped", base={"tag": "héllo", "none": None, "flag": True},
+        zip_axes={"a": ([1, 2], [3]), "b": ({"k": -1.5}, {"k": 1e300})},
+    ),
+]
+
+
+class TestIdentity:
+    @pytest.mark.parametrize("spec", IDENTITY_SPECS, ids=lambda spec: spec.name)
+    def test_hash_and_seed_are_one_digest(self, spec):
+        for run in expand(spec):
+            canonical = run.canonical()
+            assert run.run_hash == content_hash(canonical)
+            assert run.derived_seed == seed_entropy(canonical) == int(run.run_hash, 16)

@@ -63,7 +63,7 @@ class TestTimeoutPath:
         run_sweep(spec, store, workers=1, clock=time.perf_counter, timeout_sec=0.5)  # simlint: disable=no-wallclock
         cache = ResultCache(store)
         (run,) = expand(spec)
-        decision = cache.lookup(run)
+        decision = cache.decide([run])[0]
         assert not decision.hit and decision.reason == MISS_TIMEOUT
 
     def test_quick_runs_unaffected_by_timeout_manager(self, tmp_path):

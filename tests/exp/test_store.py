@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from repro.exp.spec import canonical_json
 from repro.exp.store import ArtifactStore, StoreError, write_json
 
 OK_RECORD = {"spec": {"kind": "k"}, "meta": {"status": "ok"}, "result": {"b": 1, "a": 2}}
@@ -144,3 +145,30 @@ class TestAtomicWrites:
         with pytest.raises(OSError, match="disk full"):
             write_json(path, {"a": 1})
         assert list(tmp_path.iterdir()) == []
+
+    def test_short_writes_are_finished(self, tmp_path, monkeypatch):
+        write = os.write
+        monkeypatch.setattr(os, "write", lambda fd, data: write(fd, bytes(data[:1])))
+        path = write_json(tmp_path / "h1.json", OK_RECORD)
+        monkeypatch.undo()
+        assert path.read_bytes() == (canonical_json(OK_RECORD) + "\n").encode()
+        assert [p.name for p in tmp_path.iterdir()] == ["h1.json"]
+
+    def test_an_interrupted_write_leaves_no_temp_file_and_no_record(
+        self, tmp_path, monkeypatch
+    ):
+        write = os.write
+        written = []
+
+        def interrupted(fd, data):
+            if len(written) == 3:
+                raise KeyboardInterrupt
+            written.append(fd)
+            return write(fd, bytes(data[:1]))
+
+        monkeypatch.setattr(os, "write", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            ArtifactStore(tmp_path).write_json("h1", OK_RECORD)
+        monkeypatch.undo()
+        assert len(written) == 3
+        assert list((tmp_path / "runs").iterdir()) == []
