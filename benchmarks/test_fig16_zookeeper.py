@@ -3,99 +3,22 @@
 Twelve five-participant ensembles over five machines, eleven well-behaved
 (100 KB payloads), one noisy neighbour (300 KB payloads, 3x snapshots).
 Counts violations of the one-second P99 SLO for the well-behaved ensembles
-under each controller.  Scaled from the paper's 6-hour run on enterprise
-SSDs to minutes on a 1/40-speed device with proportional snapshot cadence.
+under each controller (:func:`repro.workloads.zookeeper.run_fig16`).
+Scaled from the paper's 6-hour run on enterprise SSDs to minutes on a
+1/40-speed device with proportional snapshot cadence.
 
 Paper shape: blk-throttle shows the most violations (78, some tens of
 seconds), iolatency 31, bfq 13 (2-5 s), iocost only two marginal ones.
 """
 
-import pytest
-
 from repro.analysis.report import Table
-from repro.block.device_models import get_device_spec
-from repro.controllers.bfq import BFQController
-from repro.controllers.blk_throttle import BlkThrottleController, ThrottleLimits
-from repro.controllers.iolatency import IOLatencyController
-from repro.core.controller import IOCost
-from repro.core.cost_model import LinearCostModel, ModelParams
-from repro.core.qos import QoSParams
-from repro.sim import Simulator
-from repro.workloads.zookeeper import Machine, ZooKeeperEnsemble
+from repro.workloads.zookeeper import FIG16_CONTROLLERS, run_fig16
 
 from benchmarks.conftest import run_experiment
 
-KB = 1024
-DURATION = 240.0
-N_ENSEMBLES = 12
-SPEC = get_device_spec("ssd_enterprise").scaled(0.025)
-
-
-def controller_factory(name):
-    if name == "iocost":
-        return lambda: IOCost(
-            LinearCostModel(ModelParams.from_device_spec(SPEC)),
-            qos=QoSParams(
-                read_lat_target=25e-3, read_pct=90,
-                write_lat_target=250e-3, write_pct=90,
-                vrate_min=0.5, vrate_max=1.2, period=0.05,
-            ),
-        )
-    if name == "bfq":
-        return BFQController
-    if name == "iolatency":
-        return lambda: IOLatencyController(
-            {
-                f"workload.slice/ens{i}": (80e-3 if i < 6 else 160e-3)
-                for i in range(N_ENSEMBLES)
-            }
-        )
-    if name == "blk-throttle":
-        return lambda: BlkThrottleController(
-            {
-                f"workload.slice/ens{i}": ThrottleLimits(wbps=4e6)
-                for i in range(N_ENSEMBLES)
-            }
-        )
-    raise ValueError(name)
-
-
-def run_one(name):
-    sim = Simulator()
-    machines = [
-        Machine(sim, SPEC, controller_factory(name), name=f"m{i}", seed=i)
-        for i in range(5)
-    ]
-    ensembles = []
-    for index in range(N_ENSEMBLES):
-        noisy = index == N_ENSEMBLES - 1
-        ensembles.append(
-            ZooKeeperEnsemble(
-                sim, machines, f"ens{index}",
-                read_rps=50, write_rps=8,
-                payload=(300 if noisy else 100) * KB,
-                snapshot_every=400,
-                snapshot_bytes=(72 if noisy else 24) * 1024 * KB,
-                snapshot_chunk=64 * KB,
-                stop_at=DURATION, seed=1000 + index,
-            ).start()
-        )
-    sim.run(until=DURATION)
-    for machine in machines:
-        machine.controller.detach()
-    violations = []
-    for ensemble in ensembles[:-1]:
-        violations.extend(ensemble.slo_violations(slo=1.0))
-    longest = max((duration for _, duration, _ in violations), default=0.0)
-    peak = max((p for _, _, p in violations), default=0.0)
-    return {"count": len(violations), "longest": longest, "peak": peak}
-
 
 def run_all():
-    return {
-        name: run_one(name)
-        for name in ("blk-throttle", "bfq", "iolatency", "iocost")
-    }
+    return {name: run_fig16(name) for name in FIG16_CONTROLLERS}
 
 
 def test_fig16_zookeeper_slo(benchmark):

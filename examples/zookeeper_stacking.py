@@ -10,108 +10,24 @@ We count violations of a one-second P99 SLO for the well-behaved ensembles.
 
 Scaled down from the paper's 6-hour run on enterprise SSDs to minutes on a
 1/40-speed device; snapshot cadence is scaled to preserve burst frequency.
+The scenario is :func:`repro.workloads.zookeeper.run_fig16`.
 
 Run:  python examples/zookeeper_stacking.py
 """
 
 from repro.analysis.report import Table
-from repro.block.device_models import get_device_spec
-from repro.core.cost_model import LinearCostModel, ModelParams
-from repro.core.controller import IOCost
-from repro.core.qos import QoSParams
-from repro.controllers.bfq import BFQController
-from repro.controllers.blk_throttle import BlkThrottleController, ThrottleLimits
-from repro.controllers.iolatency import IOLatencyController
-from repro.sim import Simulator
-from repro.workloads.zookeeper import Machine, ZooKeeperEnsemble
-
-KB = 1024
-DURATION = 240.0
-N_MACHINES = 5
-N_ENSEMBLES = 12
-SPEC = get_device_spec("ssd_enterprise").scaled(0.025)
-
-
-def controller_factory(name: str):
-    if name == "iocost":
-        # Weights only; QoS holds the device at a consistent operating
-        # point (targets sized to this device's service times).
-        return lambda: IOCost(
-            LinearCostModel(ModelParams.from_device_spec(SPEC)),
-            qos=QoSParams(
-                read_lat_target=25e-3, read_pct=90,
-                write_lat_target=250e-3, write_pct=90,
-                vrate_min=0.5, vrate_max=1.2, period=0.05,
-            ),
-        )
-    if name == "bfq":
-        return BFQController
-    if name == "iolatency":
-        # The paper: "we tuned per-cgroup latency targets in an attempt to
-        # achieve the desired distribution" — equal-priority ensembles end
-        # up with staggered targets, and the looser tier gets crushed.
-        return lambda: IOLatencyController(
-            {
-                f"workload.slice/ens{i}": (80e-3 if i < 6 else 160e-3)
-                for i in range(N_ENSEMBLES)
-            }
-        )
-    if name == "blk-throttle":
-        # Caps sized ~3x steady-state demand: fine until a snapshot burst.
-        return lambda: BlkThrottleController(
-            {
-                f"workload.slice/ens{i}": ThrottleLimits(wbps=4e6)
-                for i in range(N_ENSEMBLES)
-            }
-        )
-    raise ValueError(name)
-
-
-def run_once(name: str):
-    sim = Simulator()
-    machines = [
-        Machine(sim, SPEC, controller_factory(name), name=f"m{i}", seed=i)
-        for i in range(N_MACHINES)
-    ]
-    ensembles = []
-    for index in range(N_ENSEMBLES):
-        noisy = index == N_ENSEMBLES - 1
-        ensembles.append(
-            ZooKeeperEnsemble(
-                sim,
-                machines,
-                f"ens{index}",
-                read_rps=50,
-                write_rps=8,
-                payload=(300 if noisy else 100) * KB,
-                snapshot_every=400,
-                snapshot_bytes=(72 if noisy else 24) * 1024 * KB,
-                snapshot_chunk=64 * KB,
-                stop_at=DURATION,
-                seed=1000 + index,
-            ).start()
-        )
-    sim.run(until=DURATION)
-    for machine in machines:
-        machine.controller.detach()
-
-    violations = []
-    for ensemble in ensembles[:-1]:  # the well-behaved eleven
-        violations.extend(ensemble.slo_violations(slo=1.0))
-    return violations
+from repro.workloads.zookeeper import FIG16_CONTROLLERS, FIG16_DURATION, run_fig16
 
 
 def main() -> None:
     table = Table(
-        f"1s-SLO violations of the 11 well-behaved ensembles ({DURATION:.0f}s simulated)",
+        f"1s-SLO violations of the 11 well-behaved ensembles ({FIG16_DURATION:.0f}s simulated)",
         ["controller", "violations", "longest (s)", "peak p99 (s)"],
     )
-    for name in ("blk-throttle", "bfq", "iolatency", "iocost"):
+    for name in FIG16_CONTROLLERS:
         print(f"running {name}...")
-        violations = run_once(name)
-        longest = max((duration for _, duration, _ in violations), default=0.0)
-        peak = max((p for _, _, p in violations), default=0.0)
-        table.add_row(name, len(violations), f"{longest:.1f}", f"{peak:.2f}")
+        row = run_fig16(name)
+        table.add_row(name, row["count"], f"{row['longest']:.1f}", f"{row['peak']:.2f}")
     table.print()
     print(
         "\npaper shape (Figure 16): blk-throttle most violations (78, some"

@@ -34,9 +34,9 @@ class _Bucket:
 
     __slots__ = ("rate", "tokens", "burst", "last")
 
-    def __init__(self, rate: float, burst_sec: float = 0.02):
+    def __init__(self, rate: float):
         self.rate = rate
-        self.burst = rate * burst_sec
+        self.burst = rate * 0.02  # a full bucket holds 20 ms of the rate
         self.tokens = self.burst
         self.last = 0.0
 

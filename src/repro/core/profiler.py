@@ -24,6 +24,7 @@ from repro.obs.metrics import exact_percentile
 
 SEQ_IO_SIZE = 1 << 20  # 1 MiB transfers for the bandwidth phases
 PAGE = 4096
+WARMUP = 0.05  # seconds of each saturation run left out of its measurement
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,6 @@ def _saturate(
     io_size: int,
     duration: float,
     seed: int,
-    warmup: float = 0.05,
 ) -> tuple:
     """Closed-loop saturation run; returns (iops, bps, p50_latency)."""
     from repro.testbed import Testbed
@@ -78,9 +78,9 @@ def _saturate(
     bed = Testbed(device=spec, controller="none", seed=seed)
     workload = bed.saturate(
         bed.add_cgroup("profiler"), op=op, size=io_size, sequential=sequential,
-        depth=min(spec.nr_slots, spec.parallelism * 4), stop_at=warmup + duration,
+        depth=min(spec.nr_slots, spec.parallelism * 4), stop_at=WARMUP + duration,
     )
-    bed.run(warmup)
+    bed.run(WARMUP)
     done, nbytes = workload.completed, workload.bytes_done
     bed.run(duration)
     latencies = workload.latencies[done:]

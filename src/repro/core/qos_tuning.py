@@ -144,7 +144,6 @@ def tune_qos(
     params: Optional[ModelParams] = None,
     candidates: Sequence[float] = DEFAULT_VRATE_CANDIDATES,
     latency_threshold: float = 75e-3,
-    rps_plateau_fraction: float = 0.95,
     duration: float = 10.0,
     total_mem: int = 256 * MB,
     seed: int = 0,
@@ -160,11 +159,11 @@ def tune_qos(
         for v in candidates
     }
 
-    # Upper bound: smallest vrate reaching the RPS plateau.
+    # Upper bound: smallest vrate reaching the RPS plateau (95% of the best).
     best_rps = max(solo.values()) or 1.0
     vrate_max = candidates[-1]
     for v in candidates:
-        if solo[v] >= rps_plateau_fraction * best_rps:
+        if solo[v] >= 0.95 * best_rps:
             vrate_max = v
             break
 

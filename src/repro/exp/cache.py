@@ -7,8 +7,11 @@ succeeded, and its ``meta`` matches on every component of the cache key:
   sweep axis value invalidates exactly the cells that contain it;
 * ``seed`` — the sweep seed (also folded into the hash; checked
   explicitly as a defensive second factor);
-* ``version`` — ``repro.__version__``, so bumping the library re-runs
-  everything (simulator behaviour may have changed under the same spec).
+* ``version`` — ``repro.__version__`` plus a digest of the imported
+  package's ``*.py`` sources (:func:`source_fingerprint`, computed once per
+  process), so bumping the library *or editing any of its code* re-runs
+  everything: simulator behaviour may have changed under the same spec and
+  the same version string.
 
 Failed runs never hit: a sweep re-attempts its previous failures.  The
 cache records hit/miss reasons so ``status`` output and the sweep report
@@ -22,7 +25,10 @@ are read and validated.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
+from functools import lru_cache
+from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Set
 
 import repro
@@ -39,6 +45,22 @@ MISS_STALE = "stale-metadata"
 MISS_FORCED = "forced"
 
 
+def source_fingerprint(root: Path) -> str:
+    """Digest of every ``*.py`` file under ``root``: relative paths and
+    bytes, in path order."""
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        data = path.read_bytes()
+        digest.update(f"{path.relative_to(root).as_posix()}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()[:16]
+
+
+@lru_cache(maxsize=None)
+def _package_fingerprint() -> str:
+    return source_fingerprint(Path(repro.__file__).parent)
+
+
 @dataclass(frozen=True)
 class CacheDecision:
     """One lookup verdict: hit/miss, why, and the cached result if any."""
@@ -50,11 +72,13 @@ class CacheDecision:
 
 
 class ResultCache:
-    """Cache keyed by (run content hash, seed, library version)."""
+    """Cache keyed by (run content hash, seed, library version and code)."""
 
     def __init__(self, store: ArtifactStore, version: Optional[str] = None) -> None:
         self.store = store
-        self.version = repro.__version__ if version is None else version
+        if version is None:
+            version = f"{repro.__version__}+{_package_fingerprint()}"
+        self.version = version
 
     def decide(self, runs: Sequence[RunSpec], force: bool = False) -> List[CacheDecision]:
         """One verdict per run, in order, from one listing of the store."""
@@ -124,6 +148,7 @@ class ResultCache:
 __all__ = [
     "CacheDecision",
     "ResultCache",
+    "source_fingerprint",
     "HIT",
     "MISS_ABSENT",
     "MISS_FAILED",

@@ -100,28 +100,13 @@ def host_params(spec: FleetSpec, scheduler: FleetScheduler) -> List[Dict[str, An
     return params
 
 
-def fleet_sweep_spec(
-    spec: FleetSpec,
-    scheduler: FleetScheduler,
-    controllers: Optional[Dict[str, str]] = None,
-) -> ExperimentSpec:
-    """Compile a placed fleet into a one-cell-per-host experiment sweep.
-
-    ``controllers`` optionally overrides the per-host controller — this is
-    how the staged-migration policy runs a mixed fleet (some hosts on the
-    old stack, some on the new) through the same pipeline.
-    """
-    hosts = host_params(spec, scheduler)
-    if controllers is not None:
-        for entry in hosts:
-            override = controllers.get(entry["id"])
-            if override is not None:
-                entry["controller"] = override
+def fleet_sweep_spec(spec: FleetSpec, scheduler: FleetScheduler) -> ExperimentSpec:
+    """Compile a placed fleet into a one-cell-per-host experiment sweep."""
     return ExperimentSpec(
         name=f"{spec.name}:hosts",
         kind=HOST_KIND,
         base={},
-        zip_axes={"host": tuple(hosts)},
+        zip_axes={"host": tuple(host_params(spec, scheduler))},
         seed=spec.seed,
     )
 

@@ -11,7 +11,7 @@ from repro.workloads.profiles import MixedWorkload, WORKLOAD_PROFILES, WorkloadP
 from repro.workloads.rcbench import ResourceControlBench, WebServer
 from repro.workloads.memleak import MemoryLeaker, StressWorkload
 from repro.workloads.pid import LoadRamp, PIDController
-from repro.workloads.zookeeper import Machine, ZooKeeperEnsemble
+from repro.workloads.zookeeper import ZooKeeperEnsemble, run_fig16
 from repro.workloads.fleet import (
     CONTAINER_CLEANUP,
     PACKAGE_FETCH,
@@ -25,7 +25,6 @@ __all__ = [
     "ClosedLoopWorkload",
     "LatencyGovernedWorkload",
     "LoadRamp",
-    "Machine",
     "MemoryLeaker",
     "MixedWorkload",
     "PACKAGE_FETCH",
@@ -41,6 +40,7 @@ __all__ = [
     "Workload",
     "WorkloadProfile",
     "ZooKeeperEnsemble",
+    "run_fig16",
     "run_task_once",
     "sample_failures",
 ]

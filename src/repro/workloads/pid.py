@@ -5,9 +5,10 @@ ResourceControlBench from 40% of its peak compute load to 80% while keeping
 p95 latency under 75 ms.  We measure the time it takes ... to scale from
 40% to 80%."
 
-:class:`PIDController` is a plain textbook PID; :class:`LoadRamp` wires it
-to an :class:`~repro.workloads.rcbench.ResourceControlBench` instance's
-``load`` knob with the p95 request latency as the process variable.
+:class:`PIDController` is a textbook PID without the derivative term;
+:class:`LoadRamp` wires it to an
+:class:`~repro.workloads.rcbench.ResourceControlBench` instance's ``load``
+knob with the p95 request latency as the process variable.
 """
 
 from __future__ import annotations
@@ -19,33 +20,26 @@ from repro.workloads.rcbench import ResourceControlBench
 
 
 class PIDController:
-    """Discrete PID on an error signal."""
+    """Discrete proportional-integral control on an error signal."""
 
     def __init__(
         self,
         kp: float,
         ki: float = 0.0,
-        kd: float = 0.0,
         output_min: float = float("-inf"),
         output_max: float = float("inf"),
     ):
         self.kp = kp
         self.ki = ki
-        self.kd = kd
         self.output_min = output_min
         self.output_max = output_max
         self._integral = 0.0
-        self._last_error: Optional[float] = None
 
     def update(self, error: float, dt: float) -> float:
         if dt <= 0:
             raise ValueError("dt must be positive")
         self._integral += error * dt
-        derivative = 0.0
-        if self._last_error is not None:
-            derivative = (error - self._last_error) / dt
-        self._last_error = error
-        output = self.kp * error + self.ki * self._integral + self.kd * derivative
+        output = self.kp * error + self.ki * self._integral
         # Clamp with integral anti-windup.
         if output > self.output_max:
             self._integral -= error * dt

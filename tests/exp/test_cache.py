@@ -4,6 +4,7 @@ import json
 import os
 import signal
 from multiprocessing import get_context
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,7 @@ from repro.exp.cache import (
     MISS_STALE,
     MISS_VERSION,
     ResultCache,
+    source_fingerprint,
 )
 from repro.exp.grid import RunSpec, expand
 from repro.exp.runner import run_sweep
@@ -80,6 +82,20 @@ class TestResultCacheUnit:
         )
         assert ResultCache(store, version="1.0").decide([run])[0].hit
         assert ResultCache(store, version="2.0").decide([run])[0].reason == MISS_VERSION
+
+    def test_code_edit_is_a_version_change(self, tmp_path):
+        # Two package trees one byte apart fingerprint apart, and the
+        # default version carries the running package's fingerprint.
+        trees = []
+        for body in (b"RATE = 1\n", b"RATE = 2\n"):
+            root = tmp_path / f"tree{len(trees)}"
+            (root / "sub").mkdir(parents=True)
+            (root / "__init__.py").write_bytes(b"")
+            (root / "sub" / "model.py").write_bytes(body)
+            trees.append(source_fingerprint(root))
+        assert trees[0] != trees[1]
+        package = source_fingerprint(Path(repro.__file__).parent)
+        assert ResultCache(ArtifactStore(tmp_path)).version == f"{repro.__version__}+{package}"
 
     def test_stale_metadata(self, tmp_path):
         store = ArtifactStore(tmp_path)

@@ -9,12 +9,10 @@ import itertools
 
 import pytest
 
-from repro.exp.grid import expand
 from repro.exp.spec import canonical_json
 from repro.exp.store import ArtifactStore
 from repro.fleet.runner import (
     FleetRunnerError,
-    fleet_sweep_spec,
     host_params,
     run_fleet_sweep,
     run_staged_migration,
@@ -62,19 +60,6 @@ class TestHostParams:
             assert entry["controller"] == "iocost"
             assert all(w["type"] == "paced" for w in entry["workloads"])
             assert set(entry["cgroups"]) == {w["cgroup"] for w in entry["workloads"]}
-
-    def test_controller_override_for_mixed_fleets(self):
-        spec = FleetSpec.from_dict(fleet_doc())
-        scheduler = placed_scheduler(spec)
-        sweep = fleet_sweep_spec(
-            spec, scheduler, controllers={"web/1": "iolatency"}
-        )
-        by_id = {
-            run.params["host"]["id"]: run.params["host"]["controller"]
-            for run in expand(sweep)
-        }
-        assert by_id["web/1"] == "iolatency"
-        assert by_id["web/0"] == "iocost"
 
 
 class TestFleetSweepAcceptance:

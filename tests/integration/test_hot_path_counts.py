@@ -3,11 +3,13 @@
 Wall time is measured by ``bench/run.py``; what tier-1 pins is the fixed
 rig's work in exact integers, on any machine: the self-profiler's event,
 heap and pump counts, and the number of Python calls ``cProfile`` sees
-per additional bio while TRACE, PROF and SANITIZE are all off.  A solo bio
-is one simulator event — its completion; the issue path's CPU cost is its
-start time on the device, not an event.  Run this file after touching
-anything between ``BlockLayer.submit`` and ``_finish``.  A change that
-removes work lowers the numbers here.
+per additional bio while TRACE, PROF and SANITIZE are all off.  The fixed
+rig is :func:`tests.conftest.run_count_rig`, ``solo_randread``'s closed
+loop on a :class:`~repro.testbed.Testbed`.  A solo bio is one simulator
+event — its completion; the issue path's CPU cost is its start time on the
+device, not an event.  Run this file after touching anything between
+``BlockLayer.submit`` and ``_finish``.  A change that removes work lowers
+the numbers here.
 
 A second, *contended* rig sits beside the solo one: a small weighted tree
 whose budget binds, so most heads wait.  What it pins is that a held head
@@ -39,19 +41,19 @@ from repro.obs.prof import PROF
 from repro.obs.trace import TRACE
 from repro.sanitize import SANITIZE
 from repro.testbed import Testbed
-from repro.tools.engine_bench import run_fixed_load
+from tests.conftest import run_count_rig
 
-BIOS = 5000
-DEPTH = 64
+#: Simulated seconds of the count rig: 5,305 bios, no plan tick.
+WINDOW = 0.02
+BIOS = 5305
 
-#: ``PROF.snapshot()`` of ``run_fixed_load(BIOS, DEPTH)``, exactly.  While
-#: the issue path's CPU cost was an event per bio it read 11,044 events and
-#: 11,045 heap pushes; now a bio's one event is its completion.
+#: ``PROF.snapshot()`` of ``run_count_rig(WINDOW)``, exactly.  A bio's one
+#: event is its completion; the issue path's CPU cost is its start time.
 PROF_COUNTS = {
-    "events_dispatched": 6044,
-    "heap_pushes": 6045,
-    "heap_pops": 6045,
-    "pump_calls": 7020,
+    "events_dispatched": 5867,
+    "heap_pushes": 5868,
+    "heap_pops": 5868,
+    "pump_calls": 6360,
     "bios_submitted": BIOS,
     "bios_issued": BIOS,
     "bios_completed": BIOS,
@@ -79,15 +81,15 @@ CONTENDED_PROF_COUNTS = {
 HEAP_PUSHES_PER_BIO_CEILING = 3.0
 CANCELLED_SHARE_CEILING = 0.3
 
-#: Python + C calls per additional bio with every guard off: 37.002 on
-#: CPython 3.11 (the .002 is one sector-chunk refill per 4096 bios).  The
-#: issue event's five calls and the three ``can_dispatch()`` calls went.
-CALLS_PER_BIO_CEILING = 37.012
+#: Python + C calls per additional bio with every guard off: 40.032 on
+#: CPython 3.11 (the .032 is one sector-chunk refill per 256 bios).  Three
+#: of the forty are the workload's ``_record`` of its own completion.
+CALLS_PER_BIO_CEILING = 40.042
 
-#: Bytes each additional bio adds to tracemalloc's peak: 38.8 on CPython
-#: 3.11.  The ceiling is the three doubles it leaves in each of the two
-#: latency windows it lands in (device and cgroup); while a sample was a
-#: tuple it was 188.
+#: Bytes each additional bio adds to tracemalloc's peak: 45.5 on CPython
+#: 3.11 — the three doubles it leaves in each of the two latency windows it
+#: lands in (device and cgroup) and the one in the workload's latency log,
+#: less what the windows evict.  While a sample was a tuple it was 188.
 PEAK_BYTES_PER_BIO_CEILING = 48
 
 #: cProfile's C-call accounting and the allocator's sizes differ between
@@ -107,29 +109,37 @@ def everything_off():
     PROF.disable().reset()
 
 
-def _calls(bios):
+def _calls(seconds):
+    """``(calls, bios)`` of a count-rig run of ``seconds``."""
     profiler = cProfile.Profile()
     # A collection inside the profile would count whatever sits in
     # gc.callbacks (hypothesis installs one) as calls of the run.
     gc.disable()
     try:
         profiler.enable()
-        run_fixed_load(bios, DEPTH)
+        bed = run_count_rig(seconds)
         profiler.disable()
     finally:
         gc.enable()
-    return pstats.Stats(profiler).total_calls
+    return pstats.Stats(profiler).total_calls, bed.layer.completed_ios
+
+
+def marginal(measure):
+    """``measure`` of a 2×WINDOW run minus a WINDOW run, per additional
+    bio: set-up and drain cancel."""
+    run_count_rig(WINDOW / 10)  # first-use imports and caches
+    short, short_bios = measure(WINDOW)
+    long, long_bios = measure(2 * WINDOW)
+    return (long - short) / (long_bios - short_bios)
 
 
 def marginal_calls_per_bio():
-    """Calls of a 2×BIOS run minus a BIOS run: set-up and drain cancel."""
-    run_fixed_load(DEPTH, DEPTH)  # first-use imports and caches
-    return (_calls(2 * BIOS) - _calls(BIOS)) / BIOS
+    return marginal(_calls)
 
 
 def test_prof_counts_are_exact():
     with PROF:
-        run_fixed_load(BIOS, DEPTH)
+        run_count_rig(WINDOW)
     assert PROF.snapshot() == PROF_COUNTS
 
 
@@ -282,28 +292,28 @@ def test_ceiling_catches_a_payload_built_before_the_guard(monkeypatch):
     assert marginal_calls_per_bio() > CALLS_PER_BIO_CEILING
 
 
-def _peak_bytes(bios):
+def _peak_bytes(seconds):
+    """``(peak bytes, bios)`` of a count-rig run of ``seconds``."""
     gc.collect()
     tracemalloc.start()
     try:
-        run_fixed_load(bios, DEPTH)
-        return tracemalloc.get_traced_memory()[1]
+        bed = run_count_rig(seconds)
+        return tracemalloc.get_traced_memory()[1], bed.layer.completed_ios
     finally:
         tracemalloc.stop()
 
 
 def marginal_peak_bytes_per_bio():
-    """Peak bytes of a 2×BIOS run minus a BIOS run: set-up and drain cancel."""
-    run_fixed_load(DEPTH, DEPTH)  # first-use imports and caches
-    return (_peak_bytes(2 * BIOS) - _peak_bytes(BIOS)) / BIOS
+    return marginal(_peak_bytes)
 
 
 def young_collections():
-    """Generation-0 collections during a 2×BIOS run started from an empty
-    young generation: each one means bios left GC-tracked objects behind."""
+    """Generation-0 collections during a 2×WINDOW run started from an
+    empty young generation: each one means bios left GC-tracked objects
+    behind."""
     gc.collect()
     before = gc.get_stats()[0]["collections"]
-    run_fixed_load(2 * BIOS, DEPTH)
+    run_count_rig(2 * WINDOW)
     return gc.get_stats()[0]["collections"] - before
 
 

@@ -1,11 +1,12 @@
 """Every simulated machine is a :class:`~repro.testbed.Testbed`.
 
-Profiling, QoS tuning, the Figure 13 phases and the Figures 18/19 task runs
-build their machine with the testbed, so they inherit its per-machine bio
+Profiling, QoS tuning, the Figure 13 phases, the Figure 16 ensembles and
+the Figures 18/19 task runs build their machine with the testbed, so they inherit its per-machine bio
 ids and label-keyed streams: a call's answer depends on its arguments
 alone, not on what else ran earlier in the process.
 """
 
+import re
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,8 @@ from repro.testbed import Testbed
 from repro.workloads.fleet import CONTAINER_CLEANUP, run_task_once
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+#: A call that builds a simulator, a device or a block layer.
+BUILDS = re.compile(r"\b(Simulator|Device|BlockLayer)\(")
 MB = 1024 * 1024
 
 SPEC = DeviceSpec(
@@ -80,13 +83,15 @@ def test_answer_does_not_depend_on_what_ran_before(name):
     assert ENTRY_POINTS[name]() == first
 
 
-def test_only_the_testbed_and_the_count_rig_build_a_simulator():
+def test_only_the_testbed_builds_a_machine():
+    """No module of ``src/`` but ``testbed.py`` constructs a simulator, a
+    device or a block layer."""
     builders = sorted(
         path.relative_to(SRC).as_posix()
         for path in SRC.rglob("*.py")
-        if "Simulator(" in path.read_text()
+        if BUILDS.search(path.read_text())
     )
-    assert builders == ["testbed.py", "tools/engine_bench.py"]
+    assert builders == ["testbed.py"]
 
 
 def test_vrate_phases_compensate_model_error():

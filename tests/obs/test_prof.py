@@ -4,9 +4,12 @@ import pytest
 
 from repro.obs.prof import PROF, SimProfiler
 from repro.obs.trace import TRACE
-from repro.tools.engine_bench import run_fixed_load
+from tests.conftest import run_count_rig
 
-BIOS = 500
+#: Simulated seconds of a run (509 bios at depth 16) and of a short one.
+SECONDS = 0.003
+SHORT = 0.0005
+SHORT_BIOS = 92
 DEPTH = 16
 
 
@@ -18,14 +21,14 @@ def clean_profiler():
     PROF.disable().reset()
 
 
-def run_rig(bios=BIOS):
-    """Small deterministic closed-loop run; returns the drained simulator."""
-    return run_fixed_load(bios, DEPTH)
+def run_rig(seconds=SECONDS):
+    """Small deterministic closed-loop run; returns the drained testbed."""
+    return run_count_rig(seconds, DEPTH)
 
 
 class TestLifecycle:
     def test_disabled_by_default_and_counts_nothing(self):
-        run_rig(bios=50)
+        run_rig(SHORT)
         assert PROF.total_checks == 0
         assert PROF.snapshot()["bios_completed"] == 0
 
@@ -47,17 +50,18 @@ class TestLifecycle:
 class TestCounting:
     def test_counts_engine_work(self):
         with PROF:
-            run_rig()
+            bios = run_rig().layer.completed_ios
         snap = PROF.snapshot()
-        assert snap["bios_submitted"] == BIOS
-        assert snap["bios_issued"] == BIOS
-        assert snap["bios_completed"] == BIOS
+        assert bios > 500
+        assert snap["bios_submitted"] == bios
+        assert snap["bios_issued"] == bios
+        assert snap["bios_completed"] == bios
         # Every bio needs at least one device-completion event, plus the
         # controller timers.
-        assert snap["events_dispatched"] >= BIOS
+        assert snap["events_dispatched"] >= bios
         assert snap["heap_pushes"] >= snap["events_dispatched"]
         assert snap["heap_pops"] >= snap["events_dispatched"]
-        assert snap["pump_calls"] >= BIOS  # one per submit at minimum
+        assert snap["pump_calls"] >= bios  # one per submit at minimum
 
     def test_deterministic_across_runs(self):
         with PROF:
@@ -73,12 +77,12 @@ class TestCounting:
         subscription = TRACE.subscribe(events.append)
         try:
             with PROF:
-                run_rig(bios=50)
+                run_rig(SHORT)
         finally:
             subscription.close()
         emitted = sum(PROF.emits_by_point.values())
         assert emitted == len(events)
-        assert PROF.emits_by_point["bio_submit"] == 50
+        assert PROF.emits_by_point["bio_submit"] == SHORT_BIOS
         # Emissions are not part of total_checks (separate guard flag).
         assert PROF.total_checks == sum(
             PROF.snapshot()[name] for name in SimProfiler.COUNTERS
@@ -86,7 +90,7 @@ class TestCounting:
 
     def test_no_emit_counts_while_tracing_disabled(self):
         with PROF:
-            run_rig(bios=50)
+            run_rig(SHORT)
         assert PROF.emits_by_point == {}
 
 
@@ -105,21 +109,21 @@ class TestReporting:
 
     def test_describe_lists_counters(self):
         with PROF:
-            run_rig(bios=50)
+            run_rig(SHORT)
         text = PROF.describe()
-        assert "bios_completed=50" in text
+        assert f"bios_completed={SHORT_BIOS}" in text
         assert "heap_pushes=" in text
 
     def test_snapshot_is_json_able(self):
         import json
 
         with PROF:
-            run_rig(bios=50)
-        assert json.loads(json.dumps(PROF.snapshot()))["bios_submitted"] == 50
+            run_rig(SHORT)
+        assert json.loads(json.dumps(PROF.snapshot()))["bios_submitted"] == SHORT_BIOS
 
     def test_profiling_does_not_change_results(self):
-        baseline = run_rig()
+        baseline = run_rig().sim
         with PROF:
-            tracked = run_rig()
+            tracked = run_rig().sim
         assert tracked.events_processed == baseline.events_processed
         assert tracked.now == baseline.now

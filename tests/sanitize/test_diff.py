@@ -1,4 +1,4 @@
-"""Differential check at small scale: the ``run_fixed_load`` rig traced
+"""Differential check at small scale: the count rig traced
 plain and under PROF+SANITIZE must byte-match, and the instrumented run
 must really run the checkers.  The three-plan-tick version of the same
 comparison is ``tests/sim/test_engine.py::TestInstrumentedRun``."""
@@ -7,11 +7,10 @@ import io
 
 import pytest
 
-from repro.block.bio import reset_bio_ids
 from repro.obs.prof import PROF
 from repro.obs.trace import TRACE, TraceBuffer
 from repro.sanitize import SANITIZE
-from repro.tools.engine_bench import run_fixed_load
+from tests.conftest import run_count_rig
 
 
 @pytest.fixture(autouse=True)
@@ -23,13 +22,12 @@ def ambient_instrumentation():
     PROF.enabled, SANITIZE.enabled = prof_was, san_was
 
 
-def traced(bios, depth, instrumented):
-    reset_bio_ids()  # the trace carries bio ids
+def traced(seconds, depth, instrumented):
     SANITIZE.reset()
     PROF.enabled = SANITIZE.enabled = instrumented
-    buffer = TraceBuffer(capacity=4 * bios).attach(TRACE)
+    buffer = TraceBuffer(capacity=10_000).attach(TRACE)
     try:
-        run_fixed_load(bios, depth)
+        run_count_rig(seconds, depth)
     finally:
         buffer.detach()
     assert not buffer.dropped
@@ -40,11 +38,11 @@ def traced(bios, depth, instrumented):
 
 class TestRunTraced:
     def test_traces_are_byte_identical(self):
-        plain = traced(bios=400, depth=16, instrumented=False)
-        inst = traced(bios=400, depth=16, instrumented=True)
-        assert plain == inst and plain.count("\n") > 400
+        plain = traced(seconds=0.002, depth=16, instrumented=False)
+        inst = traced(seconds=0.002, depth=16, instrumented=True)
+        assert plain == inst and plain.count("\n") > 349  # the bios
 
     def test_slow_run_counts_sanitize_checks(self):
-        traced(bios=200, depth=8, instrumented=True)
+        traced(seconds=0.002, depth=8, instrumented=True)
         assert SANITIZE.checks["time_monotonic"] > 0
-        assert SANITIZE.checks["slot_conservation"] == 400
+        assert SANITIZE.checks["slot_conservation"] == 2 * 181  # two per bio

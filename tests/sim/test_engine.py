@@ -4,14 +4,13 @@ import io
 
 import pytest
 
-from repro.block.bio import reset_bio_ids
 from repro.core.qos import QoSParams
 from repro.obs.prof import PROF
 from repro.obs.trace import TRACE, TraceBuffer
 from repro.sanitize import SANITIZE
 from repro.sim import CancelledError, Signal, SimulationError, Simulator
 from repro.testbed import Testbed
-from repro.tools.engine_bench import run_fixed_load
+from tests.conftest import run_count_rig
 
 
 def test_clock_starts_at_zero():
@@ -417,18 +416,17 @@ class TestInstrumentedRun:
         assert tiled_run(True) == plain
 
     def test_instrumentation_does_not_change_the_fixed_rig(self):
-        # 44,000 bios at depth 64 run 0.16 simulated seconds: three plan
-        # ticks, so what a per-period check does to the controller shows in
-        # the trace that follows it.
-        bios, depth = 44_000, 64
+        # 0.16 simulated seconds of the count rig (43,474 bios at depth
+        # 64): three plan ticks, so what a per-period check does to the
+        # controller shows in the trace that follows it.
+        seconds = 0.16
 
         def traced_run(instrumented):
-            reset_bio_ids()  # the trace carries bio ids
             SANITIZE.reset()
             PROF.enabled = SANITIZE.enabled = instrumented
-            buffer = TraceBuffer(capacity=4 * bios).attach(TRACE)
+            buffer = TraceBuffer(capacity=200_000).attach(TRACE)
             try:
-                sim = run_fixed_load(bios, depth)
+                sim = run_count_rig(seconds).sim
             finally:
                 buffer.detach()
             assert not buffer.dropped
