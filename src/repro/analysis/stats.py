@@ -5,14 +5,17 @@ percentiles over a sliding window to drive its QoS decisions; benchmarks in
 the paper additionally report means, percentiles, and rates.  This module
 provides the equivalents used throughout the reproduction:
 
-* :class:`LatencyWindow` — sliding-window sample store with percentile query.
+* :class:`LatencyLog` — one direction's sliding completion-latency samples,
+  each tagged with the key of the cgroup that completed it.
+* :class:`LatencyWindow` — percentile queries over a log, a pair of them or
+  one key's samples in them.
 * :class:`TimeSeries` — append-only (time, value) recorder with window
   reductions, used for vrate traces, RPS curves, etc.
 * :class:`RateMeter` — events/bytes per second over a sliding window.
 * :class:`Summary` — one-shot aggregate over a closed sample set.
 
-The layer records every completion in two latency windows, so the sliding
-stores keep a sample as flat doubles in one ``array('d')``
+The layer records every completion as one sample in one log, so the
+sliding stores keep a sample as flat doubles in one ``array('d')``
 (:class:`_SlidingStore`): 24 bytes, and no object for the cyclic GC.
 """
 
@@ -21,9 +24,11 @@ from __future__ import annotations
 import bisect
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.obs.metrics import exact_percentile
+import numpy as np
+
+from repro.obs.metrics import select_percentiles
 
 
 class _SlidingStore:
@@ -32,9 +37,10 @@ class _SlidingStore:
     converts each double twice) and, once ``now`` reaches ``_due``, calls
     :meth:`_evict`, so a store holds its last window and at most
     ``window / EVICTIONS`` more, read or not.  Queries bisect the time column
-    and slice the others, releasing the memoryview before they return (an
-    exported buffer makes the next append raise ``BufferError``).  Samples
-    are recorded in time order and queried at or after the newest.
+    and read the others (a slice, or a zero-copy numpy view), holding no
+    export of the buffer when they return (an exported buffer makes the
+    next append raise ``BufferError``).  Samples are recorded in time order
+    and queried at or after the newest.
     """
 
     _width: int
@@ -67,23 +73,109 @@ class _SlidingStore:
         self._due = now + self.window / self.EVICTIONS
 
 
-class LatencyWindow(_SlidingStore):
-    """Sliding-window latency samples with percentile queries.
-
-    A sample is (timestamp, latency, is_write) as three doubles.  The block
-    layer's device windows are the signal source for IOCost's saturation
-    detection.
-    """
+class LatencyLog(_SlidingStore):
+    """One direction's completion latencies on a device, whoever issued
+    them.  A sample is (timestamp, latency, key) as three doubles; ``key``
+    names the cgroup record that completed it.  Read through a
+    :class:`LatencyWindow`."""
 
     _width = 3
 
-    def record(self, now: float, latency: float, is_write: bool = False) -> None:
-        self._data.fromlist([now, latency, is_write])
+    def record(self, now: float, latency: float, key: float) -> None:
+        self._data.fromlist([now, latency, key])
         if now >= self._due:
             self._evict(now)
 
+    def _columns(self, now: float, horizon: float) -> Tuple[np.ndarray, np.ndarray]:
+        """The latencies and keys of the samples no older than ``horizon``:
+        strided views of the store, no copy.  They export the store's
+        buffer: drop them before the next ``record``."""
+        fresh = self._fresh(now, horizon)
+        flat = np.frombuffer(self._data, offset=8 * (len(self._data) - 3 * fresh))
+        return flat[1::3], flat[2::3]
+
+
+class LatencyWindow:
+    """Sliding-window latency percentiles: a view of a read log, a write
+    log or both, of every sample or of one ``key``'s.
+
+    The block layer keeps one :class:`LatencyLog` per direction and reads
+    them through views: ``layer.read_latency`` and ``layer.write_latency``
+    (all of one log; the signal source for IOCost's saturation detection)
+    and each cgroup record's ``latency`` (its key's samples in both).  Made
+    on its own, a window owns a log per direction and :meth:`record` feeds
+    them.  Every answer is a nearest-rank selection over a copy of the
+    samples inside the horizon (:func:`~repro.obs.metrics.select_percentiles`).
+    """
+
+    def __init__(
+        self,
+        window: float = 1.0,
+        reads: Optional[LatencyLog] = None,
+        writes: Optional[LatencyLog] = None,
+        key: Optional[float] = None,
+    ) -> None:
+        if reads is None and writes is None:
+            reads, writes = LatencyLog(window), LatencyLog(window)
+        self.reads, self.writes, self.key = reads, writes, key
+        self._logs = tuple(log for log in (reads, writes) if log is not None)
+        self._read_logs = (reads,) if reads is not None else ()
+        self.window = window
+
+    @property
+    def window(self) -> float:
+        return self._window
+
+    @window.setter
+    def window(self, window: float) -> None:
+        """The default horizon; a log keeps at least the widest of its views'."""
+        if window <= 0:
+            raise ValueError("window must be positive")
+        self._window = window
+        for log in self._logs:
+            log.window = max(log.window, window)
+
+    def record(self, now: float, latency: float, is_write: bool = False) -> None:
+        """Append to the log of the sample's direction under the view's key
+        (0 for a view of every key, such as a window made on its own)."""
+        log = self.writes if is_write else self.reads
+        log.record(now, latency, 0.0 if self.key is None else self.key)
+
+    def _latencies(self, now: float, horizon: float, reads_only: bool) -> np.ndarray:
+        """A copy of the view's latencies no older than ``horizon``."""
+        parts = []
+        for log in self._read_logs if reads_only else self._logs:
+            latencies, keys = log._columns(now, horizon)
+            parts.append(latencies if self.key is None else latencies[keys == self.key])
+        return np.concatenate(parts) if parts else np.empty(0)
+
     def count(self, now: float) -> int:
-        return self._fresh(now, self.window)
+        return len(self._latencies(now, self._window, False))
+
+    def __len__(self) -> int:
+        """The live samples: those no older than the window at the newest
+        sample of the view's logs."""
+        newest = [log._data[-3] for log in self._logs if log._data]
+        return self.count(max(newest)) if newest else 0
+
+    def percentiles(
+        self,
+        now: float,
+        pcts: Sequence[float],
+        horizon: Optional[float] = None,
+        reads_only: bool = False,
+    ) -> List[Optional[float]]:
+        """Percentiles of the samples no older than ``horizon`` seconds (the
+        whole window by default; a wider horizon raises), of the reads alone
+        if ``reads_only``, by one selection; Nones if there are none."""
+        if horizon is None:
+            horizon = self._window
+        elif horizon > self._window:
+            raise ValueError(f"horizon {horizon} exceeds the window ({self._window})")
+        latencies = self._latencies(now, horizon, reads_only)
+        if not len(latencies):
+            return [None] * len(pcts)
+        return select_percentiles(latencies, pcts)
 
     def percentile(
         self,
@@ -92,22 +184,8 @@ class LatencyWindow(_SlidingStore):
         horizon: Optional[float] = None,
         reads_only: bool = False,
     ) -> Optional[float]:
-        """Percentile of the samples no older than ``horizon`` seconds (the
-        whole window by default; a wider horizon raises), of the reads alone
-        if ``reads_only``; None if there are none."""
-        if horizon is None:
-            horizon = self.window
-        elif horizon > self.window:
-            raise ValueError(f"horizon {horizon} exceeds the window ({self.window})")
-        data = self._data
-        start = len(data) - 3 * self._fresh(now, horizon)
-        latencies: Sequence[float] = data[start + 1 :: 3]
-        if reads_only:
-            writes = data[start + 2 :: 3]
-            latencies = [lat for lat, is_write in zip(latencies, writes) if not is_write]
-        if not latencies:
-            return None
-        return exact_percentile(latencies, pct)
+        """One of :meth:`percentiles`."""
+        return self.percentiles(now, (pct,), horizon, reads_only)[0]
 
 
 class RateMeter(_SlidingStore):
@@ -193,11 +271,12 @@ class Summary:
         data = list(samples)
         if not data:
             raise ValueError("summary of empty sample set")
+        p50, p90, p99 = select_percentiles(np.array(data), (50, 90, 99))
         return cls(
             count=len(data),
             mean=sum(data) / len(data),
-            p50=exact_percentile(data, 50),
-            p90=exact_percentile(data, 90),
-            p99=exact_percentile(data, 99),
+            p50=p50,
+            p90=p90,
+            p99=p99,
             maximum=max(data),
         )

@@ -8,7 +8,8 @@ kernel block layer provides around them:
 * request-slot accounting (``nr_slots``) — the depletion signal IOCost's
   saturation detection consumes;
 * cgroup-relative sequentiality detection (the cost-model feature of §3.2);
-* per-device and per-cgroup completion-latency windows (QoS signals);
+* a completion-latency log per direction, read per device and per cgroup
+  (QoS signals);
 * per-cgroup accounting, all of it on the cgroup's one record for this
   device (``cgroup.stats.device(layer.dev)``, the kernel's ``blkg``), which
   ``submit`` looks up once and stores on the bio (``bio.blkg``) for the
@@ -30,7 +31,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Callable, Deque, Dict, Optional
 
-from repro.analysis.stats import LatencyWindow
+from repro.analysis.stats import LatencyLog, LatencyWindow
 from repro.block.bio import Bio, BioStatus
 from repro.block.device import Device
 from repro.cgroup import Cgroup
@@ -79,9 +80,14 @@ class BlockLayer:
         self.io_timeout = io_timeout
         # Without timeouts there is no timer to disarm: straight to _finish.
         device.on_complete = self._finish if io_timeout is None else self._device_completed
-        # Made before the controller attaches: iocost reads them and sizes them.
-        self.read_latency = LatencyWindow()
-        self.write_latency = LatencyWindow()
+        # One sample per completion, in its direction's log under its
+        # cgroup's key; the windows are views.  Made before the controller
+        # attaches: iocost reads the device views and widens them.
+        self._logs = (LatencyLog(), LatencyLog())  # reads, writes
+        self.read_latency = LatencyWindow(reads=self._logs[0])
+        self.write_latency = LatencyWindow(writes=self._logs[1])
+        #: The last key given to a cgroup record; keys are never reused.
+        self._last_key = 0.0
         controller.attach(self)
 
         self.max_retries = max_retries
@@ -285,16 +291,10 @@ class BlockLayer:
         # Failed bios feed the latency windows too: a timed-out bio records
         # its full io_timeout, which is exactly the degraded-latency signal
         # the QoS vrate loop must react to (graceful degradation).
-        latency = now - bio.issue_time
-        if bio.is_write:
-            self.write_latency.record(now, latency)
-        else:
-            self.read_latency.record(now, latency)
-        # The one place a cgroup's window is made: its first completion here.
         window = record.latency
-        if window is None:
-            window = record.latency = LatencyWindow()
-        window.record(now, latency, bio.is_write)
+        if window is None:  # the one place a cgroup's window is made
+            window = record.latency = self._cgroup_window()
+        self._logs[bio.is_write].record(now, now - bio.issue_time, window.key)
 
         # Requeued bios take the freed slot first, then the one controller call.
         if self._retryq:
@@ -345,6 +345,11 @@ class BlockLayer:
         # (the kernel requeues to the front of the dispatch list).
         while self._retryq and self.inflight < self.nr_slots:
             self._redispatch(self._retryq.popleft())
+
+    def _cgroup_window(self) -> LatencyWindow:
+        """A view of both logs under a key no record has had."""
+        self._last_key += 1.0
+        return LatencyWindow(reads=self._logs[0], writes=self._logs[1], key=self._last_key)
 
     def cgroup_window(self, cgroup: Cgroup) -> Optional[LatencyWindow]:
         """The cgroup's completion-latency window on this device, reads and

@@ -100,10 +100,3 @@ class DeviceRegistry:
     def controllers_by_devno(self) -> Dict[str, object]:
         """``devno -> controller`` for every registered device."""
         return {layer.dev: layer.controller for layer in self._layers.values()}
-
-    def name_of(self, devno: str) -> str:
-        """Reverse lookup: the registered name for a ``maj:min`` id."""
-        for name, layer in self._layers.items():
-            if layer.dev == devno:
-                return name
-        raise DeviceRegistryError(f"no device with devno {devno!r}")

@@ -49,8 +49,9 @@ class IOStats:
     completions (``BlockLayer.iops_of``).  All are filled in by the block
     layer's completion path, which also owns two of the non-counters:
     ``next_sector``, where a sequential successor of the cgroup's last bio
-    on this device would start, and ``latency``, the cgroup's completion-
-    latency window (both directions; made at its first completion).  The
+    on this device would start, and ``latency``, the view of the cgroup's
+    samples in the layer's latency logs (both directions, under a key made
+    at its first completion and never reused).  The
     device's controller owns the rest: ``throttled`` counts the bios it held,
     ``pd`` (the kernel's ``blkg->pd``) is its per-group state, reached
     through the bio (``bio.blkg.pd``), and ``online``, cleared by

@@ -92,7 +92,7 @@ class VRateController:
     ) -> float:
         """One planning-period adjustment; returns the new vrate."""
         qos = self.qos
-        # Each window is sorted once per period: the read percentile also
+        # Each window is read once per period: the read percentile also
         # feeds ``read_lat_series`` below, and both the ``vrate_adjust`` trace.
         horizon = self.horizon
         read_p = self.read_p = read_window.percentile(now, qos.read_pct, horizon)

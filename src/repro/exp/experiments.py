@@ -294,8 +294,8 @@ def cgroup_report(
         path: {
             "iops": float(bed.iops(group)),
             **{
-                f"read_p{pct:g}": _opt_float(bed.latency_percentile(group, pct))
-                for pct in percentiles
+                f"read_p{pct:g}": _opt_float(value)
+                for pct, value in zip(percentiles, bed.latency_percentiles(group, percentiles))
             },
         }
         for path, group in groups.items()

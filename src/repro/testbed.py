@@ -28,7 +28,7 @@ device never perturbs the streams of existing ones.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple, Type, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Type, Union
 
 import numpy as np
 
@@ -317,10 +317,16 @@ class Testbed:
         self, cgroup: Cgroup, pct: float, device: Optional[str] = None
     ) -> Optional[float]:
         """The cgroup's *read* latency percentile (None: no read finished)."""
+        return self.latency_percentiles(cgroup, (pct,), device)[0]
+
+    def latency_percentiles(
+        self, cgroup: Cgroup, pcts: Sequence[float], device: Optional[str] = None
+    ) -> List[Optional[float]]:
+        """:meth:`latency_percentile` at each of ``pcts``, by one selection."""
         window = self.layer_of(device).cgroup_window(cgroup)
         if window is None:
-            return None
-        return window.percentile(self.sim.now, pct, reads_only=True)
+            return [None] * len(pcts)
+        return window.percentiles(self.sim.now, pcts, reads_only=True)
 
     def detach(self) -> None:
         """Tear down every controller's timers (end of experiment)."""

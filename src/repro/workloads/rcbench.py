@@ -174,9 +174,6 @@ class ResourceControlBench(Workload):
             return None
         return exact_percentile(self.request_latencies[-last:], pct)
 
-    def mean_rps(self, start: float, end: float) -> float:
-        return self.rps_series.mean(start, end)
-
 
 class WebServer(ResourceControlBench):
     """Figure 14's production web server stand-in: RCBench with web-ish

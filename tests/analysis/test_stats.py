@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.stats import LatencyWindow, RateMeter, Summary, TimeSeries
+from repro.analysis.stats import LatencyLog, LatencyWindow, RateMeter, Summary, TimeSeries
 from repro.obs.metrics import exact_percentile as percentile
 
 
@@ -46,6 +46,28 @@ class TestPercentile:
     def test_monotone_in_pct(self, data):
         values = [percentile(data, p) for p in (10, 50, 90, 99)]
         assert values == sorted(values)
+
+
+    @given(
+        data=st.one_of(
+            st.lists(st.floats(allow_nan=False), min_size=1, max_size=60),
+            st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=60),
+        ),
+        pct=st.one_of(st.sampled_from([0, 100, 0.0, 100.0]), st.integers(0, 100), st.floats(0, 100)),
+    )
+    @settings(max_examples=300)
+    def test_selection_is_the_sorted_samples_at_the_nearest_rank(self, data, pct):
+        """To the bit, for float samples and int samples that fit an int64
+        (numpy holds larger ones as floats); zeros of either sign compare
+        equal, so either may be the one selected."""
+        rank = max(1, int(-(-pct * len(data) // 100)))
+        expected = sorted(data)[rank - 1]
+        result = percentile(data, pct)
+        assert type(result) is type(expected)
+        if isinstance(expected, float) and expected != 0.0:
+            assert result.hex() == expected.hex()
+        else:
+            assert result == expected
 
 
 class TestLatencyWindow:
@@ -116,8 +138,8 @@ class TestLatencyWindow:
         assert len(window) == len(meter) == 129
         assert meter.total == 1000 and meter.rate(999 / 128) == 129
         # What is stored beyond them is at most an eighth of a window.
-        slack = 1 + 1 / LatencyWindow.EVICTIONS
-        assert len(window._data) <= 3 * 129 * slack
+        slack = 1 + 1 / LatencyLog.EVICTIONS
+        assert len(window.reads._data) <= 3 * 129 * slack
         assert len(meter._data) <= 2 * 129 * slack
 
 
@@ -170,51 +192,107 @@ class TupleStores:
 #: Steps on a binary grid, so sums are exact and samples land exactly on
 #: the eviction boundary (``now - window``); zero makes equal timestamps.
 _GRID_STEPS = st.sampled_from([0.0, 0.0, 1 / 64, 1 / 16, 1 / 8, 1 / 4, 1 / 2])
+#: (step, latency, is_write, cgroup, whether the cgroup is removed first).
 _SAMPLE = st.tuples(
     st.one_of(_GRID_STEPS, st.floats(min_value=0, max_value=0.3)),
     st.floats(min_value=0, max_value=1),
     st.booleans(),
+    st.sampled_from([0, 0, 1, 2]),
+    st.sampled_from([False, False, False, True]),
 )
 
 
 class TestFlatStoresMatchTuples:
+    """The block layer's bookkeeping over flat stores — a latency log per
+    direction, a view per direction ``window`` wide, and per cgroup a view
+    one second wide under a key its record gets at its first sample (a
+    removed cgroup's record goes; the next one at its path gets a new key)
+    — against a deque of tuples per view."""
+
     @given(
-        window=st.sampled_from([1.0, 0.25, 0.3]),
+        window=st.sampled_from([1.0, 0.25, 0.3, 2.0]),
         stream=st.lists(_SAMPLE, min_size=1, max_size=60),
         lag=st.one_of(_GRID_STEPS, st.floats(min_value=0, max_value=0.5)),
         pct=st.one_of(st.sampled_from([0, 50, 90, 99, 100]), st.floats(0, 100)),
     )
     @example(  # equal timestamps, then one exactly a window later
-        window=1.0, stream=[(0.0, 3.0, False)] * 3 + [(1.0, 1.0, True)], lag=0.0, pct=50
+        window=1.0,
+        stream=[(0.0, 3.0, False, 0, False)] * 3 + [(1.0, 1.0, True, 0, False)],
+        lag=0.0,
+        pct=50,
     )
     @example(  # every step half the window: each record evicts
-        window=0.25, stream=[(0.125, index / 7, index % 2 == 0) for index in range(7)],
-        lag=0.25, pct=99,
+        window=0.25,
+        stream=[(0.125, index / 7, index % 2 == 0, index % 3, False) for index in range(7)],
+        lag=0.25,
+        pct=99,
+    )
+    @example(  # a cgroup removed and re-created at its path inside a window
+        window=1.0,
+        stream=[
+            (0.0, 5.0, False, 1, False),
+            (1 / 8, 1.0, False, 0, False),
+            (1 / 8, 2.0, False, 1, True),
+            (1 / 8, 3.0, True, 1, False),
+        ],
+        lag=0.0,
+        pct=100,
     )
     @settings(max_examples=200, deadline=None)
     def test_every_answer_is_the_tuple_stores(self, window, stream, lag, pct):
-        flat, meter, ref = LatencyWindow(window), RateMeter(window), TupleStores(window)
-        horizons = [window * eighth / 8 for eighth in range(1, 9)]
+        logs = LatencyLog(), LatencyLog()  # reads, writes
+        devices = (
+            (LatencyWindow(window, reads=logs[0]), TupleStores(window)),
+            (LatencyWindow(window, writes=logs[1]), TupleStores(window)),
+        )
+        meter, every = RateMeter(window), TupleStores(window)
+        live, cgroups, key = {}, [], 0.0
+        retention = logs[0].window
+        assert retention == logs[1].window == max(window, 1.0)
+        horizons = (1 / 8, 1 / 2, 1.0)
         now = 0.0
-        times = []
-        for step, latency, is_write in stream:
+        times = ([], [])
+        for step, latency, is_write, path, removed in stream:
+            if removed:
+                live.pop(path, None)
+            if path not in live:
+                key += 1.0
+                view = LatencyWindow(reads=logs[0], writes=logs[1], key=key)
+                live[path] = view, TupleStores(1.0)
+                cgroups.append(live[path])
             now += step
-            times.append(now)
-            flat.record(now, latency, is_write)
+            times[is_write].append(now)
+            logs[is_write].record(now, latency, live[path][0].key)
             meter.record(now, latency)
-            ref.record(now, latency, is_write)
-            assert len(flat) == len(meter) == len(ref.samples)
+            for ref in (devices[is_write][1], every, live[path][1]):
+                ref.record(now, latency, is_write)
             # Beyond the live window, at most an eighth of a window is kept.
-            kept = sum(time >= now - window * (1 + 1 / flat.EVICTIONS) for time in times)
-            assert len(flat._data) // 3 == len(meter._data) // 2 <= kept
+            for log, logged in zip(logs, times):
+                kept = sum(time >= logged[-1] - retention * (1 + 1 / log.EVICTIONS)
+                           for time in logged)
+                assert len(log._data) // 3 <= kept
+            kept = sum(time >= now - window * (1 + 1 / meter.EVICTIONS)
+                       for time in times[0] + times[1])
+            assert len(meter._data) // 2 <= kept
+            assert len(meter) == len(every.samples)
+            for view, ref in devices:
+                assert len(view) == len(ref.samples)
+            for view, ref in cgroups:
+                assert len(view) == len(ref.fresh(now, 1.0))
             for when in (now, now + lag):
-                assert flat.count(when) == len(ref.fresh(when, window))
-                assert repr(meter.rate(when)) == repr(ref.rate(when))
-                for horizon in horizons:
+                assert repr(meter.rate(when)) == repr(every.rate(when))
+                for view, ref in devices + tuple(cgroups):
+                    assert view.count(when) == len(ref.fresh(when, view.window))
                     for reads_only in (False, True):
-                        assert repr(
-                            flat.percentile(when, pct, horizon, reads_only)
-                        ) == repr(ref.percentile(when, pct, horizon, reads_only))
+                        for horizon in horizons:
+                            horizon *= view.window
+                            assert repr(
+                                view.percentile(when, pct, horizon, reads_only)
+                            ) == repr(ref.percentile(when, pct, horizon, reads_only))
+                        assert view.percentiles(when, (pct, 50, 99), None, reads_only) == [
+                            ref.percentile(when, each, view.window, reads_only)
+                            for each in (pct, 50, 99)
+                        ]
 
 
 class TestTimeSeries:

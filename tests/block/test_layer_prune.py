@@ -82,6 +82,24 @@ class TestPruneOnRemoval:
         assert record.latency is window and window.count(sim.now) == 1
         assert record.next_sector == cursor
 
+    def test_a_cgroup_recreated_at_its_path_starts_with_an_empty_window(self):
+        """The dead cgroup's samples stay in the layer's logs until they
+        age out, under a key the new record does not get."""
+        sim, tree, layer = make_stack()
+        first = tree.create("job")
+        layer.submit(Bio(IOOp.READ, 4096, 8, first))
+        sim.run(until=0.1)
+        old = first.stats.device(layer.dev).latency
+        tree.remove("job")
+        again = tree.create("job")
+        assert layer.cgroup_window(again) is None
+        layer.submit(Bio(IOOp.WRITE, 4096, 64, again))
+        sim.run(until=0.2)
+        new = layer.cgroup_window(again)
+        assert new.key != old.key
+        assert new.count(sim.now) == 1 and new.percentile(sim.now, 50, reads_only=True) is None
+        assert old.count(sim.now) == 1 and layer.read_latency.count(sim.now) == 1
+
     def test_removing_idle_cgroup_is_a_noop(self):
         sim, tree, layer = make_stack()
         tree.create("idle")

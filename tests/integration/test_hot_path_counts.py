@@ -30,7 +30,7 @@ from collections import deque
 
 import pytest
 
-from repro.analysis.stats import LatencyWindow
+from repro.analysis.stats import LatencyLog
 from repro.block.bio import Bio, IOOp
 from repro.block.layer import BlockLayer
 from repro.controllers import BlkThrottleController, ThrottleLimits
@@ -81,16 +81,20 @@ CONTENDED_PROF_COUNTS = {
 HEAP_PUSHES_PER_BIO_CEILING = 3.0
 CANCELLED_SHARE_CEILING = 0.3
 
-#: Python + C calls per additional bio with every guard off: 40.032 on
-#: CPython 3.11 (the .032 is one sector-chunk refill per 256 bios).  Three
-#: of the forty are the workload's ``_record`` of its own completion.
-CALLS_PER_BIO_CEILING = 40.042
+#: Python + C calls per additional bio with every guard off: 38.029 on
+#: CPython 3.11 (the .029 is one sector-chunk refill per 256 bios).  Three
+#: of the thirty-eight are the workload's ``_record`` of its own completion;
+#: two are the one latency sample (``LatencyLog.record`` and its
+#: ``fromlist``).  While the device and the cgroup window each took the
+#: sample it read 40.029.
+CALLS_PER_BIO_CEILING = 38.042
 
-#: Bytes each additional bio adds to tracemalloc's peak: 45.5 on CPython
-#: 3.11 — the three doubles it leaves in each of the two latency windows it
-#: lands in (device and cgroup) and the one in the workload's latency log,
-#: less what the windows evict.  While a sample was a tuple it was 188.
-PEAK_BYTES_PER_BIO_CEILING = 48
+#: Bytes each additional bio adds to tracemalloc's peak: 25.7 on CPython
+#: 3.11 — the three doubles it leaves in its direction's latency log and
+#: the one in the workload's latency log, less what the log evicts.  While
+#: the device and the cgroup window each kept the sample it was 45.5, and
+#: while a sample was a tuple 188.
+PEAK_BYTES_PER_BIO_CEILING = 28
 
 #: cProfile's C-call accounting and the allocator's sizes differ between
 #: minor versions.
@@ -325,17 +329,17 @@ def test_a_completion_leaves_a_few_doubles_and_nothing_to_collect():
 
 @needs_cpython_311
 def test_memory_guard_catches_a_tuple_per_sample(monkeypatch):
-    """The guard has a subject: a latency window that keeps each sample as
-    a ``(time, latency, is_write)`` tuple — what every window did before
-    the flat arrays — leaves 188 bytes per bio and makes the cyclic GC
-    collect every few hundred bios."""
+    """The guard has a subject: a latency log that keeps each sample as a
+    ``(time, latency, key)`` tuple — what every window did before the flat
+    arrays — makes the cyclic GC collect every few hundred bios and leaves
+    more bytes per bio than the ceiling."""
 
-    def tuple_record(self, now, latency, is_write=False):
+    def tuple_record(self, now, latency, key):
         samples = self.__dict__.setdefault("samples", deque())
-        samples.append((now, latency, is_write))
+        samples.append((now, latency, key))
         while samples[0][0] < now - self.window:
             samples.popleft()
 
-    monkeypatch.setattr(LatencyWindow, "record", tuple_record)
+    monkeypatch.setattr(LatencyLog, "record", tuple_record)
     assert marginal_peak_bytes_per_bio() > PEAK_BYTES_PER_BIO_CEILING
     assert young_collections() > 0

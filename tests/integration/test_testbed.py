@@ -159,6 +159,8 @@ def test_sliding_stores_hold_one_window_whoever_reads_them():
     )
     for store, times in stores:
         assert len(store) == inside(times, 1.0)
-        # The backing array holds at most an eighth of a window more.
+    # The backing arrays hold at most an eighth of a window more.
+    for store, times in ((tb.layer.read_latency.reads, reads),
+                         (tb.layer.write_latency.writes, writes), (meter, both)):
         stored = len(store._data) // store._width
         assert stored <= inside(times, 1.0 + 1.0 / store.EVICTIONS)
