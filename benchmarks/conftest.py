@@ -6,69 +6,58 @@ fixture, prints the same rows/series the paper reports, and asserts the
 qualitative *shape* — who wins, by roughly what factor — rather than
 absolute numbers (the substrate is a simulator, not Meta's testbed).
 
-Besides timing, :func:`run_experiment` now persists the figure data each
-experiment returns as a JSON artifact under ``.benchmarks/figures/`` —
-next to pytest-benchmark's own storage — so the regenerated numbers
-survive non-interactive runs instead of living only in captured stdout.
+A simulated figure is a sweep: its module's ``SPEC`` is an
+:class:`~repro.exp.ExperimentSpec` whose kind is the figure's own
+per-configuration function (``fn(params, seed)``, by dotted path) and
+whose axes are the configurations its table prints.  :func:`run_figure`
+runs it under pytest-benchmark, one worker per CPU, through one persistent
+content-addressed store, :data:`STORE` (``.benchmarks/store`` at the
+repository root, gitignored; one ``runs/<hash>.json`` record per cell,
+Figs 18/19's task-duration cells included).  A cell is read back, not
+simulated, while its spec and the ``repro`` and ``benchmarks`` sources
+are unchanged: a second run of an unchanged tree executes no cell
+(docs/EXPERIMENTS_RUNNER.md, "Figures are sweeps").
 
-Run with:  pytest benchmarks/ --benchmark-only
+Run with:  pytest benchmarks/ -s
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
+import os
 from pathlib import Path
+from typing import Any, Dict
 
-#: Figure-data artifacts land beside pytest-benchmark's .benchmarks store.
-ARTIFACT_DIR = Path(".benchmarks") / "figures"
+from repro.exp import ArtifactStore, ExperimentSpec, canonical_json, run_sweep
+
+#: The figures' one result store, beside pytest-benchmark's .benchmarks.
+STORE = ArtifactStore(Path(__file__).resolve().parent.parent / ".benchmarks" / "store")
+WORKERS = os.cpu_count() or 1
 
 
-def _jsonable(value):
-    """Best-effort conversion of experiment results to JSON-able data.
+def run_figure(benchmark, spec: ExperimentSpec) -> Dict[Any, Dict[str, Any]]:
+    """Run ``spec`` once under pytest-benchmark through :data:`STORE`.
 
-    Handles the shapes our experiments actually return — dataclasses
-    (e.g. ``DeviceProfile``), numpy scalars/arrays, mappings, sequences —
-    and falls back to ``repr`` so an exotic value can never break the
-    benchmark that produced it.
+    Returns each cell's result in sweep order, keyed by its axis value (by
+    the tuple of its values in sorted axis-name order when there are
+    several, ``()`` when there are none).  A result reads as it does from
+    the store whether the cell ran now or before, so a cached figure
+    prints the same table.  A failed cell fails the figure.
     """
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return _jsonable(dataclasses.asdict(value))
-    if isinstance(value, dict):
-        return {str(key): _jsonable(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple, set, frozenset)):
-        items = list(value) if not isinstance(value, (set, frozenset)) else sorted(value, key=repr)
-        return [_jsonable(item) for item in items]
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    if hasattr(value, "item") and callable(value.item):  # numpy scalar
-        try:
-            return _jsonable(value.item())
-        except (TypeError, ValueError):
-            pass
-    if hasattr(value, "tolist") and callable(value.tolist):  # numpy array
-        try:
-            return _jsonable(value.tolist())
-        except (TypeError, ValueError):
-            pass
-    return repr(value)
-
-
-def save_figure_artifact(name: str, result) -> Path:
-    """Write one experiment's returned figure data as a JSON artifact."""
-    ARTIFACT_DIR.mkdir(parents=True, exist_ok=True)
-    path = ARTIFACT_DIR / f"{name}.json"
-    path.write_text(json.dumps(_jsonable(result), indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def run_experiment(benchmark, fn):
-    """Run ``fn`` once under pytest-benchmark and return its result.
-
-    The experiments are deterministic simulations; a single round both
-    times the harness and produces the figure data.  The returned data is
-    also recorded under ``.benchmarks/figures/<test>.json``.
-    """
-    result = benchmark.pedantic(fn, rounds=1, iterations=1)
-    save_figure_artifact(getattr(benchmark, "name", fn.__name__), result)
-    return result
+    report = benchmark.pedantic(
+        run_sweep, args=(spec, STORE), kwargs={"workers": WORKERS},
+        rounds=1, iterations=1,
+    )
+    failed = [outcome for outcome in report.outcomes if not outcome.ok]
+    if failed:
+        raise RuntimeError("; ".join(
+            f"{spec.name} [{outcome.run.describe()}]: {outcome.error}"
+            for outcome in failed
+        ))
+    results = {}
+    for outcome in report.outcomes:
+        key = tuple(outcome.run.axes[name] for name in sorted(outcome.run.axes))
+        results[key[0] if len(key) == 1 else key] = json.loads(
+            canonical_json(outcome.result)
+        )
+    return results

@@ -23,13 +23,14 @@ from repro.analysis.report import Table, format_si
 from repro.block.device_models import get_device_spec
 from repro.controllers.blk_throttle import ThrottleLimits
 from repro.core.qos import QoSParams
+from repro.exp import ExperimentSpec
 from repro.testbed import Testbed
 
-from benchmarks.conftest import run_experiment
+from benchmarks.conftest import run_figure
 
 DURATION = 1.0
-SLOW = get_device_spec("fleet_e")   # 60K IOPS
-FAST = get_device_spec("fleet_h")   # 600K IOPS
+SLOW = "fleet_e"   # 60K IOPS
+FAST = "fleet_h"   # 600K IOPS
 
 QOS = QoSParams(
     read_lat_target=None, write_lat_target=None,
@@ -43,7 +44,8 @@ TUNED_FOR_SLOW = {
 }
 
 
-def run_one(spec, controller_name):
+def run_one(params, seed):
+    spec, controller_name = get_device_spec(params["device"]), params["controller"]
     kwargs = {"limits": dict(TUNED_FOR_SLOW)} if controller_name == "blk-throttle" else {}
     testbed = Testbed(device=spec, controller=controller_name, qos=QOS, seed=9, **kwargs)
     high = testbed.add_cgroup("workload.slice/high", weight=200)
@@ -61,16 +63,15 @@ def run_one(spec, controller_name):
     }
 
 
-def run_all():
-    return {
-        (name, spec.name): run_one(spec, name)
-        for name in ("blk-throttle", "iocost")
-        for spec in (SLOW, FAST)
-    }
+SPEC = ExperimentSpec(
+    name="ablation-config-portability",
+    kind=f"{__name__}.run_one",
+    grid={"controller": ("blk-throttle", "iocost"), "device": (SLOW, FAST)},
+)
 
 
 def test_ablation_config_portability(benchmark):
-    results = run_experiment(benchmark, run_all)
+    results = run_figure(benchmark, SPEC)
 
     table = Table(
         "Ablation: workload config tuned on fleet_e, moved to fleet_h",

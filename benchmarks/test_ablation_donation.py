@@ -13,11 +13,12 @@ touching the issue path.  This ablation runs the same two-group scenario
 from repro.analysis.report import Table, format_si
 from repro.block.device import DeviceSpec
 from repro.core.qos import QoSParams
+from repro.exp import ExperimentSpec
 from repro.testbed import Testbed
 
-from benchmarks.conftest import run_experiment
+from benchmarks.conftest import run_figure
 
-SPEC = DeviceSpec(
+DEVICE = DeviceSpec(
     name="abldev",
     parallelism=8,
     srv_rand_read=100e-6,
@@ -29,7 +30,7 @@ SPEC = DeviceSpec(
     sigma=0.0,
     nr_slots=128,
 )
-PEAK = SPEC.peak_rand_read_iops  # 80K
+PEAK = DEVICE.peak_rand_read_iops  # 80K
 DURATION = 2.0
 
 # vrate pinned so budgets bind and the donation effect is unconfounded.
@@ -39,26 +40,30 @@ QOS = QoSParams(
 )
 
 
-def run_one(donation_enabled):
+def run_one(params, seed):
     bed = Testbed(
-        device=SPEC, controller="iocost", qos=QOS, donation_enabled=donation_enabled
+        device=DEVICE, controller="iocost", qos=QOS,
+        donation_enabled=params["donation_enabled"],
     )
     busy = bed.saturate(bed.add_cgroup("busy"), depth=32, stop_at=DURATION)
     bed.paced(bed.add_cgroup("light"), rate=2000, stop_at=DURATION)
     bed.run(DURATION)
     bed.detach()
-    return busy.completed / DURATION
+    return {"busy_iops": busy.completed / DURATION}
 
 
-def run_both():
-    return {
-        "donation disabled": run_one(False),
-        "donation enabled": run_one(True),
-    }
+SPEC = ExperimentSpec(
+    name="ablation-donation",
+    kind=f"{__name__}.run_one",
+    grid={"donation_enabled": (False, True)},
+)
 
 
 def test_ablation_donation(benchmark):
-    results = run_experiment(benchmark, run_both)
+    results = {
+        f"donation {'enabled' if enabled else 'disabled'}": cell["busy_iops"]
+        for enabled, cell in run_figure(benchmark, SPEC).items()
+    }
 
     table = Table(
         "Ablation: budget donation (busy group vs 2K-IOPS light neighbour)",

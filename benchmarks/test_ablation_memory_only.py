@@ -16,17 +16,22 @@ import pytest
 
 from repro.analysis.report import Table
 from repro.core.qos import QoSParams
+from repro.exp import ExperimentSpec
 from repro.testbed import Testbed
 from repro.workloads.memleak import MemoryLeaker
 from repro.workloads.rcbench import WebServer
 
-from benchmarks.conftest import run_experiment
+from benchmarks.conftest import run_figure
 
 MB = 1024 * 1024
 DURATION = 15.0
+#: The leak-free iocost run every retained fraction is relative to.
+BASELINE = "baseline (no leak)"
 
 
-def run_once(controller_name, with_leak):
+def run_once(params, seed):
+    with_leak = params["io_control"] != BASELINE
+    controller_name = params["io_control"] if with_leak else "iocost"
     qos = QoSParams(
         read_lat_target=5e-3, read_pct=90, vrate_min=0.4, vrate_max=2.0, period=0.05
     )
@@ -61,20 +66,22 @@ def run_once(controller_name, with_leak):
     testbed.run(DURATION)
     testbed.detach()
     p95 = web.request_percentile(95, last=500)
-    return web.rps_series.mean(DURATION / 2, DURATION), p95
+    return {"rps": web.rps_series.mean(DURATION / 2, DURATION), "p95": p95}
 
 
-def run_all():
-    baseline_rps, baseline_p95 = run_once("iocost", with_leak=False)
-    results = {"baseline (no leak)": {"retained": 1.0, "p95": baseline_p95}}
-    for name in ("none", "iocost"):
-        rps, p95 = run_once(name, with_leak=True)
-        results[name] = {"retained": rps / baseline_rps, "p95": p95}
-    return results
+SPEC = ExperimentSpec(
+    name="ablation-memory-only",
+    kind=f"{__name__}.run_once",
+    grid={"io_control": (BASELINE, "none", "iocost")},
+)
 
 
 def test_ablation_memory_control_alone(benchmark):
-    results = run_experiment(benchmark, run_all)
+    cells = run_figure(benchmark, SPEC)
+    results = {
+        name: {"retained": cell["rps"] / cells[BASELINE]["rps"], "p95": cell["p95"]}
+        for name, cell in cells.items()
+    }
 
     table = Table(
         "Ablation: memory.max on the leaker, with and without IO control",
@@ -87,7 +94,7 @@ def test_ablation_memory_control_alone(benchmark):
     # Memory control alone: the capped leaker's reclaim IO still blows up
     # the latency-sensitive service's tail (an order of magnitude over the
     # leak-free baseline).
-    assert results["none"]["p95"] > 5 * results["baseline (no leak)"]["p95"]
+    assert results["none"]["p95"] > 5 * results[BASELINE]["p95"]
     # Adding IO control (iocost) cuts the interference tail sharply.
     assert results["none"]["p95"] > 2 * results["iocost"]["p95"]
     assert results["iocost"]["retained"] > 0.9

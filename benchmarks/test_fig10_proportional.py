@@ -16,9 +16,10 @@ from repro.analysis.report import Table, format_ratio, format_si
 from repro.block.device_models import SSD_OLD
 from repro.controllers.blk_throttle import ThrottleLimits
 from repro.core.qos import QoSParams
+from repro.exp import ExperimentSpec
 from repro.testbed import Testbed
 
-from benchmarks.conftest import run_experiment
+from benchmarks.conftest import run_figure
 
 DURATION = 4.0
 LATENCY_TARGET = 200e-6
@@ -29,7 +30,8 @@ QOS = QoSParams(
 )
 
 
-def run_one(name):
+def run_one(params, seed):
+    name = params["mechanism"]
     kwargs = {}
     if name == "blk-throttle":
         # Hand-set limits preserving 2:1 within device capability (~90K).
@@ -58,12 +60,15 @@ def run_one(name):
     }
 
 
-def run_all():
-    return {name: run_one(name) for name in ("bfq", "blk-throttle", "iolatency", "iocost")}
+SPEC = ExperimentSpec(
+    name="fig10-proportional",
+    kind=f"{__name__}.run_one",
+    grid={"mechanism": ("bfq", "blk-throttle", "iolatency", "iocost")},
+)
 
 
 def test_fig10_proportional_control(benchmark):
-    results = run_experiment(benchmark, run_all)
+    results = run_figure(benchmark, SPEC)
 
     table = Table(
         "Figure 10: proportional control (target high:low = 2:1)",

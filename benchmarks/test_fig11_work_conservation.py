@@ -19,9 +19,10 @@ from repro.analysis.report import Table, format_si
 from repro.block.device_models import SSD_OLD
 from repro.controllers.blk_throttle import ThrottleLimits
 from repro.core.qos import QoSParams
+from repro.exp import ExperimentSpec
 from repro.testbed import Testbed
 
-from benchmarks.conftest import run_experiment
+from benchmarks.conftest import run_figure
 
 DURATION = 4.0
 
@@ -30,7 +31,8 @@ QOS = QoSParams(
 )
 
 
-def run_one(name):
+def run_one(params, seed):
+    name = params["mechanism"]
     kwargs = {}
     if name == "blk-throttle":
         kwargs["limits"] = {
@@ -58,15 +60,15 @@ def run_one(name):
     }
 
 
-def run_all():
-    return {
-        name: run_one(name)
-        for name in ("bfq", "blk-throttle", "iolatency", "iocost")
-    }
+SPEC = ExperimentSpec(
+    name="fig11-work-conservation",
+    kind=f"{__name__}.run_one",
+    grid={"mechanism": ("bfq", "blk-throttle", "iolatency", "iocost")},
+)
 
 
 def test_fig11_work_conservation(benchmark):
-    results = run_experiment(benchmark, run_all)
+    results = run_figure(benchmark, SPEC)
 
     table = Table(
         "Figure 11: work conservation (high-prio has 100us think time)",

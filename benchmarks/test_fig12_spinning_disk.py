@@ -15,9 +15,10 @@ import pytest
 from repro.analysis.report import Table
 from repro.block.device_models import HDD
 from repro.core.qos import QoSParams
+from repro.exp import ExperimentSpec
 from repro.testbed import Testbed
 
-from benchmarks.conftest import run_experiment
+from benchmarks.conftest import run_figure
 
 DURATION = 20.0
 
@@ -45,30 +46,32 @@ def normalised(iops, sequential):
     return iops / (SEQ_PEAK if sequential else RAND_PEAK)
 
 
-def run_one(controller, high_seq, low_seq):
-    testbed = Testbed(device=HDD, controller=controller, qos=QOS, seed=5)
+def run_one(params, seed):
+    high_seq, low_seq = SCENARIOS[params["scenario"]]
+    testbed = Testbed(device=HDD, controller=params["controller"], qos=QOS, seed=5)
     high = testbed.add_cgroup("workload.slice/high", weight=200)
     low = testbed.add_cgroup("workload.slice/low", weight=100)
     wl_high = testbed.saturate(high, sequential=high_seq, depth=16, stop_at=DURATION)
     wl_low = testbed.saturate(low, sequential=low_seq, depth=16, stop_at=DURATION)
     testbed.run(DURATION)
     testbed.detach()
-    return (
-        normalised(wl_high.completed / DURATION, high_seq),
-        normalised(wl_low.completed / DURATION, low_seq),
-    )
+    return {
+        "high": normalised(wl_high.completed / DURATION, high_seq),
+        "low": normalised(wl_low.completed / DURATION, low_seq),
+    }
 
 
-def run_all():
-    results = {}
-    for controller in ("mq-deadline", "bfq", "iocost"):
-        for scenario, (high_seq, low_seq) in SCENARIOS.items():
-            results[(controller, scenario)] = run_one(controller, high_seq, low_seq)
-    return results
+SPEC = ExperimentSpec(
+    name="fig12-spinning-disk",
+    kind=f"{__name__}.run_one",
+    grid={"controller": ("mq-deadline", "bfq", "iocost"), "scenario": tuple(SCENARIOS)},
+)
 
 
 def test_fig12_spinning_disk_fairness(benchmark):
-    results = run_experiment(benchmark, run_all)
+    results = {
+        cell: (row["high"], row["low"]) for cell, row in run_figure(benchmark, SPEC).items()
+    }
 
     table = Table(
         "Figure 12: spinning-disk fairness (weights 2:1, normalised throughput)",

@@ -10,19 +10,15 @@ parameters are updated online:
 * phase 3 — parameters doubled versus the original: the device briefly
   over-saturates (latency spike), then vrate drops to ~50%.
 
-The scenario is declared as a ``vrate_phases`` spec and executed through
-the :mod:`repro.exp` runner, so the phase configuration fans out the same
-way a multi-point QoS sweep would (and lands in an artifact store).
+The scenario is one ``vrate_phases`` sweep cell.
 """
-
-import tempfile
 
 import pytest
 
 from repro.analysis.report import Table
-from repro.exp import ArtifactStore, ExperimentSpec, run_sweep
+from repro.exp import ExperimentSpec
 
-from benchmarks.conftest import run_experiment
+from benchmarks.conftest import run_figure
 
 # 1/10-speed ssd_new keeps the event count tractable; relative behaviour
 # (model error vs vrate) is scale-free.
@@ -30,41 +26,30 @@ PHASE = 4.0  # seconds per phase
 LATENCY_TARGET = 2.5e-3  # p90 read target, scaled like the device
 
 
-def run_phases():
-    spec = ExperimentSpec(
-        name="fig13-vrate-adjustment",
-        kind="vrate_phases",
-        base={
-            "device": "ssd_new",
-            "device_scale": 0.1,
-            "phase_sec": PHASE,
-            "model_scales": [1.0, 0.5, 2.0],
-            "read_lat_target": LATENCY_TARGET,
-            "read_pct": 90,
-            "vrate_min": 0.1,
-            "vrate_max": 4.0,
-            "period": 0.05,
-            "depth": 64,
-        },
-    )
-    with tempfile.TemporaryDirectory() as root:
-        report = run_sweep(spec, ArtifactStore(root), workers=1)
-    outcome = report.outcomes[0]
-    if not outcome.ok:
-        raise RuntimeError(f"vrate_phases failed: {outcome.error}")
-    phases = outcome.result["phases"]
-    return {
-        "vrate_phase1": phases[0]["vrate"],
-        "vrate_phase2": phases[1]["vrate"],
-        "vrate_phase3": phases[2]["vrate"],
-        "p90_phase1": phases[0]["read_lat"],
-        "p90_phase2": phases[1]["read_lat"],
-        "p90_phase3": phases[2]["read_lat"],
-    }
+SPEC = ExperimentSpec(
+    name="fig13-vrate-adjustment",
+    kind="vrate_phases",
+    base={
+        "device": "ssd_new",
+        "device_scale": 0.1,
+        "phase_sec": PHASE,
+        "model_scales": [1.0, 0.5, 2.0],
+        "read_lat_target": LATENCY_TARGET,
+        "read_pct": 90,
+        "vrate_min": 0.1,
+        "vrate_max": 4.0,
+        "period": 0.05,
+        "depth": 64,
+    },
+)
 
 
 def test_fig13_vrate_adjustment(benchmark):
-    result = run_experiment(benchmark, run_phases)
+    (cell,) = run_figure(benchmark, SPEC).values()
+    result = {}
+    for number, phase in enumerate(cell["phases"], start=1):
+        result[f"vrate_phase{number}"] = phase["vrate"]
+        result[f"p90_phase{number}"] = phase["read_lat"]
 
     table = Table(
         "Figure 13: vrate adjustment under online model updates",

@@ -15,25 +15,32 @@ import pytest
 
 from repro.analysis.report import Table
 from repro.core.qos import QoSParams
+from repro.exp import ExperimentSpec
 from repro.testbed import Testbed
 from repro.workloads.memleak import MemoryLeaker
 from repro.workloads.rcbench import WebServer
 
-from benchmarks.conftest import run_experiment
+from benchmarks.conftest import run_figure
 
 MB = 1024 * 1024
 DURATION = 20.0
 MEASURE_FROM = 8.0
 
-CONFIGS = [
-    ("mq-deadline", {}),
-    ("bfq", {}),
-    ("iolatency", {"targets": {"workload.slice/web": 10e-3}}),
-    ("iocost", {}),
-]
+CONFIGS = {
+    "mq-deadline": {},
+    "bfq": {},
+    "iolatency": {"targets": {"workload.slice/web": 10e-3}},
+    "iocost": {},
+}
+#: The leak-free iocost run every retained fraction is relative to.
+BASELINE = "baseline"
 
 
-def run_once(device, controller_name, with_leak, **controller_kwargs):
+def run_once(params, seed):
+    device, config = params["device"], params["config"]
+    with_leak = config != BASELINE
+    controller_name = config if with_leak else "iocost"
+    controller_kwargs = CONFIGS[config] if with_leak else {}
     qos = QoSParams(
         read_lat_target=5e-3, read_pct=90, vrate_min=0.4, vrate_max=2.0, period=0.05
     )
@@ -63,30 +70,31 @@ def run_once(device, controller_name, with_leak, **controller_kwargs):
             ).start()
     testbed.run(DURATION)
     testbed.detach()
-    return web.rps_series.mean(MEASURE_FROM, DURATION)
+    return {"rps": web.rps_series.mean(MEASURE_FROM, DURATION)}
 
 
-def run_device(device):
-    baseline = run_once(device, "iocost", with_leak=False)
-    retained = {}
-    for name, kwargs in CONFIGS:
-        rps = run_once(device, name, with_leak=True, **kwargs)
-        retained[name] = rps / baseline
-    return retained
-
-
-def run_all():
-    return {device: run_device(device) for device in ("ssd_old", "ssd_new")}
+SPEC = ExperimentSpec(
+    name="fig14-memleak-webserver",
+    kind=f"{__name__}.run_once",
+    grid={"config": (BASELINE, *CONFIGS), "device": ("ssd_old", "ssd_new")},
+)
 
 
 def test_fig14_memleak_webserver(benchmark):
-    results = run_experiment(benchmark, run_all)
+    cells = run_figure(benchmark, SPEC)
+    results = {
+        device: {
+            name: cells[(name, device)]["rps"] / cells[(BASELINE, device)]["rps"]
+            for name in CONFIGS
+        }
+        for device in ("ssd_old", "ssd_new")
+    }
 
     table = Table(
         "Figure 14: web-server RPS retained under a memory leak",
         ["controller", "ssd_old", "ssd_new"],
     )
-    for name, _ in CONFIGS:
+    for name in CONFIGS:
         table.add_row(
             name,
             f"{results['ssd_old'][name]:.0%}",

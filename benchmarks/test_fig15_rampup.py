@@ -20,19 +20,31 @@ import pytest
 from repro.analysis.report import Table
 from repro.core.debt import SwapChargeMode
 from repro.core.qos import QoSParams
+from repro.exp import ExperimentSpec
 from repro.testbed import Testbed
 from repro.workloads.memleak import StressWorkload
 from repro.workloads.pid import LoadRamp
 from repro.workloads.rcbench import ResourceControlBench
 
-from benchmarks.conftest import run_experiment
+from benchmarks.conftest import run_figure
 
 MB = 1024 * 1024
 TIMEOUT = 120.0
 LATENCY_TARGET = 75e-3
 
+#: configuration -> (controller, with stress, swap charging mode).
+CONFIGS = {
+    "iocost (no stress)": ("iocost", False, SwapChargeMode.DEBT),
+    "bfq (no stress)": ("bfq", False, SwapChargeMode.DEBT),
+    "iocost + stress": ("iocost", True, SwapChargeMode.DEBT),
+    "bfq + stress": ("bfq", True, SwapChargeMode.DEBT),
+    "iocost(root-charged) + stress": ("iocost", True, SwapChargeMode.ROOT),
+    "iocost(origin-throttled) + stress": ("iocost", True, SwapChargeMode.ORIGIN_THROTTLE),
+}
 
-def run_ramp(controller_name, with_stress, swap_mode=SwapChargeMode.DEBT):
+
+def run_ramp(params, seed):
+    controller_name, with_stress, swap_mode = CONFIGS[params["config"]]
     qos = QoSParams(
         read_lat_target=5e-3, read_pct=90, vrate_min=0.4, vrate_max=2.0, period=0.05
     )
@@ -72,26 +84,16 @@ def run_ramp(controller_name, with_stress, swap_mode=SwapChargeMode.DEBT):
     ).start()
     testbed.run(TIMEOUT)
     testbed.detach()
-    return ramp.ramp_time if ramp.ramp_time is not None else TIMEOUT
+    return {"ramp_time": ramp.ramp_time if ramp.ramp_time is not None else TIMEOUT}
 
 
-def run_all():
-    return {
-        "iocost (no stress)": run_ramp("iocost", with_stress=False),
-        "bfq (no stress)": run_ramp("bfq", with_stress=False),
-        "iocost + stress": run_ramp("iocost", with_stress=True),
-        "bfq + stress": run_ramp("bfq", with_stress=True),
-        "iocost(root-charged) + stress": run_ramp(
-            "iocost", with_stress=True, swap_mode=SwapChargeMode.ROOT
-        ),
-        "iocost(origin-throttled) + stress": run_ramp(
-            "iocost", with_stress=True, swap_mode=SwapChargeMode.ORIGIN_THROTTLE
-        ),
-    }
+SPEC = ExperimentSpec(
+    name="fig15-rampup", kind=f"{__name__}.run_ramp", grid={"config": tuple(CONFIGS)}
+)
 
 
 def test_fig15_rampup(benchmark):
-    results = run_experiment(benchmark, run_all)
+    results = {name: row["ramp_time"] for name, row in run_figure(benchmark, SPEC).items()}
 
     table = Table(
         "Figure 15: time to ramp RCBench load 40% -> 80% (p95 < 75ms)",

@@ -12,17 +12,24 @@ seconds), iolatency 31, bfq 13 (2-5 s), iocost only two marginal ones.
 """
 
 from repro.analysis.report import Table
+from repro.exp import ExperimentSpec
 from repro.workloads.zookeeper import FIG16_CONTROLLERS, run_fig16
 
-from benchmarks.conftest import run_experiment
+from benchmarks.conftest import run_figure
 
 
-def run_all():
-    return {name: run_fig16(name) for name in FIG16_CONTROLLERS}
+def run_one(params, seed):
+    return run_fig16(params["mechanism"])
+
+
+SPEC = ExperimentSpec(
+    name="fig16-zookeeper", kind=f"{__name__}.run_one",
+    grid={"mechanism": FIG16_CONTROLLERS},
+)
 
 
 def test_fig16_zookeeper_slo(benchmark):
-    results = run_experiment(benchmark, run_all)
+    results = run_figure(benchmark, SPEC)
 
     table = Table(
         "Figure 16: 1s-SLO violations of the 11 well-behaved ensembles",

@@ -14,11 +14,12 @@ import pytest
 
 from repro.analysis.report import Table
 from repro.core.qos import QoSParams
+from repro.exp import ExperimentSpec
 from repro.testbed import Testbed
 from repro.workloads.memleak import MemoryLeaker
 from repro.workloads.rcbench import ResourceControlBench
 
-from benchmarks.conftest import run_experiment
+from benchmarks.conftest import run_figure
 
 MB = 1024 * 1024
 DURATION = 20.0
@@ -36,7 +37,8 @@ TARGETS = {
 }
 
 
-def run_once(volume, with_leak):
+def run_once(params, seed):
+    volume, with_leak = params["volume"], params["with_leak"]
     qos = QoSParams(
         read_lat_target=TARGETS[volume], read_pct=90,
         vrate_min=0.4, vrate_max=2.0, period=0.05,
@@ -69,20 +71,22 @@ def run_once(volume, with_leak):
             ).start()
     testbed.run(DURATION)
     testbed.detach()
-    return bench.rps_series.mean(MEASURE_FROM, DURATION)
+    return {"rps": bench.rps_series.mean(MEASURE_FROM, DURATION)}
 
 
-def run_all():
-    protection = {}
-    for volume in VOLUMES:
-        baseline = run_once(volume, with_leak=False)
-        with_leak = run_once(volume, with_leak=True)
-        protection[volume] = with_leak / baseline
-    return protection
+SPEC = ExperimentSpec(
+    name="fig17-remote-storage",
+    kind=f"{__name__}.run_once",
+    grid={"volume": VOLUMES, "with_leak": (False, True)},
+)
 
 
 def test_fig17_remote_storage(benchmark):
-    protection = run_experiment(benchmark, run_all)
+    cells = run_figure(benchmark, SPEC)
+    protection = {
+        volume: cells[(volume, True)]["rps"] / cells[(volume, False)]["rps"]
+        for volume in VOLUMES
+    }
 
     table = Table(
         "Figure 17: RCBench RPS retained under a memory leak (IOCost in-guest)",

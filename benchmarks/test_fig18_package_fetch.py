@@ -14,8 +14,6 @@ Paper shape: roughly 10x fewer package-fetching errors once the region is
 fully on IOCost.
 """
 
-import tempfile
-
 import pytest
 
 from repro.analysis.report import Table
@@ -23,7 +21,7 @@ from repro.fleet.runner import run_staged_migration
 from repro.fleet.spec import FleetSpec
 from repro.workloads.fleet import PACKAGE_FETCH
 
-from benchmarks.conftest import run_experiment
+from benchmarks.conftest import STORE, WORKERS
 
 #: The fleet device as an inline spec table, so it rides through the
 #: content-addressed duration cells like any other parameter.
@@ -83,14 +81,12 @@ def print_migration_table(title, report):
     )
 
 
-def run_migration():
-    spec = region_spec("fig18-region", "package_fetch", seed=42)
-    store = tempfile.mkdtemp(prefix="fig18-")
-    return run_staged_migration(spec, store, workers=4)
-
-
 def test_fig18_package_fetch_failures(benchmark):
-    report = run_experiment(benchmark, run_migration)
+    spec = region_spec("fig18-region", "package_fetch", seed=42)
+    report = benchmark.pedantic(
+        run_staged_migration, args=(spec, STORE), kwargs={"workers": WORKERS},
+        rounds=1, iterations=1,
+    )
 
     print_migration_table(
         "Figure 18: package-fetching failures during IOLatency -> IOCost migration",

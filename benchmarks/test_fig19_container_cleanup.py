@@ -9,28 +9,24 @@ Paper shape: an immediate ~3x reduction in cleanup stalls as the region
 moves to IOCost.
 """
 
-import tempfile
-
 import pytest
 
 from repro.fleet.runner import run_staged_migration
 from repro.workloads.fleet import CONTAINER_CLEANUP
 
-from benchmarks.conftest import run_experiment
+from benchmarks.conftest import STORE, WORKERS
 from benchmarks.test_fig18_package_fetch import (
     print_migration_table,
     region_spec,
 )
 
 
-def run_migration():
-    spec = region_spec("fig19-region", "container_cleanup", seed=43)
-    store = tempfile.mkdtemp(prefix="fig19-")
-    return run_staged_migration(spec, store, workers=4)
-
-
 def test_fig19_container_cleanup_failures(benchmark):
-    report = run_experiment(benchmark, run_migration)
+    spec = region_spec("fig19-region", "container_cleanup", seed=43)
+    report = benchmark.pedantic(
+        run_staged_migration, args=(spec, STORE), kwargs={"workers": WORKERS},
+        rounds=1, iterations=1,
+    )
 
     print_migration_table(
         "Figure 19: container-cleanup failures (>5s) during the migration",

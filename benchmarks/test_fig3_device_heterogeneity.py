@@ -4,46 +4,31 @@ Profiles the eight catalogued fleet SSDs (A-H) with the fio-style
 saturating sweeps and reports the figure's series: random/sequential
 read/write IOPS (left axis) and read/write latency (right axis).
 
-The per-device fan-out runs through the :mod:`repro.exp` orchestrator —
-one ``profile_device`` sweep cell per SSD across a 2-worker pool — so
-this benchmark doubles as an end-to-end exercise of the spec ->
-expand -> schedule -> collect pipeline.
+The per-device fan-out is one ``profile_device`` sweep cell per SSD.
 
 Shape anchors from the paper's text: SSD H achieves high IOPS at a low
 latency, SSD G offers low IOPS and a relatively low latency, SSD A provides
 moderate IOPS with a higher latency.
 """
 
-import tempfile
-
 from repro.analysis.report import Table, format_si
-from repro.exp import ArtifactStore, ExperimentSpec, run_sweep
+from repro.exp import ExperimentSpec
 
-from benchmarks.conftest import run_experiment
+from benchmarks.conftest import run_figure
 
-FLEET = [f"fleet_{letter}" for letter in "abcdefgh"]
+FLEET = tuple(f"fleet_{letter}" for letter in "abcdefgh")
 
-
-def profile_fleet():
-    # Short sweeps keep the bench quick; IOPS converge fast.
-    spec = ExperimentSpec(
-        name="fig3-device-heterogeneity",
-        kind="profile_device",
-        base={"read_duration": 0.08, "write_duration": 0.3},
-        grid={"device": FLEET},
-    )
-    with tempfile.TemporaryDirectory() as root:
-        report = run_sweep(spec, ArtifactStore(root), workers=2)
-    if report.failures:
-        raise RuntimeError(f"{report.failures} profiling cells failed")
-    return {
-        outcome.run.axes["device"]: outcome.result
-        for outcome in report.outcomes
-    }
+# Short sweeps keep the bench quick; IOPS converge fast.
+SPEC = ExperimentSpec(
+    name="fig3-device-heterogeneity",
+    kind="profile_device",
+    base={"read_duration": 0.08, "write_duration": 0.3},
+    grid={"device": FLEET},
+)
 
 
 def test_fig3_device_heterogeneity(benchmark):
-    profiles = run_experiment(benchmark, profile_fleet)
+    profiles = run_figure(benchmark, SPEC)
 
     table = Table(
         "Figure 3: Device heterogeneity across the fleet",

@@ -11,46 +11,52 @@ little explicit IO.
 
 from repro.analysis.report import Table, format_si
 from repro.block.device_models import SSD_ENTERPRISE
+from repro.exp import ExperimentSpec
 from repro.testbed import Testbed
 from repro.workloads.profiles import MixedWorkload, WORKLOAD_PROFILES
 
-from benchmarks.conftest import run_experiment
+from benchmarks.conftest import run_figure
 
 DURATION = 2.0
 
 
-def characterise():
-    results = {}
-    for name, profile in WORKLOAD_PROFILES.items():
-        testbed = Testbed(device=SSD_ENTERPRISE, controller="none", seed=3)
-        group = testbed.add_cgroup(f"workload.slice/{name}")
-        workload = MixedWorkload(
-            testbed.sim, testbed.layer, group, profile, stop_at=DURATION
-        ).start()
-        testbed.run(DURATION + 0.1)
-        reads = sum(
-            count for (is_w, _), count in workload.bytes_by_class.items() if not is_w
-        )
-        writes = sum(
-            count for (is_w, _), count in workload.bytes_by_class.items() if is_w
-        )
-        rand = sum(
-            count for (_, seq), count in workload.bytes_by_class.items() if not seq
-        )
-        seq = sum(
-            count for (_, seq), count in workload.bytes_by_class.items() if seq
-        )
-        results[name] = {
-            "read_bps": reads / DURATION,
-            "write_bps": writes / DURATION,
-            "rand_bps": rand / DURATION,
-            "seq_bps": seq / DURATION,
-        }
-    return results
+def characterise(params, seed):
+    name = params["workload"]
+    testbed = Testbed(device=SSD_ENTERPRISE, controller="none", seed=3)
+    group = testbed.add_cgroup(f"workload.slice/{name}")
+    workload = MixedWorkload(
+        testbed.sim, testbed.layer, group, WORKLOAD_PROFILES[name], stop_at=DURATION
+    ).start()
+    testbed.run(DURATION + 0.1)
+    reads = sum(
+        count for (is_w, _), count in workload.bytes_by_class.items() if not is_w
+    )
+    writes = sum(
+        count for (is_w, _), count in workload.bytes_by_class.items() if is_w
+    )
+    rand = sum(
+        count for (_, seq), count in workload.bytes_by_class.items() if not seq
+    )
+    seq = sum(
+        count for (_, seq), count in workload.bytes_by_class.items() if seq
+    )
+    return {
+        "read_bps": reads / DURATION,
+        "write_bps": writes / DURATION,
+        "rand_bps": rand / DURATION,
+        "seq_bps": seq / DURATION,
+    }
+
+
+SPEC = ExperimentSpec(
+    name="fig4-workload-heterogeneity",
+    kind=f"{__name__}.characterise",
+    grid={"workload": tuple(WORKLOAD_PROFILES)},
+)
 
 
 def test_fig4_workload_heterogeneity(benchmark):
-    results = run_experiment(benchmark, characterise)
+    results = run_figure(benchmark, SPEC)
 
     table = Table(
         "Figure 4: IO workload heterogeneity (P50 per-second demand)",

@@ -10,8 +10,6 @@ from repro.block.bio import Bio, IOOp
 from repro.cgroup import CgroupTree
 from repro.core.cost_model import LinearCostModel, ModelParams
 
-from benchmarks.conftest import run_experiment
-
 FIG6 = ModelParams(
     rbps=488636629,
     rseqiops=8932,
@@ -36,7 +34,7 @@ def translate():
 
 
 def test_fig6_model_translation(benchmark):
-    derived = run_experiment(benchmark, translate)
+    derived = benchmark.pedantic(translate, rounds=1, iterations=1)
 
     print(
         "\nconfig: rbps=488636629 rseqiops=8932 rrandiops=8518 "

@@ -12,8 +12,6 @@ from repro.cgroup import CgroupTree
 from repro.core.donation import compute_donations
 from repro.core.hierarchy import WeightTree
 
-from benchmarks.conftest import run_experiment
-
 
 def run_donation():
     cgroups = CgroupTree()
@@ -35,7 +33,7 @@ def run_donation():
 
 
 def test_fig8_donation_example(benchmark):
-    before, after, result = run_experiment(benchmark, run_donation)
+    before, after, result = benchmark.pedantic(run_donation, rounds=1, iterations=1)
 
     table = Table(
         "Figure 8: B and H donate portions of their budget",

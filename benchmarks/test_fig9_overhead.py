@@ -21,34 +21,36 @@ from repro.analysis.report import Table, format_si
 from repro.block.bio import Bio, IOOp
 from repro.block.device_models import SSD_ENTERPRISE
 from repro.core.qos import QoSParams
+from repro.exp import ExperimentSpec
 from repro.testbed import Testbed
 
-from benchmarks.conftest import run_experiment
+from benchmarks.conftest import run_figure
 
-MECHANISMS = ["none", "mq-deadline", "kyber", "bfq", "blk-throttle", "iolatency", "iocost"]
+MECHANISMS = ("none", "mq-deadline", "kyber", "bfq", "blk-throttle", "iolatency", "iocost")
 WINDOW = 0.05  # simulated seconds of saturation per mechanism
 
 
-def max_iops(name: str) -> float:
+def max_iops(params, seed):
     # QoS disabled for the overhead measurement, as in the paper.
     qos = QoSParams(
         read_lat_target=None, write_lat_target=None,
         vrate_min=1.0, vrate_max=8.0, period=0.01,
     )
-    bed = Testbed(device=SSD_ENTERPRISE, controller=name, qos=qos)
+    bed = Testbed(device=SSD_ENTERPRISE, controller=params["mechanism"], qos=qos)
     group = bed.add_cgroup("fio")
     bed.saturate(group, depth=512, stop_at=2 * WINDOW)
     bed.run(2 * WINDOW)
     bed.detach()
-    return bed.iops(group)
+    return {"iops": bed.iops(group)}
 
 
-def measure_all():
-    return {name: max_iops(name) for name in MECHANISMS}
+SPEC = ExperimentSpec(
+    name="fig9-overhead", kind=f"{__name__}.max_iops", grid={"mechanism": MECHANISMS}
+)
 
 
 def test_fig9_simulated_overhead(benchmark):
-    results = run_experiment(benchmark, measure_all)
+    results = {name: cell["iops"] for name, cell in run_figure(benchmark, SPEC).items()}
 
     table = Table(
         "Figure 9: max 4KiB random-read IOPS with control enabled (no throttling)",

@@ -11,8 +11,6 @@ from repro.analysis.report import Table
 from repro.block.device import DeviceSpec
 from repro.core.qos_tuning import tune_qos
 
-from benchmarks.conftest import run_experiment
-
 MB = 1024 * 1024
 
 TUNE_SPEC = DeviceSpec(
@@ -39,7 +37,7 @@ def run_tuning():
 
 
 def test_qos_tuning_sweep(benchmark):
-    result = run_experiment(benchmark, run_tuning)
+    result = benchmark.pedantic(run_tuning, rounds=1, iterations=1)
 
     table = Table(
         "SS3.4: ResourceControlBench vrate sweep",

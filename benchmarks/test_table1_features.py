@@ -11,8 +11,6 @@ Figures 10 and 12 proportionality.
 from repro.analysis.report import Table
 from repro.testbed import CONTROLLERS
 
-from benchmarks.conftest import run_experiment
-
 COLUMNS = ["Low Overhead", "Work Conserving", "MM-aware", "Proportional", "cgroup Control"]
 
 #: The paper's Table 1, row by row (✓ = yes, ✗ = no, ~ = partial).
@@ -40,7 +38,7 @@ def build_table():
 
 
 def test_table1_feature_matrix(benchmark):
-    table, carried = run_experiment(benchmark, build_table)
+    table, carried = benchmark.pedantic(build_table, rounds=1, iterations=1)
     table.print()
 
     for name, row in PAPER_TABLE1.items():

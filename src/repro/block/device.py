@@ -240,10 +240,6 @@ class Device:
         """Requests handed to the device: in service or queued, issued or not."""
         return self._busy_channels + len(self._read_queue) + len(self._write_queue)
 
-    @property
-    def queue_depth(self) -> int:
-        return len(self._read_queue) + len(self._write_queue)
-
     #: Serve one queued write after at most this many priority reads.
     WRITE_STARVATION_LIMIT = 8
 

@@ -11,7 +11,9 @@ succeeded, and its ``meta`` matches on every component of the cache key:
   package's ``*.py`` sources (:func:`source_fingerprint`, computed once per
   process), so bumping the library *or editing any of its code* re-runs
   everything: simulator behaviour may have changed under the same spec and
-  the same version string.
+  the same version string.  A kind whose code lives outside ``repro`` adds
+  the digest of its own top-level package, or of its module file when it
+  is in none (:meth:`ResultCache.version_for`): editing it re-runs its cells.
 
 Failed runs never hit: a sweep re-attempts its previous failures.  The
 cache records hit/miss reasons so ``status`` output and the sweep report
@@ -26,12 +28,14 @@ are read and validated.
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Set
 
 import repro
+from repro.exp.experiments import REGISTRY
 from repro.exp.grid import RunSpec
 from repro.exp.store import ArtifactStore
 
@@ -46,10 +50,10 @@ MISS_FORCED = "forced"
 
 
 def source_fingerprint(root: Path) -> str:
-    """Digest of every ``*.py`` file under ``root``: relative paths and
-    bytes, in path order."""
+    """Digest of every ``*.py`` file under ``root`` (of ``root`` itself
+    when it is a file): relative paths and bytes, in path order."""
     digest = hashlib.sha256()
-    for path in sorted(root.rglob("*.py")):
+    for path in [root] if root.is_file() else sorted(root.rglob("*.py")):
         data = path.read_bytes()
         digest.update(f"{path.relative_to(root).as_posix()}\0{len(data)}\0".encode())
         digest.update(data)
@@ -59,6 +63,21 @@ def source_fingerprint(root: Path) -> str:
 @lru_cache(maxsize=None)
 def _package_fingerprint() -> str:
     return source_fingerprint(Path(repro.__file__).parent)
+
+
+@lru_cache(maxsize=None)
+def _top_level_fingerprint(name: str) -> str:
+    """:func:`source_fingerprint` of top-level package ``name`` (its
+    directory) or module (its file); empty when it has no source."""
+    try:
+        spec = importlib.util.find_spec(name)
+    except (ImportError, ValueError):  # ValueError: a __main__ with no spec
+        return ""
+    if spec is not None and spec.submodule_search_locations:
+        return source_fingerprint(Path(next(iter(spec.submodule_search_locations))))
+    if spec is not None and spec.has_location and spec.origin is not None:
+        return source_fingerprint(Path(spec.origin))
+    return ""
 
 
 @dataclass(frozen=True)
@@ -72,13 +91,23 @@ class CacheDecision:
 
 
 class ResultCache:
-    """Cache keyed by (run content hash, seed, library version and code)."""
+    """Cache keyed by (run content hash, seed, library version and code,
+    the kind's own code)."""
 
     def __init__(self, store: ArtifactStore, version: Optional[str] = None) -> None:
         self.store = store
         if version is None:
             version = f"{repro.__version__}+{_package_fingerprint()}"
         self.version = version
+
+    def version_for(self, kind: str) -> str:
+        """What a run of ``kind`` is keyed by: :attr:`version`, plus the
+        fingerprint of the kind's top-level package when that is not
+        ``repro`` (the one place ``run_sweep`` and ``status`` take it)."""
+        fn = REGISTRY.get(kind)
+        top = (fn.__module__ if fn is not None else kind).partition(".")[0]
+        fingerprint = "" if top == "repro" else _top_level_fingerprint(top)
+        return f"{self.version}+{fingerprint}" if fingerprint else self.version
 
     def decide(self, runs: Sequence[RunSpec], force: bool = False) -> List[CacheDecision]:
         """One verdict per run, in order, from one listing of the store."""
@@ -97,7 +126,7 @@ class ResultCache:
             return CacheDecision(hit=False, reason=MISS_TIMEOUT, meta=meta)
         if meta.get("status") != "ok":
             return CacheDecision(hit=False, reason=MISS_FAILED, meta=meta)
-        if meta.get("version") != self.version:
+        if meta.get("version") != self.version_for(run.kind):
             return CacheDecision(hit=False, reason=MISS_VERSION, meta=meta)
         if meta.get("run_hash") != run_hash or meta.get("seed") != run.seed:
             return CacheDecision(hit=False, reason=MISS_STALE, meta=meta)
@@ -122,7 +151,7 @@ class ResultCache:
         meta: Dict[str, Any] = {
             "run_hash": run_hash,
             "seed": run.seed,
-            "version": self.version,
+            "version": self.version_for(run.kind),
             "status": status,
             "attempts": attempts,
             "wall_sec": wall_sec,

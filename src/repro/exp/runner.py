@@ -341,7 +341,7 @@ def run_sweep(
         sweep_hash=spec.sweep_hash,
         kind=spec.kind,
         workers=workers,
-        version=cache.version,
+        version=cache.version_for(spec.kind),
     )
     start = clock()
 

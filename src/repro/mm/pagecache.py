@@ -73,10 +73,6 @@ class PageCache:
             )
         return state
 
-    @property
-    def dirty_total(self) -> int:
-        return sum(state.dirty for state in self._states.values())
-
     # -- write path --------------------------------------------------------
 
     def buffered_write(self, cgroup: Cgroup, nbytes: int) -> Generator:

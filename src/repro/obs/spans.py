@@ -118,20 +118,9 @@ class Span:
     def end_to_end_usec(self) -> int:
         return self.complete_usec - self.submit_usec
 
-    @property
-    def service_usec(self) -> int:
-        return self.stages[-1][1]
-
     def stage_usec(self, stage: str) -> int:
         """Total duration of one stage (0 when the span lacks it)."""
         return sum(dur for name, dur in self.stages if name == stage)
-
-    @property
-    def throttle_usec(self) -> int:
-        """Total time across every ``throttle_wait:*`` stage."""
-        return sum(
-            dur for name, dur in self.stages if name.startswith(THROTTLE_PREFIX)
-        )
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-able view (used by the blkprof CLI)."""

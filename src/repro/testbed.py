@@ -234,9 +234,6 @@ class Testbed:
     def controller_of(self, device: Optional[str] = None) -> IOController:
         return self.layer_of(device).controller
 
-    def spec_of(self, device: Optional[str] = None) -> DeviceSpec:
-        return self.layer_of(device).device.spec
-
     # -- cgroups ------------------------------------------------------------
 
     def add_cgroup(self, path: str, weight: int = 100) -> Cgroup:

@@ -105,7 +105,6 @@ class TestServiceModel:
         for index in range(4):
             device.submit(Bio(IOOp.READ, 4096, 1000 * index + 1, group))
         assert device.in_flight == 4
-        assert device.queue_depth == 2
         sim.run()
         # Two waves of two parallel requests.
         assert sim.now == pytest.approx(200e-6)

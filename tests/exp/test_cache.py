@@ -3,6 +3,7 @@
 import json
 import os
 import signal
+import sys
 from multiprocessing import get_context
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from repro.exp.cache import (
     MISS_STALE,
     MISS_VERSION,
     ResultCache,
+    _top_level_fingerprint,
     source_fingerprint,
 )
 from repro.exp.grid import RunSpec, expand
@@ -96,6 +98,13 @@ class TestResultCacheUnit:
         assert trees[0] != trees[1]
         package = source_fingerprint(Path(repro.__file__).parent)
         assert ResultCache(ArtifactStore(tmp_path)).version == f"{repro.__version__}+{package}"
+
+    def test_only_kinds_outside_repro_carry_their_own_code(self, tmp_path):
+        cache = ResultCache(ArtifactStore(tmp_path))
+        for kind in ("testbed", "repro.fleet.experiments.run_fleet_host"):
+            assert cache.version_for(kind) == cache.version
+        tests_package = source_fingerprint(Path(__file__).resolve().parents[1])
+        assert cache.version_for("tests.exp.helpers.quick") == f"{cache.version}+{tests_package}"
 
     def test_stale_metadata(self, tmp_path):
         store = ArtifactStore(tmp_path)
@@ -289,3 +298,24 @@ def test_a_record_committed_after_the_listing_runs_again(tmp_path, monkeypatch):
     assert {
         h: (store.read_json(h)["spec"], store.result_bytes(h)) for h in store.list_runs()
     } == other["records"]
+
+
+def test_an_edited_kind_outside_repro_is_a_version_change(tmp_path, monkeypatch):
+    # The kind's own module is part of the key: an edit re-runs its cells
+    # instead of serving the old result as a hit.
+    module = tmp_path / "userkind.py"
+    module.write_text("def run(params, seed):\n    return {'value': 1}\n")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = ExperimentSpec(name="user", kind="userkind.run")
+    store = ArtifactStore(tmp_path / "store")
+    try:
+        assert run_sweep(spec, store).outcomes[0].result == {"value": 1}
+        module.write_text("def run(params, seed):\n    return {'value': 2}\n")
+        _top_level_fingerprint.cache_clear()  # what a new process sees
+        monkeypatch.delitem(sys.modules, "userkind")
+        (outcome,) = run_sweep(spec, store).outcomes
+    finally:
+        _top_level_fingerprint.cache_clear()
+    assert not outcome.cached and outcome.cache_reason == MISS_VERSION
+    assert outcome.result == {"value": 2}

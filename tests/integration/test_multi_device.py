@@ -74,7 +74,7 @@ class TestConstruction:
         vda, vdb = bed.controller_of("vda"), bed.controller_of("vdb")
         assert vda is not vdb
         assert bed.devices.layer("vda").sim is bed.devices.layer("vdb").sim
-        assert bed.spec_of("vdb").name == "ssd_new-x0.1"
+        assert bed.layer_of("vdb").device.spec.name == "ssd_new-x0.1"
         # The aliases point at the first (data) device.
         assert bed.layer is bed.devices.layer("vda")
         bed.detach()
