@@ -1,7 +1,7 @@
 """Statistics and reporting helpers shared by the library and benchmarks."""
 
 from repro.analysis.stats import (
-    LatencyWindow,
+    LatencyLog,
     RateMeter,
     Summary,
     TimeSeries,
@@ -10,7 +10,7 @@ from repro.analysis.report import Table, format_ratio, format_si
 from repro.analysis.figures import render_series, sparkline
 
 __all__ = [
-    "LatencyWindow",
+    "LatencyLog",
     "RateMeter",
     "Summary",
     "Table",

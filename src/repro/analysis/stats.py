@@ -6,9 +6,8 @@ the paper additionally report means, percentiles, and rates.  This module
 provides the equivalents used throughout the reproduction:
 
 * :class:`LatencyLog` — one direction's sliding completion-latency samples,
-  each tagged with the key of the cgroup that completed it.
-* :class:`LatencyWindow` — percentile queries over a log, a pair of them or
-  one key's samples in them.
+  each tagged with the key of the cgroup that completed it, and its
+  percentiles; :func:`keyed_percentiles` reads many keys' in one pass.
 * :class:`TimeSeries` — append-only (time, value) recorder with window
   reductions, used for vrate traces, RPS curves, etc.
 * :class:`RateMeter` — events/bytes per second over a sliding window.
@@ -17,6 +16,9 @@ provides the equivalents used throughout the reproduction:
 The layer records every completion as one sample in one log, so the
 sliding stores keep a sample as flat doubles in one ``array('d')``
 (:class:`_SlidingStore`): 24 bytes, and no object for the cyclic GC.
+Every latency read is a query on the log holding the samples: a device's
+by :meth:`LatencyLog.percentiles`, a cgroup's by
+:func:`keyed_percentiles` with its record's key.
 """
 
 from __future__ import annotations
@@ -76,116 +78,71 @@ class _SlidingStore:
 class LatencyLog(_SlidingStore):
     """One direction's completion latencies on a device, whoever issued
     them.  A sample is (timestamp, latency, key) as three doubles; ``key``
-    names the cgroup record that completed it.  Read through a
-    :class:`LatencyWindow`."""
+    names the cgroup record that completed it (``key`` defaults to 0 for a
+    log fed outside a block layer).  Every read is a nearest-rank selection
+    over a copy of the samples inside a horizon
+    (:func:`~repro.obs.metrics.select_percentiles`): of every key by
+    :meth:`percentiles`, per key by :func:`keyed_percentiles`."""
 
     _width = 3
 
-    def record(self, now: float, latency: float, key: float) -> None:
+    def record(self, now: float, latency: float, key: float = 0.0) -> None:
         self._data.fromlist([now, latency, key])
         if now >= self._due:
             self._evict(now)
 
     def _columns(self, now: float, horizon: float) -> Tuple[np.ndarray, np.ndarray]:
-        """The latencies and keys of the samples no older than ``horizon``:
-        strided views of the store, no copy.  They export the store's
-        buffer: drop them before the next ``record``."""
+        """The latencies and keys of the samples no older than ``horizon``
+        (a wider one than the window raises): strided views of the store, no
+        copy.  They export the store's buffer: drop them before the next
+        ``record``."""
+        if horizon > self.window:
+            raise ValueError(f"horizon {horizon} exceeds the window ({self.window})")
         fresh = self._fresh(now, horizon)
         flat = np.frombuffer(self._data, offset=8 * (len(self._data) - 3 * fresh))
         return flat[1::3], flat[2::3]
 
-
-class LatencyWindow:
-    """Sliding-window latency percentiles: a view of a read log, a write
-    log or both, of every sample or of one ``key``'s.
-
-    The block layer keeps one :class:`LatencyLog` per direction and reads
-    them through views: ``layer.read_latency`` and ``layer.write_latency``
-    (all of one log; the signal source for IOCost's saturation detection)
-    and each cgroup record's ``latency`` (its key's samples in both).  Made
-    on its own, a window owns a log per direction and :meth:`record` feeds
-    them.  Every answer is a nearest-rank selection over a copy of the
-    samples inside the horizon (:func:`~repro.obs.metrics.select_percentiles`).
-    """
-
-    def __init__(
-        self,
-        window: float = 1.0,
-        reads: Optional[LatencyLog] = None,
-        writes: Optional[LatencyLog] = None,
-        key: Optional[float] = None,
-    ) -> None:
-        if reads is None and writes is None:
-            reads, writes = LatencyLog(window), LatencyLog(window)
-        self.reads, self.writes, self.key = reads, writes, key
-        self._logs = tuple(log for log in (reads, writes) if log is not None)
-        self._read_logs = (reads,) if reads is not None else ()
-        self.window = window
-
-    @property
-    def window(self) -> float:
-        return self._window
-
-    @window.setter
-    def window(self, window: float) -> None:
-        """The default horizon; a log keeps at least the widest of its views'."""
-        if window <= 0:
-            raise ValueError("window must be positive")
-        self._window = window
-        for log in self._logs:
-            log.window = max(log.window, window)
-
-    def record(self, now: float, latency: float, is_write: bool = False) -> None:
-        """Append to the log of the sample's direction under the view's key
-        (0 for a view of every key, such as a window made on its own)."""
-        log = self.writes if is_write else self.reads
-        log.record(now, latency, 0.0 if self.key is None else self.key)
-
-    def _latencies(self, now: float, horizon: float, reads_only: bool) -> np.ndarray:
-        """A copy of the view's latencies no older than ``horizon``."""
-        parts = []
-        for log in self._read_logs if reads_only else self._logs:
-            latencies, keys = log._columns(now, horizon)
-            parts.append(latencies if self.key is None else latencies[keys == self.key])
-        return np.concatenate(parts) if parts else np.empty(0)
-
-    def count(self, now: float) -> int:
-        return len(self._latencies(now, self._window, False))
-
-    def __len__(self) -> int:
-        """The live samples: those no older than the window at the newest
-        sample of the view's logs."""
-        newest = [log._data[-3] for log in self._logs if log._data]
-        return self.count(max(newest)) if newest else 0
-
     def percentiles(
-        self,
-        now: float,
-        pcts: Sequence[float],
-        horizon: Optional[float] = None,
-        reads_only: bool = False,
+        self, now: float, pcts: Sequence[float], horizon: Optional[float] = None
     ) -> List[Optional[float]]:
-        """Percentiles of the samples no older than ``horizon`` seconds (the
-        whole window by default; a wider horizon raises), of the reads alone
-        if ``reads_only``, by one selection; Nones if there are none."""
-        if horizon is None:
-            horizon = self._window
-        elif horizon > self._window:
-            raise ValueError(f"horizon {horizon} exceeds the window ({self._window})")
-        latencies = self._latencies(now, horizon, reads_only)
+        """Percentiles of every sample no older than ``horizon`` seconds (the
+        whole window by default), by one selection; Nones if there are none."""
+        latencies = self._columns(now, self.window if horizon is None else horizon)[0]
         if not len(latencies):
             return [None] * len(pcts)
-        return select_percentiles(latencies, pcts)
+        return select_percentiles(latencies.copy(), pcts)
 
     def percentile(
-        self,
-        now: float,
-        pct: float,
-        horizon: Optional[float] = None,
-        reads_only: bool = False,
+        self, now: float, pct: float, horizon: Optional[float] = None
     ) -> Optional[float]:
         """One of :meth:`percentiles`."""
-        return self.percentiles(now, (pct,), horizon, reads_only)[0]
+        return self.percentiles(now, (pct,), horizon)[0]
+
+
+def keyed_percentiles(
+    logs: Sequence[LatencyLog],
+    now: float,
+    keys: Sequence[Optional[float]],
+    pcts: Sequence[float],
+    horizon: float = 1.0,
+) -> List[List[Optional[float]]]:
+    """Per key, the percentiles of its samples in ``logs`` no older than
+    ``horizon`` seconds; Nones for a key with none (and for the key None: a
+    cgroup record before its first completion).
+
+    Each log's columns are read once, whatever the number of keys (and not
+    at all when every key is None), as views with no copy; a key's answer
+    is one selection over the copy its mask takes of them."""
+    if all(key is None for key in keys):
+        return [[None] * len(pcts) for _ in keys]
+    parts = [log._columns(now, horizon) for log in logs]
+    answers = []
+    for key in keys:
+        mine = () if key is None else np.concatenate(
+            [latencies[tags == key] for latencies, tags in parts]
+        )
+        answers.append(select_percentiles(mine, pcts) if len(mine) else [None] * len(pcts))
+    return answers
 
 
 class RateMeter(_SlidingStore):

@@ -22,7 +22,7 @@ kernel block layer provides around them:
   with exponential backoff up to ``max_retries``, then completed with its
   terminal non-OK status.  Every path — success, retry, final error,
   timeout — releases the bio's request slot exactly once, so queue depth
-  never leaks; failed bios still feed the latency windows, which is how
+  never leaks; failed bios still feed the latency logs, which is how
   IOCost's QoS loop sees (and reacts to) device degradation.
 """
 
@@ -31,7 +31,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Callable, Deque, Dict, Optional
 
-from repro.analysis.stats import LatencyLog, LatencyWindow
+from repro.analysis.stats import LatencyLog
 from repro.block.bio import Bio, BioStatus
 from repro.block.device import Device
 from repro.cgroup import Cgroup
@@ -81,11 +81,11 @@ class BlockLayer:
         # Without timeouts there is no timer to disarm: straight to _finish.
         device.on_complete = self._finish if io_timeout is None else self._device_completed
         # One sample per completion, in its direction's log under its
-        # cgroup's key; the windows are views.  Made before the controller
-        # attaches: iocost reads the device views and widens them.
-        self._logs = (LatencyLog(), LatencyLog())  # reads, writes
-        self.read_latency = LatencyWindow(reads=self._logs[0])
-        self.write_latency = LatencyWindow(writes=self._logs[1])
+        # cgroup record's key.  Made before the controller attaches: iocost
+        # reads the logs and widens them to its horizon.
+        self.read_latency = LatencyLog()
+        self.write_latency = LatencyLog()
+        self._logs = (self.read_latency, self.write_latency)
         #: The last key given to a cgroup record; keys are never reused.
         self._last_key = 0.0
         controller.attach(self)
@@ -288,13 +288,13 @@ class BlockLayer:
         # io.stat wait accounting: wall time the bio spent above the device.
         record.wait_total += bio.issue_time - bio.submit_time
 
-        # Failed bios feed the latency windows too: a timed-out bio records
+        # Failed bios feed the latency logs too: a timed-out bio records
         # its full io_timeout, which is exactly the degraded-latency signal
         # the QoS vrate loop must react to (graceful degradation).
-        window = record.latency
-        if window is None:  # the one place a cgroup's window is made
-            window = record.latency = self._cgroup_window()
-        self._logs[bio.is_write].record(now, now - bio.issue_time, window.key)
+        key = record.latency
+        if key is None:  # the one place a record's key is given
+            key = record.latency = self._last_key = self._last_key + 1.0
+        self._logs[bio.is_write].record(now, now - bio.issue_time, key)
 
         # Requeued bios take the freed slot first, then the one controller call.
         if self._retryq:
@@ -345,18 +345,6 @@ class BlockLayer:
         # (the kernel requeues to the front of the dispatch list).
         while self._retryq and self.inflight < self.nr_slots:
             self._redispatch(self._retryq.popleft())
-
-    def _cgroup_window(self) -> LatencyWindow:
-        """A view of both logs under a key no record has had."""
-        self._last_key += 1.0
-        return LatencyWindow(reads=self._logs[0], writes=self._logs[1], key=self._last_key)
-
-    def cgroup_window(self, cgroup: Cgroup) -> Optional[LatencyWindow]:
-        """The cgroup's completion-latency window on this device, reads and
-        writes together; None until a bio of its has finished here (asking
-        makes neither a record nor a window)."""
-        record = cgroup.stats.per_device.get(self.dev)
-        return record.latency if record is not None else None
 
     def iops_of(self, cgroup: Cgroup) -> int:
         """Successfully completed IO count for a cgroup on this device."""

@@ -13,10 +13,7 @@ offline, so nothing that reads them needs to watch removals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Iterator, Optional, Tuple
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.analysis.stats import LatencyWindow
+from typing import Any, Dict, Iterator, Optional, Tuple
 
 MIN_WEIGHT = 1
 MAX_WEIGHT = 10000
@@ -49,9 +46,10 @@ class IOStats:
     completions (``BlockLayer.iops_of``).  All are filled in by the block
     layer's completion path, which also owns two of the non-counters:
     ``next_sector``, where a sequential successor of the cgroup's last bio
-    on this device would start, and ``latency``, the view of the cgroup's
-    samples in the layer's latency logs (both directions, under a key made
-    at its first completion and never reused).  The
+    on this device would start, and ``latency``, the key of the cgroup's
+    samples in the layer's latency logs (both directions; None until its
+    first completion, which is given a key never given before, so a
+    re-created cgroup starts with no samples).  The
     device's controller owns the rest: ``throttled`` counts the bios it held,
     ``pd`` (the kernel's ``blkg->pd``) is its per-group state, reached
     through the bio (``bio.blkg.pd``), and ``online``, cleared by
@@ -72,7 +70,7 @@ class IOStats:
     done_bytes: int = 0
     throttled: int = 0
     next_sector: Optional[int] = None
-    latency: Optional[LatencyWindow] = None
+    latency: Optional[float] = None
     pd: Any = None
     online: bool = True
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, Optional
 
+from repro.analysis.stats import keyed_percentiles
 from repro.block.bio import Bio
 from repro.cgroup import Cgroup, IOStats
 from repro.controllers.base import IOController
@@ -116,14 +117,13 @@ class IOLatencyController(IOController):
         now = layer.sim.now
         max_depth = layer.device.spec.nr_slots
 
-        # Is any protected group missing its target?
+        # Is any protected group missing its target?  One read for them all.
         victim_target = None
-        for group in self.groups:
-            if group.target is None:
-                continue
-            window = group.blkg.latency  # None until its first completion
-            observed = window.percentile(now, 90) if window is not None else None
-            if observed is not None and observed > group.target:
+        protected = [group for group in self.groups if group.target is not None]
+        keys = [group.blkg.latency for group in protected]
+        observed = keyed_percentiles((layer.read_latency, layer.write_latency), now, keys, (90,))
+        for group, (p90,) in zip(protected, observed):
+            if p90 is not None and p90 > group.target:
                 if victim_target is None or group.target < victim_target:
                     victim_target = group.target
         self._victim_target = victim_target

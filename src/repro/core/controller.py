@@ -121,9 +121,9 @@ class IOCost(IOController):
         self.clock = VTimeClock(sim, self._initial_vrate)
         self.vrate_ctl = VRateController(self.clock, self.qos)
         self.debt = DebtTracker(self.clock)
-        # The QoS signal: the layer's device windows, reaching back the horizon.
-        for window in (layer.read_latency, layer.write_latency):
-            window.window = max(window.window, self.vrate_ctl.horizon)
+        # The QoS signal: the layer's latency logs, reaching back the horizon.
+        for log in (layer.read_latency, layer.write_latency):
+            log.window = max(log.window, self.vrate_ctl.horizon)
         self._plan_timer = sim.schedule(self.qos.period, self._plan)
 
     def detach(self) -> None:
@@ -141,10 +141,6 @@ class IOCost(IOController):
         if state is not None and not state.donating:
             state.weight_eff = float(weight)
         self.tree.bump()
-
-    def hweight_of(self, cgroup: Cgroup) -> float:
-        """Current hierarchical weight share of a cgroup (diagnostic)."""
-        return self.tree.hweight(self.tree.state_of(cgroup))
 
     def userspace_delay(self, cgroup: Cgroup) -> float:
         """§3.5 return-to-userspace debt throttle, called by the MM layer."""

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.analysis.stats import LatencyWindow, TimeSeries
+from repro.analysis.stats import LatencyLog, TimeSeries
 from repro.core.vtime import VTimeClock
 
 
@@ -85,8 +85,8 @@ class VRateController:
     def adjust(
         self,
         now: float,
-        read_window: LatencyWindow,
-        write_window: LatencyWindow,
+        read_window: LatencyLog,
+        write_window: LatencyLog,
         slot_utilization: float,
         budget_starved: bool,
     ) -> float:

@@ -39,6 +39,7 @@ unchanged hosts free on re-sweeps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
@@ -293,6 +294,8 @@ class MigrationPlan:
             raise FleetSpecError("migration samples must be >= 1")
         if self.tasks_per_host_week < 1:
             raise FleetSpecError("tasks_per_host_week must be >= 1")
+        if not (math.isfinite(self.settle) and self.settle >= 0):
+            raise FleetSpecError(f"migration settle must be finite and >= 0, got {self.settle}")
         task_from_config(self.task)  # validate early
         _check_tables("migration", self.qos)
 

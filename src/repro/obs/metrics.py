@@ -10,7 +10,7 @@ exact and ``max``/``min``/``count``/``sum`` are tracked exactly.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -89,10 +89,6 @@ class Histogram:
             return
         index = int(math.ceil(math.log(value) / self._log_base))
         self._buckets[index] = self._buckets.get(index, 0) + 1
-
-    def record_many(self, values: Iterable[float]) -> None:
-        for value in values:
-            self.record(value)
 
     @property
     def mean(self) -> float:

@@ -32,6 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Type, Union
 
 import numpy as np
 
+from repro.analysis.stats import keyed_percentiles
 from repro.block.bio import reset_bio_ids
 from repro.block.device import Device, DeviceSpec
 from repro.block.layer import BlockLayer
@@ -320,10 +321,10 @@ class Testbed:
         self, cgroup: Cgroup, pcts: Sequence[float], device: Optional[str] = None
     ) -> List[Optional[float]]:
         """:meth:`latency_percentile` at each of ``pcts``, by one selection."""
-        window = self.layer_of(device).cgroup_window(cgroup)
-        if window is None:
-            return [None] * len(pcts)
-        return window.percentiles(self.sim.now, pcts, reads_only=True)
+        layer = self.layer_of(device)
+        record = cgroup.stats.per_device.get(layer.dev)  # reading makes none
+        key = record.latency if record is not None else None
+        return keyed_percentiles((layer.read_latency,), self.sim.now, [key], pcts)[0]
 
     def detach(self) -> None:
         """Tear down every controller's timers (end of experiment)."""

@@ -7,7 +7,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.analysis.stats import Summary
 from repro.block.bio import Bio, IOOp
 from repro.block.layer import BlockLayer
 from repro.cgroup import Cgroup
@@ -93,9 +92,6 @@ class Workload:
 
     def iops(self, duration: float) -> float:
         return self.completed / duration
-
-    def latency_summary(self) -> Summary:
-        return Summary.of(self.latencies)
 
     def recent_percentile(self, pct: float, last: int = 200) -> Optional[float]:
         """Nearest-rank percentile over the most recent ``last`` completions."""

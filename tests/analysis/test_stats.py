@@ -6,7 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.stats import LatencyLog, LatencyWindow, RateMeter, Summary, TimeSeries
+from repro.analysis.stats import (
+    LatencyLog,
+    RateMeter,
+    Summary,
+    TimeSeries,
+    keyed_percentiles,
+)
 from repro.obs.metrics import exact_percentile as percentile
 
 
@@ -71,28 +77,31 @@ class TestPercentile:
 
 
 class TestLatencyWindow:
+    """A latency log's sliding window, read whole and per key."""
+
     def test_percentile_over_window(self):
-        window = LatencyWindow(window=1.0)
+        log = LatencyLog(window=1.0)
         for index in range(10):
-            window.record(0.0, float(index))
-        assert window.percentile(0.5, 50) == 4.0
-        assert window.count(0.5) == 10
+            log.record(0.0, float(index))
+        assert log.percentile(0.5, 50) == 4.0
+        assert len(log) == 10
 
     def test_old_samples_pruned(self):
-        window = LatencyWindow(window=1.0)
-        window.record(0.0, 100.0)
-        window.record(2.0, 1.0)
-        assert window.percentile(2.5, 99) == 1.0
-        assert window.count(2.5) == 1
+        log = LatencyLog(window=1.0)
+        log.record(0.0, 100.0)
+        log.record(2.0, 1.0)
+        assert log.percentile(2.5, 99) == 1.0
+        assert len(log) == 1
 
     def test_empty_window_returns_none(self):
-        window = LatencyWindow(window=1.0)
-        assert window.percentile(0.0, 50) is None
-        assert window.count(0.0) == 0
+        log = LatencyLog(window=1.0)
+        assert log.percentile(0.0, 50) is None
+        assert keyed_percentiles((log,), 0.0, [0.0, None], (50, 99)) == [[None, None]] * 2
+        assert len(log) == 0
 
     def test_invalid_window_rejected(self):
         with pytest.raises(ValueError):
-            LatencyWindow(window=0.0)
+            LatencyLog(window=0.0)
 
     @given(
         gaps=st.lists(st.floats(min_value=0, max_value=0.3), min_size=1, max_size=80),
@@ -103,9 +112,9 @@ class TestLatencyWindow:
     )
     @settings(max_examples=200)
     def test_a_horizon_is_a_narrower_window(self, gaps, latencies, horizon, lag, pct):
-        """Reading a wide window at horizon ``h`` is reading a window ``h``
-        wide that was fed the same samples: same samples, same rank."""
-        wide, narrow = LatencyWindow(1.0), LatencyWindow(horizon)
+        """Reading a wide log at horizon ``h`` is reading a log ``h`` wide
+        that was fed the same samples: same samples, same rank."""
+        wide, narrow = LatencyLog(1.0), LatencyLog(horizon)
         now = 0.0
         for gap, latency in zip(gaps, latencies):
             now += gap
@@ -114,32 +123,39 @@ class TestLatencyWindow:
         now += lag
         assert wide.percentile(now, pct, horizon=horizon) == narrow.percentile(now, pct)
         assert wide.percentile(now, pct, horizon=1.0) == wide.percentile(now, pct)
+        assert keyed_percentiles((wide,), now, [0.0], (pct,), horizon) == [
+            [narrow.percentile(now, pct)]
+        ]
 
     def test_a_horizon_wider_than_the_window_raises(self):
-        window = LatencyWindow(window=1.0)
-        window.record(0.0, 1.0)
+        log = LatencyLog(window=1.0)
+        log.record(0.0, 1.0)
         with pytest.raises(ValueError, match="exceeds the window"):
-            window.percentile(0.0, 50, horizon=1.5)
+            log.percentile(0.0, 50, horizon=1.5)
+        with pytest.raises(ValueError, match="exceeds the window"):
+            keyed_percentiles((log,), 0.0, [0.0], (50,), horizon=1.5)
+        with pytest.raises(ValueError, match="exceeds the window"):
+            keyed_percentiles((LatencyLog(0.5),), 0.0, [0.0], (50,))
 
     def test_reads_only_leaves_writes_out(self):
-        window = LatencyWindow(window=1.0)
-        window.record(0.0, 9.0, is_write=True)
-        assert window.percentile(0.0, 50) == 9.0
-        assert window.percentile(0.0, 50, reads_only=True) is None
-        window.record(0.0, 1.0)
-        assert window.percentile(0.0, 100, reads_only=True) == 1.0
+        reads, writes = LatencyLog(window=1.0), LatencyLog(window=1.0)
+        writes.record(0.0, 9.0, key=1.0)
+        assert keyed_percentiles((reads, writes), 0.0, [1.0], (50,)) == [[9.0]]
+        assert keyed_percentiles((reads,), 0.0, [1.0], (50,)) == [[None]]
+        reads.record(0.0, 1.0, key=1.0)
+        assert keyed_percentiles((reads,), 0.0, [1.0], (100,)) == [[1.0]]
 
     def test_record_bounds_the_store_without_a_reader(self):
-        window, meter = LatencyWindow(window=1.0), RateMeter(window=1.0)
+        log, meter = LatencyLog(window=1.0), RateMeter(window=1.0)
         for index in range(1000):
-            window.record(index / 128, 1.0)
+            log.record(index / 128, 1.0)
             meter.record(index / 128)
         # The newest sample is 999/128: 871/128 .. 999/128 are inside.
-        assert len(window) == len(meter) == 129
+        assert len(log) == len(meter) == 129
         assert meter.total == 1000 and meter.rate(999 / 128) == 129
         # What is stored beyond them is at most an eighth of a window.
         slack = 1 + 1 / LatencyLog.EVICTIONS
-        assert len(window.reads._data) <= 3 * 129 * slack
+        assert len(log._data) <= 3 * 129 * slack
         assert len(meter._data) <= 2 * 129 * slack
 
 
@@ -204,10 +220,10 @@ _SAMPLE = st.tuples(
 
 class TestFlatStoresMatchTuples:
     """The block layer's bookkeeping over flat stores — a latency log per
-    direction, a view per direction ``window`` wide, and per cgroup a view
-    one second wide under a key its record gets at its first sample (a
-    removed cgroup's record goes; the next one at its path gets a new key)
-    — against a deque of tuples per view."""
+    direction, widened to ``window`` if that is wider than a second, read
+    whole and, one second back, per cgroup under a key its record gets at
+    its first sample (a removed cgroup's record goes; the next one at its
+    path gets a new key) — against a deque of tuples per read."""
 
     @given(
         window=st.sampled_from([1.0, 0.25, 0.3, 2.0]),
@@ -241,15 +257,14 @@ class TestFlatStoresMatchTuples:
     @settings(max_examples=200, deadline=None)
     def test_every_answer_is_the_tuple_stores(self, window, stream, lag, pct):
         logs = LatencyLog(), LatencyLog()  # reads, writes
-        devices = (
-            (LatencyWindow(window, reads=logs[0]), TupleStores(window)),
-            (LatencyWindow(window, writes=logs[1]), TupleStores(window)),
-        )
+        for log in logs:  # as IOCost widens them to its horizon
+            log.window = max(log.window, window)
+        retention = max(window, 1.0)
+        devices = tuple((log, TupleStores(retention)) for log in logs)
         meter, every = RateMeter(window), TupleStores(window)
         live, cgroups, key = {}, [], 0.0
-        retention = logs[0].window
-        assert retention == logs[1].window == max(window, 1.0)
         horizons = (1 / 8, 1 / 2, 1.0)
+        pcts = (pct, 50, 99)
         now = 0.0
         times = ([], [])
         for step, latency, is_write, path, removed in stream:
@@ -257,12 +272,11 @@ class TestFlatStoresMatchTuples:
                 live.pop(path, None)
             if path not in live:
                 key += 1.0
-                view = LatencyWindow(reads=logs[0], writes=logs[1], key=key)
-                live[path] = view, TupleStores(1.0)
+                live[path] = key, TupleStores(1.0)
                 cgroups.append(live[path])
             now += step
             times[is_write].append(now)
-            logs[is_write].record(now, latency, live[path][0].key)
+            logs[is_write].record(now, latency, live[path][0])
             meter.record(now, latency)
             for ref in (devices[is_write][1], every, live[path][1]):
                 ref.record(now, latency, is_write)
@@ -275,24 +289,33 @@ class TestFlatStoresMatchTuples:
                        for time in times[0] + times[1])
             assert len(meter._data) // 2 <= kept
             assert len(meter) == len(every.samples)
-            for view, ref in devices:
-                assert len(view) == len(ref.samples)
-            for view, ref in cgroups:
-                assert len(view) == len(ref.fresh(now, 1.0))
+            for log, ref in devices:
+                assert len(log) == len(ref.samples)
             for when in (now, now + lag):
                 assert repr(meter.rate(when)) == repr(every.rate(when))
-                for view, ref in devices + tuple(cgroups):
-                    assert view.count(when) == len(ref.fresh(when, view.window))
-                    for reads_only in (False, True):
-                        for horizon in horizons:
-                            horizon *= view.window
-                            assert repr(
-                                view.percentile(when, pct, horizon, reads_only)
-                            ) == repr(ref.percentile(when, pct, horizon, reads_only))
-                        assert view.percentiles(when, (pct, 50, 99), None, reads_only) == [
-                            ref.percentile(when, each, view.window, reads_only)
-                            for each in (pct, 50, 99)
-                        ]
+                for log, ref in devices:
+                    assert log._fresh(when, log.window) == len(ref.fresh(when, retention))
+                    for horizon in horizons:
+                        horizon *= window
+                        assert repr(log.percentile(when, pct, horizon)) == repr(
+                            ref.percentile(when, pct, horizon, False)
+                        )
+                    assert log.percentiles(when, pcts) == [
+                        ref.percentile(when, each, retention, False) for each in pcts
+                    ]
+                # Every cgroup's key, a key with no samples and the None of
+                # a record before its first completion, in one read per
+                # horizon, against each key's own reference.
+                keys = [each for each, _ in cgroups] + [key + 1.0, None]
+                for reads_only in (False, True):
+                    read = logs[:1] if reads_only else logs
+                    for horizon in horizons:
+                        answers = keyed_percentiles(read, when, keys, pcts, horizon)
+                        assert answers[-2:] == [[None] * len(pcts)] * 2
+                        for answer, (_, ref) in zip(answers, cgroups):
+                            assert repr(answer) == repr(
+                                [ref.percentile(when, each, horizon, reads_only) for each in pcts]
+                            )
 
 
 class TestTimeSeries:

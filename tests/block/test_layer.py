@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.analysis.stats import keyed_percentiles
 from repro.block.bio import Bio, IOOp
 from repro.block.device import Device, DeviceSpec
 from repro.block.layer import BlockLayer, BlockLayerError
@@ -98,8 +99,8 @@ def test_latency_windows_split_reads_writes():
     layer.submit(Bio(IOOp.READ, 4096, 1, group))
     layer.submit(Bio(IOOp.WRITE, 4096, 999, group))
     sim.run()
-    assert layer.read_latency.count(sim.now) == 1
-    assert layer.write_latency.count(sim.now) == 1
+    assert len(layer.read_latency) == 1
+    assert len(layer.write_latency) == 1
     assert layer.read_latency.percentile(sim.now, 50) == pytest.approx(100e-6)
 
 
@@ -108,20 +109,23 @@ def test_cgroup_window_populated():
     group = tree.create("workload")
     layer.submit(Bio(IOOp.READ, 4096, 1, group))
     sim.run()
-    window = layer.cgroup_window(group)
-    assert window is group.stats.device(layer.dev).latency
-    assert window.count(sim.now) == 1
+    key = group.stats.device(layer.dev).latency
+    assert key == 1.0  # the layer's first
+    logs = layer.read_latency, layer.write_latency
+    assert keyed_percentiles(logs, sim.now, [key], (0, 100)) == [[pytest.approx(100e-6)] * 2]
 
 
 def test_asking_for_a_window_makes_nothing():
     sim, layer, tree = make_env()
     idle = tree.create("idle")
-    assert layer.cgroup_window(idle) is None
+    logs = layer.read_latency, layer.write_latency
+    assert keyed_percentiles(logs, sim.now, [None], (50,)) == [[None]]
     assert idle.stats.per_device == {}  # no record either
     layer.submit(Bio(IOOp.READ, 4096, 1, idle))
-    assert layer.cgroup_window(idle) is None  # made by its first completion
+    record = idle.stats.device(layer.dev)
+    assert record.latency is None  # keyed by its first completion
     sim.run()
-    assert layer.cgroup_window(idle).count(sim.now) == 1
+    assert keyed_percentiles(logs, sim.now, [record.latency], (50,)) == [[pytest.approx(100e-6)]]
 
 
 def test_issue_overhead_serializes_dispatch():

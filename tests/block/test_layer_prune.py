@@ -10,6 +10,7 @@ history, and go with it.
 
 import numpy as np
 
+from repro.analysis.stats import keyed_percentiles
 from repro.block.bio import Bio, IOOp
 from repro.block.device import Device, DeviceSpec
 from repro.block.layer import BlockLayer
@@ -38,6 +39,12 @@ def make_stack():
     return sim, tree, layer
 
 
+def samples_of(layer, key, now):
+    """How many of the last second's samples in the layer's logs are ``key``'s."""
+    logs = layer.read_latency, layer.write_latency
+    return sum(int((log._columns(now, 1.0)[1] == key).sum()) for log in logs)
+
+
 class TestPruneOnRemoval:
     def test_counters_fold_into_parent(self):
         sim, tree, layer = make_stack()
@@ -60,7 +67,7 @@ class TestPruneOnRemoval:
         assert (folded.rios, folded.rbytes) == (3, 3 * 4096)
         assert folded.wait_total == record.wait_total
         assert layer.iops_of(parent) == 3
-        # ... the window and the cursor do not.
+        # ... the latency key and the cursor do not.
         assert folded.latency is None and folded.next_sector is None
 
     def test_fold_accumulates_onto_parent_counts(self):
@@ -71,15 +78,15 @@ class TestPruneOnRemoval:
         layer.submit(Bio(IOOp.WRITE, 8192, 16, child))
         sim.run(until=1.0)
         record = parent.stats.device(layer.dev)
-        window, cursor = record.latency, record.next_sector
+        key, cursor = record.latency, record.next_sector
 
         tree.remove("workload.slice/job")
 
         assert parent.stats.device(layer.dev) is record
         assert (record.done_ios, record.done_bytes) == (2, 4096 + 8192)
         assert (record.rios, record.wios) == (1, 1)
-        # The parent's own latency window and cursor are untouched by the fold.
-        assert record.latency is window and window.count(sim.now) == 1
+        # The parent's own latency key and cursor are untouched by the fold.
+        assert record.latency == key and samples_of(layer, key, sim.now) == 1
         assert record.next_sector == cursor
 
     def test_a_cgroup_recreated_at_its_path_starts_with_an_empty_window(self):
@@ -92,13 +99,14 @@ class TestPruneOnRemoval:
         old = first.stats.device(layer.dev).latency
         tree.remove("job")
         again = tree.create("job")
-        assert layer.cgroup_window(again) is None
+        assert again.stats.per_device == {}
         layer.submit(Bio(IOOp.WRITE, 4096, 64, again))
         sim.run(until=0.2)
-        new = layer.cgroup_window(again)
-        assert new.key != old.key
-        assert new.count(sim.now) == 1 and new.percentile(sim.now, 50, reads_only=True) is None
-        assert old.count(sim.now) == 1 and layer.read_latency.count(sim.now) == 1
+        new = again.stats.device(layer.dev).latency
+        assert new != old
+        assert samples_of(layer, new, sim.now) == 1
+        assert keyed_percentiles((layer.read_latency,), sim.now, [new], (50,)) == [[None]]
+        assert samples_of(layer, old, sim.now) == 1 and len(layer.read_latency) == 1
 
     def test_removing_idle_cgroup_is_a_noop(self):
         sim, tree, layer = make_stack()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.stats import LatencyLog
 from repro.block.bio import Bio, IOOp
 from repro.block.device import DeviceSpec
 from repro.controllers import (
@@ -270,6 +271,29 @@ class TestIOLatency:
         ClosedLoop(sim, layer, noisy, depth=8, stop_at=0.2, seed=2).start()
         sim.run(until=1.0)  # long quiet tail
         assert noisy.stats.device(layer.dev).pd.depth == layer.device.spec.nr_slots
+
+    @pytest.mark.parametrize("groups", [0, 1, 3, 12])
+    def test_one_adjust_reads_each_log_once(self, groups, monkeypatch):
+        """One tick reads every protected group's p90 in one pass: each log's
+        columns once, not once per group, and not at all without a target."""
+        controller = IOLatencyController({f"g{index}": 1e-3 for index in range(groups)})
+        sim, layer, tree = build_layer(controller)
+        for index in range(groups + 1):  # and one group without a target
+            group = tree.create(f"g{index}")
+            ClosedLoop(sim, layer, group, depth=2, stop_at=0.04, seed=index).start()
+        sim.run(until=0.045)  # before the first tick
+        assert all(group.blkg.latency is not None for group in controller.groups)
+        read = []
+        columns = LatencyLog._columns
+
+        def counted(log, now, horizon):
+            read.append(id(log))
+            return columns(log, now, horizon)
+
+        monkeypatch.setattr(LatencyLog, "_columns", counted)
+        controller._adjust()
+        # The read log and the write log, once each.
+        assert len(read) == len(set(read)) == (2 if groups else 0)
 
 
 class TestBlkThrottleLargeBios:

@@ -276,9 +276,9 @@ class TestConfiguration:
         sb = controller.tree.state_of(b)
         controller.tree.activate(sa)
         controller.tree.activate(sb)
-        assert controller.hweight_of(a) == pytest.approx(0.5)
+        assert controller.stat(a)["hweight"] == pytest.approx(0.5)
         controller.set_weight(a, 300)
-        assert controller.hweight_of(a) == pytest.approx(0.75)
+        assert controller.stat(a)["hweight"] == pytest.approx(0.75)
 
     def test_detach_cancels_timers(self):
         sim, layer, controller, tree = make_env()

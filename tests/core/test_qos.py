@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.stats import LatencyWindow
+from repro.analysis.stats import LatencyLog
 from repro.core.qos import QoSParams, VRateController
 from repro.core.vtime import VTimeClock
 from repro.sim import Simulator
@@ -43,7 +43,7 @@ class TestQoSParams:
 class TestVRateAdjustment:
     def test_starved_and_unsaturated_raises_vrate(self):
         sim, clock, ctl = make_ctl(read_lat_target=1e-3)
-        reads, writes = LatencyWindow(1.0), LatencyWindow(1.0)
+        reads, writes = LatencyLog(1.0), LatencyLog(1.0)
         fill(reads, 0.0, 100e-6)  # well under target
         new = ctl.adjust(0.0, reads, writes, slot_utilization=0.1, budget_starved=True)
         assert new == pytest.approx(1.05)
@@ -51,14 +51,14 @@ class TestVRateAdjustment:
 
     def test_not_starved_holds_vrate(self):
         sim, clock, ctl = make_ctl(read_lat_target=1e-3)
-        reads, writes = LatencyWindow(1.0), LatencyWindow(1.0)
+        reads, writes = LatencyLog(1.0), LatencyLog(1.0)
         fill(reads, 0.0, 100e-6)
         new = ctl.adjust(0.0, reads, writes, slot_utilization=0.1, budget_starved=False)
         assert new == pytest.approx(1.0)
 
     def test_latency_violation_cuts_vrate(self):
         sim, clock, ctl = make_ctl(read_lat_target=1e-3, read_pct=90)
-        reads, writes = LatencyWindow(1.0), LatencyWindow(1.0)
+        reads, writes = LatencyLog(1.0), LatencyLog(1.0)
         fill(reads, 0.0, 4e-3)  # 4x over target
         new = ctl.adjust(0.0, reads, writes, slot_utilization=0.1, budget_starved=True)
         assert new < 1.0
@@ -66,20 +66,20 @@ class TestVRateAdjustment:
 
     def test_cut_proportional_to_excess_but_bounded(self):
         sim, clock, ctl = make_ctl(read_lat_target=1e-3)
-        reads, writes = LatencyWindow(1.0), LatencyWindow(1.0)
+        reads, writes = LatencyLog(1.0), LatencyLog(1.0)
         fill(reads, 0.0, 100e-3)  # 100x over target
         new = ctl.adjust(0.0, reads, writes, slot_utilization=0.0, budget_starved=False)
         assert new == pytest.approx(VRateController.MAX_CUT)
 
     def test_slot_depletion_counts_as_saturation(self):
         sim, clock, ctl = make_ctl(read_lat_target=None, write_lat_target=None)
-        reads, writes = LatencyWindow(1.0), LatencyWindow(1.0)
+        reads, writes = LatencyLog(1.0), LatencyLog(1.0)
         new = ctl.adjust(0.0, reads, writes, slot_utilization=0.99, budget_starved=True)
         assert new == pytest.approx(0.9)
 
     def test_disabled_targets_never_violate(self):
         sim, clock, ctl = make_ctl(read_lat_target=None, write_lat_target=None)
-        reads, writes = LatencyWindow(1.0), LatencyWindow(1.0)
+        reads, writes = LatencyLog(1.0), LatencyLog(1.0)
         fill(reads, 0.0, 10.0)  # huge latencies, but targets disabled
         new = ctl.adjust(0.0, reads, writes, slot_utilization=0.1, budget_starved=True)
         assert new == pytest.approx(1.05)
@@ -88,12 +88,12 @@ class TestVRateAdjustment:
         sim, clock, ctl = make_ctl(
             read_lat_target=1e-3, vrate_min=0.5, vrate_max=1.2
         )
-        reads, writes = LatencyWindow(1.0), LatencyWindow(1.0)
+        reads, writes = LatencyLog(1.0), LatencyLog(1.0)
         fill(reads, 0.0, 50e-6)
         for _ in range(20):
             ctl.adjust(0.0, reads, writes, slot_utilization=0.0, budget_starved=True)
         assert clock.vrate == pytest.approx(1.2)
-        reads = LatencyWindow(1.0)
+        reads = LatencyLog(1.0)
         fill(reads, 0.0, 1.0)
         for _ in range(40):
             ctl.adjust(0.0, reads, writes, slot_utilization=0.0, budget_starved=False)
@@ -101,7 +101,7 @@ class TestVRateAdjustment:
 
     def test_series_recorded(self):
         sim, clock, ctl = make_ctl()
-        reads, writes = LatencyWindow(1.0), LatencyWindow(1.0)
+        reads, writes = LatencyLog(1.0), LatencyLog(1.0)
         fill(reads, 0.0, 1e-4)
         ctl.adjust(0.0, reads, writes, slot_utilization=0.0, budget_starved=False)
         assert len(ctl.vrate_series) == 1
@@ -109,6 +109,6 @@ class TestVRateAdjustment:
 
     def test_empty_windows_no_violation(self):
         sim, clock, ctl = make_ctl(read_lat_target=1e-6)
-        reads, writes = LatencyWindow(1.0), LatencyWindow(1.0)
+        reads, writes = LatencyLog(1.0), LatencyLog(1.0)
         new = ctl.adjust(0.0, reads, writes, slot_utilization=0.0, budget_starved=True)
         assert new == pytest.approx(1.05)

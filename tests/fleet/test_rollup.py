@@ -16,7 +16,8 @@ RESOLUTION = 0.02
 
 def hist_payload(values):
     hist = Histogram(resolution=RESOLUTION)
-    hist.record_many(values)
+    for value in values:
+        hist.record(value)
     return hist.to_dict()
 
 
@@ -77,7 +78,8 @@ class TestHistogramMerging:
             out = None
             for index in order:
                 hist = Histogram(resolution=RESOLUTION)
-                hist.record_many(parts[index])
+                for value in parts[index]:
+                    hist.record(value)
                 out = hist if out is None else out.merge(hist)
             return out.to_dict()
 
@@ -90,7 +92,8 @@ class TestHistogramMerging:
         rng = np.random.default_rng(8)
         a, b = rng.lognormal(-6, 1, 300), rng.lognormal(-5, 1, 300)
         pooled = Histogram(resolution=RESOLUTION)
-        pooled.record_many(np.concatenate([a, b]))
+        for value in np.concatenate([a, b]):
+            pooled.record(value)
         merged = merge_histograms([hist_payload(a), hist_payload(b)])
         assert_hists_equal(merged.to_dict(), pooled.to_dict())
 

@@ -322,3 +322,14 @@ class TestMigrationPlan:
     def test_bad_task_rejected_early(self):
         with pytest.raises(FleetSpecError, match="unknown system task"):
             MigrationPlan(schedule=(0.0,), task="nope")
+
+    @pytest.mark.parametrize("settle", [-1, float("nan"), float("inf")])
+    def test_settle_rejected_at_load(self, settle):
+        """Once loaded, it failed every duration cell ('cannot run backwards')."""
+        doc = fleet_doc()
+        doc["migration"] = {"schedule": [0.0, 1.0], "settle": settle}
+        with pytest.raises(FleetSpecError, match="settle must be finite and >= 0"):
+            FleetSpec.from_dict(doc)
+
+    def test_zero_settle_loads(self):
+        assert MigrationPlan(schedule=(0.0,), settle=0.0).settle == 0.0

@@ -151,16 +151,15 @@ def test_sliding_stores_hold_one_window_whoever_reads_them():
     reads, writes = done[IOOp.READ], done[IOOp.WRITE]
     both = sorted(reads + writes)
     assert len(both) > 2 * inside(both, 1.0) > 0  # most samples have left
-    stores = (
-        (tb.layer.read_latency, reads),
-        (tb.layer.write_latency, writes),
-        (tb.layer.cgroup_window(group), both),
-        (meter, both),
-    )
+    stores = ((tb.layer.read_latency, reads), (tb.layer.write_latency, writes), (meter, both))
     for store, times in stores:
         assert len(store) == inside(times, 1.0)
+    # The group's samples are every sample of both logs.
+    key = group.stats.device(tb.layer.dev).latency
+    logs = tb.layer.read_latency, tb.layer.write_latency
+    fresh = [log._columns(both[-1], 1.0)[1] for log in logs]
+    assert sum(int((keys == key).sum()) for keys in fresh) == inside(both, 1.0)
     # The backing arrays hold at most an eighth of a window more.
-    for store, times in ((tb.layer.read_latency.reads, reads),
-                         (tb.layer.write_latency.writes, writes), (meter, both)):
+    for store, times in stores:
         stored = len(store._data) // store._width
         assert stored <= inside(times, 1.0 + 1.0 / store.EVICTIONS)

@@ -11,7 +11,8 @@ class TestHistogram:
     def test_exact_aggregates(self):
         histogram = Histogram(resolution=0.02)
         samples = [1.0, 2.0, 3.0, 4.0]
-        histogram.record_many(samples)
+        for value in samples:
+            histogram.record(value)
         assert histogram.count == 4
         assert histogram.sum == pytest.approx(10.0)
         assert histogram.min == 1.0
@@ -23,7 +24,8 @@ class TestHistogram:
         rng = np.random.default_rng(42)
         samples = list(rng.lognormal(mean=-7.0, sigma=1.0, size=20_000))
         histogram = Histogram(resolution=0.02)
-        histogram.record_many(samples)
+        for value in samples:
+            histogram.record(value)
         for pct in (1, 10, 50, 90, 95, 99, 99.9):
             exact = exact_percentile(samples, pct)
             approx = histogram.percentile(pct)
@@ -31,13 +33,15 @@ class TestHistogram:
 
     def test_extremes_are_exact(self):
         histogram = Histogram()
-        histogram.record_many([3e-3, 5e-3, 7e-3])
+        for value in [3e-3, 5e-3, 7e-3]:
+            histogram.record(value)
         assert histogram.percentile(100) == 7e-3
         assert histogram.percentile(0) <= 3e-3 * 1.02
 
     def test_zero_and_negative_samples(self):
         histogram = Histogram()
-        histogram.record_many([0.0, 0.0, 0.0, 1.0])
+        for value in [0.0, 0.0, 0.0, 1.0]:
+            histogram.record(value)
         assert histogram.count == 4
         assert histogram.p50 == 0.0
         assert histogram.percentile(100) == 1.0
@@ -69,7 +73,8 @@ class TestHistogramSerialization:
     def test_round_trip_preserves_everything(self):
         rng = np.random.default_rng(9)
         histogram = Histogram("lat", resolution=0.02)
-        histogram.record_many(rng.lognormal(-6, 1, 500))
+        for value in rng.lognormal(-6, 1, 500):
+            histogram.record(value)
         clone = Histogram.from_dict(histogram.to_dict(), name="lat")
         assert clone.to_dict() == histogram.to_dict()
         assert clone.count == histogram.count
@@ -85,8 +90,10 @@ class TestHistogramSerialization:
         # The fleet rollup's whole pipeline: record on the host, serialize
         # into a stored result, deserialize in the aggregator, merge.
         a, b = Histogram(resolution=0.02), Histogram(resolution=0.02)
-        a.record_many([1e-3] * 10)
-        b.record_many([4e-3] * 30)
+        for value in [1e-3] * 10:
+            a.record(value)
+        for value in [4e-3] * 30:
+            b.record(value)
         merged = Histogram.from_dict(a.to_dict())
         merged.merge(Histogram.from_dict(b.to_dict()))
         assert merged.count == 40
@@ -102,11 +109,11 @@ class TestStatsShim:
 
     def test_delegates_to_exact_percentile(self):
         samples = [5.0, 1.0, 3.0, 2.0, 4.0]
-        window = stats.LatencyWindow(window=1.0)
+        log = stats.LatencyLog(window=1.0)
         for sample in samples:
-            window.record(0.0, sample)
+            log.record(0.0, sample)
         for pct in (0, 20, 50, 90, 100):
-            assert window.percentile(0.5, pct) == exact_percentile(samples, pct)
+            assert log.percentile(0.5, pct) == exact_percentile(samples, pct)
         summary = stats.Summary.of(samples)
         assert (summary.p50, summary.p90, summary.p99) == tuple(
             exact_percentile(samples, pct) for pct in (50, 90, 99)

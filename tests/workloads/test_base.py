@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.analysis.stats import Summary
 from repro.workloads.base import SectorPicker, Workload
 
 from tests.workloads.conftest import make_noop_env
@@ -43,7 +44,7 @@ class TestWorkloadBase:
         sim, layer, tree = make_noop_env()
         workload = Workload(sim, layer, tree.create("a"))
         with pytest.raises(ValueError):
-            workload.latency_summary()
+            Summary.of(workload.latencies)
 
     def test_recent_percentile_none_when_empty(self):
         sim, layer, tree = make_noop_env()

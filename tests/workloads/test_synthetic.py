@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.stats import Summary
 from repro.block.bio import IOOp
 from repro.workloads.synthetic import (
     ClosedLoopWorkload,
@@ -50,7 +51,7 @@ class TestClosedLoop:
         group = tree.create("a")
         workload = ClosedLoopWorkload(sim, layer, group, depth=4, stop_at=0.05).start()
         sim.run(until=0.1)
-        summary = workload.latency_summary()
+        summary = Summary.of(workload.latencies)
         assert summary.count == workload.completed
         assert summary.p50 <= summary.p99 <= summary.maximum
 
