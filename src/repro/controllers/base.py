@@ -89,10 +89,12 @@ class IOController(abc.ABC):
         seconds: noted the first time this controller holds it, and the
         group's one wake timer armed to pump again then.  ``key`` stands for
         every input that can move that deadline *earlier* (IOCost: the tree's
-        hold generation; blk-throttle: the group's limits): a pump loop skips a
-        group whose ``wake_key`` is the current key and whose wake is still
-        ahead.  A group carries ``held``, ``wake`` and ``wake_key`` (``None``
-        when made; the key is set exactly while the wake is armed).
+        hold generation; blk-throttle: the group's limits): a group whose
+        ``wake_key`` is the current key and whose wake is still ahead is not
+        tried.  blk-throttle's pump loop skips it; IOCost's pump never visits
+        it, since it walks only its ready groups (core/controller.py).  A group
+        carries ``held``, ``wake`` and ``wake_key`` (``None`` when made; the
+        key is set exactly while the wake is armed).
 
         Invariant: an armed wake fires no later than the head's true
         deadline, or the key differs.  So a timer is never postponed: one

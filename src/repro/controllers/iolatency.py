@@ -14,8 +14,9 @@ failing for stacked equal-priority ensembles).
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
-from typing import Deque, Dict, Optional
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.analysis.stats import keyed_percentiles
 from repro.block.bio import Bio
@@ -24,13 +25,14 @@ from repro.controllers.base import IOController
 
 
 class _LatGroup:
-    __slots__ = ("cgroup", "blkg", "target", "waitq", "inflight", "depth")
+    __slots__ = ("cgroup", "blkg", "order", "target", "waitq", "inflight", "depth")
 
     def __init__(
-        self, cgroup: Cgroup, blkg: IOStats, target: Optional[float], max_depth: int
+        self, cgroup: Cgroup, blkg: IOStats, order: int, target: Optional[float], max_depth: int
     ):
         self.cgroup = cgroup
         self.blkg = blkg
+        self.order = order  # creation index: the round-robin order
         self.target = target  # None = unprotected (lowest priority)
         self.waitq: Deque[Bio] = deque()
         self.inflight = 0
@@ -55,6 +57,10 @@ class IOLatencyController(IOController):
         # targets are met).  New lower-priority groups inherit the
         # throttled state instead of starting wide open.
         self._victim_target: Optional[float] = None
+        #: ``(order, group)`` of every group that can dispatch (backlogged,
+        #: ``inflight < depth``), in creation order: what a pump round visits.
+        self._ready: List[Tuple[int, _LatGroup]] = []
+        self._made = 0
 
     def attach(self, layer) -> None:
         super().attach(layer)
@@ -73,8 +79,10 @@ class IOLatencyController(IOController):
 
     def make_group(self, cgroup: Cgroup, blkg: IOStats) -> _LatGroup:
         group = _LatGroup(
-            cgroup, blkg, self._targets.get(cgroup.path), self.layer.device.spec.nr_slots
+            cgroup, blkg, self._made, self._targets.get(cgroup.path),
+            self.layer.device.spec.nr_slots,
         )
+        self._made += 1
         if self._victim_target is not None and (
             group.target is None or group.target > self._victim_target
         ):
@@ -91,23 +99,30 @@ class IOLatencyController(IOController):
             group = self.new_group(bio)
         if group.inflight >= group.depth:
             self.note_throttle(bio, "depth")
+        elif not group.waitq:  # a new head within depth: it can dispatch
+            insort(self._ready, (group.order, group))
         group.waitq.append(bio)
 
     def pump(self) -> None:
+        """Rounds over the groups that can dispatch, one bio from each per
+        round, until none can or the slots are full."""
         layer = self.layer
-        progressed = True
-        while progressed and layer.inflight < layer.nr_slots:
-            progressed = False
-            for group in self.groups:
-                if group.waitq and group.inflight < group.depth:
-                    group.inflight += 1
-                    layer.dispatch(group.waitq.popleft())
-                    progressed = True
-                    if layer.inflight >= layer.nr_slots:
-                        return
+        ready = self._ready
+        while ready and layer.inflight < layer.nr_slots:
+            for _order, group in ready:
+                group.inflight += 1
+                layer.dispatch(group.waitq.popleft())
+                if layer.inflight >= layer.nr_slots:
+                    break
+            ready[:] = [
+                entry for entry in ready if entry[1].waitq and entry[1].inflight < entry[1].depth
+            ]
 
     def on_complete(self, bio: Bio) -> None:
-        bio.blkg.pd.inflight -= 1
+        group = bio.blkg.pd
+        group.inflight -= 1
+        if group.inflight == group.depth - 1 and group.waitq:  # back within depth
+            insort(self._ready, (group.order, group))
         self.pump()
 
     # -- periodic depth scaling -------------------------------------------------
@@ -137,6 +152,11 @@ class IOLatencyController(IOController):
             else:
                 # Grow back gradually while nobody above is suffering.
                 group.depth = min(max_depth, group.depth + max(1, group.depth // 4))
+        self._ready[:] = [
+            (group.order, group)
+            for group in self.groups
+            if group.waitq and group.inflight < group.depth
+        ]
 
         self.retire_offline()
         self._timer = layer.sim.schedule(self.ADJUST_INTERVAL, self._adjust)

@@ -17,8 +17,10 @@ Swap/journal bios follow the §3.5 debt protocol, selectable via
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import deque
-from typing import TYPE_CHECKING, Deque, Optional
+from heapq import heappop, heappush
+from typing import TYPE_CHECKING, Deque, List, Optional, Tuple
 
 from repro.block.bio import Bio, BioFlags, BioStatus
 from repro.cgroup import Cgroup
@@ -51,6 +53,13 @@ DONATION_HEADROOM = 1.2
 DONATION_MIN_KEEP = 0.02
 
 _INF = float("inf")
+
+
+def _can_issue(state: GroupState, key: int, now: float) -> bool:
+    """What a walk over every group tries: backlogged, and not held under the
+    hold key ``key`` with the wake still ahead.  A wake due at ``now`` counts
+    as fired: the running pump takes that group in creation order."""
+    return bool(state.waitq) and not (state.wake_key == key and state.wake.time > now)
 
 
 class IOCost(IOController):
@@ -92,6 +101,18 @@ class IOCost(IOController):
         #: when there are some.  Moved at the two waitq touch points
         #: (enqueue append, _try_issue popleft).
         self._queued = 0
+        #: The groups a pump visits (docs/PERF.md): backlogged, and not held
+        #: under the current hold key with the wake still ahead.  One ready
+        #: group sits in ``_ready_one``; more are ``(order, state)`` pairs in
+        #: ``_ready``, sorted.  A group enters when its waitq gets a new head
+        #: or its wake fires, and leaves when it drains or is held (end of
+        #: ``_try_issue``); a new key re-marks them all (``_mark_all``).
+        self._ready_one: Optional[GroupState] = None
+        self._ready: List[Tuple[int, GroupState]] = []
+        self._ready_key: Optional[int] = None
+        #: ``(time, order, state)`` of every wake armed, a heap: a wake due
+        #: this instant that has not fired yet is tried with the ready groups.
+        self._wakes: List[Tuple[float, int, GroupState]] = []
         self._plan_timer = None
         # Period counters.
         self._budget_blocked_events = 0
@@ -131,6 +152,7 @@ class IOCost(IOController):
             self._plan_timer.cancel()
             self._plan_timer = None
         super().detach()
+        self._ready_key = None  # held heads lost their wakes: re-mark them all
 
     # -- configuration ------------------------------------------------------------
 
@@ -209,8 +231,17 @@ class IOCost(IOController):
             self._urgent.append(bio)
             return
 
+        waitq = group.waitq
+        if not waitq:  # a new head: ready (only a head is ever held)
+            # The one ready group takes the slot (_mark, inlined: the solo
+            # path calls nothing more).
+            if self._ready_one is None and not self._ready:
+                group.ready = True
+                self._ready_one = group
+            else:
+                self._mark(group)
         self._queued += 1
-        group.waitq.append(bio)
+        waitq.append(bio)
 
     def pump(self) -> None:
         layer = self.layer
@@ -222,17 +253,92 @@ class IOCost(IOController):
         if not self._queued or layer.inflight >= layer.nr_slots:
             return
         tree = self.tree
-        now = layer.sim.now
-        for state in self.groups:  # creation order
-            if not state.waitq:
-                continue
-            # Held under the current key: its head waits for its wake (hold).
-            # A wake due this instant is taken here, in creation order.
-            if state.wake_key == tree.hold_generation and state.wake.time > now:
-                continue
+        if self._ready_key != tree.hold_generation:
+            self._mark_all(layer.sim.now)
+        wakes = self._wakes
+        if wakes and wakes[0][0] <= layer.sim.now:
+            self._take_due(layer.sim.now)
+        if self._san.enabled:
+            self._check_ready(layer.sim.now)
+        # The ready groups in creation order.  Only a new hold key (a
+        # rescind) makes a group ready during the walk; one behind the
+        # group just tried waits for the next pump.
+        state = self._ready_one
+        if state is None:
+            position = -1
+        else:  # the one ready group
+            self._try_issue(state)
+            if layer.inflight >= layer.nr_slots or self._ready_key == tree.hold_generation:
+                return
+            self._mark_all(layer.sim.now)
+            position = state.order
+        ready = self._ready
+        while ready:
+            index = bisect_left(ready, (position + 1,))
+            if index == len(ready):
+                return
+            state = ready[index][1]
+            position = state.order
             self._try_issue(state)
             if layer.inflight >= layer.nr_slots:
-                break
+                return
+            if self._ready_key != tree.hold_generation:
+                self._mark_all(layer.sim.now)
+
+    def _mark(self, group: GroupState) -> None:
+        """``group`` can issue now: into the ready set, in creation order."""
+        group.ready = True
+        one = self._ready_one
+        if one is None and not self._ready:
+            self._ready_one = group
+            return
+        if one is not None:
+            self._ready_one = None
+            self._ready.append((one.order, one))
+        insort(self._ready, (group.order, group))
+
+    def _mark_all(self, now: float) -> None:
+        """The hold key moved (a tree bump: the plan tick, a rescind, a
+        deactivation, a weight change) or a detach dropped the wakes: the
+        ready set is rebuilt from every group, once per such change."""
+        key = self._ready_key = self.tree.hold_generation
+        ready = self._ready
+        ready.clear()  # in place: the walk holds it
+        self._ready_one = None
+        for state in self.groups:
+            state.ready = _can_issue(state, key, now)
+            if state.ready:
+                ready.append((state.order, state))
+
+    def _take_due(self, now: float) -> None:
+        """Wakes due this instant that have not fired yet: their groups are
+        ready now, as if they had.  Entries of wakes that fired or were
+        re-armed are dropped here."""
+        wakes = self._wakes
+        while wakes and wakes[0][0] <= now:
+            at, _order, state = heappop(wakes)
+            wake = state.wake
+            if wake is not None and wake.time == at and state.waitq and not state.ready:
+                self._mark(state)
+
+    def _wake(self, group: GroupState) -> None:
+        group.wake = group.wake_key = None
+        wakes = self._wakes
+        if wakes and wakes[0][2] is group:  # this wake's entry: spent
+            heappop(wakes)
+        if group.waitq and not group.ready:
+            self._mark(group)
+        self.pump()
+
+    def _check_ready(self, now: float) -> None:
+        """Sanitizer: the groups this pump will try are the ones a walk over
+        every group would."""
+        key = self.tree.hold_generation
+        walk = [state for state in self.groups if _can_issue(state, key, now)]
+        one = self._ready_one
+        ready = [one] if one is not None else [state for _order, state in self._ready]
+        flagged = [state for state in self.groups if state.ready]
+        self._san.check_ready(ready, flagged, walk, self.layer.dev)
 
     def _activate(self, group: GroupState) -> None:
         if group.active:
@@ -251,7 +357,7 @@ class IOCost(IOController):
             # division (hierarchy.hweight_inv).
             inv_hweight = tree.hweight_inv(group)
             if inv_hweight == _INF:
-                break
+                return  # still ready: tried again at every pump
             relative = bio.abs_cost * inv_hweight
             # A donor whose donated share cannot even afford this IO from a
             # full budget bank rescinds *before* issuing — otherwise the
@@ -292,8 +398,21 @@ class IOCost(IOController):
                 # the vtime line (_plan bumps the tree after moving it);
                 # local vtime only ever pushes it later (debt charges).
                 delay = self.clock.wall_delay_for(need - budget)
+                wake = group.wake
                 self.hold(group, bio, "budget", delay, tree.hold_generation)
+                if group.wake is not wake:
+                    heappush(self._wakes, (group.wake.time, group.order, group))
                 break
+        else:
+            if waitq:
+                return  # the slots are full: still ready
+        # Drained or held: out of the ready set.
+        group.ready = False
+        if self._ready_one is group:
+            self._ready_one = None
+        else:
+            ready = self._ready
+            del ready[bisect_left(ready, (group.order,))]
 
     def on_complete(self, bio: Bio) -> None:
         # A bio that failed for good (docs/FAULTS.md) was charged at enqueue

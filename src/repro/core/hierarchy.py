@@ -11,6 +11,9 @@ Beside it runs ``hold_generation``, IOCost's hold key (``IOController.hold``),
 which skips activations and new groups: they only add to sibling sums, so a
 held head's deadline can only move later.  As in the kernel, a sibling's
 activation re-evaluates no waiting queue; its own timer and the plan tick do.
+The skip itself lives in IOCost (``core/controller.py``): a group is *ready*
+while it is backlogged and not held under the current key with its wake
+still ahead, and a pump visits only ready groups, in creation ``order``.
 
 A group is *active* while it issues IO; after a full planning period with no
 IO it is deactivated and drops out of sibling sums — idle groups implicitly
@@ -37,9 +40,10 @@ class GroupState:
     """IOCost's per-cgroup state (the kernel's ``ioc_gq``); ``blkg`` counts its IOs."""
 
     def __init__(
-        self, cgroup: Cgroup, parent: Optional["GroupState"], blkg: IOStats
+        self, cgroup: Cgroup, parent: Optional["GroupState"], blkg: IOStats, order: int
     ) -> None:
         self.cgroup = cgroup
+        self.order = order  # creation index: the order a pump visits groups in
         self.parent = parent
         self.blkg = blkg  # the record this state hangs off (its ``pd``)
         self.children: List[GroupState] = []
@@ -58,6 +62,8 @@ class GroupState:
         self.held: Optional["Bio"] = None
         self.wake: Optional["Event"] = None
         self.wake_key: Optional[int] = None
+        # In IOCost's ready set: backlogged, and not held under the current key.
+        self.ready = False
         # Planning-path accounting (reset each period).
         self.abs_usage = 0.0
         self.ios_seen = 0  # the record's total_ios at the last plan tick
@@ -94,6 +100,8 @@ class WeightTree:
         #: Live states in creation order (parents before their children).
         self.groups: List[GroupState] = []
         self.root: Optional[GroupState] = None
+        #: States ever made: the next one's ``order``.
+        self.created = 0
 
     # -- state management ---------------------------------------------------
 
@@ -106,7 +114,8 @@ class WeightTree:
         parent_state = None
         if cgroup.parent is not None:
             parent_state = self.state_of(cgroup.parent)
-        state = blkg.pd = GroupState(cgroup, parent_state, blkg)
+        state = blkg.pd = GroupState(cgroup, parent_state, blkg, self.created)
+        self.created += 1
         self.groups.append(state)
         if parent_state is not None:
             parent_state.children.append(state)

@@ -17,6 +17,8 @@ sanitizer build does for C:
   incurred == charged + waitq-pending (`repro.core.controller`);
 * **debt monotonicity** — a group's local vtime never moves backwards
   (debt is repaid by global vtime catching up, never by rollback);
+* **ready set** — the groups an iocost pump tries are the ones a walk over
+  every group would try (`repro.core.controller`);
 * **span leaks** — an open bio span silently evicted from the tracker is
   an accounting hole (`repro.obs.spans`).
 
@@ -75,6 +77,7 @@ class Sanitizer:
         "channel_conservation",
         "cost_conservation",
         "vtime_monotonic",
+        "ready_set",
         "span_leak",
     )
 
@@ -218,6 +221,23 @@ class Sanitizer:
                 f"cgroup {cgroup}: local vtime moved backwards "
                 f"({last!r} -> {local_vtime!r}); debt must never be "
                 "double-paid or rolled back"
+            )
+
+    def check_ready(
+        self, ready: Sequence[Any], flagged: Sequence[Any], walk: Sequence[Any], dev: str
+    ) -> None:
+        """Per pump: the ready set (``ready``, in creation order) and the
+        groups whose ``ready`` flag is up (``flagged``) are both exactly the
+        groups a walk over every group would try (``walk``): backlogged, and
+        not held under the current hold key with the wake still ahead."""
+        self.checks["ready_set"] += 1
+        if list(ready) != list(walk) or list(flagged) != list(walk):
+            def paths(groups: Sequence[Any]) -> List[str]:
+                return [group.cgroup.path for group in groups]
+
+            raise SanitizeError(
+                f"device {dev}: iocost ready set {paths(ready)} (flagged "
+                f"{paths(flagged)}) != the groups a full walk tries {paths(walk)}"
             )
 
     # -- spans ---------------------------------------------------------------

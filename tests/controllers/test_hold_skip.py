@@ -17,6 +17,7 @@ import pytest
 
 from repro.block.bio import Bio, BioFlags, IOOp
 from repro.controllers import BlkThrottleController, ThrottleLimits
+from repro.core.controller import IOCost
 from repro.core.qos import QoSParams
 from repro.obs import TRACE, TraceBuffer
 from repro.sanitize import SANITIZE
@@ -34,12 +35,16 @@ SEEDS = range(8)
 
 
 def brute_force(controller):
-    """Clear every group's key before each pump: nothing is ever skipped."""
+    """Clear every group's key before each pump: nothing is ever skipped.
+    IOCost's pump visits only its ready groups; a stale ready key makes it
+    re-mark every backlogged group, as a full walk would try them."""
     pump = controller.pump
 
     def pump_everything():
         for group in controller.groups:
             group.wake_key = None
+        if isinstance(controller, IOCost):
+            controller._ready_key = None
         pump()
 
     controller.pump = pump_everything

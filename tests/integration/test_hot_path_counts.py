@@ -17,6 +17,9 @@ costs no timer traffic while it waits (``IOController.hold``): heap pushes
 per bio stay under two and almost no pushed timer is cancelled.
 A third, a fleet ``db`` host of paced cgroups, pins that a sibling's
 activation re-evaluates no held head: it can only move deadlines later.
+A fourth, the density rig, pins that idle cgroups beside a busy one cost
+nothing per bio once they have deactivated: a pump visits only the groups
+that can issue.
 Beside the calls ceiling sits a memory one: the bytes a completion leaves
 behind in tracemalloc's peak, and no collection by the cyclic GC.
 """
@@ -234,8 +237,8 @@ class TestActivationStormIsLinear:
     N stops at 400 to keep the suite short, not for cost: the iocost rig's
     set-up took 0.023 s at N = 400 and 0.062 s at N = 800, with the 0.5 s
     run 0.058 s and 0.161 s (one CPU of a 2-CPU Xeon) — under 3x per
-    doubling, not the 8x of a cubic.  What N idle groups still cost per
-    bio is ROADMAP item 2."""
+    doubling, not the 8x of a cubic.  That N idle groups cost nothing per
+    bio once they deactivate is ``test_idle_groups_cost_no_bytecodes_per_bio``."""
 
     def test_iocost(self, cgroups):
         bed = Testbed("ssd_new", "iocost")
@@ -264,6 +267,81 @@ class TestActivationStormIsLinear:
         bed.run(0.5)
         bed.detach()
         assert bed.layer.completed_ios == 2 * cgroups
+
+
+#: Idle cgroups beside the busy one in the density rig.
+IDLE_GROUPS = (0, 200, 2000)
+#: How far each N may read from N = 0 in bytecodes per bio.  While every
+#: pump walked every group, N = 200 read 2,391 against 1,187 and N = 2,000
+#: read 13,221; with the ready set they read 1,211 / 1,215 / 1,245.
+DENSITY_TOLERANCE = 0.05
+
+
+def run_density_rig(idle, window):
+    """One ``ssd_new`` cgroup keeps 16 random reads outstanding beside
+    ``idle`` cgroups that each issued one read at the start.  Plan ticks
+    fall every 0.05 s: by 0.16 s every idle group has had a full period
+    without IO and is inactive.  ``window(bed)`` then runs the machine for
+    0.02 s, which holds no plan tick, and its value is returned."""
+    bed = Testbed("ssd_new", "iocost", seed=0)
+    submit_one_read_each(
+        bed, [bed.add_cgroup(f"workload.slice/idle{index}") for index in range(idle)]
+    )
+    busy = bed.add_cgroup("workload.slice/busy")
+    bed.saturate(busy, depth=16, stop_at=1.0)
+    bed.run(0.16)
+    assert [state.cgroup for state in bed.controller.groups if state.active] == [busy]
+    try:
+        return window(bed)
+    finally:
+        bed.detach()
+
+
+def window_bytecodes_per_bio(bed):
+    """Bytecodes the interpreter runs per completed bio over the window."""
+    count = 0
+
+    def tracer(frame, event, _arg):
+        nonlocal count
+        if event == "opcode":
+            count += 1
+        else:
+            frame.f_trace_opcodes = True
+        return tracer
+
+    done = bed.layer.completed_ios
+    gc.disable()  # see _calls
+    sys.settrace(tracer)
+    try:
+        bed.run(0.02)
+    finally:
+        sys.settrace(None)
+        gc.enable()
+    return count / (bed.layer.completed_ios - done)
+
+
+def window_prof_per_bio(bed):
+    """Pump calls and events per completed bio over the window."""
+    with PROF.reset():
+        bed.run(0.02)
+    counts = PROF.snapshot()
+    assert counts["plan_ticks"] == 0 and counts["bios_completed"] > 1000
+    return [counts[key] / counts["bios_completed"] for key in ("pump_calls", "events_dispatched")]
+
+
+def test_idle_groups_add_no_pumps_or_events_per_bio():
+    per_bio = [run_density_rig(idle, window_prof_per_bio) for idle in IDLE_GROUPS]
+    assert per_bio[1:] == per_bio[:1] * (len(IDLE_GROUPS) - 1)
+
+
+@needs_cpython_311
+def test_idle_groups_cost_no_bytecodes_per_bio():
+    """ROADMAP item 2: a deactivated cgroup costs nothing per bio.  Opcodes
+    counted over a window, not calls: the full walk cost a loop iteration
+    per idle group per pump and called nothing."""
+    baseline, *others = [run_density_rig(idle, window_bytecodes_per_bio) for idle in IDLE_GROUPS]
+    for idle, per_bio in zip(IDLE_GROUPS[1:], others):
+        assert abs(per_bio / baseline - 1) <= DENSITY_TOLERANCE, (idle, per_bio, baseline)
 
 
 @needs_cpython_311
