@@ -1,7 +1,7 @@
 """The ``bio`` — the unit of block IO (paper §2.2).
 
 Carries the request type, size, target offset, the issuing cgroup, and
-origin flags (swap-out, filesystem journal, metadata) that the IOCost debt
+origin flags (swap-out, filesystem journal) that the IOCost debt
 mechanism keys on.  Timestamps are filled in as the bio moves through the
 layer: ``submit_time`` (entered the block layer), ``issue_time`` (reaches the
 device after throttling and the issue path's CPU cost), ``complete_time``.
@@ -62,14 +62,12 @@ class BioFlags(enum.Flag):
 
     SWAP marks reclaim-generated swap-out writes / swap-in reads; JOURNAL
     marks shared filesystem journaling IO.  Both are the priority-inversion
-    sources handled by the debt mechanism (§3.5).  META marks filesystem
-    metadata (used by the container-cleanup fleet model).
+    sources handled by the debt mechanism (§3.5).
     """
 
     NONE = 0
     SWAP = enum.auto()
     JOURNAL = enum.auto()
-    META = enum.auto()
 
 
 class Bio:

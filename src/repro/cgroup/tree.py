@@ -183,13 +183,6 @@ class Cgroup:
     def is_root(self) -> bool:
         return self.parent is None
 
-    def ancestors(self, include_self: bool = False) -> Iterator["Cgroup"]:
-        """Walk towards the root (root last)."""
-        node = self if include_self else self.parent
-        while node is not None:
-            yield node
-            node = node.parent
-
     def walk(self) -> Iterator["Cgroup"]:
         """Depth-first pre-order traversal of the subtree rooted here."""
         yield self

@@ -128,15 +128,15 @@ class BFQController(IOController):
             queue.next_budget = max(used, minimum)
 
     def _next_queue(self) -> Optional[_BfqQueue]:
-        """Round-robin to the next backlogged queue."""
+        """Round-robin to the next backlogged queue: the round rotates once,
+        past it, so the queues skipped on the way go to the back."""
         round_ = self.groups
         found = None
         offline = False
-        for _ in range(len(round_)):
-            queue = round_.pop(0)
-            round_.append(queue)
+        for index, queue in enumerate(round_):
             if queue.waitq:
                 found = queue
+                round_[:] = round_[index + 1:] + round_[: index + 1]
                 break
             if not queue.blkg.online:
                 offline = True

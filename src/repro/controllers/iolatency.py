@@ -71,12 +71,6 @@ class IOLatencyController(IOController):
             self._timer.cancel()
             self._timer = None
 
-    def set_target(self, path: str, target: float) -> None:
-        self._targets[path] = target
-        for group in self.groups:
-            if group.cgroup.path == path:
-                group.target = target
-
     def make_group(self, cgroup: Cgroup, blkg: IOStats) -> _LatGroup:
         group = _LatGroup(
             cgroup, blkg, self._made, self._targets.get(cgroup.path),

@@ -32,7 +32,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Tuple, Union
+from typing import Any, Dict, Mapping, Tuple, Union
 
 
 class SpecError(ValueError):
@@ -181,22 +181,6 @@ class ExperimentSpec:
         doc = self.to_dict()
         del doc["name"]
         return content_hash(doc)
-
-    def replace_axis(self, axis: str, values: List[Any]) -> "ExperimentSpec":
-        """A copy of this spec with one grid/zip axis's values replaced."""
-        if axis in self.grid:
-            grid = dict(self.grid)
-            grid[axis] = tuple(values)
-            return ExperimentSpec(
-                self.name, self.kind, self.base, grid, self.zip_axes, self.seed
-            )
-        if axis in self.zip_axes:
-            zipped = dict(self.zip_axes)
-            zipped[axis] = tuple(values)
-            return ExperimentSpec(
-                self.name, self.kind, self.base, self.grid, zipped, self.seed
-            )
-        raise SpecError(f"no such axis {axis!r}")
 
 
 def _load_toml(path: Path) -> Dict[str, Any]:

@@ -112,18 +112,6 @@ class SimProfiler:
 
     # -- reporting -----------------------------------------------------------
 
-    @property
-    def total_checks(self) -> int:
-        """Total guard passes the counters witnessed.
-
-        Each instrumented site increments exactly one plain counter per
-        pass, so the sum equals the number of ``if prof.enabled:`` checks
-        the same deterministic run performs while profiling is *disabled*.
-        Tracepoint emissions are excluded: their guard is the tracepoint's
-        own ``enabled`` flag.
-        """
-        return sum(getattr(self, name) for name in self.COUNTERS)
-
     def snapshot(self) -> Dict[str, Any]:
         """JSON-able counter view (stable key order irrelevant: plain dict)."""
         out: Dict[str, Any] = {name: getattr(self, name) for name in self.COUNTERS}

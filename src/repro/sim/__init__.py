@@ -13,7 +13,6 @@ difference of two simulated timestamps.
 """
 
 from repro.sim.engine import (
-    CancelledError,
     Event,
     Process,
     Signal,
@@ -23,7 +22,6 @@ from repro.sim.engine import (
 from repro.sim.streams import labeled_seed
 
 __all__ = [
-    "CancelledError",
     "Event",
     "Process",
     "Signal",

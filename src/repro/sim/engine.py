@@ -9,8 +9,9 @@ Three primitives cover everything the reproduction needs:
 * :class:`Signal` — a one-shot waitable event used for IO completions and
   request/response rendezvous.
 * :class:`Process` — a cooperative task written as a generator.  A process
-  may ``yield`` a number (sleep that many seconds), a :class:`Signal` (wait
-  until it fires), or another :class:`Process` (wait for it to finish).
+  may ``yield`` a number (sleep that many seconds) or a :class:`Signal`
+  (wait until it fires); its :attr:`~Process.done` turns true when the
+  generator returns.
 
 Determinism: ties in the event heap are broken by insertion order, so two
 runs with the same seeds produce identical traces.
@@ -39,10 +40,6 @@ from repro.sanitize import SANITIZE
 
 class SimulationError(RuntimeError):
     """Raised for invalid engine usage (e.g. bad yield values)."""
-
-
-class CancelledError(SimulationError):
-    """Raised inside a process that is interrupted via :meth:`Process.cancel`."""
 
 
 class Event:
@@ -105,8 +102,7 @@ class Process:
     """A generator-based cooperative task.
 
     The wrapped generator drives the process; see the module docstring for
-    the yield protocol.  The process itself is waitable (another process may
-    yield it), and exposes :attr:`done`, :attr:`result`, and :meth:`cancel`.
+    the yield protocol.  :attr:`done` turns true when the generator returns.
     """
 
     def __init__(self, sim: "Simulator", gen: Generator, name: str = ""):
@@ -114,48 +110,12 @@ class Process:
         self.gen = gen
         self.name = name or getattr(gen, "__name__", "process")
         self.done = False
-        self.result: Any = None
-        self.completion = Signal(sim)
-        self._pending_event: Optional[Event] = None
-        self._cancelled = False
-
-    def cancel(self) -> None:
-        """Interrupt the process by raising :class:`CancelledError` inside it."""
-        if self.done or self._cancelled:
-            return
-        self._cancelled = True
-        if self._pending_event is not None:
-            self._pending_event.cancel()
-            self._pending_event = None
-        self.sim.schedule(0.0, self._throw_cancel)
-
-    def _throw_cancel(self) -> None:
-        if self.done:
-            return
-        try:
-            self.gen.throw(CancelledError("process cancelled"))
-        except (StopIteration, CancelledError):
-            self._finish(None)
-        else:
-            # The generator swallowed the cancellation; let it keep running
-            # from whatever it yields next.
-            raise SimulationError(f"process {self.name!r} ignored cancellation")
-
-    def _finish(self, result: Any) -> None:
-        self.done = True
-        self.result = result
-        self.completion.fire(result)
 
     def _step(self, send_value: Any = None) -> None:
-        if self.done:
-            # A stale wake-up (e.g. a signal firing after the process was
-            # cancelled) must not resurrect a finished process.
-            return
-        self._pending_event = None
         try:
             yielded = self.gen.send(send_value)
-        except StopIteration as stop:
-            self._finish(stop.value)
+        except StopIteration:
+            self.done = True
             return
         self._handle_yield(yielded)
 
@@ -163,11 +123,9 @@ class Process:
         if isinstance(yielded, (int, float)):
             if yielded < 0:
                 raise SimulationError(f"process {self.name!r} yielded negative delay")
-            self._pending_event = self.sim.schedule(float(yielded), self._step, None)
+            self.sim.schedule(float(yielded), self._step, None)
         elif isinstance(yielded, Signal):
             yielded.wait(self._step)
-        elif isinstance(yielded, Process):
-            yielded.completion.wait(self._step)
         else:
             raise SimulationError(
                 f"process {self.name!r} yielded unsupported value {yielded!r}"
@@ -337,10 +295,3 @@ class Simulator:
                 self.now = until
         finally:
             self.events_processed += dispatched
-
-    def peek(self) -> Optional[float]:
-        """Time of the next non-cancelled event, or None if idle."""
-        heap = self._heap
-        while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)
-        return heap[0][0] if heap else None

@@ -62,7 +62,9 @@ def test_latency_requires_completion(cgroup):
 
 
 def test_swap_flag_combination(cgroup):
-    bio = Bio(IOOp.WRITE, 4096, 0, cgroup, flags=BioFlags.SWAP | BioFlags.META)
+    bio = Bio(IOOp.WRITE, 4096, 0, cgroup, flags=BioFlags.SWAP | BioFlags.JOURNAL)
     assert bio.flags & BioFlags.SWAP
-    assert bio.flags & BioFlags.META
-    assert not bio.flags & BioFlags.JOURNAL
+    assert bio.flags & BioFlags.JOURNAL
+    # A traced bio's ``flags`` is this value.
+    assert list(BioFlags) == [BioFlags.SWAP, BioFlags.JOURNAL]
+    assert (BioFlags.SWAP.value, BioFlags.JOURNAL.value) == (1, 2)

@@ -70,14 +70,6 @@ class TestTopology:
         with pytest.raises(CgroupError):
             tree.remove("")
 
-    def test_ancestors_order(self):
-        tree = CgroupTree()
-        leaf = tree.create("a/b/c")
-        paths = [g.path for g in leaf.ancestors()]
-        assert paths == ["a/b", "a", ""]
-        paths_self = [g.path for g in leaf.ancestors(include_self=True)]
-        assert paths_self == ["a/b/c", "a/b", "a", ""]
-
     def test_walk_is_preorder(self):
         tree = CgroupTree()
         tree.create("a/x")

@@ -1,6 +1,9 @@
 """Tests for BFQ's slice dynamics: adaptive budgets, time quanta, idling."""
 
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.block.bio import Bio, IOOp
 from repro.block.device import DeviceSpec
@@ -108,3 +111,36 @@ class TestIdling:
         assert controller._idle_timer is None  # idle cancelled by arrival
         sim.run(until=300e-6)
         assert second_done
+
+
+def _next_queue_by_pops(round_):
+    """The reference round: one ``pop(0)`` / ``append`` per queue tried.
+    Returns the queue found and whether an offline queue was passed."""
+    offline = False
+    for _ in range(len(round_)):
+        queue = round_.pop(0)
+        round_.append(queue)
+        if queue.waitq:
+            return queue, offline
+        if not queue.blkg.online:
+            offline = True
+    return None, offline
+
+
+class TestRound:
+    @given(st.lists(st.tuples(st.booleans(), st.booleans()), max_size=12))
+    def test_one_rotation_matches_a_pop_per_queue(self, patterns):
+        queues = [
+            SimpleNamespace(waitq=[object()] if backlogged else [],
+                            blkg=SimpleNamespace(online=online))
+            for backlogged, online in patterns
+        ]
+        controller = BFQController()
+        controller.groups = list(queues)
+        retired = []
+        controller.retire_offline = lambda: retired.append(True)
+        expected_round = list(queues)
+        expected, offline = _next_queue_by_pops(expected_round)
+        assert controller._next_queue() is expected
+        assert controller.groups == expected_round
+        assert retired == ([True] if offline else [])

@@ -74,9 +74,11 @@ class Row:
 ROWS = {
     "iocost": Row(_iocost, restart_weight=400, release=_outweigh),
     "iolatency": Row(
-        # b is protected, so a is squeezed to depth 1 and queues.
+        # b is protected, so a is squeezed to depth 1 and queues.  The
+        # restarted a is protected too: ``_targets`` is the path-keyed table
+        # ``make_group`` reads, and the controller has no public setter.
         lambda: IOLatencyController({B: 5e-4}),
-        reconfigure=lambda controller: controller.set_target(A, 2.5e-4),
+        reconfigure=lambda controller: controller._targets.update({A: 2.5e-4}),
     ),
     "blk-throttle": Row(
         lambda: BlkThrottleController(

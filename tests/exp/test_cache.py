@@ -237,7 +237,9 @@ class TestCacheThroughSweeps:
     def test_changed_axis_value_is_single_cell_miss(self, tmp_path):
         store = ArtifactStore(tmp_path)
         run_sweep(self.SPEC, store, workers=1)
-        edited = self.SPEC.replace_axis("value", [1, 2, 99])
+        edited = ExperimentSpec.from_dict(
+            {**self.SPEC.to_dict(), "grid": {"value": [1, 2, 99]}}
+        )
         report = run_sweep(edited, store, workers=1)
         assert report.cache_hits == 2
         assert report.executed == 1

@@ -90,13 +90,6 @@ class TestExperimentSpec:
         assert a.sweep_hash != b.sweep_hash
         assert a.sweep_hash != c.sweep_hash
 
-    def test_replace_axis(self):
-        spec = ExperimentSpec(name="s", grid={"x": (1, 2)}, zip_axes={"y": (5,)})
-        assert ExperimentSpec.replace_axis(spec, "x", [1, 9]).grid["x"] == (1, 9)
-        assert spec.replace_axis("y", [6]).zip_axes["y"] == (6,)
-        with pytest.raises(SpecError, match="no such axis"):
-            spec.replace_axis("z", [1])
-
 
 class TestLoadSpec:
     def test_json(self, tmp_path):

