@@ -60,8 +60,7 @@ def main() -> None:
         monitor.stop()
     bed.detach()
 
-    for name in bed.devices.names():
-        layer = bed.devices.layer(name)
+    for name, layer in bed.devices.items():
         snaps = monitor.snapshots_for(name)
         print(
             f"{name} ({layer.dev}, {layer.device.spec.name}): "
@@ -69,7 +68,8 @@ def main() -> None:
             f"snapshots={len(snaps)}"
         )
 
-    iostat = IOStat(bed.cgroups, controllers=bed.devices.controllers_by_devno())
+    controllers = {layer.dev: layer.controller for layer in bed.devices.values()}
+    iostat = IOStat(bed.cgroups, controllers)
     for path in ("workload.slice/app", "system.slice/logger"):
         print(f"\nio.stat of {path}:")
         print(iostat.render(path))

@@ -3,7 +3,6 @@
 from repro.analysis.stats import (
     LatencyLog,
     RateMeter,
-    Summary,
     TimeSeries,
 )
 from repro.analysis.report import Table, format_ratio, format_si
@@ -12,7 +11,6 @@ from repro.analysis.figures import render_series, sparkline
 __all__ = [
     "LatencyLog",
     "RateMeter",
-    "Summary",
     "Table",
     "TimeSeries",
     "format_ratio",

@@ -11,7 +11,6 @@ provides the equivalents used throughout the reproduction:
 * :class:`TimeSeries` — append-only (time, value) recorder with window
   reductions, used for vrate traces, RPS curves, etc.
 * :class:`RateMeter` — events/bytes per second over a sliding window.
-* :class:`Summary` — one-shot aggregate over a closed sample set.
 
 The layer records every completion as one sample in one log, so the
 sliding stores keep a sample as flat doubles in one ``array('d')``
@@ -25,8 +24,7 @@ from __future__ import annotations
 
 import bisect
 from array import array
-from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -199,41 +197,3 @@ class TimeSeries:
         if not values:
             raise ValueError("mean over empty slice")
         return sum(values) / len(values)
-
-    def max(self, start: float = float("-inf"), end: float = float("inf")) -> float:
-        values = self.slice(start, end)
-        if not values:
-            raise ValueError("max over empty slice")
-        return max(values)
-
-    def last(self) -> float:
-        if not self.values:
-            raise ValueError("empty series")
-        return self.values[-1]
-
-
-@dataclass
-class Summary:
-    """Closed-form aggregate of a sample set (used in benchmark reports)."""
-
-    count: int
-    mean: float
-    p50: float
-    p90: float
-    p99: float
-    maximum: float
-
-    @classmethod
-    def of(cls, samples: Iterable[float]) -> "Summary":
-        data = list(samples)
-        if not data:
-            raise ValueError("summary of empty sample set")
-        p50, p90, p99 = select_percentiles(np.array(data), (50, 90, 99))
-        return cls(
-            count=len(data),
-            mean=sum(data) / len(data),
-            p50=p50,
-            p90=p90,
-            p99=p99,
-            maximum=max(data),
-        )

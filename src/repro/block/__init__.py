@@ -1,10 +1,9 @@
 """Block layer substrate: bios, simulated devices, and the dispatch layer."""
 
 from repro.block.bio import Bio, BioFlags, BioStatus, IOOp, SECTOR_SIZE
-from repro.block.device import DEFAULT_DEVNO, Device, DeviceSpec
+from repro.block.device import DEFAULT_DEVNO, Device, DeviceSpec, devno_for_index
 from repro.block.device_models import DEVICE_CATALOG, get_device_spec
 from repro.block.layer import BlockLayer
-from repro.block.registry import DeviceRegistry, DeviceRegistryError, devno_for_index
 from repro.block.trace import TraceReplayer
 
 __all__ = [
@@ -15,8 +14,6 @@ __all__ = [
     "DEFAULT_DEVNO",
     "DEVICE_CATALOG",
     "Device",
-    "DeviceRegistry",
-    "DeviceRegistryError",
     "DeviceSpec",
     "IOOp",
     "SECTOR_SIZE",

@@ -125,9 +125,16 @@ class DeviceSpec:
         )
 
 
-#: Device id given to devices created outside a :class:`DeviceRegistry`
+#: Device id given to devices created outside a :class:`~repro.testbed.Testbed`
 #: (single-device rigs, unit tests).  Matches the kernel's first SCSI disk.
 DEFAULT_DEVNO = "8:0"
+
+
+def devno_for_index(index: int) -> str:
+    """The ``maj:min`` id of a machine's ``index``-th disk (``8:0``,
+    ``8:16``, ...): Linux SCSI-disk numbering, major 8, 16 minors a disk."""
+    return f"8:{index * 16}"
+
 
 #: Service-noise draws pre-computed per refill (docs/PERF.md).  Chunk size
 #: is a pure performance knob: numpy array draws consume the bit stream
@@ -161,8 +168,8 @@ class Device:
     to the spec's catalogue name) and ``devno`` the stable ``maj:min`` id
     under which all per-device accounting — io.stat lines, per-cgroup
     :class:`~repro.cgroup.tree.IOStats` records, tracepoint ``dev`` fields —
-    is keyed.  Multi-device machines get unique devnos from
-    :class:`repro.block.registry.DeviceRegistry`.
+    is keyed.  A :class:`~repro.testbed.Testbed` numbers its devices in
+    order with :func:`devno_for_index`.
     """
 
     def __init__(

@@ -117,7 +117,6 @@ class IOCost(IOController):
         # Period counters.
         self._budget_blocked_events = 0
         # Lifetime statistics.
-        self.urgent_ios = 0
         self.debt_charged = 0.0
         self.rescinds = 0
         self.donation_passes = 0
@@ -227,7 +226,6 @@ class IOCost(IOController):
             # charged the owner, ROOT deliberately wrote it off.
             if self._san.enabled:
                 self._charged += bio.abs_cost
-            self.urgent_ios += 1
             self._urgent.append(bio)
             return
 

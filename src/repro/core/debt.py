@@ -21,7 +21,6 @@ two deliberately-broken ablations evaluated in Figure 15.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from repro.core.hierarchy import GroupState
 from repro.core.vtime import VTimeClock
@@ -40,17 +39,13 @@ class SwapChargeMode(enum.Enum):
     ORIGIN_THROTTLE = "origin_throttle"
 
 
-@dataclass(frozen=True)
-class DebtConfig:
-    """Thresholds for the return-to-userspace throttle."""
-
-    #: Debt (wall seconds of the group's own budget) above which returning
-    #: threads are blocked.
-    threshold: float = 0.01
-    #: Longest single block applied at the userspace boundary.
-    max_delay: float = 0.25
-    #: Fraction of the outstanding repayment time charged per boundary hit.
-    delay_fraction: float = 0.5
+#: Debt (wall seconds of the group's own budget) above which threads
+#: returning to userspace are blocked.
+DEBT_THRESHOLD = 0.01
+#: Longest single block applied at the userspace boundary.
+MAX_DELAY = 0.25
+#: Fraction of the outstanding repayment time charged per boundary hit.
+DELAY_FRACTION = 0.5
 
 
 class DebtTracker:
@@ -61,9 +56,8 @@ class DebtTracker:
     that gap.
     """
 
-    def __init__(self, clock: VTimeClock, config: DebtConfig = DebtConfig()) -> None:
+    def __init__(self, clock: VTimeClock) -> None:
         self.clock = clock
-        self.config = config
         self.userspace_blocks = 0
         self.total_blocked_time = 0.0
 
@@ -83,9 +77,9 @@ class DebtTracker:
         throttled at its source without ever fully stopping the task.
         """
         owed = self.debt_walltime(group)
-        if owed <= self.config.threshold:
+        if owed <= DEBT_THRESHOLD:
             return 0.0
-        delay = min(self.config.max_delay, owed * self.config.delay_fraction)
+        delay = min(MAX_DELAY, owed * DELAY_FRACTION)
         self.userspace_blocks += 1
         self.total_blocked_time += delay
         group.indelay_total += delay  # io.stat cost.indelay

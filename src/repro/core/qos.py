@@ -21,6 +21,9 @@ from typing import Optional
 from repro.analysis.stats import LatencyLog, TimeSeries
 from repro.core.vtime import VTimeClock
 
+#: Request-slot utilisation treated as depletion (saturation signal).
+SLOT_DEPLETION_THRESHOLD = 0.95
+
 
 @dataclass(frozen=True)
 class QoSParams:
@@ -38,8 +41,6 @@ class QoSParams:
     vrate_min: float = 0.25
     vrate_max: float = 4.0
     period: float = 0.05
-    #: Request-slot utilisation treated as depletion (saturation signal).
-    slot_depletion_threshold: float = 0.95
 
     def __post_init__(self) -> None:
         if self.period <= 0:
@@ -104,7 +105,7 @@ class VRateController:
         ):
             if observed is not None and target is not None and observed > target:
                 excess = max(excess, observed / target)
-        depleted = slot_utilization >= qos.slot_depletion_threshold
+        depleted = slot_utilization >= SLOT_DEPLETION_THRESHOLD
 
         vrate = self.clock.vrate
         if excess > 0 or depleted:

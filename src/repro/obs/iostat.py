@@ -23,7 +23,8 @@ machine-wide figure is a sum the reader makes over the device entries.
 
 Usage::
 
-    iostat = IOStat(tree, bed.devices.controllers_by_devno())
+    controllers = {layer.dev: layer.controller for layer in bed.devices.values()}
+    iostat = IOStat(tree, controllers)
     per_dev = iostat.device_snapshot()        # path -> devno -> counters
     per_dev["workload.slice"]["8:0"]["rbytes"]  # includes all children
     print(iostat.render("workload.slice"))    # kernel io.stat text
@@ -124,10 +125,6 @@ class IOStat:
 
         visit(self.tree.root)
         return result
-
-    def device_of(self, path: str) -> Dict[str, Dict[str, float]]:
-        """One cgroup's recursive per-device io.stat entries."""
-        return self.device_snapshot()[path]
 
     # -- kernel-format rendering -----------------------------------------------
 

@@ -34,10 +34,9 @@ import numpy as np
 
 from repro.analysis.stats import keyed_percentiles
 from repro.block.bio import reset_bio_ids
-from repro.block.device import Device, DeviceSpec
+from repro.block.device import Device, DeviceSpec, devno_for_index
 from repro.block.layer import BlockLayer
 from repro.block.device_models import get_device_spec
-from repro.block.registry import DeviceRegistry
 from repro.cgroup import Cgroup, CgroupTree, make_meta_hierarchy
 from repro.controllers.base import IOController
 from repro.controllers.bfq import BFQController
@@ -102,6 +101,12 @@ def make_controller(
     return CONTROLLERS[name](**kwargs)
 
 
+def _device_error(what: str, name: str, names) -> ValueError:
+    """The one error for a device name from outside: ``what`` is "invalid"
+    (empty, or a path) or "no" (not one of the machine's ``names``)."""
+    return ValueError(f"{what} device {name!r} (the machine has {list(names)})")
+
+
 class Testbed:
     """One simulated machine: device(s) + controller(s) + cgroups (+ memory)."""
 
@@ -131,12 +136,19 @@ class Testbed:
         self._seed = seed
         self._workload_count = 0
         self.cgroups: CgroupTree = make_meta_hierarchy()
-        self.devices = DeviceRegistry()
+        #: The machine's block layers by device name, in registration order:
+        #: the ``index``-th has devno ``devno_for_index(index)``.
+        self.devices: Dict[str, BlockLayer] = {}
 
         if devices is None:
             devices = {DEFAULT_DEVICE_NAME: device}
             if controllers is None:
                 controllers = {DEFAULT_DEVICE_NAME: controller}
+        if not devices:
+            raise ValueError("a machine needs at least one device")
+        for name in devices:
+            if not name or "/" in name:
+                raise _device_error("invalid", name, devices)
         if controllers is None:
             controllers = {}
         if isinstance(controller, IOController) and len(devices) > 1:
@@ -153,13 +165,11 @@ class Testbed:
         if isinstance(faults, FaultPlan):
             faults = {next(iter(devices)): faults}
         fault_plans: Dict[str, FaultPlan] = dict(faults or {})
-        unknown_fault_devs = set(fault_plans) - set(devices)
-        if unknown_fault_devs:
-            raise ValueError(
-                f"faults name unknown device(s) {sorted(unknown_fault_devs)}"
-            )
+        for name in fault_plans:
+            if name not in devices:
+                raise _device_error("no", name, devices)
 
-        for name, spec_like in devices.items():
+        for index, (name, spec_like) in enumerate(devices.items()):
             spec = spec_like if isinstance(spec_like, DeviceSpec) else get_device_spec(spec_like)
             ctl_like = controllers.get(name, controller)
             if isinstance(ctl_like, IOController):
@@ -173,25 +183,22 @@ class Testbed:
                 plan.bind(self.rng_for(f"faults:{name}"))
             dev = Device(
                 self.sim, spec, self.rng_for(f"device:{name}"),
-                name=name, devno=self.devices.next_devno(), faults=plan,
+                name=name, devno=devno_for_index(index), faults=plan,
             )
-            layer = BlockLayer(
+            self.devices[name] = BlockLayer(
                 self.sim, dev, ctl,
                 io_timeout=io_timeout, max_retries=max_retries,
             )
-            self.devices.add(name, layer)
 
         # Single-device aliases: the machine's first (data) device.
-        self.layer = self.devices.default
+        self.layer = next(iter(self.devices.values()))
         self.device = self.layer.device
         self.controller = self.layer.controller
         self.spec = self.device.spec
 
         self.mm: Optional[MemoryManager] = None
         if mem_bytes is not None:
-            swap_layer = (
-                self.devices.layer(swap_device) if swap_device is not None else self.layer
-            )
+            swap_layer = self.layer_of(swap_device)
             self.mm = MemoryManager(
                 self.sim,
                 self.layer,
@@ -230,10 +237,10 @@ class Testbed:
         """The block layer of a named device (default: the data device)."""
         if device is None:
             return self.layer
-        return self.devices.layer(device)
-
-    def controller_of(self, device: Optional[str] = None) -> IOController:
-        return self.layer_of(device).controller
+        try:
+            return self.devices[device]
+        except KeyError:
+            raise _device_error("no", device, self.devices) from None
 
     # -- cgroups ------------------------------------------------------------
 
@@ -242,7 +249,7 @@ class Testbed:
 
     def set_weight(self, cgroup: Cgroup, weight: int) -> None:
         cgroup.weight = weight
-        for layer in self.devices.layers():
+        for layer in self.devices.values():
             if isinstance(layer.controller, IOCost):
                 layer.controller.set_weight(cgroup, weight)
 
@@ -304,10 +311,9 @@ class Testbed:
         duration = self.window_duration
         if duration <= 0:
             raise ValueError("no completed run window")
-        names = [device] if device is not None else list(self.devices)
+        layers = [self.layer_of(device)] if device is not None else self.devices.values()
         done = 0
-        for name in names:
-            layer = self.devices.layer(name)
+        for layer in layers:
             done += layer.iops_of(cgroup) - self._window_snapshot.get((cgroup, layer.dev), 0)
         return done / duration
 
@@ -328,5 +334,5 @@ class Testbed:
 
     def detach(self) -> None:
         """Tear down every controller's timers (end of experiment)."""
-        for layer in self.devices.layers():
+        for layer in self.devices.values():
             layer.controller.detach()

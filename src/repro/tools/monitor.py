@@ -46,9 +46,9 @@ DEFAULT_INTERVAL = 0.05
 class Monitor:
     """Periodic observer over a testbed.
 
-    ``bed`` needs ``sim``, ``cgroups`` and a ``devices`` registry — a
-    :class:`repro.testbed.Testbed` or anything shaped like one.  Every
-    registered device is monitored, or just ``device`` when named, and
+    ``bed`` needs ``sim``, ``cgroups`` and a ``devices`` dict of block
+    layers by name — a :class:`repro.testbed.Testbed` or anything shaped
+    like one.  Every device is monitored, or just ``device`` when named, and
     each snapshot names its device the way the machine does (``vda``).
     The sampling ``interval`` is the shortest QoS period among the
     monitored controllers, else :data:`DEFAULT_INTERVAL` (so snapshots land
@@ -67,7 +67,7 @@ class Monitor:
         names = list(bed.devices) if device is None else [device]
         #: (name, layer) pairs under observation.
         self._targets: List[Tuple[str, object]] = [
-            (name, bed.devices.layer(name)) for name in names
+            (name, bed.devices[name]) for name in names
         ]
 
         periods = [

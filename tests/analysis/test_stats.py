@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from repro.analysis.stats import (
     LatencyLog,
     RateMeter,
-    Summary,
     TimeSeries,
     keyed_percentiles,
 )
@@ -325,8 +324,6 @@ class TestTimeSeries:
             series.record(float(t), t * 10.0)
         assert series.slice(2.0, 5.0) == [20.0, 30.0, 40.0]
         assert series.mean(2.0, 5.0) == pytest.approx(30.0)
-        assert series.max(0.0, 100.0) == 90.0
-        assert series.last() == 90.0
         assert len(series) == 10
 
     def test_non_monotone_rejected(self):
@@ -339,25 +336,9 @@ class TestTimeSeries:
         series = TimeSeries()
         with pytest.raises(ValueError):
             series.mean()
-        with pytest.raises(ValueError):
-            series.last()
 
     def test_iteration(self):
         series = TimeSeries()
         series.record(0.0, 1.0)
         series.record(1.0, 2.0)
         assert list(series) == [(0.0, 1.0), (1.0, 2.0)]
-
-
-class TestSummary:
-    def test_of_samples(self):
-        summary = Summary.of(range(1, 101))
-        assert summary.count == 100
-        assert summary.mean == pytest.approx(50.5)
-        assert summary.p50 == 50
-        assert summary.p99 == 99
-        assert summary.maximum == 100
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            Summary.of([])

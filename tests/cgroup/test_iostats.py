@@ -54,6 +54,6 @@ class TestWaitUnitContract:
         stats = tree.create("a").stats
         stats.device("8:0").wait_total = 0.5
         stats.device("8:16").wait_total = 0.25
-        entry = iostat_mod.IOStat(tree).device_of("a")
+        entry = iostat_mod.IOStat(tree).device_snapshot()["a"]
         for dev, record in stats.devices():
             assert entry[dev]["wait_usec"] == record.wait_usec

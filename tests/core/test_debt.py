@@ -3,16 +3,16 @@
 import pytest
 
 from repro.cgroup import CgroupTree
-from repro.core.debt import DebtConfig, DebtTracker, SwapChargeMode
+from repro.core.debt import DebtTracker, SwapChargeMode
 from repro.core.hierarchy import WeightTree
 from repro.core.vtime import VTimeClock
 from repro.sim import Simulator
 
 
-def make_env(vrate=1.0, **config_kwargs):
+def make_env(vrate=1.0):
     sim = Simulator()
     clock = VTimeClock(sim, vrate=vrate)
-    tracker = DebtTracker(clock, DebtConfig(**config_kwargs))
+    tracker = DebtTracker(clock)
     group = WeightTree().state_of(CgroupTree().create("a"))
     return sim, clock, tracker, group
 
@@ -40,24 +40,22 @@ def test_debt_walltime_scales_with_vrate():
 
 
 def test_no_delay_under_threshold():
-    sim, clock, tracker, group = make_env(threshold=0.1)
-    group.local_vtime = clock.now() + 0.05
+    sim, clock, tracker, group = make_env()
+    group.local_vtime = clock.now() + 0.005  # under the 0.01 s threshold
     assert tracker.userspace_delay(group) == 0.0
     assert tracker.userspace_blocks == 0
 
 
 def test_delay_fraction_of_owed_time():
-    sim, clock, tracker, group = make_env(
-        threshold=0.01, max_delay=10.0, delay_fraction=0.5
-    )
-    group.local_vtime = clock.now() + 0.2
+    sim, clock, tracker, group = make_env()
+    group.local_vtime = clock.now() + 0.2  # half of it, under the 0.25 s cap
     assert tracker.userspace_delay(group) == pytest.approx(0.1)
     assert tracker.userspace_blocks == 1
     assert tracker.total_blocked_time == pytest.approx(0.1)
 
 
 def test_delay_capped_at_max():
-    sim, clock, tracker, group = make_env(threshold=0.01, max_delay=0.25)
+    sim, clock, tracker, group = make_env()
     group.local_vtime = clock.now() + 100.0
     assert tracker.userspace_delay(group) == pytest.approx(0.25)
 

@@ -50,6 +50,29 @@ def test_paced_without_rate_is_a_typed_error():
         run_testbed(_params({"type": "paced"}), seed=0)
 
 
+#: Spec tables naming a device the machine cannot have or does not have:
+#: (the name, the edit to a valid table).
+BAD_DEVICES = {
+    "empty": ("", {"devices": {"": "ssd_new"}}),
+    "path": ("a/b", {"devices": {"a/b": "ssd_new"}}),
+    "swap_device": ("vdz", {"mem_bytes": 1 << 26, "swap_device": "vdz"}),
+    "fault_device": ("vdz", {
+        "faults": [{"kind": "gc_stall", "start": 0.0, "duration": 0.01}],
+        "fault_device": "vdz",
+    }),
+    "workload_device": ("vdz", {"workloads": [{"cgroup": "a", "device": "vdz"}]}),
+}
+
+
+@pytest.mark.parametrize("name, edit", BAD_DEVICES.values(), ids=list(BAD_DEVICES))
+def test_a_bad_device_name_is_one_value_error_naming_it(name, edit):
+    with pytest.raises(ValueError) as raised:
+        build_machine(dict(_params(TABLES["saturate"]), **edit), seed=0)
+    assert type(raised.value) is ValueError
+    message = str(raised.value)
+    assert repr(name) in message and "the machine has [" in message
+
+
 def test_read_percentiles_are_of_reads():
     """``read_p<pct>`` is the cgroup's read latency: a cgroup that only
     writes has none (it used to report its write latency under that name)."""

@@ -59,7 +59,7 @@ class TestRun:
         assert captured.out == ""
         failed = [line for line in captured.err.splitlines() if line.startswith("FAILED ")]
         assert len(failed) == 1  # best_fit packs every instance onto web/0
-        assert failed[0].startswith("FAILED web/0: DeviceRegistryError: ")
+        assert failed[0].startswith("FAILED web/0: ValueError: ")
         assert "scratch" in failed[0]
 
     def test_malformed_spec_value_exits_with_message(self, tmp_path, store_dir):

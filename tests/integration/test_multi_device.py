@@ -52,9 +52,9 @@ def run_op(bed, gen):
 class TestConstruction:
     def test_single_device_api_unchanged(self):
         bed = Testbed(device=FAST, controller="iocost", qos=FIXED_QOS)
-        assert len(bed.devices) == 1
+        assert type(bed.devices) is dict
         assert list(bed.devices) == ["vda"]
-        assert bed.devices.layer("vda") is bed.layer
+        assert bed.devices["vda"] is bed.layer
         assert bed.layer.dev == "8:0"
         assert bed.controller is bed.layer.controller
         assert bed.device is bed.layer.device
@@ -68,15 +68,15 @@ class TestConstruction:
             qos=FIXED_QOS,
         )
         assert list(bed.devices) == ["vda", "vdb"]
-        assert bed.devices.layer("vda").dev == "8:0"
-        assert bed.devices.layer("vdb").dev == "8:16"
+        assert bed.devices["vda"].dev == "8:0"
+        assert bed.devices["vdb"].dev == "8:16"
         # Distinct controller instances over one shared cgroup tree / clock.
-        vda, vdb = bed.controller_of("vda"), bed.controller_of("vdb")
+        vda, vdb = bed.devices["vda"].controller, bed.devices["vdb"].controller
         assert vda is not vdb
-        assert bed.devices.layer("vda").sim is bed.devices.layer("vdb").sim
+        assert bed.devices["vda"].sim is bed.devices["vdb"].sim
         assert bed.layer_of("vdb").device.spec.name == "ssd_new-x0.1"
         # The aliases point at the first (data) device.
-        assert bed.layer is bed.devices.layer("vda")
+        assert bed.layer is bed.devices["vda"]
         bed.detach()
 
     def test_shared_controller_instance_rejected(self):
@@ -112,8 +112,8 @@ class TestIndependentControllers:
         assert bed.iops(app, device="vda") > 0
         assert bed.iops(app, device="vdb") == 0
         # Each device's iocost accumulated its own per-cgroup state.
-        assert bed.controller_of("vda").cost_stat(app)["cost.usage"] > 0
-        assert bed.controller_of("vdb").cost_stat(app)["cost.usage"] == 0
+        assert bed.devices["vda"].controller.cost_stat(app)["cost.usage"] > 0
+        assert bed.devices["vdb"].controller.cost_stat(app)["cost.usage"] == 0
         bed.detach()
 
     def test_per_device_vrates_move_independently(self):
@@ -126,12 +126,12 @@ class TestIndependentControllers:
         bed.saturate(app, device="vda", depth=32, stop_at=1.0)
         bed.run(1.0)
 
-        vda_series = bed.controller_of("vda").vrate_ctl.vrate_series.values
-        vdb_series = bed.controller_of("vdb").vrate_ctl.vrate_series.values
+        vda_series = bed.devices["vda"].controller.vrate_ctl.vrate_series.values
+        vdb_series = bed.devices["vdb"].controller.vrate_ctl.vrate_series.values
         # vda's QoS reacted to its own load and left 1.0; idle vdb did not.
         assert set(vda_series) != {1.0}
         assert set(vdb_series) <= {1.0}
-        assert bed.controller_of("vda").vrate != bed.controller_of("vdb").vrate
+        assert bed.devices["vda"].controller.vrate != bed.devices["vdb"].controller.vrate
         bed.detach()
 
 
@@ -150,12 +150,14 @@ class TestPerDeviceIOStat:
         bed.run(0.4)
         bed.detach()
 
-        iostat = IOStat(bed.cgroups, bed.devices.controllers_by_devno())
+        iostat = IOStat(bed.cgroups, {
+            layer.dev: layer.controller for layer in bed.devices.values()
+        })
         for path in ("workload.slice/a", "workload.slice/b", "workload.slice"):
             lines = iostat.render(path).splitlines()
             assert [line.split()[0] for line in lines] == ["8:0", "8:16"]
-        entry_a = iostat.device_of("workload.slice/a")
-        entry_b = iostat.device_of("workload.slice/b")
+        entry_a = iostat.device_snapshot()["workload.slice/a"]
+        entry_b = iostat.device_snapshot()["workload.slice/b"]
         assert entry_a["8:0"]["rios"] > 0 and entry_a["8:16"]["rios"] == 0
         assert entry_b["8:16"]["rios"] > 0 and entry_b["8:0"]["rios"] == 0
 
@@ -170,7 +172,7 @@ class TestSwapOnSecondDevice:
             swap_device="vdb",
             seed=2,
         )
-        assert bed.mm.swap_layer is bed.devices.layer("vdb")
+        assert bed.mm.swap_layer is bed.devices["vdb"]
         leaker = bed.add_cgroup("workload.slice/leaker")
         app = bed.add_cgroup("workload.slice/app")
         run_op(bed, bed.mm.alloc(leaker, 60 * MB))
@@ -214,7 +216,7 @@ class TestTopologyDeterminism:
     def fingerprint(bed, cgroup):
         bed.saturate(cgroup, device="vda", depth=8, stop_at=0.5)
         bed.run(0.5)
-        layer = bed.devices.layer("vda")
+        layer = bed.devices["vda"]
         record = cgroup.stats.device(layer.dev)
         result = (cgroup.path, record.done_ios, record.done_bytes)
         assert record.done_ios > 0

@@ -49,7 +49,7 @@ class TestAggregation:
         iostat = IOStat(tree)
         account(child, rbytes=65536, wbytes=4096)
 
-        before = iostat.device_of("workload.slice")[DEV]
+        before = iostat.device_snapshot()["workload.slice"][DEV]
         tree.remove("workload.slice/dying")
         after = iostat.device_snapshot()
 
@@ -95,7 +95,7 @@ class TestAggregation:
         doomed = other.create("x")
         account(doomed, rbytes=4096)
         other.remove("x")  # not iostat's tree; must not be folded anywhere
-        assert iostat.device_of("") == {}
+        assert iostat.device_snapshot()[""] == {}
 
 
 class TestCostKeys:
@@ -107,8 +107,10 @@ class TestCostKeys:
         bed.sim.run(until=0.5)
         bed.controller.detach()
 
-        iostat = IOStat(bed.cgroups, bed.devices.controllers_by_devno())
-        entry = iostat.device_of("workload.slice/a")[bed.layer.dev]
+        iostat = IOStat(bed.cgroups, {
+            layer.dev: layer.controller for layer in bed.devices.values()
+        })
+        entry = iostat.device_snapshot()["workload.slice/a"][bed.layer.dev]
         assert entry["cost.vrate"] == pytest.approx(bed.controller.vrate)
         assert entry["cost.usage"] > 0
         assert entry["cost.ios"] > 0
@@ -116,7 +118,7 @@ class TestCostKeys:
         assert entry["cost.indebt"] == 0.0
         assert entry["cost.indelay"] == 0.0
         # The idle sibling saw no IO.
-        idle = iostat.device_of("workload.slice/b")[bed.layer.dev]
+        idle = iostat.device_snapshot()["workload.slice/b"][bed.layer.dev]
         assert idle["cost.usage"] == 0.0
         assert idle["rbytes"] == 0
 
@@ -125,12 +127,14 @@ class TestCostKeys:
         bed = Testbed(SSD_NEW.scaled(0.1), "iocost", seed=5)
         a = bed.add_cgroup("workload.slice/a")
         bed.saturate(a, depth=16, stop_at=1.0)
-        iostat = IOStat(bed.cgroups, bed.devices.controllers_by_devno())
+        iostat = IOStat(bed.cgroups, {
+            layer.dev: layer.controller for layer in bed.devices.values()
+        })
 
         bed.sim.run(until=0.3)
-        early = iostat.device_of("workload.slice/a")[bed.layer.dev]["cost.usage"]
+        early = iostat.device_snapshot()["workload.slice/a"][bed.layer.dev]["cost.usage"]
         bed.sim.run(until=0.9)
-        late = iostat.device_of("workload.slice/a")[bed.layer.dev]["cost.usage"]
+        late = iostat.device_snapshot()["workload.slice/a"][bed.layer.dev]["cost.usage"]
         bed.controller.detach()
 
         assert early > 0
@@ -144,6 +148,8 @@ class TestCostKeys:
         bed.saturate(a, depth=64, stop_at=0.4)
         bed.sim.run(until=0.5)
         bed.controller.detach()
-        iostat = IOStat(bed.cgroups, bed.devices.controllers_by_devno())
-        entry = iostat.device_of("workload.slice/a")[bed.layer.dev]
+        iostat = IOStat(bed.cgroups, {
+            layer.dev: layer.controller for layer in bed.devices.values()
+        })
+        entry = iostat.device_snapshot()["workload.slice/a"][bed.layer.dev]
         assert entry["throttled"] > 0

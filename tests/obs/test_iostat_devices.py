@@ -69,7 +69,7 @@ class TestGoldenFormat:
         layers["vdb"].submit(Bio(IOOp.READ, 8192, 8, b))
         sim.run(until=1.0)
 
-        entry = IOStat(tree).device_of("workload.slice")
+        entry = IOStat(tree).device_snapshot()["workload.slice"]
         assert entry["8:0"]["rbytes"] == 4096
         assert entry["8:16"]["rbytes"] == 8192
         # One line per device and no cross-device line, as in the kernel.
@@ -106,13 +106,13 @@ class TestRemovalFolding:
         sim.run(until=1.0)
 
         tree.remove("workload.slice/dying")
-        entry = iostat.device_of("workload.slice")
+        entry = iostat.device_snapshot()["workload.slice"]
         assert "workload.slice/dying" not in iostat.device_snapshot()
         assert entry["8:0"]["rbytes"] == 4096
         assert entry["8:0"]["wbytes"] == 0
         assert entry["8:16"]["wbytes"] == 65536
         # The root sees the same per-device split.
-        root = iostat.device_of("")
+        root = iostat.device_snapshot()[""]
         assert root["8:0"]["rbytes"] == 4096
         assert root["8:16"]["wbytes"] == 65536
 
@@ -126,7 +126,7 @@ class TestRemovalFolding:
 
         tree.remove("a/b/c")
         tree.remove("a/b")
-        entry = IOStat(tree).device_of("a")  # built after the removals
+        entry = IOStat(tree).device_snapshot()["a"]  # built after the removals
         assert entry["8:16"]["rbytes"] == 4096
         assert "8:0" not in entry
 
@@ -143,8 +143,10 @@ class TestCostKeysPerDevice:
         bed.sim.run(until=0.4)
         bed.detach()
 
-        iostat = IOStat(bed.cgroups, bed.devices.controllers_by_devno())
-        entry = iostat.device_of("workload.slice/app")
+        iostat = IOStat(bed.cgroups, {
+            layer.dev: layer.controller for layer in bed.devices.values()
+        })
+        entry = iostat.device_snapshot()["workload.slice/app"]
         iocost_keys = {k for k in entry["8:0"] if k.startswith("cost.")}
         assert {"cost.vrate", "cost.usage", "cost.ios", "cost.wait"} <= iocost_keys
         assert not any(k.startswith("cost.") for k in entry["8:16"])
@@ -172,8 +174,10 @@ class TestCostKeysPerDevice:
         bed.sim.run(until=0.4)
         bed.detach()
 
-        iostat = IOStat(bed.cgroups, bed.devices.controllers_by_devno())
-        entry = iostat.device_of("workload.slice/app")
+        iostat = IOStat(bed.cgroups, {
+            layer.dev: layer.controller for layer in bed.devices.values()
+        })
+        entry = iostat.device_snapshot()["workload.slice/app"]
         assert entry["8:16"]["wait_usec"] > 100 * entry["8:0"]["wait_usec"]
         for dev in ("8:0", "8:16"):
             assert entry[dev]["cost.wait"] * 1e6 == pytest.approx(entry[dev]["wait_usec"])

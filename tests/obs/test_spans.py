@@ -314,8 +314,8 @@ class TestIntegration:
         # Per-controller attribution is separable: the iocost gate of the
         # stacked device and the blk-throttle device each blame their own
         # waits under their own stage names, on their own device.
-        vda = bed.devices.layer("vda").dev
-        vdb = bed.devices.layer("vdb").dev
+        vda = bed.devices["vda"].dev
+        vdb = bed.devices["vdb"].dev
         vda_stages = tracker.breakdown(dev=vda)["stages"]
         vdb_stages = tracker.breakdown(dev=vdb)["stages"]
         assert THROTTLE_PREFIX + "iocost" in vda_stages

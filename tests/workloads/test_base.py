@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.stats import Summary
+from repro.obs.metrics import exact_percentile
 from repro.workloads.base import SectorPicker, Workload
 
 from tests.workloads.conftest import make_noop_env
@@ -44,7 +44,7 @@ class TestWorkloadBase:
         sim, layer, tree = make_noop_env()
         workload = Workload(sim, layer, tree.create("a"))
         with pytest.raises(ValueError):
-            Summary.of(workload.latencies)
+            exact_percentile(workload.latencies, 50)
 
     def test_recent_percentile_none_when_empty(self):
         sim, layer, tree = make_noop_env()

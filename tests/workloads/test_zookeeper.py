@@ -117,7 +117,7 @@ def test_a_shared_cgroup_tree_couples_no_hosts():
     assert alone.cgroup.stats.per_device[m0].done_ios > 100
     holders = {
         name for name in HOSTS
-        if any(state.cgroup is alone.cgroup for state in bed.controller_of(name).groups)
+        if any(state.cgroup is alone.cgroup for state in bed.devices[name].controller.groups)
     }
     assert holders == {"m0"}
 
